@@ -19,7 +19,7 @@ from .epistemic import (
     render_model,
     validation_report,
 )
-from .errors import EngineError, HypothesisNotMet
+from .errors import EngineError, HypothesisNotMet, ValidationError
 from .games import (
     Game,
     MixedStrategy,
@@ -29,7 +29,7 @@ from .games import (
 )
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import EliminationTrace
-from .optimality import Notion
+from .optimality import Notion, parse_notion
 from .verify import VerificationReport
 
 
@@ -215,8 +215,17 @@ def _profile_for(args, game: Game) -> NotionProfile:
     return NotionProfile.parse(args.profile, game.n)
 
 
+def _suite_notion(text: str) -> Notion:
+    parts = text.replace(",", " ").split()
+    if len(parts) != 1:
+        raise ValidationError(f"a random suite takes one notion, got {text!r}")
+    return parse_notion(parts[0])
+
+
 def _cmd_verify(args) -> int:
     claim = args.claim
+    if args.samples < 1:
+        raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     game = _load_game(args.game) if args.game else None
     model = None
     if args.model:
@@ -230,7 +239,7 @@ def _cmd_verify(args) -> int:
             report = check(game, model, _profile_for(args, game), seed=args.seed)
         else:
             notions = (
-                [Notion(args.profile)] if args.profile else
+                [_suite_notion(args.profile)] if args.profile else
                 [Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED]
             )
             report = None

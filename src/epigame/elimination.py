@@ -77,12 +77,17 @@ class NotionProfile:
                 "independent-belief best response requires exactly 2 players"
             )
 
-    def is_monotonic(self) -> bool:
-        effective = {
+    def non_monotonic(self) -> tuple[Notion, ...]:
+        """The profile's notions outside the monotonic set, each once, in
+        profile order; ``bri`` counts as ``brc``."""
+        effective = (
             Notion.BR_CORRELATED if n is Notion.BR_INDEPENDENT else n
             for n in self.notions
-        }
-        return effective <= MONOTONIC_NOTIONS
+        )
+        return tuple(dict.fromkeys(n for n in effective if n not in MONOTONIC_NOTIONS))
+
+    def is_monotonic(self) -> bool:
+        return not self.non_monotonic()
 
     def __str__(self) -> str:
         if len(set(self.notions)) == 1:

@@ -77,3 +77,7 @@ class HypothesisNotMet(EngineError):
 
 class NonMonotonicProfile(EngineError):
     """Profile contains a notion outside the monotonic set where one is required."""
+
+
+class InvariantViolated(EngineError):
+    """An internal invariant of the engine failed: a bug, not bad input."""

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EmptyOpponentSet, EmptySupport, UnsupportedNotion, ValidationError
+from .errors import (
+    EmptyOpponentSet,
+    EmptySupport,
+    InvariantViolated,
+    UnsupportedNotion,
+    ValidationError,
+)
 from .games import (
     CorrelatedBelief,
     Game,
@@ -311,7 +317,8 @@ def _dominance_verdict(game, i, s_i, support, opponents, mode) -> DominanceVerdi
     solution = solve(problem)
     if solution.status is Status.INFEASIBLE:
         return DominanceVerdict(False, None, None)
-    assert solution.status is Status.OPTIMAL  # slacks are bounded by payoff spreads
+    if solution.status is not Status.OPTIMAL:
+        raise InvariantViolated("weak-dominance program unbounded; its slacks are bounded")
     if solution.value > 0:
         weights = tuple(zip(support, solution.assignment[:k]))
         return DominanceVerdict(True, MixedStrategy(i, weights), solution.value)

@@ -1,10 +1,17 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex on a dense tableau of `Fraction`s with Bland's
-anti-cycling rule for both the entering and the leaving choice, so the
-solver terminates on every input and every verdict (optimal / infeasible /
-unbounded) is exact. Free variables are split into differences of
-nonnegative ones.
+Two-phase primal simplex with Bland's anti-cycling rule for both the entering
+and the leaving choice, so the solver terminates on every input and every
+verdict (optimal / infeasible / unbounded) is exact. Free variables are split
+into differences of nonnegative ones.
+
+The tableau is integer-preserving (Edmonds 1967; Bareiss 1968, the pivoting of
+Avis's lrs): the inputs are scaled once to integers, and each entry is kept as
+an integer over one shared positive denominator, the determinant of the
+current basis, so a pivot is exact integer arithmetic with one exact division.
+All rows share one scale and the objective another, which keeps every sign
+and ratio comparison, hence every Bland pivot, as on the rational tableau.
+`Fraction`s are built only when results are read out.
 """
 
 from __future__ import annotations
@@ -12,8 +19,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import ValidationError
+from .errors import InvariantViolated, ValidationError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -63,68 +71,74 @@ class LPSolution:
     assignment: tuple[Fraction, ...] | None
 
 
-def _bland(tableau, rhs, basis, reduced):
-    """Run primal simplex steps until optimal or unbounded."""
-    ncols = len(reduced)
+def _bland(tableau, rhs, basis, reduced, det):
+    """Run primal simplex steps until optimal or unbounded; returns the status
+    and the final denominator."""
     while True:
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] > 0:
-                entering = j
-                break
+        entering = next((j for j, v in enumerate(reduced) if v > 0), -1)
         if entering < 0:
-            return Status.OPTIMAL
-        leaving = -1
-        best = None
+            return Status.OPTIMAL, det
+        leaving, num, den = -1, 0, 1
         for r, row in enumerate(tableau):
             a = row[entering]
             if a > 0:
-                ratio = rhs[r] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
-                    leaving = r
+                ratio, best = rhs[r] * den, num * a  # rhs[r] / a against num / den
+                if leaving < 0 or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    leaving, num, den = r, rhs[r], a
         if leaving < 0:
-            return Status.UNBOUNDED
-        _pivot(tableau, rhs, basis, reduced, leaving, entering)
+            return Status.UNBOUNDED, det
+        det = _pivot(tableau, rhs, basis, reduced, leaving, entering, det)
 
 
-def _pivot(tableau, rhs, basis, reduced, leaving, entering):
+def _pivot(tableau, rhs, basis, reduced, leaving, entering, det):
+    """Pivot in place and return the new denominator, the pivot entry. Each
+    division by the old one is exact (Sylvester's identity). A negative pivot,
+    met only when phase 1 clears an artificial, negates the whole tableau so
+    the denominator stays positive."""
     pivot_row = tableau[leaving]
     pivot = pivot_row[entering]
-    if pivot != 1:
-        inv = 1 / pivot
-        tableau[leaving] = pivot_row = [v * inv for v in pivot_row]
-        rhs[leaving] *= inv
+    pivot_rhs = rhs[leaving]
     for r, row in enumerate(tableau):
         if r == leaving:
             continue
         factor = row[entering]
-        if factor != 0:
-            tableau[r] = [v - factor * p for v, p in zip(row, pivot_row)]
-            rhs[r] -= factor * rhs[leaving]
+        if factor:
+            tableau[r] = [(v * pivot - factor * p) // det for v, p in zip(row, pivot_row)]
+            rhs[r] = (rhs[r] * pivot - factor * pivot_rhs) // det
+        elif pivot != det:
+            tableau[r] = [v * pivot // det for v in row]
+            rhs[r] = rhs[r] * pivot // det
     factor = reduced[entering]
-    if factor != 0:
-        for j, p in enumerate(pivot_row):
-            reduced[j] -= factor * p
+    reduced[:] = [(v * pivot - factor * p) // det for v, p in zip(reduced, pivot_row)]
     basis[leaving] = entering
+    if pivot < 0:
+        tableau[:] = [[-v for v in row] for row in tableau]
+        rhs[:] = [-v for v in rhs]
+        reduced[:] = [-v for v in reduced]
+        pivot = -pivot
+    return pivot
 
 
-def _reduced_costs(tableau, basis, costs):
-    reduced = list(costs)
+def _reduced_costs(tableau, basis, costs, det):
+    reduced = [c * det for c in costs]
     for r, b in enumerate(basis):
         cb = costs[b]
-        if cb != 0:
-            row = tableau[r]
-            for j in range(len(reduced)):
-                if row[j] != 0:
-                    reduced[j] -= cb * row[j]
+        if cb:
+            reduced = [v - cb * t for v, t in zip(reduced, tableau[r])]
     return reduced
+
+
+def _integers(values, scale):
+    """``scale * v`` for each rational ``v``; exact when ``scale`` is a common
+    multiple of the denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve(lp: LinearProgram) -> LPSolution:
     """Solve exactly; on OPTIMAL the assignment satisfies every constraint
     under rational re-evaluation and attains the reported value."""
     nvar = len(lp.objective)
+    scale = lcm(*(v.denominator for c in lp.constraints for v in (*c.coeffs, c.bound)))
 
     # Map original variables to standard (nonnegative) columns.
     column_of: list[tuple[int, int]] = []  # (positive column, negative column or -1)
@@ -137,16 +151,16 @@ def solve(lp: LinearProgram) -> LPSolution:
             column_of.append((ncols, ncols + 1))
             ncols += 2
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for c in lp.constraints:
-        row = [ZERO] * ncols
-        for k, a in enumerate(c.coeffs):
+        *coeffs, bound = _integers((*c.coeffs, c.bound), scale)
+        row = [0] * ncols
+        for k, a in enumerate(coeffs):
             pos, neg = column_of[k]
             row[pos] += a
             if neg >= 0:
                 row[neg] -= a
-        bound = c.bound
         slack = 0
         if c.relation is Relation.LE:
             slack = 1
@@ -157,7 +171,7 @@ def solve(lp: LinearProgram) -> LPSolution:
             bound = -bound
             slack = -slack
         if slack != 0:
-            row.append(Fraction(slack))
+            row.append(slack)
         rows.append(row)
         rhs.append(bound)
 
@@ -169,7 +183,7 @@ def solve(lp: LinearProgram) -> LPSolution:
     artificial_rows: list[int] = []
     for idx, row in enumerate(rows):
         extra = row[ncols:]
-        base = row[:ncols] + [ZERO] * nslack
+        base = row[:ncols] + [0] * nslack
         if extra:
             base[ncols + seen] = extra[0]
             if extra[0] == 1:
@@ -188,18 +202,20 @@ def solve(lp: LinearProgram) -> LPSolution:
         basis[idx] = width + pos
     width += len(artificial_rows)
     for idx, row in enumerate(rows):
-        row.extend([ZERO] * (width - len(row)))
+        row.extend([0] * (width - len(row)))
         if basis[idx] >= first_artificial:
-            row[basis[idx]] = ONE
+            row[basis[idx]] = 1
 
     # Phase 1: drive the artificials to zero.
+    det = 1
     if artificial_rows:
-        costs1 = [ZERO] * width
+        costs1 = [0] * width
         for idx in artificial_rows:
-            costs1[basis[idx]] = Fraction(-1)
-        reduced = _reduced_costs(rows, basis, costs1)
-        status = _bland(rows, rhs, basis, reduced)
-        assert status is Status.OPTIMAL  # phase-1 objective is bounded by 0
+            costs1[basis[idx]] = -1
+        reduced = _reduced_costs(rows, basis, costs1, det)
+        status, det = _bland(rows, rhs, basis, reduced, det)
+        if status is not Status.OPTIMAL:
+            raise InvariantViolated("phase 1 reported unbounded; its objective is bounded by 0")
         if any(
             rhs[r] != 0
             for r in range(len(rows))
@@ -219,8 +235,7 @@ def solve(lp: LinearProgram) -> LPSolution:
                     break
             if target < 0:
                 continue  # redundant constraint
-            dummy = [ZERO] * width
-            _pivot(rows, rhs, basis, dummy, r, target)
+            det = _pivot(rows, rhs, basis, [0] * width, r, target, det)
             keep.append(r)
         rows = [rows[r][:first_artificial] for r in keep]
         rhs = [rhs[r] for r in keep]
@@ -228,20 +243,21 @@ def solve(lp: LinearProgram) -> LPSolution:
         width = first_artificial
 
     # Phase 2 with the real objective.
-    costs2 = [ZERO] * width
+    objective = _integers(lp.objective, lcm(*(v.denominator for v in lp.objective)))
+    costs2 = [0] * width
     for k in range(nvar):
         pos, neg = column_of[k]
-        costs2[pos] += lp.objective[k]
+        costs2[pos] += objective[k]
         if neg >= 0:
-            costs2[neg] -= lp.objective[k]
-    reduced = _reduced_costs(rows, basis, costs2)
-    status = _bland(rows, rhs, basis, reduced)
+            costs2[neg] -= objective[k]
+    reduced = _reduced_costs(rows, basis, costs2, det)
+    status, det = _bland(rows, rhs, basis, reduced, det)
     if status is Status.UNBOUNDED:
         return LPSolution(Status.UNBOUNDED, None, None)
 
     standard = [ZERO] * width
     for r, b in enumerate(basis):
-        standard[b] = rhs[r]
+        standard[b] = Fraction(rhs[r], det)
     assignment = []
     for k in range(nvar):
         pos, neg = column_of[k]
@@ -258,36 +274,41 @@ def matrix_game_value(matrix) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fra
     Shifting the matrix positive makes the column player's scaled program
     start from an all-slack feasible basis, so this runs a single simplex
     phase; the row mixture is read off the slack reduced costs by duality
-    and the column mixture off the basic solution.
+    and the column mixture off the basic solution. Scaling the shifted
+    matrix to integers scales the program's variables alike, which the
+    mixtures do not see and the value divides back out.
     """
     nrows = len(matrix)
-    ncols = len(matrix[0])
-    if nrows == 0 or ncols == 0:
-        raise ValidationError("matrix game needs at least one row and column")
+    ncols = len(matrix[0]) if matrix else 0
+    if ncols == 0 or any(len(row) != ncols for row in matrix):
+        raise ValidationError("matrix game needs equal rows of at least one column")
     shift = ONE - min(min(row) for row in matrix)
     shifted = [[v + shift for v in row] for row in matrix]
+    scale = lcm(*(v.denominator for row in shifted for v in row))
 
     rows = []
     for j in range(nrows):
-        row = list(shifted[j]) + [ZERO] * nrows
-        row[ncols + j] = ONE
+        row = _integers(shifted[j], scale) + [0] * nrows
+        row[ncols + j] = 1
         rows.append(row)
-    rhs = [ONE] * nrows
+    rhs = [1] * nrows
     basis = list(range(ncols, ncols + nrows))
-    reduced = [ONE] * ncols + [ZERO] * nrows
-    status = _bland(rows, rhs, basis, reduced)
-    assert status is Status.OPTIMAL  # positive matrix keeps the program bounded
+    reduced = [1] * ncols + [0] * nrows
+    status, det = _bland(rows, rhs, basis, reduced, 1)
+    if status is not Status.OPTIMAL:
+        raise InvariantViolated("matrix game program unbounded on a positive matrix")
 
-    total = ZERO
-    scaled_columns = [ZERO] * ncols
+    total = 0
+    scaled_columns = [0] * ncols
     for r, b in enumerate(basis):
         if b < ncols:
             total += rhs[r]
             scaled_columns[b] = rhs[r]
-    assert total > 0
-    row_mixture = tuple(-reduced[ncols + j] / total for j in range(nrows))
-    column_mixture = tuple(v / total for v in scaled_columns)
-    value = 1 / total - shift
+    if total <= 0:
+        raise InvariantViolated("matrix game program ended with no positive column weight")
+    row_mixture = tuple(Fraction(-reduced[ncols + j], total) for j in range(nrows))
+    column_mixture = tuple(Fraction(v, total) for v in scaled_columns)
+    value = Fraction(det, scale * total) - shift
     return value, row_mixture, column_mixture
 
 

@@ -39,7 +39,7 @@ from .errors import (
 from .games import Game, JointStrategy, Restriction
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import check_inclusion_lemma, iterate_to_outcome, sample_restriction
-from .optimality import MONOTONIC_NOTIONS, Notion, holds
+from .optimality import Notion, holds, parse_notion
 
 HOLDS_ON_ALL = "holds-on-all"
 COUNTEREXAMPLE = "counterexample"
@@ -81,10 +81,11 @@ def _report(claim, instances, violated, payload, seed, started, notes=()):
 
 
 def _require_monotonic(profile: NotionProfile) -> None:
-    if not profile.is_monotonic():
-        bad = [n.value for n in profile.notions if n not in MONOTONIC_NOTIONS]
+    bad = profile.non_monotonic()
+    if bad:
         raise NonMonotonicProfile(
-            f"inclusion claim requires monotonic notions; {', '.join(bad)} is not "
+            "inclusion claim requires monotonic notions; "
+            f"{', '.join(n.value for n in bad)} {'is' if len(bad) == 1 else 'are'} not "
             "(use the singleton-model counterexample check instead)"
         )
 
@@ -339,7 +340,7 @@ def thm1_suite(
     monotonic notion; checks the common-belief and the common-knowledge
     inclusion on every instance."""
     started = time.perf_counter()
-    profile_notion = notion if isinstance(notion, Notion) else Notion(notion)
+    profile_notion = notion if isinstance(notion, Notion) else parse_notion(notion)
     for k in range(instances):
         instance_seed = seed + k
         game = generate_game(_suite_config(instance_seed, "belief", players, strategies, states))

@@ -8,7 +8,10 @@ mixture eliminates a strategy.
 
 import pytest
 
-from epigame.games import game_from_payoffs, parse_game
+# keep the reference solver's invariant checks under python -O
+pytest.register_assert_rewrite("fraction_simplex")
+
+from epigame.games import game_from_payoffs, parse_game  # noqa: E402
 
 TIE_GAME_TEXT = """\
 # 2x2 game full of ties; weak dominance bites, strict does not

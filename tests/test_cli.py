@@ -189,3 +189,20 @@ def test_verify_single_instance_with_model(capsys, tie_game_file, singleton_mode
     )
     assert code == 0
     assert "claim: thm1.i" in out
+
+
+@pytest.mark.parametrize("profile", ["sd,msd", "sd msd", "xx"])
+def test_verify_suite_rejects_bad_profile(capsys, profile):
+    code, out, err = run(capsys, "verify", "thm1i", "--profile", profile, "--samples", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("samples", ["0", "-4"])
+def test_verify_rejects_non_positive_samples(capsys, samples):
+    for claim in ("thm1i", "pearce", "monotonicity"):
+        code, out, err = run(capsys, "verify", claim, "--samples", samples)
+        assert code == 2
+        assert "holds-on-all" not in out
+        assert "--samples must be at least 1" in err

@@ -11,6 +11,7 @@ from epigame.simplex import (
     Relation,
     Status,
     check_feasible,
+    matrix_game_value,
     solve,
 )
 
@@ -151,6 +152,12 @@ def test_zero_objective_feasibility_mode():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
         lp([1, 2], [([1], LE, 0)])
+
+
+@pytest.mark.parametrize("matrix", [[], [[]], [[1, 2], [3]]])
+def test_malformed_matrix_game_rejected(matrix):
+    with pytest.raises(ValidationError):
+        matrix_game_value(matrix)
 
 
 # --- randomized cross-check against the vertex oracle -----------------------

@@ -74,6 +74,17 @@ def test_thm1i_rejects_non_monotonic_profile(tie_game):
         verify_thm1i(tie_game, singleton_model(tie_game), NotionProfile.uniform("wd", 2))
 
 
+@pytest.mark.parametrize(
+    "notions, named",
+    [(("wd", "wd"), "wd is not"), (("mwd", "wd"), "mwd, wd are not"), (("bri", "wd"), "; wd is not")],
+)
+def test_non_monotonic_profile_names_each_notion_once(tie_game, notions, named):
+    with pytest.raises(NonMonotonicProfile) as info:
+        verify_thm1i(tie_game, singleton_model(tie_game), NotionProfile(notions))
+    assert named in str(info.value)
+    assert "bri" not in str(info.value)
+
+
 def test_thm1i_vacuous_when_rationality_impossible():
     from epigame.games import game_from_payoffs
     from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
