@@ -82,7 +82,7 @@ from .optimality import (
     solve_br_lp,
     solve_dominance_lp,
 )
-from .simplex import Constraint, LinearProgram, LPSolution, Relation, Status, solve
+from .simplex import LPSolution, Status, solve
 from .verify import (
     VerificationReport,
     replay,

@@ -13,6 +13,7 @@ from pathlib import Path
 from . import verify as verify_mod
 from .elimination import GLOBAL, LOCAL, NotionProfile, outcome
 from .epistemic import (
+    EpistemicModel,
     common_box,
     parse_model,
     rat_event,
@@ -23,6 +24,7 @@ from .errors import EngineError, HypothesisNotMet, ValidationError
 from .games import (
     Game,
     MixedStrategy,
+    Restriction,
     parse_game,
     render_game,
     render_restriction,
@@ -99,10 +101,10 @@ def render_report(report: VerificationReport) -> str:
             if isinstance(value, Game):
                 for line in render_game(value).rstrip().splitlines():
                     lines.append(f"counterexample {key}: {line}")
-            elif value.__class__.__name__ == "EpistemicModel":
+            elif isinstance(value, EpistemicModel):
                 for line in render_model(value).rstrip().splitlines():
                     lines.append(f"counterexample {key}: {line}")
-            elif value.__class__.__name__ == "Restriction":
+            elif isinstance(value, Restriction):
                 for line in render_restriction(value).rstrip().splitlines():
                     lines.append(f"counterexample {key}: {line}")
             elif isinstance(value, frozenset):

@@ -27,6 +27,8 @@ from .lattice import (
 from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
+    _pure_strict_dominator,
+    _pure_weak_dominator,
     holds,
     parse_notion,
     solve_dominance_lp,
@@ -204,11 +206,12 @@ def explain_elimination(
         return EliminationRecord(
             stage, i, s, f"fails {notion.value} against an empty opponent set", None
         )
-    if notion in (Notion.SD, Notion.WD):
-        mode = "strict" if notion is Notion.SD else "weak"
-        dominator = _pure_dominator(game, i, s, alternatives, opponents, mode)
-        kind = "strictly" if notion is Notion.SD else "weakly"
-        return EliminationRecord(stage, i, s, f"{kind} dominated", dominator)
+    if notion is Notion.SD:
+        dominator = _pure_strict_dominator(game, i, s, alternatives, opponents)
+        return EliminationRecord(stage, i, s, "strictly dominated", dominator)
+    if notion is Notion.WD:
+        dominator = _pure_weak_dominator(game, i, s, alternatives, opponents)
+        return EliminationRecord(stage, i, s, "weakly dominated", dominator)
     if notion in (Notion.MSD, Notion.MWD):
         mode = "strict" if notion is Notion.MSD else "weak"
         verdict = solve_dominance_lp(game, i, s, alternatives, opponents, mode)
@@ -233,23 +236,6 @@ def explain_elimination(
         "no correlated belief supports it",
         verdict.witness,
     )
-
-
-def _pure_dominator(game, i, s, alternatives, opponents, mode):
-    mine = [game.payoff(i, insert_own(t, i, s)) for t in opponents]
-    for candidate in alternatives:
-        if candidate == s:
-            continue
-        theirs = [game.payoff(i, insert_own(t, i, candidate)) for t in opponents]
-        if mode == "strict" and all(q > p for q, p in zip(theirs, mine)):
-            return candidate
-        if (
-            mode == "weak"
-            and all(q >= p for q, p in zip(theirs, mine))
-            and any(q > p for q, p in zip(theirs, mine))
-        ):
-            return candidate
-    return None
 
 
 def _better_reply(game, i, s, alternatives, t):

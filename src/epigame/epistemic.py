@@ -27,7 +27,14 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .games import Game, JointStrategy, Restriction, opponents_product
+from .games import (
+    STATE_LABEL_RESERVED,
+    Game,
+    JointStrategy,
+    Restriction,
+    check_label,
+    opponents_product,
+)
 from .lattice import EliminationTrace, iterate_to_outcome
 from .optimality import holds
 
@@ -43,6 +50,8 @@ class StateSpace:
             raise ValidationError("state space must be non-empty")
         if len(set(self.states)) != len(self.states):
             raise ValidationError("state labels must be distinct")
+        for s in self.states:
+            check_label(s, "state label", STATE_LABEL_RESERVED)
 
     @cached_property
     def index(self) -> dict[str, int]:

@@ -8,6 +8,7 @@ engine is exact.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -18,16 +19,51 @@ from .errors import ParseError, ValidationError
 JointStrategy = tuple[str, ...]
 
 
+# Bounds on rational literals, checked before any integer is built: digits of
+# the mantissa (numerator and denominator together) and size of the exponent.
+MAX_LITERAL_DIGITS = 1000
+MAX_LITERAL_EXPONENT = 1000
+# What the text formats use as separators: '.' joins the strategies of a state
+# label, ',' splits --joint and commonbox arguments, '{' '}' enclose
+# possibility sets, '=' ends a payoff's joint strategy, '->' splits map and
+# poss lines, '#' starts a comment. State labels may contain '.'.
+STRATEGY_LABEL_RESERVED = re.compile(r"[\s.,{}=#]|->")
+STATE_LABEL_RESERVED = re.compile(r"[\s,{}=#]|->")
+
+
+def check_label(label, what: str, reserved=STRATEGY_LABEL_RESERVED) -> None:
+    """Reject a label the text formats could not read back."""
+    if not isinstance(label, str) or not label:
+        raise ValidationError(f"{what} must be a non-empty string, got {label!r}")
+    found = reserved.search(label)
+    if found:
+        raise ValidationError(f"{what} {label!r} contains the reserved {found.group()!r}")
+
+
+def _rational_literal(text: str) -> Fraction:
+    """Exact value of an integer, ``p/q`` or decimal literal within the bounds
+    above; `ValidationError` otherwise."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if sum(c.isdecimal() for c in mantissa) > MAX_LITERAL_DIGITS:
+        raise ValidationError(f"literal has more than {MAX_LITERAL_DIGITS} digits")
+    if exponent.isdecimal() and (
+        len(exponent) > len(str(MAX_LITERAL_EXPONENT)) or int(exponent) > MAX_LITERAL_EXPONENT
+    ):
+        raise ValidationError(f"literal has an exponent beyond {MAX_LITERAL_EXPONENT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"not an exact rational: {text!r}") from None
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"not an exact rational: {value!r}") from exc
+        return _rational_literal(value)
     raise ValidationError(f"payoffs must be rationals, got {type(value).__name__}")
 
 
@@ -48,6 +84,8 @@ class Game:
         for i, labels in enumerate(self.strategies):
             if not labels:
                 raise ValidationError(f"player {i + 1} has an empty strategy set")
+            for label in labels:
+                check_label(label, f"player {i + 1} strategy label")
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"player {i + 1} has duplicate strategy labels")
         size = 1
@@ -405,6 +443,11 @@ def parse_game(source: str) -> Game:
             if player in strategy_sets:
                 raise ParseError(f"duplicate strategies for player {player + 1}", number, 1)
             labels = tuple(rest.split())
+            for label in labels:
+                try:
+                    check_label(label, "strategy label")
+                except ValidationError as exc:
+                    raise ParseError(str(exc), number, line.index(label, len(head)) + 1) from None
             strategy_sets[player] = labels
         elif head.startswith("payoff"):
             player = _parse_player_number(number, head, "payoff", n)
@@ -413,13 +456,9 @@ def parse_game(source: str) -> Game:
             joint_text, _, value_text = rest.partition("=")
             joint = tuple(joint_text.split())
             try:
-                value = Fraction(value_text.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(
-                    f"not an exact rational: {value_text.strip()!r}",
-                    number,
-                    line.rfind("=") + 2,
-                ) from None
+                value = _rational_literal(value_text.strip())
+            except ValidationError as exc:
+                raise ParseError(str(exc), number, line.rfind("=") + 2) from None
             payoff_lines.append((number, player, joint, value))
         else:
             raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)

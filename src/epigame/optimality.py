@@ -39,14 +39,7 @@ from .games import (
     MixedStrategy,
     insert_own,
 )
-from .simplex import (
-    Constraint,
-    LinearProgram,
-    Relation,
-    Status,
-    matrix_game_value,
-    solve,
-)
+from .simplex import Status, matrix_game_value, solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -297,24 +290,15 @@ def _dominance_verdict(game, i, s_i, support, opponents, mode) -> DominanceVerdi
             return DominanceVerdict(True, witness, optimum)
         return DominanceVerdict(False, None, optimum)
 
-    # weak mode: variables m_1..m_k >= 0, slack_1..slack_m >= 0
-    columns = [
-        [game.payoff(i, insert_own(t, i, s)) for t in opponents] for s in support
+    # weak mode: variables m_1..m_k >= 0, slack_1..slack_m >= 0 with
+    # sum_j m_j u(s_j, t_r) - slack_r = u(s_i, t_r) and sum_j m_j = 1
+    rows = [
+        [game.payoff(i, insert_own(t, i, s)) for s in support]
+        + [-ONE if q == r else ZERO for q in range(m)]
+        for r, t in enumerate(opponents)
     ]
-    constraints = []
-    for r in range(m):
-        coeffs = [columns[j][r] for j in range(k)]
-        coeffs += [Fraction(-1) if t == r else ZERO for t in range(m)]
-        constraints.append(Constraint(tuple(coeffs), Relation.EQ, mine[r]))
-    constraints.append(
-        Constraint(tuple([ONE] * k + [ZERO] * m), Relation.EQ, ONE)
-    )
-    problem = LinearProgram(
-        tuple([ZERO] * k + [ONE] * m),
-        tuple(constraints),
-        tuple([True] * (k + m)),
-    )
-    solution = solve(problem)
+    rows.append([ONE] * k + [ZERO] * m)
+    solution = solve(rows, mine + [ONE], [ZERO] * k + [ONE] * m)
     if solution.status is Status.INFEASIBLE:
         return DominanceVerdict(False, None, None)
     if solution.status is not Status.OPTIMAL:

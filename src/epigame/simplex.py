@@ -2,8 +2,11 @@
 
 Two-phase primal simplex with Bland's anti-cycling rule for both the entering
 and the leaving choice, so the solver terminates on every input and every
-verdict (optimal / infeasible / unbounded) is exact. Free variables are split
-into differences of nonnegative ones.
+verdict (optimal / infeasible / unbounded) is exact. ``solve`` takes the one
+form the engine poses, equality rows over non-negative variables (the weak
+dominance program); there are no inequality rows, slack columns or free
+variables to split. ``matrix_game_value`` runs a single phase on the
+positive-shifted matrix game.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968, the pivoting of
 Avis's lrs): the inputs are scaled once to integers, and each entry is kept as
@@ -27,41 +30,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Relation(enum.Enum):
-    LE = "<="
-    EQ = "="
-    GE = ">="
-
-
 class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[Fraction, ...]
-    relation: Relation
-    bound: Fraction
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Maximize ``objective . x`` subject to the constraints; ``nonnegative[k]``
-    says whether variable ``k`` is sign-restricted."""
-
-    objective: tuple[Fraction, ...]
-    constraints: tuple[Constraint, ...]
-    nonnegative: tuple[bool, ...]
-
-    def __post_init__(self):
-        nvar = len(self.objective)
-        if len(self.nonnegative) != nvar:
-            raise ValidationError("one sign flag per variable is required")
-        for c in self.constraints:
-            if len(c.coeffs) != nvar:
-                raise ValidationError("constraint dimension mismatch")
 
 
 @dataclass(frozen=True)
@@ -134,136 +106,62 @@ def _integers(values, scale):
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Solve exactly; on OPTIMAL the assignment satisfies every constraint
-    under rational re-evaluation and attains the reported value."""
-    nvar = len(lp.objective)
-    scale = lcm(*(v.denominator for c in lp.constraints for v in (*c.coeffs, c.bound)))
+def solve(rows, rhs, objective) -> LPSolution:
+    """Maximise ``objective . x`` subject to ``rows . x = rhs`` and ``x >= 0``,
+    exactly, for rational inputs; on OPTIMAL the assignment satisfies every
+    row under rational re-evaluation and attains the reported value.
 
-    # Map original variables to standard (nonnegative) columns.
-    column_of: list[tuple[int, int]] = []  # (positive column, negative column or -1)
-    ncols = 0
-    for k in range(nvar):
-        if lp.nonnegative[k]:
-            column_of.append((ncols, -1))
-            ncols += 1
-        else:
-            column_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for c in lp.constraints:
-        *coeffs, bound = _integers((*c.coeffs, c.bound), scale)
-        row = [0] * ncols
-        for k, a in enumerate(coeffs):
-            pos, neg = column_of[k]
-            row[pos] += a
-            if neg >= 0:
-                row[neg] -= a
-        slack = 0
-        if c.relation is Relation.LE:
-            slack = 1
-        elif c.relation is Relation.GE:
-            slack = -1
-        if bound < 0:
-            row = [-v for v in row]
-            bound = -bound
-            slack = -slack
-        if slack != 0:
-            row.append(slack)
-        rows.append(row)
-        rhs.append(bound)
-
-    # Append slack columns one per inequality, then artificials where needed.
-    nslack = sum(1 for r in rows if len(r) > ncols)
-    width = ncols + nslack
-    seen = 0
-    basis: list[int] = []
-    artificial_rows: list[int] = []
-    for idx, row in enumerate(rows):
-        extra = row[ncols:]
-        base = row[:ncols] + [0] * nslack
-        if extra:
-            base[ncols + seen] = extra[0]
-            if extra[0] == 1:
-                basis.append(ncols + seen)
-            else:
-                basis.append(-1)
-            seen += 1
-        else:
-            basis.append(-1)
-        rows[idx] = base
-    first_artificial = width
-    for idx in range(len(rows)):
-        if basis[idx] < 0:
-            artificial_rows.append(idx)
-    for pos, idx in enumerate(artificial_rows):
-        basis[idx] = width + pos
-    width += len(artificial_rows)
-    for idx, row in enumerate(rows):
-        row.extend([0] * (width - len(row)))
-        if basis[idx] >= first_artificial:
-            row[basis[idx]] = 1
+    Phase 1 starts from one artificial per row (a row with a negative bound
+    is negated first), moves leftover zero artificials out of the basis and
+    drops the rows that turn out redundant; phase 2 runs on what remains.
+    """
+    nvar = len(objective)
+    if len(rhs) != len(rows) or any(len(row) != nvar for row in rows):
+        raise ValidationError("one bound per row and one coefficient per variable are required")
+    scale = lcm(*(v.denominator for row in rows for v in row), *(v.denominator for v in rhs))
+    m = len(rows)
+    tableau: list[list[int]] = []
+    bounds: list[int] = []
+    for r, (row, bound) in enumerate(zip(rows, rhs)):
+        *coeffs, bound = _integers((*row, bound), scale)
+        sign = -1 if bound < 0 else 1
+        tableau.append([sign * a for a in coeffs] + [int(q == r) for q in range(m)])
+        bounds.append(sign * bound)
+    basis = list(range(nvar, nvar + m))
 
     # Phase 1: drive the artificials to zero.
-    det = 1
-    if artificial_rows:
-        costs1 = [0] * width
-        for idx in artificial_rows:
-            costs1[basis[idx]] = -1
-        reduced = _reduced_costs(rows, basis, costs1, det)
-        status, det = _bland(rows, rhs, basis, reduced, det)
-        if status is not Status.OPTIMAL:
-            raise InvariantViolated("phase 1 reported unbounded; its objective is bounded by 0")
-        if any(
-            rhs[r] != 0
-            for r in range(len(rows))
-            if basis[r] >= first_artificial
-        ):
-            return LPSolution(Status.INFEASIBLE, None, None)
-        # Pivot leftover artificials out of the basis or drop redundant rows.
-        keep: list[int] = []
-        for r in range(len(rows)):
-            if basis[r] < first_artificial:
-                keep.append(r)
-                continue
-            target = -1
-            for j in range(first_artificial):
-                if rows[r][j] != 0:
-                    target = j
-                    break
-            if target < 0:
-                continue  # redundant constraint
-            det = _pivot(rows, rhs, basis, [0] * width, r, target, det)
+    reduced = _reduced_costs(tableau, basis, [0] * nvar + [-1] * m, 1)
+    status, det = _bland(tableau, bounds, basis, reduced, 1)
+    if status is not Status.OPTIMAL:
+        raise InvariantViolated("phase 1 reported unbounded; its objective is bounded by 0")
+    if any(bounds[r] != 0 for r, b in enumerate(basis) if b >= nvar):
+        return LPSolution(Status.INFEASIBLE, None, None)
+    # Pivot leftover artificials out of the basis or drop redundant rows.
+    keep: list[int] = []
+    for r in range(m):
+        if basis[r] < nvar:
             keep.append(r)
-        rows = [rows[r][:first_artificial] for r in keep]
-        rhs = [rhs[r] for r in keep]
-        basis = [basis[r] for r in keep]
-        width = first_artificial
+            continue
+        target = next((j for j in range(nvar) if tableau[r][j] != 0), -1)
+        if target < 0:
+            continue  # redundant row
+        det = _pivot(tableau, bounds, basis, [0] * (nvar + m), r, target, det)
+        keep.append(r)
+    tableau = [tableau[r][:nvar] for r in keep]
+    bounds = [bounds[r] for r in keep]
+    basis = [basis[r] for r in keep]
 
     # Phase 2 with the real objective.
-    objective = _integers(lp.objective, lcm(*(v.denominator for v in lp.objective)))
-    costs2 = [0] * width
-    for k in range(nvar):
-        pos, neg = column_of[k]
-        costs2[pos] += objective[k]
-        if neg >= 0:
-            costs2[neg] -= objective[k]
-    reduced = _reduced_costs(rows, basis, costs2, det)
-    status, det = _bland(rows, rhs, basis, reduced, det)
+    costs = _integers(objective, lcm(*(v.denominator for v in objective)))
+    reduced = _reduced_costs(tableau, basis, costs, det)
+    status, det = _bland(tableau, bounds, basis, reduced, det)
     if status is Status.UNBOUNDED:
         return LPSolution(Status.UNBOUNDED, None, None)
 
-    standard = [ZERO] * width
+    assignment = [ZERO] * nvar
     for r, b in enumerate(basis):
-        standard[b] = Fraction(rhs[r], det)
-    assignment = []
-    for k in range(nvar):
-        pos, neg = column_of[k]
-        value = standard[pos] - (standard[neg] if neg >= 0 else ZERO)
-        assignment.append(value)
-    value = sum(c * x for c, x in zip(lp.objective, assignment))
+        assignment[b] = Fraction(bounds[r], det)
+    value = sum(c * x for c, x in zip(objective, assignment))
     return LPSolution(Status.OPTIMAL, value, tuple(assignment))
 
 
@@ -311,20 +209,3 @@ def matrix_game_value(matrix) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fra
     value = Fraction(det, scale * total) - shift
     return value, row_mixture, column_mixture
 
-
-def check_feasible(lp: LinearProgram, assignment: tuple[Fraction, ...]) -> bool:
-    """Exact feasibility re-check of a candidate assignment."""
-    if len(assignment) != len(lp.objective):
-        return False
-    for flag, x in zip(lp.nonnegative, assignment):
-        if flag and x < 0:
-            return False
-    for c in lp.constraints:
-        lhs = sum(a * x for a, x in zip(c.coeffs, assignment))
-        if c.relation is Relation.LE and lhs > c.bound:
-            return False
-        if c.relation is Relation.GE and lhs < c.bound:
-            return False
-        if c.relation is Relation.EQ and lhs != c.bound:
-            return False
-    return True

@@ -512,25 +512,9 @@ def _opponent_subset_values(game, notion, i, s):
     return values
 
 
-def check_predicate_monotonicity(game: Game, notion: Notion) -> tuple | None:
-    """Exhaustively test monotonicity of one notion on one game; returns a
-    witness (player, strategy, smaller, larger) or None."""
-    for i in range(game.n):
-        for s in game.strategies[i]:
-            values = _opponent_subset_values(game, notion, i, s)
-            for small, small_value in values.items():
-                if not small_value:
-                    continue
-                for big, big_value in values.items():
-                    if small <= big and not big_value:
-                        return (i, s, small, big)
-    return None
-
-
-def find_predicate_nonmonotonicity(game: Game, notion: Notion) -> list[tuple]:
-    """All monotonicity violations of a notion on a game (exhaustive over
-    players, strategies and opponent-subset pairs)."""
-    witnesses = []
+def _nonmonotonicity_witnesses(game: Game, notion: Notion):
+    """Monotonicity violations (player, strategy, smaller, larger) in the
+    order players, strategies, opponent-subset pairs."""
     for i in range(game.n):
         for s in game.strategies[i]:
             values = _opponent_subset_values(game, notion, i, s)
@@ -539,8 +523,19 @@ def find_predicate_nonmonotonicity(game: Game, notion: Notion) -> list[tuple]:
                     continue
                 for big, big_value in values.items():
                     if small < big and not big_value:
-                        witnesses.append((i, s, small, big))
-    return witnesses
+                        yield (i, s, small, big)
+
+
+def check_predicate_monotonicity(game: Game, notion: Notion) -> tuple | None:
+    """Exhaustively test monotonicity of one notion on one game; returns the
+    first witness (player, strategy, smaller, larger) or None."""
+    return next(_nonmonotonicity_witnesses(game, notion), None)
+
+
+def find_predicate_nonmonotonicity(game: Game, notion: Notion) -> list[tuple]:
+    """All monotonicity violations of a notion on a game (exhaustive over
+    players, strategies and opponent-subset pairs)."""
+    return list(_nonmonotonicity_witnesses(game, notion))
 
 
 def monotonicity_suite(

@@ -1,9 +1,10 @@
 """Reference solver for the differential tests of `epigame.simplex`.
 
 The two-phase Bland-rule simplex on a dense tableau of `Fraction`s that the
-engine used before its integer-preserving tableau. It makes the same entering
-and leaving choices on the same rational tableau, so the engine must agree
-with it exactly: status, value, mixtures, assignment and pivot sequence.
+engine used before its integer-preserving tableau, for the same equality-form
+programs (``rows . x = rhs``, ``x >= 0``). It makes the same entering and
+leaving choices on the same rational tableau, so the engine must agree with
+it exactly: status, value, mixtures, assignment and pivot sequence.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from epigame.errors import ValidationError
-from epigame.simplex import LinearProgram, LPSolution, Relation, Status
+from epigame.simplex import LPSolution, Status
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -75,133 +76,63 @@ def _reduced_costs(tableau, basis, costs):
     return reduced
 
 
-def solve(lp: LinearProgram) -> LPSolution:
-    """Solve exactly; on OPTIMAL the assignment satisfies every constraint
-    under rational re-evaluation and attains the reported value."""
-    nvar = len(lp.objective)
+def solve(rows, rhs, objective) -> LPSolution:
+    """Maximise ``objective . x`` subject to ``rows . x = rhs`` and ``x >= 0``
+    exactly; on OPTIMAL the assignment satisfies every row under rational
+    re-evaluation and attains the reported value."""
+    nvar = len(objective)
+    m = len(rows)
 
-    # Map original variables to standard (nonnegative) columns.
-    column_of: list[tuple[int, int]] = []  # (positive column, negative column or -1)
-    ncols = 0
-    for k in range(nvar):
-        if lp.nonnegative[k]:
-            column_of.append((ncols, -1))
-            ncols += 1
-        else:
-            column_of.append((ncols, ncols + 1))
-            ncols += 2
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for c in lp.constraints:
-        row = [ZERO] * ncols
-        for k, a in enumerate(c.coeffs):
-            pos, neg = column_of[k]
-            row[pos] += a
-            if neg >= 0:
-                row[neg] -= a
-        bound = c.bound
-        slack = 0
-        if c.relation is Relation.LE:
-            slack = 1
-        elif c.relation is Relation.GE:
-            slack = -1
+    # One artificial per row; a row with a negative bound is negated first.
+    tableau: list[list[Fraction]] = []
+    bounds: list[Fraction] = []
+    for r, (row, bound) in enumerate(zip(rows, rhs)):
+        row = [Fraction(a) for a in row]
+        bound = Fraction(bound)
         if bound < 0:
-            row = [-v for v in row]
+            row = [-a for a in row]
             bound = -bound
-            slack = -slack
-        if slack != 0:
-            row.append(Fraction(slack))
-        rows.append(row)
-        rhs.append(bound)
-
-    # Append slack columns one per inequality, then artificials where needed.
-    nslack = sum(1 for r in rows if len(r) > ncols)
-    width = ncols + nslack
-    seen = 0
-    basis: list[int] = []
-    artificial_rows: list[int] = []
-    for idx, row in enumerate(rows):
-        extra = row[ncols:]
-        base = row[:ncols] + [ZERO] * nslack
-        if extra:
-            base[ncols + seen] = extra[0]
-            if extra[0] == 1:
-                basis.append(ncols + seen)
-            else:
-                basis.append(-1)
-            seen += 1
-        else:
-            basis.append(-1)
-        rows[idx] = base
-    first_artificial = width
-    for idx in range(len(rows)):
-        if basis[idx] < 0:
-            artificial_rows.append(idx)
-    for pos, idx in enumerate(artificial_rows):
-        basis[idx] = width + pos
-    width += len(artificial_rows)
-    for idx, row in enumerate(rows):
-        row.extend([ZERO] * (width - len(row)))
-        if basis[idx] >= first_artificial:
-            row[basis[idx]] = ONE
+        tableau.append(row + [ONE if q == r else ZERO for q in range(m)])
+        bounds.append(bound)
+    basis = list(range(nvar, nvar + m))
+    width = nvar + m
 
     # Phase 1: drive the artificials to zero.
-    if artificial_rows:
-        costs1 = [ZERO] * width
-        for idx in artificial_rows:
-            costs1[basis[idx]] = Fraction(-1)
-        reduced = _reduced_costs(rows, basis, costs1)
-        status = _bland(rows, rhs, basis, reduced)
-        assert status is Status.OPTIMAL  # phase-1 objective is bounded by 0
-        if any(
-            rhs[r] != 0
-            for r in range(len(rows))
-            if basis[r] >= first_artificial
-        ):
-            return LPSolution(Status.INFEASIBLE, None, None)
-        # Pivot leftover artificials out of the basis or drop redundant rows.
-        keep: list[int] = []
-        for r in range(len(rows)):
-            if basis[r] < first_artificial:
-                keep.append(r)
-                continue
-            target = -1
-            for j in range(first_artificial):
-                if rows[r][j] != 0:
-                    target = j
-                    break
-            if target < 0:
-                continue  # redundant constraint
-            dummy = [ZERO] * width
-            _pivot(rows, rhs, basis, dummy, r, target)
+    reduced = _reduced_costs(tableau, basis, [ZERO] * nvar + [Fraction(-1)] * m)
+    status = _bland(tableau, bounds, basis, reduced)
+    assert status is Status.OPTIMAL  # phase-1 objective is bounded by 0
+    if any(bounds[r] != 0 for r in range(m) if basis[r] >= nvar):
+        return LPSolution(Status.INFEASIBLE, None, None)
+    # Pivot leftover artificials out of the basis or drop redundant rows.
+    keep: list[int] = []
+    for r in range(m):
+        if basis[r] < nvar:
             keep.append(r)
-        rows = [rows[r][:first_artificial] for r in keep]
-        rhs = [rhs[r] for r in keep]
-        basis = [basis[r] for r in keep]
-        width = first_artificial
+            continue
+        target = -1
+        for j in range(nvar):
+            if tableau[r][j] != 0:
+                target = j
+                break
+        if target < 0:
+            continue  # redundant row
+        dummy = [ZERO] * width
+        _pivot(tableau, bounds, basis, dummy, r, target)
+        keep.append(r)
+    tableau = [tableau[r][:nvar] for r in keep]
+    bounds = [bounds[r] for r in keep]
+    basis = [basis[r] for r in keep]
 
     # Phase 2 with the real objective.
-    costs2 = [ZERO] * width
-    for k in range(nvar):
-        pos, neg = column_of[k]
-        costs2[pos] += lp.objective[k]
-        if neg >= 0:
-            costs2[neg] -= lp.objective[k]
-    reduced = _reduced_costs(rows, basis, costs2)
-    status = _bland(rows, rhs, basis, reduced)
+    reduced = _reduced_costs(tableau, basis, [Fraction(c) for c in objective])
+    status = _bland(tableau, bounds, basis, reduced)
     if status is Status.UNBOUNDED:
         return LPSolution(Status.UNBOUNDED, None, None)
 
-    standard = [ZERO] * width
+    assignment = [ZERO] * nvar
     for r, b in enumerate(basis):
-        standard[b] = rhs[r]
-    assignment = []
-    for k in range(nvar):
-        pos, neg = column_of[k]
-        value = standard[pos] - (standard[neg] if neg >= 0 else ZERO)
-        assignment.append(value)
-    value = sum(c * x for c, x in zip(lp.objective, assignment))
+        assignment[b] = bounds[r]
+    value = sum(c * x for c, x in zip(objective, assignment))
     return LPSolution(Status.OPTIMAL, value, tuple(assignment))
 
 

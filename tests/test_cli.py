@@ -206,3 +206,66 @@ def test_verify_rejects_non_positive_samples(capsys, samples):
         assert code == 2
         assert "holds-on-all" not in out
         assert "--samples must be at least 1" in err
+
+
+def _game_text(row_labels, col_labels, value="0"):
+    lines = [
+        "players: 2",
+        "strategies 1: " + " ".join(row_labels),
+        "strategies 2: " + " ".join(col_labels),
+    ]
+    for player in (1, 2):
+        for row in row_labels:
+            for col in col_labels:
+                lines.append(f"payoff {player}: {row} {col} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+def test_dotted_strategy_labels_rejected(capsys, tmp_path):
+    # a.b/a against c/b.c would name two states "a.b.c"
+    path = tmp_path / "dotted.game"
+    path.write_text(_game_text(["a.b", "a"], ["c", "b.c"]))
+    for argv in (
+        ("eliminate", "--game", str(path), "--notion", "sd"),
+        ("verify", "thm1iii", "--game", str(path), "--profile", "sd"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "line 2, column 15: strategy label 'a.b' contains the reserved '.'" in err
+
+
+@pytest.mark.parametrize("label, reserved", [
+    ("a,b", ","), ("{a", "{"), ("a}", "}"), ("a=b", "="), ("a->b", "->"),
+])
+def test_reserved_characters_in_strategy_labels_rejected(capsys, tmp_path, label, reserved):
+    path = tmp_path / "reserved.game"
+    path.write_text(_game_text(["U", label], ["L"]))
+    code, out, err = run(capsys, "eliminate", "--game", str(path), "--notion", "sd")
+    assert code == 2 and out == ""
+    assert f"line 2, column 17: strategy label {label!r} contains the reserved {reserved!r}" in err
+
+
+@pytest.mark.parametrize("state, reserved", [
+    ("a,b", ","), ("{a", "{"), ("a}", "}"), ("a=b", "="), ("a->b", "->"),
+])
+def test_reserved_characters_in_state_labels_rejected(capsys, tmp_path, tie_game_file, state, reserved):
+    model = tmp_path / "reserved.model"
+    states = [state, "w"]
+    lines = ["states: " + " ".join(states)]
+    for player, strategy in ((1, "U"), (2, "L")):
+        lines += [f"map {player}: {s} -> {strategy}" for s in states]
+        lines += [f"poss {player}: {s} -> {{{' '.join(states)}}}" for s in states]
+    model.write_text("\n".join(lines) + "\n")
+    code, out, err = run(
+        capsys, "epistemic", "--game", tie_game_file, "--model", str(model), "validate"
+    )
+    assert code == 2 and out == ""
+    assert f"reserved {reserved!r}" in err
+
+
+def test_payoff_literal_with_huge_exponent_rejected(capsys, tmp_path):
+    path = tmp_path / "huge.game"
+    path.write_text(_game_text(["U"], ["L"], value="1e9999999"))
+    code, out, err = run(capsys, "eliminate", "--game", str(path), "--notion", "sd")
+    assert code == 2 and out == ""
+    assert "line 4" in err and "exponent beyond 1000" in err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epigame import games
 from epigame.errors import ParseError, ValidationError
 from epigame.games import (
     CorrelatedBelief,
@@ -88,6 +89,42 @@ def test_parse_errors_carry_line_numbers():
 def test_validation_errors(source):
     with pytest.raises(ValidationError):
         parse_game(source)
+
+
+def test_literal_bounds_checked_before_the_integer_is_built(monkeypatch):
+    class NeverBuilt(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("the literal was converted")
+
+    monkeypatch.setattr(games, "Fraction", NeverBuilt)
+    for literal in ("1e9999999", "2E-1001", "1e" + "0" * 5000 + "1001", "7" * 1001, "1/" + "3" * 1001):
+        with pytest.raises(ValidationError):
+            game_from_payoffs([("a",), ("x",)], [{("a", "x"): literal}, {("a", "x"): 0}])
+
+
+def test_literals_at_the_bounds_accepted():
+    for literal, value in (
+        ("1e1000", Fraction(10) ** 1000),
+        ("-5e-1000", -5 / Fraction(10) ** 1000),
+        ("9" * 1000, Fraction(10) ** 1000 - 1),
+        ("1_000e0_07", Fraction(10) ** 10),
+    ):
+        game = parse_game(f"players: 2\nstrategies 1: a\nstrategies 2: x\n"
+                          f"payoff 1: a x = {literal}\npayoff 2: a x = 0\n")
+        assert game.payoff(0, ("a", "x")) == value
+
+
+def test_dotted_labels_cannot_collide_in_state_labels():
+    payoffs = {joint: 0 for joint in (("a.b", "c"), ("a.b", "b.c"), ("a", "c"), ("a", "b.c"))}
+    with pytest.raises(ValidationError, match="reserved '.'"):
+        game_from_payoffs([("a.b", "a"), ("c", "b.c")], [payoffs, payoffs])
+
+
+@pytest.mark.parametrize("label", ["", "a b", "a#b", 3])
+def test_unreadable_strategy_labels_rejected(label):
+    payoffs = {("a", "x"): 0, (label, "x"): 0}
+    with pytest.raises(ValidationError):
+        game_from_payoffs([("a", label), ("x",)], [payoffs, payoffs])
 
 
 def test_round_trip_named_games(tie_game, flat_game, prisoners_dilemma, mix_game):

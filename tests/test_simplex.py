@@ -5,28 +5,32 @@ from fractions import Fraction
 import pytest
 
 from epigame.errors import ValidationError
-from epigame.simplex import (
-    Constraint,
-    LinearProgram,
-    Relation,
-    Status,
-    check_feasible,
-    matrix_game_value,
-    solve,
-)
+from epigame.simplex import Status, matrix_game_value, solve
+from lp_forms import EQ, GE, LE, check_feasible, solve_general
 
 F = Fraction
-LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
 
 
-def lp(objective, constraints, nonnegative=None):
-    objective = tuple(F(v) for v in objective)
-    if nonnegative is None:
-        nonnegative = tuple(True for _ in objective)
-    rows = tuple(
-        Constraint(tuple(F(a) for a in coeffs), rel, F(b)) for coeffs, rel, b in constraints
-    )
-    return LinearProgram(objective, rows, tuple(nonnegative))
+class Program:
+    """A general program: ``<=``/``=``/``>=`` rows, optionally free variables,
+    solved through the equality form with explicit slacks and x = x+ - x-."""
+
+    def __init__(self, objective, constraints, nonnegative=None):
+        self.objective = [F(v) for v in objective]
+        self.constraints = [
+            ([F(a) for a in coeffs], rel, F(b)) for coeffs, rel, b in constraints
+        ]
+        self.nonnegative = [True] * len(objective) if nonnegative is None else list(nonnegative)
+
+    def feasible(self, x):
+        return check_feasible(self.constraints, self.nonnegative, x)
+
+
+lp = Program
+
+
+def run(problem: Program):
+    return solve_general(problem.objective, problem.constraints, problem.nonnegative)
 
 
 # --- independent oracle: enumerate candidate vertices exactly ---------------
@@ -48,14 +52,14 @@ def _solve_square(rows, rhs):
     return [a[r][n] for r in range(n)]
 
 
-def brute_force_optimum(problem: LinearProgram):
+def brute_force_optimum(problem: Program):
     """Max over all vertices (intersections of n active constraint planes).
 
     Only valid for feasible LPs whose optimum is attained at a vertex, which
     holds for the bounded random instances generated below.
     """
     n = len(problem.objective)
-    planes = [(c.coeffs, c.bound) for c in problem.constraints]
+    planes = [(coeffs, bound) for coeffs, _, bound in problem.constraints]
     for k, flag in enumerate(problem.nonnegative):
         if flag:
             coeffs = tuple(F(1) if j == k else F(0) for j in range(n))
@@ -67,7 +71,7 @@ def brute_force_optimum(problem: LinearProgram):
         point = _solve_square(rows, rhs)
         if point is None:
             continue
-        if not check_feasible(problem, tuple(point)):
+        if not problem.feasible(point):
             continue
         value = sum(c * x for c, x in zip(problem.objective, point))
         if best is None or value > best:
@@ -79,7 +83,7 @@ def brute_force_optimum(problem: LinearProgram):
 
 def test_box_maximum():
     problem = lp([1, 1], [([1, 0], LE, 2), ([0, 1], LE, 3)])
-    sol = solve(problem)
+    sol = run(problem)
     assert sol.status is Status.OPTIMAL
     assert sol.value == 5
     assert sol.assignment == (F(2), F(3))
@@ -88,7 +92,7 @@ def test_box_maximum():
 def test_equality_and_fractional_optimum():
     # max 3x + 2y  s.t.  x + y = 1, x - y <= 1/3
     problem = lp([3, 2], [([1, 1], EQ, 1), ([1, -1], LE, F(1, 3))])
-    sol = solve(problem)
+    sol = run(problem)
     assert sol.status is Status.OPTIMAL
     assert sol.assignment == (F(2, 3), F(1, 3))
     assert sol.value == F(8, 3)
@@ -97,7 +101,7 @@ def test_equality_and_fractional_optimum():
 def test_free_variable():
     # max -x subject to x >= -5, x free: optimum 5 at x = -5
     problem = lp([-1], [([1], GE, -5)], nonnegative=[False])
-    sol = solve(problem)
+    sol = run(problem)
     assert sol.status is Status.OPTIMAL
     assert sol.value == 5
     assert sol.assignment == (F(-5),)
@@ -105,22 +109,22 @@ def test_free_variable():
 
 def test_infeasible():
     problem = lp([1], [([1], GE, 1), ([1], LE, 0)])
-    assert solve(problem).status is Status.INFEASIBLE
+    assert run(problem).status is Status.INFEASIBLE
 
 
 def test_infeasible_equalities():
     problem = lp([0, 0], [([1, 1], EQ, 1), ([2, 2], EQ, 3)])
-    assert solve(problem).status is Status.INFEASIBLE
+    assert run(problem).status is Status.INFEASIBLE
 
 
 def test_unbounded():
     problem = lp([1], [([-1], LE, 0)])
-    assert solve(problem).status is Status.UNBOUNDED
+    assert run(problem).status is Status.UNBOUNDED
 
 
 def test_redundant_rows():
     problem = lp([1, 1], [([1, 1], EQ, 1), ([2, 2], EQ, 2), ([1, 0], LE, 1)])
-    sol = solve(problem)
+    sol = run(problem)
     assert sol.status is Status.OPTIMAL and sol.value == 1
 
 
@@ -134,24 +138,26 @@ def test_degenerate_vertex_terminates():
             ([0, 0, 1, 0], LE, 1),
         ],
     )
-    sol = solve(problem)
+    sol = run(problem)
     assert sol.status is Status.OPTIMAL
     assert sol.value == F(1, 20)  # attained at x3 = 1, x1 = x2 = x4 = 0... checked below
-    assert check_feasible(problem, sol.assignment)
+    assert problem.feasible(sol.assignment)
     assert sol.value == brute_force_optimum(problem)
 
 
 def test_zero_objective_feasibility_mode():
     problem = lp([0, 0], [([1, 1], EQ, 1), ([1, -1], GE, 0)])
-    sol = solve(problem)
+    sol = run(problem)
     assert sol.status is Status.OPTIMAL
     assert sol.value == 0
-    assert check_feasible(problem, sol.assignment)
+    assert problem.feasible(sol.assignment)
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValidationError):
-        lp([1, 2], [([1], LE, 0)])
+        solve([[F(1)]], [F(0)], [F(1), F(2)])
+    with pytest.raises(ValidationError):
+        solve([[F(1), F(2)]], [], [F(1), F(2)])
 
 
 @pytest.mark.parametrize("matrix", [[], [[]], [[1, 2], [3]]])
@@ -182,13 +188,13 @@ def test_random_bounded_lps_match_vertex_enumeration():
             coeffs = [F(1) if j == k else F(0) for j in range(nvar)]
             constraints.append((coeffs, LE, F(rng.randint(3, 8))))
         problem = lp(objective, constraints)
-        sol = solve(problem)
+        sol = run(problem)
         assert sol.status in (Status.OPTIMAL, Status.INFEASIBLE)
         expected = brute_force_optimum(problem)
         if sol.status is Status.INFEASIBLE:
             assert expected is None
         else:
-            assert check_feasible(problem, sol.assignment)
+            assert problem.feasible(sol.assignment)
             assert sol.value == expected
 
 
@@ -209,11 +215,11 @@ def test_random_lps_with_free_variables():
                 ([F(rng.randint(-2, 2)) for _ in range(nvar)], LE, F(rng.randint(0, 5)))
             )
         problem = lp(objective, constraints, nonnegative=flags)
-        sol = solve(problem)
+        sol = run(problem)
         assert sol.status in (Status.OPTIMAL, Status.INFEASIBLE)
         expected = brute_force_optimum(problem)
         if sol.status is Status.OPTIMAL:
-            assert check_feasible(problem, sol.assignment)
+            assert problem.feasible(sol.assignment)
             assert sol.value == expected
         else:
             assert expected is None

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 import epigame.simplex as engine
 import fraction_simplex as reference
-from epigame.simplex import Constraint, LinearProgram, Relation, Status
+from epigame.simplex import Status
+from lp_forms import EQ, GE, LE, check_feasible, standard_form
 
 F = Fraction
-LE, EQ, GE = Relation.LE, Relation.EQ, Relation.GE
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
@@ -47,13 +47,10 @@ def run_both(name, *args):
     return got, engine_log
 
 
-def lp(objective, constraints, nonnegative=None):
-    if nonnegative is None:
-        nonnegative = [True] * len(objective)
-    rows = tuple(
-        Constraint(tuple(F(a) for a in coeffs), rel, F(b)) for coeffs, rel, b in constraints
-    )
-    return LinearProgram(tuple(F(v) for v in objective), rows, tuple(nonnegative))
+def general(objective, constraints, nonnegative=None):
+    """A general program in the equality form, as ``solve`` arguments."""
+    rows, rhs, costs, _ = standard_form(objective, constraints, nonnegative)
+    return rows, rhs, costs
 
 
 @st.composite
@@ -65,19 +62,18 @@ def matrices(draw):
 
 @st.composite
 def programs(draw):
-    nvar = draw(st.integers(1, 4))
+    """Equality-form programs: rows . x = rhs, x >= 0, with negative bounds
+    and, at times, a redundant row."""
+    nvar = draw(st.integers(1, 5))
     vector = st.lists(rationals, min_size=nvar, max_size=nvar)
-    constraints = draw(st.lists(
-        st.builds(lambda c, r, b: (tuple(c), r, b), vector, st.sampled_from([LE, EQ, GE]), rationals),
-        max_size=4,
-    ))
-    if constraints and draw(st.booleans()):
-        # a redundant equality: a positive multiple of the first row
-        coeffs, _, bound = constraints[0]
-        k = draw(st.integers(1, 3))
-        constraints.append((tuple(k * a for a in coeffs), EQ, k * bound))
-    nonnegative = draw(st.lists(st.booleans(), min_size=nvar, max_size=nvar))
-    return lp(draw(vector), constraints, nonnegative)
+    rows = draw(st.lists(vector, max_size=4))
+    rhs = [draw(rationals) for _ in rows]
+    if rows and draw(st.booleans()):
+        # a redundant row: a non-zero multiple of the first row
+        k = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+        rows.append([k * a for a in rows[0]])
+        rhs.append(k * rhs[0])
+    return rows, rhs, draw(vector)
 
 
 @given(matrices())
@@ -90,11 +86,13 @@ def test_matrix_game_value_matches_fraction_solver(matrix):
 
 @given(programs())
 @settings(max_examples=300, deadline=None)
-def test_solve_matches_fraction_solver(problem):
-    solution, _ = run_both("solve", problem)
+def test_solve_matches_fraction_solver(program):
+    rows, rhs, objective = program
+    solution, _ = run_both("solve", rows, rhs, objective)
     if solution.status is Status.OPTIMAL:
         assert all(isinstance(v, Fraction) for v in (solution.value, *solution.assignment))
-        assert engine.check_feasible(problem, solution.assignment)
+        equalities = [(row, EQ, b) for row, b in zip(rows, rhs)]
+        assert check_feasible(equalities, [True] * len(objective), solution.assignment)
 
 
 def test_integer_matrix_with_fractional_shift():
@@ -102,36 +100,37 @@ def test_integer_matrix_with_fractional_shift():
 
 
 def test_redundant_equality_row_is_dropped():
-    problem = lp([F(1, 2), 1], [([1, 1], EQ, 1), ([3, 3], EQ, 3), ([1, 0], GE, F(1, 3))])
-    solution, _ = run_both("solve", problem)
+    program = general([F(1, 2), 1], [([1, 1], EQ, 1), ([3, 3], EQ, 3), ([1, 0], GE, F(1, 3))])
+    solution, _ = run_both("solve", *program)
     assert solution.status is Status.OPTIMAL
-    assert solution.assignment == (F(1, 3), F(2, 3))
+    assert solution.assignment == (F(1, 3), F(2, 3), F(0))
 
 
 def test_negative_phase_one_clean_up_pivot():
-    # x <= 1/2 and x >= 1/2: phase 1 ends on a tie that keeps the artificial
-    # of the second row basic at zero, and moving it out pivots on a -1
-    # entry; phase 2 then has to see the tableau with a positive denominator.
-    problem = lp([-1, -1], [([2, 0], LE, 1), ([-2, 0], LE, -1)])
-    solution, log = run_both("solve", problem)
+    # 2x + s1 = 1 and -2x + s2 = -1 (x <= 1/2 and x >= 1/2 with explicit
+    # slacks): phase 1 ends on a tie that keeps the artificial of the second
+    # row basic at zero, and moving it out pivots on a negative entry; phase 2
+    # then has to see the tableau with a positive denominator.
+    rows = [[F(2), F(0), F(1), F(0)], [F(-2), F(0), F(0), F(1)]]
+    solution, log = run_both("solve", rows, [F(1), F(-1)], [F(-1), F(-1), F(0), F(0)])
     assert any(not positive for _, _, positive in log)
     assert solution.status is Status.OPTIMAL
-    assert solution.value == F(-1, 2) and solution.assignment == (F(1, 2), F(0))
+    assert solution.value == F(-1, 2) and solution.assignment == (F(1, 2), F(0), F(0), F(0))
 
 
 def test_free_variables_and_negative_bounds():
-    problem = lp(
+    program = general(
         [F(-3, 2), F(2, 5), 1],
         [([1, 1, 0], GE, -4), ([1, -1, F(1, 2)], LE, F(-1, 3)), ([0, 1, 1], EQ, F(5, 7)),
          ([1, 0, 0], GE, -9)],
         nonnegative=[False, False, True],
     )
-    solution, _ = run_both("solve", problem)
+    solution, _ = run_both("solve", *program)
     assert solution.status is Status.OPTIMAL
 
 
 def test_infeasible_and_unbounded_verdicts():
-    infeasible, _ = run_both("solve", lp([1], [([F(1, 2)], GE, 1), ([1], LE, F(3, 2))]))
-    unbounded, _ = run_both("solve", lp([F(1, 3)], [([-1], LE, 0)], nonnegative=[False]))
+    infeasible, _ = run_both("solve", *general([1], [([F(1, 2)], GE, 1), ([1], LE, F(3, 2))]))
+    unbounded, _ = run_both("solve", *general([F(1, 3)], [([-1], LE, 0)], nonnegative=[False]))
     assert infeasible.status is Status.INFEASIBLE
     assert unbounded.status is Status.UNBOUNDED
