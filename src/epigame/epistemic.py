@@ -41,6 +41,14 @@ from .optimality import holds
 Event = frozenset[str]
 
 
+def _indices(mask: int):
+    """The set bits of ``mask``, lowest (first state) first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class StateSpace:
     states: tuple[str, ...]
@@ -106,14 +114,7 @@ class PossibilityCorrespondence:
     @cached_property
     def coherent(self) -> bool:
         masks = self.masks
-        for k, m in enumerate(masks):
-            probe = m
-            while probe:
-                low = probe & -probe
-                if masks[low.bit_length() - 1] != m:
-                    return False
-                probe ^= low
-        return True
+        return all(masks[t] == m for m in masks for t in _indices(m))
 
     @cached_property
     def reflexive(self) -> bool:
@@ -225,9 +226,37 @@ def box_chain(model: EpistemicModel, event: Iterable[str]) -> tuple[Event, ...]:
 
 
 def common_box(model: EpistemicModel, event: Iterable[str]) -> Event:
-    """The common-belief/common-knowledge event: the stable value of the
-    iterated box, reached within |states| steps on a valid model."""
-    return box_chain(model, event)[-1]
+    """The common-belief/common-knowledge event: the states from which every
+    state reachable in one or more steps along the players' possibility
+    relations lies in the event (Fagin, Halpern, Moses & Vardi 1995).
+
+    Computed in one backward reachability pass. On a valid model the box
+    chain decreases, so this is also the stable value of
+    :func:`box_chain`, which the tests use as the reference. A state
+    outside the event is not excluded for that alone: a non-reflexive
+    belief model can put it in the common box."""
+    model.require_valid()
+    space = model.space
+    # pointed_from[t]: the states w with t in P_i(w) for some player i;
+    # grouping states by possibility set visits each set once
+    pointed_from = [0] * len(space.states)
+    for c in model.correspondences:
+        sources: dict[int, int] = {}
+        for k, m in enumerate(c.masks):
+            sources[m] = sources.get(m, 0) | 1 << k
+        for m, pointing in sources.items():
+            for t in _indices(m):
+                pointed_from[t] |= pointing
+    # bad: the states with a successor outside the event or bad
+    bad = 0
+    frontier = space.full_mask & ~space.mask_of(event)
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = pointed_from[low.bit_length() - 1] & ~bad
+        bad |= new
+        frontier |= new
+    return space.event_of(space.full_mask & ~bad)
 
 
 def is_evident(model: EpistemicModel, event: Iterable[str]) -> bool:
@@ -462,9 +491,10 @@ def render_model(model: EpistemicModel) -> str:
         for k, state in enumerate(model.space.states):
             lines.append(f"map {i + 1}: {state} -> {model.strategy_maps[i][k]}")
     if model.correspondences is not None:
+        states = model.space.states
         for i, c in enumerate(model.correspondences):
-            for state in model.space.states:
-                inside = " ".join(s for s in model.space.states if s in c.of(state))
+            for state, mask in zip(states, c.masks):
+                inside = " ".join(states[k] for k in _indices(mask))
                 lines.append(f"poss {i + 1}: {state} -> {{{inside}}}")
     return "\n".join(lines) + "\n"
 

@@ -17,6 +17,9 @@ from .errors import (
 )
 from .games import Game, Restriction
 
+# the most candidates an exhaustive enumeration may visit
+ENUMERATION_BUDGET = 1 << 20
+
 
 @dataclass(frozen=True)
 class RestrictionOperator:
@@ -124,7 +127,7 @@ def lattice_size(game: Game) -> int:
 def largest_fixpoint_bruteforce(
     op: RestrictionOperator,
     game: Game,
-    budget: int = 1 << 20,
+    budget: int = ENUMERATION_BUDGET,
 ) -> Restriction:
     """Componentwise union of all post-fixpoints ``G <= op(G)``, enumerated
     exhaustively. For a monotonic operator this is its largest fixpoint."""

@@ -13,6 +13,7 @@ own stable names for the checked statements; the CLI exposes them verbatim.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ from .epistemic import (
     state_label,
 )
 from .errors import (
+    BudgetExceeded,
     HypothesisNotMet,
     InvalidModel,
     NonMonotonicProfile,
@@ -38,7 +40,12 @@ from .errors import (
 )
 from .games import Game, JointStrategy, Restriction
 from .generators import GeneratorConfig, generate_game, generate_model
-from .lattice import check_inclusion_lemma, iterate_to_outcome, sample_restriction
+from .lattice import (
+    ENUMERATION_BUDGET,
+    check_inclusion_lemma,
+    iterate_to_outcome,
+    sample_restriction,
+)
 from .optimality import Notion, holds, parse_notion
 
 HOLDS_ON_ALL = "holds-on-all"
@@ -514,7 +521,16 @@ def _opponent_subset_values(game, notion, i, s):
 
 def _nonmonotonicity_witnesses(game: Game, notion: Notion):
     """Monotonicity violations (player, strategy, smaller, larger) in the
-    order players, strategies, opponent-subset pairs."""
+    order players, strategies, opponent-subset pairs. Raises
+    :class:`BudgetExceeded` before evaluating any predicate when some player
+    has more opponent-subset pairs than the enumeration budget."""
+    for i in range(game.n):
+        profiles = math.prod(len(c) for j, c in enumerate(game.strategies) if j != i)
+        if 4**profiles > ENUMERATION_BUDGET:
+            raise BudgetExceeded(
+                f"player {i + 1} has {profiles} opponent profiles, so 4**{profiles} "
+                f"opponent-subset pairs; budget is {ENUMERATION_BUDGET}"
+            )
     for i in range(game.n):
         for s in game.strategies[i]:
             values = _opponent_subset_values(game, notion, i, s)

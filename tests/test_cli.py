@@ -152,6 +152,22 @@ def test_verify_monotonicity_on_game(capsys, tie_game_file):
     assert "wd non-monotonicity witnesses on this game" in out
 
 
+def test_verify_monotonicity_on_game_past_the_budget(capsys, tmp_path, monkeypatch):
+    # player 1 faces 11 opponent profiles: 4**11 subset pairs > 1 << 20
+    import epigame.optimality
+
+    def never(*args):
+        raise AssertionError("predicate evaluated past the budget")
+
+    monkeypatch.setattr(epigame.optimality, "_holds_cached", never)
+    path = tmp_path / "wide.game"
+    path.write_text(_game_text(["U", "D"], [f"c{k}" for k in range(11)]))
+    code, out, err = run(capsys, "verify", "monotonicity", "--game", str(path))
+    assert code == 2
+    assert "holds-on-all" not in out
+    assert "4**11 opponent-subset pairs" in err
+
+
 def test_verify_cor_suites(capsys):
     code, _, _ = run(capsys, "verify", "cor1", "--samples", "15")
     assert code == 0

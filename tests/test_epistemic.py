@@ -143,6 +143,38 @@ def test_box_chain_decreases_on_belief_models(tie_game):
             assert later <= earlier
 
 
+def test_common_box_may_leave_the_event_on_belief_models(tie_game):
+    # both players believe b at a and at b: b is commonly believed at a too
+    space = StateSpace(("a", "b"))
+    corr = PossibilityCorrespondence(space, (frozenset({"b"}), frozenset({"b"})))
+    model = EpistemicModel(tie_game, space, (("U", "D"), ("L", "R")), (corr, corr))
+    assert model.model_class == "belief"
+    assert common_box(model, {"b"}) == {"a", "b"}
+    assert box_chain(model, {"b"})[-1] == {"a", "b"}
+
+
+def test_common_box_through_a_chain_of_box_steps(tie_game):
+    # player 1 knows the pairs (w0 w1)(w2 w3)..., player 2 the shifted pairs
+    # (w0)(w1 w2)...: each box step loses one more state from the end
+    states = tuple(f"w{k}" for k in range(12))
+    space = StateSpace(states)
+
+    def correspondence(offset):
+        blocks = [states[:offset]] if offset else []
+        blocks += [states[k:k + 2] for k in range(offset, len(states), 2)]
+        of_state = {s: frozenset(block) for block in blocks for s in block}
+        return PossibilityCorrespondence(space, tuple(of_state[s] for s in states))
+
+    maps = tuple(tuple(labels[0] for _ in states) for labels in tie_game.strategies)
+    model = EpistemicModel(tie_game, space, maps, (correspondence(0), correspondence(1)))
+    assert model.model_class == "knowledge"
+    event = frozenset(states[:-1])
+    chain = box_chain(model, event)
+    assert len(chain) == len(states) - 1
+    assert common_box(model, event) == chain[-1] == frozenset()
+    assert common_box(model, states) == frozenset(states)
+
+
 def test_restriction_of_projections(tie_game):
     model = standard_model(tie_game.full_restriction())
     omega = frozenset(model.space.states)
@@ -322,6 +354,30 @@ def test_union_of_evident_events_is_evident(params):
     ev_f = largest_evident_inside(model, f)
     assert is_evident(model, ev_e) and is_evident(model, ev_f)
     assert is_evident(model, ev_e | ev_f)
+
+
+@st.composite
+def models_and_events(draw):
+    size = draw(st.integers(min_value=1, max_value=8))
+    target = draw(st.sampled_from(["belief", "knowledge"]))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    event = frozenset(draw(st.sets(st.sampled_from([f"w{k}" for k in range(size)]))))
+    return size, target, seed, event
+
+
+@given(models_and_events())
+@settings(max_examples=300, deadline=None)
+def test_common_box_is_the_stable_box_chain(params):
+    from epigame.generators import GeneratorConfig, generate_model
+    from epigame.games import parse_game
+
+    from conftest import TIE_GAME_TEXT
+
+    size, target, seed, event = params
+    game = parse_game(TIE_GAME_TEXT)
+    config = GeneratorConfig(seed=seed, states=(size, size), target_class=target)
+    model = generate_model(config, game)
+    assert common_box(model, event) == box_chain(model, event)[-1]
 
 
 def test_validation_report_flags_invalid(tie_game):

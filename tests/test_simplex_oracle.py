@@ -76,6 +76,20 @@ def programs(draw):
     return rows, rhs, draw(vector)
 
 
+@st.composite
+def paired_bound_programs(draw):
+    """a . x + s = b and -k(a . x) + t = -kb with b, k > 0 and a_0 > 0:
+    phase 1 enters x_0, ties, and leaves the second row's artificial basic
+    at zero over -k s - t, so clearing it pivots on a negative entry."""
+    nvar = draw(st.integers(1, 4))
+    positive = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
+    a = [draw(positive)] + draw(st.lists(rationals, min_size=nvar - 1, max_size=nvar - 1))
+    b, k = draw(positive), draw(positive)
+    rows = [a + [F(1), F(0)], [-k * v for v in a] + [F(0), F(1)]]
+    objective = draw(st.lists(rationals, min_size=nvar + 2, max_size=nvar + 2))
+    return rows, [b, -k * b], objective
+
+
 @given(matrices())
 @settings(max_examples=200, deadline=None)
 def test_matrix_game_value_matches_fraction_solver(matrix):
@@ -84,8 +98,8 @@ def test_matrix_game_value_matches_fraction_solver(matrix):
     assert sum(rows) == 1 and sum(columns) == 1
 
 
-@given(programs())
-@settings(max_examples=300, deadline=None)
+@given(st.one_of(programs(), paired_bound_programs()))
+@settings(max_examples=400, deadline=None)
 def test_solve_matches_fraction_solver(program):
     rows, rhs, objective = program
     solution, _ = run_both("solve", rows, rhs, objective)
