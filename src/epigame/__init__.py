@@ -45,13 +45,10 @@ from .errors import (
     ValidationError,
 )
 from .games import (
-    Belief,
     CorrelatedBelief,
     Game,
-    IndependentBelief,
     JointStrategy,
     MixedStrategy,
-    PointBelief,
     Restriction,
     expected_payoff,
     game_from_payoffs,

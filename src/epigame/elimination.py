@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import UnsupportedNotion, ValidationError
 from .games import Game, Restriction, insert_own, opponents_product
 from .lattice import (
     EliminationRecord,
@@ -27,11 +27,11 @@ from .lattice import (
 from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
+    _dominance_verdict,
+    _holds_cached,
     _pure_strict_dominator,
     _pure_weak_dominator,
-    holds,
     parse_notion,
-    solve_dominance_lp,
 )
 
 GLOBAL = "global"
@@ -73,20 +73,23 @@ class NotionProfile:
                 f"profile has {len(self.notions)} notions for {game.n} players"
             )
         if game.n != 2 and Notion.BR_INDEPENDENT in self.notions:
-            from .errors import UnsupportedNotion
-
             raise UnsupportedNotion(
                 "independent-belief best response requires exactly 2 players"
             )
 
-    def non_monotonic(self) -> tuple[Notion, ...]:
-        """The profile's notions outside the monotonic set, each once, in
-        profile order; ``bri`` counts as ``brc``."""
-        effective = (
+    @property
+    def effective(self) -> tuple[Notion, ...]:
+        """The notions as the predicate core evaluates them: ``bri`` as
+        ``brc``, which it is on the 2-player games that admit it."""
+        return tuple(
             Notion.BR_CORRELATED if n is Notion.BR_INDEPENDENT else n
             for n in self.notions
         )
-        return tuple(dict.fromkeys(n for n in effective if n not in MONOTONIC_NOTIONS))
+
+    def non_monotonic(self) -> tuple[Notion, ...]:
+        """The profile's notions outside the monotonic set, each once, in
+        profile order; ``bri`` counts as ``brc``."""
+        return tuple(dict.fromkeys(n for n in self.effective if n not in MONOTONIC_NOTIONS))
 
     def is_monotonic(self) -> bool:
         return not self.non_monotonic()
@@ -97,58 +100,41 @@ class NotionProfile:
         return ",".join(n.value for n in self.notions)
 
 
+def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> Restriction:
+    """Keep the strategies of ``g`` that satisfy their player's predicate
+    against ``alternatives[i]`` and the opponent profiles of ``g``."""
+    profile.validate_for(game)
+    if g.game is not game and g.game != game:
+        raise ValidationError("the restriction is of another game")
+    notions = profile.effective
+    components = []
+    for i, current in enumerate(g.components):
+        opponents = opponents_product(g, i)
+        components.append(tuple(
+            s for s in current
+            if _holds_cached(game, notions[i], i, s, alternatives[i], opponents)
+        ))
+    return Restriction(game, tuple(components))
+
+
 def t_global(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:
     """Keep the strategies that are optimal against alternatives from the
     initial strategy sets."""
-    profile.validate_for(game)
-    return Restriction(
-        game,
-        tuple(
-            tuple(
-                s
-                for s in g.components[i]
-                if holds(profile.notions[i], game, i, s, game.strategies[i], opponents_product(g, i))
-            )
-            for i in range(game.n)
-        ),
-    )
+    return _step(profile, game, g, game.strategies)
 
 
 def u_local(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:
     """Keep the strategies that are optimal against alternatives from the
     current restriction."""
-    profile.validate_for(game)
-    return Restriction(
-        game,
-        tuple(
-            tuple(
-                s
-                for s in g.components[i]
-                if holds(profile.notions[i], game, i, s, g.components[i], opponents_product(g, i))
-            )
-            for i in range(game.n)
-        ),
-    )
+    return _step(profile, game, g, g.components)
 
 
 def operator(profile: NotionProfile, game: Game, mode: str) -> RestrictionOperator:
     profile.validate_for(game)
     if mode == GLOBAL:
-        return RestrictionOperator(
-            name=f"T[{profile}]",
-            game=game,
-            fn=lambda g: t_global(profile, game, g),
-            claimed_monotonic=profile.is_monotonic(),
-            claimed_contracting=True,
-        )
+        return RestrictionOperator(f"T[{profile}]", game, lambda g: t_global(profile, game, g))
     if mode == LOCAL:
-        return RestrictionOperator(
-            name=f"U[{profile}]",
-            game=game,
-            fn=lambda g: u_local(profile, game, g),
-            claimed_monotonic=False,
-            claimed_contracting=True,
-        )
+        return RestrictionOperator(f"U[{profile}]", game, lambda g: u_local(profile, game, g))
     raise ValidationError(f"mode must be {GLOBAL!r} or {LOCAL!r}, got {mode!r}")
 
 
@@ -167,24 +153,14 @@ def outcome(
         before = trace.stages[stage_index]
         after = trace.stages[stage_index + 1]
         for i in range(game.n):
-            gone = set(before.components[i]) - set(after.components[i])
+            kept = set(after.components[i])
+            alternatives = game.strategies[i] if mode == GLOBAL else before.components[i]
+            opponents = opponents_product(before, i)
             for s in before.components[i]:
-                if s not in gone:
-                    continue
-                alternatives = (
-                    game.strategies[i] if mode == GLOBAL else before.components[i]
-                )
-                records.append(
-                    explain_elimination(
-                        profile.notions[i],
-                        game,
-                        stage_index,
-                        i,
-                        s,
-                        alternatives,
-                        opponents_product(before, i),
-                    )
-                )
+                if s not in kept:
+                    records.append(explain_elimination(
+                        profile.notions[i], game, stage_index, i, s, alternatives, opponents
+                    ))
     return EliminationTrace(trace.operator, trace.stages, trace.stabilized_at, tuple(records))
 
 
@@ -199,7 +175,8 @@ def explain_elimination(
 ) -> EliminationRecord:
     """Build the elimination record for a strategy that failed its predicate:
     a dominating (pure or mixed) strategy, or a certificate that no belief
-    supports it."""
+    supports it. ``alternatives`` are in label order and ``opponents`` in
+    product order, as the operators produce them."""
     if notion is Notion.BR_INDEPENDENT and game.n == 2:
         notion = Notion.BR_CORRELATED
     if not opponents:
@@ -214,7 +191,7 @@ def explain_elimination(
         return EliminationRecord(stage, i, s, "weakly dominated", dominator)
     if notion in (Notion.MSD, Notion.MWD):
         mode = "strict" if notion is Notion.MSD else "weak"
-        verdict = solve_dominance_lp(game, i, s, alternatives, opponents, mode)
+        verdict = _dominance_verdict(game, i, s, alternatives, opponents, mode)
         kind = "strictly" if notion is Notion.MSD else "weakly"
         return EliminationRecord(
             stage, i, s, f"{kind} dominated by a mixed strategy", verdict.witness
@@ -228,7 +205,7 @@ def explain_elimination(
         )
     # correlated: absence of a supporting belief is witnessed by a strict
     # mixed dominator over the same alternatives
-    verdict = solve_dominance_lp(game, i, s, alternatives, opponents, "strict")
+    verdict = _dominance_verdict(game, i, s, alternatives, opponents, "strict")
     return EliminationRecord(
         stage,
         i,

@@ -36,7 +36,7 @@ from .games import (
     opponents_product,
 )
 from .lattice import EliminationTrace, iterate_to_outcome
-from .optimality import holds
+from .optimality import _holds_cached
 
 Event = frozenset[str]
 
@@ -127,15 +127,6 @@ class PossibilityCorrespondence:
     @property
     def is_knowledge_class(self) -> bool:
         return self.is_belief_class and self.reflexive
-
-    def partition_blocks(self) -> tuple[Event, ...]:
-        """The distinct possibility sets; a partition of the space for
-        knowledge-class correspondences."""
-        seen: list[Event] = []
-        for t in self.targets:
-            if t not in seen:
-                seen.append(t)
-        return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -285,19 +276,18 @@ def restriction_of(
 ) -> Restriction:
     """Project events through the strategy maps: component ``i`` is the image
     of player ``i``'s map over the event (the i-th event when ``per_player``).
-    Empty events give empty components."""
+    Empty events give empty components; an unknown state is a
+    :class:`ValidationError`."""
     if per_player:
-        event_list = [frozenset(e) for e in events]
-        if len(event_list) != model.game.n:
+        masks = [model.space.mask_of(e) for e in events]
+        if len(masks) != model.game.n:
             raise ValidationError("one event per player is required")
     else:
-        event_list = [frozenset(events)] * model.game.n
-    index = model.space.index
-    components = []
-    for i, event in enumerate(event_list):
-        labels = model.strategy_maps[i]
-        components.append(tuple({labels[index[s]] for s in event}))
-    return Restriction(model.game, tuple(components))
+        masks = [model.space.mask_of(events)] * model.game.n
+    return Restriction(model.game, tuple(
+        tuple({labels[k] for k in _indices(mask)})
+        for labels, mask in zip(model.strategy_maps, masks)
+    ))
 
 
 def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
@@ -307,28 +297,31 @@ def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
     profile.validate_for(model.game)
     game = model.game
     space = model.space
-    restriction_cache: dict[int, Restriction] = {}
+    notions = profile.effective
+    projected: dict[int, Restriction] = {}
+    opponents_of: dict[tuple[int, int], tuple[JointStrategy, ...]] = {}
+
+    def opponents(i: int, mask: int) -> tuple[JointStrategy, ...]:
+        if (i, mask) not in opponents_of:
+            if mask not in projected:
+                projected[mask] = restriction_of(model, space.event_of(mask))
+            opponents_of[i, mask] = opponents_product(projected[mask], i)
+        return opponents_of[i, mask]
+
+    # strategy maps were validated with the model
     result = set()
     for k, state in enumerate(space.states):
-        rational = True
-        for i in range(game.n):
-            mask = model.correspondences[i].masks[k]
-            projected = restriction_cache.get(mask)
-            if projected is None:
-                projected = restriction_of(model, space.event_of(mask))
-                restriction_cache[mask] = projected
-            opponents = opponents_product(projected, i)
-            if not holds(
-                profile.notions[i],
+        if all(
+            _holds_cached(
                 game,
+                notions[i],
                 i,
                 model.strategy_maps[i][k],
                 game.strategies[i],
-                opponents,
-            ):
-                rational = False
-                break
-        if rational:
+                opponents(i, model.correspondences[i].masks[k]),
+            )
+            for i in range(game.n)
+        ):
             result.add(state)
     return frozenset(result)
 

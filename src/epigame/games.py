@@ -1,6 +1,7 @@
 """Finite strategic games with exact rational payoffs, restrictions and beliefs.
 
-Every value is immutable; payoffs, probabilities and expectations are
+Every value is immutable, apart from the memo in which a game keeps results
+derived from it; payoffs, probabilities and expectations are
 `fractions.Fraction` throughout, so every comparison made anywhere in the
 engine is exact.
 """
@@ -11,8 +12,8 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from functools import cached_property, wraps
+from typing import Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -29,6 +30,11 @@ MAX_LITERAL_EXPONENT = 1000
 # poss lines, '#' starts a comment. State labels may contain '.'.
 STRATEGY_LABEL_RESERVED = re.compile(r"[\s.,{}=#]|->")
 STATE_LABEL_RESERVED = re.compile(r"[\s,{}=#]|->")
+# Entries one game's memo may hold before it starts over: an exhaustive
+# lattice enumeration visits up to 2^20 restrictions of one game, each with
+# new keys.
+MEMO_BOUND = 1 << 18
+_MISSING = object()
 
 
 def check_label(label, what: str, reserved=STRATEGY_LABEL_RESERVED) -> None:
@@ -108,6 +114,11 @@ class Game:
         return tuple({s: k for k, s in enumerate(labels)} for labels in self.strategies)
 
     @cached_property
+    def memo(self) -> dict:
+        """Results of :func:`per_game` functions on this game; freed with it."""
+        return {}
+
+    @cached_property
     def _strides(self) -> tuple[int, ...]:
         strides = [1] * self.n
         for i in range(self.n - 2, -1, -1):
@@ -145,6 +156,24 @@ class Game:
     def validate_strategy(self, i: int, label: str) -> None:
         if label not in self._label_index[i]:
             raise ValidationError(f"player {i + 1} has no strategy {label!r}")
+
+
+def per_game(fn):
+    """Memoise ``fn(game, *args)`` in ``game.memo``; hashable ``args`` only."""
+
+    @wraps(fn)
+    def memoised(game, *args):
+        key = (fn, args)
+        memo = game.memo
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = fn(game, *args)
+            if len(memo) >= MEMO_BOUND:
+                memo.clear()
+            memo[key] = value
+        return value
+
+    return memoised
 
 
 def game_from_payoffs(
@@ -238,7 +267,6 @@ class Restriction:
         return f"Restriction({parts})"
 
 
-@lru_cache(maxsize=65536)
 def opponents_product(restriction: Restriction, i: int) -> tuple[JointStrategy, ...]:
     """All joint strategies of the opponents of player ``i`` within a
     restriction, in product order. Empty when any opponent component is empty."""
@@ -297,43 +325,10 @@ class MixedStrategy:
 
 
 @dataclass(frozen=True)
-class PointBelief:
-    """A single joint strategy of the opponents."""
-
-    joint: JointStrategy
-
-    kind = "point"
-
-    def atoms(self) -> tuple[tuple[JointStrategy, Fraction], ...]:
-        return ((self.joint, Fraction(1)),)
-
-
-@dataclass(frozen=True)
-class IndependentBelief:
-    """One mixed strategy per opponent, multiplied out."""
-
-    mixes: tuple[MixedStrategy, ...]
-
-    kind = "independent"
-
-    def atoms(self) -> tuple[tuple[JointStrategy, Fraction], ...]:
-        pools = [[(label, w) for label, w in m.weights if w > 0] for m in self.mixes]
-        out = []
-        for combo in itertools.product(*pools):
-            weight = Fraction(1)
-            for _, w in combo:
-                weight *= w
-            out.append((tuple(label for label, _ in combo), weight))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class CorrelatedBelief:
     """A distribution over joint opponent strategies."""
 
     weights: tuple[tuple[JointStrategy, Fraction], ...]
-
-    kind = "correlated"
 
     def __post_init__(self):
         object.__setattr__(
@@ -349,31 +344,17 @@ class CorrelatedBelief:
         if sum(w for _, w in self.weights) != 1:
             raise ValidationError("correlated belief weights must sum to exactly 1")
 
-    def atoms(self) -> tuple[tuple[JointStrategy, Fraction], ...]:
-        return self.weights
-
     def __str__(self) -> str:
         return " + ".join(
             f"{w}*({','.join(j)})" for j, w in self.weights if w > 0
         )
 
 
-Belief = Union[PointBelief, IndependentBelief, CorrelatedBelief]
-
-
-def validate_belief_support(belief: Belief, opponents: Iterable[JointStrategy]) -> None:
-    """Check that every atom of a belief lies within the stated opponent set."""
-    allowed = set(opponents)
-    for joint, w in belief.atoms():
-        if w > 0 and joint not in allowed:
-            raise ValidationError(f"belief puts weight on {joint}, outside the restriction")
-
-
 def expected_payoff(
     game: Game,
     i: int,
     s_i: str | MixedStrategy,
-    belief: Belief,
+    belief: CorrelatedBelief,
 ) -> Fraction:
     """Exact expected payoff of player ``i`` playing ``s_i`` under a belief
     about the opponents."""
@@ -383,7 +364,7 @@ def expected_payoff(
         game.validate_strategy(i, s_i)
         own = [(s_i, Fraction(1))]
     total = Fraction(0)
-    for joint, prob in belief.atoms():
+    for joint, prob in belief.weights:
         if prob == 0:
             continue
         for label, weight in own:

@@ -25,16 +25,13 @@ ENUMERATION_BUDGET = 1 << 20
 class RestrictionOperator:
     """A named map from restrictions to restrictions of one fixed game.
 
-    The claimed flags are metadata only; contraction is re-checked on every
-    iteration step and monotonicity is only ever established by probing or
-    exhaustion.
+    Contraction is checked on every iteration step; monotonicity is only
+    ever established by probing or exhaustion.
     """
 
     name: str
     game: Game
     fn: Callable[[Restriction], Restriction]
-    claimed_monotonic: bool = False
-    claimed_contracting: bool = True
 
     def apply(self, restriction: Restriction) -> Restriction:
         return self.fn(restriction)

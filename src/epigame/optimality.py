@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     EmptyOpponentSet,
@@ -37,7 +36,9 @@ from .games import (
     Game,
     JointStrategy,
     MixedStrategy,
+    expected_payoff,
     insert_own,
+    per_game,
 )
 from .simplex import Status, matrix_game_value, solve
 
@@ -86,17 +87,16 @@ class BestResponseVerdict:
     witness: CorrelatedBelief | None
 
 
-def _canonical_strategy_set(game: Game, i: int, strategies) -> tuple[str, ...]:
-    chosen = set(strategies)
+def _canonical_inputs(game: Game, i: int, s_i: str, G_i, G_minus_i):
+    """Validate ``s_i`` and every label; return the alternatives in label
+    order and the distinct opponent profiles in product order."""
+    game.validate_strategy(i, s_i)
+    chosen = set(G_i)
     for s in chosen:
         game.validate_strategy(i, s)
-    return tuple(s for s in game.strategies[i] if s in chosen)
-
-
-def _canonical_opponents(game: Game, i: int, joints) -> tuple[JointStrategy, ...]:
     others = [j for j in range(game.n) if j != i]
     seen = set()
-    for joint in joints:
+    for joint in G_minus_i:
         joint = tuple(joint)
         if len(joint) != game.n - 1:
             raise ValidationError(
@@ -109,7 +109,8 @@ def _canonical_opponents(game: Game, i: int, joints) -> tuple[JointStrategy, ...
     def key(joint: JointStrategy) -> tuple[int, ...]:
         return tuple(game.strategy_index(j, s) for j, s in zip(others, joint))
 
-    return tuple(sorted(seen, key=key))
+    alternatives = tuple(s for s in game.strategies[i] if s in chosen)
+    return alternatives, tuple(sorted(seen, key=key))
 
 
 def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
@@ -117,11 +118,13 @@ def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
 
     ``s_i`` must be a strategy of the game but need not belong to ``G_i``;
     the global elimination operator evaluates current strategies against the
-    player's initial strategy set.
+    player's initial strategy set. The labels are validated here; the
+    engine's own callers, whose inputs are canonical already, evaluate the
+    memoised core directly.
     """
     if isinstance(notion, str):
         notion = parse_notion(notion)
-    game.validate_strategy(i, s_i)
+    alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
     if notion is Notion.BR_INDEPENDENT:
         if game.n != 2:
             raise UnsupportedNotion(
@@ -129,13 +132,13 @@ def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
                 "for 2-player games (where it coincides with correlated beliefs)"
             )
         notion = Notion.BR_CORRELATED
-    alternatives = _canonical_strategy_set(game, i, G_i)
-    opponents = _canonical_opponents(game, i, G_minus_i)
-    return _holds_cached(notion, game, i, s_i, alternatives, opponents)
+    return _holds_cached(game, notion, i, s_i, alternatives, opponents)
 
 
-@lru_cache(maxsize=262144)
-def _holds_cached(notion, game, i, s_i, alternatives, opponents):
+@per_game
+def _holds_cached(game, notion, i, s_i, alternatives, opponents):
+    """The predicate on canonical inputs: ``alternatives`` in label order,
+    ``opponents`` distinct and in product order. ``bri`` is read as ``brc``."""
     if not opponents:
         if notion in (Notion.SD, Notion.MSD):
             return all(s == s_i for s in alternatives)
@@ -262,9 +265,7 @@ def solve_dominance_lp(
     """
     if mode not in ("strict", "weak"):
         raise ValidationError(f"mode must be 'strict' or 'weak', got {mode!r}")
-    game.validate_strategy(i, s_i)
-    support = _canonical_strategy_set(game, i, support)
-    opponents = _canonical_opponents(game, i, G_minus_i)
+    support, opponents = _canonical_inputs(game, i, s_i, support, G_minus_i)
     if not opponents:
         raise EmptyOpponentSet("dominance LP needs at least one opponent profile")
     if not support:
@@ -272,7 +273,7 @@ def solve_dominance_lp(
     return _dominance_verdict(game, i, s_i, support, opponents, mode)
 
 
-@lru_cache(maxsize=131072)
+@per_game
 def _dominance_verdict(game, i, s_i, support, opponents, mode) -> DominanceVerdict:
     mine = [game.payoff(i, insert_own(t, i, s_i)) for t in opponents]
     k = len(support)
@@ -317,15 +318,13 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     advantage of ``s_i`` over its alternatives is another matrix-game value,
     and ``s_i`` is supported iff it is non-negative.
     """
-    game.validate_strategy(i, s_i)
-    alternatives = _canonical_strategy_set(game, i, G_i)
-    opponents = _canonical_opponents(game, i, G_minus_i)
+    alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
     if not opponents:
         raise EmptyOpponentSet("best-response LP needs at least one opponent profile")
     return _br_verdict(game, i, s_i, alternatives, opponents)
 
 
-@lru_cache(maxsize=131072)
+@per_game
 def _br_verdict(game, i, s_i, alternatives, opponents) -> BestResponseVerdict:
     mine = [game.payoff(i, insert_own(t, i, s_i)) for t in opponents]
     rivals = [s for s in alternatives if s != s_i]
@@ -378,7 +377,5 @@ def supports_best_response(
     game: Game, i: int, belief: CorrelatedBelief, s_i: str, G_i
 ) -> bool:
     """Re-check a best-response witness under exact arithmetic."""
-    from .games import expected_payoff
-
     own = expected_payoff(game, i, s_i, belief)
     return all(own >= expected_payoff(game, i, s, belief) for s in G_i)

@@ -18,7 +18,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable
 
 from .elimination import GLOBAL, LOCAL, NotionProfile, operator, u_local
@@ -38,7 +37,7 @@ from .errors import (
     NonMonotonicProfile,
     ValidationError,
 )
-from .games import Game, JointStrategy, Restriction
+from .games import Game, JointStrategy, Restriction, per_game
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import (
     ENUMERATION_BUDGET,
@@ -46,15 +45,15 @@ from .lattice import (
     iterate_to_outcome,
     sample_restriction,
 )
-from .optimality import Notion, holds, parse_notion
+from .optimality import Notion, _holds_cached, holds, parse_notion
 
 HOLDS_ON_ALL = "holds-on-all"
 COUNTEREXAMPLE = "counterexample"
 
 
-@lru_cache(maxsize=16384)
-def elimination_limit(profile: NotionProfile, game: Game, mode: str) -> Restriction:
-    """The (cached) outcome of iterating one elimination operator from the
+@per_game
+def elimination_limit(game: Game, profile: NotionProfile, mode: str) -> Restriction:
+    """The (memoised) outcome of iterating one elimination operator from the
     full game; the verifiers compare against this repeatedly."""
     op = operator(profile, game, mode)
     return iterate_to_outcome(op, game.full_restriction()).outcome
@@ -118,7 +117,7 @@ def verify_thm1i(
     rat = rat_event(model, profile)
     event = rat & common_box(model, rat)
     chosen = restriction_of(model, event)
-    limit = elimination_limit(profile, game, GLOBAL)
+    limit = elimination_limit(game, profile, GLOBAL)
     violated = not chosen.is_subset_of(limit)
     payload = {
         "kind": "thm1.i",
@@ -142,7 +141,7 @@ def verify_thm1ii(
     _require_class(model, "knowledge")
     event = common_box(model, rat_event(model, profile))
     chosen = restriction_of(model, event)
-    limit = elimination_limit(profile, game, GLOBAL)
+    limit = elimination_limit(game, profile, GLOBAL)
     violated = not chosen.is_subset_of(limit)
     payload = {
         "kind": "thm1.ii",
@@ -185,7 +184,7 @@ def thm2_hypothesis_clauses(
     must be outside the elimination outcome yet mutually optimal against its
     own components."""
     failures = []
-    limit = elimination_limit(profile, game, GLOBAL)
+    limit = elimination_limit(game, profile, GLOBAL)
     if limit.contains_joint(joint):
         failures.append(f"joint strategy {joint} survives the elimination")
     for i in range(game.n):
@@ -216,7 +215,7 @@ def verify_thm2(
     rat = rat_event(model, profile)
     kstar = common_box(model, rat)
     chosen = restriction_of(model, kstar)
-    limit = elimination_limit(profile, game, GLOBAL)
+    limit = elimination_limit(game, profile, GLOBAL)
     state = state_label(joint)
     violated = state in kstar and not chosen.is_subset_of(limit)
     payload = {
@@ -263,7 +262,7 @@ def verify_cor1(game: Game, model: EpistemicModel, seed: int | None = None) -> V
     started = time.perf_counter()
     profile = NotionProfile.uniform(Notion.BR_POINT, game.n)
     _require_class(model, "belief")
-    limit = elimination_limit(NotionProfile.uniform(Notion.SD, game.n), game, LOCAL)
+    limit = elimination_limit(game, NotionProfile.uniform(Notion.SD, game.n), LOCAL)
     rat = rat_event(model, profile)
     event = rat & common_box(model, rat)
     chosen = restriction_of(model, event)
@@ -304,7 +303,7 @@ def verify_cor2(
     profile = NotionProfile.uniform(notion, game.n)
     profile.validate_for(game)
     _require_class(model, "belief")
-    limit = elimination_limit(NotionProfile.uniform(Notion.MSD, game.n), game, LOCAL)
+    limit = elimination_limit(game, NotionProfile.uniform(Notion.MSD, game.n), LOCAL)
     rat = rat_event(model, profile)
     event = rat & common_box(model, rat)
     chosen = restriction_of(model, event)
@@ -504,9 +503,7 @@ def lemma_inc_suite(games: int, seed: int = 0) -> VerificationReport:
 
 def _opponent_subset_values(game, notion, i, s):
     # combinations over the product order keep every subset canonical, so
-    # the cached predicate core can be queried directly
-    from .optimality import _holds_cached
-
+    # the memoised predicate core can be queried directly
     joints = list(
         itertools.product(*[c for j, c in enumerate(game.strategies) if j != i])
     )
@@ -514,7 +511,7 @@ def _opponent_subset_values(game, notion, i, s):
     for size in range(len(joints) + 1):
         for combo in itertools.combinations(joints, size):
             values[frozenset(combo)] = _holds_cached(
-                notion, game, i, s, game.strategies[i], combo
+                game, notion, i, s, game.strategies[i], combo
             )
     return values
 
@@ -581,8 +578,6 @@ def monotonicity_suite(
                 payload = {"kind": "lem.mono", "game": game, "notion": notion, "witness": witness}
                 return _report("lem.mono", checked, True, payload, seed, started)
 
-    from .optimality import _holds_cached
-
     for k in range(large_samples):
         game = generate_game(
             _suite_config(seed + k, "belief", players=(2, 3), strategies=(2, 3))
@@ -603,9 +598,9 @@ def monotonicity_suite(
                 for s in game.strategies[i]:
                     for small, big in pairs:
                         if _holds_cached(
-                            notion, game, i, s, game.strategies[i], small
+                            game, notion, i, s, game.strategies[i], small
                         ) and not _holds_cached(
-                            notion, game, i, s, game.strategies[i], big
+                            game, notion, i, s, game.strategies[i], big
                         ):
                             payload = {
                                 "kind": "lem.mono",

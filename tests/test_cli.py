@@ -153,13 +153,14 @@ def test_verify_monotonicity_on_game(capsys, tie_game_file):
 
 
 def test_verify_monotonicity_on_game_past_the_budget(capsys, tmp_path, monkeypatch):
-    # player 1 faces 11 opponent profiles: 4**11 subset pairs > 1 << 20
-    import epigame.optimality
+    # player 1 faces 11 opponent profiles: 4**11 subset pairs > 1 << 20;
+    # the predicate core is patched where the verifiers look it up
+    import epigame.verify
 
     def never(*args):
         raise AssertionError("predicate evaluated past the budget")
 
-    monkeypatch.setattr(epigame.optimality, "_holds_cached", never)
+    monkeypatch.setattr(epigame.verify, "_holds_cached", never)
     path = tmp_path / "wide.game"
     path.write_text(_game_text(["U", "D"], [f"c{k}" for k in range(11)]))
     code, out, err = run(capsys, "verify", "monotonicity", "--game", str(path))

@@ -55,14 +55,6 @@ def test_classification_belief_knowledge_invalid(tie_game):
     assert EpistemicModel(tie_game, space, maps).model_class == "invalid"
 
 
-def test_knowledge_partition_blocks(tie_game):
-    model = singleton_model(tie_game)
-    for c in model.correspondences:
-        blocks = c.partition_blocks()
-        assert sorted(len(b) for b in blocks) == [1, 1, 1, 1]
-        assert frozenset().union(*blocks) == frozenset(model.space.states)
-
-
 def test_invalid_model_rejected_by_operations(tie_game):
     space = StateSpace(("a", "b"))
     incoherent = PossibilityCorrespondence(space, (frozenset({"a", "b"}), frozenset({"b"})))
@@ -189,6 +181,14 @@ def test_restriction_of_projections(tie_game):
         per_player=True,
     )
     assert per_player == Restriction(tie_game, (("U",), ()))
+
+
+def test_restriction_of_rejects_unknown_states(tie_game):
+    model = standard_model(tie_game.full_restriction())
+    with pytest.raises(ValidationError, match="unknown state 'nope'"):
+        restriction_of(model, {"nope"})
+    with pytest.raises(ValidationError, match="unknown state 'nope'"):
+        restriction_of(model, [frozenset(), frozenset({"nope"})], per_player=True)
 
 
 def test_standard_model_shapes(tie_game, flat_game):
@@ -357,26 +357,44 @@ def test_union_of_evident_events_is_evident(params):
 
 
 @st.composite
+def belief_correspondences(draw, space):
+    """Serial and coherent: blocks over a third of the states point to
+    themselves, every other state points to one of the blocks, so common
+    belief often reaches outside an event."""
+    inside = draw(st.permutations(space.states))[: max(1, len(space.states) // 3)]
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(inside), max_size=len(inside)))
+    blocks = [frozenset(s for s, b in zip(inside, labels) if b == k) for k in sorted(set(labels))]
+    of = {s: block for block in blocks for s in block}
+    targets = tuple(of.get(s) or draw(st.sampled_from(blocks)) for s in space.states)
+    return PossibilityCorrespondence(space, targets)
+
+
+@st.composite
 def models_and_events(draw):
-    size = draw(st.integers(min_value=1, max_value=8))
-    target = draw(st.sampled_from(["belief", "knowledge"]))
-    seed = draw(st.integers(min_value=0, max_value=10**6))
-    event = frozenset(draw(st.sets(st.sampled_from([f"w{k}" for k in range(size)]))))
-    return size, target, seed, event
-
-
-@given(models_and_events())
-@settings(max_examples=300, deadline=None)
-def test_common_box_is_the_stable_box_chain(params):
     from epigame.generators import GeneratorConfig, generate_model
     from epigame.games import parse_game
 
     from conftest import TIE_GAME_TEXT
 
-    size, target, seed, event = params
+    size = draw(st.integers(min_value=1, max_value=8))
     game = parse_game(TIE_GAME_TEXT)
-    config = GeneratorConfig(seed=seed, states=(size, size), target_class=target)
-    model = generate_model(config, game)
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    model = generate_model(GeneratorConfig(seed=seed, states=(size, size)), game)
+    event = frozenset(draw(st.sets(st.sampled_from(model.space.states))))
+    if draw(st.booleans()):
+        correspondences = [draw(belief_correspondences(model.space)) for _ in range(game.n)]
+        model = model.with_correspondences(correspondences)
+        if draw(st.booleans()):
+            # every state a belief reaches lies in a block, so CB(E) is the
+            # whole space, states outside E included
+            event |= frozenset().union(*(t for c in correspondences for t in c.targets))
+    return model, event
+
+
+@given(models_and_events())
+@settings(max_examples=300, deadline=None)
+def test_common_box_is_the_stable_box_chain(params):
+    model, event = params
     assert common_box(model, event) == box_chain(model, event)[-1]
 
 

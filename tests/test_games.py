@@ -8,9 +8,7 @@ from epigame import games
 from epigame.errors import ParseError, ValidationError
 from epigame.games import (
     CorrelatedBelief,
-    IndependentBelief,
     MixedStrategy,
-    PointBelief,
     Restriction,
     expected_payoff,
     game_from_payoffs,
@@ -19,7 +17,6 @@ from epigame.games import (
     parse_restriction,
     render_game,
     render_restriction,
-    validate_belief_support,
 )
 
 from conftest import FLAT_GAME_TEXT, TIE_GAME_TEXT
@@ -215,11 +212,12 @@ def test_point_belief_matches_table(tie_game, flat_game, prisoners_dilemma):
         for i in range(game.n):
             for joint in game.joint_strategies:
                 minus = joint[:i] + joint[i + 1:]
-                assert expected_payoff(game, i, joint[i], PointBelief(minus)) == game.payoff(i, joint)
+                point = CorrelatedBelief(((minus, 1),))
+                assert expected_payoff(game, i, joint[i], point) == game.payoff(i, joint)
 
 
 def test_expected_payoff_tie_game_point(tie_game):
-    assert expected_payoff(tie_game, 0, "U", PointBelief(("L",))) == 1
+    assert expected_payoff(tie_game, 0, "U", CorrelatedBelief(((("L",), 1),))) == 1
 
 
 def test_expected_payoff_mixed_correlated():
@@ -249,10 +247,12 @@ def test_expected_payoff_independent_three_player():
                             ("b", "x", "p"), ("b", "x", "q"), ("b", "y", "p"), ("b", "y", "q"))},
         ],
     )
-    belief = IndependentBelief(
-        (
-            MixedStrategy.from_mapping(1, {"x": Fraction(1, 3), "y": Fraction(2, 3)}),
-            MixedStrategy.from_mapping(2, {"p": Fraction(1, 4), "q": Fraction(3, 4)}),
+    # independent marginals x: 1/3, y: 2/3 and p: 1/4, q: 3/4, multiplied out
+    belief = CorrelatedBelief(
+        tuple(
+            ((t2, t3), w2 * w3)
+            for t2, w2 in (("x", Fraction(1, 3)), ("y", Fraction(2, 3)))
+            for t3, w3 in (("p", Fraction(1, 4)), ("q", Fraction(3, 4)))
         )
     )
     assert expected_payoff(game, 0, "a", belief) == Fraction(1, 12)
@@ -302,10 +302,11 @@ def test_mixed_strategy_validation():
 def test_correlated_belief_validation():
     with pytest.raises(ValidationError):
         CorrelatedBelief(((("L",), Fraction(1, 2)),))
-    belief = CorrelatedBelief(((("L",), 1), (("R",), 0)))
-    validate_belief_support(belief, [("L",)])
     with pytest.raises(ValidationError):
-        validate_belief_support(CorrelatedBelief(((("R",), 1),)), [("L",)])
+        CorrelatedBelief(((("L",), 1), (("L",), 0)))
+    with pytest.raises(ValidationError):
+        CorrelatedBelief(((("L",), Fraction(3, 2)), (("R",), Fraction(-1, 2))))
+    assert CorrelatedBelief(((("L",), 1), (("R",), 0))).weights[1] == (("R",), 0)
 
 
 def test_restriction_rendering_keeps_empty_components(tie_game):

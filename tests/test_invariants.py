@@ -1,4 +1,5 @@
-"""Engine invariants must be raised errors: `python -O` strips `assert`."""
+"""Engine invariants must be raised errors: `python -O` strips `assert`.
+No functools cache may hold games past their use."""
 
 import ast
 from pathlib import Path
@@ -15,5 +16,25 @@ def test_engine_has_no_assert_statements():
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _is_functools_cache(decorator) -> bool:
+    # @lru_cache, @lru_cache(maxsize=...), @cache, @functools.lru_cache(...)
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_engine_has_no_functools_caches():
+    # results are memoised per game (games.per_game) and freed with it; a
+    # module-level cache would keep every game it saw alive
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_functools_cache(d) for d in node.decorator_list)
     ]
     assert found == []

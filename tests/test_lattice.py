@@ -24,12 +24,12 @@ from epigame.lattice import (
 
 
 def identity_operator(game):
-    return RestrictionOperator("identity", game, lambda g: g, claimed_monotonic=True)
+    return RestrictionOperator("identity", game, lambda g: g)
 
 
 def constant_full_operator(game):
     full = game.full_restriction()
-    return RestrictionOperator("const-full", game, lambda g: full, claimed_contracting=False)
+    return RestrictionOperator("const-full", game, lambda g: full)
 
 
 def test_identity_trace(tie_game):

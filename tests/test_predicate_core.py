@@ -1,0 +1,133 @@
+"""The memoised predicate core behind the operators and RAT: results live in
+the game's own memo (bounded, freed with the game), and the core agrees with
+the validating label path, ``holds``."""
+
+import gc
+import random
+import weakref
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from epigame import games
+from epigame.elimination import GLOBAL, LOCAL, NotionProfile, outcome, t_global, u_local
+from epigame.epistemic import rat_event, restriction_of
+from epigame.errors import ValidationError
+from epigame.games import Game, opponents_product
+from epigame.generators import GeneratorConfig, generate_game, generate_model
+from epigame.lattice import sample_restriction
+from epigame.optimality import Notion, holds
+from epigame.verify import verify_thm1i
+
+
+def _fresh(game: Game) -> Game:
+    """An equal game with an empty memo of its own."""
+    return Game(game.strategies, game.payoff_tables)
+
+
+def test_game_is_freed_after_use():
+    config = GeneratorConfig(seed=7, strategies=(3, 3), states=(4, 6), target_class="belief")
+    game = generate_game(config)
+    model = generate_model(config, game)
+    profile = NotionProfile.uniform("msd", game.n)
+    outcome(profile, game, LOCAL)
+    rat_event(model, profile)
+    assert verify_thm1i(game, model, profile).holds
+    assert game.memo
+    ref = weakref.ref(game)
+    del game, model
+    gc.collect()
+    assert ref() is None
+
+
+class _Watched(dict):
+    """A memo that records the most entries it ever held."""
+
+    largest = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    config = GeneratorConfig(seed=11, strategies=(4, 4))
+    game = generate_game(config)
+    expected = outcome(NotionProfile.uniform("mwd", game.n), _fresh(game), LOCAL)
+    assert len(expected.records) > 3
+
+    monkeypatch.setattr(games, "MEMO_BOUND", 5)
+    watched = _Watched()
+    game.__dict__["memo"] = watched
+    trace = outcome(NotionProfile.uniform("mwd", game.n), game, LOCAL)
+    assert game.memo is watched
+    assert 0 < watched.largest <= 5
+    assert trace == expected
+
+
+def test_operators_reject_a_restriction_of_another_game(tie_game, flat_game, prisoners_dilemma):
+    profile = NotionProfile.uniform("sd", 2)
+    for other in (prisoners_dilemma, flat_game):  # other labels; same labels
+        for step in (t_global, u_local):
+            with pytest.raises(ValidationError):
+                step(profile, tie_game, other.full_restriction())
+    equal = _fresh(tie_game).full_restriction()
+    assert t_global(profile, tie_game, equal) == t_global(profile, tie_game, tie_game.full_restriction())
+
+
+NOTIONS = [n for n in Notion if n is not Notion.BR_INDEPENDENT]
+
+
+@st.composite
+def instances(draw):
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    config = GeneratorConfig(
+        seed=seed,
+        players=(2, 3),
+        strategies=(1, 3),
+        payoff_pool=(0, 1, 2),
+        states=(1, 6),
+        target_class=draw(st.sampled_from(["belief", "knowledge"])),
+    )
+    game = generate_game(config)
+    pool = NOTIONS + [Notion.BR_INDEPENDENT] * (game.n == 2)
+    profile = NotionProfile(tuple(draw(st.sampled_from(pool)) for _ in range(game.n)))
+    restriction = sample_restriction(random.Random(seed), game)
+    return game, profile, restriction, generate_model(config, game)
+
+
+@given(instances())
+@settings(max_examples=150, deadline=None)
+def test_core_agrees_with_the_label_path(instance):
+    game, profile, g, model = instance
+    # the label path evaluates on an equal game, so no memo entry is shared,
+    # and gets its labels in reverse order, so it must canonicalise them
+    labels = _fresh(game)
+
+    def label_path(i, s, alternatives, opponents):
+        return holds(
+            profile.notions[i], labels, i, s, alternatives[::-1], list(reversed(opponents))
+        )
+
+    for mode, step in ((GLOBAL, t_global), (LOCAL, u_local)):
+        image = step(profile, game, g)
+        for i in range(game.n):
+            alternatives = game.strategies[i] if mode == GLOBAL else g.components[i]
+            opponents = opponents_product(g, i)
+            for s in g.components[i]:
+                assert (s in image.components[i]) == label_path(i, s, alternatives, opponents)
+
+    rat = rat_event(model, profile)
+    for k, state in enumerate(model.space.states):
+        rational = all(
+            label_path(
+                i,
+                model.strategy_maps[i][k],
+                game.strategies[i],
+                opponents_product(restriction_of(model, model.correspondences[i].targets[k]), i),
+            )
+            for i in range(game.n)
+        )
+        assert (state in rat) == rational
+
