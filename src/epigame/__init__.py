@@ -52,7 +52,6 @@ from .games import (
     Restriction,
     expected_payoff,
     game_from_payoffs,
-    opponents_product,
     parse_game,
     parse_restriction,
     render_game,

@@ -319,9 +319,16 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser, built on first use (not at import, which would slow every
+    # start-up): a parser is a web of reference cycles left for the collector
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "eliminate":
             return _cmd_eliminate(args)

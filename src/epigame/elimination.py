@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedNotion, ValidationError
-from .games import Game, Restriction, insert_own, opponents_product
+from .games import Game, Restriction
 from .lattice import (
     EliminationRecord,
     EliminationTrace,
@@ -29,8 +29,7 @@ from .optimality import (
     Notion,
     _dominance_verdict,
     _holds_cached,
-    _pure_strict_dominator,
-    _pure_weak_dominator,
+    _pure_dominator,
     parse_notion,
 )
 
@@ -102,16 +101,18 @@ class NotionProfile:
 
 def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> Restriction:
     """Keep the strategies of ``g`` that satisfy their player's predicate
-    against ``alternatives[i]`` and the opponent profiles of ``g``."""
+    against ``alternatives[i]`` (strategy indices) and the opponent profiles
+    of ``g``."""
     profile.validate_for(game)
     if g.game is not game and g.game != game:
         raise ValidationError("the restriction is of another game")
     notions = profile.effective
+    current = g.indices
     components = []
-    for i, current in enumerate(g.components):
-        opponents = opponents_product(g, i)
+    for i, labels in enumerate(game.strategies):
+        opponents = game.opponent_offsets(i, current)
         components.append(tuple(
-            s for s in current
+            labels[s] for s in current[i]
             if _holds_cached(game, notions[i], i, s, alternatives[i], opponents)
         ))
     return Restriction(game, tuple(components))
@@ -120,13 +121,13 @@ def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> R
 def t_global(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:
     """Keep the strategies that are optimal against alternatives from the
     initial strategy sets."""
-    return _step(profile, game, g, game.strategies)
+    return _step(profile, game, g, game.index_sets)
 
 
 def u_local(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:
     """Keep the strategies that are optimal against alternatives from the
     current restriction."""
-    return _step(profile, game, g, g.components)
+    return _step(profile, game, g, g.indices)
 
 
 def operator(profile: NotionProfile, game: Game, mode: str) -> RestrictionOperator:
@@ -150,14 +151,13 @@ def outcome(
     trace = iterate_to_outcome(op, game.full_restriction(), budget=budget)
     records = []
     for stage_index in range(len(trace.stages) - 1):
-        before = trace.stages[stage_index]
-        after = trace.stages[stage_index + 1]
+        before = trace.stages[stage_index].indices
+        after = trace.stages[stage_index + 1].indices
         for i in range(game.n):
-            kept = set(after.components[i])
-            alternatives = game.strategies[i] if mode == GLOBAL else before.components[i]
-            opponents = opponents_product(before, i)
-            for s in before.components[i]:
-                if s not in kept:
+            alternatives = game.index_sets[i] if mode == GLOBAL else before[i]
+            opponents = game.opponent_offsets(i, before)
+            for s in before[i]:
+                if s not in after[i]:
                     records.append(explain_elimination(
                         profile.notions[i], game, stage_index, i, s, alternatives, opponents
                     ))
@@ -169,55 +169,45 @@ def explain_elimination(
     game: Game,
     stage: int,
     i: int,
-    s: str,
+    s: int,
     alternatives,
     opponents,
 ) -> EliminationRecord:
-    """Build the elimination record for a strategy that failed its predicate:
-    a dominating (pure or mixed) strategy, or a certificate that no belief
-    supports it. ``alternatives`` are in label order and ``opponents`` in
-    product order, as the operators produce them."""
+    """Build the elimination record (in labels) for a strategy that failed
+    its predicate: a dominating (pure or mixed) strategy, or a certificate
+    that no belief supports it. Takes the predicate core's index inputs."""
+    labels = game.strategies[i]
+    label = labels[s]
     if notion is Notion.BR_INDEPENDENT and game.n == 2:
         notion = Notion.BR_CORRELATED
     if not opponents:
         return EliminationRecord(
-            stage, i, s, f"fails {notion.value} against an empty opponent set", None
+            stage, i, label, f"fails {notion.value} against an empty opponent set", None
         )
-    if notion is Notion.SD:
-        dominator = _pure_strict_dominator(game, i, s, alternatives, opponents)
-        return EliminationRecord(stage, i, s, "strictly dominated", dominator)
-    if notion is Notion.WD:
-        dominator = _pure_weak_dominator(game, i, s, alternatives, opponents)
-        return EliminationRecord(stage, i, s, "weakly dominated", dominator)
+    if notion in (Notion.SD, Notion.WD):
+        strict = notion is Notion.SD
+        dominator = _pure_dominator(game, i, s, alternatives, opponents, strict)
+        kind = "strictly" if strict else "weakly"
+        return EliminationRecord(stage, i, label, f"{kind} dominated", labels[dominator])
     if notion in (Notion.MSD, Notion.MWD):
         mode = "strict" if notion is Notion.MSD else "weak"
         verdict = _dominance_verdict(game, i, s, alternatives, opponents, mode)
         kind = "strictly" if notion is Notion.MSD else "weakly"
         return EliminationRecord(
-            stage, i, s, f"{kind} dominated by a mixed strategy", verdict.witness
+            stage, i, label, f"{kind} dominated by a mixed strategy", verdict.witness
         )
     if notion is Notion.BR_POINT:
+        # at each opponent profile, the first alternative that does better
+        mine = game.payoff_row(i, s, opponents)
+        rows = [(labels[a], game.payoff_row(i, a, opponents)) for a in alternatives]
         better = tuple(
-            (t, _better_reply(game, i, s, alternatives, t)) for t in opponents
+            (game.opponent_profile(i, o), next((a for a, row in rows if row[r] > mine[r]), None))
+            for r, o in enumerate(opponents)
         )
         return EliminationRecord(
-            stage, i, s, "never a best response to a point belief", better
+            stage, i, label, "never a best response to a point belief", better
         )
     # correlated: absence of a supporting belief is witnessed by a strict
     # mixed dominator over the same alternatives
     verdict = _dominance_verdict(game, i, s, alternatives, opponents, "strict")
-    return EliminationRecord(
-        stage,
-        i,
-        s,
-        "no correlated belief supports it",
-        verdict.witness,
-    )
-
-
-def _better_reply(game, i, s, alternatives, t):
-    p = game.payoff(i, insert_own(t, i, s))
-    for candidate in alternatives:
-        if game.payoff(i, insert_own(t, i, candidate)) > p:
-            return candidate
-    return None
+    return EliminationRecord(stage, i, label, "no correlated belief supports it", verdict.witness)

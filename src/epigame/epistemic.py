@@ -33,7 +33,6 @@ from .games import (
     JointStrategy,
     Restriction,
     check_label,
-    opponents_product,
 )
 from .lattice import EliminationTrace, iterate_to_outcome
 from .optimality import _holds_cached
@@ -150,7 +149,7 @@ class EpistemicModel:
             if len(labels) != len(self.space.states):
                 raise ValidationError(f"strategy map for player {i + 1} is not total")
             for s in labels:
-                self.game.validate_strategy(i, s)
+                self.game.strategy_index(i, s)
         if self.correspondences is not None:
             if len(self.correspondences) != self.game.n:
                 raise ValidationError("one correspondence per player is required")
@@ -296,30 +295,27 @@ def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
     model.require_valid()
     profile.validate_for(model.game)
     game = model.game
-    space = model.space
     notions = profile.effective
-    projected: dict[int, Restriction] = {}
-    opponents_of: dict[tuple[int, int], tuple[JointStrategy, ...]] = {}
+    # the strategy maps as indices (validated with the model); a possibility
+    # mask projects straight to index components
+    chosen = [tuple(game.strategy_index(i, s) for s in labels)
+              for i, labels in enumerate(model.strategy_maps)]
+    projected: dict[int, tuple[tuple[int, ...], ...]] = {}
+    opponents_of: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def opponents(i: int, mask: int) -> tuple[JointStrategy, ...]:
+    def opponents(i: int, mask: int) -> tuple[int, ...]:
         if (i, mask) not in opponents_of:
             if mask not in projected:
-                projected[mask] = restriction_of(model, space.event_of(mask))
-            opponents_of[i, mask] = opponents_product(projected[mask], i)
+                projected[mask] = tuple(
+                    tuple(sorted({c[k] for k in _indices(mask)})) for c in chosen)
+            opponents_of[i, mask] = game.opponent_offsets(i, projected[mask])
         return opponents_of[i, mask]
 
-    # strategy maps were validated with the model
     result = set()
-    for k, state in enumerate(space.states):
+    for k, state in enumerate(model.space.states):
         if all(
-            _holds_cached(
-                game,
-                notions[i],
-                i,
-                model.strategy_maps[i][k],
-                game.strategies[i],
-                opponents(i, model.correspondences[i].masks[k]),
-            )
+            _holds_cached(game, notions[i], i, chosen[i][k], game.index_sets[i],
+                          opponents(i, model.correspondences[i].masks[k]))
             for i in range(game.n)
         ):
             result.add(state)

@@ -1,9 +1,10 @@
 """Finite strategic games with exact rational payoffs, restrictions and beliefs.
 
 Every value is immutable, apart from the memo in which a game keeps results
-derived from it; payoffs, probabilities and expectations are
-`fractions.Fraction` throughout, so every comparison made anywhere in the
-engine is exact.
+derived from it. Payoffs, probabilities and expectations are
+`fractions.Fraction`s at the public API; inside, the engine reads each
+player's payoffs as integers, scaled once per game (``scaled_payoffs``), so
+every comparison made anywhere in the engine is exact.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
+from math import lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import ParseError, ValidationError
@@ -94,9 +96,7 @@ class Game:
                 check_label(label, f"player {i + 1} strategy label")
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"player {i + 1} has duplicate strategy labels")
-        size = 1
-        for labels in self.strategies:
-            size *= len(labels)
+        size = prod(len(labels) for labels in self.strategies)
         if len(self.payoff_tables) != len(self.strategies):
             raise ValidationError("one payoff table per player is required")
         for i, table in enumerate(self.payoff_tables):
@@ -104,6 +104,8 @@ class Game:
                 raise ValidationError(
                     f"payoff table for player {i + 1} has {len(table)} entries, expected {size}"
                 )
+            if not all(isinstance(v, (int, Fraction)) for v in table):
+                raise ValidationError(f"player {i + 1} has a payoff that is not an int or Fraction")
 
     @property
     def n(self) -> int:
@@ -130,6 +132,44 @@ class Game:
         return tuple(itertools.product(*self.strategies))
 
     @cached_property
+    def index_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Every player's strategy indices: the full restriction."""
+        return tuple(tuple(range(len(labels))) for labels in self.strategies)
+
+    @cached_property
+    def scaled_payoffs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Per player ``(s_i, s_i * payoff_tables[i])`` with ``s_i`` the lcm of
+        the player's payoff denominators: the integers every notion is decided
+        on, since each is invariant under scaling one player's payoffs."""
+        scaled = []
+        for table in self.payoff_tables:
+            scale = lcm(*(v.denominator for v in table))
+            scaled.append((scale, tuple(v.numerator * (scale // v.denominator) for v in table)))
+        return tuple(scaled)
+
+    def payoff_row(self, i: int, k: int, offsets) -> list[int]:
+        """Player ``i``'s scaled payoffs from strategy index ``k`` against
+        the opponent profiles at ``offsets``."""
+        table = self.scaled_payoffs[i][1]
+        base = k * self._strides[i]
+        return [table[base + o] for o in offsets]
+
+    def opponent_offsets(self, i: int, components) -> tuple[int, ...]:
+        """The flat offsets (place in a payoff table, own index 0) of player
+        ``i``'s opponent profiles drawn from per-player index tuples; they
+        ascend in product order."""
+        offsets = [0]
+        for j, (component, stride) in enumerate(zip(components, self._strides)):
+            if j != i:
+                offsets = [o + k * stride for o in offsets for k in component]
+        return tuple(offsets)
+
+    def opponent_profile(self, i: int, offset: int) -> JointStrategy:
+        """The labels of the opponent profile of player ``i`` at an offset."""
+        joint = self.joint_strategies[offset]
+        return joint[:i] + joint[i + 1:]
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.strategies, self.payoff_tables))
 
@@ -152,10 +192,6 @@ class Game:
 
     def full_restriction(self) -> "Restriction":
         return Restriction(self, self.strategies)
-
-    def validate_strategy(self, i: int, label: str) -> None:
-        if label not in self._label_index[i]:
-            raise ValidationError(f"player {i + 1} has no strategy {label!r}")
 
 
 def per_game(fn):
@@ -255,6 +291,12 @@ class Restriction:
     def has_empty_component(self) -> bool:
         return any(not c for c in self.components)
 
+    @cached_property
+    def indices(self) -> tuple[tuple[int, ...], ...]:
+        """The components as ascending strategy indices of the game."""
+        index = self.game._label_index
+        return tuple(tuple(index[i][s] for s in c) for i, c in enumerate(self.components))
+
     def contains_joint(self, joint: JointStrategy) -> bool:
         return all(s in set(c) for s, c in zip(joint, self.components))
 
@@ -265,13 +307,6 @@ class Restriction:
     def __repr__(self) -> str:
         parts = ", ".join("{" + " ".join(c) + "}" for c in self.components)
         return f"Restriction({parts})"
-
-
-def opponents_product(restriction: Restriction, i: int) -> tuple[JointStrategy, ...]:
-    """All joint strategies of the opponents of player ``i`` within a
-    restriction, in product order. Empty when any opponent component is empty."""
-    others = [c for j, c in enumerate(restriction.components) if j != i]
-    return tuple(itertools.product(*others))
 
 
 def insert_own(joint_minus_i: JointStrategy, i: int, s_i: str) -> JointStrategy:
@@ -361,7 +396,7 @@ def expected_payoff(
     if isinstance(s_i, MixedStrategy):
         own = [(label, w) for label, w in s_i.weights if w > 0]
     else:
-        game.validate_strategy(i, s_i)
+        game.strategy_index(i, s_i)
         own = [(s_i, Fraction(1))]
     total = Fraction(0)
     for joint, prob in belief.weights:

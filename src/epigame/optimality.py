@@ -34,7 +34,6 @@ from .errors import (
 from .games import (
     CorrelatedBelief,
     Game,
-    JointStrategy,
     MixedStrategy,
     expected_payoff,
     insert_own,
@@ -88,29 +87,24 @@ class BestResponseVerdict:
 
 
 def _canonical_inputs(game: Game, i: int, s_i: str, G_i, G_minus_i):
-    """Validate ``s_i`` and every label; return the alternatives in label
-    order and the distinct opponent profiles in product order."""
-    game.validate_strategy(i, s_i)
-    chosen = set(G_i)
-    for s in chosen:
-        game.validate_strategy(i, s)
+    """Validate ``s_i`` and every label; return the index of ``s_i``, the
+    alternatives' indices ascending (label order) and the distinct opponent
+    profiles' flat offsets ascending (product order)."""
+    s = game.strategy_index(i, s_i)
+    alternatives = tuple(sorted({game.strategy_index(i, a) for a in G_i}))
     others = [j for j in range(game.n) if j != i]
-    seen = set()
+    offsets = set()
     for joint in G_minus_i:
         joint = tuple(joint)
         if len(joint) != game.n - 1:
             raise ValidationError(
                 f"opponent profile {joint} needs {game.n - 1} entries"
             )
+        indices = [()] * game.n
         for j, label in zip(others, joint):
-            game.validate_strategy(j, label)
-        seen.add(joint)
-
-    def key(joint: JointStrategy) -> tuple[int, ...]:
-        return tuple(game.strategy_index(j, s) for j, s in zip(others, joint))
-
-    alternatives = tuple(s for s in game.strategies[i] if s in chosen)
-    return alternatives, tuple(sorted(seen, key=key))
+            indices[j] = (game.strategy_index(j, label),)
+        offsets.update(game.opponent_offsets(i, indices))
+    return s, alternatives, tuple(sorted(offsets))
 
 
 def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
@@ -124,7 +118,7 @@ def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
     """
     if isinstance(notion, str):
         notion = parse_notion(notion)
-    alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
+    s, alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
     if notion is Notion.BR_INDEPENDENT:
         if game.n != 2:
             raise UnsupportedNotion(
@@ -132,119 +126,93 @@ def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
                 "for 2-player games (where it coincides with correlated beliefs)"
             )
         notion = Notion.BR_CORRELATED
-    return _holds_cached(game, notion, i, s_i, alternatives, opponents)
+    return _holds_cached(game, notion, i, s, alternatives, opponents)
 
 
 @per_game
-def _holds_cached(game, notion, i, s_i, alternatives, opponents):
-    """The predicate on canonical inputs: ``alternatives`` in label order,
-    ``opponents`` distinct and in product order. ``bri`` is read as ``brc``."""
+def _holds_cached(game, notion, i, s, alternatives, opponents):
+    """The predicate on indices into ``game.scaled_payoffs``: ``s`` and the
+    ``alternatives`` (ascending) are player ``i``'s strategy indices,
+    ``opponents`` distinct ascending flat offsets. ``bri`` is read as ``brc``."""
     if not opponents:
         if notion in (Notion.SD, Notion.MSD):
-            return all(s == s_i for s in alternatives)
+            return all(a == s for a in alternatives)
         if notion in (Notion.WD, Notion.MWD):
             return True
         return False
 
     if notion is Notion.SD:
-        return not _pure_strict_dominator(game, i, s_i, alternatives, opponents)
+        return _pure_dominator(game, i, s, alternatives, opponents, True) is None
     if notion is Notion.WD:
-        return not _pure_weak_dominator(game, i, s_i, alternatives, opponents)
+        return _pure_dominator(game, i, s, alternatives, opponents, False) is None
     if notion is Notion.MSD:
-        if _pure_strict_dominator(game, i, s_i, alternatives, opponents):
+        if _pure_dominator(game, i, s, alternatives, opponents, True) is not None:
             return False
-        if _mixed_reduces_to_pure(s_i, alternatives, opponents):
+        if _mixed_reduces_to_pure(s, alternatives, opponents):
             return True
-        # no mixture beats s_i strictly at a profile where it already tops
+        # no mixture beats s strictly at a profile where it already tops
         # every support strategy
-        if _point_best_response(game, i, s_i, alternatives, opponents):
+        if _point_best_response(game, i, s, alternatives, opponents):
             return True
-        return not _dominance_verdict(game, i, s_i, alternatives, opponents, "strict").dominated
+        return not _dominance_verdict(game, i, s, alternatives, opponents, "strict").dominated
     if notion is Notion.MWD:
-        if _pure_weak_dominator(game, i, s_i, alternatives, opponents):
+        if _pure_dominator(game, i, s, alternatives, opponents, False) is not None:
             return False
-        if _mixed_reduces_to_pure(s_i, alternatives, opponents):
+        if _mixed_reduces_to_pure(s, alternatives, opponents):
             return True
-        # a weak dominator matches s_i where it is strictly best, which
+        # a weak dominator matches s where it is strictly best, which
         # forces the degenerate mixture
-        if _point_strictly_best(game, i, s_i, alternatives, opponents):
+        if _point_strictly_best(game, i, s, alternatives, opponents):
             return True
-        return not _dominance_verdict(game, i, s_i, alternatives, opponents, "weak").dominated
+        return not _dominance_verdict(game, i, s, alternatives, opponents, "weak").dominated
     if notion is Notion.BR_POINT:
-        return _point_best_response(game, i, s_i, alternatives, opponents)
+        return _point_best_response(game, i, s, alternatives, opponents)
 
     # correlated best response
-    others = [s for s in alternatives if s != s_i]
+    others = [a for a in alternatives if a != s]
     if not others:
         return True
     if len(opponents) == 1:
-        return _point_best_response(game, i, s_i, alternatives, opponents)
+        return _point_best_response(game, i, s, alternatives, opponents)
     if len(others) == 1:
-        rival = others[0]
-        return any(
-            game.payoff(i, insert_own(t, i, s_i)) >= game.payoff(i, insert_own(t, i, rival))
-            for t in opponents
-        )
+        mine = game.payoff_row(i, s, opponents)
+        rival = game.payoff_row(i, others[0], opponents)
+        return any(p >= q for p, q in zip(mine, rival))
     # point beliefs are correlated beliefs
-    if _point_best_response(game, i, s_i, alternatives, opponents):
+    if _point_best_response(game, i, s, alternatives, opponents):
         return True
-    return _br_verdict(game, i, s_i, alternatives, opponents).is_best_response
+    return _br_belief(game, i, s, alternatives, opponents) is not None
 
 
-def _pure_strict_dominator(game, i, s_i, alternatives, opponents):
-    mine = [game.payoff(i, insert_own(t, i, s_i)) for t in opponents]
-    for s in alternatives:
-        if s == s_i:
-            continue
-        if all(
-            game.payoff(i, insert_own(t, i, s)) > p for t, p in zip(opponents, mine)
-        ):
-            return s
+def _pure_dominator(game, i, s, alternatives, opponents, strict: bool):
+    """The first alternative that dominates ``s`` over the (non-empty)
+    opponent profiles: better at every one when ``strict``, otherwise at
+    least as good at every one and better at some."""
+    mine = game.payoff_row(i, s, opponents)
+    for a in alternatives:
+        margins = [q - p for q, p in zip(game.payoff_row(i, a, opponents), mine)]
+        low = min(margins)
+        if low > 0 or (not strict and low == 0 < max(margins)):
+            return a
     return None
 
 
-def _pure_weak_dominator(game, i, s_i, alternatives, opponents):
-    mine = [game.payoff(i, insert_own(t, i, s_i)) for t in opponents]
-    for s in alternatives:
-        if s == s_i:
-            continue
-        strict = False
-        for t, p in zip(opponents, mine):
-            q = game.payoff(i, insert_own(t, i, s))
-            if q < p:
-                break
-            if q > p:
-                strict = True
-        else:
-            if strict:
-                return s
-    return None
-
-
-def _mixed_reduces_to_pure(s_i, alternatives, opponents) -> bool:
-    # Over one opponent profile, or with at most one alternative besides s_i,
+def _mixed_reduces_to_pure(s, alternatives, opponents) -> bool:
+    # Over one opponent profile, or with at most one alternative besides s,
     # a dominating mixture implies a dominating pure strategy.
-    return len(opponents) == 1 or len([s for s in alternatives if s != s_i]) <= 1
+    return len(opponents) == 1 or len([a for a in alternatives if a != s]) <= 1
 
 
-def _point_best_response(game, i, s_i, alternatives, opponents):
-    for t in opponents:
-        p = game.payoff(i, insert_own(t, i, s_i))
-        if all(p >= game.payoff(i, insert_own(t, i, s)) for s in alternatives):
-            return True
-    return False
+def _point_best_response(game, i, s, alternatives, opponents):
+    mine = game.payoff_row(i, s, opponents)
+    rows = [game.payoff_row(i, a, opponents) for a in alternatives]
+    return any(all(p >= row[r] for row in rows) for r, p in enumerate(mine))
 
 
-def _point_strictly_best(game, i, s_i, alternatives, opponents):
-    for t in opponents:
-        p = game.payoff(i, insert_own(t, i, s_i))
-        if all(
-            p > game.payoff(i, insert_own(t, i, s))
-            for s in alternatives
-            if s != s_i
-        ):
-            return True
-    return False
+def _point_strictly_best(game, i, s, alternatives, opponents):
+    mine = game.payoff_row(i, s, opponents)
+    rows = [game.payoff_row(i, a, opponents) for a in alternatives if a != s]
+    return any(all(p > row[r] for row in rows) for r, p in enumerate(mine))
 
 
 def solve_dominance_lp(
@@ -265,47 +233,49 @@ def solve_dominance_lp(
     """
     if mode not in ("strict", "weak"):
         raise ValidationError(f"mode must be 'strict' or 'weak', got {mode!r}")
-    support, opponents = _canonical_inputs(game, i, s_i, support, G_minus_i)
+    s, support, opponents = _canonical_inputs(game, i, s_i, support, G_minus_i)
     if not opponents:
         raise EmptyOpponentSet("dominance LP needs at least one opponent profile")
     if not support:
         raise EmptySupport("dominance LP needs a non-empty support")
-    return _dominance_verdict(game, i, s_i, support, opponents, mode)
+    return _dominance_verdict(game, i, s, support, opponents, mode)
 
 
 @per_game
-def _dominance_verdict(game, i, s_i, support, opponents, mode) -> DominanceVerdict:
-    mine = [game.payoff(i, insert_own(t, i, s_i)) for t in opponents]
+def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict:
+    """Both programs are posed on player ``i``'s scaled payoffs; the
+    mixtures do not see the scale and the optimum is scaled back."""
+    scale = game.scaled_payoffs[i][0]
+    mine = game.payoff_row(i, s, opponents)
+    rows = [game.payoff_row(i, a, opponents) for a in support]
+    labels = game.strategies[i]
     k = len(support)
     m = len(opponents)
 
     if mode == "strict":
         # eps* = max over mixtures of the worst payoff advantage
-        diffs = [
-            [game.payoff(i, insert_own(t, i, s)) - p for t, p in zip(opponents, mine)]
-            for s in support
-        ]
-        optimum, weights, _ = matrix_game_value(diffs)
+        diffs = [[q - p for q, p in zip(row, mine)] for row in rows]
+        optimum, weights, _ = matrix_game_value(diffs, scale)
         if optimum > 0:
-            witness = MixedStrategy(i, tuple(zip(support, weights)))
+            witness = MixedStrategy(i, tuple(zip((labels[a] for a in support), weights)))
             return DominanceVerdict(True, witness, optimum)
         return DominanceVerdict(False, None, optimum)
 
     # weak mode: variables m_1..m_k >= 0, slack_1..slack_m >= 0 with
-    # sum_j m_j u(s_j, t_r) - slack_r = u(s_i, t_r) and sum_j m_j = 1
-    rows = [
-        [game.payoff(i, insert_own(t, i, s)) for s in support]
-        + [-ONE if q == r else ZERO for q in range(m)]
-        for r, t in enumerate(opponents)
+    # sum_j m_j u(s_j, t_r) - slack_r = u(s, t_r) and sum_j m_j = 1, each
+    # row times the scale
+    program = [
+        [row[r] for row in rows] + [-scale if q == r else 0 for q in range(m)]
+        for r in range(m)
     ]
-    rows.append([ONE] * k + [ZERO] * m)
-    solution = solve(rows, mine + [ONE], [ZERO] * k + [ONE] * m)
+    program.append([scale] * k + [0] * m)
+    solution = solve(program, mine + [scale], [0] * k + [1] * m)
     if solution.status is Status.INFEASIBLE:
         return DominanceVerdict(False, None, None)
     if solution.status is not Status.OPTIMAL:
         raise InvariantViolated("weak-dominance program unbounded; its slacks are bounded")
     if solution.value > 0:
-        weights = tuple(zip(support, solution.assignment[:k]))
+        weights = tuple(zip((labels[a] for a in support), solution.assignment[:k]))
         return DominanceVerdict(True, MixedStrategy(i, weights), solution.value)
     return DominanceVerdict(False, None, solution.value)
 
@@ -318,34 +288,31 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     advantage of ``s_i`` over its alternatives is another matrix-game value,
     and ``s_i`` is supported iff it is non-negative.
     """
-    alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
+    s, alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
     if not opponents:
         raise EmptyOpponentSet("best-response LP needs at least one opponent profile")
-    return _br_verdict(game, i, s_i, alternatives, opponents)
+    belief = _br_belief(game, i, s, alternatives, opponents)
+    if belief is None:
+        return BestResponseVerdict(False, None)
+    profiles = (game.opponent_profile(i, o) for o in opponents)
+    return BestResponseVerdict(True, CorrelatedBelief(tuple(zip(profiles, belief))))
 
 
 @per_game
-def _br_verdict(game, i, s_i, alternatives, opponents) -> BestResponseVerdict:
-    mine = [game.payoff(i, insert_own(t, i, s_i)) for t in opponents]
-    rivals = [s for s in alternatives if s != s_i]
+def _br_belief(game, i, s, alternatives, opponents):
+    """The weights, one per opponent profile, of a correlated belief under
+    which ``s`` is a best response within ``alternatives``; None if none."""
+    rivals = [a for a in alternatives if a != s]
     if not rivals:
-        witness = CorrelatedBelief(
-            tuple(
-                (t, ONE if r == 0 else ZERO) for r, t in enumerate(opponents)
-            )
-        )
-        return BestResponseVerdict(True, witness)
-    # the rivals' best guaranteed advantage over s_i; the belief that holds
-    # it down is the column solution, and s_i is supported iff it is <= 0
+        return (ONE,) + (ZERO,) * (len(opponents) - 1)
+    # the rivals' best guaranteed advantage over s; the belief that holds
+    # it down is the column solution, and s is supported iff it is <= 0
+    mine = game.payoff_row(i, s, opponents)
     rival_edge = [
-        [game.payoff(i, insert_own(t, i, s)) - p for t, p in zip(opponents, mine)]
-        for s in rivals
+        [q - p for q, p in zip(game.payoff_row(i, a, opponents), mine)] for a in rivals
     ]
-    value, _, belief = matrix_game_value(rival_edge)
-    if value <= 0:
-        witness = CorrelatedBelief(tuple(zip(opponents, belief)))
-        return BestResponseVerdict(True, witness)
-    return BestResponseVerdict(False, None)
+    value, _, belief = matrix_game_value(rival_edge, game.scaled_payoffs[i][0])
+    return belief if value <= 0 else None
 
 
 # --- exact re-verification of witnesses, used by traces and tests -----------

@@ -9,12 +9,14 @@ variables to split. ``matrix_game_value`` runs a single phase on the
 positive-shifted matrix game.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968, the pivoting of
-Avis's lrs): the inputs are scaled once to integers, and each entry is kept as
-an integer over one shared positive denominator, the determinant of the
-current basis, so a pivot is exact integer arithmetic with one exact division.
-All rows share one scale and the objective another, which keeps every sign
-and ratio comparison, hence every Bland pivot, as on the rational tableau.
-`Fraction`s are built only when results are read out.
+Avis's lrs): the inputs are integers, and each entry is kept as an integer
+over one shared positive denominator, the determinant of the current basis,
+so a pivot is exact integer arithmetic with one exact division. The engine
+poses its programs on payoffs that each game scales to integers once per
+player (``Game.scaled_payoffs``); a rational program is scaled by its caller.
+Scaling all rows by one positive factor and the objective by another keeps
+every sign and ratio comparison, hence every Bland pivot, as on the rational
+tableau. `Fraction`s are built only when results are read out.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import InvariantViolated, ValidationError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Status(enum.Enum):
@@ -100,16 +100,16 @@ def _reduced_costs(tableau, basis, costs, det):
     return reduced
 
 
-def _integers(values, scale):
-    """``scale * v`` for each rational ``v``; exact when ``scale`` is a common
-    multiple of the denominators."""
-    return [v.numerator * (scale // v.denominator) for v in values]
+def _require_integers(*vectors, what: str) -> None:
+    # one non-integer entry (a Fraction, a float) makes the sum a non-integer
+    if not isinstance(sum(map(sum, vectors)), int):
+        raise ValidationError(f"{what} must be integers; scale rational inputs first")
 
 
 def solve(rows, rhs, objective) -> LPSolution:
     """Maximise ``objective . x`` subject to ``rows . x = rhs`` and ``x >= 0``,
-    exactly, for rational inputs; on OPTIMAL the assignment satisfies every
-    row under rational re-evaluation and attains the reported value.
+    exactly, for integer inputs; on OPTIMAL the assignment satisfies every
+    row and attains the reported value.
 
     Phase 1 starts from one artificial per row (a row with a negative bound
     is negated first), moves leftover zero artificials out of the basis and
@@ -118,14 +118,13 @@ def solve(rows, rhs, objective) -> LPSolution:
     nvar = len(objective)
     if len(rhs) != len(rows) or any(len(row) != nvar for row in rows):
         raise ValidationError("one bound per row and one coefficient per variable are required")
-    scale = lcm(*(v.denominator for row in rows for v in row), *(v.denominator for v in rhs))
+    _require_integers(*rows, rhs, objective, what="LP coefficients")
     m = len(rows)
     tableau: list[list[int]] = []
     bounds: list[int] = []
     for r, (row, bound) in enumerate(zip(rows, rhs)):
-        *coeffs, bound = _integers((*row, bound), scale)
         sign = -1 if bound < 0 else 1
-        tableau.append([sign * a for a in coeffs] + [int(q == r) for q in range(m)])
+        tableau.append([sign * a for a in row] + [int(q == r) for q in range(m)])
         bounds.append(sign * bound)
     basis = list(range(nvar, nvar + m))
 
@@ -152,8 +151,7 @@ def solve(rows, rhs, objective) -> LPSolution:
     basis = [basis[r] for r in keep]
 
     # Phase 2 with the real objective.
-    costs = _integers(objective, lcm(*(v.denominator for v in objective)))
-    reduced = _reduced_costs(tableau, basis, costs, det)
+    reduced = _reduced_costs(tableau, basis, objective, det)
     status, det = _bland(tableau, bounds, basis, reduced, det)
     if status is Status.UNBOUNDED:
         return LPSolution(Status.UNBOUNDED, None, None)
@@ -165,28 +163,30 @@ def solve(rows, rhs, objective) -> LPSolution:
     return LPSolution(Status.OPTIMAL, value, tuple(assignment))
 
 
-def matrix_game_value(matrix) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+def matrix_game_value(
+    matrix, scale: int = 1
+) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact value of the zero-sum game ``max_row min_col m^T A`` together
-    with optimal mixtures for both players.
+    with optimal mixtures for both players, given ``matrix = scale * A`` in
+    integers (``scale`` positive).
 
-    Shifting the matrix positive makes the column player's scaled program
-    start from an all-slack feasible basis, so this runs a single simplex
-    phase; the row mixture is read off the slack reduced costs by duality
-    and the column mixture off the basic solution. Scaling the shifted
-    matrix to integers scales the program's variables alike, which the
-    mixtures do not see and the value divides back out.
+    Shifting the matrix positive, by ``scale - min``, makes the column
+    player's scaled program start from an all-slack feasible basis, so this
+    runs a single simplex phase; the row mixture is read off the slack
+    reduced costs by duality and the column mixture off the basic solution.
+    The shifted matrix is ``scale`` times ``A`` shifted by ``1 - min``: the
+    pivots and mixtures do not see the scale, and the value divides it out.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
     if ncols == 0 or any(len(row) != ncols for row in matrix):
         raise ValidationError("matrix game needs equal rows of at least one column")
-    shift = ONE - min(min(row) for row in matrix)
-    shifted = [[v + shift for v in row] for row in matrix]
-    scale = lcm(*(v.denominator for row in shifted for v in row))
+    _require_integers(*matrix, what="matrix game entries")
+    shift = scale - min(min(row) for row in matrix)
 
     rows = []
-    for j in range(nrows):
-        row = _integers(shifted[j], scale) + [0] * nrows
+    for j, row in enumerate(matrix):
+        row = [v + shift for v in row] + [0] * nrows
         row[ncols + j] = 1
         rows.append(row)
     rhs = [1] * nrows
@@ -206,6 +206,5 @@ def matrix_game_value(matrix) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fra
         raise InvariantViolated("matrix game program ended with no positive column weight")
     row_mixture = tuple(Fraction(-reduced[ncols + j], total) for j in range(nrows))
     column_mixture = tuple(Fraction(v, total) for v in scaled_columns)
-    value = Fraction(det, scale * total) - shift
+    value = Fraction(det - shift * total, scale * total)
     return value, row_mixture, column_mixture
-

@@ -51,12 +51,17 @@ HOLDS_ON_ALL = "holds-on-all"
 COUNTEREXAMPLE = "counterexample"
 
 
-@per_game
 def elimination_limit(game: Game, profile: NotionProfile, mode: str) -> Restriction:
-    """The (memoised) outcome of iterating one elimination operator from the
-    full game; the verifiers compare against this repeatedly."""
+    """The outcome of iterating one elimination operator from the full game.
+    Its components are memoised: a restriction in the memo would refer back
+    to the game."""
+    return Restriction(game, _limit_components(game, profile, mode))
+
+
+@per_game
+def _limit_components(game: Game, profile: NotionProfile, mode: str):
     op = operator(profile, game, mode)
-    return iterate_to_outcome(op, game.full_restriction()).outcome
+    return iterate_to_outcome(op, game.full_restriction()).outcome.components
 
 
 @dataclass
@@ -502,17 +507,15 @@ def lemma_inc_suite(games: int, seed: int = 0) -> VerificationReport:
 # --- predicate monotonicity -------------------------------------------------------
 
 def _opponent_subset_values(game, notion, i, s):
-    # combinations over the product order keep every subset canonical, so
+    # combinations of the ascending offsets keep every subset canonical, so
     # the memoised predicate core can be queried directly
-    joints = list(
-        itertools.product(*[c for j, c in enumerate(game.strategies) if j != i])
-    )
+    offsets = game.opponent_offsets(i, game.index_sets)
+    k = game.strategy_index(i, s)
     values = {}
-    for size in range(len(joints) + 1):
-        for combo in itertools.combinations(joints, size):
-            values[frozenset(combo)] = _holds_cached(
-                game, notion, i, s, game.strategies[i], combo
-            )
+    for size in range(len(offsets) + 1):
+        for combo in itertools.combinations(offsets, size):
+            subset = frozenset(game.opponent_profile(i, o) for o in combo)
+            values[subset] = _holds_cached(game, notion, i, k, game.index_sets[i], combo)
     return values
 
 
@@ -583,30 +586,29 @@ def monotonicity_suite(
             _suite_config(seed + k, "belief", players=(2, 3), strategies=(2, 3))
         )
         checked += 1
-        joints_of = [
-            tuple(itertools.product(*[c for j, c in enumerate(game.strategies) if j != i]))
-            for i in range(game.n)
-        ]
         for i in range(game.n):
-            joints = joints_of[i]
+            alternatives = game.index_sets[i]
+            offsets = game.opponent_offsets(i, game.index_sets)
             pairs = []
             for _ in range(4):
-                big = tuple(t for t in joints if rng.random() < 0.7)
-                small = tuple(t for t in big if rng.random() < 0.6)
+                big = tuple(o for o in offsets if rng.random() < 0.7)
+                small = tuple(o for o in big if rng.random() < 0.6)
                 pairs.append((small, big))
             for notion in notions:
-                for s in game.strategies[i]:
+                for k, s in enumerate(game.strategies[i]):
                     for small, big in pairs:
                         if _holds_cached(
-                            game, notion, i, s, game.strategies[i], small
+                            game, notion, i, k, alternatives, small
                         ) and not _holds_cached(
-                            game, notion, i, s, game.strategies[i], big
+                            game, notion, i, k, alternatives, big
                         ):
+                            labelled = (tuple(game.opponent_profile(i, o) for o in subset)
+                                        for subset in (small, big))
                             payload = {
                                 "kind": "lem.mono",
                                 "game": game,
                                 "notion": notion,
-                                "witness": (i, s, small, big),
+                                "witness": (i, s, *labelled),
                             }
                             return _report("lem.mono", checked, True, payload, seed, started)
     return _report("lem.mono", checked, False, None, seed, started)

@@ -8,6 +8,7 @@ each free variable as x = x+ - x-.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from epigame.simplex import LPSolution, Status, solve
 
@@ -45,10 +46,40 @@ def standard_form(objective, constraints, nonnegative=None):
     return rows, rhs, costs, recover
 
 
+def scaled(values, multiple=1):
+    """``(scale, integers)``: rationals times the lcm of their denominators
+    (times ``multiple``)."""
+    values = [Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in values)) * multiple
+    return scale, [int(v * scale) for v in values]
+
+
+def integer_matrix(matrix, multiple=1):
+    """A rational matrix as ``matrix_game_value`` takes it: ``(integers,
+    scale)``."""
+    scale, flat = scaled([v for row in matrix for v in row], multiple)
+    width = len(matrix[0]) if matrix else 0
+    return [flat[k:k + width] for k in range(0, len(flat), width)], scale
+
+
+def solve_rational(rows, rhs, objective, multiple=1) -> LPSolution:
+    """``solve`` on a rational equality-form program: the rows and bounds
+    scaled by one lcm (times ``multiple``) and the objective by another, the
+    value scaled back."""
+    width = len(objective)
+    _, flat = scaled([v for row in rows for v in row] + list(rhs), multiple)
+    integer_rows = [flat[k * width:(k + 1) * width] for k in range(len(rows))]
+    cost_scale, costs = scaled(objective)
+    solution = solve(integer_rows, flat[len(rows) * width:], costs)
+    if solution.status is not Status.OPTIMAL:
+        return solution
+    return LPSolution(solution.status, Fraction(solution.value) / cost_scale, solution.assignment)
+
+
 def solve_general(objective, constraints, nonnegative=None) -> LPSolution:
     """Solve a general program through its equality form."""
     rows, rhs, costs, recover = standard_form(objective, constraints, nonnegative)
-    solution = solve(rows, rhs, costs)
+    solution = solve_rational(rows, rhs, costs)
     if solution.status is not Status.OPTIMAL:
         return solution
     return LPSolution(solution.status, solution.value, recover(solution.assignment))

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from epigame.cli import main
@@ -33,6 +35,25 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_commands_leave_no_cyclic_garbage(capsys, tie_game_file, singleton_model_file):
+    # what a command leaves behind is freed by reference counting alone
+    commands = [
+        ["eliminate", "--game", tie_game_file, "--notion", "mwd", "--trace"],
+        ["epistemic", "--game", tie_game_file, "--model", singleton_model_file,
+         "--profile", "msd", "rat"],
+        ["verify", "thm1i", "--samples", "3"],
+    ]
+    run(capsys, *commands[0])  # warm-up
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0
+            assert gc.collect() == 0, argv
+    finally:
+        gc.enable()
 
 
 def test_eliminate_weak_dominance_local(capsys, tie_game_file):

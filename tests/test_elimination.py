@@ -221,11 +221,9 @@ def test_fixpoint_characterization_global():
             profile = NotionProfile.uniform(notion, 2)
             for restriction in enumerate_restrictions(game):
                 is_fixpoint = t_global(profile, game, restriction) == restriction
-                from epigame.games import opponents_product
-
                 characterized = all(
                     holds(profile.notions[i], game, i, s, game.strategies[i],
-                          opponents_product(restriction, i))
+                          [(t,) for t in restriction.components[1 - i]])
                     for i in range(2)
                     for s in restriction.components[i]
                 )

@@ -12,7 +12,6 @@ from epigame.games import (
     Restriction,
     expected_payoff,
     game_from_payoffs,
-    opponents_product,
     parse_game,
     parse_restriction,
     render_game,
@@ -88,6 +87,13 @@ def test_validation_errors(source):
         parse_game(source)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2", None])
+def test_constructor_rejects_inexact_payoffs(bad):
+    # the integer tables are exact only for ints and Fractions
+    with pytest.raises(ValidationError):
+        games.Game((("a", "b"), ("x",)), ((Fraction(1, 3), bad), (0, 1)))
+
+
 def test_literal_bounds_checked_before_the_integer_is_built(monkeypatch):
     class NeverBuilt(Fraction):
         def __new__(cls, *args, **kwargs):
@@ -140,13 +146,22 @@ def test_round_trip_keeps_exact_rationals():
     assert parse_game(render_game(game)) == game
 
 
-def test_opponents_product_two_player(tie_game):
+def opponent_profiles(restriction, i):
+    game = restriction.game
+    offsets = game.opponent_offsets(i, restriction.indices)
+    assert list(offsets) == sorted(offsets)  # ascending is product order
+    return tuple(game.opponent_profile(i, o) for o in offsets)
+
+
+def test_opponent_offsets_two_player(tie_game):
     full = tie_game.full_restriction()
-    assert opponents_product(full, 0) == (("L",), ("R",))
-    assert opponents_product(full, 1) == (("U",), ("D",))
+    assert tie_game.opponent_offsets(0, full.indices) == (0, 1)
+    assert tie_game.opponent_offsets(1, full.indices) == (0, 2)
+    assert opponent_profiles(full, 0) == (("L",), ("R",))
+    assert opponent_profiles(full, 1) == (("U",), ("D",))
 
 
-def test_opponents_product_three_player():
+def test_opponent_offsets_three_player():
     game = game_from_payoffs(
         [("s",), ("a", "b"), ("x",)],
         [
@@ -156,15 +171,24 @@ def test_opponents_product_three_player():
         ],
     )
     r = Restriction(game, (("s",), ("a", "b"), ("x",)))
-    assert opponents_product(r, 0) == (("a", "x"), ("b", "x"))
-    assert opponents_product(r, 1) == (("s", "x"),)
+    assert opponent_profiles(r, 0) == (("a", "x"), ("b", "x"))
+    assert opponent_profiles(r, 1) == (("s", "x"),)
 
 
-def test_opponents_product_empty_factor(tie_game):
+def test_opponent_offsets_empty_factor(tie_game):
     r = Restriction(tie_game, (("U",), ()))
-    assert opponents_product(r, 0) == ()
+    assert opponent_profiles(r, 0) == ()
     # the non-empty side still sees the U component
-    assert opponents_product(r, 1) == (("U",),)
+    assert opponent_profiles(r, 1) == (("U",),)
+
+
+def test_scaled_payoffs_per_player():
+    game = game_from_payoffs(
+        [("a", "b"), ("x",)],
+        [{("a", "x"): "1/2", ("b", "x"): "-2/3"}, {("a", "x"): 3, ("b", "x"): "5/4"}],
+    )
+    assert game.scaled_payoffs == ((6, (3, -4)), (4, (12, 5)))
+    assert game.payoff_row(0, 1, (0,)) == [-4]
 
 
 def test_restriction_canonical_order_and_validation(tie_game):

@@ -3,6 +3,7 @@ the game's own memo (bounded, freed with the game), and the core agrees with
 the validating label path, ``holds``."""
 
 import gc
+import itertools
 import random
 import weakref
 
@@ -14,11 +15,18 @@ from epigame import games
 from epigame.elimination import GLOBAL, LOCAL, NotionProfile, outcome, t_global, u_local
 from epigame.epistemic import rat_event, restriction_of
 from epigame.errors import ValidationError
-from epigame.games import Game, opponents_product
+from epigame.games import Game
 from epigame.generators import GeneratorConfig, generate_game, generate_model
 from epigame.lattice import sample_restriction
 from epigame.optimality import Notion, holds
-from epigame.verify import verify_thm1i
+from epigame.verify import elimination_limit, verify_thm1i
+
+
+def opponents_product(restriction, i):
+    """Player ``i``'s opponent profiles in a restriction, as labels, in
+    product order."""
+    others = [c for j, c in enumerate(restriction.components) if j != i]
+    return tuple(itertools.product(*others))
 
 
 def _fresh(game: Game) -> Game:
@@ -27,18 +35,25 @@ def _fresh(game: Game) -> Game:
 
 
 def test_game_is_freed_after_use():
+    # by reference counting alone: nothing in the memo refers back to the game
     config = GeneratorConfig(seed=7, strategies=(3, 3), states=(4, 6), target_class="belief")
     game = generate_game(config)
     model = generate_model(config, game)
     profile = NotionProfile.uniform("msd", game.n)
-    outcome(profile, game, LOCAL)
-    rat_event(model, profile)
-    assert verify_thm1i(game, model, profile).holds
-    assert game.memo
-    ref = weakref.ref(game)
-    del game, model
     gc.collect()
-    assert ref() is None
+    gc.disable()
+    try:
+        outcome(profile, game, LOCAL)
+        rat_event(model, profile)
+        assert verify_thm1i(game, model, profile).holds
+        # the memoised limit comes back as an equal restriction of the game
+        assert elimination_limit(game, profile, GLOBAL) == elimination_limit(game, profile, GLOBAL)
+        assert game.memo
+        ref = weakref.ref(game)
+        del game, model
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class _Watched(dict):

@@ -1,20 +1,23 @@
 """Differential tests: the integer-preserving simplex against the Fraction one.
 
-`fraction_simplex` is the rational-tableau Bland solver. Both must return
-exactly the same results and make exactly the same pivots, each recorded as
-(leaving row, entering column, sign of the pivot entry).
+`fraction_simplex` is the rational-tableau Bland solver. The engine takes the
+same programs scaled to integers (`lp_forms`); both must return exactly the
+same results and make exactly the same pivots, each recorded as (leaving row,
+entering column, sign of the pivot entry).
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import epigame.simplex as engine
 import fraction_simplex as reference
+from epigame.errors import ValidationError
 from epigame.simplex import Status
-from lp_forms import EQ, GE, LE, check_feasible, standard_form
+from lp_forms import EQ, GE, LE, check_feasible, integer_matrix, solve_rational, standard_form
 
 F = Fraction
 
@@ -37,9 +40,17 @@ def recorded_pivots(module):
         module._pivot = original
 
 
-def run_both(name, *args):
+def engine_game_value(matrix, multiple=1):
+    return engine.matrix_game_value(*integer_matrix(matrix, multiple))
+
+
+# the engine's entry points on the reference's rational inputs
+ON_RATIONALS = {"solve": solve_rational, "matrix_game_value": engine_game_value}
+
+
+def run_both(name, *args, **engine_options):
     with recorded_pivots(engine) as engine_log:
-        got = getattr(engine, name)(*args)
+        got = ON_RATIONALS[name](*args, **engine_options)
     with recorded_pivots(reference) as reference_log:
         want = getattr(reference, name)(*args)
     assert got == want
@@ -90,19 +101,28 @@ def paired_bound_programs(draw):
     return rows, [b, -k * b], objective
 
 
-@given(matrices())
+@given(matrices(), st.sampled_from([1, 2, 3, 7]))
 @settings(max_examples=200, deadline=None)
-def test_matrix_game_value_matches_fraction_solver(matrix):
-    (value, rows, columns), _ = run_both("matrix_game_value", matrix)
+def test_matrix_game_value_matches_fraction_solver(matrix, multiple):
+    # any common multiple of the denominators is a valid scale
+    (value, rows, columns), _ = run_both("matrix_game_value", matrix, multiple=multiple)
     assert all(isinstance(v, Fraction) for v in (value, *rows, *columns))
     assert sum(rows) == 1 and sum(columns) == 1
 
 
-@given(st.one_of(programs(), paired_bound_programs()))
+def test_rational_inputs_rejected():
+    with pytest.raises(ValidationError):
+        engine.matrix_game_value([[F(1, 2), 1]])
+    with pytest.raises(ValidationError):
+        engine.solve([[1, F(1, 2)]], [1], [1, 1])
+
+
+@given(st.one_of(programs(), paired_bound_programs()), st.sampled_from([1, 2, 3, 7]))
 @settings(max_examples=400, deadline=None)
-def test_solve_matches_fraction_solver(program):
+def test_solve_matches_fraction_solver(program, multiple):
+    # the weak-dominance rows come scaled by a multiple of their lcm
     rows, rhs, objective = program
-    solution, _ = run_both("solve", rows, rhs, objective)
+    solution, _ = run_both("solve", rows, rhs, objective, multiple=multiple)
     if solution.status is Status.OPTIMAL:
         assert all(isinstance(v, Fraction) for v in (solution.value, *solution.assignment))
         equalities = [(row, EQ, b) for row, b in zip(rows, rhs)]
