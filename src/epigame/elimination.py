@@ -108,14 +108,14 @@ def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> R
         raise ValidationError("the restriction is of another game")
     notions = profile.effective
     current = g.indices
-    components = []
-    for i, labels in enumerate(game.strategies):
+    masks = []
+    for i in range(game.n):
         opponents = game.opponent_offsets(i, current)
-        components.append(tuple(
-            labels[s] for s in current[i]
+        masks.append(sum(
+            1 << s for s in current[i]
             if _holds_cached(game, notions[i], i, s, alternatives[i], opponents)
         ))
-    return Restriction(game, tuple(components))
+    return Restriction(game, tuple(masks))
 
 
 def t_global(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:

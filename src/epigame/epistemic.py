@@ -33,19 +33,12 @@ from .games import (
     JointStrategy,
     Restriction,
     check_label,
+    set_bits,
 )
 from .lattice import EliminationTrace, iterate_to_outcome
 from .optimality import _holds_cached
 
 Event = frozenset[str]
-
-
-def _indices(mask: int):
-    """The set bits of ``mask``, lowest (first state) first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -113,7 +106,7 @@ class PossibilityCorrespondence:
     @cached_property
     def coherent(self) -> bool:
         masks = self.masks
-        return all(masks[t] == m for m in masks for t in _indices(m))
+        return all(masks[t] == m for m in masks for t in set_bits(m))
 
     @cached_property
     def reflexive(self) -> bool:
@@ -148,8 +141,7 @@ class EpistemicModel:
         for i, labels in enumerate(self.strategy_maps):
             if len(labels) != len(self.space.states):
                 raise ValidationError(f"strategy map for player {i + 1} is not total")
-            for s in labels:
-                self.game.strategy_index(i, s)
+        self.strategy_indices  # an unknown label fails here, at construction
         if self.correspondences is not None:
             if len(self.correspondences) != self.game.n:
                 raise ValidationError("one correspondence per player is required")
@@ -166,6 +158,14 @@ class EpistemicModel:
         if all(c.is_belief_class for c in self.correspondences):
             return "belief"
         return "invalid"
+
+    @cached_property
+    def strategy_indices(self) -> tuple[tuple[int, ...], ...]:
+        """The strategy maps as strategy indices, in state order."""
+        return tuple(
+            tuple(self.game.strategy_index(i, s) for s in labels)
+            for i, labels in enumerate(self.strategy_maps)
+        )
 
     def strategy_of(self, i: int, state: str) -> str:
         return self.strategy_maps[i][self.space.index[state]]
@@ -235,7 +235,7 @@ def common_box(model: EpistemicModel, event: Iterable[str]) -> Event:
         for k, m in enumerate(c.masks):
             sources[m] = sources.get(m, 0) | 1 << k
         for m, pointing in sources.items():
-            for t in _indices(m):
+            for t in set_bits(m):
                 pointed_from[t] |= pointing
     # bad: the states with a successor outside the event or bad
     bad = 0
@@ -284,8 +284,8 @@ def restriction_of(
     else:
         masks = [model.space.mask_of(events)] * model.game.n
     return Restriction(model.game, tuple(
-        tuple({labels[k] for k in _indices(mask)})
-        for labels, mask in zip(model.strategy_maps, masks)
+        sum(1 << s for s in {chosen[k] for k in set_bits(mask)})
+        for chosen, mask in zip(model.strategy_indices, masks)
     ))
 
 
@@ -296,10 +296,8 @@ def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
     profile.validate_for(model.game)
     game = model.game
     notions = profile.effective
-    # the strategy maps as indices (validated with the model); a possibility
-    # mask projects straight to index components
-    chosen = [tuple(game.strategy_index(i, s) for s in labels)
-              for i, labels in enumerate(model.strategy_maps)]
+    # a possibility mask projects straight to index components
+    chosen = model.strategy_indices
     projected: dict[int, tuple[tuple[int, ...], ...]] = {}
     opponents_of: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -307,7 +305,7 @@ def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
         if (i, mask) not in opponents_of:
             if mask not in projected:
                 projected[mask] = tuple(
-                    tuple(sorted({c[k] for k in _indices(mask)})) for c in chosen)
+                    tuple(sorted({c[k] for k in set_bits(mask)})) for c in chosen)
             opponents_of[i, mask] = game.opponent_offsets(i, projected[mask])
         return opponents_of[i, mask]
 
@@ -354,10 +352,7 @@ def two_block_model(game: Game, restriction: Restriction) -> EpistemicModel:
     """
     model = standard_model(game.full_restriction())
     space = model.space
-    inside = frozenset(
-        state_label(j) for j in game.full_restriction().joint_strategies
-        if restriction.contains_joint(j)
-    )
+    inside = frozenset(state_label(j) for j in restriction.joint_strategies)
     all_states = frozenset(space.states)
     complement = all_states - inside
     if not inside or not complement:
@@ -483,7 +478,7 @@ def render_model(model: EpistemicModel) -> str:
         states = model.space.states
         for i, c in enumerate(model.correspondences):
             for state, mask in zip(states, c.masks):
-                inside = " ".join(states[k] for k in _indices(mask))
+                inside = " ".join(states[k] for k in set_bits(mask))
                 lines.append(f"poss {i + 1}: {state} -> {{{inside}}}")
     return "\n".join(lines) + "\n"
 

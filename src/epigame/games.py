@@ -137,6 +137,11 @@ class Game:
         return tuple(tuple(range(len(labels))) for labels in self.strategies)
 
     @cached_property
+    def full_masks(self) -> tuple[int, ...]:
+        """Every player's strategy mask with all strategies kept."""
+        return tuple((1 << len(labels)) - 1 for labels in self.strategies)
+
+    @cached_property
     def scaled_payoffs(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Per player ``(s_i, s_i * payoff_tables[i])`` with ``s_i`` the lcm of
         the player's payoff denominators: the integers every notion is decided
@@ -179,19 +184,19 @@ class Game:
     def strategy_index(self, i: int, label: str) -> int:
         try:
             return self._label_index[i][label]
-        except KeyError:
+        except (IndexError, KeyError):
             raise ValidationError(f"player {i + 1} has no strategy {label!r}") from None
 
     def payoff(self, i: int, joint: JointStrategy) -> Fraction:
         """Exact payoff of player ``i`` (0-based) at a joint strategy."""
-        index = self._label_index
-        flat = 0
-        for j, stride in enumerate(self._strides):
-            flat += index[j][joint[j]] * stride
+        if len(joint) != self.n:
+            raise ValidationError(f"joint strategy {tuple(joint)} needs {self.n} entries")
+        index = self.strategy_index
+        flat = sum(index(j, s) * stride for j, (s, stride) in enumerate(zip(joint, self._strides)))
         return self.payoff_tables[i][flat]
 
     def full_restriction(self) -> "Restriction":
-        return Restriction(self, self.strategies)
+        return Restriction(self, self.full_masks)
 
 
 def per_game(fn):
@@ -232,73 +237,68 @@ def game_from_payoffs(
     return Game(strategy_sets, tuple(tables))
 
 
+def set_bits(mask: int):
+    """The set bits of ``mask``, lowest first: the strategy (or state)
+    indices a mask keeps, in label order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Restriction:
     """Per-player subsets of a game's strategy sets, the lattice element.
 
-    Components are stored in the parent game's label order, which fixes the
-    deterministic iteration order used everywhere (traces, products, output).
-    Empty components are legal.
+    Bit ``k`` of ``masks[i]`` keeps player ``i``'s ``k``-th strategy, so the
+    game's label order fixes the deterministic iteration order used
+    everywhere (traces, products, output). Empty components are legal.
+    :meth:`of` builds a restriction from labels.
     """
 
     game: Game
-    components: tuple[tuple[str, ...], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self):
-        canonical = []
-        for i, component in enumerate(self.components):
-            chosen = set(component)
-            unknown = chosen - set(self.game.strategies[i])
-            if unknown:
-                raise ValidationError(
-                    f"player {i + 1}: {sorted(unknown)} not in the game"
-                )
-            canonical.append(tuple(s for s in self.game.strategies[i] if s in chosen))
-        object.__setattr__(self, "components", tuple(canonical))
+        if type(self.masks) is not tuple or len(self.masks) != self.game.n or not all(
+            type(mask) is int and 0 <= mask <= full
+            for mask, full in zip(self.masks, self.game.full_masks)
+        ):
+            raise ValidationError(f"not one strategy mask per player: {self.masks!r}")
 
-    def __le__(self, other: "Restriction") -> bool:
-        return self.is_subset_of(other)
+    @classmethod
+    def of(cls, game: Game, components) -> "Restriction":
+        """The restriction keeping the labelled strategies, given in any order."""
+        return cls(game, tuple(
+            sum(1 << k for k in {game.strategy_index(i, s) for s in component})
+            for i, component in enumerate(components)
+        ))
 
     def is_subset_of(self, other: "Restriction") -> bool:
         if self.game is not other.game and self.game != other.game:
             raise ValidationError("restrictions of different games are incomparable")
-        return all(
-            set(mine) <= set(theirs)
-            for mine, theirs in zip(self.components, other.components)
-        )
+        return all(mine & ~theirs == 0 for mine, theirs in zip(self.masks, other.masks))
 
     def meet(self, other: "Restriction") -> "Restriction":
-        return Restriction(
-            self.game,
-            tuple(
-                tuple(s for s in mine if s in set(theirs))
-                for mine, theirs in zip(self.components, other.components)
-            ),
-        )
+        return Restriction(self.game, tuple(a & b for a, b in zip(self.masks, other.masks)))
 
     def join(self, other: "Restriction") -> "Restriction":
-        return Restriction(
-            self.game,
-            tuple(
-                tuple(mine) + tuple(s for s in theirs if s not in set(mine))
-                for mine, theirs in zip(self.components, other.components)
-            ),
-        )
-
-    def is_full(self) -> bool:
-        return self.components == self.game.strategies
+        return Restriction(self.game, tuple(a | b for a, b in zip(self.masks, other.masks)))
 
     def has_empty_component(self) -> bool:
-        return any(not c for c in self.components)
+        return 0 in self.masks
 
     @cached_property
     def indices(self) -> tuple[tuple[int, ...], ...]:
         """The components as ascending strategy indices of the game."""
-        index = self.game._label_index
-        return tuple(tuple(index[i][s] for s in c) for i, c in enumerate(self.components))
+        return tuple(tuple(set_bits(mask)) for mask in self.masks)
 
-    def contains_joint(self, joint: JointStrategy) -> bool:
-        return all(s in set(c) for s, c in zip(joint, self.components))
+    @cached_property
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """The components as labels, in the game's label order."""
+        return tuple(
+            tuple(labels[k] for k in c) for labels, c in zip(self.game.strategies, self.indices)
+        )
 
     @cached_property
     def joint_strategies(self) -> tuple[JointStrategy, ...]:
@@ -513,11 +513,9 @@ def render_game(game: Game) -> str:
     lines = [f"players: {game.n}"]
     for i, labels in enumerate(game.strategies):
         lines.append(f"strategies {i + 1}: " + " ".join(labels))
-    for i in range(game.n):
-        for joint in game.joint_strategies:
-            lines.append(
-                f"payoff {i + 1}: " + " ".join(joint) + f" = {game.payoff(i, joint)}"
-            )
+    for i, table in enumerate(game.payoff_tables):
+        for joint, value in zip(game.joint_strategies, table):
+            lines.append(f"payoff {i + 1}: " + " ".join(joint) + f" = {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -533,7 +531,7 @@ def parse_restriction(source: str, game: Game) -> Restriction:
     missing = [i + 1 for i in range(game.n) if i not in seen]
     if missing:
         raise ValidationError(f"missing restrict lines for players {missing}")
-    return Restriction(game, tuple(seen[i] for i in range(game.n)))
+    return Restriction.of(game, tuple(seen[i] for i in range(game.n)))
 
 
 def render_restriction(restriction: Restriction) -> str:

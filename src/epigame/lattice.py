@@ -15,7 +15,7 @@ from .errors import (
     NonContractingStep,
     PremiseViolated,
 )
-from .games import Game, Restriction
+from .games import Game, Restriction, set_bits
 
 # the most candidates an exhaustive enumeration may visit
 ENUMERATION_BUDGET = 1 << 20
@@ -104,14 +104,8 @@ def iterate_to_outcome(
 def enumerate_restrictions(game: Game):
     """All restrictions of a game, in a deterministic order (per player, all
     subsets in binary counting order over the game's label order)."""
-    per_player = []
-    for labels in game.strategies:
-        subsets = []
-        for mask in range(1 << len(labels)):
-            subsets.append(tuple(s for k, s in enumerate(labels) if mask >> k & 1))
-        per_player.append(subsets)
-    for combo in itertools.product(*per_player):
-        yield Restriction(game, combo)
+    for masks in itertools.product(*(range(1 << len(labels)) for labels in game.strategies)):
+        yield Restriction(game, masks)
 
 
 def lattice_size(game: Game) -> int:
@@ -132,7 +126,7 @@ def largest_fixpoint_bruteforce(
         raise BudgetExceeded(
             f"lattice has {lattice_size(game)} restrictions, budget is {budget}"
         )
-    union = Restriction(game, tuple(() for _ in game.strategies))
+    union = Restriction(game, (0,) * game.n)
     for candidate in enumerate_restrictions(game):
         if candidate.is_subset_of(op.apply(candidate)):
             union = union.join(candidate)
@@ -140,11 +134,12 @@ def largest_fixpoint_bruteforce(
 
 
 def sample_restriction(rng: random.Random, game: Game, within: Restriction | None = None) -> Restriction:
-    pool = within.components if within is not None else game.strategies
-    return Restriction(
-        game,
-        tuple(tuple(s for s in comp if rng.random() < 0.5) for comp in pool),
-    )
+    """Keep each strategy of ``within`` (default: the full game) with
+    probability 1/2, drawing once per strategy in label order."""
+    pool = within.masks if within is not None else game.full_masks
+    return Restriction(game, tuple(
+        sum(1 << k for k in set_bits(mask) if rng.random() < 0.5) for mask in pool
+    ))
 
 
 @dataclass(frozen=True)

@@ -59,8 +59,6 @@ class Notion(enum.Enum):
 
 
 MONOTONIC_NOTIONS = frozenset({Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED})
-DOMINANCE_NOTIONS = frozenset({Notion.SD, Notion.WD, Notion.MSD, Notion.MWD})
-BEST_RESPONSE_NOTIONS = frozenset({Notion.BR_POINT, Notion.BR_CORRELATED, Notion.BR_INDEPENDENT})
 
 
 def parse_notion(text: str) -> Notion:
@@ -319,6 +317,8 @@ def _br_belief(game, i, s, alternatives, opponents):
 
 def dominates(game: Game, i: int, mix: MixedStrategy, s_i: str, G_minus_i, mode: str) -> bool:
     """Re-check a dominance witness under exact arithmetic."""
+    if mode not in ("strict", "weak"):
+        raise ValidationError(f"mode must be 'strict' or 'weak', got {mode!r}")
     opponents = list(G_minus_i)
     if not opponents:
         return False

@@ -53,15 +53,15 @@ COUNTEREXAMPLE = "counterexample"
 
 def elimination_limit(game: Game, profile: NotionProfile, mode: str) -> Restriction:
     """The outcome of iterating one elimination operator from the full game.
-    Its components are memoised: a restriction in the memo would refer back
-    to the game."""
-    return Restriction(game, _limit_components(game, profile, mode))
+    Its masks are memoised: a restriction in the memo would refer back to
+    the game."""
+    return Restriction(game, _limit_masks(game, profile, mode))
 
 
 @per_game
-def _limit_components(game: Game, profile: NotionProfile, mode: str):
+def _limit_masks(game: Game, profile: NotionProfile, mode: str):
     op = operator(profile, game, mode)
-    return iterate_to_outcome(op, game.full_restriction()).outcome.components
+    return iterate_to_outcome(op, game.full_restriction()).outcome.masks
 
 
 @dataclass
@@ -190,7 +190,7 @@ def thm2_hypothesis_clauses(
     own components."""
     failures = []
     limit = elimination_limit(game, profile, GLOBAL)
-    if limit.contains_joint(joint):
+    if tuple(joint) in limit.joint_strategies:
         failures.append(f"joint strategy {joint} survives the elimination")
     for i in range(game.n):
         opponents = [joint[:i] + joint[i + 1:]]

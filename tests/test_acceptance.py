@@ -118,7 +118,7 @@ def test_criterion_04_flat_game_boundaries(flat_game):
     for notion in ("wd", "mwd"):
         profile = NotionProfile.uniform(notion, 2)
         limit = iterate_to_outcome(operator(profile, flat_game, LOCAL), full).outcome
-        assert limit == Restriction(flat_game, (("U",), ("L", "R")))
+        assert limit == Restriction.of(flat_game, (("U",), ("L", "R")))
         assert limit.is_subset_of(full) and limit != full
         weak_limits[notion] = limit
 

@@ -44,18 +44,18 @@ def test_profile_parsing(tie_game):
 def test_global_weak_dominance_single_step(tie_game):
     profile = NotionProfile.uniform("wd", 2)
     first = t_global(profile, tie_game, tie_game.full_restriction())
-    assert first == Restriction(tie_game, (("D",), ("R",)))
+    assert first == Restriction.of(tie_game, (("D",), ("R",)))
     assert t_global(profile, tie_game, first) == first
 
 
 def test_global_weak_dominance_trace(tie_game):
     trace = outcome(NotionProfile.uniform("wd", 2), tie_game, GLOBAL)
-    assert trace.outcome == Restriction(tie_game, (("D",), ("R",)))
+    assert trace.outcome == Restriction.of(tie_game, (("D",), ("R",)))
     assert trace.stabilized_at <= 2
 
 
 def test_step_on_all_empty_restriction(tie_game):
-    empty = Restriction(tie_game, ((), ()))
+    empty = Restriction.of(tie_game, ((), ()))
     for notion in ("sd", "wd", "msd", "mwd", "brp", "brc"):
         profile = NotionProfile.uniform(notion, 2)
         assert t_global(profile, tie_game, empty) == empty
@@ -65,7 +65,7 @@ def test_step_on_all_empty_restriction(tie_game):
 def test_global_strict_dominance_pd(prisoners_dilemma):
     profile = NotionProfile.uniform("sd", 2)
     step = t_global(profile, prisoners_dilemma, prisoners_dilemma.full_restriction())
-    assert step == Restriction(prisoners_dilemma, (("D",), ("D",)))
+    assert step == Restriction.of(prisoners_dilemma, (("D",), ("D",)))
 
 
 def test_local_equals_global_from_full_on_first_step(tie_game):
@@ -91,7 +91,7 @@ def test_local_correlated_equals_local_mixed_strict():
 def test_singleton_restrictions_are_local_fixpoints(tie_game, prisoners_dilemma):
     for game in (tie_game, prisoners_dilemma):
         for joint in game.joint_strategies:
-            singleton = Restriction(game, tuple((s,) for s in joint))
+            singleton = Restriction.of(game, tuple((s,) for s in joint))
             for notion in ("sd", "wd", "msd", "mwd", "brp"):
                 profile = NotionProfile.uniform(notion, game.n)
                 assert u_local(profile, game, singleton) == singleton
@@ -100,12 +100,12 @@ def test_singleton_restrictions_are_local_fixpoints(tie_game, prisoners_dilemma)
 def test_local_weak_dominance_flat_game(flat_game):
     profile = NotionProfile.uniform("wd", 2)
     step = u_local(profile, flat_game, flat_game.full_restriction())
-    assert step == Restriction(flat_game, (("U",), ("L", "R")))
+    assert step == Restriction.of(flat_game, (("U",), ("L", "R")))
 
 
 def test_outcome_tie_game_local_wd_with_reasons(tie_game):
     trace = outcome(NotionProfile.uniform("wd", 2), tie_game, LOCAL)
-    assert trace.outcome == Restriction(tie_game, (("D",), ("R",)))
+    assert trace.outcome == Restriction.of(tie_game, (("D",), ("R",)))
     eliminated = {(r.player, r.strategy): r for r in trace.records}
     assert set(eliminated) == {(0, "U"), (1, "L")}
     assert eliminated[(0, "U")].stage == 0
@@ -136,7 +136,7 @@ def test_outcome_msd_eliminates_middle_single_column():
 
 def test_outcome_msd_mixed_witness(mix_game):
     trace = outcome(NotionProfile.uniform("msd", 2), mix_game, GLOBAL)
-    assert trace.outcome == Restriction(mix_game, (("T", "B"), ("L", "R")))
+    assert trace.outcome == Restriction.of(mix_game, (("T", "B"), ("L", "R")))
     record = next(r for r in trace.records if r.strategy == "M")
     assert isinstance(record.witness, MixedStrategy)
     assert dominates(mix_game, 0, record.witness, "M", [("L",), ("R",)], "strict")
@@ -146,7 +146,7 @@ def test_outcome_msd_mixed_witness(mix_game):
 
 def test_outcome_brc_elimination_has_dominator_witness(prisoners_dilemma):
     trace = outcome(NotionProfile.uniform("brc", 2), prisoners_dilemma, GLOBAL)
-    assert trace.outcome == Restriction(prisoners_dilemma, (("D",), ("D",)))
+    assert trace.outcome == Restriction.of(prisoners_dilemma, (("D",), ("D",)))
     for record in trace.records:
         assert isinstance(record.witness, MixedStrategy)
         assert dominates(
@@ -172,10 +172,10 @@ def test_outcome_brp_elimination_certificate(prisoners_dilemma):
 def test_heterogeneous_profile(tie_game):
     profile = NotionProfile.parse("sd,wd", 2)
     trace = outcome(profile, tie_game, GLOBAL)
-    assert trace.outcome == Restriction(tie_game, (("D",), ("R",)))
+    assert trace.outcome == Restriction.of(tie_game, (("D",), ("R",)))
     stages = trace.stages
-    assert stages[1] == Restriction(tie_game, (("U", "D"), ("R",)))
-    assert stages[2] == Restriction(tie_game, (("D",), ("R",)))
+    assert stages[1] == Restriction.of(tie_game, (("U", "D"), ("R",)))
+    assert stages[2] == Restriction.of(tie_game, (("D",), ("R",)))
 
 
 def test_contraction_everywhere():
@@ -239,7 +239,7 @@ def test_three_player_elimination():
     p3 = {("a", "x", "p"): 1, ("a", "x", "q"): 0, ("b", "x", "p"): 1, ("b", "x", "q"): 0}
     game = game_from_payoffs([("a", "b"), ("x",), ("p", "q")], [p1, p2, p3])
     trace = outcome(NotionProfile.uniform("sd", 3), game, GLOBAL)
-    assert trace.outcome == Restriction(game, (("a",), ("x",), ("p",)))
+    assert trace.outcome == Restriction.of(game, (("a",), ("x",), ("p",)))
     stages = [s.components for s in trace.stages]
     assert stages[1] == (("a", "b"), ("x",), ("p",))
     assert stages[2] == (("a",), ("x",), ("p",))

@@ -171,8 +171,8 @@ def test_restriction_of_projections(tie_game):
     model = standard_model(tie_game.full_restriction())
     omega = frozenset(model.space.states)
     assert restriction_of(model, omega) == tie_game.full_restriction()
-    assert restriction_of(model, frozenset()) == Restriction(tie_game, ((), ()))
-    assert restriction_of(model, {state_label(("D", "R"))}) == Restriction(
+    assert restriction_of(model, frozenset()) == Restriction.of(tie_game, ((), ()))
+    assert restriction_of(model, {state_label(("D", "R"))}) == Restriction.of(
         tie_game, (("D",), ("R",))
     )
     per_player = restriction_of(
@@ -180,7 +180,7 @@ def test_restriction_of_projections(tie_game):
         [frozenset({state_label(("U", "L"))}), frozenset()],
         per_player=True,
     )
-    assert per_player == Restriction(tie_game, (("U",), ()))
+    assert per_player == Restriction.of(tie_game, (("U",), ()))
 
 
 def test_restriction_of_rejects_unknown_states(tie_game):
@@ -195,12 +195,12 @@ def test_standard_model_shapes(tie_game, flat_game):
     model = standard_model(tie_game.full_restriction())
     assert len(model.space.states) == 4
     assert model.strategy_of(0, state_label(("D", "R"))) == "D"
-    single = standard_model(Restriction(tie_game, (("U",), ("L",))))
+    single = standard_model(Restriction.of(tie_game, (("U",), ("L",))))
     assert len(single.space.states) == 1
     flat = standard_model(flat_game.full_restriction())
     assert flat.strategy_of(0, state_label(("D", "R"))) == "D"
     with pytest.raises(EmptyStateSpace):
-        standard_model(Restriction(tie_game, (("U",), ())))
+        standard_model(Restriction.of(tie_game, (("U",), ())))
 
 
 def test_rat_event_singleton_model_weak_dominance(tie_game):
@@ -228,12 +228,12 @@ def test_rat_event_empty_when_strategy_never_optimal():
 
 def test_two_block_model_knowledge_class_even_when_degenerate(tie_game):
     # proper two-block split
-    model = two_block_model(tie_game, Restriction(tie_game, (("D",), ("R",))))
+    model = two_block_model(tie_game, Restriction.of(tie_game, (("D",), ("R",))))
     assert model.model_class == "knowledge"
     inside = frozenset({state_label(("D", "R"))})
     assert is_evident(model, inside)
     # empty restriction and full restriction collapse to the constant space
-    for restriction in (Restriction(tie_game, ((), ())), tie_game.full_restriction()):
+    for restriction in (Restriction.of(tie_game, ((), ())), tie_game.full_restriction()):
         degenerate = two_block_model(tie_game, restriction)
         assert degenerate.model_class == "knowledge"
         assert all(

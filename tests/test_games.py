@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -170,13 +171,13 @@ def test_opponent_offsets_three_player():
             {("s", "a", "x"): 0, ("s", "b", "x"): 0},
         ],
     )
-    r = Restriction(game, (("s",), ("a", "b"), ("x",)))
+    r = Restriction.of(game, (("s",), ("a", "b"), ("x",)))
     assert opponent_profiles(r, 0) == (("a", "x"), ("b", "x"))
     assert opponent_profiles(r, 1) == (("s", "x"),)
 
 
 def test_opponent_offsets_empty_factor(tie_game):
-    r = Restriction(tie_game, (("U",), ()))
+    r = Restriction.of(tie_game, (("U",), ()))
     assert opponent_profiles(r, 0) == ()
     # the non-empty side still sees the U component
     assert opponent_profiles(r, 1) == (("U",),)
@@ -192,17 +193,45 @@ def test_scaled_payoffs_per_player():
 
 
 def test_restriction_canonical_order_and_validation(tie_game):
-    r = Restriction(tie_game, (("D", "U"), ("R",)))
+    r = Restriction.of(tie_game, (("D", "U"), ("R",)))
     assert r.components == (("U", "D"), ("R",))
     with pytest.raises(ValidationError):
-        Restriction(tie_game, (("U", "Z"), ("L",)))
+        Restriction.of(tie_game, (("U", "Z"), ("L",)))
+
+
+def test_restriction_arity_and_masks_checked(tie_game):
+    # a missing component was accepted and then truncated by zip
+    with pytest.raises(ValidationError):
+        Restriction(tie_game, (("U",),))
+    with pytest.raises(ValidationError):
+        Restriction.of(tie_game, (("U",),))
+    with pytest.raises(ValidationError):
+        Restriction.of(tie_game, (("U",), ("L",), ()))
+    for masks in ((4, 1), (-1, 1), ("U", 1), (True, 1), (1, 1, 0), [1, 1]):
+        with pytest.raises(ValidationError):
+            Restriction(tie_game, masks)
+    r = Restriction(tie_game, (0b10, 0b11))
+    assert r == Restriction.of(tie_game, (("D",), ("R", "L")))
+    assert r.indices == ((1,), (0, 1))
+    assert r.joint_strategies == (("D", "L"), ("D", "R"))
+
+
+def test_payoff_inputs_checked(tie_game):
+    for joint in (("U", "Z"), ("U",), ("U", "L", "L")):
+        with pytest.raises(ValidationError):
+            tie_game.payoff(0, joint)
+    # an opponent profile of the wrong arity cannot be read as a shorter one
+    with pytest.raises(ValidationError):
+        expected_payoff(tie_game, 0, "U", CorrelatedBelief(((("L", "R"), 1),)))
+    with pytest.raises(ValidationError):
+        expected_payoff(tie_game, 0, "U", CorrelatedBelief(((("Z",), 1),)))
 
 
 def test_restriction_lattice_structure(tie_game):
     full = tie_game.full_restriction()
-    a = Restriction(tie_game, (("U",), ("L", "R")))
-    b = Restriction(tie_game, (("U", "D"), ("R",)))
-    assert a.meet(b) == Restriction(tie_game, (("U",), ("R",)))
+    a = Restriction.of(tie_game, (("U",), ("L", "R")))
+    b = Restriction.of(tie_game, (("U", "D"), ("R",)))
+    assert a.meet(b) == Restriction.of(tie_game, (("U",), ("R",)))
     assert a.join(b) == full
     assert a.meet(b).is_subset_of(a) and a.is_subset_of(a.join(b))
     assert a.is_subset_of(full) and b.is_subset_of(full)
@@ -222,13 +251,29 @@ def subset_pairs(draw):
 def test_lattice_laws(pair):
     game = parse_game(TIE_GAME_TEXT)
     (u1, u2), (v1, v2) = pair
-    g = Restriction(game, (tuple(u1), tuple(u2)))
-    h = Restriction(game, (tuple(v1), tuple(v2)))
+    g = Restriction.of(game, (tuple(u1), tuple(u2)))
+    h = Restriction.of(game, (tuple(v1), tuple(v2)))
     meet, join = g.meet(h), g.join(h)
     assert meet.is_subset_of(g) and meet.is_subset_of(h)
     assert g.is_subset_of(join) and h.is_subset_of(join)
     assert g.is_subset_of(game.full_restriction())
     assert g.meet(g) == g and g.join(g) == g
+
+
+@st.composite
+def drawn_restrictions(draw):
+    shape = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    strategies = [tuple(f"p{i}s{k}" for k in range(size)) for i, size in enumerate(shape)]
+    joints = list(itertools.product(*strategies))
+    game = game_from_payoffs(strategies, [{j: 0 for j in joints} for _ in shape])
+    masks = tuple(draw(st.integers(0, (1 << size) - 1)) for size in shape)
+    return Restriction(game, masks)
+
+
+@given(drawn_restrictions())
+@settings(max_examples=150, deadline=None)
+def test_restriction_text_round_trip(r):
+    assert parse_restriction(render_restriction(r), r.game) == r
 
 
 def test_point_belief_matches_table(tie_game, flat_game, prisoners_dilemma):
@@ -334,7 +379,7 @@ def test_correlated_belief_validation():
 
 
 def test_restriction_rendering_keeps_empty_components(tie_game):
-    r = Restriction(tie_game, (("D",), ()))
+    r = Restriction.of(tie_game, (("D",), ()))
     text = render_restriction(r)
     assert text == "restrict 1: D\nrestrict 2:\n"
     with pytest.raises(ValidationError):

@@ -43,14 +43,14 @@ def test_identity_trace(tie_game):
 def test_local_weak_dominance_outcome(tie_game):
     op = operator(NotionProfile.uniform("wd", 2), tie_game, LOCAL)
     trace = iterate_to_outcome(op, tie_game.full_restriction())
-    assert trace.outcome == Restriction(tie_game, (("D",), ("R",)))
+    assert trace.outcome == Restriction.of(tie_game, (("D",), ("R",)))
     assert trace.stabilized_at <= 2
 
 
 def test_strict_dominance_outcome_prisoners_dilemma(prisoners_dilemma):
     op = operator(NotionProfile.uniform("sd", 2), prisoners_dilemma, GLOBAL)
     trace = iterate_to_outcome(op, prisoners_dilemma.full_restriction())
-    assert trace.outcome == Restriction(prisoners_dilemma, (("D",), ("D",)))
+    assert trace.outcome == Restriction.of(prisoners_dilemma, (("D",), ("D",)))
     # oracle: re-run the per-stage eliminations by brute force
     current = prisoners_dilemma.full_restriction()
     for stage in trace.stages[1:]:
@@ -72,7 +72,7 @@ def test_strict_dominance_outcome_prisoners_dilemma(prisoners_dilemma):
                 if not dominated:
                     keep.append(s)
             expected.append(tuple(keep))
-        assert stage == Restriction(prisoners_dilemma, tuple(expected))
+        assert stage == Restriction.of(prisoners_dilemma, tuple(expected))
         current = stage
 
 
@@ -95,7 +95,7 @@ def test_non_contracting_step_detected(tie_game):
         return full
 
     op = RestrictionOperator("bad", tie_game, expanding)
-    start = Restriction(tie_game, (("U",), ("L",)))
+    start = Restriction.of(tie_game, (("U",), ("L",)))
     with pytest.raises(NonContractingStep):
         iterate_to_outcome(op, start)
 
@@ -110,7 +110,7 @@ def test_bruteforce_matches_iteration_on_pd(prisoners_dilemma):
     op = operator(NotionProfile.uniform("sd", 2), prisoners_dilemma, GLOBAL)
     best = largest_fixpoint_bruteforce(op, prisoners_dilemma)
     trace = iterate_to_outcome(op, prisoners_dilemma.full_restriction())
-    assert best == trace.outcome == Restriction(prisoners_dilemma, (("D",), ("D",)))
+    assert best == trace.outcome == Restriction.of(prisoners_dilemma, (("D",), ("D",)))
 
 
 def test_bruteforce_identity_returns_full(tie_game):
@@ -170,7 +170,7 @@ def test_inclusion_lemma_msd_pair_on_pd(prisoners_dilemma):
     op1 = operator(NotionProfile.uniform("msd", 2), prisoners_dilemma, GLOBAL)
     op2 = operator(NotionProfile.uniform("msd", 2), prisoners_dilemma, LOCAL)
     report = check_inclusion_lemma(op1, op2, prisoners_dilemma, samples=100, seed=0)
-    expected = Restriction(prisoners_dilemma, (("D",), ("D",)))
+    expected = Restriction.of(prisoners_dilemma, (("D",), ("D",)))
     assert report.outcome1 == report.outcome2 == expected
     assert report.conclusion_holds
 
@@ -205,7 +205,7 @@ def test_enumerate_restrictions_counts(tie_game):
 
 def test_sample_restriction_is_within(tie_game):
     rng = random.Random(0)
-    within = Restriction(tie_game, (("U",), ("L", "R")))
+    within = Restriction.of(tie_game, (("U",), ("L", "R")))
     for _ in range(50):
         r = sample_restriction(rng, tie_game, within=within)
         assert r.is_subset_of(within)

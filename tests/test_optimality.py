@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from epigame.errors import EmptyOpponentSet, EmptySupport, UnsupportedNotion
-from epigame.games import MixedStrategy, game_from_payoffs, insert_own
+from epigame.errors import EmptyOpponentSet, EmptySupport, UnsupportedNotion, ValidationError
+from epigame.games import CorrelatedBelief, MixedStrategy, game_from_payoffs, insert_own
 from epigame.optimality import (
     Notion,
     dominates,
@@ -116,6 +116,17 @@ def test_dominance_lp_error_cases(tie_game):
         solve_dominance_lp(tie_game, 0, "U", ("U", "D"), [], "strict")
     with pytest.raises(EmptySupport):
         solve_dominance_lp(tie_game, 0, "U", (), [("L",)], "strict")
+
+
+def test_witness_rechecks_reject_bad_inputs(tie_game):
+    mix = MixedStrategy.pure(0, "D")
+    with pytest.raises(ValidationError):
+        dominates(tie_game, 0, mix, "U", [("L",), ("R",)], "weakk")
+    with pytest.raises(ValidationError):
+        dominates(tie_game, 0, mix, "U", [("Z",)], "strict")
+    belief = CorrelatedBelief(((("Z",), 1),))
+    with pytest.raises(ValidationError):
+        supports_best_response(tie_game, 0, belief, "U", ("U", "D"))
 
 
 def test_flat_game_every_strategy_best_response(flat_game):

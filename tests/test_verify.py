@@ -1,6 +1,6 @@
 import pytest
 
-from epigame.elimination import LOCAL, NotionProfile, outcome
+from epigame.elimination import LOCAL, NotionProfile, operator, outcome
 from epigame.epistemic import (
     rat_event,
     common_box,
@@ -191,7 +191,7 @@ def test_cor2_weak_dominance_fails_in_flat_game(flat_game):
     assert chosen == trace.outcome == flat_game.full_restriction()
     for notion in ("wd", "mwd"):
         weak_limit = outcome(NotionProfile.uniform(notion, 2), flat_game, LOCAL).outcome
-        assert weak_limit == Restriction(flat_game, (("U",), ("L", "R")))
+        assert weak_limit == Restriction.of(flat_game, (("U",), ("L", "R")))
         assert not chosen.is_subset_of(weak_limit)
 
 
@@ -230,6 +230,37 @@ def test_monotonicity_suite_small_batch():
     report = monotonicity_suite(small_samples=300, large_samples=60, seed=2)
     assert report.holds
     assert report.instances_checked == 360
+
+
+def test_engine_builds_no_restriction_from_labels(monkeypatch):
+    # restrictions are masks inside the engine; Restriction.of is the label
+    # entry for parsers and callers only
+    from epigame.lattice import largest_fixpoint_bruteforce
+    from epigame.verify import elimination_limit
+
+    game = generate_game(GeneratorConfig(seed=11, players=(3, 3), strategies=(2, 3)))
+    model = generate_model(GeneratorConfig(seed=11, states=(5, 8)), game)
+
+    def of(*args):
+        raise AssertionError("Restriction.of called inside the engine")
+
+    monkeypatch.setattr(Restriction, "of", of)
+    for notion in ("sd", "wd", "msd", "mwd", "brp", "brc"):
+        profile = NotionProfile.uniform(notion, game.n)
+        for mode in ("global", "local"):
+            outcome(profile, game, mode)
+            elimination_limit(game, profile, mode)
+        rat_event(model, profile)
+    restriction_of(model, model.space.states)
+    restriction_of(model, [model.space.states[:2]] * game.n, per_player=True)
+    profile = NotionProfile.uniform("sd", game.n)
+    largest_fixpoint_bruteforce(operator(profile, game, "global"), game)
+    assert thm1_suite("sd", instances=3, seed=1).holds
+    assert thm1iii_suite(instances=2, seed=1).holds
+    assert cor_suite("cor1", instances=3, seed=1).holds
+    assert pearce_suite(games=2, seed=1).holds
+    assert lemma_inc_suite(games=2, seed=1).holds
+    assert monotonicity_suite(small_samples=5, large_samples=2, seed=1).holds
 
 
 def test_weak_dominance_finder_reproduces_tie_game_witness(tie_game):
