@@ -90,9 +90,6 @@ class NotionProfile:
         profile order; ``bri`` counts as ``brc``."""
         return tuple(dict.fromkeys(n for n in self.effective if n not in MONOTONIC_NOTIONS))
 
-    def is_monotonic(self) -> bool:
-        return not self.non_monotonic()
-
     def __str__(self) -> str:
         if len(set(self.notions)) == 1:
             return self.notions[0].value

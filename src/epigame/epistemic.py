@@ -268,24 +268,14 @@ def largest_evident_inside(model: EpistemicModel, event: Iterable[str]) -> Event
         mask = nxt
 
 
-def restriction_of(
-    model: EpistemicModel,
-    events: Iterable[str] | Sequence[Iterable[str]],
-    per_player: bool = False,
-) -> Restriction:
-    """Project events through the strategy maps: component ``i`` is the image
-    of player ``i``'s map over the event (the i-th event when ``per_player``).
-    Empty events give empty components; an unknown state is a
-    :class:`ValidationError`."""
-    if per_player:
-        masks = [model.space.mask_of(e) for e in events]
-        if len(masks) != model.game.n:
-            raise ValidationError("one event per player is required")
-    else:
-        masks = [model.space.mask_of(events)] * model.game.n
+def restriction_of(model: EpistemicModel, event: Iterable[str]) -> Restriction:
+    """Project an event through the strategy maps: component ``i`` is the
+    image of player ``i``'s map over the event. An empty event gives empty
+    components; an unknown state is a :class:`ValidationError`."""
+    mask = model.space.mask_of(event)
     return Restriction(model.game, tuple(
         sum(1 << s for s in {chosen[k] for k in set_bits(mask)})
-        for chosen, mask in zip(model.strategy_indices, masks)
+        for chosen in model.strategy_indices
     ))
 
 

@@ -181,19 +181,27 @@ class Game:
     def __hash__(self) -> int:
         return self._hash
 
+    def player(self, i: int) -> int:
+        """``i`` if it numbers a player (0-based); a negative number is not
+        read as counted from the last player."""
+        if not 0 <= i < len(self.strategies):
+            raise ValidationError(f"player index {i!r} is not in 0..{self.n - 1}")
+        return i
+
     def strategy_index(self, i: int, label: str) -> int:
         try:
-            return self._label_index[i][label]
-        except (IndexError, KeyError):
+            return self._label_index[self.player(i)][label]
+        except KeyError:
             raise ValidationError(f"player {i + 1} has no strategy {label!r}") from None
 
     def payoff(self, i: int, joint: JointStrategy) -> Fraction:
         """Exact payoff of player ``i`` (0-based) at a joint strategy."""
+        table = self.payoff_tables[self.player(i)]
         if len(joint) != self.n:
             raise ValidationError(f"joint strategy {tuple(joint)} needs {self.n} entries")
         index = self.strategy_index
         flat = sum(index(j, s) * stride for j, (s, stride) in enumerate(zip(joint, self._strides)))
-        return self.payoff_tables[i][flat]
+        return table[flat]
 
     def full_restriction(self) -> "Restriction":
         return Restriction(self, self.full_masks)
@@ -274,16 +282,19 @@ class Restriction:
             for i, component in enumerate(components)
         ))
 
-    def is_subset_of(self, other: "Restriction") -> bool:
+    def _paired_masks(self, other: "Restriction"):
         if self.game is not other.game and self.game != other.game:
             raise ValidationError("restrictions of different games are incomparable")
-        return all(mine & ~theirs == 0 for mine, theirs in zip(self.masks, other.masks))
+        return zip(self.masks, other.masks)
+
+    def is_subset_of(self, other: "Restriction") -> bool:
+        return all(mine & ~theirs == 0 for mine, theirs in self._paired_masks(other))
 
     def meet(self, other: "Restriction") -> "Restriction":
-        return Restriction(self.game, tuple(a & b for a, b in zip(self.masks, other.masks)))
+        return Restriction(self.game, tuple(a & b for a, b in self._paired_masks(other)))
 
     def join(self, other: "Restriction") -> "Restriction":
-        return Restriction(self.game, tuple(a | b for a, b in zip(self.masks, other.masks)))
+        return Restriction(self.game, tuple(a | b for a, b in self._paired_masks(other)))
 
     def has_empty_component(self) -> bool:
         return 0 in self.masks

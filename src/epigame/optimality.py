@@ -170,12 +170,10 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
     others = [a for a in alternatives if a != s]
     if not others:
         return True
-    if len(opponents) == 1:
+    # over one opponent profile, or against one rival, a correlated belief
+    # is no stronger than a point belief
+    if len(opponents) == 1 or len(others) == 1:
         return _point_best_response(game, i, s, alternatives, opponents)
-    if len(others) == 1:
-        mine = game.payoff_row(i, s, opponents)
-        rival = game.payoff_row(i, others[0], opponents)
-        return any(p >= q for p, q in zip(mine, rival))
     # point beliefs are correlated beliefs
     if _point_best_response(game, i, s, alternatives, opponents):
         return True
@@ -203,7 +201,7 @@ def _mixed_reduces_to_pure(s, alternatives, opponents) -> bool:
 
 def _point_best_response(game, i, s, alternatives, opponents):
     mine = game.payoff_row(i, s, opponents)
-    rows = [game.payoff_row(i, a, opponents) for a in alternatives]
+    rows = [game.payoff_row(i, a, opponents) for a in alternatives if a != s]
     return any(all(p >= row[r] for row in rows) for r, p in enumerate(mine))
 
 

@@ -91,16 +91,6 @@ def _report(claim, instances, violated, payload, seed, started, notes=()):
     )
 
 
-def _require_monotonic(profile: NotionProfile) -> None:
-    bad = profile.non_monotonic()
-    if bad:
-        raise NonMonotonicProfile(
-            "inclusion claim requires monotonic notions; "
-            f"{', '.join(n.value for n in bad)} {'is' if len(bad) == 1 else 'are'} not "
-            "(use the singleton-model counterexample check instead)"
-        )
-
-
 def _require_class(model: EpistemicModel, wanted: str) -> None:
     if wanted == "belief":
         if model.model_class not in ("belief", "knowledge"):
@@ -111,29 +101,48 @@ def _require_class(model: EpistemicModel, wanted: str) -> None:
 
 # --- single-instance checks ----------------------------------------------------
 
+def _common_belief_play(model: EpistemicModel, profile: NotionProfile):
+    """The event RAT and CB(RAT), true common belief of rationality, and the
+    restriction it projects to. On a knowledge-class model the truth axiom
+    puts CB(RAT) inside RAT, so the event is CB(RAT), common knowledge of
+    rationality: one event serves both."""
+    rat = rat_event(model, profile)
+    event = rat & common_box(model, rat)
+    return event, restriction_of(model, event)
+
+
+def _check_inclusion(claim, chosen, limit, seed, started, notes=(), **extras):
+    """The inclusion claims' one check: the restriction played under
+    RAT and CB(RAT) lies inside the elimination limit."""
+    violated = not chosen.is_subset_of(limit)
+    payload = {"kind": claim, **extras, "chosen": chosen, "limit": limit}
+    return _report(claim, 1, violated, payload, seed, started, notes)
+
+
+def _verify_thm1(claim, model_class, game, model, profile, seed):
+    """Theorem 1 (i) or (ii): one check, on a belief- or a knowledge-class model."""
+    started = time.perf_counter()
+    bad = profile.non_monotonic()
+    if bad:
+        raise NonMonotonicProfile(
+            "inclusion claim requires monotonic notions; "
+            f"{', '.join(n.value for n in bad)} {'is' if len(bad) == 1 else 'are'} not "
+            "(use the singleton-model counterexample check instead)"
+        )
+    _require_class(model, model_class)
+    event, chosen = _common_belief_play(model, profile)
+    limit = elimination_limit(game, profile, GLOBAL)
+    return _check_inclusion(
+        claim, chosen, limit, seed, started, game=game, model=model, profile=profile, event=event
+    )
+
+
 def verify_thm1i(
     game: Game, model: EpistemicModel, profile: NotionProfile, seed: int | None = None
 ) -> VerificationReport:
     """True common belief of rationality confines play to the global
     elimination outcome: G_(RAT and common-belief-of-RAT) <= T-outcome."""
-    started = time.perf_counter()
-    _require_monotonic(profile)
-    _require_class(model, "belief")
-    rat = rat_event(model, profile)
-    event = rat & common_box(model, rat)
-    chosen = restriction_of(model, event)
-    limit = elimination_limit(game, profile, GLOBAL)
-    violated = not chosen.is_subset_of(limit)
-    payload = {
-        "kind": "thm1.i",
-        "game": game,
-        "model": model,
-        "profile": profile,
-        "event": event,
-        "chosen": chosen,
-        "limit": limit,
-    }
-    return _report("thm1.i", 1, violated, payload, seed, started)
+    return _verify_thm1("thm1.i", "belief", game, model, profile, seed)
 
 
 def verify_thm1ii(
@@ -141,23 +150,7 @@ def verify_thm1ii(
 ) -> VerificationReport:
     """Common knowledge of rationality confines play to the global
     elimination outcome: G_(common-knowledge-of-RAT) <= T-outcome."""
-    started = time.perf_counter()
-    _require_monotonic(profile)
-    _require_class(model, "knowledge")
-    event = common_box(model, rat_event(model, profile))
-    chosen = restriction_of(model, event)
-    limit = elimination_limit(game, profile, GLOBAL)
-    violated = not chosen.is_subset_of(limit)
-    payload = {
-        "kind": "thm1.ii",
-        "game": game,
-        "model": model,
-        "profile": profile,
-        "event": event,
-        "chosen": chosen,
-        "limit": limit,
-    }
-    return _report("thm1.ii", 1, violated, payload, seed, started)
+    return _verify_thm1("thm1.ii", "knowledge", game, model, profile, seed)
 
 
 def verify_thm1iii(
@@ -168,8 +161,7 @@ def verify_thm1iii(
     Holds for every notion, monotonic or not."""
     started = time.perf_counter()
     model, trace = iterated_elimination_model(game, profile)
-    kstar = common_box(model, rat_event(model, profile))
-    recovered = restriction_of(model, kstar)
+    _, recovered = _common_belief_play(model, profile)
     violated = not trace.outcome.is_subset_of(recovered)
     payload = {
         "kind": "thm1.iii",
@@ -217,9 +209,7 @@ def verify_thm2(
     if clauses:
         raise HypothesisNotMet(clauses)
     model = singleton_model(game)
-    rat = rat_event(model, profile)
-    kstar = common_box(model, rat)
-    chosen = restriction_of(model, kstar)
+    kstar, chosen = _common_belief_play(model, profile)
     limit = elimination_limit(game, profile, GLOBAL)
     state = state_label(joint)
     violated = state in kstar and not chosen.is_subset_of(limit)
@@ -268,24 +258,13 @@ def verify_cor1(game: Game, model: EpistemicModel, seed: int | None = None) -> V
     profile = NotionProfile.uniform(Notion.BR_POINT, game.n)
     _require_class(model, "belief")
     limit = elimination_limit(game, NotionProfile.uniform(Notion.SD, game.n), LOCAL)
-    rat = rat_event(model, profile)
-    event = rat & common_box(model, rat)
-    chosen = restriction_of(model, event)
-    violated = not chosen.is_subset_of(limit)
-    checked = ["belief"]
-    if model.model_class == "knowledge" and not violated:
-        kchosen = restriction_of(model, common_box(model, rat))
-        violated = not kchosen.is_subset_of(limit)
-        checked.append("knowledge")
-    payload = {
-        "kind": "cor1",
-        "game": game,
-        "model": model,
-        "profile": profile,
-        "chosen": chosen,
-        "limit": limit,
-    }
-    return _report("cor1", 1, violated, payload, seed, started, notes=tuple(checked))
+    _, chosen = _common_belief_play(model, profile)
+    report = _check_inclusion(
+        "cor1", chosen, limit, seed, started, ("belief",), game=game, model=model, profile=profile
+    )
+    if model.model_class == "knowledge" and report.holds:
+        report.notes += ("knowledge",)
+    return report
 
 
 def verify_cor2(
@@ -309,22 +288,10 @@ def verify_cor2(
     profile.validate_for(game)
     _require_class(model, "belief")
     limit = elimination_limit(game, NotionProfile.uniform(Notion.MSD, game.n), LOCAL)
-    rat = rat_event(model, profile)
-    event = rat & common_box(model, rat)
-    chosen = restriction_of(model, event)
-    violated = not chosen.is_subset_of(limit)
-    if model.model_class == "knowledge" and not violated:
-        kchosen = restriction_of(model, common_box(model, rat))
-        violated = not kchosen.is_subset_of(limit)
-    payload = {
-        "kind": "cor2",
-        "game": game,
-        "model": model,
-        "belief_class": belief_class,
-        "chosen": chosen,
-        "limit": limit,
-    }
-    return _report("cor2", 1, violated, payload, seed, started)
+    _, chosen = _common_belief_play(model, profile)
+    return _check_inclusion(
+        "cor2", chosen, limit, seed, started, game=game, model=model, belief_class=belief_class
+    )
 
 
 # --- seeded random suites --------------------------------------------------------
@@ -362,16 +329,12 @@ def thm1_suite(
         knowledge_model = generate_model(
             _suite_config(instance_seed, "knowledge", players, strategies, states), game
         )
-        report_i = verify_thm1i(game, belief_model, profile, seed=instance_seed)
-        if not report_i.holds:
-            report_i.claim = "thm1.i+ii"
-            report_i.instances_checked = k + 1
-            return report_i
-        report_ii = verify_thm1ii(game, knowledge_model, profile, seed=instance_seed)
-        if not report_ii.holds:
-            report_ii.claim = "thm1.i+ii"
-            report_ii.instances_checked = k + 1
-            return report_ii
+        for check, model in ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)):
+            report = check(game, model, profile, seed=instance_seed)
+            if not report.holds:
+                report.claim = "thm1.i+ii"
+                report.instances_checked = k + 1
+                return report
     return _report(
         "thm1.i+ii", instances, False, None, seed, started, notes=(f"notion {profile_notion.value}",)
     )

@@ -175,20 +175,12 @@ def test_restriction_of_projections(tie_game):
     assert restriction_of(model, {state_label(("D", "R"))}) == Restriction.of(
         tie_game, (("D",), ("R",))
     )
-    per_player = restriction_of(
-        model,
-        [frozenset({state_label(("U", "L"))}), frozenset()],
-        per_player=True,
-    )
-    assert per_player == Restriction.of(tie_game, (("U",), ()))
 
 
 def test_restriction_of_rejects_unknown_states(tie_game):
     model = standard_model(tie_game.full_restriction())
     with pytest.raises(ValidationError, match="unknown state 'nope'"):
         restriction_of(model, {"nope"})
-    with pytest.raises(ValidationError, match="unknown state 'nope'"):
-        restriction_of(model, [frozenset(), frozenset({"nope"})], per_player=True)
 
 
 def test_standard_model_shapes(tie_game, flat_game):

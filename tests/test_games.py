@@ -227,6 +227,35 @@ def test_payoff_inputs_checked(tie_game):
         expected_payoff(tie_game, 0, "U", CorrelatedBelief(((("Z",), 1),)))
 
 
+@pytest.mark.parametrize("i", [-1, -2, 2])
+def test_player_numbers_out_of_range_rejected(tie_game, i):
+    # a negative number is not read as counted from the last player
+    from epigame.optimality import holds, solve_br_lp, solve_dominance_lp
+
+    cases = (
+        lambda: holds("sd", tie_game, i, "L", ("L", "R"), [("U",)]),
+        lambda: solve_dominance_lp(tie_game, i, "L", ("L", "R"), [("U",)], "strict"),
+        lambda: solve_br_lp(tie_game, i, "L", ("L", "R"), [("U",)]),
+        lambda: expected_payoff(tie_game, i, "L", CorrelatedBelief(((("U",), 1),))),
+        lambda: expected_payoff(
+            tie_game, i, MixedStrategy.pure(1, "L"), CorrelatedBelief(((("U",), 1),))
+        ),
+        lambda: tie_game.payoff(i, ("U", "L")),
+        lambda: tie_game.strategy_index(i, "L"),
+    )
+    for case in cases:
+        with pytest.raises(ValidationError):
+            case()
+
+
+def test_restrictions_of_different_games_do_not_combine(tie_game, flat_game):
+    a = Restriction.of(tie_game, (("U",), ("L", "R")))
+    b = Restriction.of(flat_game, (("D",), ("L",)))
+    for combine in (a.meet, a.join, a.is_subset_of):
+        with pytest.raises(ValidationError, match="different games"):
+            combine(b)
+
+
 def test_restriction_lattice_structure(tie_game):
     full = tie_game.full_restriction()
     a = Restriction.of(tie_game, (("U",), ("L", "R")))

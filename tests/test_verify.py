@@ -252,7 +252,6 @@ def test_engine_builds_no_restriction_from_labels(monkeypatch):
             elimination_limit(game, profile, mode)
         rat_event(model, profile)
     restriction_of(model, model.space.states)
-    restriction_of(model, [model.space.states[:2]] * game.n, per_player=True)
     profile = NotionProfile.uniform("sd", game.n)
     largest_fixpoint_bruteforce(operator(profile, game, "global"), game)
     assert thm1_suite("sd", instances=3, seed=1).holds
@@ -274,6 +273,60 @@ def test_weak_dominance_finder_reproduces_tie_game_witness(tie_game):
     # and the monotonic notions admit no witness on this game
     for notion in (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED):
         assert check_predicate_monotonicity(tie_game, notion) is None
+
+
+def _all_point_to_dd(game):
+    # belief-class, not knowledge-class: every state considers only D.D possible
+    from epigame.epistemic import PossibilityCorrespondence, standard_model
+
+    model = standard_model(game.full_restriction())
+    target = frozenset({state_label(("D", "D"))})
+    corr = PossibilityCorrespondence(model.space, (target,) * len(model.space.states))
+    return model.with_correspondences([corr, corr])
+
+
+_THM1_KEYS = {"kind", "game", "model", "profile", "event", "chosen", "limit"}
+
+
+@pytest.mark.parametrize(
+    "check, model_class, keys, notes",
+    [
+        ("thm1i", "belief", _THM1_KEYS, ()),
+        ("thm1ii", "knowledge", _THM1_KEYS, ()),
+        ("cor1", "belief", {"kind", "game", "model", "profile", "chosen", "limit"}, ("belief",)),
+        ("cor1", "knowledge", {"kind", "game", "model", "profile", "chosen", "limit"}, ("belief",)),
+        ("cor2", "belief", {"kind", "game", "model", "belief_class", "chosen", "limit"}, ()),
+        ("cor2", "knowledge", {"kind", "game", "model", "belief_class", "chosen", "limit"}, ()),
+    ],
+)
+def test_inclusion_checks_report_counterexamples(
+    monkeypatch, prisoners_dilemma, check, model_class, keys, notes
+):
+    import epigame.verify as verify
+
+    game = prisoners_dilemma
+    model = singleton_model(game) if model_class == "knowledge" else _all_point_to_dd(game)
+    assert model.model_class == model_class
+    run = {
+        "thm1i": lambda: verify_thm1i(game, model, NotionProfile.uniform("sd", 2)),
+        "thm1ii": lambda: verify_thm1ii(game, model, NotionProfile.uniform("sd", 2)),
+        "cor1": lambda: verify_cor1(game, model),
+        "cor2": lambda: verify_cor2(game, model),
+    }[check]
+    if check == "cor1":
+        # with the true limit the check holds, on a knowledge model for both events
+        expected = ("belief", "knowledge") if model_class == "knowledge" else ("belief",)
+        assert run().notes == expected
+    monkeypatch.setattr(
+        verify, "elimination_limit", lambda game, profile, mode: Restriction(game, (0,) * game.n)
+    )
+    report = run()
+    assert report.verdict == "counterexample"
+    assert set(report.counterexample) == keys
+    assert report.counterexample["kind"] == report.claim
+    assert report.counterexample["chosen"] == Restriction.of(game, (("D",), ("D",)))
+    assert report.notes == notes
+    assert replay(report) is True
 
 
 def test_replay_reports_false_without_counterexample(tie_game):
