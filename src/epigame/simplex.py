@@ -17,6 +17,11 @@ player (``Game.scaled_payoffs``); a rational program is scaled by its caller.
 Scaling all rows by one positive factor and the objective by another keeps
 every sign and ratio comparison, hence every Bland pivot, as on the rational
 tableau. `Fraction`s are built only when results are read out.
+
+As in lrs's dictionary, the tableau holds only the non-basic columns: column
+``c`` of row ``r`` is the entry of variable ``cobasis[c]``, and ``basis[r]``
+names the row's basic variable. Bland's rule chooses by variable index, not
+by column position, so the pivots are those of the full tableau.
 """
 
 from __future__ import annotations
@@ -43,11 +48,13 @@ class LPSolution:
     assignment: tuple[Fraction, ...] | None
 
 
-def _bland(tableau, rhs, basis, reduced, det):
-    """Run primal simplex steps until optimal or unbounded; returns the status
-    and the final denominator."""
+def _bland(tableau, rhs, basis, cobasis, reduced, det):
+    """Run primal simplex steps until optimal or unbounded, entering the
+    smallest variable (not the leftmost column); returns the status and the
+    final denominator."""
     while True:
-        entering = next((j for j, v in enumerate(reduced) if v > 0), -1)
+        entering = min((c for c, v in enumerate(reduced) if v > 0),
+                       key=cobasis.__getitem__, default=-1)
         if entering < 0:
             return Status.OPTIMAL, det
         leaving, num, den = -1, 0, 1
@@ -59,14 +66,16 @@ def _bland(tableau, rhs, basis, reduced, det):
                     leaving, num, den = r, rhs[r], a
         if leaving < 0:
             return Status.UNBOUNDED, det
-        det = _pivot(tableau, rhs, basis, reduced, leaving, entering, det)
+        det = _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det)
 
 
-def _pivot(tableau, rhs, basis, reduced, leaving, entering, det):
+def _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det):
     """Pivot in place and return the new denominator, the pivot entry. Each
-    division by the old one is exact (Sylvester's identity). A negative pivot,
-    met only when phase 1 clears an artificial, negates the whole tableau so
-    the denominator stays positive."""
+    division by the old one is exact (Sylvester's identity). The entering
+    column becomes the leaving variable's, with the entries of its identity
+    column after the pivot: ``det`` in the pivot row, ``-factor`` elsewhere.
+    A negative pivot, met only when phase 1 clears an artificial, negates the
+    whole tableau so the denominator stays positive."""
     pivot_row = tableau[leaving]
     pivot = pivot_row[entering]
     pivot_rhs = rhs[leaving]
@@ -75,14 +84,17 @@ def _pivot(tableau, rhs, basis, reduced, leaving, entering, det):
             continue
         factor = row[entering]
         if factor:
-            tableau[r] = [(v * pivot - factor * p) // det for v, p in zip(row, pivot_row)]
+            tableau[r] = new = [(v * pivot - factor * p) // det for v, p in zip(row, pivot_row)]
+            new[entering] = -factor
             rhs[r] = (rhs[r] * pivot - factor * pivot_rhs) // det
         elif pivot != det:
             tableau[r] = [v * pivot // det for v in row]
             rhs[r] = rhs[r] * pivot // det
     factor = reduced[entering]
     reduced[:] = [(v * pivot - factor * p) // det for v, p in zip(reduced, pivot_row)]
-    basis[leaving] = entering
+    reduced[entering] = -factor
+    pivot_row[entering] = det
+    basis[leaving], cobasis[entering] = cobasis[entering], basis[leaving]
     if pivot < 0:
         tableau[:] = [[-v for v in row] for row in tableau]
         rhs[:] = [-v for v in rhs]
@@ -91,8 +103,8 @@ def _pivot(tableau, rhs, basis, reduced, leaving, entering, det):
     return pivot
 
 
-def _reduced_costs(tableau, basis, costs, det):
-    reduced = [c * det for c in costs]
+def _reduced_costs(tableau, basis, cobasis, costs, det):
+    reduced = [costs[j] * det for j in cobasis]
     for r, b in enumerate(basis):
         cb = costs[b]
         if cb:
@@ -120,39 +132,39 @@ def solve(rows, rhs, objective) -> LPSolution:
         raise ValidationError("one bound per row and one coefficient per variable are required")
     _require_integers(*rows, rhs, objective, what="LP coefficients")
     m = len(rows)
-    tableau: list[list[int]] = []
-    bounds: list[int] = []
-    for r, (row, bound) in enumerate(zip(rows, rhs)):
-        sign = -1 if bound < 0 else 1
-        tableau.append([sign * a for a in row] + [int(q == r) for q in range(m)])
-        bounds.append(sign * bound)
+    tableau = [[-a for a in row] if bound < 0 else list(row) for row, bound in zip(rows, rhs)]
+    bounds = [abs(bound) for bound in rhs]
     basis = list(range(nvar, nvar + m))
+    cobasis = list(range(nvar))
 
     # Phase 1: drive the artificials to zero.
-    reduced = _reduced_costs(tableau, basis, [0] * nvar + [-1] * m, 1)
-    status, det = _bland(tableau, bounds, basis, reduced, 1)
+    reduced = _reduced_costs(tableau, basis, cobasis, [0] * nvar + [-1] * m, 1)
+    status, det = _bland(tableau, bounds, basis, cobasis, reduced, 1)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("phase 1 reported unbounded; its objective is bounded by 0")
     if any(bounds[r] != 0 for r, b in enumerate(basis) if b >= nvar):
         return LPSolution(Status.INFEASIBLE, None, None)
     # Pivot leftover artificials out of the basis or drop redundant rows.
     keep: list[int] = []
-    for r in range(m):
+    for r, row in enumerate(tableau):
         if basis[r] < nvar:
             keep.append(r)
             continue
-        target = next((j for j in range(nvar) if tableau[r][j] != 0), -1)
+        target = min((c for c, j in enumerate(cobasis) if j < nvar and row[c] != 0),
+                     key=cobasis.__getitem__, default=-1)
         if target < 0:
             continue  # redundant row
-        det = _pivot(tableau, bounds, basis, [0] * (nvar + m), r, target, det)
+        det = _pivot(tableau, bounds, basis, cobasis, [0] * nvar, r, target, det)
         keep.append(r)
-    tableau = [tableau[r][:nvar] for r in keep]
+    columns = [c for c, j in enumerate(cobasis) if j < nvar]
+    tableau = [[tableau[r][c] for c in columns] for r in keep]
     bounds = [bounds[r] for r in keep]
     basis = [basis[r] for r in keep]
+    cobasis = [cobasis[c] for c in columns]
 
     # Phase 2 with the real objective.
-    reduced = _reduced_costs(tableau, basis, objective, det)
-    status, det = _bland(tableau, bounds, basis, reduced, det)
+    reduced = _reduced_costs(tableau, basis, cobasis, objective, det)
+    status, det = _bland(tableau, bounds, basis, cobasis, reduced, det)
     if status is Status.UNBOUNDED:
         return LPSolution(Status.UNBOUNDED, None, None)
 
@@ -184,15 +196,12 @@ def matrix_game_value(
     _require_integers(*matrix, what="matrix game entries")
     shift = scale - min(min(row) for row in matrix)
 
-    rows = []
-    for j, row in enumerate(matrix):
-        row = [v + shift for v in row] + [0] * nrows
-        row[ncols + j] = 1
-        rows.append(row)
+    tableau = [[v + shift for v in row] for row in matrix]
     rhs = [1] * nrows
     basis = list(range(ncols, ncols + nrows))
-    reduced = [1] * ncols + [0] * nrows
-    status, det = _bland(rows, rhs, basis, reduced, 1)
+    cobasis = list(range(ncols))
+    reduced = [1] * ncols
+    status, det = _bland(tableau, rhs, basis, cobasis, reduced, 1)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("matrix game program unbounded on a positive matrix")
 
@@ -204,7 +213,11 @@ def matrix_game_value(
             scaled_columns[b] = rhs[r]
     if total <= 0:
         raise InvariantViolated("matrix game program ended with no positive column weight")
-    row_mixture = tuple(Fraction(-reduced[ncols + j], total) for j in range(nrows))
+    weights = [0] * nrows  # a basic slack's row has weight 0
+    for c, j in enumerate(cobasis):
+        if j >= ncols:
+            weights[j - ncols] = -reduced[c]
+    row_mixture = tuple(Fraction(w, total) for w in weights)
     column_mixture = tuple(Fraction(v, total) for v in scaled_columns)
     value = Fraction(det - shift * total, scale * total)
     return value, row_mixture, column_mixture

@@ -91,7 +91,13 @@ def _report(claim, instances, violated, payload, seed, started, notes=()):
     )
 
 
-def _require_class(model: EpistemicModel, wanted: str) -> None:
+def _require_model(game: Game, model: EpistemicModel, wanted: str) -> None:
+    """The model must be over ``game`` and of the wanted class."""
+    if model.game != game:
+        shapes = ["x".join(str(len(labels)) for labels in g.strategies) for g in (model.game, game)]
+        raise ValidationError(
+            f"model is over a different game ({shapes[0]}) than the one checked ({shapes[1]})"
+        )
     if wanted == "belief":
         if model.model_class not in ("belief", "knowledge"):
             raise InvalidModel("claim needs a belief-class model")
@@ -129,7 +135,7 @@ def _verify_thm1(claim, model_class, game, model, profile, seed):
             f"{', '.join(n.value for n in bad)} {'is' if len(bad) == 1 else 'are'} not "
             "(use the singleton-model counterexample check instead)"
         )
-    _require_class(model, model_class)
+    _require_model(game, model, model_class)
     event, chosen = _common_belief_play(model, profile)
     limit = elimination_limit(game, profile, GLOBAL)
     return _check_inclusion(
@@ -256,7 +262,7 @@ def verify_cor1(game: Game, model: EpistemicModel, seed: int | None = None) -> V
     knowledge) confines play to the local strict-dominance outcome."""
     started = time.perf_counter()
     profile = NotionProfile.uniform(Notion.BR_POINT, game.n)
-    _require_class(model, "belief")
+    _require_model(game, model, "belief")
     limit = elimination_limit(game, NotionProfile.uniform(Notion.SD, game.n), LOCAL)
     _, chosen = _common_belief_play(model, profile)
     report = _check_inclusion(
@@ -286,7 +292,7 @@ def verify_cor2(
         raise ValidationError(f"unknown belief class {belief_class!r}")
     profile = NotionProfile.uniform(notion, game.n)
     profile.validate_for(game)
-    _require_class(model, "belief")
+    _require_model(game, model, "belief")
     limit = elimination_limit(game, NotionProfile.uniform(Notion.MSD, game.n), LOCAL)
     _, chosen = _common_belief_play(model, profile)
     return _check_inclusion(
@@ -378,8 +384,9 @@ def cor_suite(
     belief_class: str = "correlated",
 ) -> VerificationReport:
     """Random-model suites for the two dominance corollaries."""
+    if which not in ("cor1", "cor2"):
+        raise ValidationError(f"unknown corollary {which!r}; expected cor1 or cor2")
     started = time.perf_counter()
-    claim = "cor1" if which == "cor1" else "cor2"
     players = (2, 2) if belief_class == "independent" else (2, 3)
     for k in range(instances):
         instance_seed = seed + k
@@ -394,7 +401,7 @@ def cor_suite(
         if not report.holds:
             report.instances_checked = k + 1
             return report
-    return _report(claim, instances, False, None, seed, started)
+    return _report(which, instances, False, None, seed, started)
 
 
 def pearce_suite(

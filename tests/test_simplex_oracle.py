@@ -3,7 +3,7 @@
 `fraction_simplex` is the rational-tableau Bland solver. The engine takes the
 same programs scaled to integers (`lp_forms`); both must return exactly the
 same results and make exactly the same pivots, each recorded as (leaving row,
-entering column, sign of the pivot entry).
+entering variable, sign of the pivot entry).
 """
 
 from contextlib import contextmanager
@@ -26,12 +26,22 @@ rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 @contextmanager
 def recorded_pivots(module):
+    """Log each pivot as (leaving row, entering variable, sign of the pivot
+    entry). The engine's tableau holds only the non-basic columns, so its
+    entering column is mapped to its variable through the cobasis; the
+    reference's columns are its variables."""
     log = []
     original = module._pivot
 
-    def pivot(tableau, rhs, basis, reduced, leaving, entering, *rest):
-        log.append((leaving, entering, tableau[leaving][entering] > 0))
-        return original(tableau, rhs, basis, reduced, leaving, entering, *rest)
+    def pivot(*args):
+        if module is engine:
+            tableau, _, _, cobasis, _, leaving, entering, _ = args
+            variable = cobasis[entering]
+        else:
+            tableau, _, _, _, leaving, entering = args
+            variable = entering
+        log.append((leaving, variable, tableau[leaving][entering] > 0))
+        return original(*args)
 
     module._pivot = pivot
     try:
@@ -150,6 +160,19 @@ def test_negative_phase_one_clean_up_pivot():
     assert any(not positive for _, _, positive in log)
     assert solution.status is Status.OPTIMAL
     assert solution.value == F(-1, 2) and solution.assignment == (F(1, 2), F(0), F(0), F(0))
+
+
+def test_bland_enters_the_smallest_variable_not_the_leftmost_column():
+    # After two pivots the first row's slack, variable 3, holds column 0 of
+    # the game tableau with a positive reduced cost, left of variable 1 in
+    # column 1: Bland's rule enters variable 1.
+    _, log = run_both("matrix_game_value", [[2, 3, -3], [2, 1, 1]])
+    assert [variable for _, variable, _ in log] == [0, 2, 1]
+    # In phase 2 variable 1 holds column 0 and variable 0 column 1, both
+    # with a positive reduced cost: Bland's rule enters variable 0.
+    solution, log = run_both("solve", [[2, 2, 3, 0], [0, 0, 3, 3]], [3, 3], [3, 3, 0, 1])
+    assert [variable for _, variable, _ in log] == [0, 2, 3, 0]
+    assert solution.assignment == (F(3, 2), F(0), F(0), F(1))
 
 
 def test_free_variables_and_negative_bounds():

@@ -9,7 +9,7 @@ from epigame.epistemic import (
     singleton_model,
     state_label,
 )
-from epigame.errors import HypothesisNotMet, InvalidModel, NonMonotonicProfile
+from epigame.errors import HypothesisNotMet, InvalidModel, NonMonotonicProfile, ValidationError
 from epigame.games import Restriction
 from epigame.generators import GeneratorConfig, generate_game, generate_model
 from epigame.optimality import Notion
@@ -122,6 +122,19 @@ def test_thm1ii_flat_game_equality(flat_game):
     assert restriction_of(model, kstar) == trace.outcome == flat_game.full_restriction()
 
 
+@pytest.mark.parametrize(
+    "check, extra",
+    [(verify_thm1i, ("sd",)), (verify_thm1ii, ("sd",)), (verify_cor1, ()), (verify_cor2, ())],
+)
+def test_inclusion_checks_reject_a_model_over_another_game(tie_game, flat_game, check, extra):
+    three_players = generate_game(GeneratorConfig(seed=4, players=(3, 3), strategies=(2, 2)))
+    profile = (NotionProfile.uniform(extra[0], 2),) if extra else ()
+    with pytest.raises(ValidationError, match=r"different game \(2x2x2\) than the one checked \(2x2\)"):
+        check(tie_game, singleton_model(three_players), *profile)
+    with pytest.raises(ValidationError, match="different game"):
+        check(tie_game, singleton_model(flat_game), *profile)
+
+
 def test_thm1iii_tie_game_weak_dominance(tie_game):
     report = verify_thm1iii(tie_game, NotionProfile.uniform("wd", 2))
     assert report.holds
@@ -213,6 +226,11 @@ def test_cor_suites_small_batches():
     assert cor_suite("cor1", instances=40, seed=3).holds
     assert cor_suite("cor2", instances=40, seed=3).holds
     assert cor_suite("cor2", instances=20, seed=3, belief_class="independent").holds
+
+
+def test_cor_suite_rejects_an_unknown_corollary():
+    with pytest.raises(ValidationError, match="unknown corollary 'cor3'"):
+        cor_suite("cor3", instances=2)
 
 
 def test_pearce_suite_small_batch():
