@@ -88,7 +88,7 @@ class PossibilityCorrespondence:
             self, "targets", tuple(frozenset(t) for t in self.targets)
         )
         known = set(self.space.states)
-        for t in self.targets:
+        for t in dict.fromkeys(self.targets):  # each distinct set once, in order
             if not t <= known:
                 raise ValidationError(f"correspondence targets unknown states {sorted(t - known)}")
 
@@ -97,7 +97,8 @@ class PossibilityCorrespondence:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        return tuple(self.space.mask_of(t) for t in self.targets)
+        mask_of = {t: self.space.mask_of(t) for t in set(self.targets)}
+        return tuple(map(mask_of.__getitem__, self.targets))
 
     @cached_property
     def serial(self) -> bool:
@@ -380,12 +381,19 @@ def singleton_model(game: Game) -> EpistemicModel:
 
 def parse_model(source: str, game: Game) -> EpistemicModel:
     """Parse the model file format: a ``states:`` line, then total
-    ``map i: state -> strategy`` and ``poss i: state -> {states}`` lines."""
+    ``map i: state -> strategy`` and ``poss i: state -> {states}`` lines in
+    any order.
+
+    One pass writes each line into per-player slots in state order; memos
+    local to the call resolve each distinct ``map i``/``poss i`` head and
+    each distinct ``{...}`` text once, so states with one possibility set
+    share one frozenset."""
     from .games import _content_lines, _parse_player_number, _split_directive
 
     space: StateSpace | None = None
-    maps: dict[tuple[int, str], str] = {}
-    poss: dict[tuple[int, str], tuple[str, ...]] = {}
+    slots: dict[str, list[list]] = {}  # keyword -> per player, one slot per state
+    heads: dict[str, tuple[str, int]] = {}
+    sets: dict[str, Event] = {}
 
     for number, line in _content_lines(source):
         head, rest = _split_directive(number, line)
@@ -396,67 +404,46 @@ def parse_model(source: str, game: Game) -> EpistemicModel:
                 space = StateSpace(tuple(rest.split()))
             except ValidationError as exc:
                 raise ParseError(str(exc), number, len("states: ") + 1) from None
-        elif head.startswith("map") or head.startswith("poss"):
+            slots = {kind: [[None] * len(space.states) for _ in range(game.n)]
+                     for kind in ("map", "poss")}
+            continue
+        found = heads.get(head)
+        if found is None:
             keyword = "map" if head.startswith("map") else "poss"
-            player = _parse_player_number(number, head, keyword, game.n)
-            if "->" not in rest:
-                raise ParseError(f"{keyword} line needs '->'", number, len(line))
-            left, _, right = rest.partition("->")
-            state = left.strip()
-            if space is None:
-                raise ParseError("states directive must come first", number, 1)
-            if state not in space.index:
-                raise ParseError(f"unknown state {state!r}", number, 1)
-            if keyword == "map":
-                target = right.strip()
-                if (player, state) in maps:
-                    raise ValidationError(
-                        f"duplicate map for player {player + 1} at state {state}"
-                    )
-                maps[(player, state)] = target
-            else:
-                right = right.strip()
-                if not (right.startswith("{") and right.endswith("}")):
-                    raise ParseError("poss line needs '{state ...}'", number, len(line))
-                if (player, state) in poss:
-                    raise ValidationError(
-                        f"duplicate poss for player {player + 1} at state {state}"
-                    )
-                poss[(player, state)] = tuple(right[1:-1].split())
-        else:
-            raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)
+            if not head.startswith(keyword):
+                raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)
+            found = heads[head] = (keyword, _parse_player_number(number, head, keyword, game.n))
+        keyword, player = found
+        left, arrow, right = rest.partition("->")
+        if not arrow:
+            raise ParseError(f"{keyword} line needs '->'", number, len(line))
+        if space is None:
+            raise ParseError("states directive must come first", number, 1)
+        state = left.strip()
+        k = space.index.get(state)
+        if k is None:
+            raise ParseError(f"unknown state {state!r}", number, 1)
+        target = right.strip()
+        if keyword == "poss":
+            if not (target.startswith("{") and target.endswith("}")):
+                raise ParseError("poss line needs '{state ...}'", number, len(line))
+            if target not in sets:
+                sets[target] = frozenset(target[1:-1].split())
+            target = sets[target]
+        row = slots[keyword][player]
+        if row[k] is not None:
+            raise ValidationError(f"duplicate {keyword} for player {player + 1} at state {state}")
+        row[k] = target
 
     if space is None:
         raise ParseError("missing states directive", 0, 0)
-    missing = [
-        (i + 1, s)
-        for i in range(game.n)
-        for s in space.states
-        if (i, s) not in maps
-    ]
-    if missing:
-        raise ValidationError(f"missing map lines, e.g. player {missing[0][0]} state {missing[0][1]}")
-    missing = [
-        (i + 1, s)
-        for i in range(game.n)
-        for s in space.states
-        if (i, s) not in poss
-    ]
-    if missing:
-        raise ValidationError(
-            f"missing poss lines, e.g. player {missing[0][0]} state {missing[0][1]}"
-        )
-
-    strategy_maps = tuple(
-        tuple(maps[(i, s)] for s in space.states) for i in range(game.n)
-    )
-    correspondences = tuple(
-        PossibilityCorrespondence(
-            space, tuple(frozenset(poss[(i, s)]) for s in space.states)
-        )
-        for i in range(game.n)
-    )
-    return EpistemicModel(game, space, strategy_maps, correspondences)
+    for keyword, rows in slots.items():
+        for i, row in enumerate(rows):
+            if None in row:
+                raise ValidationError(f"missing {keyword} lines, e.g. player {i + 1} "
+                                      f"state {space.states[row.index(None)]}")
+    correspondences = tuple(PossibilityCorrespondence(space, tuple(row)) for row in slots["poss"])
+    return EpistemicModel(game, space, tuple(map(tuple, slots["map"])), correspondences)
 
 
 def render_model(model: EpistemicModel) -> str:

@@ -435,15 +435,16 @@ def _content_lines(source: str):
 
 
 def _split_directive(number: int, line: str) -> tuple[str, str]:
-    if ":" not in line:
+    head, colon, rest = line.partition(":")
+    head = head.strip()
+    if not colon or not head:
         raise ParseError("expected 'keyword ...:' directive", number, 1)
-    head, _, rest = line.partition(":")
-    return head.strip(), rest.strip()
+    return head, rest.strip()
 
 
 def _parse_player_number(number: int, head: str, keyword: str, n: int | None) -> int:
     parts = head.split()
-    if len(parts) != 2 or parts[0] != keyword or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != keyword or not parts[1].isdecimal():
         raise ParseError(f"malformed {keyword} directive", number, 1)
     player = int(parts[1])
     if player < 1 or (n is not None and player > n):
@@ -452,21 +453,36 @@ def _parse_player_number(number: int, head: str, keyword: str, n: int | None) ->
 
 
 def parse_game(source: str) -> Game:
-    """Parse the game file format into a validated :class:`Game`."""
+    """Parse the game file format, directives in any order, into a validated
+    :class:`Game`. Memos local to the call read each distinct directive head
+    and payoff literal once; payoffs are keyed by product-order offset, and a
+    lazy walk of the product finds a missing one in memory bounded by the file."""
     n: int | None = None
     strategy_sets: dict[int, tuple[str, ...]] = {}
-    payoff_lines: list[tuple[int, int, tuple[str, ...], Fraction]] = []
+    payoff_lines: list[tuple[int, int, str, Fraction]] = []
+    heads: dict[str, tuple[int, int]] = {}  # head -> (player, first line)
+    literals: dict[str, Fraction] = {}
 
     for number, line in _content_lines(source):
         head, rest = _split_directive(number, line)
         if head == "players":
             if n is not None:
                 raise ParseError("duplicate players directive", number, 1)
-            if not rest.isdigit():
+            if not rest.isdecimal():
                 raise ParseError("players count must be an integer", number, len(line))
             n = int(rest)
-        elif head.startswith("strategies"):
-            player = _parse_player_number(number, head, "strategies", n)
+            for seen, (_, first) in heads.items():  # heads read before the count
+                _parse_player_number(first, seen, seen.split()[0], n)
+            heads.clear()
+            continue
+        keyword = "strategies" if head.startswith("strategies") else "payoff"
+        if not head.startswith(keyword):
+            raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)
+        found = heads.get(head)
+        if found is None:
+            found = heads[head] = (_parse_player_number(number, head, keyword, n), number)
+        player = found[0]
+        if keyword == "strategies":
             if player in strategy_sets:
                 raise ParseError(f"duplicate strategies for player {player + 1}", number, 1)
             labels = tuple(rest.split())
@@ -476,19 +492,18 @@ def parse_game(source: str) -> Game:
                 except ValidationError as exc:
                     raise ParseError(str(exc), number, line.index(label, len(head)) + 1) from None
             strategy_sets[player] = labels
-        elif head.startswith("payoff"):
-            player = _parse_player_number(number, head, "payoff", n)
-            if "=" not in rest:
-                raise ParseError("payoff line needs '= value'", number, len(line))
-            joint_text, _, value_text = rest.partition("=")
-            joint = tuple(joint_text.split())
+            continue
+        joint_text, equals, value_text = rest.partition("=")
+        if not equals:
+            raise ParseError("payoff line needs '= value'", number, len(line))
+        value_text = value_text.strip()
+        value = literals.get(value_text)
+        if value is None:
             try:
-                value = _rational_literal(value_text.strip())
+                value = literals[value_text] = _rational_literal(value_text)
             except ValidationError as exc:
                 raise ParseError(str(exc), number, line.rfind("=") + 2) from None
-            payoff_lines.append((number, player, joint, value))
-        else:
-            raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)
+        payoff_lines.append((number, player, joint_text, value))
 
     if n is None:
         raise ParseError("missing players directive", 0, 0)
@@ -499,24 +514,30 @@ def parse_game(source: str) -> Game:
         raise ValidationError(f"missing strategies for players {missing_players}")
 
     strategies = tuple(strategy_sets[i] for i in range(n))
-    payoffs: list[dict[JointStrategy, Fraction]] = [dict() for _ in range(n)]
-    for number, player, joint, value in payoff_lines:
+    # a repeated label, which Game rejects, takes the index of its first
+    # occurrence, so the first missing joint is still reported first
+    index = [{s: k for k, s in enumerate(dict.fromkeys(labels))} for labels in strategies]
+    entries: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    for number, player, joint_text, value in payoff_lines:
+        joint = joint_text.split()
         if len(joint) != n:
-            raise ParseError(
-                f"joint strategy needs {n} entries, got {len(joint)}", number, 1
-            )
+            raise ParseError(f"joint strategy needs {n} entries, got {len(joint)}", number, 1)
+        offset = 0
         for j, label in enumerate(joint):
-            if label not in strategy_sets[j]:
-                raise ParseError(
-                    f"player {j + 1} has no strategy {label!r}", number, 1
-                )
-        if joint in payoffs[player]:
-            raise ValidationError(
-                f"duplicate payoff for player {player + 1} at {joint}"
-            )
-        payoffs[player][joint] = value
+            k = index[j].get(label)
+            if k is None:
+                raise ParseError(f"player {j + 1} has no strategy {label!r}", number, 1)
+            offset = offset * len(index[j]) + k
+        if offset in entries[player]:
+            raise ValidationError(f"duplicate payoff for player {player + 1} at {tuple(joint)}")
+        entries[player][offset] = value
 
-    return game_from_payoffs(strategies, payoffs)
+    size = prod(map(len, index))
+    for i, entry in enumerate(entries):
+        if len(entry) < size:
+            missing = next(j for o, j in enumerate(itertools.product(*index)) if o not in entry)
+            raise ValidationError(f"player {i + 1} is missing payoff entries, e.g. {missing}")
+    return Game(strategies, tuple(tuple(map(entry.__getitem__, range(size))) for entry in entries))
 
 
 def render_game(game: Game) -> str:

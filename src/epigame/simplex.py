@@ -2,7 +2,9 @@
 
 Two-phase primal simplex with Bland's anti-cycling rule for both the entering
 and the leaving choice, so the solver terminates on every input and every
-verdict (optimal / infeasible / unbounded) is exact. ``solve`` takes the one
+verdict (optimal / infeasible / unbounded) is exact. Bland's rule never
+revisits a basis, so a run that pivots more often than there are bases is a
+bug: it raises ``InvariantViolated`` instead of cycling. ``solve`` takes the one
 form the engine poses, equality rows over non-negative variables (the weak
 dominance program); there are no inequality rows, slack columns or free
 variables to split. ``matrix_game_value`` runs a single phase on the
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import InvariantViolated, ValidationError
 
@@ -52,7 +55,7 @@ def _bland(tableau, rhs, basis, cobasis, reduced, det):
     """Run primal simplex steps until optimal or unbounded, entering the
     smallest variable (not the leftmost column); returns the status and the
     final denominator."""
-    while True:
+    for _ in range(comb(len(basis) + len(cobasis), len(basis)) + 1):
         entering = min((c for c, v in enumerate(reduced) if v > 0),
                        key=cobasis.__getitem__, default=-1)
         if entering < 0:
@@ -67,6 +70,7 @@ def _bland(tableau, rhs, basis, cobasis, reduced, det):
         if leaving < 0:
             return Status.UNBOUNDED, det
         det = _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det)
+    raise InvariantViolated("simplex pivoted more often than there are bases")
 
 
 def _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det):

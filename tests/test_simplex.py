@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from epigame.errors import ValidationError
+from epigame import simplex
+from epigame.errors import InvariantViolated, ValidationError
 from epigame.simplex import Status, matrix_game_value, solve
 from lp_forms import EQ, GE, LE, check_feasible, solve_general
 
@@ -223,3 +224,11 @@ def test_random_lps_with_free_variables():
             assert sol.value == expected
         else:
             assert expected is None
+
+
+def test_a_cycling_simplex_fails_instead_of_hanging(monkeypatch):
+    # a pivot that changes nothing revisits its basis forever; the cap on
+    # pivots per simplex run, the number of bases, turns that into an error
+    monkeypatch.setattr(simplex, "_pivot", lambda *args: args[-1])
+    with pytest.raises(InvariantViolated):
+        matrix_game_value([[1, 0], [0, 1]])
