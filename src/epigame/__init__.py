@@ -67,7 +67,6 @@ from .lattice import (
     check_inclusion_lemma,
     enumerate_restrictions,
     iterate_to_outcome,
-    largest_fixpoint_bruteforce,
     probe_monotonicity,
 )
 from .optimality import (

@@ -27,9 +27,11 @@ from .lattice import (
 from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
+    _beats,
     _dominance_verdict,
     _holds_cached,
     _pure_dominator,
+    offset_mask,
     parse_notion,
 )
 
@@ -183,7 +185,7 @@ def explain_elimination(
         )
     if notion in (Notion.SD, Notion.WD):
         strict = notion is Notion.SD
-        dominator = _pure_dominator(game, i, s, alternatives, opponents, strict)
+        dominator = _pure_dominator(game, i, s, alternatives, offset_mask(opponents), strict)
         kind = "strictly" if strict else "weakly"
         return EliminationRecord(stage, i, label, f"{kind} dominated", labels[dominator])
     if notion in (Notion.MSD, Notion.MWD):
@@ -195,11 +197,11 @@ def explain_elimination(
         )
     if notion is Notion.BR_POINT:
         # at each opponent profile, the first alternative that does better
-        mine = game.payoff_row(i, s, opponents)
-        rows = [(labels[a], game.payoff_row(i, a, opponents)) for a in alternatives]
+        beats_s = _beats(game, i, s)
         better = tuple(
-            (game.opponent_profile(i, o), next((a for a, row in rows if row[r] > mine[r]), None))
-            for r, o in enumerate(opponents)
+            (game.opponent_profile(i, o),
+             next((labels[a] for a in alternatives if beats_s[a] >> o & 1), None))
+            for o in opponents
         )
         return EliminationRecord(
             stage, i, label, "never a best response to a point belief", better

@@ -163,10 +163,13 @@ class EpistemicModel:
     @cached_property
     def strategy_indices(self) -> tuple[tuple[int, ...], ...]:
         """The strategy maps as strategy indices, in state order."""
-        return tuple(
-            tuple(self.game.strategy_index(i, s) for s in labels)
-            for i, labels in enumerate(self.strategy_maps)
-        )
+        indices = []
+        for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
+            try:
+                indices.append(tuple(map(index.__getitem__, labels)))
+            except KeyError as exc:
+                raise ValidationError(f"player {i + 1} has no strategy {exc.args[0]!r}") from None
+        return tuple(indices)
 
     def strategy_of(self, i: int, state: str) -> str:
         return self.strategy_maps[i][self.space.index[state]]

@@ -509,9 +509,13 @@ def parse_game(source: str) -> Game:
         raise ParseError("missing players directive", 0, 0)
     if n < 2:
         raise ValidationError("a game needs at least 2 players (n > 1)")
-    missing_players = [i + 1 for i in range(n) if i not in strategy_sets]
-    if missing_players:
-        raise ValidationError(f"missing strategies for players {missing_players}")
+    missing = n - len(strategy_sets)
+    if missing:
+        # name the first few, walking no further than the file's strategies lines
+        walk = range(min(n, len(strategy_sets) + 10))
+        first = [i + 1 for i in walk if i not in strategy_sets][:10]
+        more = f" and more, {missing} in all" if missing > len(first) else ""
+        raise ValidationError(f"missing strategies for players {first}{more}")
 
     strategies = tuple(strategy_sets[i] for i in range(n))
     # a repeated label, which Game rejects, takes the index of its first

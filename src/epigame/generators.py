@@ -1,5 +1,4 @@
-"""Seeded random games and epistemic models, plus exhaustive enumerators of
-small correspondences for the brute-force verification suites.
+"""Seeded random games and epistemic models.
 
 Everything is deterministic under the configured seed: re-running with the
 same configuration reproduces the same artifacts bit for bit.
@@ -40,6 +39,10 @@ class GeneratorConfig:
         ):
             if low > high or low < 1:
                 raise ValidationError(f"empty {name} range {low}..{high}")
+        if self.strategies[1] > len(_LETTERS):
+            raise ValidationError(
+                f"at most {len(_LETTERS)} strategies per player, got {self.strategies[1]}"
+            )
         if self.players[0] < 2:
             raise ValidationError("games need at least 2 players")
         if not self.payoff_pool:
@@ -122,51 +125,3 @@ def generate_model(config: GeneratorConfig, game: Game) -> EpistemicModel:
     correspondences = tuple(maker(rng, space) for _ in range(game.n))
     return EpistemicModel(game, space, maps, correspondences)
 
-
-# --- exhaustive enumeration at tiny sizes -------------------------------------
-
-def set_partitions(items: tuple[str, ...]):
-    """All partitions of ``items`` into non-empty blocks."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for partition in set_partitions(rest):
-        for k in range(len(partition)):
-            yield partition[:k] + [partition[k] + [first]] + partition[k + 1:]
-        yield partition + [[first]]
-
-
-def enumerate_knowledge_correspondences(space: StateSpace):
-    for partition in set_partitions(space.states):
-        of_state = {}
-        for block in partition:
-            event = frozenset(block)
-            for s in block:
-                of_state[s] = event
-        yield PossibilityCorrespondence(
-            space, tuple(of_state[s] for s in space.states)
-        )
-
-
-def enumerate_belief_correspondences(space: StateSpace):
-    """All serial + coherent correspondences: a partition of a non-empty
-    subset into blocks plus an assignment of the remaining states to blocks."""
-    states = space.states
-    n = len(states)
-    for mask in range(1, 1 << n):
-        inside = tuple(s for k, s in enumerate(states) if mask >> k & 1)
-        outside = tuple(s for k, s in enumerate(states) if not mask >> k & 1)
-        for partition in set_partitions(inside):
-            events = [frozenset(b) for b in partition]
-            base = {}
-            for block, event in zip(partition, events):
-                for s in block:
-                    base[s] = event
-            for assignment in itertools.product(events, repeat=len(outside)):
-                of_state = dict(base)
-                for s, event in zip(outside, assignment):
-                    of_state[s] = event
-                yield PossibilityCorrespondence(
-                    space, tuple(of_state[s] for s in space.states)
-                )

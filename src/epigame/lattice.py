@@ -1,6 +1,6 @@
 """Operators on the complete lattice of restrictions: iteration to a
-fixpoint, brute-force largest fixpoints, monotonicity probing, and the
-inclusion lemma between a monotonic and a contracting operator."""
+fixpoint, monotonicity probing, and the inclusion lemma between a monotonic
+and a contracting operator."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import (
-    BudgetExceeded,
     IterationBudgetExceeded,
     NonContractingStep,
     PremiseViolated,
@@ -113,24 +112,6 @@ def lattice_size(game: Game) -> int:
     for labels in game.strategies:
         size <<= len(labels)
     return size
-
-
-def largest_fixpoint_bruteforce(
-    op: RestrictionOperator,
-    game: Game,
-    budget: int = ENUMERATION_BUDGET,
-) -> Restriction:
-    """Componentwise union of all post-fixpoints ``G <= op(G)``, enumerated
-    exhaustively. For a monotonic operator this is its largest fixpoint."""
-    if lattice_size(game) > budget:
-        raise BudgetExceeded(
-            f"lattice has {lattice_size(game)} restrictions, budget is {budget}"
-        )
-    union = Restriction(game, (0,) * game.n)
-    for candidate in enumerate_restrictions(game):
-        if candidate.is_subset_of(op.apply(candidate)):
-            union = union.join(candidate)
-    return union
 
 
 def sample_restriction(rng: random.Random, game: Game, within: Restriction | None = None) -> Restriction:

@@ -7,6 +7,15 @@ The predicate ``holds(notion, game, i, s_i, G_i, G_minus_i)`` decides whether
 strategies ``G_minus_i``. Mixed dominance and correlated best response reduce
 to exact rational linear programs.
 
+The pure tests are bitmask tests. ``_beats(game, i, s)`` holds, per strategy
+``a`` of player ``i``, the mask of the flat opponent offsets at which ``a``
+pays more than ``s``; it is built on first use and kept in the game's memo.
+Against the mask ``O`` of the opponent offsets, ``a`` strictly dominates
+``s`` iff ``O`` lies inside ``a``'s mask, and ``s`` is a point best response
+iff some bit of ``O`` is in no alternative's mask. The ``sd``, ``wd`` and
+``brp`` verdicts and the shortcuts in front of every program read these
+masks; payoff rows are read only to set the programs up.
+
 Empty opponent sets never occur along eliminations that start from a full
 game, but the predicates are total. The convention follows the literal
 quantifier structure of the definitions, with a strict-dominance relation
@@ -139,32 +148,33 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
             return True
         return False
 
+    mask = offset_mask(opponents)
     if notion is Notion.SD:
-        return _pure_dominator(game, i, s, alternatives, opponents, True) is None
+        return _pure_dominator(game, i, s, alternatives, mask, True) is None
     if notion is Notion.WD:
-        return _pure_dominator(game, i, s, alternatives, opponents, False) is None
+        return _pure_dominator(game, i, s, alternatives, mask, False) is None
     if notion is Notion.MSD:
-        if _pure_dominator(game, i, s, alternatives, opponents, True) is not None:
+        if _pure_dominator(game, i, s, alternatives, mask, True) is not None:
             return False
         if _mixed_reduces_to_pure(s, alternatives, opponents):
             return True
         # no mixture beats s strictly at a profile where it already tops
         # every support strategy
-        if _point_best_response(game, i, s, alternatives, opponents):
+        if _point_best_response(game, i, s, alternatives, mask):
             return True
         return not _dominance_verdict(game, i, s, alternatives, opponents, "strict").dominated
     if notion is Notion.MWD:
-        if _pure_dominator(game, i, s, alternatives, opponents, False) is not None:
+        if _pure_dominator(game, i, s, alternatives, mask, False) is not None:
             return False
         if _mixed_reduces_to_pure(s, alternatives, opponents):
             return True
         # a weak dominator matches s where it is strictly best, which
         # forces the degenerate mixture
-        if _point_strictly_best(game, i, s, alternatives, opponents):
+        if _point_strictly_best(game, i, s, alternatives, mask):
             return True
         return not _dominance_verdict(game, i, s, alternatives, opponents, "weak").dominated
     if notion is Notion.BR_POINT:
-        return _point_best_response(game, i, s, alternatives, opponents)
+        return _point_best_response(game, i, s, alternatives, mask)
 
     # correlated best response
     others = [a for a in alternatives if a != s]
@@ -173,22 +183,42 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
     # over one opponent profile, or against one rival, a correlated belief
     # is no stronger than a point belief
     if len(opponents) == 1 or len(others) == 1:
-        return _point_best_response(game, i, s, alternatives, opponents)
+        return _point_best_response(game, i, s, alternatives, mask)
     # point beliefs are correlated beliefs
-    if _point_best_response(game, i, s, alternatives, opponents):
+    if _point_best_response(game, i, s, alternatives, mask):
         return True
     return _br_belief(game, i, s, alternatives, opponents) is not None
 
 
-def _pure_dominator(game, i, s, alternatives, opponents, strict: bool):
-    """The first alternative that dominates ``s`` over the (non-empty)
-    opponent profiles: better at every one when ``strict``, otherwise at
+def offset_mask(offsets) -> int:
+    """The mask with a bit set at each of the distinct ``offsets``."""
+    return sum(map((1).__lshift__, offsets))
+
+
+@per_game
+def _beats(game, i, s):
+    """Per strategy ``a`` of player ``i``, the mask of the flat opponent
+    offsets at which ``a`` pays ``i`` more than ``s`` does."""
+    table = game.scaled_payoffs[i][1]
+    stride = game._strides[i]
+    offsets = game.opponent_offsets(i, game.index_sets)
+    base = s * stride
+    return tuple(
+        sum(1 << o for o in offsets if table[a * stride + o] > table[base + o])
+        for a in game.index_sets[i]
+    )
+
+
+def _pure_dominator(game, i, s, alternatives, mask, strict: bool):
+    """The first alternative that dominates ``s`` over the (non-empty) mask
+    of opponent offsets: better at every one when ``strict``, otherwise at
     least as good at every one and better at some."""
-    mine = game.payoff_row(i, s, opponents)
+    beats_s = _beats(game, i, s)
     for a in alternatives:
-        margins = [q - p for q, p in zip(game.payoff_row(i, a, opponents), mine)]
-        low = min(margins)
-        if low > 0 or (not strict and low == 0 < max(margins)):
+        if strict:
+            if not mask & ~beats_s[a]:
+                return a
+        elif mask & beats_s[a] and not mask & _beats(game, i, a)[s]:
             return a
     return None
 
@@ -199,16 +229,21 @@ def _mixed_reduces_to_pure(s, alternatives, opponents) -> bool:
     return len(opponents) == 1 or len([a for a in alternatives if a != s]) <= 1
 
 
-def _point_best_response(game, i, s, alternatives, opponents):
-    mine = game.payoff_row(i, s, opponents)
-    rows = [game.payoff_row(i, a, opponents) for a in alternatives if a != s]
-    return any(all(p >= row[r] for row in rows) for r, p in enumerate(mine))
+def _point_best_response(game, i, s, alternatives, mask):
+    """Whether no alternative beats ``s`` at some offset in the mask."""
+    beats_s = _beats(game, i, s)
+    beaten = 0
+    for a in alternatives:
+        beaten |= beats_s[a]
+    return mask & ~beaten != 0
 
 
-def _point_strictly_best(game, i, s, alternatives, opponents):
-    mine = game.payoff_row(i, s, opponents)
-    rows = [game.payoff_row(i, a, opponents) for a in alternatives if a != s]
-    return any(all(p > row[r] for row in rows) for r, p in enumerate(mine))
+def _point_strictly_best(game, i, s, alternatives, mask):
+    """Whether ``s`` beats every other alternative at some offset in the mask."""
+    for a in alternatives:
+        if a != s:
+            mask &= _beats(game, i, a)[s]
+    return mask != 0
 
 
 def solve_dominance_lp(

@@ -1,0 +1,69 @@
+"""Exhaustive references the tests check the engine against, written from the
+definitions and sharing no helper with the code they check.
+
+* ``set_partitions``: every partition of a set into non-empty blocks;
+* ``enumerate_knowledge_correspondences``: every partition of a state space,
+  each state mapped to its block;
+* ``enumerate_belief_correspondences``: every serial and coherent
+  correspondence (``P(w)`` non-empty, and ``P(v) = P(w)`` for ``v`` in
+  ``P(w)``), found by trying every map from states to sets of states;
+* ``largest_fixpoint_bruteforce``: the union of all post-fixpoints of a
+  restriction operator, found by trying every restriction.
+"""
+
+import itertools
+
+from epigame.epistemic import PossibilityCorrespondence, StateSpace
+from epigame.errors import BudgetExceeded
+from epigame.games import Game, Restriction
+
+# restrictions the brute-force fixpoint may try
+ENUMERATION_BUDGET = 1 << 20
+
+
+def set_partitions(items):
+    """All partitions of ``items`` into non-empty blocks, as lists of lists.
+
+    A partition is read off an assignment of a block number to each item in
+    which every block number first appears after all smaller ones, so each
+    partition comes from exactly one assignment."""
+    items = list(items)
+    for blocks in itertools.product(range(len(items)), repeat=len(items)):
+        if all(b <= max(blocks[:k], default=-1) + 1 for k, b in enumerate(blocks)):
+            partition = [[] for _ in range(max(blocks, default=-1) + 1)]
+            for item, b in zip(items, blocks):
+                partition[b].append(item)
+            yield partition
+
+
+def enumerate_knowledge_correspondences(space: StateSpace):
+    for partition in set_partitions(space.states):
+        block_of = {s: frozenset(block) for block in partition for s in block}
+        yield PossibilityCorrespondence(space, tuple(block_of[s] for s in space.states))
+
+
+def enumerate_belief_correspondences(space: StateSpace):
+    states = space.states
+    events = [
+        frozenset(itertools.compress(states, chosen))
+        for chosen in itertools.product((0, 1), repeat=len(states))
+    ]
+    non_empty = [e for e in events if e]
+    for targets in itertools.product(non_empty, repeat=len(states)):
+        of = dict(zip(states, targets))
+        if all(of[v] == of[w] for w in states for v in of[w]):
+            yield PossibilityCorrespondence(space, targets)
+
+
+def largest_fixpoint_bruteforce(op, game: Game, budget: int = ENUMERATION_BUDGET) -> Restriction:
+    """Componentwise union of all post-fixpoints ``G <= op(G)``. For a
+    monotonic operator this is its largest fixpoint."""
+    sizes = [len(labels) for labels in game.strategies]
+    if 1 << sum(sizes) > budget:
+        raise BudgetExceeded(f"lattice has {1 << sum(sizes)} restrictions, budget is {budget}")
+    union = [0] * game.n
+    for masks in itertools.product(*(range(1 << k) for k in sizes)):
+        image = op.apply(Restriction(game, masks)).masks
+        if all(mine & ~theirs == 0 for mine, theirs in zip(masks, image)):
+            union = [u | m for u, m in zip(union, masks)]
+    return Restriction(game, tuple(union))

@@ -21,16 +21,10 @@ from epigame.epistemic import (
     restriction_of,
 )
 from epigame.games import Restriction
-from epigame.generators import (
-    GeneratorConfig,
-    enumerate_belief_correspondences,
-    enumerate_knowledge_correspondences,
-    generate_model,
-)
+from epigame.generators import GeneratorConfig, generate_model
 from epigame.lattice import (
     enumerate_restrictions,
     iterate_to_outcome,
-    largest_fixpoint_bruteforce,
     lattice_size,
     probe_monotonicity,
 )
@@ -54,6 +48,11 @@ from epigame.verify import (
     verify_thm2,
 )
 
+from reference import (
+    enumerate_belief_correspondences,
+    enumerate_knowledge_correspondences,
+    largest_fixpoint_bruteforce,
+)
 from test_optimality import grid_has_dominator, grid_has_supporting_belief, random_game
 
 

@@ -307,3 +307,14 @@ def test_payoff_literal_with_huge_exponent_rejected(capsys, tmp_path):
     code, out, err = run(capsys, "eliminate", "--game", str(path), "--notion", "sd")
     assert code == 2 and out == ""
     assert "line 4" in err and "exponent beyond 1000" in err
+
+
+def test_generate_game_rejects_more_strategies_than_labels(capsys):
+    # the generator labels strategies a..j; more used to print a 10x10 game
+    code, out, err = run(capsys, "generate", "game", "--seed", "1", "--strategies", "12", "12")
+    assert code == 2
+    assert out == ""
+    assert err == "error: at most 10 strategies per player, got 12\n"
+    code, out, _ = run(capsys, "generate", "game", "--seed", "1", "--strategies", "10", "10")
+    assert code == 0
+    assert parse_game(out).strategies[0] == tuple("abcdefghij")

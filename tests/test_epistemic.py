@@ -183,6 +183,20 @@ def test_restriction_of_rejects_unknown_states(tie_game):
         restriction_of(model, {"nope"})
 
 
+def test_model_rejects_an_unknown_strategy_label(tie_game):
+    space = StateSpace(("a", "b"))
+    assert EpistemicModel(tie_game, space, (("U", "D"), ("R", "L"))).strategy_indices == (
+        (0, 1), (1, 0))
+    for maps, message in (
+        ((("U", "Q"), ("L", "R")), "player 1 has no strategy 'Q'"),
+        ((("U", "D"), ("L", "U")), "player 2 has no strategy 'U'"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            EpistemicModel(tie_game, space, maps)
+        assert type(err.value) is ValidationError
+        assert str(err.value) == message
+
+
 def test_standard_model_shapes(tie_game, flat_game):
     model = standard_model(tie_game.full_restriction())
     assert len(model.space.states) == 4

@@ -16,11 +16,12 @@ from epigame.lattice import (
     check_inclusion_lemma,
     enumerate_restrictions,
     iterate_to_outcome,
-    largest_fixpoint_bruteforce,
     lattice_size,
     probe_monotonicity,
     sample_restriction,
 )
+
+from reference import largest_fixpoint_bruteforce
 
 
 def identity_operator(game):

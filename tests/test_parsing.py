@@ -337,3 +337,21 @@ def test_missing_payoffs_found_without_building_the_product():
     assert str(err.value) == (
         "player 1 is missing payoff entries, e.g. " + repr(("a",) * (players - 1) + ("b",)))
     assert peak < 5 * 2 ** 20
+
+
+def test_a_players_count_alone_is_bounded_by_the_file():
+    # the message names the first ten missing players and the count, and the
+    # work stays within the file's strategies lines, not the players count
+    source = "players: 100000\nstrategies 2: a\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            parse_game(source)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert message == (
+        "missing strategies for players [1, 3, 4, 5, 6, 7, 8, 9, 10, 11] and more, 99999 in all")
+    assert len(message) < 1000
+    assert peak < 2 ** 20

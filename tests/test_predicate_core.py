@@ -6,6 +6,7 @@ import gc
 import itertools
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,15 @@ from epigame.errors import ValidationError
 from epigame.games import Game
 from epigame.generators import GeneratorConfig, generate_game, generate_model
 from epigame.lattice import sample_restriction
-from epigame.optimality import Notion, holds
+from epigame.optimality import (
+    Notion,
+    _canonical_inputs,
+    _point_best_response,
+    _point_strictly_best,
+    _pure_dominator,
+    holds,
+    offset_mask,
+)
 from epigame.verify import elimination_limit, verify_thm1i
 
 
@@ -146,3 +155,61 @@ def test_core_agrees_with_the_label_path(instance):
         )
         assert (state in rat) == rational
 
+
+
+# --- the pure predicates as mask tests, against the definitions -----------------
+
+@st.composite
+def pure_cases(draw):
+    """A 2- or 3-player game (3 players give sparse opponent offsets), a
+    player, a strategy that need not be among the alternatives, and a
+    non-empty set of opponent profiles, often a single one."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    strategies = tuple(tuple(f"s{k}" for k in range(size)) for size in shape)
+    joints = list(itertools.product(*strategies))
+    values = st.sampled_from([0, 1, 2, Fraction(1, 2), Fraction(-1, 3)])
+    tables = tuple(tuple(draw(values) for _ in joints) for _ in shape)
+    game = Game(strategies, tables)
+    i = draw(st.integers(0, len(shape) - 1))
+    s = draw(st.sampled_from(strategies[i]))
+    alternatives = draw(st.lists(st.sampled_from(strategies[i]), unique=True))
+    profiles = list(itertools.product(*(c for j, c in enumerate(strategies) if j != i)))
+    if draw(st.booleans()):
+        opponents = [draw(st.sampled_from(profiles))]
+    else:
+        opponents = draw(st.lists(st.sampled_from(profiles), min_size=1, unique=True))
+    return game, i, s, alternatives, opponents
+
+
+def _u(game, i, label, profile):
+    return game.payoff(i, profile[:i] + (label,) + profile[i:])
+
+
+def _reference_dominator(game, i, s, alternatives, opponents, strict):
+    for a in sorted(alternatives, key=game.strategies[i].index):
+        margins = [_u(game, i, a, t) - _u(game, i, s, t) for t in opponents]
+        if all(m > 0 for m in margins) if strict else (
+                all(m >= 0 for m in margins) and any(m > 0 for m in margins)):
+            return a
+    return None
+
+
+@given(pure_cases())
+@settings(max_examples=400, deadline=None)
+def test_mask_predicates_match_their_definitions(case):
+    game, i, s_label, alternative_labels, profiles = case
+    s, alternatives, offsets = _canonical_inputs(game, i, s_label, alternative_labels, profiles)
+    mask = offset_mask(offsets)
+    labels = game.strategies[i]
+    for strict in (True, False):
+        found = _pure_dominator(game, i, s, alternatives, mask, strict)
+        expected = _reference_dominator(game, i, s_label, alternative_labels, profiles, strict)
+        assert (None if found is None else labels[found]) == expected
+    rivals = [a for a in alternative_labels if a != s_label]
+    assert _point_best_response(game, i, s, alternatives, mask) == any(
+        all(_u(game, i, s_label, t) >= _u(game, i, a, t) for a in alternative_labels)
+        for t in profiles
+    )
+    assert _point_strictly_best(game, i, s, alternatives, mask) == any(
+        all(_u(game, i, s_label, t) > _u(game, i, a, t) for a in rivals) for t in profiles
+    )

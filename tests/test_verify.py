@@ -1,6 +1,6 @@
 import pytest
 
-from epigame.elimination import LOCAL, NotionProfile, operator, outcome
+from epigame.elimination import LOCAL, NotionProfile, outcome
 from epigame.epistemic import (
     rat_event,
     common_box,
@@ -253,7 +253,6 @@ def test_monotonicity_suite_small_batch():
 def test_engine_builds_no_restriction_from_labels(monkeypatch):
     # restrictions are masks inside the engine; Restriction.of is the label
     # entry for parsers and callers only
-    from epigame.lattice import largest_fixpoint_bruteforce
     from epigame.verify import elimination_limit
 
     game = generate_game(GeneratorConfig(seed=11, players=(3, 3), strategies=(2, 3)))
@@ -270,8 +269,6 @@ def test_engine_builds_no_restriction_from_labels(monkeypatch):
             elimination_limit(game, profile, mode)
         rat_event(model, profile)
     restriction_of(model, model.space.states)
-    profile = NotionProfile.uniform("sd", game.n)
-    largest_fixpoint_bruteforce(operator(profile, game, "global"), game)
     assert thm1_suite("sd", instances=3, seed=1).holds
     assert thm1iii_suite(instances=2, seed=1).holds
     assert cor_suite("cor1", instances=3, seed=1).holds
