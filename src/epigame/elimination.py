@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedNotion, ValidationError
-from .games import Game, Restriction
+from .games import Game, Restriction, set_bits
 from .lattice import (
     EliminationRecord,
     EliminationTrace,
@@ -31,7 +31,6 @@ from .optimality import (
     _dominance_verdict,
     _holds_cached,
     _pure_dominator,
-    offset_mask,
     parse_notion,
 )
 
@@ -100,18 +99,18 @@ class NotionProfile:
 
 def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> Restriction:
     """Keep the strategies of ``g`` that satisfy their player's predicate
-    against ``alternatives[i]`` (strategy indices) and the opponent profiles
+    against ``alternatives[i]`` (a strategy mask) and the opponent profiles
     of ``g``."""
     profile.validate_for(game)
     if g.game is not game and g.game != game:
         raise ValidationError("the restriction is of another game")
     notions = profile.effective
-    current = g.indices
+    current = g.masks
     masks = []
     for i in range(game.n):
-        opponents = game.opponent_offsets(i, current)
+        opponents = game.opponent_mask(i, current)
         masks.append(sum(
-            1 << s for s in current[i]
+            1 << s for s in set_bits(current[i])
             if _holds_cached(game, notions[i], i, s, alternatives[i], opponents)
         ))
     return Restriction(game, tuple(masks))
@@ -120,13 +119,13 @@ def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> R
 def t_global(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:
     """Keep the strategies that are optimal against alternatives from the
     initial strategy sets."""
-    return _step(profile, game, g, game.index_sets)
+    return _step(profile, game, g, game.full_masks)
 
 
 def u_local(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:
     """Keep the strategies that are optimal against alternatives from the
     current restriction."""
-    return _step(profile, game, g, g.indices)
+    return _step(profile, game, g, g.masks)
 
 
 def operator(profile: NotionProfile, game: Game, mode: str) -> RestrictionOperator:
@@ -150,16 +149,15 @@ def outcome(
     trace = iterate_to_outcome(op, game.full_restriction(), budget=budget)
     records = []
     for stage_index in range(len(trace.stages) - 1):
-        before = trace.stages[stage_index].indices
-        after = trace.stages[stage_index + 1].indices
+        before = trace.stages[stage_index].masks
+        after = trace.stages[stage_index + 1].masks
         for i in range(game.n):
-            alternatives = game.index_sets[i] if mode == GLOBAL else before[i]
-            opponents = game.opponent_offsets(i, before)
-            for s in before[i]:
-                if s not in after[i]:
-                    records.append(explain_elimination(
-                        profile.notions[i], game, stage_index, i, s, alternatives, opponents
-                    ))
+            alternatives = game.full_masks[i] if mode == GLOBAL else before[i]
+            opponents = game.opponent_mask(i, before)
+            for s in set_bits(before[i] & ~after[i]):
+                records.append(explain_elimination(
+                    profile.effective[i], game, stage_index, i, s, alternatives, opponents
+                ))
     return EliminationTrace(trace.operator, trace.stages, trace.stabilized_at, tuple(records))
 
 
@@ -174,18 +172,17 @@ def explain_elimination(
 ) -> EliminationRecord:
     """Build the elimination record (in labels) for a strategy that failed
     its predicate: a dominating (pure or mixed) strategy, or a certificate
-    that no belief supports it. Takes the predicate core's index inputs."""
+    that no belief supports it. Takes the predicate core's inputs, with the
+    notion as :attr:`NotionProfile.effective` gives it."""
     labels = game.strategies[i]
     label = labels[s]
-    if notion is Notion.BR_INDEPENDENT and game.n == 2:
-        notion = Notion.BR_CORRELATED
     if not opponents:
         return EliminationRecord(
             stage, i, label, f"fails {notion.value} against an empty opponent set", None
         )
     if notion in (Notion.SD, Notion.WD):
         strict = notion is Notion.SD
-        dominator = _pure_dominator(game, i, s, alternatives, offset_mask(opponents), strict)
+        dominator = _pure_dominator(game, i, s, alternatives, opponents, strict)
         kind = "strictly" if strict else "weakly"
         return EliminationRecord(stage, i, label, f"{kind} dominated", labels[dominator])
     if notion in (Notion.MSD, Notion.MWD):
@@ -200,8 +197,8 @@ def explain_elimination(
         beats_s = _beats(game, i, s)
         better = tuple(
             (game.opponent_profile(i, o),
-             next((labels[a] for a in alternatives if beats_s[a] >> o & 1), None))
-            for o in opponents
+             next((labels[a] for a in set_bits(alternatives) if beats_s[a] >> o & 1), None))
+            for o in set_bits(opponents)
         )
         return EliminationRecord(
             stage, i, label, "never a best response to a point belief", better

@@ -276,11 +276,15 @@ def restriction_of(model: EpistemicModel, event: Iterable[str]) -> Restriction:
     """Project an event through the strategy maps: component ``i`` is the
     image of player ``i``'s map over the event. An empty event gives empty
     components; an unknown state is a :class:`ValidationError`."""
-    mask = model.space.mask_of(event)
-    return Restriction(model.game, tuple(
+    return Restriction(model.game, _strategy_masks(model, model.space.mask_of(event)))
+
+
+def _strategy_masks(model: EpistemicModel, mask: int) -> tuple[int, ...]:
+    """Per player, the strategy mask of the map's image over a state mask."""
+    return tuple(
         sum(1 << s for s in {chosen[k] for k in set_bits(mask)})
         for chosen in model.strategy_indices
-    ))
+    )
 
 
 def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
@@ -290,23 +294,19 @@ def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
     profile.validate_for(model.game)
     game = model.game
     notions = profile.effective
-    # a possibility mask projects straight to index components
+    # a possibility mask projects straight to strategy masks
     chosen = model.strategy_indices
-    projected: dict[int, tuple[tuple[int, ...], ...]] = {}
-    opponents_of: dict[tuple[int, int], tuple[int, ...]] = {}
+    opponents_of: dict[tuple[int, int], int] = {}
 
-    def opponents(i: int, mask: int) -> tuple[int, ...]:
+    def opponents(i: int, mask: int) -> int:
         if (i, mask) not in opponents_of:
-            if mask not in projected:
-                projected[mask] = tuple(
-                    tuple(sorted({c[k] for k in set_bits(mask)})) for c in chosen)
-            opponents_of[i, mask] = game.opponent_offsets(i, projected[mask])
+            opponents_of[i, mask] = game.opponent_mask(i, _strategy_masks(model, mask))
         return opponents_of[i, mask]
 
     result = set()
     for k, state in enumerate(model.space.states):
         if all(
-            _holds_cached(game, notions[i], i, chosen[i][k], game.index_sets[i],
+            _holds_cached(game, notions[i], i, chosen[i][k], game.full_masks[i],
                           opponents(i, model.correspondences[i].masks[k]))
             for i in range(game.n)
         ):

@@ -132,11 +132,6 @@ class Game:
         return tuple(itertools.product(*self.strategies))
 
     @cached_property
-    def index_sets(self) -> tuple[tuple[int, ...], ...]:
-        """Every player's strategy indices: the full restriction."""
-        return tuple(tuple(range(len(labels))) for labels in self.strategies)
-
-    @cached_property
     def full_masks(self) -> tuple[int, ...]:
         """Every player's strategy mask with all strategies kept."""
         return tuple((1 << len(labels)) - 1 for labels in self.strategies)
@@ -159,15 +154,15 @@ class Game:
         base = k * self._strides[i]
         return [table[base + o] for o in offsets]
 
-    def opponent_offsets(self, i: int, components) -> tuple[int, ...]:
-        """The flat offsets (place in a payoff table, own index 0) of player
-        ``i``'s opponent profiles drawn from per-player index tuples; they
-        ascend in product order."""
-        offsets = [0]
-        for j, (component, stride) in enumerate(zip(components, self._strides)):
+    def opponent_mask(self, i: int, strategy_masks) -> int:
+        """The mask of the flat offsets (place in a payoff table, own index
+        0) of player ``i``'s opponent profiles in per-player strategy masks."""
+        mask = 1
+        for j, (kept, stride) in enumerate(zip(strategy_masks, self._strides)):
             if j != i:
-                offsets = [o + k * stride for o in offsets for k in component]
-        return tuple(offsets)
+                # the shifted copies are disjoint, so their sum is their union
+                mask = sum(mask << k * stride for k in set_bits(kept))
+        return mask
 
     def opponent_profile(self, i: int, offset: int) -> JointStrategy:
         """The labels of the opponent profile of player ``i`` at an offset."""
@@ -300,15 +295,11 @@ class Restriction:
         return 0 in self.masks
 
     @cached_property
-    def indices(self) -> tuple[tuple[int, ...], ...]:
-        """The components as ascending strategy indices of the game."""
-        return tuple(tuple(set_bits(mask)) for mask in self.masks)
-
-    @cached_property
     def components(self) -> tuple[tuple[str, ...], ...]:
         """The components as labels, in the game's label order."""
         return tuple(
-            tuple(labels[k] for k in c) for labels, c in zip(self.game.strategies, self.indices)
+            tuple(labels[k] for k in set_bits(mask))
+            for labels, mask in zip(self.game.strategies, self.masks)
         )
 
     @cached_property

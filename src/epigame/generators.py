@@ -12,10 +12,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
-from .errors import ValidationError
+from .errors import BudgetExceeded, ValidationError
 from .games import Game, game_from_payoffs
 
 _LETTERS = "abcdefghij"
+# The most joint profiles, and states, a configuration may ask for.
+GENERATION_BUDGET = 1 << 14
 
 DEFAULT_PAYOFF_POOL = (Fraction(0), Fraction(1), Fraction(2))
 
@@ -49,6 +51,16 @@ class GeneratorConfig:
             raise ValidationError("payoff pool must be non-empty")
         if self.target_class not in ("belief", "knowledge"):
             raise ValidationError("target class must be 'belief' or 'knowledge'")
+        # a one-strategy player still adds a table and a label to every payoff
+        # line, so it counts as two; as 2**bit_length is past the budget, the
+        # exponent can stop there and the power stays small
+        players = min(self.players[1], GENERATION_BUDGET.bit_length())
+        if max(self.strategies[1], 2) ** players > GENERATION_BUDGET:
+            raise BudgetExceeded(
+                f"{self.players[1]} players with up to {self.strategies[1]} strategies "
+                f"each exceed the budget of {GENERATION_BUDGET} joint profiles")
+        if self.states[1] > GENERATION_BUDGET:
+            raise BudgetExceeded(f"{self.states[1]} states exceed the budget of {GENERATION_BUDGET}")
         object.__setattr__(
             self, "payoff_pool", tuple(Fraction(v) for v in self.payoff_pool)
         )

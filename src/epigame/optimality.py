@@ -7,14 +7,19 @@ The predicate ``holds(notion, game, i, s_i, G_i, G_minus_i)`` decides whether
 strategies ``G_minus_i``. Mixed dominance and correlated best response reduce
 to exact rational linear programs.
 
+Inside, ``G_i`` is the strategy mask ``alternatives`` and ``G_minus_i`` the
+mask ``opponents`` of flat opponent offsets (place in a payoff table, own
+index 0); the two masks are the memo keys. Offsets are listed, ascending in
+product order, only to set up a program and to label a witness.
+
 The pure tests are bitmask tests. ``_beats(game, i, s)`` holds, per strategy
 ``a`` of player ``i``, the mask of the flat opponent offsets at which ``a``
 pays more than ``s``; it is built on first use and kept in the game's memo.
-Against the mask ``O`` of the opponent offsets, ``a`` strictly dominates
-``s`` iff ``O`` lies inside ``a``'s mask, and ``s`` is a point best response
-iff some bit of ``O`` is in no alternative's mask. The ``sd``, ``wd`` and
-``brp`` verdicts and the shortcuts in front of every program read these
-masks; payoff rows are read only to set the programs up.
+Against the opponent mask ``O``, ``a`` strictly dominates ``s`` iff ``O``
+lies inside ``a``'s mask, and ``s`` is a point best response iff some bit of
+``O`` is in no alternative's mask. The ``sd``, ``wd`` and ``brp`` verdicts
+and the shortcuts in front of every program read these masks; payoff rows
+are read only to set the programs up.
 
 Empty opponent sets never occur along eliminations that start from a full
 game, but the predicates are total. The convention follows the literal
@@ -47,6 +52,7 @@ from .games import (
     expected_payoff,
     insert_own,
     per_game,
+    set_bits,
 )
 from .simplex import Status, matrix_game_value, solve
 
@@ -95,23 +101,20 @@ class BestResponseVerdict:
 
 def _canonical_inputs(game: Game, i: int, s_i: str, G_i, G_minus_i):
     """Validate ``s_i`` and every label; return the index of ``s_i``, the
-    alternatives' indices ascending (label order) and the distinct opponent
-    profiles' flat offsets ascending (product order)."""
+    alternatives' strategy mask and the opponent profiles' offset mask."""
     s = game.strategy_index(i, s_i)
-    alternatives = tuple(sorted({game.strategy_index(i, a) for a in G_i}))
+    alternatives = sum(1 << k for k in {game.strategy_index(i, a) for a in G_i})
     others = [j for j in range(game.n) if j != i]
-    offsets = set()
+    opponents = 0
     for joint in G_minus_i:
         joint = tuple(joint)
         if len(joint) != game.n - 1:
             raise ValidationError(
                 f"opponent profile {joint} needs {game.n - 1} entries"
             )
-        indices = [()] * game.n
-        for j, label in zip(others, joint):
-            indices[j] = (game.strategy_index(j, label),)
-        offsets.update(game.opponent_offsets(i, indices))
-    return s, alternatives, tuple(sorted(offsets))
+        opponents |= 1 << sum(game.strategy_index(j, label) * game._strides[j]
+                              for j, label in zip(others, joint))
+    return s, alternatives, opponents
 
 
 def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
@@ -138,61 +141,58 @@ def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
 
 @per_game
 def _holds_cached(game, notion, i, s, alternatives, opponents):
-    """The predicate on indices into ``game.scaled_payoffs``: ``s`` and the
-    ``alternatives`` (ascending) are player ``i``'s strategy indices,
-    ``opponents`` distinct ascending flat offsets. ``bri`` is read as ``brc``."""
+    """The predicate on indices into ``game.scaled_payoffs``: ``s`` is one
+    of player ``i``'s strategy indices, ``alternatives`` a strategy mask and
+    ``opponents`` a mask of flat opponent offsets. ``bri`` is read as ``brc``."""
+    rivals = alternatives & ~(1 << s)
     if not opponents:
         if notion in (Notion.SD, Notion.MSD):
-            return all(a == s for a in alternatives)
+            return not rivals
         if notion in (Notion.WD, Notion.MWD):
             return True
         return False
 
-    mask = offset_mask(opponents)
     if notion is Notion.SD:
-        return _pure_dominator(game, i, s, alternatives, mask, True) is None
+        return _pure_dominator(game, i, s, alternatives, opponents, True) is None
     if notion is Notion.WD:
-        return _pure_dominator(game, i, s, alternatives, mask, False) is None
+        return _pure_dominator(game, i, s, alternatives, opponents, False) is None
     if notion is Notion.MSD:
-        if _pure_dominator(game, i, s, alternatives, mask, True) is not None:
+        if _pure_dominator(game, i, s, alternatives, opponents, True) is not None:
             return False
-        if _mixed_reduces_to_pure(s, alternatives, opponents):
+        if _at_most_one(opponents) or _at_most_one(rivals):
             return True
         # no mixture beats s strictly at a profile where it already tops
         # every support strategy
-        if _point_best_response(game, i, s, alternatives, mask):
+        if _point_best_response(game, i, s, alternatives, opponents):
             return True
         return not _dominance_verdict(game, i, s, alternatives, opponents, "strict").dominated
     if notion is Notion.MWD:
-        if _pure_dominator(game, i, s, alternatives, mask, False) is not None:
+        if _pure_dominator(game, i, s, alternatives, opponents, False) is not None:
             return False
-        if _mixed_reduces_to_pure(s, alternatives, opponents):
+        if _at_most_one(opponents) or _at_most_one(rivals):
             return True
         # a weak dominator matches s where it is strictly best, which
         # forces the degenerate mixture
-        if _point_strictly_best(game, i, s, alternatives, mask):
+        if _point_strictly_best(game, i, s, alternatives, opponents):
             return True
         return not _dominance_verdict(game, i, s, alternatives, opponents, "weak").dominated
     if notion is Notion.BR_POINT:
-        return _point_best_response(game, i, s, alternatives, mask)
+        return _point_best_response(game, i, s, alternatives, opponents)
 
-    # correlated best response
-    others = [a for a in alternatives if a != s]
-    if not others:
-        return True
-    # over one opponent profile, or against one rival, a correlated belief
-    # is no stronger than a point belief
-    if len(opponents) == 1 or len(others) == 1:
-        return _point_best_response(game, i, s, alternatives, mask)
+    # correlated best response: over one opponent profile, or against at
+    # most one rival, a correlated belief is no stronger than a point belief
+    if _at_most_one(opponents) or _at_most_one(rivals):
+        return _point_best_response(game, i, s, alternatives, opponents)
     # point beliefs are correlated beliefs
-    if _point_best_response(game, i, s, alternatives, mask):
+    if _point_best_response(game, i, s, alternatives, opponents):
         return True
     return _br_belief(game, i, s, alternatives, opponents) is not None
 
 
-def offset_mask(offsets) -> int:
-    """The mask with a bit set at each of the distinct ``offsets``."""
-    return sum(map((1).__lshift__, offsets))
+def _at_most_one(mask: int) -> bool:
+    # Over one opponent profile, or with at most one rival besides s, a
+    # dominating mixture implies a dominating pure strategy.
+    return mask & (mask - 1) == 0
 
 
 @per_game
@@ -201,49 +201,42 @@ def _beats(game, i, s):
     offsets at which ``a`` pays ``i`` more than ``s`` does."""
     table = game.scaled_payoffs[i][1]
     stride = game._strides[i]
-    offsets = game.opponent_offsets(i, game.index_sets)
+    offsets = list(set_bits(game.opponent_mask(i, game.full_masks)))
     base = s * stride
     return tuple(
         sum(1 << o for o in offsets if table[a * stride + o] > table[base + o])
-        for a in game.index_sets[i]
+        for a in range(len(game.strategies[i]))
     )
 
 
-def _pure_dominator(game, i, s, alternatives, mask, strict: bool):
-    """The first alternative that dominates ``s`` over the (non-empty) mask
-    of opponent offsets: better at every one when ``strict``, otherwise at
+def _pure_dominator(game, i, s, alternatives, opponents, strict: bool):
+    """The first alternative that dominates ``s`` over the (non-empty)
+    opponent mask: better at every offset when ``strict``, otherwise at
     least as good at every one and better at some."""
     beats_s = _beats(game, i, s)
-    for a in alternatives:
+    for a in set_bits(alternatives):
         if strict:
-            if not mask & ~beats_s[a]:
+            if not opponents & ~beats_s[a]:
                 return a
-        elif mask & beats_s[a] and not mask & _beats(game, i, a)[s]:
+        elif opponents & beats_s[a] and not opponents & _beats(game, i, a)[s]:
             return a
     return None
 
 
-def _mixed_reduces_to_pure(s, alternatives, opponents) -> bool:
-    # Over one opponent profile, or with at most one alternative besides s,
-    # a dominating mixture implies a dominating pure strategy.
-    return len(opponents) == 1 or len([a for a in alternatives if a != s]) <= 1
-
-
-def _point_best_response(game, i, s, alternatives, mask):
-    """Whether no alternative beats ``s`` at some offset in the mask."""
+def _point_best_response(game, i, s, alternatives, opponents):
+    """Whether no alternative beats ``s`` at some opponent offset."""
     beats_s = _beats(game, i, s)
     beaten = 0
-    for a in alternatives:
+    for a in set_bits(alternatives):
         beaten |= beats_s[a]
-    return mask & ~beaten != 0
+    return opponents & ~beaten != 0
 
 
-def _point_strictly_best(game, i, s, alternatives, mask):
-    """Whether ``s`` beats every other alternative at some offset in the mask."""
-    for a in alternatives:
-        if a != s:
-            mask &= _beats(game, i, a)[s]
-    return mask != 0
+def _point_strictly_best(game, i, s, alternatives, opponents):
+    """Whether ``s`` beats every other alternative at some opponent offset."""
+    for a in set_bits(alternatives & ~(1 << s)):
+        opponents &= _beats(game, i, a)[s]
+    return opponents != 0
 
 
 def solve_dominance_lp(
@@ -277,11 +270,13 @@ def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict
     """Both programs are posed on player ``i``'s scaled payoffs; the
     mixtures do not see the scale and the optimum is scaled back."""
     scale = game.scaled_payoffs[i][0]
-    mine = game.payoff_row(i, s, opponents)
-    rows = [game.payoff_row(i, a, opponents) for a in support]
+    support = list(set_bits(support))
+    offsets = list(set_bits(opponents))
+    mine = game.payoff_row(i, s, offsets)
+    rows = [game.payoff_row(i, a, offsets) for a in support]
     labels = game.strategies[i]
     k = len(support)
-    m = len(opponents)
+    m = len(offsets)
 
     if mode == "strict":
         # eps* = max over mixtures of the worst payoff advantage
@@ -325,7 +320,7 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     belief = _br_belief(game, i, s, alternatives, opponents)
     if belief is None:
         return BestResponseVerdict(False, None)
-    profiles = (game.opponent_profile(i, o) for o in opponents)
+    profiles = (game.opponent_profile(i, o) for o in set_bits(opponents))
     return BestResponseVerdict(True, CorrelatedBelief(tuple(zip(profiles, belief))))
 
 
@@ -333,14 +328,15 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
 def _br_belief(game, i, s, alternatives, opponents):
     """The weights, one per opponent profile, of a correlated belief under
     which ``s`` is a best response within ``alternatives``; None if none."""
-    rivals = [a for a in alternatives if a != s]
+    offsets = list(set_bits(opponents))
+    rivals = alternatives & ~(1 << s)
     if not rivals:
-        return (ONE,) + (ZERO,) * (len(opponents) - 1)
+        return (ONE,) + (ZERO,) * (len(offsets) - 1)
     # the rivals' best guaranteed advantage over s; the belief that holds
     # it down is the column solution, and s is supported iff it is <= 0
-    mine = game.payoff_row(i, s, opponents)
+    mine = game.payoff_row(i, s, offsets)
     rival_edge = [
-        [q - p for q, p in zip(game.payoff_row(i, a, opponents), mine)] for a in rivals
+        [q - p for q, p in zip(game.payoff_row(i, a, offsets), mine)] for a in set_bits(rivals)
     ]
     value, _, belief = matrix_game_value(rival_edge, game.scaled_payoffs[i][0])
     return belief if value <= 0 else None

@@ -37,7 +37,7 @@ from .errors import (
     NonMonotonicProfile,
     ValidationError,
 )
-from .games import Game, JointStrategy, Restriction, per_game
+from .games import Game, JointStrategy, Restriction, per_game, set_bits
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import (
     ENUMERATION_BUDGET,
@@ -477,15 +477,16 @@ def lemma_inc_suite(games: int, seed: int = 0) -> VerificationReport:
 # --- predicate monotonicity -------------------------------------------------------
 
 def _opponent_subset_values(game, notion, i, s):
-    # combinations of the ascending offsets keep every subset canonical, so
-    # the memoised predicate core can be queried directly
-    offsets = game.opponent_offsets(i, game.index_sets)
+    # every subset of the opponent offsets, smallest first, as a mask the
+    # memoised predicate core takes directly
+    offsets = list(set_bits(game.opponent_mask(i, game.full_masks)))
     k = game.strategy_index(i, s)
     values = {}
     for size in range(len(offsets) + 1):
         for combo in itertools.combinations(offsets, size):
             subset = frozenset(game.opponent_profile(i, o) for o in combo)
-            values[subset] = _holds_cached(game, notion, i, k, game.index_sets[i], combo)
+            values[subset] = _holds_cached(
+                game, notion, i, k, game.full_masks[i], sum(1 << o for o in combo))
     return values
 
 
@@ -557,12 +558,12 @@ def monotonicity_suite(
         )
         checked += 1
         for i in range(game.n):
-            alternatives = game.index_sets[i]
-            offsets = game.opponent_offsets(i, game.index_sets)
+            alternatives = game.full_masks[i]
+            opponents = game.opponent_mask(i, game.full_masks)
             pairs = []
             for _ in range(4):
-                big = tuple(o for o in offsets if rng.random() < 0.7)
-                small = tuple(o for o in big if rng.random() < 0.6)
+                big = sum(1 << o for o in set_bits(opponents) if rng.random() < 0.7)
+                small = sum(1 << o for o in set_bits(big) if rng.random() < 0.6)
                 pairs.append((small, big))
             for notion in notions:
                 for k, s in enumerate(game.strategies[i]):
@@ -572,8 +573,9 @@ def monotonicity_suite(
                         ) and not _holds_cached(
                             game, notion, i, k, alternatives, big
                         ):
-                            labelled = (tuple(game.opponent_profile(i, o) for o in subset)
-                                        for subset in (small, big))
+                            labelled = (
+                                tuple(game.opponent_profile(i, o) for o in set_bits(subset))
+                                for subset in (small, big))
                             payload = {
                                 "kind": "lem.mono",
                                 "game": game,

@@ -8,7 +8,9 @@ definitions and sharing no helper with the code they check.
   correspondence (``P(w)`` non-empty, and ``P(v) = P(w)`` for ``v`` in
   ``P(w)``), found by trying every map from states to sets of states;
 * ``largest_fixpoint_bruteforce``: the union of all post-fixpoints of a
-  restriction operator, found by trying every restriction.
+  restriction operator, found by trying every restriction;
+* ``opponent_offsets``: the places in a payoff table of a player's opponent
+  profiles, read as mixed-radix numbers over the strategy counts.
 """
 
 import itertools
@@ -67,3 +69,18 @@ def largest_fixpoint_bruteforce(op, game: Game, budget: int = ENUMERATION_BUDGET
         if all(mine & ~theirs == 0 for mine, theirs in zip(masks, image)):
             union = [u | m for u, m in zip(union, masks)]
     return Restriction(game, tuple(union))
+
+
+def opponent_offsets(counts, i, components):
+    """The flat offsets, in product order, of player ``i``'s opponent profiles
+    drawn from per-player strategy index lists, with ``i``'s own index 0. A
+    joint profile's place in a table in product order (last player fastest)
+    is the number whose digits are its indices, digit ``j`` in base
+    ``counts[j]``."""
+    offsets = []
+    for joint in itertools.product(*([0] if j == i else c for j, c in enumerate(components))):
+        offset = 0
+        for index, count in zip(joint, counts):
+            offset = offset * count + index
+        offsets.append(offset)
+    return offsets

@@ -318,3 +318,33 @@ def test_generate_game_rejects_more_strategies_than_labels(capsys):
     code, out, _ = run(capsys, "generate", "game", "--seed", "1", "--strategies", "10", "10")
     assert code == 0
     assert parse_game(out).strategies[0] == tuple("abcdefghij")
+
+
+@pytest.mark.parametrize("players, strategies", [("9", "3"), ("15", "1")])
+def test_generate_game_past_the_budget(capsys, players, strategies):
+    # 3**9 joint profiles used to print a 9-player game; 15 one-strategy
+    # players count as 2**15 profiles
+    code, out, err = run(capsys, "generate", "game", "--seed", "1",
+                         "--players", "2", players, "--strategies", "1", strategies)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {players} players with up to {strategies} strategies")
+    assert "budget of 16384 joint profiles" in err
+
+
+def test_generator_budget_is_inclusive():
+    from epigame.generators import GENERATION_BUDGET, GeneratorConfig
+
+    # 2**14 joint profiles and 2**14 states are at the budget, not past it;
+    # only the configuration is built here, no game or model
+    assert GENERATION_BUDGET == 2**14
+    GeneratorConfig(seed=0, players=(2, 14), strategies=(2, 2), states=(2, 2**14))
+    GeneratorConfig(seed=0, players=(2, 14), strategies=(1, 1))
+
+
+def test_generate_model_past_the_budget(capsys, tie_game_file):
+    code, out, err = run(capsys, "generate", "model", "--seed", "1", "--game", tie_game_file,
+                         "--states", "2", "16385")
+    assert code == 2
+    assert out == ""
+    assert err == "error: 16385 states exceed the budget of 16384\n"

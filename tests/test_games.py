@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from epigame import games
 from epigame.errors import ParseError, ValidationError
 from epigame.games import (
     CorrelatedBelief,
+    Game,
     MixedStrategy,
     Restriction,
     expected_payoff,
@@ -17,9 +19,11 @@ from epigame.games import (
     parse_restriction,
     render_game,
     render_restriction,
+    set_bits,
 )
 
 from conftest import FLAT_GAME_TEXT, TIE_GAME_TEXT
+from reference import opponent_offsets
 
 
 def test_parse_tie_game(tie_game):
@@ -149,15 +153,15 @@ def test_round_trip_keeps_exact_rationals():
 
 def opponent_profiles(restriction, i):
     game = restriction.game
-    offsets = game.opponent_offsets(i, restriction.indices)
-    assert list(offsets) == sorted(offsets)  # ascending is product order
-    return tuple(game.opponent_profile(i, o) for o in offsets)
+    mask = game.opponent_mask(i, restriction.masks)
+    # set bits ascend, and ascending is product order
+    return tuple(game.opponent_profile(i, o) for o in set_bits(mask))
 
 
 def test_opponent_offsets_two_player(tie_game):
     full = tie_game.full_restriction()
-    assert tie_game.opponent_offsets(0, full.indices) == (0, 1)
-    assert tie_game.opponent_offsets(1, full.indices) == (0, 2)
+    assert tie_game.opponent_mask(0, full.masks) == 0b11
+    assert tie_game.opponent_mask(1, full.masks) == 0b101
     assert opponent_profiles(full, 0) == (("L",), ("R",))
     assert opponent_profiles(full, 1) == (("U",), ("D",))
 
@@ -181,6 +185,29 @@ def test_opponent_offsets_empty_factor(tie_game):
     assert opponent_profiles(r, 0) == ()
     # the non-empty side still sees the U component
     assert opponent_profiles(r, 1) == (("U",),)
+
+
+@st.composite
+def opponent_cases(draw):
+    counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    strategies = [tuple(f"p{j}s{k}" for k in range(count)) for j, count in enumerate(counts)]
+    game = Game(tuple(strategies), tuple((0,) * prod(counts) for _ in counts))
+    # components may be empty, and player i's own mask must not matter
+    masks = tuple(draw(st.integers(0, (1 << count) - 1)) for count in counts)
+    return game, draw(st.integers(0, len(counts) - 1)), masks
+
+
+@given(opponent_cases())
+@settings(max_examples=300, deadline=None)
+def test_opponent_mask_matches_the_definition(case):
+    game, i, masks = case
+    counts = [len(labels) for labels in game.strategies]
+    components = [[k for k in range(count) if mask >> k & 1] for count, mask in zip(counts, masks)]
+    mask = game.opponent_mask(i, masks)
+    assert mask == sum(1 << o for o in opponent_offsets(counts, i, components))
+    assert [game.opponent_profile(i, o) for o in set_bits(mask)] == list(itertools.product(*(
+        [game.strategies[j][k] for k in c] for j, c in enumerate(components) if j != i
+    )))
 
 
 def test_scaled_payoffs_per_player():
@@ -212,7 +239,6 @@ def test_restriction_arity_and_masks_checked(tie_game):
             Restriction(tie_game, masks)
     r = Restriction(tie_game, (0b10, 0b11))
     assert r == Restriction.of(tie_game, (("D",), ("R", "L")))
-    assert r.indices == ((1,), (0, 1))
     assert r.joint_strategies == (("D", "L"), ("D", "R"))
 
 

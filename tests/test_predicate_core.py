@@ -26,7 +26,6 @@ from epigame.optimality import (
     _point_strictly_best,
     _pure_dominator,
     holds,
-    offset_mask,
 )
 from epigame.verify import elimination_limit, verify_thm1i
 
@@ -198,8 +197,7 @@ def _reference_dominator(game, i, s, alternatives, opponents, strict):
 @settings(max_examples=400, deadline=None)
 def test_mask_predicates_match_their_definitions(case):
     game, i, s_label, alternative_labels, profiles = case
-    s, alternatives, offsets = _canonical_inputs(game, i, s_label, alternative_labels, profiles)
-    mask = offset_mask(offsets)
+    s, alternatives, mask = _canonical_inputs(game, i, s_label, alternative_labels, profiles)
     labels = game.strategies[i]
     for strict in (True, False):
         found = _pure_dominator(game, i, s, alternatives, mask, strict)
