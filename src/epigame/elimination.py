@@ -137,16 +137,11 @@ def operator(profile: NotionProfile, game: Game, mode: str) -> RestrictionOperat
     raise ValidationError(f"mode must be {GLOBAL!r} or {LOCAL!r}, got {mode!r}")
 
 
-def outcome(
-    profile: NotionProfile,
-    game: Game,
-    mode: str,
-    budget: int | None = None,
-) -> EliminationTrace:
+def outcome(profile: NotionProfile, game: Game, mode: str) -> EliminationTrace:
     """Iterate the chosen operator from the full game and annotate every
     eliminated strategy with a machine-checkable reason."""
     op = operator(profile, game, mode)
-    trace = iterate_to_outcome(op, game.full_restriction(), budget=budget)
+    trace = iterate_to_outcome(op, game.full_restriction())
     records = []
     for stage_index in range(len(trace.stages) - 1):
         before = trace.stages[stage_index].masks

@@ -3,6 +3,9 @@ rationality to iterated elimination.
 
 Each claim has a single-instance checker returning a
 :class:`VerificationReport` and, where meaningful, a seeded random suite.
+The suites for theorem 1, the corollaries and the inclusion lemma share one
+instance loop, :func:`_suite`; the Pearce and monotonicity suites count
+restrictions or two phases under one random stream and keep their own.
 Counterexample payloads are replayable: :func:`replay` re-runs the failing
 instance and must reproduce the violation.
 
@@ -18,7 +21,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
 from .elimination import GLOBAL, LOCAL, NotionProfile, operator, u_local
 from .epistemic import (
@@ -312,69 +314,54 @@ def _suite_config(seed: int, target_class: str, players=(2, 3), strategies=(2, 4
     )
 
 
-def thm1_suite(
-    notion: Notion | str,
-    instances: int,
-    seed: int = 0,
-    players=(2, 3),
-    strategies=(2, 4),
-    states=(2, 8),
-) -> VerificationReport:
+def _suite(claim, instances, seed, check, notes=()) -> VerificationReport:
+    """The suites' one instance loop: ``check(seed + k)`` for k = 0, 1, ...
+    The first failing report is returned, counting the instances up to its
+    own; if none fails, a holds-on-all report."""
+    started = time.perf_counter()
+    for k in range(instances):
+        report = check(seed + k)
+        if not report.holds:
+            report.instances_checked = k + 1
+            return report
+    return _report(claim, instances, False, None, seed, started, notes)
+
+
+def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> VerificationReport:
     """Random (game, belief model, knowledge model) instances for one
     monotonic notion; checks the common-belief and the common-knowledge
     inclusion on every instance."""
-    started = time.perf_counter()
     profile_notion = notion if isinstance(notion, Notion) else parse_notion(notion)
-    for k in range(instances):
-        instance_seed = seed + k
-        game = generate_game(_suite_config(instance_seed, "belief", players, strategies, states))
+
+    def check(instance_seed):
+        game = generate_game(_suite_config(instance_seed, "belief"))
         profile = NotionProfile.uniform(profile_notion, game.n)
-        belief_model = generate_model(
-            _suite_config(instance_seed, "belief", players, strategies, states), game
-        )
-        knowledge_model = generate_model(
-            _suite_config(instance_seed, "knowledge", players, strategies, states), game
-        )
-        for check, model in ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)):
-            report = check(game, model, profile, seed=instance_seed)
+        belief_model = generate_model(_suite_config(instance_seed, "belief"), game)
+        knowledge_model = generate_model(_suite_config(instance_seed, "knowledge"), game)
+        for verify_one, model in ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)):
+            report = verify_one(game, model, profile, seed=instance_seed)
             if not report.holds:
                 report.claim = "thm1.i+ii"
-                report.instances_checked = k + 1
-                return report
-    return _report(
-        "thm1.i+ii", instances, False, None, seed, started, notes=(f"notion {profile_notion.value}",)
-    )
+                break
+        return report
+
+    return _suite("thm1.i+ii", instances, seed, check, (f"notion {profile_notion.value}",))
 
 
-def thm1iii_suite(
-    instances: int,
-    seed: int = 0,
-    notions: Iterable[Notion] = (
-        Notion.SD,
-        Notion.WD,
-        Notion.MSD,
-        Notion.MWD,
-        Notion.BR_POINT,
-        Notion.BR_CORRELATED,
-    ),
-    players=(2, 3),
-    strategies=(2, 3),
-) -> VerificationReport:
+def thm1iii_suite(instances: int, seed: int = 0) -> VerificationReport:
     """The construction of the reverse inclusion on random games, for every
     notion including the non-monotonic ones."""
-    started = time.perf_counter()
-    notions = tuple(notions)
-    for k in range(instances):
-        instance_seed = seed + k
-        game = generate_game(_suite_config(instance_seed, "knowledge", players, strategies))
-        for notion in notions:
-            report = verify_thm1iii(
-                game, NotionProfile.uniform(notion, game.n), seed=instance_seed
-            )
+
+    def check(instance_seed):
+        game = generate_game(_suite_config(instance_seed, "knowledge", strategies=(2, 3)))
+        for notion in (Notion.SD, Notion.WD, Notion.MSD, Notion.MWD, Notion.BR_POINT,
+                       Notion.BR_CORRELATED):
+            report = verify_thm1iii(game, NotionProfile.uniform(notion, game.n), seed=instance_seed)
             if not report.holds:
-                report.instances_checked = k + 1
-                return report
-    return _report("thm1.iii", instances, False, None, seed, started)
+                break
+        return report
+
+    return _suite("thm1.iii", instances, seed, check)
 
 
 def cor_suite(
@@ -383,34 +370,25 @@ def cor_suite(
     seed: int = 0,
     belief_class: str = "correlated",
 ) -> VerificationReport:
-    """Random-model suites for the two dominance corollaries."""
+    """Random-model suites for the two dominance corollaries. cor2 with
+    independent beliefs runs on 2-player games, the only ones it admits."""
     if which not in ("cor1", "cor2"):
         raise ValidationError(f"unknown corollary {which!r}; expected cor1 or cor2")
-    started = time.perf_counter()
-    players = (2, 2) if belief_class == "independent" else (2, 3)
-    for k in range(instances):
-        instance_seed = seed + k
-        target = "belief" if k % 2 else "knowledge"
-        config = _suite_config(instance_seed, target, players=players, strategies=(2, 3), states=(2, 6))
+    players = (2, 2) if which == "cor2" and belief_class == "independent" else (2, 3)
+
+    def check(instance_seed):
+        target = "belief" if (instance_seed - seed) % 2 else "knowledge"
+        config = _suite_config(instance_seed, target, players, (2, 3), (2, 6))
         game = generate_game(config)
         model = generate_model(config, game)
         if which == "cor1":
-            report = verify_cor1(game, model, seed=instance_seed)
-        else:
-            report = verify_cor2(game, model, belief_class, seed=instance_seed)
-        if not report.holds:
-            report.instances_checked = k + 1
-            return report
-    return _report(which, instances, False, None, seed, started)
+            return verify_cor1(game, model, seed=instance_seed)
+        return verify_cor2(game, model, belief_class, seed=instance_seed)
+
+    return _suite(which, instances, seed, check)
 
 
-def pearce_suite(
-    games: int,
-    seed: int = 0,
-    restrictions_per_game: int = 6,
-    players=(2, 3),
-    strategies=(2, 4),
-) -> VerificationReport:
+def pearce_suite(games: int, seed: int = 0, restrictions_per_game: int = 6) -> VerificationReport:
     """Componentwise equality of the local correlated-best-response and local
     mixed-strict-dominance operators on sampled restrictions with non-empty
     components; this cross-validates the two independent LP formulations."""
@@ -418,7 +396,7 @@ def pearce_suite(
     rng = random.Random(seed)
     checked = 0
     for k in range(games):
-        game = generate_game(_suite_config(seed + k, "belief", players, strategies))
+        game = generate_game(_suite_config(seed + k, "belief"))
         brc = NotionProfile.uniform(Notion.BR_CORRELATED, game.n)
         msd = NotionProfile.uniform(Notion.MSD, game.n)
         candidates = [game.full_restriction()]
@@ -442,53 +420,47 @@ def pearce_suite(
     return _report("pearce", checked, False, None, seed, started)
 
 
+def _inclusion_lemma_violation(game: Game, instance_seed: int) -> dict | None:
+    """The inclusion lemma on one suite instance, for both operator pairs;
+    the payload of the first pair whose conclusion or sampled monotonicity
+    fails, else None."""
+    pairs = (
+        (Notion.BR_POINT, GLOBAL, Notion.SD, LOCAL),
+        (Notion.MSD, GLOBAL, Notion.MSD, LOCAL),
+    )
+    for notion1, mode1, notion2, mode2 in pairs:
+        op1 = operator(NotionProfile.uniform(notion1, game.n), game, mode1)
+        op2 = operator(NotionProfile.uniform(notion2, game.n), game, mode2)
+        report = check_inclusion_lemma(
+            op1, op2, game, samples=40, seed=instance_seed, exhaustive_limit=1 << 6
+        )
+        if not (report.conclusion_holds and report.monotonicity.passed):
+            return {
+                "kind": "lem.inc",
+                "game": game,
+                "instance_seed": instance_seed,
+                "op1": op1.name,
+                "op2": op2.name,
+                "report": report,
+            }
+    return None
+
+
 def lemma_inc_suite(games: int, seed: int = 0) -> VerificationReport:
     """The inclusion lemma premises and conclusion for the operator pairs
     (global point-best-response, local strict dominance) and (global mixed
     dominance, local mixed dominance) on random games."""
-    started = time.perf_counter()
-    for k in range(games):
-        instance_seed = seed + k
-        game = generate_game(
-            _suite_config(instance_seed, "belief", players=(2, 3), strategies=(2, 3))
-        )
-        pairs = (
-            (Notion.BR_POINT, GLOBAL, Notion.SD, LOCAL),
-            (Notion.MSD, GLOBAL, Notion.MSD, LOCAL),
-        )
-        for notion1, mode1, notion2, mode2 in pairs:
-            op1 = operator(NotionProfile.uniform(notion1, game.n), game, mode1)
-            op2 = operator(NotionProfile.uniform(notion2, game.n), game, mode2)
-            report = check_inclusion_lemma(
-                op1, op2, game, samples=40, seed=instance_seed, exhaustive_limit=1 << 6
-            )
-            if not (report.conclusion_holds and report.monotonicity.passed):
-                payload = {
-                    "kind": "lem.inc",
-                    "game": game,
-                    "op1": op1.name,
-                    "op2": op2.name,
-                    "report": report,
-                }
-                return _report("lem.inc", k + 1, True, payload, seed, started)
-    return _report("lem.inc", games, False, None, seed, started)
+
+    def check(instance_seed):
+        started = time.perf_counter()
+        game = generate_game(_suite_config(instance_seed, "belief", strategies=(2, 3)))
+        payload = _inclusion_lemma_violation(game, instance_seed)
+        return _report("lem.inc", 1, payload is not None, payload, seed, started)
+
+    return _suite("lem.inc", games, seed, check)
 
 
 # --- predicate monotonicity -------------------------------------------------------
-
-def _opponent_subset_values(game, notion, i, s):
-    # every subset of the opponent offsets, smallest first, as a mask the
-    # memoised predicate core takes directly
-    offsets = list(set_bits(game.opponent_mask(i, game.full_masks)))
-    k = game.strategy_index(i, s)
-    values = {}
-    for size in range(len(offsets) + 1):
-        for combo in itertools.combinations(offsets, size):
-            subset = frozenset(game.opponent_profile(i, o) for o in combo)
-            values[subset] = _holds_cached(
-                game, notion, i, k, game.full_masks[i], sum(1 << o for o in combo))
-    return values
-
 
 def _nonmonotonicity_witnesses(game: Game, notion: Notion):
     """Monotonicity violations (player, strategy, smaller, larger) in the
@@ -503,14 +475,23 @@ def _nonmonotonicity_witnesses(game: Game, notion: Notion):
                 f"opponent-subset pairs; budget is {ENUMERATION_BUDGET}"
             )
     for i in range(game.n):
-        for s in game.strategies[i]:
-            values = _opponent_subset_values(game, notion, i, s)
-            for small, small_value in values.items():
+        # every subset of the opponent offsets as a mask, smallest first
+        offsets = list(set_bits(game.opponent_mask(i, game.full_masks)))
+        subsets = [
+            sum(1 << o for o in combo)
+            for size in range(len(offsets) + 1)
+            for combo in itertools.combinations(offsets, size)
+        ]
+        for k, s in enumerate(game.strategies[i]):
+            values = [_holds_cached(game, notion, i, k, game.full_masks[i], m) for m in subsets]
+            for small, small_value in zip(subsets, values):
                 if not small_value:
                     continue
-                for big, big_value in values.items():
-                    if small < big and not big_value:
-                        yield (i, s, small, big)
+                for big, big_value in zip(subsets, values):
+                    if small & ~big == 0 and small != big and not big_value:
+                        yield (i, s, *(
+                            frozenset(game.opponent_profile(i, o) for o in set_bits(mask))
+                            for mask in (small, big)))
 
 
 def check_predicate_monotonicity(game: Game, notion: Notion) -> tuple | None:
@@ -554,7 +535,7 @@ def monotonicity_suite(
 
     for k in range(large_samples):
         game = generate_game(
-            _suite_config(seed + k, "belief", players=(2, 3), strategies=(2, 3))
+            _suite_config(seed + k, "belief", strategies=(2, 3))
         )
         checked += 1
         for i in range(game.n):
@@ -620,6 +601,5 @@ def replay(report: VerificationReport) -> bool:
             notion, game, i, s, game.strategies[i], big
         )
     if kind == "lem.inc":
-        op_report = payload["report"]
-        return not (op_report.conclusion_holds and op_report.monotonicity.passed)
+        return _inclusion_lemma_violation(payload["game"], payload["instance_seed"]) is not None
     raise ValidationError(f"unknown payload kind {kind!r}")

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from epigame.elimination import LOCAL, NotionProfile, outcome
+from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator, outcome
 from epigame.epistemic import (
     rat_event,
     common_box,
@@ -12,8 +14,10 @@ from epigame.epistemic import (
 from epigame.errors import HypothesisNotMet, InvalidModel, NonMonotonicProfile, ValidationError
 from epigame.games import Restriction
 from epigame.generators import GeneratorConfig, generate_game, generate_model
+from epigame.lattice import check_inclusion_lemma
 from epigame.optimality import Notion
 from epigame.verify import (
+    VerificationReport,
     cor_suite,
     check_predicate_monotonicity,
     find_predicate_nonmonotonicity,
@@ -248,6 +252,105 @@ def test_monotonicity_suite_small_batch():
     report = monotonicity_suite(small_samples=300, large_samples=60, seed=2)
     assert report.holds
     assert report.instances_checked == 360
+
+
+def _empty_limit(game, profile, mode):
+    return Restriction(game, (0,) * game.n)
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        # a suite's seed s checks instances s, s+1, ...; the first failure
+        # reports its instance count and, for the inclusion claims, its own seed
+        (lambda: thm1_suite("msd", 5, seed=0), ("thm1.i+ii", 3, 2, "thm1.ii", ())),
+        (lambda: thm1_suite("msd", 5, seed=3), ("thm1.i+ii", 1, 3, "thm1.i", ())),
+        (lambda: cor_suite("cor1", 5, seed=3), ("cor1", 4, 6, "cor1", ("belief",))),
+        (lambda: cor_suite("cor2", 5, seed=5), ("cor2", 2, 6, "cor2", ())),
+    ],
+)
+def test_suites_report_their_first_failure(monkeypatch, run, expected):
+    import epigame.verify as verify
+
+    monkeypatch.setattr(verify, "elimination_limit", _empty_limit)
+    report = run()
+    assert (report.claim, report.instances_checked, report.seed,
+            report.counterexample["kind"], report.notes) == expected
+    assert report.verdict == "counterexample"
+
+
+def test_thm1iii_suite_reports_its_first_failure(monkeypatch):
+    import epigame.verify as verify
+
+    real = verify._common_belief_play
+    calls = []
+
+    def fail_from_the_second_instance(model, profile):
+        # six notions per instance: the seventh call is the second instance's first
+        calls.append(profile)
+        event, recovered = real(model, profile)
+        if len(calls) > 6:
+            recovered = Restriction(model.game, (0,) * model.game.n)
+        return event, recovered
+
+    monkeypatch.setattr(verify, "_common_belief_play", fail_from_the_second_instance)
+    report = thm1iii_suite(5, seed=3)
+    assert (report.claim, report.instances_checked, report.seed,
+            report.counterexample["kind"], report.notes) == ("thm1.iii", 2, 4, "thm1.iii", ())
+    assert report.counterexample["profile"] == NotionProfile.uniform("sd", report.counterexample["game"].n)
+
+
+def test_lemma_inc_suite_reports_its_first_failure(monkeypatch):
+    import epigame.verify as verify
+
+    real = verify.check_inclusion_lemma
+
+    def fail_second_pair_of_third_instance(op1, op2, game, **kwargs):
+        report = real(op1, op2, game, **kwargs)
+        if kwargs["seed"] == 6 and op1.name.startswith("T[msd"):
+            return dataclasses.replace(report, conclusion_holds=False)
+        return report
+
+    monkeypatch.setattr(verify, "check_inclusion_lemma", fail_second_pair_of_third_instance)
+    report = lemma_inc_suite(5, seed=4)
+    assert (report.claim, report.instances_checked, report.seed,
+            report.counterexample["kind"], report.notes) == ("lem.inc", 3, 4, "lem.inc", ())
+    assert report.counterexample["op2"].startswith("U[msd")
+    assert replay(report) is True
+
+
+def test_replay_reruns_the_inclusion_lemma():
+    # a forged lem.inc report on a game where the lemma holds does not replay
+    game = generate_game(GeneratorConfig(seed=4, players=(2, 3), strategies=(2, 3)))
+    op1 = operator(NotionProfile.uniform("brp", game.n), game, GLOBAL)
+    op2 = operator(NotionProfile.uniform("sd", game.n), game, LOCAL)
+    held = check_inclusion_lemma(op1, op2, game, samples=40, seed=4, exhaustive_limit=1 << 6)
+    assert held.conclusion_holds and held.monotonicity.passed
+    payload = {
+        "kind": "lem.inc",
+        "game": game,
+        "instance_seed": 4,
+        "op1": op1.name,
+        "op2": op2.name,
+        "report": dataclasses.replace(held, conclusion_holds=False),
+    }
+    assert replay(VerificationReport("lem.inc", 1, "counterexample", payload, seed=4)) is False
+
+
+def test_cor1_suite_games_do_not_depend_on_the_belief_class(monkeypatch):
+    import epigame.verify as verify
+
+    real = verify.verify_cor1
+    seen = {"correlated": [], "independent": []}
+    for belief_class, games in seen.items():
+        def record(game, model, seed=None, games=games):
+            games.append(game)
+            return real(game, model, seed=seed)
+
+        monkeypatch.setattr(verify, "verify_cor1", record)
+        assert cor_suite("cor1", 6, seed=3, belief_class=belief_class).holds
+    assert len(seen["correlated"]) == 6
+    assert seen["correlated"] == seen["independent"]
 
 
 def test_engine_builds_no_restriction_from_labels(monkeypatch):
