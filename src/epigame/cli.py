@@ -228,6 +228,16 @@ def _cmd_verify(args) -> int:
     claim = args.claim
     if args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
+    # an option the claim would not read is an input error, not a silent suite run
+    if args.game and claim in ("pearce", "lemma-inc"):
+        raise ValidationError(f"verify {claim} takes no --game: it runs a random suite")
+    if args.model and claim in ("thm1iii", "thm2", "monotonicity"):
+        raise ValidationError(f"verify {claim} takes no --model")
+    if args.game and not args.model and claim in ("thm1i", "thm1ii", "cor1", "cor2"):
+        raise ValidationError(
+            f"verify {claim} would ignore --game without --model: "
+            "pass both for one check, or neither for the random suite"
+        )
     game = _load_game(args.game) if args.game else None
     model = None
     if args.model:
@@ -236,7 +246,7 @@ def _cmd_verify(args) -> int:
         model = parse_model(_read(args.model), game)
 
     if claim in ("thm1i", "thm1ii"):
-        if game is not None and model is not None:
+        if model is not None:
             check = verify_mod.verify_thm1i if claim == "thm1i" else verify_mod.verify_thm1ii
             report = check(game, model, _profile_for(args, game), seed=args.seed)
         else:
@@ -268,7 +278,7 @@ def _cmd_verify(args) -> int:
         else:
             report = verify_mod.search_thm2(game, profile, seed=args.seed)
     elif claim in ("cor1", "cor2"):
-        if game is not None and model is not None:
+        if model is not None:
             if claim == "cor1":
                 report = verify_mod.verify_cor1(game, model, seed=args.seed)
             else:

@@ -324,7 +324,6 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     return BestResponseVerdict(True, CorrelatedBelief(tuple(zip(profiles, belief))))
 
 
-@per_game
 def _br_belief(game, i, s, alternatives, opponents):
     """The weights, one per opponent profile, of a correlated belief under
     which ``s`` is a best response within ``alternatives``; None if none."""

@@ -1,13 +1,18 @@
 """Machine checks for the claims tying common belief/knowledge of
 rationality to iterated elimination.
 
-Each claim has a single-instance checker returning a
-:class:`VerificationReport` and, where meaningful, a seeded random suite.
-The suites for theorem 1, the corollaries and the inclusion lemma share one
+Each claim is one check, which its single-instance checker, its seeded
+random suite and :func:`replay` share. A :class:`VerificationReport` is a
+value: the same inputs give an equal report with the same rendering. The
+suites for theorem 1, the corollaries and the inclusion lemma share one
 instance loop, :func:`_suite`; the Pearce and monotonicity suites count
 restrictions or two phases under one random stream and keep their own.
+A failing suite report states the suite seed and the instances checked up
+to the failure, so the same suite call with those two re-runs it.
 Counterexample payloads are replayable: :func:`replay` re-runs the failing
-instance and must reproduce the violation.
+instance and must reproduce the violation. A monotonicity witness is
+(player, strategy, smaller, larger), each opponent set a tuple of opponent
+profiles in offset order.
 
 Claim identifiers used throughout ("thm1.i", "cor2", ...) are the engine's
 own stable names for the checked statements; the CLI exposes them verbatim.
@@ -18,8 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .elimination import GLOBAL, LOCAL, NotionProfile, operator, u_local
@@ -66,29 +70,27 @@ def _limit_masks(game: Game, profile: NotionProfile, mode: str):
     return iterate_to_outcome(op, game.full_restriction()).outcome.masks
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     claim: str
     instances_checked: int
     verdict: str
     counterexample: dict | None = None
     seed: int | None = None
-    runtime_seconds: float = 0.0
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     @property
     def holds(self) -> bool:
         return self.verdict == HOLDS_ON_ALL
 
 
-def _report(claim, instances, violated, payload, seed, started, notes=()):
+def _report(claim, instances, violated, payload, seed, notes=()):
     return VerificationReport(
         claim=claim,
         instances_checked=instances,
         verdict=COUNTEREXAMPLE if violated else HOLDS_ON_ALL,
         counterexample=payload if violated else None,
         seed=seed,
-        runtime_seconds=time.perf_counter() - started,
         notes=tuple(notes),
     )
 
@@ -119,17 +121,16 @@ def _common_belief_play(model: EpistemicModel, profile: NotionProfile):
     return event, restriction_of(model, event)
 
 
-def _check_inclusion(claim, chosen, limit, seed, started, notes=(), **extras):
+def _check_inclusion(claim, chosen, limit, seed, notes=(), **extras):
     """The inclusion claims' one check: the restriction played under
     RAT and CB(RAT) lies inside the elimination limit."""
     violated = not chosen.is_subset_of(limit)
     payload = {"kind": claim, **extras, "chosen": chosen, "limit": limit}
-    return _report(claim, 1, violated, payload, seed, started, notes)
+    return _report(claim, 1, violated, payload, seed, notes)
 
 
 def _verify_thm1(claim, model_class, game, model, profile, seed):
     """Theorem 1 (i) or (ii): one check, on a belief- or a knowledge-class model."""
-    started = time.perf_counter()
     bad = profile.non_monotonic()
     if bad:
         raise NonMonotonicProfile(
@@ -141,7 +142,7 @@ def _verify_thm1(claim, model_class, game, model, profile, seed):
     event, chosen = _common_belief_play(model, profile)
     limit = elimination_limit(game, profile, GLOBAL)
     return _check_inclusion(
-        claim, chosen, limit, seed, started, game=game, model=model, profile=profile, event=event
+        claim, chosen, limit, seed, game=game, model=model, profile=profile, event=event
     )
 
 
@@ -167,7 +168,6 @@ def verify_thm1iii(
     """The two-block knowledge model built around the elimination outcome
     achieves the reverse inclusion: T-outcome <= G_(common-knowledge-of-RAT).
     Holds for every notion, monotonic or not."""
-    started = time.perf_counter()
     model, trace = iterated_elimination_model(game, profile)
     _, recovered = _common_belief_play(model, profile)
     violated = not trace.outcome.is_subset_of(recovered)
@@ -179,7 +179,7 @@ def verify_thm1iii(
         "limit": trace.outcome,
         "recovered": recovered,
     }
-    return _report("thm1.iii", 1, violated, payload, seed, started)
+    return _report("thm1.iii", 1, violated, payload, seed)
 
 
 def thm2_hypothesis_clauses(
@@ -211,7 +211,6 @@ def verify_thm2(
     Raises :class:`HypothesisNotMet` when the joint strategy does not
     qualify. A ``counterexample`` verdict is the expected, successful result.
     """
-    started = time.perf_counter()
     profile.validate_for(game)
     clauses = thm2_hypothesis_clauses(game, profile, joint)
     if clauses:
@@ -231,47 +230,41 @@ def verify_thm2(
         "chosen": chosen,
         "limit": limit,
     }
-    return _report("thm2", 1, violated, payload, seed, started)
+    return _report("thm2", 1, violated, payload, seed)
 
 
 def search_thm2(game: Game, profile: NotionProfile, seed: int | None = None) -> VerificationReport:
     """Scan all joint strategies for one meeting the counterexample
     hypothesis; verify the first hit."""
-    started = time.perf_counter()
     profile.validate_for(game)
-    tried = 0
-    for joint in game.joint_strategies:
-        tried += 1
-        if thm2_hypothesis_clauses(game, profile, joint):
-            continue
-        report = verify_thm2(game, profile, joint, seed=seed)
-        report.instances_checked = tried
-        report.notes = (f"hypothesis witness {joint}",)
-        return report
-    return _report(
-        "thm2",
-        tried,
-        False,
-        None,
-        seed,
-        started,
-        notes=("no joint strategy meets the hypothesis",),
-    )
+    for tried, joint in enumerate(game.joint_strategies, 1):
+        if not thm2_hypothesis_clauses(game, profile, joint):
+            report = verify_thm2(game, profile, joint, seed=seed)
+            return replace(
+                report, instances_checked=tried, notes=(f"hypothesis witness {joint}",)
+            )
+    notes = ("no joint strategy meets the hypothesis",)
+    return _report("thm2", len(game.joint_strategies), False, None, seed, notes)
+
+
+def _verify_cor(claim, game, model, rationality, dominance, seed, notes=(), **extras):
+    """The corollaries' one check: play under RAT and CB(RAT) for the
+    ``rationality`` profile lies inside the local limit of ``dominance``."""
+    _require_model(game, model, "belief")
+    limit = elimination_limit(game, NotionProfile.uniform(dominance, game.n), LOCAL)
+    _, chosen = _common_belief_play(model, rationality)
+    return _check_inclusion(claim, chosen, limit, seed, notes, game=game, model=model, **extras)
 
 
 def verify_cor1(game: Game, model: EpistemicModel, seed: int | None = None) -> VerificationReport:
     """Point-belief rationality under true common belief (or common
     knowledge) confines play to the local strict-dominance outcome."""
-    started = time.perf_counter()
     profile = NotionProfile.uniform(Notion.BR_POINT, game.n)
-    _require_model(game, model, "belief")
-    limit = elimination_limit(game, NotionProfile.uniform(Notion.SD, game.n), LOCAL)
-    _, chosen = _common_belief_play(model, profile)
-    report = _check_inclusion(
-        "cor1", chosen, limit, seed, started, ("belief",), game=game, model=model, profile=profile
+    report = _verify_cor(
+        "cor1", game, model, profile, Notion.SD, seed, ("belief",), profile=profile
     )
     if model.model_class == "knowledge" and report.holds:
-        report.notes += ("knowledge",)
+        return replace(report, notes=report.notes + ("knowledge",))
     return report
 
 
@@ -284,7 +277,6 @@ def verify_cor2(
     """Best-response rationality (point, independent, or correlated beliefs)
     under true common belief confines play to the local mixed-strict-
     dominance outcome."""
-    started = time.perf_counter()
     notion = {
         "point": Notion.BR_POINT,
         "independent": Notion.BR_INDEPENDENT,
@@ -294,12 +286,7 @@ def verify_cor2(
         raise ValidationError(f"unknown belief class {belief_class!r}")
     profile = NotionProfile.uniform(notion, game.n)
     profile.validate_for(game)
-    _require_model(game, model, "belief")
-    limit = elimination_limit(game, NotionProfile.uniform(Notion.MSD, game.n), LOCAL)
-    _, chosen = _common_belief_play(model, profile)
-    return _check_inclusion(
-        "cor2", chosen, limit, seed, started, game=game, model=model, belief_class=belief_class
-    )
+    return _verify_cor("cor2", game, model, profile, Notion.MSD, seed, belief_class=belief_class)
 
 
 # --- seeded random suites --------------------------------------------------------
@@ -316,15 +303,14 @@ def _suite_config(seed: int, target_class: str, players=(2, 3), strategies=(2, 4
 
 def _suite(claim, instances, seed, check, notes=()) -> VerificationReport:
     """The suites' one instance loop: ``check(seed + k)`` for k = 0, 1, ...
-    The first failing report is returned, counting the instances up to its
-    own; if none fails, a holds-on-all report."""
-    started = time.perf_counter()
+    The first failing report is returned under the suite's claim and seed,
+    counting the instances up to its own; if none fails, a holds-on-all
+    report."""
     for k in range(instances):
         report = check(seed + k)
         if not report.holds:
-            report.instances_checked = k + 1
-            return report
-    return _report(claim, instances, False, None, seed, started, notes)
+            return replace(report, claim=claim, instances_checked=k + 1, seed=seed)
+    return _report(claim, instances, False, None, seed, notes)
 
 
 def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> VerificationReport:
@@ -339,9 +325,8 @@ def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> Verificat
         belief_model = generate_model(_suite_config(instance_seed, "belief"), game)
         knowledge_model = generate_model(_suite_config(instance_seed, "knowledge"), game)
         for verify_one, model in ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)):
-            report = verify_one(game, model, profile, seed=instance_seed)
+            report = verify_one(game, model, profile)
             if not report.holds:
-                report.claim = "thm1.i+ii"
                 break
         return report
 
@@ -356,7 +341,7 @@ def thm1iii_suite(instances: int, seed: int = 0) -> VerificationReport:
         game = generate_game(_suite_config(instance_seed, "knowledge", strategies=(2, 3)))
         for notion in (Notion.SD, Notion.WD, Notion.MSD, Notion.MWD, Notion.BR_POINT,
                        Notion.BR_CORRELATED):
-            report = verify_thm1iii(game, NotionProfile.uniform(notion, game.n), seed=instance_seed)
+            report = verify_thm1iii(game, NotionProfile.uniform(notion, game.n))
             if not report.holds:
                 break
         return report
@@ -382,42 +367,45 @@ def cor_suite(
         game = generate_game(config)
         model = generate_model(config, game)
         if which == "cor1":
-            return verify_cor1(game, model, seed=instance_seed)
-        return verify_cor2(game, model, belief_class, seed=instance_seed)
+            return verify_cor1(game, model)
+        return verify_cor2(game, model, belief_class)
 
     return _suite(which, instances, seed, check)
 
 
-def pearce_suite(games: int, seed: int = 0, restrictions_per_game: int = 6) -> VerificationReport:
+# restrictions per Pearce suite game: the full game and five sampled ones
+PEARCE_RESTRICTIONS = 6
+
+
+def _pearce_violation(game: Game, restriction: Restriction) -> dict | None:
+    """The local correlated-best-response and local mixed-strict-dominance
+    steps on one restriction; their payload if they differ, else None."""
+    brc = u_local(NotionProfile.uniform(Notion.BR_CORRELATED, game.n), game, restriction)
+    msd = u_local(NotionProfile.uniform(Notion.MSD, game.n), game, restriction)
+    if brc == msd:
+        return None
+    return {"kind": "pearce", "game": game, "restriction": restriction, "brc": brc, "msd": msd}
+
+
+def pearce_suite(games: int, seed: int = 0) -> VerificationReport:
     """Componentwise equality of the local correlated-best-response and local
     mixed-strict-dominance operators on sampled restrictions with non-empty
     components; this cross-validates the two independent LP formulations."""
-    started = time.perf_counter()
     rng = random.Random(seed)
     checked = 0
     for k in range(games):
         game = generate_game(_suite_config(seed + k, "belief"))
-        brc = NotionProfile.uniform(Notion.BR_CORRELATED, game.n)
-        msd = NotionProfile.uniform(Notion.MSD, game.n)
         candidates = [game.full_restriction()]
-        while len(candidates) < restrictions_per_game:
+        while len(candidates) < PEARCE_RESTRICTIONS:
             candidate = sample_restriction(rng, game)
             if not candidate.has_empty_component():
                 candidates.append(candidate)
         for restriction in candidates:
             checked += 1
-            left = u_local(brc, game, restriction)
-            right = u_local(msd, game, restriction)
-            if left != right:
-                payload = {
-                    "kind": "pearce",
-                    "game": game,
-                    "restriction": restriction,
-                    "brc": left,
-                    "msd": right,
-                }
-                return _report("pearce", checked, True, payload, seed, started)
-    return _report("pearce", checked, False, None, seed, started)
+            payload = _pearce_violation(game, restriction)
+            if payload is not None:
+                return _report("pearce", checked, True, payload, seed)
+    return _report("pearce", checked, False, None, seed)
 
 
 def _inclusion_lemma_violation(game: Game, instance_seed: int) -> dict | None:
@@ -452,15 +440,21 @@ def lemma_inc_suite(games: int, seed: int = 0) -> VerificationReport:
     dominance, local mixed dominance) on random games."""
 
     def check(instance_seed):
-        started = time.perf_counter()
         game = generate_game(_suite_config(instance_seed, "belief", strategies=(2, 3)))
         payload = _inclusion_lemma_violation(game, instance_seed)
-        return _report("lem.inc", 1, payload is not None, payload, seed, started)
+        return _report("lem.inc", 1, payload is not None, payload, seed)
 
     return _suite("lem.inc", games, seed, check)
 
 
 # --- predicate monotonicity -------------------------------------------------------
+
+def _monotonicity_witness(game: Game, i: int, label: str, small: int, big: int) -> tuple:
+    """The witness (player, strategy, smaller, larger) for two opponent
+    offset masks, each opponent set a tuple of profiles in offset order."""
+    return (i, label, *(tuple(game.opponent_profile(i, o) for o in set_bits(mask))
+                        for mask in (small, big)))
+
 
 def _nonmonotonicity_witnesses(game: Game, notion: Notion):
     """Monotonicity violations (player, strategy, smaller, larger) in the
@@ -489,9 +483,7 @@ def _nonmonotonicity_witnesses(game: Game, notion: Notion):
                     continue
                 for big, big_value in zip(subsets, values):
                     if small & ~big == 0 and small != big and not big_value:
-                        yield (i, s, *(
-                            frozenset(game.opponent_profile(i, o) for o in set_bits(mask))
-                            for mask in (small, big)))
+                        yield _monotonicity_witness(game, i, s, small, big)
 
 
 def check_predicate_monotonicity(game: Game, notion: Notion) -> tuple | None:
@@ -514,29 +506,26 @@ def monotonicity_suite(
     """Monotonicity of the four monotonic notions: exhaustive opponent-set
     pairs on sampled 2x2 games with payoffs in {0,1,2}, then random larger
     games with sampled subset pairs."""
-    started = time.perf_counter()
     rng = random.Random(seed)
     notions = (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED)
     checked = 0
 
+    def failure(game, notion, witness):
+        payload = {"kind": "lem.mono", "game": game, "notion": notion, "witness": witness}
+        return _report("lem.mono", checked, True, payload, seed)
+
     pool = (Fraction(0), Fraction(1), Fraction(2))
     tables = list(itertools.product(pool, repeat=4))
     for _ in range(small_samples):
-        game = Game(
-            (("a", "b"), ("x", "y")),
-            (rng.choice(tables), rng.choice(tables)),
-        )
+        game = Game((("a", "b"), ("x", "y")), (rng.choice(tables), rng.choice(tables)))
         checked += 1
         for notion in notions:
             witness = check_predicate_monotonicity(game, notion)
             if witness:
-                payload = {"kind": "lem.mono", "game": game, "notion": notion, "witness": witness}
-                return _report("lem.mono", checked, True, payload, seed, started)
+                return failure(game, notion, witness)
 
     for k in range(large_samples):
-        game = generate_game(
-            _suite_config(seed + k, "belief", strategies=(2, 3))
-        )
+        game = generate_game(_suite_config(seed + k, "belief", strategies=(2, 3)))
         checked += 1
         for i in range(game.n):
             alternatives = game.full_masks[i]
@@ -549,22 +538,11 @@ def monotonicity_suite(
             for notion in notions:
                 for k, s in enumerate(game.strategies[i]):
                     for small, big in pairs:
-                        if _holds_cached(
-                            game, notion, i, k, alternatives, small
-                        ) and not _holds_cached(
-                            game, notion, i, k, alternatives, big
-                        ):
-                            labelled = (
-                                tuple(game.opponent_profile(i, o) for o in set_bits(subset))
-                                for subset in (small, big))
-                            payload = {
-                                "kind": "lem.mono",
-                                "game": game,
-                                "notion": notion,
-                                "witness": (i, s, *labelled),
-                            }
-                            return _report("lem.mono", checked, True, payload, seed, started)
-    return _report("lem.mono", checked, False, None, seed, started)
+                        if (_holds_cached(game, notion, i, k, alternatives, small)
+                                and not _holds_cached(game, notion, i, k, alternatives, big)):
+                            witness = _monotonicity_witness(game, i, s, small, big)
+                            return failure(game, notion, witness)
+    return _report("lem.mono", checked, False, None, seed)
 
 
 # --- replay -----------------------------------------------------------------------
@@ -589,11 +567,7 @@ def replay(report: VerificationReport) -> bool:
     if kind == "cor2":
         return not verify_cor2(payload["game"], payload["model"], payload["belief_class"]).holds
     if kind == "pearce":
-        game = payload["game"]
-        restriction = payload["restriction"]
-        brc = NotionProfile.uniform(Notion.BR_CORRELATED, game.n)
-        msd = NotionProfile.uniform(Notion.MSD, game.n)
-        return u_local(brc, game, restriction) != u_local(msd, game, restriction)
+        return _pearce_violation(payload["game"], payload["restriction"]) is not None
     if kind == "lem.mono":
         game, notion = payload["game"], payload["notion"]
         i, s, small, big = payload["witness"]

@@ -161,13 +161,13 @@ def test_criterion_08_monotonicity_suite(tie_game):
     assert report.instances_checked == 6000
 
     witnesses = find_predicate_nonmonotonicity(tie_game, Notion.WD)
-    assert (0, "U", frozenset({("L",)}), frozenset({("L",), ("R",)})) in witnesses
+    assert (0, "U", (("L",),), (("L",), ("R",))) in witnesses
     _announce(8, started, "monotonic notions verified on 6000 games; weak-dominance witness reproduced")
 
 
 def test_criterion_09_pearce_equivalence():
     started = time.perf_counter()
-    report = pearce_suite(games=500, seed=55, restrictions_per_game=6)
+    report = pearce_suite(games=500, seed=55)
     assert report.holds, report.counterexample
     assert report.instances_checked >= 500 * 6
     _announce(9, started, "local correlated-best-response equals local mixed dominance on all samples")

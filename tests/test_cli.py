@@ -229,6 +229,32 @@ def test_verify_single_instance_with_model(capsys, tie_game_file, singleton_mode
     assert "claim: thm1.i" in out
 
 
+@pytest.mark.parametrize(
+    "argv, ignored",
+    [
+        (["thm1i", "--game", "GAME", "--profile", "sd"], "--game"),
+        (["thm1ii", "--game", "GAME"], "--game"),
+        (["cor1", "--game", "GAME"], "--game"),
+        (["cor2", "--game", "GAME"], "--game"),
+        (["pearce", "--game", "GAME"], "--game"),
+        (["pearce", "--game", "GAME", "--model", "MODEL"], "--game"),
+        (["lemma-inc", "--game", "GAME"], "--game"),
+        (["thm1iii", "--game", "GAME", "--model", "MODEL", "--profile", "wd"], "--model"),
+        (["thm2", "--game", "GAME", "--model", "MODEL", "--profile", "wd"], "--model"),
+        (["monotonicity", "--game", "GAME", "--model", "MODEL"], "--model"),
+    ],
+)
+def test_verify_rejects_an_option_it_would_ignore(
+    capsys, tie_game_file, singleton_model_file, argv, ignored
+):
+    files = {"GAME": tie_game_file, "MODEL": singleton_model_file}
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, "verify", *argv, "--samples", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and ignored in err
+
+
 @pytest.mark.parametrize("profile", ["sd,msd", "sd msd", "xx"])
 def test_verify_suite_rejects_bad_profile(capsys, profile):
     code, out, err = run(capsys, "verify", "thm1i", "--profile", profile, "--samples", "2")

@@ -262,11 +262,11 @@ def _empty_limit(game, profile, mode):
     "run, expected",
     [
         # a suite's seed s checks instances s, s+1, ...; the first failure
-        # reports its instance count and, for the inclusion claims, its own seed
-        (lambda: thm1_suite("msd", 5, seed=0), ("thm1.i+ii", 3, 2, "thm1.ii", ())),
+        # reports its instance count and the suite seed
+        (lambda: thm1_suite("msd", 5, seed=0), ("thm1.i+ii", 3, 0, "thm1.ii", ())),
         (lambda: thm1_suite("msd", 5, seed=3), ("thm1.i+ii", 1, 3, "thm1.i", ())),
-        (lambda: cor_suite("cor1", 5, seed=3), ("cor1", 4, 6, "cor1", ("belief",))),
-        (lambda: cor_suite("cor2", 5, seed=5), ("cor2", 2, 6, "cor2", ())),
+        (lambda: cor_suite("cor1", 5, seed=3), ("cor1", 4, 3, "cor1", ("belief",))),
+        (lambda: cor_suite("cor2", 5, seed=5), ("cor2", 2, 5, "cor2", ())),
     ],
 )
 def test_suites_report_their_first_failure(monkeypatch, run, expected):
@@ -296,7 +296,7 @@ def test_thm1iii_suite_reports_its_first_failure(monkeypatch):
     monkeypatch.setattr(verify, "_common_belief_play", fail_from_the_second_instance)
     report = thm1iii_suite(5, seed=3)
     assert (report.claim, report.instances_checked, report.seed,
-            report.counterexample["kind"], report.notes) == ("thm1.iii", 2, 4, "thm1.iii", ())
+            report.counterexample["kind"], report.notes) == ("thm1.iii", 2, 3, "thm1.iii", ())
     assert report.counterexample["profile"] == NotionProfile.uniform("sd", report.counterexample["game"].n)
 
 
@@ -317,6 +317,127 @@ def test_lemma_inc_suite_reports_its_first_failure(monkeypatch):
             report.counterexample["kind"], report.notes) == ("lem.inc", 3, 4, "lem.inc", ())
     assert report.counterexample["op2"].startswith("U[msd")
     assert replay(report) is True
+
+
+def _brc_keeps_everything(monkeypatch):
+    # local brc stops eliminating once the restriction is not the full game
+    import epigame.verify as verify
+
+    real = verify.u_local
+
+    def u_local(profile, game, restriction):
+        if profile.notions[0] is Notion.BR_CORRELATED and restriction != game.full_restriction():
+            return restriction
+        return real(profile, game, restriction)
+
+    monkeypatch.setattr(verify, "u_local", u_local)
+
+
+def _at_most_one_opponent(monkeypatch, spare_two_by_two=False):
+    # every notion holds against at most one opponent profile and fails
+    # against more: not monotonic; the replay's holds() reads it too
+    import epigame.optimality as optimality
+    import epigame.verify as verify
+
+    real = optimality._holds_cached
+
+    def fake(game, notion, i, s, alternatives, opponents):
+        if spare_two_by_two and game.strategies == (("a", "b"), ("x", "y")):
+            return real(game, notion, i, s, alternatives, opponents)
+        return opponents & (opponents - 1) == 0
+
+    monkeypatch.setattr(verify, "_holds_cached", fake)
+    monkeypatch.setattr(optimality, "_holds_cached", fake)
+
+
+_FORCED_FAILURES = {
+    # name: (patch, run(seed, instances), suite seed)
+    "pearce": (_brc_keeps_everything, lambda seed, n: pearce_suite(n, seed=seed), 8),
+    "mono-exhaustive": (
+        _at_most_one_opponent,
+        lambda seed, n: monotonicity_suite(small_samples=n, large_samples=4, seed=seed), 2,
+    ),
+    "mono-sampled": (
+        lambda monkeypatch: _at_most_one_opponent(monkeypatch, spare_two_by_two=True),
+        lambda seed, n: monotonicity_suite(small_samples=3, large_samples=n - 3, seed=seed), 2,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name, claim, instances",
+    [("pearce", "pearce", 4), ("mono-exhaustive", "lem.mono", 1), ("mono-sampled", "lem.mono", 4)],
+)
+def test_pearce_and_monotonicity_suites_report_their_first_failure(
+    monkeypatch, name, claim, instances
+):
+    patch, run, seed = _FORCED_FAILURES[name]
+    patch(monkeypatch)
+    report = run(seed, 8)
+    assert report.verdict == "counterexample"
+    assert (report.claim, report.instances_checked, report.seed) == (claim, instances, seed)
+    keys = {"kind", "game", "restriction", "brc", "msd"} if claim == "pearce" else {
+        "kind", "game", "notion", "witness"}
+    assert set(report.counterexample) == keys
+    assert report.counterexample["kind"] == claim
+    assert replay(report) is True
+
+
+def _empty_limit_patch(monkeypatch):
+    import epigame.verify as verify
+
+    monkeypatch.setattr(verify, "elimination_limit", _empty_limit)
+
+
+def _inclusion_lemma_fails_at_instance_seed_6(monkeypatch):
+    import epigame.verify as verify
+
+    real = verify.check_inclusion_lemma
+
+    def check(op1, op2, game, **kwargs):
+        report = real(op1, op2, game, **kwargs)
+        if kwargs["seed"] == 6:
+            return dataclasses.replace(report, conclusion_holds=False)
+        return report
+
+    monkeypatch.setattr(verify, "check_inclusion_lemma", check)
+
+
+def _thm1iii_fails_at_instance_seed_4(monkeypatch):
+    import epigame.verify as verify
+
+    real = verify._common_belief_play
+    failing = generate_game(GeneratorConfig(seed=4, players=(2, 3), strategies=(2, 3)))
+
+    def play(model, profile):
+        event, recovered = real(model, profile)
+        if model.game == failing:
+            recovered = Restriction(model.game, (0,) * model.game.n)
+        return event, recovered
+
+    monkeypatch.setattr(verify, "_common_belief_play", play)
+
+
+@pytest.mark.parametrize(
+    "patch, run, seed",
+    [
+        (_empty_limit_patch, lambda seed, n: thm1_suite("msd", n, seed=seed), 0),
+        (_empty_limit_patch, lambda seed, n: cor_suite("cor1", n, seed=seed), 3),
+        (_empty_limit_patch, lambda seed, n: cor_suite("cor2", n, seed=seed), 5),
+        (_thm1iii_fails_at_instance_seed_4, lambda seed, n: thm1iii_suite(n, seed=seed), 3),
+        (_inclusion_lemma_fails_at_instance_seed_6, lambda seed, n: lemma_inc_suite(n, seed=seed), 4),
+        *_FORCED_FAILURES.values(),
+    ],
+    ids=["thm1", "cor1", "cor2", "thm1iii", "lem.inc", *_FORCED_FAILURES],
+)
+def test_a_failing_suite_report_reruns_from_its_seed(monkeypatch, patch, run, seed):
+    # a report is a value: the suite seed and the instance count it states
+    # re-run the failure to an equal report
+    patch(monkeypatch)
+    report = run(seed, 8)
+    assert report.verdict == "counterexample"
+    assert report.seed == seed
+    assert run(report.seed, report.instances_checked) == report
 
 
 def test_replay_reruns_the_inclusion_lemma():
@@ -385,12 +506,49 @@ def test_weak_dominance_finder_reproduces_tie_game_witness(tie_game):
     assert (
         0,
         "U",
-        frozenset({("L",)}),
-        frozenset({("L",), ("R",)}),
+        (("L",),),
+        (("L",), ("R",)),
     ) in witnesses
     # and the monotonic notions admit no witness on this game
     for notion in (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED):
         assert check_predicate_monotonicity(tie_game, notion) is None
+
+
+_RENDER_WITNESSES = """\
+import sys
+from epigame.cli import render_report
+from epigame.games import parse_game
+from epigame.optimality import Notion
+from epigame.verify import VerificationReport, find_predicate_nonmonotonicity
+
+game = parse_game(sys.stdin.read())
+for witness in find_predicate_nonmonotonicity(game, Notion.WD):
+    payload = {"kind": "lem.mono", "game": game, "notion": Notion.WD, "witness": witness}
+    print(render_report(VerificationReport("lem.mono", 1, "counterexample", payload, seed=0)))
+"""
+
+
+def test_monotonicity_witnesses_render_alike_in_every_process():
+    # a witness lists its opponent profiles in offset order, whatever the
+    # string hash seed of the process
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import epigame
+    from conftest import TIE_GAME_TEXT
+
+    src = str(Path(epigame.__file__).resolve().parents[1])
+    renderings = set()
+    for hash_seed in range(8):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed),
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run([sys.executable, "-c", _RENDER_WITNESSES], input=TIE_GAME_TEXT,
+                              env=env, capture_output=True, text=True, check=True)
+        assert "counterexample witness: (0, 'U', (('L',),), (('L',), ('R',)))" in done.stdout
+        renderings.add(done.stdout)
+    assert len(renderings) == 1
 
 
 def _all_point_to_dd(game):
