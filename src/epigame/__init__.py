@@ -84,6 +84,7 @@ from .verify import (
     search_thm2,
     verify_cor1,
     verify_cor2,
+    verify_monotonicity,
     verify_thm1i,
     verify_thm1ii,
     verify_thm1iii,

@@ -28,10 +28,11 @@ from .games import (
     parse_game,
     render_game,
     render_restriction,
+    set_bits,
 )
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import EliminationTrace
-from .optimality import Notion, parse_notion
+from .optimality import MONOTONIC_NOTIONS, Notion, parse_notion
 from .verify import VerificationReport
 
 
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     epistemic = commands.add_parser("epistemic", help="evaluate events on a model")
     epistemic.add_argument("--game", required=True, metavar="FILE")
     epistemic.add_argument("--model", required=True, metavar="FILE")
-    epistemic.add_argument("--profile", default="sd", help="one notion or a comma list")
+    epistemic.add_argument("--profile", help="one notion or a comma list (rat; default sd)")
     epistemic.add_argument("action", choices=["rat", "commonbox", "validate"])
     epistemic.add_argument("event", nargs="?", help="comma-separated states (for commonbox)")
 
@@ -155,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--profile", help="one notion or a comma list")
     verify.add_argument("--joint", help="comma-separated joint strategy (thm2)")
     verify.add_argument("--belief-class", choices=["point", "independent", "correlated"],
-                        default="correlated")
-    verify.add_argument("--samples", type=int, default=300)
+                        help="cor2 (default correlated)")
+    verify.add_argument("--samples", type=int, help="random suite size (default 300)")
     verify.add_argument("--seed", type=int, default=0)
 
     generate = commands.add_parser("generate", help="emit a random game or model")
@@ -190,6 +191,11 @@ def _cmd_eliminate(args) -> int:
 
 
 def _cmd_epistemic(args) -> int:
+    # an option the action would not read is an input error, not ignored
+    if args.profile is not None and args.action != "rat":
+        raise ValidationError(f"epistemic {args.action} takes no --profile")
+    if args.event is not None and args.action != "commonbox":
+        raise ValidationError(f"epistemic {args.action} takes no event argument")
     game = _load_game(args.game)
     model = parse_model(_read(args.model), game)
     if args.action == "validate":
@@ -198,16 +204,14 @@ def _cmd_epistemic(args) -> int:
     if model.model_class == "invalid":
         # diagnose which of the correspondence properties failed
         print(validation_report(model), end="", file=sys.stderr)
-    profile = NotionProfile.parse(args.profile, game.n)
     if args.action == "rat":
+        profile = NotionProfile.parse("sd" if args.profile is None else args.profile, game.n)
         event = rat_event(model, profile)
-        print("rat: " + " ".join(s for s in model.space.states if s in event))
-        return 0
-    if args.event is None:
+    elif args.event is None:
         raise EngineError("commonbox needs an event argument (comma-separated states)")
-    requested = frozenset(s for s in args.event.split(",") if s)
-    stable = common_box(model, requested)
-    print("commonbox: " + " ".join(s for s in model.space.states if s in stable))
+    else:
+        event = common_box(model, model.space.mask_of(s for s in args.event.split(",") if s))
+    print(f"{args.action}: " + " ".join(model.space.states[k] for k in set_bits(event)))
     return 0
 
 
@@ -226,9 +230,10 @@ def _suite_notion(text: str) -> Notion:
 
 def _cmd_verify(args) -> int:
     claim = args.claim
-    if args.samples < 1:
+    if args.samples is not None and args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
-    # an option the claim would not read is an input error, not a silent suite run
+    # an option the claim would not read is an input error, not a silent suite
+    # run or a silently dropped setting
     if args.game and claim in ("pearce", "lemma-inc"):
         raise ValidationError(f"verify {claim} takes no --game: it runs a random suite")
     if args.model and claim in ("thm1iii", "thm2", "monotonicity"):
@@ -238,6 +243,18 @@ def _cmd_verify(args) -> int:
             f"verify {claim} would ignore --game without --model: "
             "pass both for one check, or neither for the random suite"
         )
+    for option, value, read in (
+        ("--profile", args.profile,
+         claim in ("thm1i", "thm1ii") or (args.game and claim in ("thm1iii", "thm2"))),
+        ("--joint", args.joint, claim == "thm2"),
+        ("--belief-class", args.belief_class, claim == "cor2"),
+        ("--samples", args.samples, not args.game),
+    ):
+        if value is not None and not read:
+            with_game = " with --game" if args.game else ""
+            raise ValidationError(f"verify {claim}{with_game} takes no {option}")
+    samples = 300 if args.samples is None else args.samples
+    belief_class = args.belief_class or "correlated"
     game = _load_game(args.game) if args.game else None
     model = None
     if args.model:
@@ -250,25 +267,22 @@ def _cmd_verify(args) -> int:
             check = verify_mod.verify_thm1i if claim == "thm1i" else verify_mod.verify_thm1ii
             report = check(game, model, _profile_for(args, game), seed=args.seed)
         else:
-            notions = (
-                [_suite_notion(args.profile)] if args.profile else
-                [Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED]
-            )
+            notions = [_suite_notion(args.profile)] if args.profile else MONOTONIC_NOTIONS
             report = None
             for notion in notions:
-                report = verify_mod.thm1_suite(notion, args.samples, seed=args.seed)
+                report = verify_mod.thm1_suite(notion, samples, seed=args.seed)
                 if not report.holds:
                     break
     elif claim == "thm1iii":
         if game is not None:
             report = verify_mod.verify_thm1iii(game, _profile_for(args, game), seed=args.seed)
         else:
-            report = verify_mod.thm1iii_suite(args.samples, seed=args.seed)
+            report = verify_mod.thm1iii_suite(samples, seed=args.seed)
     elif claim == "thm2":
         if game is None:
             raise EngineError("verify thm2 needs --game")
         profile = _profile_for(args, game)
-        if args.joint:
+        if args.joint is not None:
             joint = tuple(args.joint.split(","))
             try:
                 report = verify_mod.verify_thm2(game, profile, joint, seed=args.seed)
@@ -282,28 +296,19 @@ def _cmd_verify(args) -> int:
             if claim == "cor1":
                 report = verify_mod.verify_cor1(game, model, seed=args.seed)
             else:
-                report = verify_mod.verify_cor2(game, model, args.belief_class, seed=args.seed)
+                report = verify_mod.verify_cor2(game, model, belief_class, seed=args.seed)
         else:
-            report = verify_mod.cor_suite(claim, args.samples, seed=args.seed,
-                                          belief_class=args.belief_class)
+            report = verify_mod.cor_suite(claim, samples, seed=args.seed,
+                                          belief_class=belief_class)
     elif claim == "pearce":
-        report = verify_mod.pearce_suite(args.samples, seed=args.seed)
+        report = verify_mod.pearce_suite(samples, seed=args.seed)
     elif claim == "lemma-inc":
-        report = verify_mod.lemma_inc_suite(args.samples, seed=args.seed)
-    else:  # monotonicity
-        if game is not None:
-            for notion in (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED):
-                witness = verify_mod.check_predicate_monotonicity(game, notion)
-                if witness:
-                    print(f"claim: lem.mono\nverdict: counterexample\nnotion: {notion}")
-                    print(f"witness: {witness}")
-                    return 1
-            weak_witnesses = verify_mod.find_predicate_nonmonotonicity(game, Notion.WD)
-            print("claim: lem.mono\nverdict: holds-on-all")
-            print(f"note: wd non-monotonicity witnesses on this game: {len(weak_witnesses)}")
-            return 0
+        report = verify_mod.lemma_inc_suite(samples, seed=args.seed)
+    elif game is not None:  # monotonicity
+        report = verify_mod.verify_monotonicity(game, seed=args.seed)
+    else:
         report = verify_mod.monotonicity_suite(
-            small_samples=args.samples, large_samples=max(1, args.samples // 5), seed=args.seed
+            small_samples=samples, large_samples=max(1, samples // 5), seed=args.seed
         )
 
     print(render_report(report), end="")

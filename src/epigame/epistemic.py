@@ -9,9 +9,12 @@ declared:
   (iii) reflexivity:  w in P(w).
 
 (i)+(ii) makes a belief correspondence, (i)+(ii)+(iii) a knowledge
-correspondence (whose possibility sets partition the space). Event algebra
-runs on integer bitmasks internally; the public API speaks frozensets of
-state labels.
+correspondence (whose possibility sets partition the space).
+
+An event is an ``int`` state mask: bit ``k`` keeps ``space.states[k]``. Every
+event function takes and returns masks; :meth:`StateSpace.mask_of` and
+:meth:`StateSpace.event_of` convert from and to state labels at the I/O
+boundary.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ from .games import (
 from .lattice import EliminationTrace, iterate_to_outcome
 from .optimality import _holds_cached
 
-Event = frozenset[str]
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -57,29 +58,34 @@ class StateSpace:
     def index(self) -> dict[str, int]:
         return {s: k for k, s in enumerate(self.states)}
 
-    def mask_of(self, event: Iterable[str]) -> int:
+    def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
-        for s in event:
+        for s in labels:
             try:
                 mask |= 1 << self.index[s]
             except KeyError:
                 raise ValidationError(f"unknown state {s!r}") from None
         return mask
 
-    def event_of(self, mask: int) -> Event:
+    def event_of(self, mask: int) -> frozenset[str]:
         return frozenset(s for k, s in enumerate(self.states) if mask >> k & 1)
 
     @property
     def full_mask(self) -> int:
         return (1 << len(self.states)) - 1
 
+    def require_event(self, event: int) -> None:
+        """The entry check of every event function: an int mask of these states."""
+        if not isinstance(event, int) or not 0 <= event <= self.full_mask:
+            raise ValidationError(f"an event is an int state mask in 0..2**{len(self.states)} - 1")
+
 
 @dataclass(frozen=True)
 class PossibilityCorrespondence:
-    """Total map from states to events, stored in state order."""
+    """Total map from states to possibility sets, in state order."""
 
     space: StateSpace
-    targets: tuple[Event, ...]
+    targets: tuple[frozenset[str], ...]
 
     def __post_init__(self):
         if len(self.targets) != len(self.space.states):
@@ -91,9 +97,6 @@ class PossibilityCorrespondence:
         for t in dict.fromkeys(self.targets):  # each distinct set once, in order
             if not t <= known:
                 raise ValidationError(f"correspondence targets unknown states {sorted(t - known)}")
-
-    def of(self, state: str) -> Event:
-        return self.targets[self.space.index[state]]
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -191,35 +194,29 @@ class EpistemicModel:
 
 # --- event operators ---------------------------------------------------------
 
-def _box_mask(model: EpistemicModel, mask: int) -> int:
+def box(model: EpistemicModel, event: int) -> int:
+    """States where every player's possibility set lies inside the event."""
+    model.require_valid()
+    model.space.require_event(event)
     result = 0
-    nstates = len(model.space.states)
     all_masks = [c.masks for c in model.correspondences]
-    for k in range(nstates):
-        if all(masks[k] & ~mask == 0 for masks in all_masks):
+    for k in range(len(model.space.states)):
+        if all(masks[k] & ~event == 0 for masks in all_masks):
             result |= 1 << k
     return result
 
 
-def box(model: EpistemicModel, event: Iterable[str]) -> Event:
-    """States where every player's possibility set lies inside the event."""
-    model.require_valid()
-    return model.space.event_of(_box_mask(model, model.space.mask_of(event)))
-
-
-def box_chain(model: EpistemicModel, event: Iterable[str]) -> tuple[Event, ...]:
+def box_chain(model: EpistemicModel, event: int) -> tuple[int, ...]:
     """The iterated-box chain from an event until it stabilizes."""
-    model.require_valid()
-    space = model.space
-    chain = [_box_mask(model, space.mask_of(event))]
+    chain = [box(model, event)]
     while True:
-        nxt = _box_mask(model, chain[-1])
+        nxt = box(model, chain[-1])
         if nxt == chain[-1]:
-            return tuple(space.event_of(m) for m in chain)
+            return tuple(chain)
         chain.append(nxt)
 
 
-def common_box(model: EpistemicModel, event: Iterable[str]) -> Event:
+def common_box(model: EpistemicModel, event: int) -> int:
     """The common-belief/common-knowledge event: the states from which every
     state reachable in one or more steps along the players' possibility
     relations lies in the event (Fagin, Halpern, Moses & Vardi 1995).
@@ -231,6 +228,7 @@ def common_box(model: EpistemicModel, event: Iterable[str]) -> Event:
     belief model can put it in the common box."""
     model.require_valid()
     space = model.space
+    space.require_event(event)
     # pointed_from[t]: the states w with t in P_i(w) for some player i;
     # grouping states by possibility set visits each set once
     pointed_from = [0] * len(space.states)
@@ -243,40 +241,37 @@ def common_box(model: EpistemicModel, event: Iterable[str]) -> Event:
                 pointed_from[t] |= pointing
     # bad: the states with a successor outside the event or bad
     bad = 0
-    frontier = space.full_mask & ~space.mask_of(event)
+    frontier = space.full_mask & ~event
     while frontier:
         low = frontier & -frontier
         frontier ^= low
         new = pointed_from[low.bit_length() - 1] & ~bad
         bad |= new
         frontier |= new
-    return space.event_of(space.full_mask & ~bad)
+    return space.full_mask & ~bad
 
 
-def is_evident(model: EpistemicModel, event: Iterable[str]) -> bool:
+def is_evident(model: EpistemicModel, event: int) -> bool:
     """An event F is evident when F is included in box(F)."""
-    model.require_valid()
-    mask = model.space.mask_of(event)
-    return mask & ~_box_mask(model, mask) == 0
+    return event & ~box(model, event) == 0
 
 
-def largest_evident_inside(model: EpistemicModel, event: Iterable[str]) -> Event:
+def largest_evident_inside(model: EpistemicModel, event: int) -> int:
     """The inclusion-largest evident event inside ``event``, computed as the
     greatest fixpoint of F -> F & box(F) starting from the event itself."""
-    model.require_valid()
-    mask = model.space.mask_of(event)
     while True:
-        nxt = mask & _box_mask(model, mask)
-        if nxt == mask:
-            return model.space.event_of(mask)
-        mask = nxt
+        nxt = event & box(model, event)
+        if nxt == event:
+            return event
+        event = nxt
 
 
-def restriction_of(model: EpistemicModel, event: Iterable[str]) -> Restriction:
+def restriction_of(model: EpistemicModel, event: int) -> Restriction:
     """Project an event through the strategy maps: component ``i`` is the
     image of player ``i``'s map over the event. An empty event gives empty
-    components; an unknown state is a :class:`ValidationError`."""
-    return Restriction(model.game, _strategy_masks(model, model.space.mask_of(event)))
+    components."""
+    model.space.require_event(event)
+    return Restriction(model.game, _strategy_masks(model, event))
 
 
 def _strategy_masks(model: EpistemicModel, mask: int) -> tuple[int, ...]:
@@ -287,7 +282,7 @@ def _strategy_masks(model: EpistemicModel, mask: int) -> tuple[int, ...]:
     )
 
 
-def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
+def rat_event(model: EpistemicModel, profile: NotionProfile) -> int:
     """States where every player's chosen strategy is optimal, per that
     player's notion, in the restriction projected from their possibility set."""
     model.require_valid()
@@ -303,15 +298,15 @@ def rat_event(model: EpistemicModel, profile: NotionProfile) -> Event:
             opponents_of[i, mask] = game.opponent_mask(i, _strategy_masks(model, mask))
         return opponents_of[i, mask]
 
-    result = set()
-    for k, state in enumerate(model.space.states):
+    result = 0
+    for k in range(len(model.space.states)):
         if all(
             _holds_cached(game, notions[i], i, chosen[i][k], game.full_masks[i],
                           opponents(i, model.correspondences[i].masks[k]))
             for i in range(game.n)
         ):
-            result.add(state)
-    return frozenset(result)
+            result |= 1 << k
+    return result
 
 
 # --- model constructions -----------------------------------------------------
@@ -396,7 +391,7 @@ def parse_model(source: str, game: Game) -> EpistemicModel:
     space: StateSpace | None = None
     slots: dict[str, list[list]] = {}  # keyword -> per player, one slot per state
     heads: dict[str, tuple[str, int]] = {}
-    sets: dict[str, Event] = {}
+    sets: dict[str, frozenset[str]] = {}
 
     for number, line in _content_lines(source):
         head, rest = _split_directive(number, line)

@@ -73,7 +73,7 @@ class Notion(enum.Enum):
         return self.value
 
 
-MONOTONIC_NOTIONS = frozenset({Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED})
+MONOTONIC_NOTIONS = (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED)
 
 
 def parse_notion(text: str) -> Notion:

@@ -51,7 +51,7 @@ from .lattice import (
     iterate_to_outcome,
     sample_restriction,
 )
-from .optimality import Notion, _holds_cached, holds, parse_notion
+from .optimality import MONOTONIC_NOTIONS, Notion, _holds_cached, holds, parse_notion
 
 HOLDS_ON_ALL = "holds-on-all"
 COUNTEREXAMPLE = "counterexample"
@@ -142,7 +142,8 @@ def _verify_thm1(claim, model_class, game, model, profile, seed):
     event, chosen = _common_belief_play(model, profile)
     limit = elimination_limit(game, profile, GLOBAL)
     return _check_inclusion(
-        claim, chosen, limit, seed, game=game, model=model, profile=profile, event=event
+        claim, chosen, limit, seed,
+        game=game, model=model, profile=profile, event=model.space.event_of(event),
     )
 
 
@@ -212,21 +213,23 @@ def verify_thm2(
     qualify. A ``counterexample`` verdict is the expected, successful result.
     """
     profile.validate_for(game)
+    if len(joint) != game.n:
+        raise ValidationError(f"joint strategy {tuple(joint)} needs {game.n} entries")
     clauses = thm2_hypothesis_clauses(game, profile, joint)
     if clauses:
         raise HypothesisNotMet(clauses)
     model = singleton_model(game)
     kstar, chosen = _common_belief_play(model, profile)
     limit = elimination_limit(game, profile, GLOBAL)
-    state = state_label(joint)
-    violated = state in kstar and not chosen.is_subset_of(limit)
+    k = model.space.index[state_label(joint)]
+    violated = kstar >> k & 1 and not chosen.is_subset_of(limit)
     payload = {
         "kind": "thm2",
         "game": game,
         "profile": profile,
         "joint": joint,
         "model": model,
-        "kstar": kstar,
+        "kstar": model.space.event_of(kstar),
         "chosen": chosen,
         "limit": limit,
     }
@@ -498,6 +501,28 @@ def find_predicate_nonmonotonicity(game: Game, notion: Notion) -> list[tuple]:
     return list(_nonmonotonicity_witnesses(game, notion))
 
 
+def _monotonicity_violation(game: Game) -> dict | None:
+    """Exhaustive monotonicity of the monotonic notions on one game; the
+    payload of the first witness, else None."""
+    for notion in MONOTONIC_NOTIONS:
+        witness = check_predicate_monotonicity(game, notion)
+        if witness:
+            return {"kind": "lem.mono", "game": game, "notion": notion, "witness": witness}
+    return None
+
+
+def verify_monotonicity(game: Game, seed: int | None = None) -> VerificationReport:
+    """Monotonicity of the four monotonic notions on one game, exhaustive
+    over opponent-set pairs. A holding report notes the game's count of
+    weak-dominance non-monotonicity witnesses."""
+    payload = _monotonicity_violation(game)
+    if payload is not None:
+        return _report("lem.mono", 1, True, payload, seed)
+    witnesses = find_predicate_nonmonotonicity(game, Notion.WD)
+    notes = (f"wd non-monotonicity witnesses on this game: {len(witnesses)}",)
+    return _report("lem.mono", 1, False, None, seed, notes)
+
+
 def monotonicity_suite(
     small_samples: int = 5000,
     large_samples: int = 1000,
@@ -507,22 +532,15 @@ def monotonicity_suite(
     pairs on sampled 2x2 games with payoffs in {0,1,2}, then random larger
     games with sampled subset pairs."""
     rng = random.Random(seed)
-    notions = (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED)
     checked = 0
-
-    def failure(game, notion, witness):
-        payload = {"kind": "lem.mono", "game": game, "notion": notion, "witness": witness}
-        return _report("lem.mono", checked, True, payload, seed)
-
     pool = (Fraction(0), Fraction(1), Fraction(2))
     tables = list(itertools.product(pool, repeat=4))
     for _ in range(small_samples):
         game = Game((("a", "b"), ("x", "y")), (rng.choice(tables), rng.choice(tables)))
         checked += 1
-        for notion in notions:
-            witness = check_predicate_monotonicity(game, notion)
-            if witness:
-                return failure(game, notion, witness)
+        payload = _monotonicity_violation(game)
+        if payload is not None:
+            return _report("lem.mono", checked, True, payload, seed)
 
     for k in range(large_samples):
         game = generate_game(_suite_config(seed + k, "belief", strategies=(2, 3)))
@@ -535,13 +553,14 @@ def monotonicity_suite(
                 big = sum(1 << o for o in set_bits(opponents) if rng.random() < 0.7)
                 small = sum(1 << o for o in set_bits(big) if rng.random() < 0.6)
                 pairs.append((small, big))
-            for notion in notions:
+            for notion in MONOTONIC_NOTIONS:
                 for k, s in enumerate(game.strategies[i]):
                     for small, big in pairs:
                         if (_holds_cached(game, notion, i, k, alternatives, small)
                                 and not _holds_cached(game, notion, i, k, alternatives, big)):
-                            witness = _monotonicity_witness(game, i, s, small, big)
-                            return failure(game, notion, witness)
+                            payload = {"kind": "lem.mono", "game": game, "notion": notion,
+                                       "witness": _monotonicity_witness(game, i, s, small, big)}
+                            return _report("lem.mono", checked, True, payload, seed)
     return _report("lem.mono", checked, False, None, seed)
 
 

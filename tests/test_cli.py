@@ -130,6 +130,26 @@ def test_epistemic_rat_and_commonbox(capsys, tie_game_file, singleton_model_file
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, ignored",
+    [
+        (["--profile", "wd", "validate"], "--profile"),
+        (["--profile", "wd", "commonbox", "U.L"], "--profile"),
+        (["rat", "U.L,D.R"], "event"),
+        (["validate", "U.L"], "event"),
+    ],
+)
+def test_epistemic_rejects_an_option_it_would_ignore(
+    capsys, tie_game_file, singleton_model_file, argv, ignored
+):
+    code, out, err = run(
+        capsys, "epistemic", "--game", tie_game_file, "--model", singleton_model_file, *argv
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and ignored in err
+
+
 def test_verify_thm2_auto_search(capsys, tie_game_file):
     code, out, _ = run(capsys, "verify", "thm2", "--game", tie_game_file, "--profile", "wd")
     assert code == 1  # counterexample found: that is the expected outcome
@@ -144,6 +164,16 @@ def test_verify_thm2_hypothesis_not_met(capsys, tie_game_file):
     )
     assert code == 2
     assert "hypothesis not met" in err
+
+
+@pytest.mark.parametrize("joint", ["", "U", "U,L,R"])
+def test_verify_thm2_rejects_a_joint_strategy_of_the_wrong_arity(capsys, tie_game_file, joint):
+    code, out, err = run(
+        capsys, "verify", "thm2", "--game", tie_game_file, "--profile", "wd", "--joint", joint
+    )
+    assert code == 2
+    assert out == ""
+    assert "needs 2 entries" in err
 
 
 def test_verify_thm1iii_single_game(capsys, tie_game_file):
@@ -171,6 +201,7 @@ def test_verify_monotonicity_on_game(capsys, tie_game_file):
     code, out, _ = run(capsys, "verify", "monotonicity", "--game", tie_game_file)
     assert code == 0
     assert "wd non-monotonicity witnesses on this game" in out
+    assert out.startswith("claim: lem.mono\ninstances: 1\nverdict: holds-on-all\nseed: 0\n")
 
 
 def test_verify_monotonicity_on_game_past_the_budget(capsys, tmp_path, monkeypatch):
@@ -242,6 +273,23 @@ def test_verify_single_instance_with_model(capsys, tie_game_file, singleton_mode
         (["thm1iii", "--game", "GAME", "--model", "MODEL", "--profile", "wd"], "--model"),
         (["thm2", "--game", "GAME", "--model", "MODEL", "--profile", "wd"], "--model"),
         (["monotonicity", "--game", "GAME", "--model", "MODEL"], "--model"),
+        (["pearce", "--profile", "sd", "--joint", "a,b", "--belief-class", "point"], "--profile"),
+        (["pearce", "--joint", "a,b"], "--joint"),
+        (["pearce", "--belief-class", "point"], "--belief-class"),
+        (["cor1", "--profile", "sd"], "--profile"),
+        (["cor2", "--profile", "brp"], "--profile"),
+        (["lemma-inc", "--profile", "sd"], "--profile"),
+        (["monotonicity", "--profile", "sd"], "--profile"),
+        (["thm1iii", "--profile", "wd"], "--profile"),
+        (["thm1i", "--joint", "U,L"], "--joint"),
+        (["cor1", "--belief-class", "point"], "--belief-class"),
+        (["thm2", "--game", "GAME", "--profile", "wd"], "--samples"),
+        (["thm2", "--game", "GAME", "--profile", "wd", "--belief-class", "point"],
+         "--belief-class"),
+        (["thm1iii", "--game", "GAME", "--profile", "wd"], "--samples"),
+        (["monotonicity", "--game", "GAME"], "--samples"),
+        (["thm1i", "--game", "GAME", "--model", "MODEL", "--profile", "sd"], "--samples"),
+        (["cor2", "--game", "GAME", "--model", "MODEL"], "--samples"),
     ],
 )
 def test_verify_rejects_an_option_it_would_ignore(

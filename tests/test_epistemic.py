@@ -29,6 +29,10 @@ from epigame.errors import EmptyStateSpace, InvalidModel, ValidationError
 from epigame.games import Restriction, game_from_payoffs
 
 
+def subset(small: int, big: int) -> bool:
+    return small & ~big == 0
+
+
 def tiny_knowledge_model(game):
     # two states, each its own cell
     space = StateSpace(("a", "b"))
@@ -60,19 +64,19 @@ def test_invalid_model_rejected_by_operations(tie_game):
     incoherent = PossibilityCorrespondence(space, (frozenset({"a", "b"}), frozenset({"b"})))
     model = EpistemicModel(tie_game, space, (("U", "D"), ("L", "R")), (incoherent, incoherent))
     with pytest.raises(InvalidModel):
-        box(model, {"a"})
+        box(model, 0b01)
     with pytest.raises(InvalidModel):
-        common_box(model, {"a"})
+        common_box(model, 0b01)
     with pytest.raises(InvalidModel):
         rat_event(model, NotionProfile.uniform("sd", 2))
 
 
 def test_box_basics(tie_game):
     model = tiny_knowledge_model(tie_game)
-    omega = frozenset(model.space.states)
+    omega = model.space.full_mask
     assert box(model, omega) == omega
-    assert box(model, frozenset()) == frozenset()
-    assert box(model, {"a"}) == frozenset({"a"})
+    assert box(model, 0) == 0
+    assert box(model, 0b01) == 0b01
 
 
 def test_box_respects_all_players(tie_game):
@@ -83,16 +87,15 @@ def test_box_respects_all_players(tie_game):
     model = EpistemicModel(tie_game, space, (("U", "D"), ("L", "R")), (sharp, blurry))
     assert model.model_class == "knowledge"
     # player 2 never rules anything out, so only full events are box-closed
-    assert box(model, {"a"}) == frozenset()
-    assert box(model, {"a", "b"}) == all_states
+    assert box(model, 0b01) == 0
+    assert box(model, 0b11) == 0b11
 
 
 def test_common_box_on_singleton_model(tie_game):
     model = singleton_model(tie_game)
-    states = list(model.space.states)
     rng = random.Random(4)
     for _ in range(20):
-        event = frozenset(s for s in states if rng.random() < 0.5)
+        event = sum(1 << k for k in range(len(model.space.states)) if rng.random() < 0.5)
         assert box(model, event) == event
         assert common_box(model, event) == event
         assert is_evident(model, event)
@@ -102,21 +105,21 @@ def test_common_box_truth_axiom_on_knowledge_models(tie_game):
     rng = random.Random(9)
     model = tiny_knowledge_model(tie_game)
     for _ in range(10):
-        event = frozenset(s for s in model.space.states if rng.random() < 0.5)
-        assert common_box(model, event) <= event
+        event = sum(1 << k for k in range(len(model.space.states)) if rng.random() < 0.5)
+        assert subset(common_box(model, event), event)
 
 
 def test_evident_trivial_events(tie_game):
     model = tiny_knowledge_model(tie_game)
-    assert is_evident(model, frozenset())
-    assert is_evident(model, frozenset(model.space.states))
+    assert is_evident(model, 0)
+    assert is_evident(model, model.space.full_mask)
 
 
 def test_largest_evident_inside_trivial(tie_game):
     model = tiny_knowledge_model(tie_game)
-    omega = frozenset(model.space.states)
+    omega = model.space.full_mask
     assert largest_evident_inside(model, omega) == omega
-    assert largest_evident_inside(model, frozenset()) == frozenset()
+    assert largest_evident_inside(model, 0) == 0
 
 
 def test_box_chain_decreases_on_belief_models(tie_game):
@@ -130,9 +133,9 @@ def test_box_chain_decreases_on_belief_models(tie_game):
     )
     assert model.model_class == "belief"
     for event in ({"a", "b", "c"}, {"b", "c"}, {"a"}, {"b"}, {"c", "a"}):
-        chain = box_chain(model, frozenset(event))
+        chain = box_chain(model, space.mask_of(event))
         for earlier, later in zip(chain, chain[1:]):
-            assert later <= earlier
+            assert subset(later, earlier)
 
 
 def test_common_box_may_leave_the_event_on_belief_models(tie_game):
@@ -141,8 +144,8 @@ def test_common_box_may_leave_the_event_on_belief_models(tie_game):
     corr = PossibilityCorrespondence(space, (frozenset({"b"}), frozenset({"b"})))
     model = EpistemicModel(tie_game, space, (("U", "D"), ("L", "R")), (corr, corr))
     assert model.model_class == "belief"
-    assert common_box(model, {"b"}) == {"a", "b"}
-    assert box_chain(model, {"b"})[-1] == {"a", "b"}
+    assert common_box(model, 0b10) == 0b11
+    assert box_chain(model, 0b10)[-1] == 0b11
 
 
 def test_common_box_through_a_chain_of_box_steps(tie_game):
@@ -160,19 +163,18 @@ def test_common_box_through_a_chain_of_box_steps(tie_game):
     maps = tuple(tuple(labels[0] for _ in states) for labels in tie_game.strategies)
     model = EpistemicModel(tie_game, space, maps, (correspondence(0), correspondence(1)))
     assert model.model_class == "knowledge"
-    event = frozenset(states[:-1])
+    event = space.full_mask >> 1
     chain = box_chain(model, event)
     assert len(chain) == len(states) - 1
-    assert common_box(model, event) == chain[-1] == frozenset()
-    assert common_box(model, states) == frozenset(states)
+    assert common_box(model, event) == chain[-1] == 0
+    assert common_box(model, space.full_mask) == space.full_mask
 
 
 def test_restriction_of_projections(tie_game):
     model = standard_model(tie_game.full_restriction())
-    omega = frozenset(model.space.states)
-    assert restriction_of(model, omega) == tie_game.full_restriction()
-    assert restriction_of(model, frozenset()) == Restriction.of(tie_game, ((), ()))
-    assert restriction_of(model, {state_label(("D", "R"))}) == Restriction.of(
+    assert restriction_of(model, model.space.full_mask) == tie_game.full_restriction()
+    assert restriction_of(model, 0) == Restriction.of(tie_game, ((), ()))
+    assert restriction_of(model, model.space.mask_of({state_label(("D", "R"))})) == Restriction.of(
         tie_game, (("D",), ("R",))
     )
 
@@ -180,7 +182,10 @@ def test_restriction_of_projections(tie_game):
 def test_restriction_of_rejects_unknown_states(tie_game):
     model = standard_model(tie_game.full_restriction())
     with pytest.raises(ValidationError, match="unknown state 'nope'"):
-        restriction_of(model, {"nope"})
+        model.space.mask_of({"nope"})
+    for event in (-1, 1 << 4, {"U.L"}):
+        with pytest.raises(ValidationError, match="int state mask"):
+            restriction_of(model, event)
 
 
 def test_model_rejects_an_unknown_strategy_label(tie_game):
@@ -212,7 +217,7 @@ def test_standard_model_shapes(tie_game, flat_game):
 def test_rat_event_singleton_model_weak_dominance(tie_game):
     model = singleton_model(tie_game)
     rat = rat_event(model, NotionProfile.uniform("wd", 2))
-    assert rat == frozenset({state_label(("U", "L")), state_label(("D", "R"))})
+    assert rat == model.space.mask_of({state_label(("U", "L")), state_label(("D", "R"))})
     assert common_box(model, rat) == rat
 
 
@@ -228,24 +233,24 @@ def test_rat_event_empty_when_strategy_never_optimal():
     space = StateSpace(("w1", "w2"))
     corr = PossibilityCorrespondence(space, (frozenset({"w1"}), frozenset({"w2"})))
     model = EpistemicModel(game, space, (("a", "a"), ("x", "y")), (corr, corr))
-    assert rat_event(model, NotionProfile.uniform("sd", 2)) == frozenset()
-    assert rat_event(model, NotionProfile.uniform("brp", 2)) == frozenset()
+    assert rat_event(model, NotionProfile.uniform("sd", 2)) == 0
+    assert rat_event(model, NotionProfile.uniform("brp", 2)) == 0
 
 
 def test_two_block_model_knowledge_class_even_when_degenerate(tie_game):
     # proper two-block split
     model = two_block_model(tie_game, Restriction.of(tie_game, (("D",), ("R",))))
     assert model.model_class == "knowledge"
-    inside = frozenset({state_label(("D", "R"))})
+    inside = model.space.mask_of({state_label(("D", "R"))})
     assert is_evident(model, inside)
     # empty restriction and full restriction collapse to the constant space
     for restriction in (Restriction.of(tie_game, ((), ())), tie_game.full_restriction()):
         degenerate = two_block_model(tie_game, restriction)
         assert degenerate.model_class == "knowledge"
         assert all(
-            c.of(s) == frozenset(degenerate.space.states)
+            t == frozenset(degenerate.space.states)
             for c in degenerate.correspondences
-            for s in degenerate.space.states
+            for t in c.targets
         )
 
 
@@ -254,14 +259,14 @@ def test_iterated_elimination_model_flat_game(flat_game):
     assert trace.outcome == flat_game.full_restriction()
     assert model.model_class == "knowledge"
     rat = rat_event(model, NotionProfile.uniform("brp", 2))
-    assert rat == frozenset(model.space.states)
+    assert rat == model.space.full_mask
     assert restriction_of(model, common_box(model, rat)) == flat_game.full_restriction()
 
 
 def test_iterated_elimination_model_tie_game_strict(tie_game):
     model, trace = iterated_elimination_model(tie_game, NotionProfile.uniform("sd", 2))
     assert trace.outcome == tie_game.full_restriction()
-    evident = frozenset(model.space.states)
+    evident = model.space.full_mask
     assert is_evident(model, evident)
     assert rat_event(model, NotionProfile.uniform("sd", 2)) == evident
 
@@ -270,7 +275,7 @@ def test_singleton_model_supports_rationality_of_chosen_state(tie_game):
     model = singleton_model(tie_game)
     rat = rat_event(model, NotionProfile.uniform("wd", 2))
     kstar = common_box(model, rat)
-    assert state_label(("U", "L")) in kstar
+    assert kstar >> model.space.index[state_label(("U", "L"))] & 1
 
 
 def test_characterizations_on_random_models(tie_game):
@@ -283,9 +288,8 @@ def test_characterizations_on_random_models(tie_game):
             config = GeneratorConfig(seed=seed, states=(2, 6), target_class=target)
             model = generate_model(config, tie_game)
             rng = random.Random(seed)
-            states = list(model.space.states)
             for _ in range(8):
-                event = frozenset(s for s in states if rng.random() < 0.5)
+                event = sum(1 << k for k in range(len(model.space.states)) if rng.random() < 0.5)
                 stable = common_box(model, event)
                 assert stable == largest_evident_inside(model, box(model, event))
                 if target == "knowledge":
@@ -314,16 +318,12 @@ def test_parse_model_errors(tie_game):
         parse_model("states: a\nmap 1: b -> U\n", tie_game)
 
 
-_STATES = ("w0", "w1", "w2", "w3")
-
-
 @st.composite
 def belief_model_and_events(draw):
     size = draw(st.integers(min_value=2, max_value=4))
-    states = _STATES[:size]
     seed = draw(st.integers(min_value=0, max_value=10**6))
-    e = frozenset(draw(st.sets(st.sampled_from(states))))
-    f = frozenset(draw(st.sets(st.sampled_from(states))))
+    e = draw(st.integers(min_value=0, max_value=(1 << size) - 1))
+    f = draw(st.integers(min_value=0, max_value=(1 << size) - 1))
     return size, seed, e, f
 
 
@@ -340,8 +340,8 @@ def test_box_is_monotone_on_events(params):
     config = GeneratorConfig(seed=seed, states=(size, size), target_class="belief")
     model = generate_model(config, game)
     smaller = e & f
-    assert box(model, smaller) <= box(model, e)
-    assert box(model, e | f) >= box(model, e)
+    assert subset(box(model, smaller), box(model, e))
+    assert subset(box(model, e), box(model, e | f))
 
 
 @given(belief_model_and_events())
@@ -386,14 +386,16 @@ def models_and_events(draw):
     game = parse_game(TIE_GAME_TEXT)
     seed = draw(st.integers(min_value=0, max_value=10**6))
     model = generate_model(GeneratorConfig(seed=seed, states=(size, size)), game)
-    event = frozenset(draw(st.sets(st.sampled_from(model.space.states))))
+    event = draw(st.integers(min_value=0, max_value=model.space.full_mask))
     if draw(st.booleans()):
         correspondences = [draw(belief_correspondences(model.space)) for _ in range(game.n)]
         model = model.with_correspondences(correspondences)
         if draw(st.booleans()):
             # every state a belief reaches lies in a block, so CB(E) is the
             # whole space, states outside E included
-            event |= frozenset().union(*(t for c in correspondences for t in c.targets))
+            for c in correspondences:
+                for m in c.masks:
+                    event |= m
     return model, event
 
 

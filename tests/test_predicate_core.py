@@ -142,17 +142,17 @@ def test_core_agrees_with_the_label_path(instance):
                 assert (s in image.components[i]) == label_path(i, s, alternatives, opponents)
 
     rat = rat_event(model, profile)
-    for k, state in enumerate(model.space.states):
+    for k in range(len(model.space.states)):
         rational = all(
             label_path(
                 i,
                 model.strategy_maps[i][k],
                 game.strategies[i],
-                opponents_product(restriction_of(model, model.correspondences[i].targets[k]), i),
+                opponents_product(restriction_of(model, model.correspondences[i].masks[k]), i),
             )
             for i in range(game.n)
         )
-        assert (state in rat) == rational
+        assert bool(rat >> k & 1) == rational
 
 
 

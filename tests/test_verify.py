@@ -30,6 +30,7 @@ from epigame.verify import (
     thm1iii_suite,
     verify_cor1,
     verify_cor2,
+    verify_monotonicity,
     verify_thm1i,
     verify_thm1ii,
     verify_thm1iii,
@@ -103,7 +104,7 @@ def test_thm1i_vacuous_when_rationality_impossible():
     space = StateSpace(("w",))
     corr = PossibilityCorrespondence(space, (frozenset({"w"}),))
     model = EpistemicModel(game, space, (("a",), ("x",)), (corr, corr))
-    assert rat_event(model, NotionProfile.uniform("sd", 2)) == frozenset()
+    assert rat_event(model, NotionProfile.uniform("sd", 2)) == 0
     report = verify_thm1i(game, model, NotionProfile.uniform("sd", 2))
     assert report.holds
 
@@ -162,6 +163,12 @@ def test_thm2_hypothesis_rejected_for_strict_dominance(tie_game):
     assert "survives" in str(err.value)
 
 
+def test_thm2_rejects_a_joint_strategy_of_the_wrong_arity(tie_game):
+    for joint in ((), ("U",), ("U", "L", "R")):
+        with pytest.raises(ValidationError, match=r"joint strategy .* needs 2 entries"):
+            verify_thm2(tie_game, NotionProfile.uniform("wd", 2), joint)
+
+
 def test_thm2_search_finds_tie_game_witness(tie_game):
     report = search_thm2(tie_game, NotionProfile.uniform("wd", 2))
     assert report.verdict == "counterexample"
@@ -180,7 +187,7 @@ def test_thm2_search_exhausts_without_witness(flat_game):
 def test_cor1_prisoners_dilemma_singleton_model(prisoners_dilemma):
     model = singleton_model(prisoners_dilemma)
     rat = rat_event(model, NotionProfile.uniform("brp", 2))
-    assert rat == frozenset({state_label(("D", "D"))})
+    assert rat == model.space.mask_of({state_label(("D", "D"))})
     report = verify_cor1(prisoners_dilemma, model)
     assert report.holds
 
@@ -383,6 +390,20 @@ def test_pearce_and_monotonicity_suites_report_their_first_failure(
     assert replay(report) is True
 
 
+def test_verify_monotonicity_reports_a_replayable_failure(monkeypatch, tie_game):
+    held = verify_monotonicity(tie_game, seed=3)
+    assert (held.claim, held.instances_checked, held.verdict, held.seed) == (
+        "lem.mono", 1, "holds-on-all", 3)
+    assert held.notes == ("wd non-monotonicity witnesses on this game: 6",)
+    _at_most_one_opponent(monkeypatch)
+    report = verify_monotonicity(tie_game, seed=3)
+    assert (report.claim, report.instances_checked, report.verdict, report.seed) == (
+        "lem.mono", 1, "counterexample", 3)
+    assert set(report.counterexample) == {"kind", "game", "notion", "witness"}
+    assert report.counterexample["notion"] is Notion.SD
+    assert replay(report) is True
+
+
 def _empty_limit_patch(monkeypatch):
     import epigame.verify as verify
 
@@ -492,7 +513,7 @@ def test_engine_builds_no_restriction_from_labels(monkeypatch):
             outcome(profile, game, mode)
             elimination_limit(game, profile, mode)
         rat_event(model, profile)
-    restriction_of(model, model.space.states)
+    restriction_of(model, model.space.full_mask)
     assert thm1_suite("sd", instances=3, seed=1).holds
     assert thm1iii_suite(instances=2, seed=1).holds
     assert cor_suite("cor1", instances=3, seed=1).holds
