@@ -137,20 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     epistemic.add_argument("event", nargs="?", help="comma-separated states (for commonbox)")
 
     verify = commands.add_parser("verify", help="check a claim or run its random suite")
-    verify.add_argument(
-        "claim",
-        choices=[
-            "thm1i",
-            "thm1ii",
-            "thm1iii",
-            "thm2",
-            "cor1",
-            "cor2",
-            "pearce",
-            "lemma-inc",
-            "monotonicity",
-        ],
-    )
+    verify.add_argument("claim", choices=list(READS))
     verify.add_argument("--game", metavar="FILE")
     verify.add_argument("--model", metavar="FILE")
     verify.add_argument("--profile", help="one notion or a comma list")
@@ -215,12 +202,6 @@ def _cmd_epistemic(args) -> int:
     return 0
 
 
-def _profile_for(args, game: Game) -> NotionProfile:
-    if not args.profile:
-        raise EngineError(f"verify {args.claim} needs --profile")
-    return NotionProfile.parse(args.profile, game.n)
-
-
 def _suite_notion(text: str) -> Notion:
     parts = text.replace(",", " ").split()
     if len(parts) != 1:
@@ -228,87 +209,99 @@ def _suite_notion(text: str) -> Notion:
     return parse_notion(parts[0])
 
 
+# per verify claim: the options its single-instance check reads given --game
+# (None: it only runs a suite), and those its suite reads (None: it needs
+# --game); a single check that reads --model needs it
+READS = {
+    "thm1i": (("--model", "--profile"), ("--profile", "--samples")),
+    "thm1ii": (("--model", "--profile"), ("--profile", "--samples")),
+    "thm1iii": (("--profile",), ("--samples",)),
+    "thm2": (("--profile", "--joint"), None),
+    "cor1": (("--model",), ("--samples",)),
+    "cor2": (("--model", "--belief-class"), ("--belief-class", "--samples")),
+    "pearce": (None, ("--samples",)),
+    "lemma-inc": (None, ("--samples",)),
+    "monotonicity": ((), ("--samples",)),
+}
+
+
 def _cmd_verify(args) -> int:
-    claim = args.claim
+    claim, seed = args.claim, args.seed
+    single, suite = READS[claim]
+    reads = single if args.game else suite
     if args.samples is not None and args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     # an option the claim would not read is an input error, not a silent suite
     # run or a silently dropped setting
-    if args.game and claim in ("pearce", "lemma-inc"):
+    if args.game and single is None:
         raise ValidationError(f"verify {claim} takes no --game: it runs a random suite")
-    if args.model and claim in ("thm1iii", "thm2", "monotonicity"):
+    if args.model and "--model" not in (single or ()):
         raise ValidationError(f"verify {claim} takes no --model")
-    if args.game and not args.model and claim in ("thm1i", "thm1ii", "cor1", "cor2"):
+    if args.game and not args.model and "--model" in single:
         raise ValidationError(
             f"verify {claim} would ignore --game without --model: "
             "pass both for one check, or neither for the random suite"
         )
-    for option, value, read in (
-        ("--profile", args.profile,
-         claim in ("thm1i", "thm1ii") or (args.game and claim in ("thm1iii", "thm2"))),
-        ("--joint", args.joint, claim == "thm2"),
-        ("--belief-class", args.belief_class, claim == "cor2"),
-        ("--samples", args.samples, not args.game),
+    if reads is None:
+        raise ValidationError(f"verify {claim} needs --game")
+    for option, value in (
+        ("--profile", args.profile),
+        ("--joint", args.joint),
+        ("--belief-class", args.belief_class),
+        ("--samples", args.samples),
     ):
-        if value is not None and not read:
+        if value is not None and option not in reads:
             with_game = " with --game" if args.game else ""
             raise ValidationError(f"verify {claim}{with_game} takes no {option}")
+    if args.model and not args.game:
+        raise EngineError("--model needs --game")
     samples = 300 if args.samples is None else args.samples
     belief_class = args.belief_class or "correlated"
-    game = _load_game(args.game) if args.game else None
-    model = None
-    if args.model:
-        if game is None:
-            raise EngineError("--model needs --game")
-        model = parse_model(_read(args.model), game)
 
-    if claim in ("thm1i", "thm1ii"):
-        if model is not None:
-            check = verify_mod.verify_thm1i if claim == "thm1i" else verify_mod.verify_thm1ii
-            report = check(game, model, _profile_for(args, game), seed=args.seed)
-        else:
-            notions = [_suite_notion(args.profile)] if args.profile else MONOTONIC_NOTIONS
-            report = None
-            for notion in notions:
-                report = verify_mod.thm1_suite(notion, samples, seed=args.seed)
-                if not report.holds:
-                    break
-    elif claim == "thm1iii":
-        if game is not None:
-            report = verify_mod.verify_thm1iii(game, _profile_for(args, game), seed=args.seed)
-        else:
-            report = verify_mod.thm1iii_suite(samples, seed=args.seed)
-    elif claim == "thm2":
-        if game is None:
-            raise EngineError("verify thm2 needs --game")
-        profile = _profile_for(args, game)
-        if args.joint is not None:
+    if args.game:
+        game = _load_game(args.game)
+        model = parse_model(_read(args.model), game) if args.model else None
+        if "--profile" in single and args.profile is None:
+            raise EngineError(f"verify {claim} needs --profile")
+        profile = None if args.profile is None else NotionProfile.parse(args.profile, game.n)
+        if claim == "thm1i":
+            report = verify_mod.verify_thm1i(game, model, profile, seed=seed)
+        elif claim == "thm1ii":
+            report = verify_mod.verify_thm1ii(game, model, profile, seed=seed)
+        elif claim == "thm1iii":
+            report = verify_mod.verify_thm1iii(game, profile, seed=seed)
+        elif claim == "thm2" and args.joint is not None:
             joint = tuple(args.joint.split(","))
             try:
-                report = verify_mod.verify_thm2(game, profile, joint, seed=args.seed)
+                report = verify_mod.verify_thm2(game, profile, joint, seed=seed)
             except HypothesisNotMet as exc:
                 print(f"hypothesis not met: {exc}", file=sys.stderr)
                 return 2
+        elif claim == "thm2":
+            report = verify_mod.search_thm2(game, profile, seed=seed)
+        elif claim == "cor1":
+            report = verify_mod.verify_cor1(game, model, seed=seed)
+        elif claim == "cor2":
+            report = verify_mod.verify_cor2(game, model, belief_class, seed=seed)
         else:
-            report = verify_mod.search_thm2(game, profile, seed=args.seed)
+            report = verify_mod.verify_monotonicity(game, seed=seed)
+    elif claim in ("thm1i", "thm1ii"):
+        notions = MONOTONIC_NOTIONS if args.profile is None else [_suite_notion(args.profile)]
+        for notion in notions:
+            report = verify_mod.thm1_suite(notion, samples, seed=seed)
+            if not report.holds:
+                break
+    elif claim == "thm1iii":
+        report = verify_mod.thm1iii_suite(samples, seed=seed)
     elif claim in ("cor1", "cor2"):
-        if model is not None:
-            if claim == "cor1":
-                report = verify_mod.verify_cor1(game, model, seed=args.seed)
-            else:
-                report = verify_mod.verify_cor2(game, model, belief_class, seed=args.seed)
-        else:
-            report = verify_mod.cor_suite(claim, samples, seed=args.seed,
-                                          belief_class=belief_class)
+        report = verify_mod.cor_suite(claim, samples, seed=seed, belief_class=belief_class)
     elif claim == "pearce":
-        report = verify_mod.pearce_suite(samples, seed=args.seed)
+        report = verify_mod.pearce_suite(samples, seed=seed)
     elif claim == "lemma-inc":
-        report = verify_mod.lemma_inc_suite(samples, seed=args.seed)
-    elif game is not None:  # monotonicity
-        report = verify_mod.verify_monotonicity(game, seed=args.seed)
+        report = verify_mod.lemma_inc_suite(samples, seed=seed)
     else:
         report = verify_mod.monotonicity_suite(
-            small_samples=samples, large_samples=max(1, samples // 5), seed=args.seed
+            small_samples=samples, large_samples=max(1, samples // 5), seed=seed
         )
 
     print(render_report(report), end="")

@@ -14,8 +14,8 @@ instance and must reproduce the violation. A monotonicity witness is
 (player, strategy, smaller, larger), each opponent set a tuple of opponent
 profiles in offset order.
 
-Claim identifiers used throughout ("thm1.i", "cor2", ...) are the engine's
-own stable names for the checked statements; the CLI exposes them verbatim.
+Claim ids are the engine's stable names; the CLI drops the dot from "thm1.i"
+to "thm1.iii", and says lemma-inc for "lem.inc", monotonicity for "lem.mono".
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 import gc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from epigame.cli import main
+from epigame.cli import READS, main
 from epigame.games import parse_game
 
 from conftest import FLAT_GAME_TEXT, TIE_GAME_TEXT
@@ -290,6 +292,9 @@ def test_verify_single_instance_with_model(capsys, tie_game_file, singleton_mode
         (["monotonicity", "--game", "GAME"], "--samples"),
         (["thm1i", "--game", "GAME", "--model", "MODEL", "--profile", "sd"], "--samples"),
         (["cor2", "--game", "GAME", "--model", "MODEL"], "--samples"),
+        (["thm2", "--profile", "sd"], "--game"),
+        (["pearce", "--model", "MODEL"], "takes no --model"),
+        (["lemma-inc", "--model", "MODEL"], "takes no --model"),
     ],
 )
 def test_verify_rejects_an_option_it_would_ignore(
@@ -301,6 +306,66 @@ def test_verify_rejects_an_option_it_would_ignore(
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and ignored in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm1i", "--samples", "2"],
+        ["verify", "thm1ii", "--samples", "2"],
+        ["verify", "thm1i", "--game", "GAME", "--model", "MODEL"],
+        ["verify", "thm1ii", "--game", "GAME", "--model", "MODEL"],
+        ["verify", "thm1iii", "--game", "GAME"],
+        ["verify", "thm2", "--game", "GAME"],
+        ["epistemic", "--game", "GAME", "--model", "MODEL", "rat"],
+    ],
+)
+def test_empty_profile_is_an_input_error(capsys, tie_game_file, singleton_model_file, argv):
+    files = {"GAME": tie_game_file, "MODEL": singleton_model_file}
+    argv = [files.get(arg, arg) for arg in argv]
+    code, out, err = run(capsys, *argv, "--profile", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@given(
+    claim=st.sampled_from(sorted(READS)),
+    options=st.sets(st.sampled_from(
+        ["--game", "--model", "--profile", "--joint", "--belief-class", "--samples"]
+    )),
+)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_verify_option_errors_follow_the_table(
+    capsys, monkeypatch, tie_game_file, singleton_model_file, claim, options
+):
+    # a suite run without --samples checks 300 instances; the suites have their
+    # own tests, so here each one is a stub that holds
+    import epigame.verify as verify_mod
+
+    def holds(*args, **kwargs):
+        return verify_mod._report("stub", 1, False, None, 0)
+
+    for name in ("thm1_suite", "thm1iii_suite", "cor_suite", "pearce_suite",
+                 "lemma_inc_suite", "monotonicity_suite"):
+        monkeypatch.setattr(verify_mod, name, holds)
+    values = {"--game": tie_game_file, "--model": singleton_model_file, "--profile": "sd",
+              "--joint": "U,L", "--belief-class": "point", "--samples": "1"}
+    argv = ["verify", claim]
+    for option in sorted(options):
+        argv += [option, values[option]]
+    single, suite = READS[claim]
+    reads = single if "--game" in options else suite
+    forbidden = (
+        reads is None
+        or not options - {"--game"} <= set(reads)
+        or ("--model" in reads) != ("--model" in options)
+    )
+    code, out, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    flagged = any(text in err for text in ("takes no", "would ignore", "needs --game"))
+    assert flagged == forbidden, (argv, err)
 
 
 @pytest.mark.parametrize("profile", ["sd,msd", "sd msd", "xx"])
