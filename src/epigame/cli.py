@@ -228,16 +228,18 @@ READS = {
 def _cmd_verify(args) -> int:
     claim, seed = args.claim, args.seed
     single, suite = READS[claim]
-    reads = single if args.game else suite
+    # an empty path is a file that cannot be read, not a missing option
+    has_game, has_model = args.game is not None, args.model is not None
+    reads = single if has_game else suite
     if args.samples is not None and args.samples < 1:
         raise ValidationError(f"--samples must be at least 1, got {args.samples}")
     # an option the claim would not read is an input error, not a silent suite
     # run or a silently dropped setting
-    if args.game and single is None:
+    if has_game and single is None:
         raise ValidationError(f"verify {claim} takes no --game: it runs a random suite")
-    if args.model and "--model" not in (single or ()):
+    if has_model and "--model" not in (single or ()):
         raise ValidationError(f"verify {claim} takes no --model")
-    if args.game and not args.model and "--model" in single:
+    if has_game and not has_model and "--model" in single:
         raise ValidationError(
             f"verify {claim} would ignore --game without --model: "
             "pass both for one check, or neither for the random suite"
@@ -251,16 +253,16 @@ def _cmd_verify(args) -> int:
         ("--samples", args.samples),
     ):
         if value is not None and option not in reads:
-            with_game = " with --game" if args.game else ""
+            with_game = " with --game" if has_game else ""
             raise ValidationError(f"verify {claim}{with_game} takes no {option}")
-    if args.model and not args.game:
+    if has_model and not has_game:
         raise EngineError("--model needs --game")
     samples = 300 if args.samples is None else args.samples
     belief_class = args.belief_class or "correlated"
 
-    if args.game:
+    if has_game:
         game = _load_game(args.game)
-        model = parse_model(_read(args.model), game) if args.model else None
+        model = parse_model(_read(args.model), game) if has_model else None
         if "--profile" in single and args.profile is None:
             raise EngineError(f"verify {claim} needs --profile")
         profile = None if args.profile is None else NotionProfile.parse(args.profile, game.n)

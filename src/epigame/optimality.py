@@ -7,6 +7,13 @@ The predicate ``holds(notion, game, i, s_i, G_i, G_minus_i)`` decides whether
 strategies ``G_minus_i``. Mixed dominance and correlated best response reduce
 to exact rational linear programs.
 
+A verdict reads only the sign of an exact optimum, and only an eliminated
+strategy's witness is printed. ``msd`` decides and explains with one memoised
+Bland matrix game (``_dominance_verdict``). ``brc`` is decided by the greedy
+value of the rival-edge game; ``_br_belief`` keeps Bland's run for its
+belief. ``mwd`` is decided by the one-phase program of ``_weakly_dominated``;
+the two-phase ``solve`` runs only for its witness.
+
 Inside, ``G_i`` is the strategy mask ``alternatives`` and ``G_minus_i`` the
 mask ``opponents`` of flat opponent offsets (place in a payoff table, own
 index 0); the two masks are the memo keys. Offsets are listed, ascending in
@@ -54,7 +61,7 @@ from .games import (
     per_game,
     set_bits,
 )
-from .simplex import Status, matrix_game_value, solve
+from .simplex import Status, matrix_game_value, optimum_from_origin, solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -175,7 +182,7 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
         # forces the degenerate mixture
         if _point_strictly_best(game, i, s, alternatives, opponents):
             return True
-        return not _dominance_verdict(game, i, s, alternatives, opponents, "weak").dominated
+        return not _weakly_dominated(game, i, s, rivals, opponents)
     if notion is Notion.BR_POINT:
         return _point_best_response(game, i, s, alternatives, opponents)
 
@@ -186,7 +193,9 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
     # point beliefs are correlated beliefs
     if _point_best_response(game, i, s, alternatives, opponents):
         return True
-    return _br_belief(game, i, s, alternatives, opponents) is not None
+    # the value of _br_belief's game, by the greedy rule: no belief is read
+    edges = _rival_edges(game, i, s, rivals, opponents)
+    return matrix_game_value(edges, game.scaled_payoffs[i][0], greedy=True)[0] <= 0
 
 
 def _at_most_one(mask: int) -> bool:
@@ -327,18 +336,40 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
 def _br_belief(game, i, s, alternatives, opponents):
     """The weights, one per opponent profile, of a correlated belief under
     which ``s`` is a best response within ``alternatives``; None if none."""
-    offsets = list(set_bits(opponents))
     rivals = alternatives & ~(1 << s)
     if not rivals:
-        return (ONE,) + (ZERO,) * (len(offsets) - 1)
+        return (ONE,) + (ZERO,) * (opponents.bit_count() - 1)
     # the rivals' best guaranteed advantage over s; the belief that holds
     # it down is the column solution, and s is supported iff it is <= 0
-    mine = game.payoff_row(i, s, offsets)
-    rival_edge = [
-        [q - p for q, p in zip(game.payoff_row(i, a, offsets), mine)] for a in set_bits(rivals)
-    ]
-    value, _, belief = matrix_game_value(rival_edge, game.scaled_payoffs[i][0])
+    edges = _rival_edges(game, i, s, rivals, opponents)
+    value, _, belief = matrix_game_value(edges, game.scaled_payoffs[i][0])
     return belief if value <= 0 else None
+
+
+def _rival_edges(game, i, s, rivals, opponents):
+    """Per rival ``a`` (ascending), the row of ``u(a, t) - u(s, t)`` over the
+    opponent offsets ``t`` (ascending), in player ``i``'s scaled payoffs."""
+    offsets = list(set_bits(opponents))
+    mine = game.payoff_row(i, s, offsets)
+    return [[q - p for q, p in zip(game.payoff_row(i, a, offsets), mine)]
+            for a in set_bits(rivals)]
+
+
+def _weakly_dominated(game, i, s, rivals, opponents):
+    """Whether a mixture weakly dominates ``s``, by the sign of a one-phase
+    program: with ``d_jt = u(j, t) - u(s, t)`` and weight ``m_j`` on rival
+    ``j`` (the rest on ``s``), max ``sum_j (sum_t d_jt) m_j`` subject to
+    ``-sum_j d_jt m_j <= 0`` per opponent offset ``t``, ``sum_j m_j <= 1``
+    and ``m >= 0``. A dominator keeping weight on ``s`` rescales to one over
+    the rivals, so the optimum is positive iff ``s`` is dominated, whether or
+    not ``s`` is an alternative. The witness is ``_dominance_verdict``'s."""
+    edges = _rival_edges(game, i, s, rivals, opponents)
+    rows = [[-d for d in column] for column in zip(*edges)]
+    rows.append([1] * len(edges))
+    optimum = optimum_from_origin(rows, [0] * (len(rows) - 1) + [1], [sum(e) for e in edges])
+    if optimum is None:
+        raise InvariantViolated("weak-dominance decision unbounded; its weights sum to at most 1")
+    return optimum > 0
 
 
 # --- exact re-verification of witnesses, used by traces and tests -----------

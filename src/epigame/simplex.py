@@ -1,14 +1,15 @@
 """Exact linear programming over the rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule for both the entering
-and the leaving choice, so the solver terminates on every input and every
-verdict (optimal / infeasible / unbounded) is exact. Bland's rule never
-revisits a basis, so a run that pivots more often than there are bases is a
-bug: it raises ``InvariantViolated`` instead of cycling. ``solve`` takes the one
-form the engine poses, equality rows over non-negative variables (the weak
-dominance program); there are no inequality rows, slack columns or free
-variables to split. ``matrix_game_value`` runs a single phase on the
-positive-shifted matrix game.
+Primal simplex with exact verdicts (optimal / infeasible / unbounded). A
+program whose optimal vertex is printed as a witness follows Bland's rule:
+``solve`` (two phases, equality rows over non-negative variables, the weak
+dominance witness) and ``matrix_game_value``. A program that only decides a
+verdict reads the sign of its exact optimum, which no pivot order changes, so
+it takes the greedy rule of ``_primal``, with fewer pivots:
+``matrix_game_value(..., greedy=True)`` and ``optimum_from_origin``. Neither
+rule revisits a basis, so a run that pivots more often than there are bases
+is a bug: it raises ``InvariantViolated`` instead of cycling. The single-phase
+programs start from the all-slack basis of ``rows . x <= rhs``, ``rhs >= 0``.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968, the pivoting of
 Avis's lrs): the inputs are integers, and each entry is kept as an integer
@@ -51,26 +52,54 @@ class LPSolution:
     assignment: tuple[Fraction, ...] | None
 
 
-def _bland(tableau, rhs, basis, cobasis, reduced, det):
-    """Run primal simplex steps until optimal or unbounded, entering the
-    smallest variable (not the leftmost column); returns the status and the
-    final denominator."""
+def _primal(tableau, rhs, basis, cobasis, reduced, det, greedy=False):
+    """Run primal simplex steps until optimal or unbounded; returns the status
+    and the final denominator.
+
+    Bland's rule enters the smallest variable (not the leftmost column) with a
+    positive reduced cost. With ``greedy`` the run first enters the largest
+    reduced cost (Dantzig's rule, the leftmost column on a tie) for as long as
+    each pivot raises the objective; from the first pivot that would not (a
+    zero ratio) it follows Bland's rule to the end. The greedy bases have
+    strictly rising objective values and Bland's rule never revisits a basis,
+    so no basis repeats either way. Both rules reach the same optimum, not
+    always the same optimal vertex.
+    """
     for _ in range(comb(len(basis) + len(cobasis), len(basis)) + 1):
-        entering = min((c for c, v in enumerate(reduced) if v > 0),
-                       key=cobasis.__getitem__, default=-1)
+        entering = _entering(reduced, cobasis, greedy)
         if entering < 0:
             return Status.OPTIMAL, det
-        leaving, num, den = -1, 0, 1
-        for r, row in enumerate(tableau):
-            a = row[entering]
-            if a > 0:
-                ratio, best = rhs[r] * den, num * a  # rhs[r] / a against num / den
-                if leaving < 0 or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    leaving, num, den = r, rhs[r], a
+        leaving = _leaving(tableau, rhs, basis, entering)
+        if greedy and leaving >= 0 and rhs[leaving] == 0:
+            greedy = False
+            entering = _entering(reduced, cobasis, False)
+            leaving = _leaving(tableau, rhs, basis, entering)
         if leaving < 0:
             return Status.UNBOUNDED, det
         det = _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det)
     raise InvariantViolated("simplex pivoted more often than there are bases")
+
+
+def _entering(reduced, cobasis, greedy):
+    """The column to enter, -1 when no reduced cost is positive."""
+    if greedy:
+        best = max(range(len(reduced)), key=reduced.__getitem__, default=-1)
+        return best if best >= 0 and reduced[best] > 0 else -1
+    return min((c for c, v in enumerate(reduced) if v > 0),
+               key=cobasis.__getitem__, default=-1)
+
+
+def _leaving(tableau, rhs, basis, entering):
+    """The row of the smallest ratio over the entering column's positive
+    entries, ties to the smallest basic variable; -1 when there is none."""
+    leaving, num, den = -1, 0, 1
+    for r, row in enumerate(tableau):
+        a = row[entering]
+        if a > 0:
+            ratio, best = rhs[r] * den, num * a  # rhs[r] / a against num / den
+            if leaving < 0 or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                leaving, num, den = r, rhs[r], a
+    return leaving
 
 
 def _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det):
@@ -122,6 +151,26 @@ def _require_integers(*vectors, what: str) -> None:
         raise ValidationError(f"{what} must be integers; scale rational inputs first")
 
 
+def _require_program(rows, rhs, objective) -> None:
+    if len(rhs) != len(rows) or any(len(row) != len(objective) for row in rows):
+        raise ValidationError("one bound per row and one coefficient per variable are required")
+    _require_integers(*rows, rhs, objective, what="LP coefficients")
+
+
+def _from_origin(tableau, rhs, objective, greedy):
+    """One phase of ``max objective . x`` subject to ``tableau . x <= rhs``
+    and ``x >= 0``, with ``rhs >= 0``, from the all-slack basis at the
+    origin (slack ``r`` is variable ``len(objective) + r``). Pivots
+    ``tableau`` and ``rhs`` in place; returns the status, the denominator,
+    the basis, the cobasis and the reduced costs."""
+    nvar = len(objective)
+    basis = list(range(nvar, nvar + len(tableau)))
+    cobasis = list(range(nvar))
+    reduced = list(objective)
+    status, det = _primal(tableau, rhs, basis, cobasis, reduced, 1, greedy)
+    return status, det, basis, cobasis, reduced
+
+
 def solve(rows, rhs, objective) -> LPSolution:
     """Maximise ``objective . x`` subject to ``rows . x = rhs`` and ``x >= 0``,
     exactly, for integer inputs; on OPTIMAL the assignment satisfies every
@@ -131,10 +180,8 @@ def solve(rows, rhs, objective) -> LPSolution:
     is negated first), moves leftover zero artificials out of the basis and
     drops the rows that turn out redundant; phase 2 runs on what remains.
     """
+    _require_program(rows, rhs, objective)
     nvar = len(objective)
-    if len(rhs) != len(rows) or any(len(row) != nvar for row in rows):
-        raise ValidationError("one bound per row and one coefficient per variable are required")
-    _require_integers(*rows, rhs, objective, what="LP coefficients")
     m = len(rows)
     tableau = [[-a for a in row] if bound < 0 else list(row) for row, bound in zip(rows, rhs)]
     bounds = [abs(bound) for bound in rhs]
@@ -143,7 +190,7 @@ def solve(rows, rhs, objective) -> LPSolution:
 
     # Phase 1: drive the artificials to zero.
     reduced = _reduced_costs(tableau, basis, cobasis, [0] * nvar + [-1] * m, 1)
-    status, det = _bland(tableau, bounds, basis, cobasis, reduced, 1)
+    status, det = _primal(tableau, bounds, basis, cobasis, reduced, 1)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("phase 1 reported unbounded; its objective is bounded by 0")
     if any(bounds[r] != 0 for r, b in enumerate(basis) if b >= nvar):
@@ -168,7 +215,7 @@ def solve(rows, rhs, objective) -> LPSolution:
 
     # Phase 2 with the real objective.
     reduced = _reduced_costs(tableau, basis, cobasis, objective, det)
-    status, det = _bland(tableau, bounds, basis, cobasis, reduced, det)
+    status, det = _primal(tableau, bounds, basis, cobasis, reduced, det)
     if status is Status.UNBOUNDED:
         return LPSolution(Status.UNBOUNDED, None, None)
 
@@ -180,7 +227,7 @@ def solve(rows, rhs, objective) -> LPSolution:
 
 
 def matrix_game_value(
-    matrix, scale: int = 1
+    matrix, scale: int = 1, greedy: bool = False
 ) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact value of the zero-sum game ``max_row min_col m^T A`` together
     with optimal mixtures for both players, given ``matrix = scale * A`` in
@@ -192,6 +239,9 @@ def matrix_game_value(
     reduced costs by duality and the column mixture off the basic solution.
     The shifted matrix is ``scale`` times ``A`` shifted by ``1 - min``: the
     pivots and mixtures do not see the scale, and the value divides it out.
+
+    Bland's rule gives the mixtures that witnesses print; ``greedy`` takes
+    fewer pivots to the same value, for callers that read only the value.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
@@ -202,10 +252,7 @@ def matrix_game_value(
 
     tableau = [[v + shift for v in row] for row in matrix]
     rhs = [1] * nrows
-    basis = list(range(ncols, ncols + nrows))
-    cobasis = list(range(ncols))
-    reduced = [1] * ncols
-    status, det = _bland(tableau, rhs, basis, cobasis, reduced, 1)
+    status, det, basis, cobasis, reduced = _from_origin(tableau, rhs, [1] * ncols, greedy)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("matrix game program unbounded on a positive matrix")
 
@@ -225,3 +272,25 @@ def matrix_game_value(
     column_mixture = tuple(Fraction(v, total) for v in scaled_columns)
     value = Fraction(det - shift * total, scale * total)
     return value, row_mixture, column_mixture
+
+
+def optimum_from_origin(rows, rhs, objective) -> Fraction | None:
+    """Exact optimum of ``max objective . x`` subject to ``rows . x <= rhs``
+    and ``x >= 0``, for integer inputs with ``rhs >= 0``; None when the
+    program is unbounded.
+
+    The origin is feasible, so this runs one phase from the all-slack basis,
+    as ``matrix_game_value`` does, with no artificials. It pivots by the
+    greedy rule and returns no vertex: it serves decisions that read only
+    the optimum, while a witness comes from ``solve``.
+    """
+    _require_program(rows, rhs, objective)
+    if any(bound < 0 for bound in rhs):
+        raise ValidationError("bounds must be non-negative, so the origin is feasible")
+    tableau = [list(row) for row in rows]
+    rhs = list(rhs)
+    nvar = len(objective)
+    status, det, basis, _, _ = _from_origin(tableau, rhs, objective, True)
+    if status is Status.UNBOUNDED:
+        return None
+    return Fraction(sum(objective[b] * rhs[r] for r, b in enumerate(basis) if b < nvar), det)

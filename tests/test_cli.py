@@ -329,6 +329,27 @@ def test_empty_profile_is_an_input_error(capsys, tie_game_file, singleton_model_
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cor1", "--game", "", "--samples", "2"], "would ignore --game"),
+        (["cor1", "--game", "", "--model", ""], "cannot read"),
+        (["cor1", "--game", "GAME", "--model", ""], "cannot read"),
+        (["thm2", "--game", "", "--profile", "wd"], "cannot read"),
+        (["thm1iii", "--game", "", "--profile", "sd"], "cannot read"),
+        (["monotonicity", "--game", ""], "cannot read"),
+        (["pearce", "--game", ""], "takes no --game"),
+        (["thm1i", "--model", "", "--samples", "2"], "--model needs --game"),
+    ],
+)
+def test_empty_file_option_is_an_input_error(capsys, tie_game_file, argv, message):
+    argv = [tie_game_file if arg == "GAME" else arg for arg in argv]
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 @given(
     claim=st.sampled_from(sorted(READS)),
     options=st.sets(st.sampled_from(

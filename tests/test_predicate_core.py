@@ -26,6 +26,8 @@ from epigame.optimality import (
     _point_strictly_best,
     _pure_dominator,
     holds,
+    solve_br_lp,
+    solve_dominance_lp,
 )
 from epigame.verify import elimination_limit, verify_thm1i
 
@@ -211,3 +213,46 @@ def test_mask_predicates_match_their_definitions(case):
     assert _point_strictly_best(game, i, s, alternatives, mask) == any(
         all(_u(game, i, s_label, t) > _u(game, i, a, t) for a in rivals) for t in profiles
     )
+
+
+# --- value-only decisions against the witness programs --------------------------
+
+@st.composite
+def lp_cases(draw):
+    """Row player instances that often get past the pure shortcuts to the
+    programs: 3 or 4 strategies against 2 to 4, at least two alternatives and
+    two opponent profiles. Half the time two rivals pay (3, 0) and (0, 3) at
+    the first two profiles, and ``s`` pays their average less 0 or 1/2 at
+    each profile: no pure strategy need dominate ``s``, nor need ``s`` be a
+    point best response, while a mixture or a belief may settle it."""
+    rows, cols = draw(st.integers(3, 4)), draw(st.integers(2, 4))
+    strategies = (tuple(f"r{k}" for k in range(rows)), tuple(f"c{k}" for k in range(cols)))
+    table = [draw(st.sampled_from([0, 1, 2, 3])) for _ in range(rows * cols)]
+    s = draw(st.integers(0, rows - 1))
+    alternatives = draw(st.lists(st.integers(0, rows - 1), min_size=2, unique=True))
+    rivals = [a for a in alternatives if a != s]
+    opponents = draw(st.lists(st.integers(0, cols - 1), min_size=2, unique=True))
+    if len(rivals) >= 2 and draw(st.booleans()):
+        a, b = rivals[:2]
+        table[a * cols:a * cols + 2] = [3, 0]
+        table[b * cols:b * cols + 2] = [0, 3]
+        for c in range(cols):
+            table[s * cols + c] = (Fraction(table[a * cols + c] + table[b * cols + c], 2)
+                                   - draw(st.sampled_from([0, Fraction(1, 2)])))
+        opponents = sorted({0, 1, *opponents})
+    game = Game(strategies, (tuple(table), (0,) * (rows * cols)))
+    return (game, 0, strategies[0][s], [strategies[0][a] for a in alternatives],
+            [(strategies[1][c],) for c in opponents])
+
+
+@given(st.one_of(pure_cases().filter(lambda case: case[3]), lp_cases()))
+@settings(max_examples=200, deadline=None)
+def test_decisions_agree_with_their_witness_programs(case):
+    # brc and mwd are decided by value-only programs, while their witnesses
+    # come from Bland's programs; the verdicts agree whether or not s is among
+    # the alternatives
+    game, i, s, alternatives, opponents = case
+    belief = solve_br_lp(game, i, s, alternatives, opponents)
+    assert holds("brc", game, i, s, alternatives, opponents) == belief.is_best_response
+    dominance = solve_dominance_lp(game, i, s, alternatives, opponents, "weak")
+    assert holds("mwd", game, i, s, alternatives, opponents) == (not dominance.dominated)

@@ -120,6 +120,104 @@ def test_matrix_game_value_matches_fraction_solver(matrix, multiple):
     assert sum(rows) == 1 and sum(columns) == 1
 
 
+@st.composite
+def degenerate_matrices(draw):
+    """A drawn matrix with a duplicated row or column, or one value throughout."""
+    matrix = draw(matrices())
+    kind = draw(st.sampled_from(["row", "column", "constant"]))
+    if kind == "row":
+        return matrix + [list(draw(st.sampled_from(matrix)))]
+    if kind == "column":
+        c = draw(st.integers(0, len(matrix[0]) - 1))
+        return [row + [row[c]] for row in matrix]
+    value = draw(rationals)
+    return [[value] * len(matrix[0]) for _ in matrix]
+
+
+@given(st.one_of(matrices(), degenerate_matrices()), st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=150, deadline=None)
+def test_greedy_game_value_matches_fraction_solver(matrix, multiple):
+    # the greedy rule reaches Bland's value; its mixtures are optimal, though
+    # not always Bland's
+    value, rows, columns = engine.matrix_game_value(
+        *integer_matrix(matrix, multiple), greedy=True
+    )
+    assert value == reference.matrix_game_value(matrix)[0]
+    assert sum(rows) == 1 and sum(columns) == 1 and min(rows + columns) >= 0
+    for c in range(len(matrix[0])):
+        assert sum(p * row[c] for p, row in zip(rows, matrix)) >= value
+    for row in matrix:
+        assert sum(q * v for q, v in zip(columns, row)) <= value
+
+
+@st.composite
+def weak_programs(draw):
+    """Payoffs of ``s`` and of one to four rivals at one to five opponent
+    profiles, small integers so that ties are common, and whether ``s`` is in
+    the support too."""
+    m = draw(st.integers(1, 5))
+    payoffs = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    return draw(payoffs), draw(st.lists(payoffs, min_size=1, max_size=4)), draw(st.booleans())
+
+
+@given(weak_programs())
+@settings(max_examples=300, deadline=None)
+def test_one_phase_weak_verdict_matches_solve(program):
+    mine, rivals, with_s = program
+    m = len(mine)
+    # the witness program: a mixture over the support with slacks
+    # sum_j w_j u(j, t) - slack_t = u(s, t), maximising the total slack
+    support = rivals + [mine] * with_s
+    rows = [[row[t] for row in support] + [-(q == t) for q in range(m)] for t in range(m)]
+    rows.append([1] * len(support) + [0] * m)
+    solution = engine.solve(rows, mine + [1], [0] * len(support) + [1] * m)
+    # the decision: weights on the rivals, the rest on s, from the origin
+    edges = [[q - p for q, p in zip(row, mine)] for row in rivals]
+    decision = [[-d for d in column] for column in zip(*edges)] + [[1] * len(rivals)]
+    optimum = engine.optimum_from_origin(decision, [0] * m + [1], [sum(e) for e in edges])
+    dominated = solution.status is Status.OPTIMAL and solution.value > 0
+    assert (optimum > 0) == dominated
+    if with_s:  # the same program, with s's weight substituted out
+        assert optimum == solution.value
+
+
+def test_greedy_rule_enters_the_largest_reduced_cost():
+    # max x0 + 3 x1 subject to x0 + x1 <= 1: Bland's rule enters x0 and then
+    # x1, the greedy rule x1 at once
+    with recorded_pivots(engine) as log:
+        assert engine.optimum_from_origin([[1, 1]], [1], [1, 3]) == 3
+    assert log == [(0, 1, True)]
+
+
+def test_greedy_rule_turns_to_blands_rule_at_a_degenerate_pivot():
+    # max x0 + 2 x1 subject to x1 - x0 <= 0 and x0 + x1 <= 2: entering x1
+    # would not raise the objective (ratio 0 in the first row), so the run
+    # enters x0 by Bland's rule instead, and keeps to it
+    with recorded_pivots(engine) as log:
+        assert engine.optimum_from_origin([[-1, 1], [1, 1]], [0, 2], [1, 2]) == 3
+    assert log[0] == (1, 0, True)
+
+
+def test_greedy_rule_stops_at_the_optimum_of_a_cycling_example():
+    # Beale's (1955) example, on whose rational tableau the largest-coefficient
+    # rule cycles:
+    # max 3/4 x0 - 20 x1 + 1/2 x2 - 6 x3 subject to
+    # 1/4 x0 - 8 x1 - x2 + 9 x3 <= 0, 1/2 x0 - 12 x1 - 1/2 x2 + 3 x3 <= 0 and
+    # x2 <= 1, each row and the objective scaled to integers; the optimum is 5/4
+    rows = [[1, -32, -4, 36], [1, -24, -1, 6], [0, 0, 1, 0]]
+    assert engine.optimum_from_origin(rows, [0, 0, 1], [3, -80, 2, -24]) == 5
+
+
+def test_one_phase_program_rejects_an_infeasible_origin():
+    with pytest.raises(ValidationError):
+        engine.optimum_from_origin([[1]], [-1], [1])
+
+
+def test_one_phase_program_over_no_variables_is_zero():
+    assert engine.optimum_from_origin([], [], []) == 0
+    assert engine.optimum_from_origin([[]], [1], []) == 0
+
+
 def test_rational_inputs_rejected():
     with pytest.raises(ValidationError):
         engine.matrix_game_value([[F(1, 2), 1]])
