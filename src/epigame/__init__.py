@@ -53,7 +53,6 @@ from .games import (
     expected_payoff,
     game_from_payoffs,
     parse_game,
-    parse_restriction,
     render_game,
     render_restriction,
 )

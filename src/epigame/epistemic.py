@@ -20,7 +20,8 @@ boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Sequence
 
 from .elimination import GLOBAL, NotionProfile, operator
@@ -82,7 +83,10 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class PossibilityCorrespondence:
-    """Total map from states to possibility sets, in state order."""
+    """Total map from states to possibility sets, in state order.
+
+    :attr:`sources` groups the states by possibility set; the class checks
+    and :func:`common_box` read each distinct set once through it."""
 
     space: StateSpace
     targets: tuple[frozenset[str], ...]
@@ -104,17 +108,26 @@ class PossibilityCorrespondence:
         return tuple(map(mask_of.__getitem__, self.targets))
 
     @cached_property
+    def sources(self) -> dict[int, int]:
+        """Each distinct possibility mask -> the mask of the states that have it."""
+        sources: dict[int, int] = {}
+        for k, m in enumerate(self.masks):
+            sources[m] = sources.get(m, 0) | 1 << k
+        return sources
+
+    @cached_property
     def serial(self) -> bool:
-        return all(m != 0 for m in self.masks)
+        return 0 not in self.sources
 
     @cached_property
     def coherent(self) -> bool:
-        masks = self.masks
-        return all(masks[t] == m for m in masks for t in set_bits(m))
+        """Every set lies inside its own sources: each state it keeps has it."""
+        return all(m & pointing == m for m, pointing in self.sources.items())
 
     @cached_property
     def reflexive(self) -> bool:
-        return all(m >> k & 1 for k, m in enumerate(self.masks))
+        """Every sources mask lies inside its set: each state having it is in it."""
+        return all(m & pointing == pointing for m, pointing in self.sources.items())
 
     @property
     def is_belief_class(self) -> bool:
@@ -174,6 +187,13 @@ class EpistemicModel:
                 raise ValidationError(f"player {i + 1} has no strategy {exc.args[0]!r}") from None
         return tuple(indices)
 
+    @cached_property
+    def strategy_bits(self) -> tuple[list[int], ...]:
+        """Per player, the bit ``1 << index`` of the chosen strategy, in state
+        order. Lists, not tuples: a freed model's lists go back to the
+        allocator, where small tuples would stay in CPython's free lists."""
+        return tuple([1 << s for s in chosen] for chosen in self.strategy_indices)
+
     def strategy_of(self, i: int, state: str) -> str:
         return self.strategy_maps[i][self.space.index[state]]
 
@@ -221,7 +241,9 @@ def common_box(model: EpistemicModel, event: int) -> int:
     state reachable in one or more steps along the players' possibility
     relations lies in the event (Fagin, Halpern, Moses & Vardi 1995).
 
-    Computed in one backward reachability pass. On a valid model the box
+    Computed in one backward reachability pass over each correspondence's
+    :attr:`~PossibilityCorrespondence.sources`, the per-set map the class
+    checks read too. On a valid model the box
     chain decreases, so this is also the stable value of
     :func:`box_chain`, which the tests use as the reference. A state
     outside the event is not excluded for that alone: a non-reflexive
@@ -229,14 +251,11 @@ def common_box(model: EpistemicModel, event: int) -> int:
     model.require_valid()
     space = model.space
     space.require_event(event)
-    # pointed_from[t]: the states w with t in P_i(w) for some player i;
-    # grouping states by possibility set visits each set once
+    # pointed_from[t]: the states w with t in P_i(w) for some player i,
+    # read off each distinct possibility set once
     pointed_from = [0] * len(space.states)
     for c in model.correspondences:
-        sources: dict[int, int] = {}
-        for k, m in enumerate(c.masks):
-            sources[m] = sources.get(m, 0) | 1 << k
-        for m, pointing in sources.items():
+        for m, pointing in c.sources.items():
             for t in set_bits(m):
                 pointed_from[t] |= pointing
     # bad: the states with a successor outside the event or bad
@@ -275,11 +294,14 @@ def restriction_of(model: EpistemicModel, event: int) -> Restriction:
 
 
 def _strategy_masks(model: EpistemicModel, mask: int) -> tuple[int, ...]:
-    """Per player, the strategy mask of the map's image over a state mask."""
-    return tuple(
-        sum(1 << s for s in {chosen[k] for k in set_bits(mask)})
-        for chosen in model.strategy_indices
-    )
+    """Per player, the strategy mask of the map's image over a state mask:
+    the OR of the chosen strategies' bits over the mask's states."""
+    states = []
+    while mask:
+        low = mask & -mask
+        states.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(reduce(or_, map(bits.__getitem__, states), 0) for bits in model.strategy_bits)
 
 
 def rat_event(model: EpistemicModel, profile: NotionProfile) -> int:
@@ -382,55 +404,69 @@ def parse_model(source: str, game: Game) -> EpistemicModel:
     ``map i: state -> strategy`` and ``poss i: state -> {states}`` lines in
     any order.
 
-    One pass writes each line into per-player slots in state order; memos
-    local to the call resolve each distinct ``map i``/``poss i`` head and
-    each distinct ``{...}`` text once, so states with one possibility set
+    One pass writes each line into per-player slots in state order. A
+    ``map``/``poss`` line costs cutting the comment, one split at ':' and a
+    lookup of the raw head text (``poss 2``, spacing and all) in a memo local
+    to the call, which holds that player's slots; only a head not seen before
+    and the ``states:`` line are read in full. Another memo reads each
+    distinct raw ``{...}`` text once, so states with one possibility set
     share one frozenset."""
-    from .games import _content_lines, _parse_player_number, _split_directive
+    from .games import _parse_player_number, _split_directive
 
     space: StateSpace | None = None
+    index: dict[str, int] = {}  # state label -> position, once the states are read
     slots: dict[str, list[list]] = {}  # keyword -> per player, one slot per state
-    heads: dict[str, tuple[str, int]] = {}
-    sets: dict[str, frozenset[str]] = {}
+    heads: dict[str, tuple[str, int, list]] = {}  # raw head -> (keyword, player, its slots)
+    sets: dict[str, frozenset[str]] = {}  # raw '{...}' text -> the set
 
-    for number, line in _content_lines(source):
-        head, rest = _split_directive(number, line)
-        if head == "states":
-            if space is not None:
-                raise ParseError("duplicate states directive", number, 1)
-            try:
-                space = StateSpace(tuple(rest.split()))
-            except ValidationError as exc:
-                raise ParseError(str(exc), number, len("states: ") + 1) from None
-            slots = {kind: [[None] * len(space.states) for _ in range(game.n)]
-                     for kind in ("map", "poss")}
-            continue
-        found = heads.get(head)
-        if found is None:
+    for number, line in enumerate(source.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        raw_head, colon, rest = line.partition(":")
+        found = heads.get(raw_head)
+        if found is None or not colon:
+            line = line.strip()
+            if not line:
+                continue
+            head, rest = _split_directive(number, line)
+            if head == "states":
+                if space is not None:
+                    raise ParseError("duplicate states directive", number, 1)
+                try:
+                    space = StateSpace(tuple(rest.split()))
+                except ValidationError as exc:
+                    raise ParseError(str(exc), number, len("states: ") + 1) from None
+                index = space.index
+                slots = {kind: [[None] * len(space.states) for _ in range(game.n)]
+                         for kind in ("map", "poss")}
+                continue
             keyword = "map" if head.startswith("map") else "poss"
             if not head.startswith(keyword):
                 raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)
-            found = heads[head] = (keyword, _parse_player_number(number, head, keyword, game.n))
-        keyword, player = found
+            player = _parse_player_number(number, head, keyword, game.n)
+            # before the states line there are no slots, and the line fails below
+            found = heads[raw_head] = (keyword, player, slots[keyword][player] if slots else None)
+        keyword, player, row = found
         left, arrow, right = rest.partition("->")
         if not arrow:
-            raise ParseError(f"{keyword} line needs '->'", number, len(line))
-        if space is None:
-            raise ParseError("states directive must come first", number, 1)
-        state = left.strip()
-        k = space.index.get(state)
+            raise ParseError(f"{keyword} line needs '->'", number, len(line.strip()))
+        k = index.get(left.strip())
         if k is None:
-            raise ParseError(f"unknown state {state!r}", number, 1)
-        target = right.strip()
-        if keyword == "poss":
-            if not (target.startswith("{") and target.endswith("}")):
-                raise ParseError("poss line needs '{state ...}'", number, len(line))
-            if target not in sets:
-                sets[target] = frozenset(target[1:-1].split())
-            target = sets[target]
-        row = slots[keyword][player]
+            if space is None:
+                raise ParseError("states directive must come first", number, 1)
+            raise ParseError(f"unknown state {left.strip()!r}", number, 1)
+        if keyword == "map":
+            target = right.strip()
+        else:
+            target = sets.get(right)
+            if target is None:
+                text = right.strip()
+                if not (text.startswith("{") and text.endswith("}")):
+                    raise ParseError("poss line needs '{state ...}'", number, len(line.strip()))
+                target = sets[right] = frozenset(text[1:-1].split())
         if row[k] is not None:
-            raise ValidationError(f"duplicate {keyword} for player {player + 1} at state {state}")
+            raise ValidationError(
+                f"duplicate {keyword} for player {player + 1} at state {left.strip()}")
         row[k] = target
 
     if space is None:

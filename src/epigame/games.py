@@ -413,16 +413,10 @@ def expected_payoff(
 # Text formats.
 #
 # Game files:      players: 2 / strategies 1: U D / payoff 1: U L = 1
-# Restrictions:    restrict 1: U D      (empty components stay explicit)
+# Restrictions:    restrict 1: U D      (written only; empty components stay
+#                                        explicit)
 # Comments start with '#'; parsing is whitespace-insensitive.
 # ---------------------------------------------------------------------------
-
-
-def _content_lines(source: str):
-    for number, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield number, line
 
 
 def _split_directive(number: int, line: str) -> tuple[str, str]:
@@ -445,55 +439,69 @@ def _parse_player_number(number: int, head: str, keyword: str, n: int | None) ->
 
 def parse_game(source: str) -> Game:
     """Parse the game file format, directives in any order, into a validated
-    :class:`Game`. Memos local to the call read each distinct directive head
-    and payoff literal once; payoffs are keyed by product-order offset, and a
-    lazy walk of the product finds a missing one in memory bounded by the file."""
+    :class:`Game`.
+
+    A payoff line costs one pass of string work: cutting the comment, one
+    split at ':', and a lookup of the raw head text (``payoff 2``, spacing
+    and all) in a memo local to the call. Only a head not seen before and the
+    ``players:`` and ``strategies`` lines are read in full. Two more memos
+    read each distinct raw payoff literal once and each distinct raw joint
+    text once, for all players, as an offset in product order; payoffs are
+    keyed by that offset, and a lazy walk of the product finds a missing one
+    in memory bounded by the file."""
     n: int | None = None
     strategy_sets: dict[int, tuple[str, ...]] = {}
     payoff_lines: list[tuple[int, int, str, Fraction]] = []
-    heads: dict[str, tuple[int, int]] = {}  # head -> (player, first line)
-    literals: dict[str, Fraction] = {}
+    players_of: dict[str, int] = {}  # raw payoff head -> player
+    unchecked: list[tuple[int, str]] = []  # (line, head) read before the players count
+    literals: dict[str, Fraction] = {}  # raw value text -> value
 
-    for number, line in _content_lines(source):
-        head, rest = _split_directive(number, line)
-        if head == "players":
-            if n is not None:
-                raise ParseError("duplicate players directive", number, 1)
-            if not rest.isdecimal():
-                raise ParseError("players count must be an integer", number, len(line))
-            n = int(rest)
-            for seen, (_, first) in heads.items():  # heads read before the count
-                _parse_player_number(first, seen, seen.split()[0], n)
-            heads.clear()
-            continue
-        keyword = "strategies" if head.startswith("strategies") else "payoff"
-        if not head.startswith(keyword):
-            raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)
-        found = heads.get(head)
-        if found is None:
-            found = heads[head] = (_parse_player_number(number, head, keyword, n), number)
-        player = found[0]
-        if keyword == "strategies":
-            if player in strategy_sets:
-                raise ParseError(f"duplicate strategies for player {player + 1}", number, 1)
-            labels = tuple(rest.split())
-            for label in labels:
-                try:
-                    check_label(label, "strategy label")
-                except ValidationError as exc:
-                    raise ParseError(str(exc), number, line.index(label, len(head)) + 1) from None
-            strategy_sets[player] = labels
-            continue
+    for number, line in enumerate(source.splitlines(), start=1):
+        if "#" in line:
+            line = line[:line.index("#")]
+        raw_head, colon, rest = line.partition(":")
+        player = players_of.get(raw_head)
+        if player is None or not colon:
+            line = line.strip()
+            if not line:
+                continue
+            head, rest = _split_directive(number, line)
+            if head == "players":
+                if n is not None:
+                    raise ParseError("duplicate players directive", number, 1)
+                if not rest.isdecimal():
+                    raise ParseError("players count must be an integer", number, len(line))
+                n = int(rest)
+                for first, seen in unchecked:
+                    _parse_player_number(first, seen, seen.split()[0], n)
+                continue
+            keyword = "strategies" if head.startswith("strategies") else "payoff"
+            if not head.startswith(keyword):
+                raise ParseError(f"unknown directive {head.split()[0]!r}", number, 1)
+            player = _parse_player_number(number, head, keyword, n)
+            if n is None:
+                unchecked.append((number, head))
+            if keyword == "strategies":
+                if player in strategy_sets:
+                    raise ParseError(f"duplicate strategies for player {player + 1}", number, 1)
+                labels = tuple(rest.split())
+                for label in labels:
+                    try:
+                        check_label(label, "strategy label")
+                    except ValidationError as exc:
+                        raise ParseError(str(exc), number, line.index(label, len(head)) + 1) from None
+                strategy_sets[player] = labels
+                continue
+            players_of[raw_head] = player
         joint_text, equals, value_text = rest.partition("=")
         if not equals:
-            raise ParseError("payoff line needs '= value'", number, len(line))
-        value_text = value_text.strip()
+            raise ParseError("payoff line needs '= value'", number, len(line.strip()))
         value = literals.get(value_text)
         if value is None:
             try:
-                value = literals[value_text] = _rational_literal(value_text)
+                value = literals[value_text] = _rational_literal(value_text.strip())
             except ValidationError as exc:
-                raise ParseError(str(exc), number, line.rfind("=") + 2) from None
+                raise ParseError(str(exc), number, line.strip().rfind("=") + 2) from None
         payoff_lines.append((number, player, joint_text, value))
 
     if n is None:
@@ -512,20 +520,26 @@ def parse_game(source: str) -> Game:
     # a repeated label, which Game rejects, takes the index of its first
     # occurrence, so the first missing joint is still reported first
     index = [{s: k for k, s in enumerate(dict.fromkeys(labels))} for labels in strategies]
+    offsets: dict[str, int] = {}  # raw joint text -> offset, for every player
     entries: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for number, player, joint_text, value in payoff_lines:
-        joint = joint_text.split()
-        if len(joint) != n:
-            raise ParseError(f"joint strategy needs {n} entries, got {len(joint)}", number, 1)
-        offset = 0
-        for j, label in enumerate(joint):
-            k = index[j].get(label)
-            if k is None:
-                raise ParseError(f"player {j + 1} has no strategy {label!r}", number, 1)
-            offset = offset * len(index[j]) + k
-        if offset in entries[player]:
-            raise ValidationError(f"duplicate payoff for player {player + 1} at {tuple(joint)}")
-        entries[player][offset] = value
+        offset = offsets.get(joint_text)
+        if offset is None:
+            joint = joint_text.split()
+            if len(joint) != n:
+                raise ParseError(f"joint strategy needs {n} entries, got {len(joint)}", number, 1)
+            offset = 0
+            for j, label in enumerate(joint):
+                k = index[j].get(label)
+                if k is None:
+                    raise ParseError(f"player {j + 1} has no strategy {label!r}", number, 1)
+                offset = offset * len(index[j]) + k
+            offsets[joint_text] = offset
+        entry = entries[player]
+        if offset in entry:
+            joint = tuple(joint_text.split())
+            raise ValidationError(f"duplicate payoff for player {player + 1} at {joint}")
+        entry[offset] = value
 
     size = prod(map(len, index))
     for i, entry in enumerate(entries):
@@ -544,21 +558,6 @@ def render_game(game: Game) -> str:
         for joint, value in zip(game.joint_strategies, table):
             lines.append(f"payoff {i + 1}: " + " ".join(joint) + f" = {value}")
     return "\n".join(lines) + "\n"
-
-
-def parse_restriction(source: str, game: Game) -> Restriction:
-    """Parse ``restrict i: ...`` lines; every player must appear exactly once."""
-    seen: dict[int, tuple[str, ...]] = {}
-    for number, line in _content_lines(source):
-        head, rest = _split_directive(number, line)
-        player = _parse_player_number(number, head, "restrict", game.n)
-        if player in seen:
-            raise ParseError(f"duplicate restrict line for player {player + 1}", number, 1)
-        seen[player] = tuple(rest.split())
-    missing = [i + 1 for i in range(game.n) if i not in seen]
-    if missing:
-        raise ValidationError(f"missing restrict lines for players {missing}")
-    return Restriction.of(game, tuple(seen[i] for i in range(game.n)))
 
 
 def render_restriction(restriction: Restriction) -> str:

@@ -10,13 +10,15 @@ definitions and sharing no helper with the code they check.
 * ``largest_fixpoint_bruteforce``: the union of all post-fixpoints of a
   restriction operator, found by trying every restriction;
 * ``opponent_offsets``: the places in a payoff table of a player's opponent
-  profiles, read as mixed-radix numbers over the strategy counts.
+  profiles, read as mixed-radix numbers over the strategy counts;
+* ``parse_restriction``: the reader of the ``restrict i: ...`` lines that
+  ``render_restriction`` writes, for the round trip (no command reads them).
 """
 
 import itertools
 
 from epigame.epistemic import PossibilityCorrespondence, StateSpace
-from epigame.errors import BudgetExceeded
+from epigame.errors import BudgetExceeded, ParseError, ValidationError
 from epigame.games import Game, Restriction
 
 # restrictions the brute-force fixpoint may try
@@ -84,3 +86,28 @@ def opponent_offsets(counts, i, components):
             offset = offset * count + index
         offsets.append(offset)
     return offsets
+
+
+def parse_restriction(source: str, game: Game) -> Restriction:
+    """Read one ``restrict i: label ...`` line per player; ``#`` starts a
+    comment. A malformed or repeated line is a `ParseError`, a missing
+    player a `ValidationError`."""
+    components: dict[int, tuple[str, ...]] = {}
+    for number, raw in enumerate(source.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        head, colon, rest = line.partition(":")
+        words = head.split()
+        if not colon or len(words) != 2 or words[0] != "restrict" or not words[1].isdecimal():
+            raise ParseError("malformed restrict directive", number, 1)
+        player = int(words[1]) - 1
+        if not 0 <= player < game.n:
+            raise ParseError(f"player number {player + 1} out of range", number, len("restrict ") + 1)
+        if player in components:
+            raise ParseError(f"duplicate restrict line for player {player + 1}", number, 1)
+        components[player] = tuple(rest.split())
+    missing = [i + 1 for i in range(game.n) if i not in components]
+    if missing:
+        raise ValidationError(f"missing restrict lines for players {missing}")
+    return Restriction.of(game, tuple(components[i] for i in range(game.n)))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from epigame.epistemic import (
 )
 from epigame.errors import EmptyStateSpace, InvalidModel, ValidationError
 from epigame.games import Restriction, game_from_payoffs
+
+from reference import enumerate_belief_correspondences, enumerate_knowledge_correspondences
 
 
 def subset(small: int, big: int) -> bool:
@@ -120,6 +123,34 @@ def test_largest_evident_inside_trivial(tie_game):
     omega = model.space.full_mask
     assert largest_evident_inside(model, omega) == omega
     assert largest_evident_inside(model, 0) == 0
+
+
+def test_class_checks_and_common_box_on_every_three_state_correspondence(tie_game):
+    # every map from 3 states to sets of states: 8 ** 3 = 512 correspondences
+    space = StateSpace(("a", "b", "c"))
+    sets = [frozenset(itertools.compress(space.states, bits))
+            for bits in itertools.product((0, 1), repeat=3)]
+    maps = (("U", "D", "U"), ("L", "L", "R"))
+    partition = PossibilityCorrespondence(
+        space, (frozenset("ab"), frozenset("ab"), frozenset("c")))
+    counts = {"belief": 0, "knowledge": 0}
+    for targets in itertools.product(sets, repeat=3):
+        c = PossibilityCorrespondence(space, targets)
+        of = dict(zip(space.states, targets))
+        assert c.serial == all(of[w] for w in space.states)
+        assert c.coherent == all(of[v] == of[w] for w in space.states for v in of[w])
+        assert c.reflexive == all(w in of[w] for w in space.states)
+        model = EpistemicModel(tie_game, space, maps, (c, c))
+        if model.model_class == "invalid":
+            continue
+        counts["belief"] += 1
+        counts["knowledge"] += model.model_class == "knowledge"
+        for other in (c, partition):
+            paired = model.with_correspondences((c, other))
+            for event in range(1 << 3):
+                assert common_box(paired, event) == box_chain(paired, event)[-1]
+    assert counts == {"belief": len(list(enumerate_belief_correspondences(space))),
+                      "knowledge": len(list(enumerate_knowledge_correspondences(space)))}
 
 
 def test_box_chain_decreases_on_belief_models(tie_game):
@@ -404,6 +435,17 @@ def models_and_events(draw):
 def test_common_box_is_the_stable_box_chain(params):
     model, event = params
     assert common_box(model, event) == box_chain(model, event)[-1]
+
+
+@given(models_and_events())
+@settings(max_examples=100, deadline=None)
+def test_restriction_of_is_the_image_of_the_strategy_maps(params):
+    model, event = params
+    states = [s for k, s in enumerate(model.space.states) if event >> k & 1]
+    images = [{model.strategy_of(i, s) for s in states} for i in range(model.game.n)]
+    assert restriction_of(model, event).components == tuple(
+        tuple(label for label in labels if label in image)
+        for labels, image in zip(model.game.strategies, images))
 
 
 def test_validation_report_flags_invalid(tie_game):

@@ -16,14 +16,13 @@ from epigame.games import (
     expected_payoff,
     game_from_payoffs,
     parse_game,
-    parse_restriction,
     render_game,
     render_restriction,
     set_bits,
 )
 
 from conftest import FLAT_GAME_TEXT, TIE_GAME_TEXT
-from reference import opponent_offsets
+from reference import opponent_offsets, parse_restriction
 
 
 def test_parse_tie_game(tie_game):

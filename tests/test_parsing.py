@@ -355,3 +355,90 @@ def test_a_players_count_alone_is_bounded_by_the_file():
         "missing strategies for players [1, 3, 4, 5, 6, 7, 8, 9, 10, 11] and more, 99999 in all")
     assert len(message) < 1000
     assert peak < 2 ** 20
+
+
+# --- spacing, repeated lines and mutated files ------------------------------------
+
+SPACES = ("", " ", "  ", "\t")
+
+
+@st.composite
+def respaced(draw, text):
+    """The same file with every head rewritten with other spacing
+    (``payoff  2 :``, ``map\\t1:``), and other spacing after the colon."""
+    lines = []
+    for line in text.splitlines():
+        head, _, rest = line.partition(":")
+        sep, lead, trail, after = (draw(st.sampled_from(SPACES[1:])),
+                                   *(draw(st.sampled_from(SPACES)) for _ in range(3)))
+        lines.append(lead + sep.join(head.split()) + trail + ":" + after + rest.strip())
+    return "\n".join(lines) + "\n"
+
+
+def drawn_model(data, game, states=8):
+    config = GeneratorConfig(seed=data.draw(st.integers(0, 10 ** 6)), states=(1, states),
+                             target_class=data.draw(st.sampled_from(("belief", "knowledge"))))
+    return generate_model(config, game)
+
+
+@settings(max_examples=40, deadline=None)
+@given(games(), st.data())
+def test_respaced_heads_comments_and_blank_lines_parse_alike(game, data):
+    text = data.draw(reordered(data.draw(respaced(render_game(game)))))
+    assert parse_game(text) == game
+    model = drawn_model(data, game)
+    text = data.draw(reordered(data.draw(respaced(render_model(model)))))
+    assert parse_model(text, game) == model
+
+
+@settings(max_examples=40, deadline=None)
+@given(games(), st.data())
+def test_a_line_repeated_under_another_spacing_is_a_duplicate(game, data):
+    model = drawn_model(data, game)
+    for text, parse in ((render_game(game), parse_game),
+                        (render_model(model), lambda source: parse_model(source, game))):
+        lines = text.splitlines()
+        line = data.draw(st.sampled_from([line for line in lines if line.startswith(
+            ("payoff", "map", "poss"))]))
+        head, _, rest = line.partition(":")
+        keyword, player = head.split()
+        lines.insert(data.draw(st.integers(1, len(lines))), f" {keyword}  {player} :{rest}")
+        if keyword == "payoff":
+            at = tuple(rest.partition("=")[0].split())
+        else:
+            at = "state " + rest.partition("->")[0].strip()
+        with pytest.raises(ValidationError) as err:
+            parse("\n".join(lines) + "\n")
+        assert str(err.value) == f"duplicate {keyword} for player {player} at {at}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(games(), st.data())
+def test_mutated_files_end_in_input_errors(game, data):
+    # a dropped or duplicated line always breaks a rendered file; a token
+    # swap may leave it valid (two equal tokens), but never raises another error
+    model = drawn_model(data, game, states=6)
+    for text, parse in ((render_game(game), parse_game),
+                        (render_model(model), lambda source: parse_model(source, game))):
+        lines = text.splitlines()
+        swapped = False
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, len(lines) - 1))
+            kind = data.draw(st.sampled_from(("drop", "duplicate", "swap")))
+            if kind == "drop":
+                del lines[k]
+            elif kind == "duplicate":
+                lines.insert(data.draw(st.integers(0, len(lines))), lines[k])
+            else:
+                tokens = lines[k].split(" ")
+                a, b = (data.draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+                tokens[a], tokens[b] = tokens[b], tokens[a]
+                lines[k] = " ".join(tokens)
+                swapped = True
+            if not lines:
+                break
+        try:
+            parse("\n".join(lines) + "\n")
+        except (ParseError, ValidationError):
+            continue
+        assert swapped, "a file with a line dropped or duplicated was accepted"
