@@ -16,9 +16,7 @@ from .epistemic import (
     box,
     box_chain,
     common_box,
-    is_evident,
     iterated_elimination_model,
-    largest_evident_inside,
     parse_model,
     rat_event,
     render_model,

@@ -23,7 +23,6 @@ from .epistemic import (
 from .errors import EngineError, HypothesisNotMet, ValidationError
 from .games import (
     Game,
-    MixedStrategy,
     Restriction,
     parse_game,
     render_game,
@@ -43,6 +42,13 @@ def _read(path: str) -> str:
         raise EngineError(f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise EngineError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_game(path: str) -> Game:
     return parse_game(_read(path))
 
@@ -50,10 +56,6 @@ def _load_game(path: str) -> Game:
 def _render_witness(witness) -> str:
     if witness is None:
         return "-"
-    if isinstance(witness, MixedStrategy):
-        return str(witness)
-    if isinstance(witness, str):
-        return witness
     if isinstance(witness, tuple):
         return ";".join(
             f"({','.join(t)})->{reply}" for t, reply in witness
@@ -83,6 +85,10 @@ def render_trace(trace: EliminationTrace, mode: str, profile: NotionProfile) -> 
     return "\n".join(line.rstrip() for line in lines) + "\n"
 
 
+# the payload values printed in their file format, one line per file line
+_RENDERERS = {Game: render_game, EpistemicModel: render_model, Restriction: render_restriction}
+
+
 def render_report(report: VerificationReport) -> str:
     lines = [
         f"claim: {report.claim}",
@@ -99,14 +105,9 @@ def render_report(report: VerificationReport) -> str:
             if key == "kind":
                 continue
             value = payload[key]
-            if isinstance(value, Game):
-                for line in render_game(value).rstrip().splitlines():
-                    lines.append(f"counterexample {key}: {line}")
-            elif isinstance(value, EpistemicModel):
-                for line in render_model(value).rstrip().splitlines():
-                    lines.append(f"counterexample {key}: {line}")
-            elif isinstance(value, Restriction):
-                for line in render_restriction(value).rstrip().splitlines():
+            render = _RENDERERS.get(type(value))
+            if render is not None:
+                for line in render(value).rstrip().splitlines():
                     lines.append(f"counterexample {key}: {line}")
             elif isinstance(value, frozenset):
                 lines.append(f"counterexample {key}: " + " ".join(sorted(value)))
@@ -168,7 +169,7 @@ def _cmd_eliminate(args) -> int:
     trace = outcome(profile, game, args.mode)
     dump = render_trace(trace, args.mode, profile)
     if args.dump:
-        Path(args.dump).write_text(dump, encoding="utf-8")
+        _write(args.dump, dump)
     if args.trace:
         print(dump, end="")
     else:

@@ -104,7 +104,14 @@ class PossibilityCorrespondence:
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
-        mask_of = {t: self.space.mask_of(t) for t in set(self.targets)}
+        # __post_init__ checked every label, so each one is in the index
+        index = self.space.index
+        mask_of = {}
+        for t in set(self.targets):
+            mask = 0
+            for s in t:
+                mask |= 1 << index[s]
+            mask_of[t] = mask
         return tuple(map(mask_of.__getitem__, self.targets))
 
     @cached_property
@@ -194,9 +201,6 @@ class EpistemicModel:
         allocator, where small tuples would stay in CPython's free lists."""
         return tuple([1 << s for s in chosen] for chosen in self.strategy_indices)
 
-    def strategy_of(self, i: int, state: str) -> str:
-        return self.strategy_maps[i][self.space.index[state]]
-
     def with_correspondences(
         self, correspondences: Sequence[PossibilityCorrespondence]
     ) -> "EpistemicModel":
@@ -268,21 +272,6 @@ def common_box(model: EpistemicModel, event: int) -> int:
         bad |= new
         frontier |= new
     return space.full_mask & ~bad
-
-
-def is_evident(model: EpistemicModel, event: int) -> bool:
-    """An event F is evident when F is included in box(F)."""
-    return event & ~box(model, event) == 0
-
-
-def largest_evident_inside(model: EpistemicModel, event: int) -> int:
-    """The inclusion-largest evident event inside ``event``, computed as the
-    greatest fixpoint of F -> F & box(F) starting from the event itself."""
-    while True:
-        nxt = event & box(model, event)
-        if nxt == event:
-            return event
-        event = nxt
 
 
 def restriction_of(model: EpistemicModel, event: int) -> Restriction:

@@ -339,20 +339,6 @@ class MixedStrategy:
         if sum(w for _, w in self.weights) != 1:
             raise ValidationError("mixed strategy weights must sum to exactly 1")
 
-    @classmethod
-    def from_mapping(cls, player: int, weights: Mapping[str, object]) -> "MixedStrategy":
-        return cls(player, tuple(sorted((k, _as_fraction(v)) for k, v in weights.items())))
-
-    @classmethod
-    def pure(cls, player: int, label: str) -> "MixedStrategy":
-        return cls(player, ((label, Fraction(1)),))
-
-    def weight(self, label: str) -> Fraction:
-        for name, w in self.weights:
-            if name == label:
-                return w
-        return Fraction(0)
-
     @property
     def support(self) -> tuple[str, ...]:
         return tuple(label for label, w in self.weights if w > 0)

@@ -56,7 +56,6 @@ from .games import (
     CorrelatedBelief,
     Game,
     MixedStrategy,
-    expected_payoff,
     insert_own,
     per_game,
     set_bits,
@@ -362,7 +361,10 @@ def _weakly_dominated(game, i, s, rivals, opponents):
     ``-sum_j d_jt m_j <= 0`` per opponent offset ``t``, ``sum_j m_j <= 1``
     and ``m >= 0``. A dominator keeping weight on ``s`` rescales to one over
     the rivals, so the optimum is positive iff ``s`` is dominated, whether or
-    not ``s`` is an alternative. The witness is ``_dominance_verdict``'s."""
+    not ``s`` is an alternative. A rival that can enter is worse than ``s``
+    at some ``t`` (else ``_pure_dominator`` found it), so the first greedy
+    pivot is degenerate and the run is Bland's from the start. The witness
+    is ``_dominance_verdict``'s."""
     edges = _rival_edges(game, i, s, rivals, opponents)
     rows = [[-d for d in column] for column in zip(*edges)]
     rows.append([1] * len(edges))
@@ -372,7 +374,7 @@ def _weakly_dominated(game, i, s, rivals, opponents):
     return optimum > 0
 
 
-# --- exact re-verification of witnesses, used by traces and tests -----------
+# --- exact re-verification of a dominance witness -----------------------------
 
 def dominates(game: Game, i: int, mix: MixedStrategy, s_i: str, G_minus_i, mode: str) -> bool:
     """Re-check a dominance witness under exact arithmetic."""
@@ -397,11 +399,3 @@ def dominates(game: Game, i: int, mix: MixedStrategy, s_i: str, G_minus_i, mode:
             if value > p:
                 strict_seen = True
     return True if mode == "strict" else strict_seen
-
-
-def supports_best_response(
-    game: Game, i: int, belief: CorrelatedBelief, s_i: str, G_i
-) -> bool:
-    """Re-check a best-response witness under exact arithmetic."""
-    own = expected_payoff(game, i, s_i, belief)
-    return all(own >= expected_payoff(game, i, s, belief) for s in G_i)

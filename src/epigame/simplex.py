@@ -5,8 +5,9 @@ program whose optimal vertex is printed as a witness follows Bland's rule:
 ``solve`` (two phases, equality rows over non-negative variables, the weak
 dominance witness) and ``matrix_game_value``. A program that only decides a
 verdict reads the sign of its exact optimum, which no pivot order changes, so
-it takes the greedy rule of ``_primal``, with fewer pivots:
-``matrix_game_value(..., greedy=True)`` and ``optimum_from_origin``. Neither
+it takes the greedy rule of ``_primal``: ``matrix_game_value(..., greedy=True)``,
+with fewer pivots on brc's matrix games, and ``optimum_from_origin``, whose mwd
+programs pivot as under Bland's rule (``optimality._weakly_dominated``). Neither
 rule revisits a basis, so a run that pivots more often than there are bases
 is a bug: it raises ``InvariantViolated`` instead of cycling. The single-phase
 programs start from the all-slack basis of ``rows . x <= rhs``, ``rhs >= 0``.

@@ -12,14 +12,21 @@ definitions and sharing no helper with the code they check.
 * ``opponent_offsets``: the places in a payoff table of a player's opponent
   profiles, read as mixed-radix numbers over the strategy counts;
 * ``parse_restriction``: the reader of the ``restrict i: ...`` lines that
-  ``render_restriction`` writes, for the round trip (no command reads them).
+  ``render_restriction`` writes, for the round trip (no command reads them);
+* ``box_from_targets``: box(E), the states whose possibility sets all lie
+  inside E, read off the sets of state labels;
+* ``is_evident`` and ``largest_evident_inside``: F is evident when F lies
+  inside box(F); the largest evident event inside E is the greatest
+  fixpoint of F -> F & box(F), reached from E by iterating;
+* ``supports_best_response``: a correlated belief supports ``s_i`` when no
+  alternative earns more in expectation, each payoff read from the table.
 """
 
 import itertools
 
-from epigame.epistemic import PossibilityCorrespondence, StateSpace
+from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
 from epigame.errors import BudgetExceeded, ParseError, ValidationError
-from epigame.games import Game, Restriction
+from epigame.games import CorrelatedBelief, Game, Restriction
 
 # restrictions the brute-force fixpoint may try
 ENUMERATION_BUDGET = 1 << 20
@@ -111,3 +118,35 @@ def parse_restriction(source: str, game: Game) -> Restriction:
     if missing:
         raise ValidationError(f"missing restrict lines for players {missing}")
     return Restriction.of(game, tuple(components[i] for i in range(game.n)))
+
+
+def box_from_targets(model: EpistemicModel, event: int) -> int:
+    """The state mask of box(E): the states at which every player's
+    possibility set, as labels, lies inside the event."""
+    index = model.space.index
+    result = 0
+    for k in range(len(model.space.states)):
+        if all(event >> index[v] & 1 for c in model.correspondences for v in c.targets[k]):
+            result |= 1 << k
+    return result
+
+
+def is_evident(model: EpistemicModel, event: int) -> bool:
+    return event & ~box_from_targets(model, event) == 0
+
+
+def largest_evident_inside(model: EpistemicModel, event: int) -> int:
+    while True:
+        smaller = event & box_from_targets(model, event)
+        if smaller == event:
+            return event
+        event = smaller
+
+
+def supports_best_response(game: Game, i: int, belief: CorrelatedBelief, s_i: str, G_i) -> bool:
+    def expected(label):
+        return sum(w * game.payoff(i, joint[:i] + (label,) + joint[i:])
+                   for joint, w in belief.weights)
+
+    own = expected(s_i)
+    return all(own >= expected(a) for a in G_i)

@@ -12,11 +12,9 @@ from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator
 from epigame.epistemic import (
     EpistemicModel,
     StateSpace,
-    box,
     box_chain,
     common_box,
     iterated_elimination_model,
-    largest_evident_inside,
     rat_event,
     restriction_of,
 )
@@ -34,7 +32,6 @@ from epigame.optimality import (
     holds,
     solve_br_lp,
     solve_dominance_lp,
-    supports_best_response,
 )
 from epigame.verify import (
     find_predicate_nonmonotonicity,
@@ -49,9 +46,12 @@ from epigame.verify import (
 )
 
 from reference import (
+    box_from_targets,
     enumerate_belief_correspondences,
     enumerate_knowledge_correspondences,
+    largest_evident_inside,
     largest_fixpoint_bruteforce,
+    supports_best_response,
 )
 from test_optimality import grid_has_dominator, grid_has_supporting_belief, random_game
 
@@ -187,7 +187,7 @@ def test_criterion_10_common_belief_characterizations(tie_game):
             for event in events:
                 checked += 1
                 stable = common_box(model, event)
-                assert stable == largest_evident_inside(model, box(model, event))
+                assert stable == largest_evident_inside(model, box_from_targets(model, event))
                 chain = box_chain(model, event)
                 assert all(b & ~a == 0 for a, b in zip(chain, chain[1:]))
         knowledge = list(enumerate_knowledge_correspondences(space))
@@ -196,7 +196,7 @@ def test_criterion_10_common_belief_characterizations(tie_game):
             for event in events:
                 checked += 1
                 stable = common_box(model, event)
-                assert stable == largest_evident_inside(model, box(model, event))
+                assert stable == largest_evident_inside(model, box_from_targets(model, event))
                 assert stable == largest_evident_inside(model, event)
                 assert stable & ~event == 0
 
@@ -210,7 +210,7 @@ def test_criterion_10_common_belief_characterizations(tie_game):
             event = sum(1 << k for k in range(len(model.space.states)) if rng.random() < 0.5)
             checked += 1
             stable = common_box(model, event)
-            assert stable == largest_evident_inside(model, box(model, event))
+            assert stable == largest_evident_inside(model, box_from_targets(model, event))
             if model.model_class == "knowledge":
                 assert stable == largest_evident_inside(model, event)
     _announce(10, started, f"both common-belief characterizations agree on {checked} checks")

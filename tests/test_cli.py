@@ -100,6 +100,17 @@ def test_eliminate_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_eliminate_dump_to_an_unwritable_path_is_an_input_error(capsys, tmp_path, tie_game_file,
+                                                                 where):
+    dump = tmp_path / "missing" / "trace.dump" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "eliminate", "--game", tie_game_file, "--notion", "sd",
+                         "--dump", str(dump))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dump}: ") and err.count("\n") == 1
+
+
 def test_epistemic_validate(capsys, tie_game_file, singleton_model_file):
     code, out, _ = run(
         capsys, "epistemic", "--game", tie_game_file, "--model", singleton_model_file, "validate"

@@ -140,8 +140,8 @@ def test_outcome_msd_mixed_witness(mix_game):
     record = next(r for r in trace.records if r.strategy == "M")
     assert isinstance(record.witness, MixedStrategy)
     assert dominates(mix_game, 0, record.witness, "M", [("L",), ("R",)], "strict")
-    assert record.witness.weight("T") == Fraction(1, 2)
-    assert record.witness.weight("B") == Fraction(1, 2)
+    weights = dict(record.witness.weights)
+    assert weights["T"] == weights["B"] == Fraction(1, 2)
 
 
 def test_outcome_brc_elimination_has_dominator_witness(prisoners_dilemma):

@@ -13,9 +13,7 @@ from epigame.epistemic import (
     box,
     box_chain,
     common_box,
-    is_evident,
     iterated_elimination_model,
-    largest_evident_inside,
     parse_model,
     rat_event,
     render_model,
@@ -29,7 +27,13 @@ from epigame.epistemic import (
 from epigame.errors import EmptyStateSpace, InvalidModel, ValidationError
 from epigame.games import Restriction, game_from_payoffs
 
-from reference import enumerate_belief_correspondences, enumerate_knowledge_correspondences
+from reference import (
+    box_from_targets,
+    enumerate_belief_correspondences,
+    enumerate_knowledge_correspondences,
+    is_evident,
+    largest_evident_inside,
+)
 
 
 def subset(small: int, big: int) -> bool:
@@ -236,11 +240,11 @@ def test_model_rejects_an_unknown_strategy_label(tie_game):
 def test_standard_model_shapes(tie_game, flat_game):
     model = standard_model(tie_game.full_restriction())
     assert len(model.space.states) == 4
-    assert model.strategy_of(0, state_label(("D", "R"))) == "D"
+    assert model.strategy_maps[0][model.space.index[state_label(("D", "R"))]] == "D"
     single = standard_model(Restriction.of(tie_game, (("U",), ("L",))))
     assert len(single.space.states) == 1
     flat = standard_model(flat_game.full_restriction())
-    assert flat.strategy_of(0, state_label(("D", "R"))) == "D"
+    assert flat.strategy_maps[0][flat.space.index[state_label(("D", "R"))]] == "D"
     with pytest.raises(EmptyStateSpace):
         standard_model(Restriction.of(tie_game, (("U",), ())))
 
@@ -322,7 +326,7 @@ def test_characterizations_on_random_models(tie_game):
             for _ in range(8):
                 event = sum(1 << k for k in range(len(model.space.states)) if rng.random() < 0.5)
                 stable = common_box(model, event)
-                assert stable == largest_evident_inside(model, box(model, event))
+                assert stable == largest_evident_inside(model, box_from_targets(model, event))
                 if target == "knowledge":
                     assert stable == largest_evident_inside(model, event)
 
@@ -442,7 +446,8 @@ def test_common_box_is_the_stable_box_chain(params):
 def test_restriction_of_is_the_image_of_the_strategy_maps(params):
     model, event = params
     states = [s for k, s in enumerate(model.space.states) if event >> k & 1]
-    images = [{model.strategy_of(i, s) for s in states} for i in range(model.game.n)]
+    images = [{model.strategy_maps[i][model.space.index[s]] for s in states}
+              for i in range(model.game.n)]
     assert restriction_of(model, event).components == tuple(
         tuple(label for label in labels if label in image)
         for labels, image in zip(model.game.strategies, images))

