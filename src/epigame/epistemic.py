@@ -14,14 +14,16 @@ correspondence (whose possibility sets partition the space).
 An event is an ``int`` state mask: bit ``k`` keeps ``space.states[k]``. Every
 event function takes and returns masks; :meth:`StateSpace.mask_of` and
 :meth:`StateSpace.event_of` convert from and to state labels at the I/O
-boundary.
+boundary. A model's strategy choices are state masks too
+(:attr:`EpistemicModel.choosers`), and :func:`box`, :func:`common_box`,
+:func:`rat_event` and the class checks read each distinct possibility set
+once, through :attr:`PossibilityCorrespondence.sources`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .elimination import GLOBAL, NotionProfile, operator
@@ -85,8 +87,9 @@ class StateSpace:
 class PossibilityCorrespondence:
     """Total map from states to possibility sets, in state order.
 
-    :attr:`sources` groups the states by possibility set; the class checks
-    and :func:`common_box` read each distinct set once through it."""
+    :attr:`sources` groups the states by possibility set; :attr:`kind`,
+    :func:`box`, :func:`common_box` and :func:`rat_event` read each
+    distinct set once through it."""
 
     space: StateSpace
     targets: tuple[frozenset[str], ...]
@@ -136,13 +139,12 @@ class PossibilityCorrespondence:
         """Every sources mask lies inside its set: each state having it is in it."""
         return all(m & pointing == pointing for m, pointing in self.sources.items())
 
-    @property
-    def is_belief_class(self) -> bool:
-        return self.serial and self.coherent
-
-    @property
-    def is_knowledge_class(self) -> bool:
-        return self.is_belief_class and self.reflexive
+    @cached_property
+    def kind(self) -> str:
+        """``belief`` for (i)+(ii), ``knowledge`` for (i)-(iii), else ``invalid``."""
+        if not (self.serial and self.coherent):
+            return "invalid"
+        return "knowledge" if self.reflexive else "belief"
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,9 @@ class EpistemicModel:
 
     ``strategy_maps[i]`` is aligned with the state order and must take values
     in the game's strategy set for player ``i``; a model over a restriction
-    simply has smaller images.
+    simply has smaller images. Inside, the choices are state masks:
+    ``choosers[i][s]`` keeps the states at which player ``i`` chooses the
+    strategy with index ``s``.
     """
 
     game: Game
@@ -165,7 +169,10 @@ class EpistemicModel:
         for i, labels in enumerate(self.strategy_maps):
             if len(labels) != len(self.space.states):
                 raise ValidationError(f"strategy map for player {i + 1} is not total")
-        self.strategy_indices  # an unknown label fails here, at construction
+        for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
+            if not index.keys() >= set(labels):
+                unknown = next(label for label in labels if label not in index)
+                raise ValidationError(f"player {i + 1} has no strategy {unknown!r}")
         if self.correspondences is not None:
             if len(self.correspondences) != self.game.n:
                 raise ValidationError("one correspondence per player is required")
@@ -175,31 +182,23 @@ class EpistemicModel:
 
     @cached_property
     def model_class(self) -> str:
+        """The weakest :attr:`~PossibilityCorrespondence.kind` among the
+        correspondences; ``invalid`` when none are attached."""
         if self.correspondences is None:
             return "invalid"
-        if all(c.is_knowledge_class for c in self.correspondences):
-            return "knowledge"
-        if all(c.is_belief_class for c in self.correspondences):
-            return "belief"
-        return "invalid"
+        return min((c.kind for c in self.correspondences),
+                   key=("invalid", "belief", "knowledge").index)
 
     @cached_property
-    def strategy_indices(self) -> tuple[tuple[int, ...], ...]:
-        """The strategy maps as strategy indices, in state order."""
-        indices = []
-        for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
-            try:
-                indices.append(tuple(map(index.__getitem__, labels)))
-            except KeyError as exc:
-                raise ValidationError(f"player {i + 1} has no strategy {exc.args[0]!r}") from None
-        return tuple(indices)
-
-    @cached_property
-    def strategy_bits(self) -> tuple[list[int], ...]:
-        """Per player, the bit ``1 << index`` of the chosen strategy, in state
-        order. Lists, not tuples: a freed model's lists go back to the
-        allocator, where small tuples would stay in CPython's free lists."""
-        return tuple([1 << s for s in chosen] for chosen in self.strategy_indices)
+    def choosers(self) -> tuple[tuple[int, ...], ...]:
+        """Per player and strategy index, the mask of the states that choose it."""
+        choosers = []
+        for index, labels in zip(self.game._label_index, self.strategy_maps):
+            masks = [0] * len(index)
+            for k, label in enumerate(labels):
+                masks[index[label]] |= 1 << k
+            choosers.append(tuple(masks))
+        return tuple(choosers)
 
     def with_correspondences(
         self, correspondences: Sequence[PossibilityCorrespondence]
@@ -222,11 +221,11 @@ def box(model: EpistemicModel, event: int) -> int:
     """States where every player's possibility set lies inside the event."""
     model.require_valid()
     model.space.require_event(event)
-    result = 0
-    all_masks = [c.masks for c in model.correspondences]
-    for k in range(len(model.space.states)):
-        if all(masks[k] & ~event == 0 for masks in all_masks):
-            result |= 1 << k
+    result = model.space.full_mask
+    for c in model.correspondences:
+        # each state has one set, so the sources masks are disjoint and their
+        # sum is their union
+        result &= sum(pointing for m, pointing in c.sources.items() if m & ~event == 0)
     return result
 
 
@@ -284,39 +283,35 @@ def restriction_of(model: EpistemicModel, event: int) -> Restriction:
 
 def _strategy_masks(model: EpistemicModel, mask: int) -> tuple[int, ...]:
     """Per player, the strategy mask of the map's image over a state mask:
-    the OR of the chosen strategies' bits over the mask's states."""
-    states = []
-    while mask:
-        low = mask & -mask
-        states.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(reduce(or_, map(bits.__getitem__, states), 0) for bits in model.strategy_bits)
+    the strategies that some state of the mask chooses."""
+    return tuple(sum(1 << s for s, chosen in enumerate(choosers) if chosen & mask)
+                 for choosers in model.choosers)
 
 
 def rat_event(model: EpistemicModel, profile: NotionProfile) -> int:
     """States where every player's chosen strategy is optimal, per that
-    player's notion, in the restriction projected from their possibility set."""
+    player's notion, in the restriction projected from their possibility set.
+
+    Player by player, each distinct possibility set is projected once, and a
+    strategy is checked only where some state with that set chooses it and
+    every earlier player's choice is optimal."""
     model.require_valid()
     profile.validate_for(model.game)
     game = model.game
     notions = profile.effective
-    # a possibility mask projects straight to strategy masks
-    chosen = model.strategy_indices
-    opponents_of: dict[tuple[int, int], int] = {}
-
-    def opponents(i: int, mask: int) -> int:
-        if (i, mask) not in opponents_of:
-            opponents_of[i, mask] = game.opponent_mask(i, _strategy_masks(model, mask))
-        return opponents_of[i, mask]
-
-    result = 0
-    for k in range(len(model.space.states)):
-        if all(
-            _holds_cached(game, notions[i], i, chosen[i][k], game.full_masks[i],
-                          opponents(i, model.correspondences[i].masks[k]))
-            for i in range(game.n)
-        ):
-            result |= 1 << k
+    result = model.space.full_mask
+    for i, (c, choosers) in enumerate(zip(model.correspondences, model.choosers)):
+        rational = 0
+        for m, pointing in c.sources.items():
+            pointing &= result
+            if not pointing:
+                continue
+            opponents = game.opponent_mask(i, _strategy_masks(model, m))
+            for s, chosen in enumerate(choosers):
+                if chosen & pointing and _holds_cached(
+                        game, notions[i], i, s, game.full_masks[i], opponents):
+                    rational |= chosen & pointing
+        result = rational
     return result
 
 
@@ -496,11 +491,6 @@ def validation_report(model: EpistemicModel) -> str:
                 f"coherent={'yes' if c.coherent else 'no'}",
                 f"reflexive={'yes' if c.reflexive else 'no'}",
             ]
-            kind = (
-                "knowledge"
-                if c.is_knowledge_class
-                else "belief" if c.is_belief_class else "invalid"
-            )
-            lines.append(f"correspondence {i + 1}: " + " ".join(parts) + f" class={kind}")
+            lines.append(f"correspondence {i + 1}: " + " ".join(parts) + f" class={c.kind}")
     lines.append(f"model class: {model.model_class}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,8 @@ definitions and sharing no helper with the code they check.
   ``render_restriction`` writes, for the round trip (no command reads them);
 * ``box_from_targets``: box(E), the states whose possibility sets all lie
   inside E, read off the sets of state labels;
+* ``image_of_states``: per player, the strategies the strategy map gives
+  the states of a set of state labels, in the game's label order;
 * ``is_evident`` and ``largest_evident_inside``: F is evident when F lies
   inside box(F); the largest evident event inside E is the greatest
   fixpoint of F -> F & box(F), reached from E by iterating;
@@ -129,6 +131,17 @@ def box_from_targets(model: EpistemicModel, event: int) -> int:
         if all(event >> index[v] & 1 for c in model.correspondences for v in c.targets[k]):
             result |= 1 << k
     return result
+
+
+def image_of_states(model: EpistemicModel, states) -> tuple[tuple[str, ...], ...]:
+    """The strategy labels each player's map gives the labelled states, in
+    the game's label order: the projection of a possibility set."""
+    images = []
+    for labels, strategy_map in zip(model.game.strategies, model.strategy_maps):
+        chosen = {strategy for state, strategy in zip(model.space.states, strategy_map)
+                  if state in states}
+        images.append(tuple(label for label in labels if label in chosen))
+    return tuple(images)
 
 
 def is_evident(model: EpistemicModel, event: int) -> bool:

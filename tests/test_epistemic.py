@@ -31,6 +31,7 @@ from reference import (
     box_from_targets,
     enumerate_belief_correspondences,
     enumerate_knowledge_correspondences,
+    image_of_states,
     is_evident,
     largest_evident_inside,
 )
@@ -51,13 +52,13 @@ def tiny_knowledge_model(game):
 def test_classification_belief_knowledge_invalid(tie_game):
     space = StateSpace(("a", "b"))
     knowledge = PossibilityCorrespondence(space, (frozenset({"a"}), frozenset({"b"})))
-    assert knowledge.is_knowledge_class and knowledge.is_belief_class
+    assert knowledge.kind == "knowledge"
     belief = PossibilityCorrespondence(space, (frozenset({"b"}), frozenset({"b"})))
-    assert belief.is_belief_class and not belief.is_knowledge_class
+    assert belief.kind == "belief" and not belief.reflexive
     non_serial = PossibilityCorrespondence(space, (frozenset(), frozenset({"b"})))
-    assert not non_serial.serial and not non_serial.is_belief_class
+    assert not non_serial.serial and non_serial.kind == "invalid"
     incoherent = PossibilityCorrespondence(space, (frozenset({"a", "b"}), frozenset({"b"})))
-    assert not incoherent.coherent
+    assert not incoherent.coherent and incoherent.kind == "invalid"
 
     maps = (("U", "D"), ("L", "R"))
     assert EpistemicModel(tie_game, space, maps, (knowledge, knowledge)).model_class == "knowledge"
@@ -137,6 +138,14 @@ def test_class_checks_and_common_box_on_every_three_state_correspondence(tie_gam
     maps = (("U", "D", "U"), ("L", "L", "R"))
     partition = PossibilityCorrespondence(
         space, (frozenset("ab"), frozenset("ab"), frozenset("c")))
+    order = ("invalid", "belief", "knowledge")  # weakest first
+
+    def label_class(targets):
+        of = dict(zip(space.states, targets))
+        if not all(of[w] and all(of[v] == of[w] for v in of[w]) for w in space.states):
+            return "invalid"
+        return "knowledge" if all(w in of[w] for w in space.states) else "belief"
+
     counts = {"belief": 0, "knowledge": 0}
     for targets in itertools.product(sets, repeat=3):
         c = PossibilityCorrespondence(space, targets)
@@ -144,6 +153,7 @@ def test_class_checks_and_common_box_on_every_three_state_correspondence(tie_gam
         assert c.serial == all(of[w] for w in space.states)
         assert c.coherent == all(of[v] == of[w] for w in space.states for v in of[w])
         assert c.reflexive == all(w in of[w] for w in space.states)
+        assert c.kind == label_class(targets)
         model = EpistemicModel(tie_game, space, maps, (c, c))
         if model.model_class == "invalid":
             continue
@@ -151,7 +161,10 @@ def test_class_checks_and_common_box_on_every_three_state_correspondence(tie_gam
         counts["knowledge"] += model.model_class == "knowledge"
         for other in (c, partition):
             paired = model.with_correspondences((c, other))
+            assert paired.model_class == min(
+                label_class(targets), label_class(other.targets), key=order.index)
             for event in range(1 << 3):
+                assert box(paired, event) == box_from_targets(paired, event)
                 assert common_box(paired, event) == box_chain(paired, event)[-1]
     assert counts == {"belief": len(list(enumerate_belief_correspondences(space))),
                       "knowledge": len(list(enumerate_knowledge_correspondences(space)))}
@@ -225,8 +238,8 @@ def test_restriction_of_rejects_unknown_states(tie_game):
 
 def test_model_rejects_an_unknown_strategy_label(tie_game):
     space = StateSpace(("a", "b"))
-    assert EpistemicModel(tie_game, space, (("U", "D"), ("R", "L"))).strategy_indices == (
-        (0, 1), (1, 0))
+    assert EpistemicModel(tie_game, space, (("U", "D"), ("R", "L"))).choosers == (
+        (0b01, 0b10), (0b10, 0b01))
     for maps, message in (
         ((("U", "Q"), ("L", "R")), "player 1 has no strategy 'Q'"),
         ((("U", "D"), ("L", "U")), "player 2 has no strategy 'U'"),
@@ -438,6 +451,7 @@ def models_and_events(draw):
 @settings(max_examples=300, deadline=None)
 def test_common_box_is_the_stable_box_chain(params):
     model, event = params
+    assert box(model, event) == box_from_targets(model, event)
     assert common_box(model, event) == box_chain(model, event)[-1]
 
 
@@ -445,12 +459,8 @@ def test_common_box_is_the_stable_box_chain(params):
 @settings(max_examples=100, deadline=None)
 def test_restriction_of_is_the_image_of_the_strategy_maps(params):
     model, event = params
-    states = [s for k, s in enumerate(model.space.states) if event >> k & 1]
-    images = [{model.strategy_maps[i][model.space.index[s]] for s in states}
-              for i in range(model.game.n)]
-    assert restriction_of(model, event).components == tuple(
-        tuple(label for label in labels if label in image)
-        for labels, image in zip(model.game.strategies, images))
+    states = {s for k, s in enumerate(model.space.states) if event >> k & 1}
+    assert restriction_of(model, event).components == image_of_states(model, states)
 
 
 def test_validation_report_flags_invalid(tie_game):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from epigame import games
 from epigame.elimination import GLOBAL, LOCAL, NotionProfile, outcome, t_global, u_local
-from epigame.epistemic import rat_event, restriction_of
+from epigame.epistemic import rat_event
 from epigame.errors import ValidationError
 from epigame.games import Game
 from epigame.generators import GeneratorConfig, generate_game, generate_model
@@ -31,11 +31,13 @@ from epigame.optimality import (
 )
 from epigame.verify import elimination_limit, verify_thm1i
 
+from reference import image_of_states
 
-def opponents_product(restriction, i):
-    """Player ``i``'s opponent profiles in a restriction, as labels, in
-    product order."""
-    others = [c for j, c in enumerate(restriction.components) if j != i]
+
+def opponents_product(components, i):
+    """Player ``i``'s opponent profiles in per-player label tuples, as
+    labels, in product order."""
+    others = [c for j, c in enumerate(components) if j != i]
     return tuple(itertools.product(*others))
 
 
@@ -139,7 +141,7 @@ def test_core_agrees_with_the_label_path(instance):
         image = step(profile, game, g)
         for i in range(game.n):
             alternatives = game.strategies[i] if mode == GLOBAL else g.components[i]
-            opponents = opponents_product(g, i)
+            opponents = opponents_product(g.components, i)
             for s in g.components[i]:
                 assert (s in image.components[i]) == label_path(i, s, alternatives, opponents)
 
@@ -150,7 +152,7 @@ def test_core_agrees_with_the_label_path(instance):
                 i,
                 model.strategy_maps[i][k],
                 game.strategies[i],
-                opponents_product(restriction_of(model, model.correspondences[i].masks[k]), i),
+                opponents_product(image_of_states(model, model.correspondences[i].targets[k]), i),
             )
             for i in range(game.n)
         )
