@@ -37,6 +37,13 @@ from .optimality import (
 GLOBAL = "global"
 LOCAL = "local"
 
+# the reasons of the eliminations that a mixed dominator witnesses
+_MIXED_REASONS = {
+    Notion.MSD: "strictly dominated by a mixed strategy",
+    Notion.MWD: "weakly dominated by a mixed strategy",
+    Notion.BR_CORRELATED: "no correlated belief supports it",
+}
+
 
 @dataclass(frozen=True)
 class NotionProfile:
@@ -180,13 +187,6 @@ def explain_elimination(
         dominator = _pure_dominator(game, i, s, alternatives, opponents, strict)
         kind = "strictly" if strict else "weakly"
         return EliminationRecord(stage, i, label, f"{kind} dominated", labels[dominator])
-    if notion in (Notion.MSD, Notion.MWD):
-        mode = "strict" if notion is Notion.MSD else "weak"
-        verdict = _dominance_verdict(game, i, s, alternatives, opponents, mode)
-        kind = "strictly" if notion is Notion.MSD else "weakly"
-        return EliminationRecord(
-            stage, i, label, f"{kind} dominated by a mixed strategy", verdict.witness
-        )
     if notion is Notion.BR_POINT:
         # at each opponent profile, the first alternative that does better
         beats_s = _beats(game, i, s)
@@ -198,7 +198,8 @@ def explain_elimination(
         return EliminationRecord(
             stage, i, label, "never a best response to a point belief", better
         )
-    # correlated: absence of a supporting belief is witnessed by a strict
-    # mixed dominator over the same alternatives
-    verdict = _dominance_verdict(game, i, s, alternatives, opponents, "strict")
-    return EliminationRecord(stage, i, label, "no correlated belief supports it", verdict.witness)
+    # a mixed dominator; for brc it certifies that no correlated belief
+    # supports s, over the same alternatives (Pearce's lemma)
+    mode = "weak" if notion is Notion.MWD else "strict"
+    verdict = _dominance_verdict(game, i, s, alternatives, opponents, mode)
+    return EliminationRecord(stage, i, label, _MIXED_REASONS[notion], verdict.witness)

@@ -8,11 +8,12 @@ strategies ``G_minus_i``. Mixed dominance and correlated best response reduce
 to exact rational linear programs.
 
 A verdict reads only the sign of an exact optimum, and only an eliminated
-strategy's witness is printed. ``msd`` decides and explains with one memoised
-Bland matrix game (``_dominance_verdict``). ``brc`` is decided by the greedy
-value of the rival-edge game; ``_br_belief`` keeps Bland's run for its
-belief. ``mwd`` is decided by the one-phase program of ``_weakly_dominated``;
-the two-phase ``solve`` runs only for its witness.
+strategy's witness is printed. ``msd`` and ``brc`` are one predicate by
+Pearce's lemma (Pearce 1984): one memoised Bland matrix game
+(``_strict_game``) decides both, its row mixture is both elimination
+witnesses and its column mixture is ``solve_br_lp``'s belief. ``mwd`` is
+decided by the one-phase greedy program of ``_weakly_dominated``; the
+two-phase ``solve`` runs only for its witness.
 
 Inside, ``G_i`` is the strategy mask ``alternatives`` and ``G_minus_i`` the
 mask ``opponents`` of flat opponent offsets (place in a payoff table, own
@@ -162,16 +163,8 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
         return _pure_dominator(game, i, s, alternatives, opponents, True) is None
     if notion is Notion.WD:
         return _pure_dominator(game, i, s, alternatives, opponents, False) is None
-    if notion is Notion.MSD:
-        if _pure_dominator(game, i, s, alternatives, opponents, True) is not None:
-            return False
-        if _at_most_one(opponents) or _at_most_one(rivals):
-            return True
-        # no mixture beats s strictly at a profile where it already tops
-        # every support strategy
-        if _point_best_response(game, i, s, alternatives, opponents):
-            return True
-        return not _dominance_verdict(game, i, s, alternatives, opponents, "strict").dominated
+    if notion is Notion.BR_POINT:
+        return _unbeaten(game, i, s, alternatives, opponents) != 0
     if notion is Notion.MWD:
         if _pure_dominator(game, i, s, alternatives, opponents, False) is not None:
             return False
@@ -182,19 +175,18 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
         if _point_strictly_best(game, i, s, alternatives, opponents):
             return True
         return not _weakly_dominated(game, i, s, rivals, opponents)
-    if notion is Notion.BR_POINT:
-        return _point_best_response(game, i, s, alternatives, opponents)
 
-    # correlated best response: over one opponent profile, or against at
-    # most one rival, a correlated belief is no stronger than a point belief
+    # msd and brc, one predicate by Pearce's lemma: no mixture dominates s
+    # strictly iff some correlated belief supports it
+    if _pure_dominator(game, i, s, alternatives, opponents, True) is not None:
+        return False
     if _at_most_one(opponents) or _at_most_one(rivals):
-        return _point_best_response(game, i, s, alternatives, opponents)
-    # point beliefs are correlated beliefs
-    if _point_best_response(game, i, s, alternatives, opponents):
         return True
-    # the value of _br_belief's game, by the greedy rule: no belief is read
-    edges = _rival_edges(game, i, s, rivals, opponents)
-    return matrix_game_value(edges, game.scaled_payoffs[i][0], greedy=True)[0] <= 0
+    # no mixture beats s strictly at a profile where it already tops every
+    # alternative
+    if _unbeaten(game, i, s, alternatives, opponents):
+        return True
+    return _strict_game(game, i, s, alternatives, opponents)[0] <= 0
 
 
 def _at_most_one(mask: int) -> bool:
@@ -231,13 +223,12 @@ def _pure_dominator(game, i, s, alternatives, opponents, strict: bool):
     return None
 
 
-def _point_best_response(game, i, s, alternatives, opponents):
-    """Whether no alternative beats ``s`` at some opponent offset."""
+def _unbeaten(game, i, s, alternatives, opponents):
+    """The mask of the opponent offsets at which no alternative beats ``s``."""
     beats_s = _beats(game, i, s)
-    beaten = 0
     for a in set_bits(alternatives):
-        beaten |= beats_s[a]
-    return opponents & ~beaten != 0
+        opponents &= ~beats_s[a]
+    return opponents
 
 
 def _point_strictly_best(game, i, s, alternatives, opponents):
@@ -274,30 +265,39 @@ def solve_dominance_lp(
 
 
 @per_game
+def _strict_game(game, i, s, support, opponents):
+    """The value, row mixture and column mixture of the matrix game of
+    ``u(a, t) - u(s, t)`` over ``a`` in ``support`` and the opponent offsets
+    ``t``, both ascending. By Pearce's lemma this one program decides msd and
+    brc: a value > 0 makes the row mixture a strictly dominating mixture,
+    and a value <= 0 makes the column mixture a correlated belief under which
+    no alternative beats ``s``. Posed on player ``i``'s scaled payoffs; the
+    mixtures do not see the scale and the value divides it out."""
+    return matrix_game_value(_edges(game, i, s, support, opponents), game.scaled_payoffs[i][0])
+
+
+@per_game
 def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict:
     """Both programs are posed on player ``i``'s scaled payoffs; the
     mixtures do not see the scale and the optimum is scaled back."""
-    scale = game.scaled_payoffs[i][0]
-    support = list(set_bits(support))
-    offsets = list(set_bits(opponents))
-    mine = game.payoff_row(i, s, offsets)
-    rows = [game.payoff_row(i, a, offsets) for a in support]
     labels = game.strategies[i]
-    k = len(support)
-    m = len(offsets)
-
     if mode == "strict":
-        # eps* = max over mixtures of the worst payoff advantage
-        diffs = [[q - p for q, p in zip(row, mine)] for row in rows]
-        optimum, weights, _ = matrix_game_value(diffs, scale)
+        optimum, weights, _ = _strict_game(game, i, s, support, opponents)
         if optimum > 0:
-            witness = MixedStrategy(i, tuple(zip((labels[a] for a in support), weights)))
+            witness = MixedStrategy(i, tuple(zip((labels[a] for a in set_bits(support)), weights)))
             return DominanceVerdict(True, witness, optimum)
         return DominanceVerdict(False, None, optimum)
 
     # weak mode: variables m_1..m_k >= 0, slack_1..slack_m >= 0 with
     # sum_j m_j u(s_j, t_r) - slack_r = u(s, t_r) and sum_j m_j = 1, each
     # row times the scale
+    scale = game.scaled_payoffs[i][0]
+    support = list(set_bits(support))
+    offsets = list(set_bits(opponents))
+    mine = game.payoff_row(i, s, offsets)
+    rows = [game.payoff_row(i, a, offsets) for a in support]
+    k = len(support)
+    m = len(offsets)
     program = [
         [row[r] for row in rows] + [-scale if q == r else 0 for q in range(m)]
         for r in range(m)
@@ -318,40 +318,56 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     """Decide whether ``s_i`` is a best response within ``G_i`` to some
     correlated belief over ``G_minus_i``.
 
-    The belief simplex is searched exactly: the best achievable worst-case
-    advantage of ``s_i`` over its alternatives is another matrix-game value,
-    and ``s_i`` is supported iff it is non-negative.
+    The belief is the column solution of msd's strict game over ``G_i``
+    (Pearce's lemma): ``s_i`` is supported iff that game's value is at most
+    zero.
     """
     s, alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
     if not opponents:
         raise EmptyOpponentSet("best-response LP needs at least one opponent profile")
-    belief = _br_belief(game, i, s, alternatives, opponents)
-    if belief is None:
-        return BestResponseVerdict(False, None)
+    if not alternatives & ~(1 << s):
+        # no rival: every belief supports s
+        weights = (ONE,) + (ZERO,) * (opponents.bit_count() - 1)
+    else:
+        value, _, weights = _strict_game(game, i, s, alternatives, opponents)
+        if value > 0:
+            return BestResponseVerdict(False, None)
+    return BestResponseVerdict(True, _belief(game, i, opponents, weights))
+
+
+def _belief(game, i, opponents, weights) -> CorrelatedBelief:
+    """The correlated belief with these weights on the opponent offsets."""
     profiles = (game.opponent_profile(i, o) for o in set_bits(opponents))
-    return BestResponseVerdict(True, CorrelatedBelief(tuple(zip(profiles, belief))))
+    return CorrelatedBelief(tuple(zip(profiles, weights)))
 
 
-def _br_belief(game, i, s, alternatives, opponents):
-    """The weights, one per opponent profile, of a correlated belief under
-    which ``s`` is a best response within ``alternatives``; None if none."""
-    rivals = alternatives & ~(1 << s)
-    if not rivals:
-        return (ONE,) + (ZERO,) * (opponents.bit_count() - 1)
-    # the rivals' best guaranteed advantage over s; the belief that holds
-    # it down is the column solution, and s is supported iff it is <= 0
-    edges = _rival_edges(game, i, s, rivals, opponents)
-    value, _, belief = matrix_game_value(edges, game.scaled_payoffs[i][0])
-    return belief if value <= 0 else None
+def _pearce_certificates(game, i, s, alternatives, opponents):
+    """A strictly dominating mixture and a supporting correlated belief for
+    ``s``, each None where none is found: a pure dominator, else the strict
+    game's row mixture; a point belief at an offset where no alternative
+    beats ``s``, else that game's column mixture. By Pearce's lemma exactly
+    one of the two exists."""
+    dominator = _pure_dominator(game, i, s, alternatives, opponents, True)
+    mixture = None if dominator is None else MixedStrategy(
+        i, ((game.strategies[i][dominator], ONE),))
+    unbeaten = _unbeaten(game, i, s, alternatives, opponents)
+    belief = _belief(game, i, unbeaten & -unbeaten, (ONE,)) if unbeaten else None
+    if mixture is None and belief is None:
+        mixture = _dominance_verdict(game, i, s, alternatives, opponents, "strict").witness
+        if mixture is None:
+            columns = _strict_game(game, i, s, alternatives, opponents)[2]
+            belief = _belief(game, i, opponents, columns)
+    return mixture, belief
 
 
-def _rival_edges(game, i, s, rivals, opponents):
-    """Per rival ``a`` (ascending), the row of ``u(a, t) - u(s, t)`` over the
-    opponent offsets ``t`` (ascending), in player ``i``'s scaled payoffs."""
+def _edges(game, i, s, support, opponents):
+    """Per strategy ``a`` of ``support`` (ascending), the row of
+    ``u(a, t) - u(s, t)`` over the opponent offsets ``t`` (ascending), in
+    player ``i``'s scaled payoffs."""
     offsets = list(set_bits(opponents))
     mine = game.payoff_row(i, s, offsets)
     return [[q - p for q, p in zip(game.payoff_row(i, a, offsets), mine)]
-            for a in set_bits(rivals)]
+            for a in set_bits(support)]
 
 
 def _weakly_dominated(game, i, s, rivals, opponents):
@@ -365,7 +381,7 @@ def _weakly_dominated(game, i, s, rivals, opponents):
     at some ``t`` (else ``_pure_dominator`` found it), so the first greedy
     pivot is degenerate and the run is Bland's from the start. The witness
     is ``_dominance_verdict``'s."""
-    edges = _rival_edges(game, i, s, rivals, opponents)
+    edges = _edges(game, i, s, rivals, opponents)
     rows = [[-d for d in column] for column in zip(*edges)]
     rows.append([1] * len(edges))
     optimum = optimum_from_origin(rows, [0] * (len(rows) - 1) + [1], [sum(e) for e in edges])

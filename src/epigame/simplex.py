@@ -3,14 +3,15 @@
 Primal simplex with exact verdicts (optimal / infeasible / unbounded). A
 program whose optimal vertex is printed as a witness follows Bland's rule:
 ``solve`` (two phases, equality rows over non-negative variables, the weak
-dominance witness) and ``matrix_game_value``. A program that only decides a
-verdict reads the sign of its exact optimum, which no pivot order changes, so
-it takes the greedy rule of ``_primal``: ``matrix_game_value(..., greedy=True)``,
-with fewer pivots on brc's matrix games, and ``optimum_from_origin``, whose mwd
-programs pivot as under Bland's rule (``optimality._weakly_dominated``). Neither
-rule revisits a basis, so a run that pivots more often than there are bases
-is a bug: it raises ``InvariantViolated`` instead of cycling. The single-phase
-programs start from the all-slack basis of ``rows . x <= rhs``, ``rhs >= 0``.
+dominance witness) and ``matrix_game_value`` (the one strict game that
+decides and certifies both msd and brc). ``optimum_from_origin`` only
+decides a verdict, the sign of its exact optimum, which no pivot order
+changes, so it takes the greedy rule of ``_primal``; on the mwd programs it
+serves (``optimality._weakly_dominated``) it pivots as Bland's rule does.
+Neither rule revisits a basis, so a run that pivots more often than there are
+bases is a bug: it raises ``InvariantViolated`` instead of cycling. The
+single-phase programs start from the all-slack basis of ``rows . x <= rhs``,
+``rhs >= 0``.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968, the pivoting of
 Avis's lrs): the inputs are integers, and each entry is kept as an integer
@@ -228,7 +229,7 @@ def solve(rows, rhs, objective) -> LPSolution:
 
 
 def matrix_game_value(
-    matrix, scale: int = 1, greedy: bool = False
+    matrix, scale: int = 1
 ) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact value of the zero-sum game ``max_row min_col m^T A`` together
     with optimal mixtures for both players, given ``matrix = scale * A`` in
@@ -240,9 +241,7 @@ def matrix_game_value(
     reduced costs by duality and the column mixture off the basic solution.
     The shifted matrix is ``scale`` times ``A`` shifted by ``1 - min``: the
     pivots and mixtures do not see the scale, and the value divides it out.
-
-    Bland's rule gives the mixtures that witnesses print; ``greedy`` takes
-    fewer pivots to the same value, for callers that read only the value.
+    Bland's rule gives the mixtures that witnesses print.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
@@ -253,7 +252,7 @@ def matrix_game_value(
 
     tableau = [[v + shift for v in row] for row in matrix]
     rhs = [1] * nrows
-    status, det, basis, cobasis, reduced = _from_origin(tableau, rhs, [1] * ncols, greedy)
+    status, det, basis, cobasis, reduced = _from_origin(tableau, rhs, [1] * ncols, False)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("matrix game program unbounded on a positive matrix")
 

@@ -12,7 +12,8 @@ to the failure, so the same suite call with those two re-runs it.
 Counterexample payloads are replayable: :func:`replay` re-runs the failing
 instance and must reproduce the violation. A monotonicity witness is
 (player, strategy, smaller, larger), each opponent set a tuple of opponent
-profiles in offset order.
+profiles in offset order. A Pearce payload names the player (an index from
+0, as there), the strategy, and its ``msd`` mixture and ``brc`` belief.
 
 Claim ids are the engine's stable names; the CLI drops the dot from "thm1.i"
 to "thm1.iii", and says lemma-inc for "lem.inc", monotonicity for "lem.mono".
@@ -43,7 +44,7 @@ from .errors import (
     NonMonotonicProfile,
     ValidationError,
 )
-from .games import Game, JointStrategy, Restriction, per_game, set_bits
+from .games import Game, JointStrategy, Restriction, expected_payoff, per_game, set_bits
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import (
     ENUMERATION_BUDGET,
@@ -51,7 +52,15 @@ from .lattice import (
     iterate_to_outcome,
     sample_restriction,
 )
-from .optimality import MONOTONIC_NOTIONS, Notion, _holds_cached, holds, parse_notion
+from .optimality import (
+    MONOTONIC_NOTIONS,
+    Notion,
+    _holds_cached,
+    _pearce_certificates,
+    dominates,
+    holds,
+    parse_notion,
+)
 
 HOLDS_ON_ALL = "holds-on-all"
 COUNTEREXAMPLE = "counterexample"
@@ -381,19 +390,38 @@ PEARCE_RESTRICTIONS = 6
 
 
 def _pearce_violation(game: Game, restriction: Restriction) -> dict | None:
-    """The local correlated-best-response and local mixed-strict-dominance
-    steps on one restriction; their payload if they differ, else None."""
-    brc = u_local(NotionProfile.uniform(Notion.BR_CORRELATED, game.n), game, restriction)
-    msd = u_local(NotionProfile.uniform(Notion.MSD, game.n), game, restriction)
-    if brc == msd:
-        return None
-    return {"kind": "pearce", "game": game, "restriction": restriction, "brc": brc, "msd": msd}
+    """Pearce's lemma on one restriction, by certificates: for each player's
+    strategy ``s``, exactly one of a strictly dominating mixture and a
+    supporting correlated belief exists, it re-checks in Fractions, and the
+    local brc step keeps ``s`` iff the belief exists. The payload of the
+    first strategy that fails, else None."""
+    kept = u_local(NotionProfile.uniform(Notion.BR_CORRELATED, game.n), game, restriction)
+    masks = restriction.masks
+    for i in range(game.n):
+        labels = game.strategies[i]
+        opponents = game.opponent_mask(i, masks)
+        profiles = [game.opponent_profile(i, o) for o in set_bits(opponents)]
+        for s in set_bits(masks[i]):
+            mixture, belief = _pearce_certificates(game, i, s, masks[i], opponents)
+            in_step = kept.masks[i] >> s & 1 == 1
+            if belief is None:
+                certified = mixture is not None and not in_step and dominates(
+                    game, i, mixture, labels[s], profiles, "strict")
+            else:
+                mine = expected_payoff(game, i, labels[s], belief)
+                certified = mixture is None and in_step and all(
+                    expected_payoff(game, i, labels[a], belief) <= mine
+                    for a in set_bits(masks[i] & ~(1 << s)))
+            if not certified:
+                return {"kind": "pearce", "game": game, "restriction": restriction,
+                        "player": i, "strategy": labels[s], "msd": mixture, "brc": belief}
+    return None
 
 
 def pearce_suite(games: int, seed: int = 0) -> VerificationReport:
-    """Componentwise equality of the local correlated-best-response and local
-    mixed-strict-dominance operators on sampled restrictions with non-empty
-    components; this cross-validates the two independent LP formulations."""
+    """Pearce's lemma, certified per strategy (:func:`_pearce_violation`), on
+    each game's full restriction and sampled restrictions with non-empty
+    components."""
     rng = random.Random(seed)
     checked = 0
     for k in range(games):

@@ -519,3 +519,77 @@ def test_generate_model_past_the_budget(capsys, tie_game_file):
     assert code == 2
     assert out == ""
     assert err == "error: 16385 states exceed the budget of 16384\n"
+
+
+# A 2x3 game whose global sd elimination takes three stages (R, then D, then
+# C; outcome U L), and two models on which one level of belief in
+# rationality is not enough: w0 lies in RAT and B(RAT) and plays C, but the
+# belief chain w0 -> w1 -> w2 leaves RAT. The claims hold only because the
+# checks use common belief.
+THREE_STAGE_GAME_TEXT = """\
+players: 2
+strategies 1: U D
+strategies 2: L C R
+payoff 1: U L = 1
+payoff 1: U C = 1
+payoff 1: U R = 0
+payoff 1: D L = 0
+payoff 1: D C = 0
+payoff 1: D R = 2
+payoff 2: U L = 2
+payoff 2: U C = 1
+payoff 2: U R = 0
+payoff 2: D L = 0
+payoff 2: D C = 2
+payoff 2: D R = 1
+"""
+
+THREE_STAGE_MODELS = {
+    "belief": """\
+states: w0 w1 w2
+map 1: w0 -> U
+map 1: w1 -> D
+map 1: w2 -> U
+map 2: w0 -> C
+map 2: w1 -> C
+map 2: w2 -> R
+poss 1: w0 -> {w0}
+poss 1: w1 -> {w2}
+poss 1: w2 -> {w2}
+poss 2: w0 -> {w1}
+poss 2: w1 -> {w1}
+poss 2: w2 -> {w2}
+""",
+    "knowledge": """\
+states: w0 w1 w2
+map 1: w0 -> U
+map 1: w1 -> D
+map 1: w2 -> D
+map 2: w0 -> C
+map 2: w1 -> C
+map 2: w2 -> R
+poss 1: w0 -> {w0}
+poss 1: w1 -> {w1 w2}
+poss 1: w2 -> {w1 w2}
+poss 2: w0 -> {w0 w1}
+poss 2: w1 -> {w0 w1}
+poss 2: w2 -> {w2}
+""",
+}
+
+
+@pytest.mark.parametrize("claim, profile, model", [
+    *[("thm1i", notion, "belief") for notion in ("sd", "msd", "brp", "brc")],
+    *[("thm1ii", notion, "knowledge") for notion in ("sd", "msd", "brp", "brc")],
+    *[(claim, None, model) for claim in ("cor1", "cor2") for model in ("belief", "knowledge")],
+])
+def test_claims_need_common_belief_on_a_three_stage_game(capsys, tmp_path, claim, profile,
+                                                         model):
+    game = tmp_path / "three-stage.game"
+    game.write_text(THREE_STAGE_GAME_TEXT)
+    path = tmp_path / f"{model}.model"
+    path.write_text(THREE_STAGE_MODELS[model])
+    argv = [claim, "--game", str(game), "--model", str(path)]
+    code, out, err = run(capsys, "verify", *argv, *(["--profile", profile] if profile else []))
+    assert (code, err) == (0, "")
+    assert "verdict: holds-on-all" in out

@@ -22,9 +22,9 @@ from epigame.lattice import sample_restriction
 from epigame.optimality import (
     Notion,
     _canonical_inputs,
-    _point_best_response,
     _point_strictly_best,
     _pure_dominator,
+    _unbeaten,
     holds,
     solve_br_lp,
     solve_dominance_lp,
@@ -208,10 +208,12 @@ def test_mask_predicates_match_their_definitions(case):
         expected = _reference_dominator(game, i, s_label, alternative_labels, profiles, strict)
         assert (None if found is None else labels[found]) == expected
     rivals = [a for a in alternative_labels if a != s_label]
-    assert _point_best_response(game, i, s, alternatives, mask) == any(
-        all(_u(game, i, s_label, t) >= _u(game, i, a, t) for a in alternative_labels)
-        for t in profiles
-    )
+    unbeaten = _unbeaten(game, i, s, alternatives, mask)
+    assert unbeaten & ~mask == 0
+    for o in games.set_bits(mask):
+        t = game.opponent_profile(i, o)
+        assert (unbeaten >> o & 1 == 1) == all(
+            _u(game, i, s_label, t) >= _u(game, i, a, t) for a in alternative_labels)
     assert _point_strictly_best(game, i, s, alternatives, mask) == any(
         all(_u(game, i, s_label, t) > _u(game, i, a, t) for a in rivals) for t in profiles
     )

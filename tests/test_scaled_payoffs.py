@@ -106,7 +106,7 @@ def test_lp_verdicts_match_the_fraction_reference():
             for s in labels:
                 mine = [u(s, t) for t in opponents]
                 diffs = [[u(a, t) - p for t, p in zip(opponents, mine)] for a in labels]
-                value, weights, _ = reference.matrix_game_value(diffs)
+                value, weights, belief = reference.matrix_game_value(diffs)
                 strict = solve_dominance_lp(game, i, s, labels, opponents, "strict")
                 assert strict.optimum == value
                 assert strict.witness == (MixedStrategy(i, tuple(zip(labels, weights)))
@@ -122,8 +122,7 @@ def test_lp_verdicts_match_the_fraction_reference():
                     assert weak.witness == MixedStrategy(
                         i, tuple(zip(labels, solution.assignment[:k])))
 
-                edge, _, belief = reference.matrix_game_value(
-                    [row for a, row in zip(labels, diffs) if a != s])
+                # Pearce: the belief is the column solution of the same game
                 br = solve_br_lp(game, i, s, labels, opponents)
                 assert br.witness == (CorrelatedBelief(tuple(zip(opponents, belief)))
-                                      if edge <= 0 else None)
+                                      if value <= 0 else None)

@@ -137,17 +137,14 @@ def degenerate_matrices(draw):
 @given(st.one_of(matrices(), degenerate_matrices()), st.sampled_from([1, 2, 3, 7]))
 @settings(max_examples=150, deadline=None)
 def test_greedy_game_value_matches_fraction_solver(matrix, multiple):
-    # the greedy rule reaches Bland's value; its mixtures are optimal, though
-    # not always Bland's
-    value, rows, columns = engine.matrix_game_value(
-        *integer_matrix(matrix, multiple), greedy=True
-    )
-    assert value == reference.matrix_game_value(matrix)[0]
-    assert sum(rows) == 1 and sum(columns) == 1 and min(rows + columns) >= 0
-    for c in range(len(matrix[0])):
-        assert sum(p * row[c] for p, row in zip(rows, matrix)) >= value
-    for row in matrix:
-        assert sum(q * v for q, v in zip(columns, row)) <= value
+    # the greedy rule on matrix_game_value's program, max 1 . y subject to
+    # B y <= 1 for the positive B = scale * A + shift, reaches Bland's
+    # optimum: one over B's value, scale times A's value plus the shift
+    integers, scale = integer_matrix(matrix, multiple)
+    shift = scale - min(map(min, integers))
+    rows = [[v + shift for v in row] for row in integers]
+    optimum = engine.optimum_from_origin(rows, [1] * len(rows), [1] * len(rows[0]))
+    assert optimum == 1 / (scale * reference.matrix_game_value(matrix)[0] + shift)
 
 
 @st.composite

@@ -250,6 +250,23 @@ def test_pearce_suite_small_batch():
     assert report.instances_checked >= 40
 
 
+def test_pearce_certificate_needs_an_lp_belief():
+    # M = (2, 2) has no pure dominator and is a best response to no point
+    # belief, so only the column mixture of the strict game supports it
+    from epigame.games import expected_payoff, game_from_payoffs
+    from epigame.optimality import solve_br_lp
+    from epigame.verify import _pearce_violation
+
+    payoffs = {("T", "L"): 3, ("T", "R"): 0, ("M", "L"): 2, ("M", "R"): 2,
+               ("B", "L"): 0, ("B", "R"): 3}
+    game = game_from_payoffs([("T", "M", "B"), ("L", "R")],
+                             [payoffs, {joint: 0 for joint in payoffs}])
+    assert _pearce_violation(game, game.full_restriction()) is None
+    belief = solve_br_lp(game, 0, "M", ("T", "M", "B"), [("L",), ("R",)]).witness
+    mine = expected_payoff(game, 0, "M", belief)
+    assert all(expected_payoff(game, 0, a, belief) <= mine for a in ("T", "B"))
+
+
 def test_lemma_inc_suite_small_batch():
     report = lemma_inc_suite(games=25, seed=4)
     assert report.holds
@@ -383,8 +400,8 @@ def test_pearce_and_monotonicity_suites_report_their_first_failure(
     report = run(seed, 8)
     assert report.verdict == "counterexample"
     assert (report.claim, report.instances_checked, report.seed) == (claim, instances, seed)
-    keys = {"kind", "game", "restriction", "brc", "msd"} if claim == "pearce" else {
-        "kind", "game", "notion", "witness"}
+    keys = {"kind", "game", "restriction", "player", "strategy", "msd", "brc"} if (
+        claim == "pearce") else {"kind", "game", "notion", "witness"}
     assert set(report.counterexample) == keys
     assert report.counterexample["kind"] == claim
     assert replay(report) is True
