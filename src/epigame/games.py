@@ -380,18 +380,34 @@ def expected_payoff(
     belief: CorrelatedBelief,
 ) -> Fraction:
     """Exact expected payoff of player ``i`` playing ``s_i`` under a belief
-    about the opponents."""
+    about the opponents.
+
+    Each label is validated once, in the order that a payoff lookup per term
+    would meet it, and each term then reads one payoff-table entry."""
+    table = game.payoff_tables[game.player(i)]
+    index, strides = game.strategy_index, game._strides
+    others = [j for j in range(game.n) if j != i]
     if isinstance(s_i, MixedStrategy):
         own = [(label, w) for label, w in s_i.weights if w > 0]
+        bases = None  # a mixture's labels are checked at the first term
     else:
-        game.strategy_index(i, s_i)
-        own = [(s_i, Fraction(1))]
+        own = [(s_i, None)]
+        bases = [(index(i, s_i) * strides[i], None)]
     total = Fraction(0)
     for joint, prob in belief.weights:
         if prob == 0:
             continue
-        for label, weight in own:
-            total += prob * weight * game.payoff(i, insert_own(joint, i, label))
+        if len(joint) != len(others):
+            raise ValidationError(
+                f"joint strategy {insert_own(joint, i, own[0][0])} needs {game.n} entries")
+        if bases is None:
+            for label, _ in own:
+                game.payoff(i, insert_own(joint, i, label))
+            bases = [(index(i, label) * strides[i], w) for label, w in own]
+        offset = sum(index(j, label) * strides[j] for j, label in zip(others, joint))
+        for base, weight in bases:
+            value = table[base + offset]
+            total += prob * (value if weight is None else weight * value)
     return total
 
 

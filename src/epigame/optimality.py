@@ -12,8 +12,9 @@ strategy's witness is printed. ``msd`` and ``brc`` are one predicate by
 Pearce's lemma (Pearce 1984): one memoised Bland matrix game
 (``_strict_game``) decides both, its row mixture is both elimination
 witnesses and its column mixture is ``solve_br_lp``'s belief. ``mwd`` is
-decided by the one-phase greedy program of ``_weakly_dominated``; the
-two-phase ``solve`` runs only for its witness.
+decided by the memoised one-phase program of ``_weak_program``, and its
+witness is that program's optimal vertex where the optimum is unique; the
+two-phase ``solve`` runs only as the witness's fallback.
 
 Inside, ``G_i`` is the strategy mask ``alternatives`` and ``G_minus_i`` the
 mask ``opponents`` of flat opponent offsets (place in a payoff table, own
@@ -174,7 +175,7 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
         # forces the degenerate mixture
         if _point_strictly_best(game, i, s, alternatives, opponents):
             return True
-        return not _weakly_dominated(game, i, s, rivals, opponents)
+        return _weak_program(game, i, s, rivals, opponents)[0] <= 0
 
     # msd and brc, one predicate by Pearce's lemma: no mixture dominates s
     # strictly iff some correlated belief supports it
@@ -288,10 +289,22 @@ def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict
             return DominanceVerdict(True, witness, optimum)
         return DominanceVerdict(False, None, optimum)
 
-    # weak mode: variables m_1..m_k >= 0, slack_1..slack_m >= 0 with
-    # sum_j m_j u(s_j, t_r) - slack_r = u(s, t_r) and sum_j m_j = 1, each
-    # row times the scale
     scale = game.scaled_payoffs[i][0]
+    if support >> s & 1:
+        # the witness program below is _weak_program's under
+        # m_s = 1 - sum_j m_j, its objective divided by the scale
+        optimum, vertex = _weak_program(game, i, s, support & ~(1 << s), opponents)
+        if optimum <= 0:
+            return DominanceVerdict(False, None, Fraction(optimum, scale))
+        if vertex is not None:
+            rivals = iter(vertex)
+            weights = tuple((labels[a], ONE - sum(vertex) if a == s else next(rivals))
+                            for a in set_bits(support))
+            return DominanceVerdict(True, MixedStrategy(i, weights), Fraction(optimum, scale))
+
+    # Bland's witness program: variables m_1..m_k >= 0, slack_1..slack_m >= 0
+    # with sum_j m_j u(s_j, t_r) - slack_r = u(s, t_r) and sum_j m_j = 1,
+    # each row times the scale
     support = list(set_bits(support))
     offsets = list(set_bits(opponents))
     mine = game.payoff_row(i, s, offsets)
@@ -370,24 +383,25 @@ def _edges(game, i, s, support, opponents):
             for a in set_bits(support)]
 
 
-def _weakly_dominated(game, i, s, rivals, opponents):
-    """Whether a mixture weakly dominates ``s``, by the sign of a one-phase
-    program: with ``d_jt = u(j, t) - u(s, t)`` and weight ``m_j`` on rival
-    ``j`` (the rest on ``s``), max ``sum_j (sum_t d_jt) m_j`` subject to
-    ``-sum_j d_jt m_j <= 0`` per opponent offset ``t``, ``sum_j m_j <= 1``
-    and ``m >= 0``. A dominator keeping weight on ``s`` rescales to one over
-    the rivals, so the optimum is positive iff ``s`` is dominated, whether or
-    not ``s`` is an alternative. A rival that can enter is worse than ``s``
-    at some ``t`` (else ``_pure_dominator`` found it), so the first greedy
-    pivot is degenerate and the run is Bland's from the start. The witness
-    is ``_dominance_verdict``'s."""
+@per_game
+def _weak_program(game, i, s, rivals, opponents):
+    """The optimum of the one-phase program that decides whether a mixture
+    weakly dominates ``s``, and its optimal vertex where that is unique
+    (``simplex.optimum_from_origin``): with ``d_jt = u(j, t) - u(s, t)`` and
+    weight ``m_j`` on rival ``j`` (the rest on ``s``), max
+    ``sum_j (sum_t d_jt) m_j`` subject to ``-sum_j d_jt m_j <= 0`` per
+    opponent offset ``t``, ``sum_j m_j <= 1`` and ``m >= 0``, in player
+    ``i``'s scaled payoffs. A dominator keeping weight on ``s`` rescales to
+    one over the rivals, so the optimum is positive iff ``s`` is dominated,
+    whether or not ``s`` is an alternative. The vertex holds the rivals'
+    weights, ascending; it is ``_dominance_verdict``'s witness."""
     edges = _edges(game, i, s, rivals, opponents)
     rows = [[-d for d in column] for column in zip(*edges)]
     rows.append([1] * len(edges))
-    optimum = optimum_from_origin(rows, [0] * (len(rows) - 1) + [1], [sum(e) for e in edges])
-    if optimum is None:
+    result = optimum_from_origin(rows, [0] * (len(rows) - 1) + [1], [sum(e) for e in edges])
+    if result is None:
         raise InvariantViolated("weak-dominance decision unbounded; its weights sum to at most 1")
-    return optimum > 0
+    return result
 
 
 # --- exact re-verification of a dominance witness -----------------------------

@@ -1,17 +1,18 @@
 """Exact linear programming over the rationals.
 
-Primal simplex with exact verdicts (optimal / infeasible / unbounded). A
-program whose optimal vertex is printed as a witness follows Bland's rule:
-``solve`` (two phases, equality rows over non-negative variables, the weak
-dominance witness) and ``matrix_game_value`` (the one strict game that
-decides and certifies both msd and brc). ``optimum_from_origin`` only
-decides a verdict, the sign of its exact optimum, which no pivot order
-changes, so it takes the greedy rule of ``_primal``; on the mwd programs it
-serves (``optimality._weakly_dominated``) it pivots as Bland's rule does.
-Neither rule revisits a basis, so a run that pivots more often than there are
-bases is a bug: it raises ``InvariantViolated`` instead of cycling. The
-single-phase programs start from the all-slack basis of ``rows . x <= rhs``,
-``rhs >= 0``.
+Primal simplex with exact verdicts (optimal / infeasible / unbounded), every
+program by Bland's rule: ``solve`` (two phases, equality rows over
+non-negative variables), ``matrix_game_value`` (the one strict game that
+decides and certifies both msd and brc) and ``optimum_from_origin`` (one
+phase from the origin, the mwd program of ``optimality._weak_program``).
+``optimum_from_origin`` returns its optimal vertex only where that vertex is
+the program's only optimal point, which every pivot rule reaches: the mwd
+witness is read there, and ``solve`` runs only as the fallback for a program
+with several optimal points or one posed without ``s`` among the
+alternatives. Bland's rule never revisits a basis, so a run that pivots more
+often than there are bases is a bug: it raises ``InvariantViolated`` instead
+of cycling. The single-phase programs start from the all-slack basis of
+``rows . x <= rhs``, ``rhs >= 0``.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968, the pivoting of
 Avis's lrs): the inputs are integers, and each entry is kept as an integer
@@ -54,41 +55,21 @@ class LPSolution:
     assignment: tuple[Fraction, ...] | None
 
 
-def _primal(tableau, rhs, basis, cobasis, reduced, det, greedy=False):
-    """Run primal simplex steps until optimal or unbounded; returns the status
-    and the final denominator.
-
-    Bland's rule enters the smallest variable (not the leftmost column) with a
-    positive reduced cost. With ``greedy`` the run first enters the largest
-    reduced cost (Dantzig's rule, the leftmost column on a tie) for as long as
-    each pivot raises the objective; from the first pivot that would not (a
-    zero ratio) it follows Bland's rule to the end. The greedy bases have
-    strictly rising objective values and Bland's rule never revisits a basis,
-    so no basis repeats either way. Both rules reach the same optimum, not
-    always the same optimal vertex.
-    """
+def _primal(tableau, rhs, basis, cobasis, reduced, det):
+    """Run primal simplex steps by Bland's rule until optimal or unbounded;
+    returns the status and the final denominator. Bland's rule enters the
+    smallest variable (not the leftmost column) with a positive reduced
+    cost."""
     for _ in range(comb(len(basis) + len(cobasis), len(basis)) + 1):
-        entering = _entering(reduced, cobasis, greedy)
+        entering = min((c for c, v in enumerate(reduced) if v > 0),
+                       key=cobasis.__getitem__, default=-1)
         if entering < 0:
             return Status.OPTIMAL, det
         leaving = _leaving(tableau, rhs, basis, entering)
-        if greedy and leaving >= 0 and rhs[leaving] == 0:
-            greedy = False
-            entering = _entering(reduced, cobasis, False)
-            leaving = _leaving(tableau, rhs, basis, entering)
         if leaving < 0:
             return Status.UNBOUNDED, det
         det = _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det)
     raise InvariantViolated("simplex pivoted more often than there are bases")
-
-
-def _entering(reduced, cobasis, greedy):
-    """The column to enter, -1 when no reduced cost is positive."""
-    if greedy:
-        best = max(range(len(reduced)), key=reduced.__getitem__, default=-1)
-        return best if best >= 0 and reduced[best] > 0 else -1
-    return min((c for c, v in enumerate(reduced) if v > 0),
-               key=cobasis.__getitem__, default=-1)
 
 
 def _leaving(tableau, rhs, basis, entering):
@@ -159,7 +140,7 @@ def _require_program(rows, rhs, objective) -> None:
     _require_integers(*rows, rhs, objective, what="LP coefficients")
 
 
-def _from_origin(tableau, rhs, objective, greedy):
+def _from_origin(tableau, rhs, objective):
     """One phase of ``max objective . x`` subject to ``tableau . x <= rhs``
     and ``x >= 0``, with ``rhs >= 0``, from the all-slack basis at the
     origin (slack ``r`` is variable ``len(objective) + r``). Pivots
@@ -169,7 +150,7 @@ def _from_origin(tableau, rhs, objective, greedy):
     basis = list(range(nvar, nvar + len(tableau)))
     cobasis = list(range(nvar))
     reduced = list(objective)
-    status, det = _primal(tableau, rhs, basis, cobasis, reduced, 1, greedy)
+    status, det = _primal(tableau, rhs, basis, cobasis, reduced, 1)
     return status, det, basis, cobasis, reduced
 
 
@@ -252,7 +233,7 @@ def matrix_game_value(
 
     tableau = [[v + shift for v in row] for row in matrix]
     rhs = [1] * nrows
-    status, det, basis, cobasis, reduced = _from_origin(tableau, rhs, [1] * ncols, False)
+    status, det, basis, cobasis, reduced = _from_origin(tableau, rhs, [1] * ncols)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("matrix game program unbounded on a positive matrix")
 
@@ -274,15 +255,19 @@ def matrix_game_value(
     return value, row_mixture, column_mixture
 
 
-def optimum_from_origin(rows, rhs, objective) -> Fraction | None:
+def optimum_from_origin(
+    rows, rhs, objective
+) -> tuple[Fraction, tuple[Fraction, ...] | None] | None:
     """Exact optimum of ``max objective . x`` subject to ``rows . x <= rhs``
-    and ``x >= 0``, for integer inputs with ``rhs >= 0``; None when the
-    program is unbounded.
+    and ``x >= 0``, for integer inputs with ``rhs >= 0``, and the optimal
+    ``x`` where it is unique; None when the program is unbounded.
 
     The origin is feasible, so this runs one phase from the all-slack basis,
-    as ``matrix_game_value`` does, with no artificials. It pivots by the
-    greedy rule and returns no vertex: it serves decisions that read only
-    the optimum, while a witness comes from ``solve``.
+    as ``matrix_game_value`` does, with no artificials. The vertex is
+    returned only when every non-basic reduced cost of the final basis is
+    negative: then raising any non-basic variable lowers the objective, so
+    no other feasible point is optimal and every pivot rule stops there.
+    Otherwise it is None and a caller that prints a vertex runs ``solve``.
     """
     _require_program(rows, rhs, objective)
     if any(bound < 0 for bound in rhs):
@@ -290,7 +275,14 @@ def optimum_from_origin(rows, rhs, objective) -> Fraction | None:
     tableau = [list(row) for row in rows]
     rhs = list(rhs)
     nvar = len(objective)
-    status, det, basis, _, _ = _from_origin(tableau, rhs, objective, True)
+    status, det, basis, _, reduced = _from_origin(tableau, rhs, objective)
     if status is Status.UNBOUNDED:
         return None
-    return Fraction(sum(objective[b] * rhs[r] for r, b in enumerate(basis) if b < nvar), det)
+    scaled = [0] * nvar
+    for r, b in enumerate(basis):
+        if b < nvar:
+            scaled[b] = rhs[r]
+    optimum = Fraction(sum(c * v for c, v in zip(objective, scaled)), det)
+    if not all(reduced):
+        return optimum, None
+    return optimum, tuple(Fraction(v, det) for v in scaled)

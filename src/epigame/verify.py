@@ -12,8 +12,9 @@ to the failure, so the same suite call with those two re-runs it.
 Counterexample payloads are replayable: :func:`replay` re-runs the failing
 instance and must reproduce the violation. A monotonicity witness is
 (player, strategy, smaller, larger), each opponent set a tuple of opponent
-profiles in offset order. A Pearce payload names the player (an index from
-0, as there), the strategy, and its ``msd`` mixture and ``brc`` belief.
+profiles in offset order. A Pearce payload names the player, the strategy,
+and its ``msd`` mixture and ``brc`` belief. Both number players from 1, as
+traces do.
 
 Claim ids are the engine's stable names; the CLI drops the dot from "thm1.i"
 to "thm1.iii", and says lemma-inc for "lem.inc", monotonicity for "lem.mono".
@@ -414,7 +415,7 @@ def _pearce_violation(game: Game, restriction: Restriction) -> dict | None:
                     for a in set_bits(masks[i] & ~(1 << s)))
             if not certified:
                 return {"kind": "pearce", "game": game, "restriction": restriction,
-                        "player": i, "strategy": labels[s], "msd": mixture, "brc": belief}
+                        "player": i + 1, "strategy": labels[s], "msd": mixture, "brc": belief}
     return None
 
 
@@ -481,10 +482,11 @@ def lemma_inc_suite(games: int, seed: int = 0) -> VerificationReport:
 # --- predicate monotonicity -------------------------------------------------------
 
 def _monotonicity_witness(game: Game, i: int, label: str, small: int, big: int) -> tuple:
-    """The witness (player, strategy, smaller, larger) for two opponent
-    offset masks, each opponent set a tuple of profiles in offset order."""
-    return (i, label, *(tuple(game.opponent_profile(i, o) for o in set_bits(mask))
-                        for mask in (small, big)))
+    """The witness (player from 1, strategy, smaller, larger) for two
+    opponent offset masks, each opponent set a tuple of profiles in offset
+    order."""
+    return (i + 1, label, *(tuple(game.opponent_profile(i, o) for o in set_bits(mask))
+                            for mask in (small, big)))
 
 
 def _nonmonotonicity_witnesses(game: Game, notion: Notion):
@@ -617,7 +619,8 @@ def replay(report: VerificationReport) -> bool:
         return _pearce_violation(payload["game"], payload["restriction"]) is not None
     if kind == "lem.mono":
         game, notion = payload["game"], payload["notion"]
-        i, s, small, big = payload["witness"]
+        player, s, small, big = payload["witness"]
+        i = player - 1
         return holds(notion, game, i, s, game.strategies[i], small) and not holds(
             notion, game, i, s, game.strategies[i], big
         )

@@ -161,7 +161,7 @@ def test_criterion_08_monotonicity_suite(tie_game):
     assert report.instances_checked == 6000
 
     witnesses = find_predicate_nonmonotonicity(tie_game, Notion.WD)
-    assert (0, "U", (("L",),), (("L",), ("R",))) in witnesses
+    assert (1, "U", (("L",),), (("L",), ("R",))) in witnesses
     _announce(8, started, "monotonic notions verified on 6000 games; weak-dominance witness reproduced")
 
 

@@ -87,6 +87,50 @@ def test_eliminate_trace_and_dump(capsys, tmp_path, tie_game_file):
     assert out2 == dump
 
 
+def _player_one_game(rows):
+    """A 2-player game text: player 1's strategies with payoffs against L
+    and R, player 2 indifferent everywhere."""
+    lines = ["players: 2", "strategies 1: " + " ".join(rows), "strategies 2: L R"]
+    for label, payoffs in rows.items():
+        lines += [f"payoff 1: {label} {t} = {v}" for t, v in zip("LR", payoffs)]
+    lines += [f"payoff 2: {label} {t} = 0" for label in rows for t in "LR"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+@pytest.mark.parametrize("rows, eliminated, witness", [
+    # C is weakly dominated by p*A + (1-p)*B for every p in [1/2, 1]: the
+    # one-phase program stops at p = 1, Bland's two-phase program at 1/2
+    ({"A": (0, 2), "B": (2, 0), "C": (0, 1)}, "C", "1/2*A + 1/2*B"),
+    # S is weakly dominated by every mixture of A and B; here both programs
+    # stop at A
+    ({"S": (0, 0), "A": (1, 0), "B": (0, 1)}, "S", "1*A"),
+])
+def test_mwd_witness_with_several_optima_comes_from_blands_program(
+    capsys, monkeypatch, tmp_path, mode, rows, eliminated, witness
+):
+    import epigame.optimality as optimality
+
+    calls = []
+    solve = optimality.solve
+    monkeypatch.setattr(optimality, "solve", lambda *args: calls.append(args) or solve(*args))
+    path = tmp_path / "ties.game"
+    path.write_text(_player_one_game(rows))
+    code, out, _ = run(capsys, "eliminate", "--game", str(path), "--notion", "mwd",
+                       "--mode", mode, "--trace")
+    assert code == 0
+    kept = " ".join(label for label in rows if label != eliminated)
+    assert out.splitlines()[-3:] == [
+        f"eliminate stage=0 player=1 strategy={eliminated} reason=weakly dominated by a "
+        f"mixed strategy witness={witness}",
+        f"outcome restrict 1: {kept}",
+        "outcome restrict 2: L R",
+    ]
+    # the witness program has several optimal points, so the one-phase
+    # decision's vertex is not read and the two-phase fallback runs once
+    assert len(calls) == 1
+
+
 def test_eliminate_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.game"
     bad.write_text("players: 2\nstrategies 1 U\n")

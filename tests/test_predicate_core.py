@@ -9,7 +9,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epigame import games
@@ -20,6 +20,7 @@ from epigame.games import Game
 from epigame.generators import GeneratorConfig, generate_game, generate_model
 from epigame.lattice import sample_restriction
 from epigame.optimality import (
+    DominanceVerdict,
     Notion,
     _canonical_inputs,
     _point_strictly_best,
@@ -29,6 +30,7 @@ from epigame.optimality import (
     solve_br_lp,
     solve_dominance_lp,
 )
+from epigame.simplex import Status, solve
 from epigame.verify import elimination_limit, verify_thm1i
 
 from reference import image_of_states
@@ -260,3 +262,60 @@ def test_decisions_agree_with_their_witness_programs(case):
     assert holds("brc", game, i, s, alternatives, opponents) == belief.is_best_response
     dominance = solve_dominance_lp(game, i, s, alternatives, opponents, "weak")
     assert holds("mwd", game, i, s, alternatives, opponents) == (not dominance.dominated)
+
+
+@st.composite
+def weak_witness_cases(draw):
+    """Row player instances with many ties, where the weak witness program
+    often has several optimal points: 3 or 4 strategies against 2 or 3,
+    payoffs 0..2. The support and the opponent profiles are all of them, as
+    in a first elimination stage, or any non-empty subset, with or without
+    ``s``."""
+    rows, cols = draw(st.integers(3, 4)), draw(st.integers(2, 3))
+    strategies = (tuple(f"r{k}" for k in range(rows)), tuple(f"c{k}" for k in range(cols)))
+    table = tuple(draw(st.integers(0, 2)) for _ in range(rows * cols))
+    game = Game(strategies, (table, (0,) * (rows * cols)))
+    s = draw(st.integers(0, rows - 1))
+    support, opponents = (draw(st.one_of(
+        st.just(list(range(size))),
+        st.lists(st.integers(0, size - 1), min_size=1, unique=True),
+    )) for size in (rows, cols))
+    return (game, strategies[0][s], [strategies[0][a] for a in sorted(support)],
+            [(strategies[1][c],) for c in sorted(opponents)])
+
+
+def _blands_weak_verdict(game, s, support, opponents):
+    """The weak-mode verdict of Bland's two-phase program: weights m_a >= 0
+    over the support summing to 1, and slack_t >= 0 with
+    sum_a m_a u(a, t) - slack_t = u(s, t), maximising the total slack.
+    Player 0's payoffs are integers."""
+    k, m = len(support), len(opponents)
+    rows = [[_u(game, 0, a, t) for a in support] + [-(q == r) for q in range(m)]
+            for r, t in enumerate(opponents)]
+    rows.append([1] * k + [0] * m)
+    solution = solve(rows, [_u(game, 0, s, t) for t in opponents] + [1], [0] * k + [1] * m)
+    if solution.status is Status.INFEASIBLE:
+        return DominanceVerdict(False, None, None)
+    if solution.value > 0:
+        witness = games.MixedStrategy(0, tuple(zip(support, solution.assignment[:k])))
+        return DominanceVerdict(True, witness, solution.value)
+    return DominanceVerdict(False, None, solution.value)
+
+
+# C is weakly dominated by p*A + (1-p)*B for every p in [1/2, 1]; Bland's
+# program prints p = 1/2, the one-phase decision stops at p = 1
+_SEVERAL_OPTIMA = (Game((("A", "B", "C"), ("L", "R")), ((0, 2, 2, 0, 0, 1), (0,) * 6)),
+                   "C", ["A", "B", "C"], [("L",), ("R",)])
+
+
+@given(weak_witness_cases())
+@example(_SEVERAL_OPTIMA)
+@settings(max_examples=300, deadline=None)
+def test_weak_witness_is_blands_with_or_without_s_in_the_support(case):
+    # where s is in the support the witness is read off the one-phase
+    # decision when its optimum is unique; either way it is the witness and
+    # optimum of Bland's two-phase program
+    game, s, support, opponents = case
+    verdict = solve_dominance_lp(game, 0, s, support, opponents, "weak")
+    assert verdict == _blands_weak_verdict(game, s, support, opponents)
+    assert verdict.optimum is None or type(verdict.optimum) is Fraction

@@ -136,14 +136,14 @@ def degenerate_matrices(draw):
 
 @given(st.one_of(matrices(), degenerate_matrices()), st.sampled_from([1, 2, 3, 7]))
 @settings(max_examples=150, deadline=None)
-def test_greedy_game_value_matches_fraction_solver(matrix, multiple):
-    # the greedy rule on matrix_game_value's program, max 1 . y subject to
-    # B y <= 1 for the positive B = scale * A + shift, reaches Bland's
-    # optimum: one over B's value, scale times A's value plus the shift
+def test_one_phase_game_value_matches_fraction_solver(matrix, multiple):
+    # matrix_game_value's program, max 1 . y subject to B y <= 1 for the
+    # positive B = scale * A + shift, from the origin: its optimum is one
+    # over B's value, scale times A's value plus the shift
     integers, scale = integer_matrix(matrix, multiple)
     shift = scale - min(map(min, integers))
     rows = [[v + shift for v in row] for row in integers]
-    optimum = engine.optimum_from_origin(rows, [1] * len(rows), [1] * len(rows[0]))
+    optimum, _ = engine.optimum_from_origin(rows, [1] * len(rows), [1] * len(rows[0]))
     assert optimum == 1 / (scale * reference.matrix_game_value(matrix)[0] + shift)
 
 
@@ -171,38 +171,37 @@ def test_one_phase_weak_verdict_matches_solve(program):
     # the decision: weights on the rivals, the rest on s, from the origin
     edges = [[q - p for q, p in zip(row, mine)] for row in rivals]
     decision = [[-d for d in column] for column in zip(*edges)] + [[1] * len(rivals)]
-    optimum = engine.optimum_from_origin(decision, [0] * m + [1], [sum(e) for e in edges])
+    optimum, vertex = engine.optimum_from_origin(decision, [0] * m + [1], [sum(e) for e in edges])
     dominated = solution.status is Status.OPTIMAL and solution.value > 0
     assert (optimum > 0) == dominated
     if with_s:  # the same program, with s's weight substituted out
         assert optimum == solution.value
+        if vertex is not None:  # the only optimum, so the one solve prints
+            k = len(rivals)
+            assert vertex == solution.assignment[:k]
+            assert 1 - sum(vertex) == solution.assignment[k]
 
 
-def test_greedy_rule_enters_the_largest_reduced_cost():
-    # max x0 + 3 x1 subject to x0 + x1 <= 1: Bland's rule enters x0 and then
-    # x1, the greedy rule x1 at once
-    with recorded_pivots(engine) as log:
-        assert engine.optimum_from_origin([[1, 1]], [1], [1, 3]) == 3
-    assert log == [(0, 1, True)]
+def test_one_phase_program_returns_its_vertex_only_when_it_is_the_only_optimum():
+    # max x0 + 3 x1 subject to x0 + x1 <= 1 has the one optimum (0, 1)
+    assert engine.optimum_from_origin([[1, 1]], [1], [1, 3]) == (3, (0, 1))
+    # with x0 + x1 as the objective every point of the edge is optimal, and
+    # the reduced cost of x0 (or x1) at the final basis is zero
+    assert engine.optimum_from_origin([[1, 1]], [1], [1, 1]) == (1, None)
 
 
-def test_greedy_rule_turns_to_blands_rule_at_a_degenerate_pivot():
-    # max x0 + 2 x1 subject to x1 - x0 <= 0 and x0 + x1 <= 2: entering x1
-    # would not raise the objective (ratio 0 in the first row), so the run
-    # enters x0 by Bland's rule instead, and keeps to it
-    with recorded_pivots(engine) as log:
-        assert engine.optimum_from_origin([[-1, 1], [1, 1]], [0, 2], [1, 2]) == 3
-    assert log[0] == (1, 0, True)
+def test_one_phase_program_is_none_when_unbounded():
+    assert engine.optimum_from_origin([[-1]], [0], [1]) is None
 
 
-def test_greedy_rule_stops_at_the_optimum_of_a_cycling_example():
+def test_one_phase_program_stops_at_the_optimum_of_a_cycling_example():
     # Beale's (1955) example, on whose rational tableau the largest-coefficient
     # rule cycles:
     # max 3/4 x0 - 20 x1 + 1/2 x2 - 6 x3 subject to
     # 1/4 x0 - 8 x1 - x2 + 9 x3 <= 0, 1/2 x0 - 12 x1 - 1/2 x2 + 3 x3 <= 0 and
     # x2 <= 1, each row and the objective scaled to integers; the optimum is 5/4
     rows = [[1, -32, -4, 36], [1, -24, -1, 6], [0, 0, 1, 0]]
-    assert engine.optimum_from_origin(rows, [0, 0, 1], [3, -80, 2, -24]) == 5
+    assert engine.optimum_from_origin(rows, [0, 0, 1], [3, -80, 2, -24])[0] == 5
 
 
 def test_one_phase_program_rejects_an_infeasible_origin():
@@ -211,8 +210,8 @@ def test_one_phase_program_rejects_an_infeasible_origin():
 
 
 def test_one_phase_program_over_no_variables_is_zero():
-    assert engine.optimum_from_origin([], [], []) == 0
-    assert engine.optimum_from_origin([[]], [1], []) == 0
+    assert engine.optimum_from_origin([], [], []) == (0, ())
+    assert engine.optimum_from_origin([[]], [1], []) == (0, ())
 
 
 def test_rational_inputs_rejected():

@@ -404,6 +404,12 @@ def test_pearce_and_monotonicity_suites_report_their_first_failure(
         claim == "pearce") else {"kind", "game", "notion", "witness"}
     assert set(report.counterexample) == keys
     assert report.counterexample["kind"] == claim
+    # players count from 1 in payloads, as in traces
+    payload = report.counterexample
+    if claim == "pearce":
+        assert payload["player"] == 2
+    else:
+        assert payload["witness"][0] == 1
     assert replay(report) is True
 
 
@@ -542,7 +548,7 @@ def test_engine_builds_no_restriction_from_labels(monkeypatch):
 def test_weak_dominance_finder_reproduces_tie_game_witness(tie_game):
     witnesses = find_predicate_nonmonotonicity(tie_game, Notion.WD)
     assert (
-        0,
+        1,
         "U",
         (("L",),),
         (("L",), ("R",)),
@@ -584,7 +590,7 @@ def test_monotonicity_witnesses_render_alike_in_every_process():
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         done = subprocess.run([sys.executable, "-c", _RENDER_WITNESSES], input=TIE_GAME_TEXT,
                               env=env, capture_output=True, text=True, check=True)
-        assert "counterexample witness: (0, 'U', (('L',),), (('L',), ('R',)))" in done.stdout
+        assert "counterexample witness: (1, 'U', (('L',),), (('L',), ('R',)))" in done.stdout
         renderings.add(done.stdout)
     assert len(renderings) == 1
 
