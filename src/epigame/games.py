@@ -4,7 +4,8 @@ Every value is immutable, apart from the memo in which a game keeps results
 derived from it. Payoffs, probabilities and expectations are
 `fractions.Fraction`s at the public API; inside, the engine reads each
 player's payoffs as integers, scaled once per game (``scaled_payoffs``), so
-every comparison made anywhere in the engine is exact.
+every comparison made anywhere in the engine is exact, and an opponent profile
+as its offset in the tables, which ``Game.opponent_offset`` alone decodes.
 """
 
 from __future__ import annotations
@@ -170,6 +171,27 @@ class Game:
         return joint[:i] + joint[i + 1:]
 
     @cached_property
+    def _opponent_decoders(self) -> tuple[tuple[tuple[int, dict[str, int], int], ...], ...]:
+        """Per player ``i``, ``(j, label index, stride)`` per opponent ``j``."""
+        return tuple(tuple((j, self._label_index[j], self._strides[j]) for j in range(self.n)
+                           if j != i) for i in range(self.n))
+
+    def opponent_offset(self, i: int, profile) -> int:
+        """The offset of player ``i``'s labelled opponent profile, validated:
+        the one decoder of opponent profiles, :meth:`opponent_profile`'s inverse."""
+        decoders = self._opponent_decoders[self.player(i)]
+        profile = tuple(profile)
+        if len(profile) != len(decoders):
+            raise ValidationError(f"opponent profile {profile} needs {self.n - 1} entries")
+        offset = 0
+        for (j, index, stride), label in zip(decoders, profile):
+            k = index.get(label)
+            if k is None:
+                raise ValidationError(f"player {j + 1} has no strategy {label!r}")
+            offset += k * stride
+        return offset
+
+    @cached_property
     def _hash(self) -> int:
         return hash((self.strategies, self.payoff_tables))
 
@@ -311,10 +333,6 @@ class Restriction:
         return f"Restriction({parts})"
 
 
-def insert_own(joint_minus_i: JointStrategy, i: int, s_i: str) -> JointStrategy:
-    return joint_minus_i[:i] + (s_i,) + joint_minus_i[i:]
-
-
 @dataclass(frozen=True)
 class MixedStrategy:
     """A probability distribution over one player's strategies.
@@ -382,32 +400,22 @@ def expected_payoff(
     """Exact expected payoff of player ``i`` playing ``s_i`` under a belief
     about the opponents.
 
-    Each label is validated once, in the order that a payoff lookup per term
-    would meet it, and each term then reads one payoff-table entry."""
+    Own labels are validated first, then each opponent profile of positive
+    probability, by :meth:`Game.opponent_offset`; its offset reads one
+    payoff-table entry per own strategy."""
     table = game.payoff_tables[game.player(i)]
-    index, strides = game.strategy_index, game._strides
-    others = [j for j in range(game.n) if j != i]
+    stride = game._strides[i]
     if isinstance(s_i, MixedStrategy):
-        own = [(label, w) for label, w in s_i.weights if w > 0]
-        bases = None  # a mixture's labels are checked at the first term
+        own = [(game.strategy_index(i, label) * stride, w) for label, w in s_i.weights if w > 0]
     else:
-        own = [(s_i, None)]
-        bases = [(index(i, s_i) * strides[i], None)]
+        own = [(game.strategy_index(i, s_i) * stride, None)]
     total = Fraction(0)
     for joint, prob in belief.weights:
-        if prob == 0:
-            continue
-        if len(joint) != len(others):
-            raise ValidationError(
-                f"joint strategy {insert_own(joint, i, own[0][0])} needs {game.n} entries")
-        if bases is None:
-            for label, _ in own:
-                game.payoff(i, insert_own(joint, i, label))
-            bases = [(index(i, label) * strides[i], w) for label, w in own]
-        offset = sum(index(j, label) * strides[j] for j, label in zip(others, joint))
-        for base, weight in bases:
-            value = table[base + offset]
-            total += prob * (value if weight is None else weight * value)
+        if prob:
+            offset = game.opponent_offset(i, joint)
+            for base, weight in own:
+                value = table[base + offset]
+                total += prob * (value if weight is None else weight * value)
     return total
 
 

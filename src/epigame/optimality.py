@@ -58,7 +58,6 @@ from .games import (
     CorrelatedBelief,
     Game,
     MixedStrategy,
-    insert_own,
     per_game,
     set_bits,
 )
@@ -112,16 +111,7 @@ def _canonical_inputs(game: Game, i: int, s_i: str, G_i, G_minus_i):
     alternatives' strategy mask and the opponent profiles' offset mask."""
     s = game.strategy_index(i, s_i)
     alternatives = sum(1 << k for k in {game.strategy_index(i, a) for a in G_i})
-    others = [j for j in range(game.n) if j != i]
-    opponents = 0
-    for joint in G_minus_i:
-        joint = tuple(joint)
-        if len(joint) != game.n - 1:
-            raise ValidationError(
-                f"opponent profile {joint} needs {game.n - 1} entries"
-            )
-        opponents |= 1 << sum(game.strategy_index(j, label) * game._strides[j]
-                              for j, label in zip(others, joint))
+    opponents = sum(1 << o for o in {game.opponent_offset(i, joint) for joint in G_minus_i})
     return s, alternatives, opponents
 
 
@@ -181,8 +171,6 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
     # strictly iff some correlated belief supports it
     if _pure_dominator(game, i, s, alternatives, opponents, True) is not None:
         return False
-    if _at_most_one(opponents) or _at_most_one(rivals):
-        return True
     # no mixture beats s strictly at a profile where it already tops every
     # alternative
     if _unbeaten(game, i, s, alternatives, opponents):
@@ -407,25 +395,24 @@ def _weak_program(game, i, s, rivals, opponents):
 # --- exact re-verification of a dominance witness -----------------------------
 
 def dominates(game: Game, i: int, mix: MixedStrategy, s_i: str, G_minus_i, mode: str) -> bool:
-    """Re-check a dominance witness under exact arithmetic."""
+    """Re-check a dominance witness under exact arithmetic: the mixture's
+    labels and ``s_i`` first, then each term at one payoff-table entry per
+    label, its opponent profile read by :meth:`Game.opponent_offset`."""
     if mode not in ("strict", "weak"):
         raise ValidationError(f"mode must be 'strict' or 'weak', got {mode!r}")
     opponents = list(G_minus_i)
     if not opponents:
         return False
+    table = game.payoff_tables[game.player(i)]
+    stride = game._strides[i]
+    own = [(game.strategy_index(i, label) * stride, w) for label, w in mix.weights]
+    base = game.strategy_index(i, s_i) * stride
     strict_seen = False
     for t in opponents:
-        t = tuple(t)
-        value = sum(
-            w * game.payoff(i, insert_own(t, i, s)) for s, w in mix.weights
-        )
-        p = game.payoff(i, insert_own(t, i, s_i))
-        if mode == "strict":
-            if value <= p:
-                return False
-        else:
-            if value < p:
-                return False
-            if value > p:
-                strict_seen = True
-    return True if mode == "strict" else strict_seen
+        offset = game.opponent_offset(i, t)
+        value = sum(w * table[b + offset] for b, w in own)
+        p = table[base + offset]
+        if value < p or value == p and mode == "strict":
+            return False
+        strict_seen = strict_seen or value > p
+    return strict_seen

@@ -165,15 +165,13 @@ def solve(rows, rhs, objective) -> LPSolution:
     """
     _require_program(rows, rhs, objective)
     nvar = len(objective)
-    m = len(rows)
     tableau = [[-a for a in row] if bound < 0 else list(row) for row, bound in zip(rows, rhs)]
     bounds = [abs(bound) for bound in rhs]
-    basis = list(range(nvar, nvar + m))
-    cobasis = list(range(nvar))
 
-    # Phase 1: drive the artificials to zero.
-    reduced = _reduced_costs(tableau, basis, cobasis, [0] * nvar + [-1] * m, 1)
-    status, det = _primal(tableau, bounds, basis, cobasis, reduced, 1)
+    # Phase 1: drive the artificials, _from_origin's slacks, to zero; the
+    # reduced costs of max -sum(artificials) are the rows' column sums.
+    column_sums = [sum(row[j] for row in tableau) for j in range(nvar)]
+    status, det, basis, cobasis, _ = _from_origin(tableau, bounds, column_sums)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("phase 1 reported unbounded; its objective is bounded by 0")
     if any(bounds[r] != 0 for r, b in enumerate(basis) if b >= nvar):

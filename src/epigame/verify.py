@@ -201,7 +201,8 @@ def thm2_hypothesis_clauses(
     own components."""
     failures = []
     limit = elimination_limit(game, profile, GLOBAL)
-    if tuple(joint) in limit.joint_strategies:
+    indices = [game.strategy_index(i, label) for i, label in zip(range(game.n), joint)]
+    if all(mask >> k & 1 for mask, k in zip(limit.masks, indices)):
         failures.append(f"joint strategy {joint} survives the elimination")
     for i in range(game.n):
         opponents = [joint[:i] + joint[i + 1:]]

@@ -7,9 +7,19 @@ mixture eliminates a strategy.
 """
 
 import pytest
+from hypothesis import settings
 
 # keep the reference solver's invariant checks under python -O
 pytest.register_assert_rewrite("fraction_simplex")
+
+# Tier-1 gives one verdict per tree: every run draws the same examples, and no
+# example database carries draws from one run to the next. "explore" draws
+# fresh examples and prints each failure's reproduction blob; select it with
+# --hypothesis-profile=explore. Under either profile a test's own
+# @settings(max_examples=...) takes precedence over the profile's.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", database=None, print_blob=True)
+settings.load_profile("tier1")
 
 from epigame.games import game_from_payoffs, parse_game  # noqa: E402
 

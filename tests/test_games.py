@@ -20,6 +20,7 @@ from epigame.games import (
     render_restriction,
     set_bits,
 )
+from epigame.optimality import dominates
 
 from conftest import FLAT_GAME_TEXT, TIE_GAME_TEXT
 from reference import opponent_offsets, parse_restriction
@@ -209,6 +210,37 @@ def test_opponent_mask_matches_the_definition(case):
     )))
 
 
+@st.composite
+def label_sharing_games(draw):
+    # every player draws its labels from one pool, in its own order, so a
+    # decoder that reads a label with another player's index goes wrong
+    counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    strategies = tuple(tuple(draw(st.permutations("abc"))[:count]) for count in counts)
+    return Game(strategies, tuple((0,) * prod(counts) for _ in counts))
+
+
+@given(label_sharing_games())
+@settings(max_examples=200, deadline=None)
+def test_opponent_offset_inverts_opponent_profile(game):
+    for i in range(game.n):
+        for o in set_bits(game.opponent_mask(i, game.full_masks)):
+            assert game.opponent_offset(i, game.opponent_profile(i, o)) == o
+
+
+def test_opponent_offset_rejects_bad_profiles(tie_game):
+    cases = (
+        (0, ("L", "R"), r"opponent profile \('L', 'R'\) needs 1 entries"),
+        (1, (), r"opponent profile \(\) needs 1 entries"),
+        (0, ("U",), "player 2 has no strategy 'U'"),
+        (1, ("Z",), "player 1 has no strategy 'Z'"),
+        (2, ("U",), "player index 2 is not in 0..1"),
+        (-1, ("U",), "player index -1 is not in 0..1"),
+    )
+    for i, profile, text in cases:
+        with pytest.raises(ValidationError, match=text):
+            tie_game.opponent_offset(i, profile)
+
+
 def test_scaled_payoffs_per_player():
     game = game_from_payoffs(
         [("a", "b"), ("x",)],
@@ -379,6 +411,41 @@ def test_expected_payoff_independent_three_player():
         )
     )
     assert expected_payoff(game, 0, "a", belief) == Fraction(1, 12)
+
+    # on a 3x3x3 game, for every player: a mixture that lists a zero weight
+    # and each pure strategy, under a 3-profile belief and as dominance
+    # checks over those profiles, agree with sums of per-term Game.payoff reads
+    labels = ("a", "b", "c")
+    joints = list(itertools.product(labels, repeat=3))
+    rich = game_from_payoffs([labels] * 3, [
+        {j: Fraction((k + 2 * i) % 7 - 3, 1 + (k + i) % 3) for k, j in enumerate(joints)}
+        for i in range(3)
+    ])
+    mix_weights = (("c", Fraction(2, 5)), ("a", Fraction(0)), ("b", Fraction(3, 5)))
+    profiles = (("a", "c"), ("b", "b"), ("c", "a"))
+    weights = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+    belief = CorrelatedBelief(tuple(zip(profiles, weights)))
+    dominated = []
+    for i in range(3):
+        def payoff(label, t):
+            return rich.payoff(i, t[:i] + (label,) + t[i:])
+
+        def mixed(t):
+            return sum(w * payoff(label, t) for label, w in mix_weights)
+
+        mix = MixedStrategy(i, mix_weights)
+        assert expected_payoff(rich, i, mix, belief) == sum(p * mixed(t) for t, p in belief.weights)
+        for s in labels:
+            assert expected_payoff(rich, i, s, belief) == sum(
+                p * payoff(s, t) for t, p in belief.weights)
+            margins = [mixed(t) - payoff(s, t) for t in profiles]
+            strict = all(m > 0 for m in margins)
+            weak = all(m >= 0 for m in margins) and any(m > 0 for m in margins)
+            assert dominates(rich, i, mix, s, profiles, "strict") == strict
+            assert dominates(rich, i, mix, s, profiles, "weak") == weak
+            dominated.append((strict, weak))
+    # the checks cover no dominance, weak dominance only and strict dominance
+    assert set(dominated) == {(False, False), (False, True), (True, True)}
 
 
 @given(

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from epigame.errors import EmptyOpponentSet, EmptySupport, UnsupportedNotion, ValidationError
-from epigame.games import CorrelatedBelief, MixedStrategy, game_from_payoffs, insert_own
+from epigame.games import CorrelatedBelief, MixedStrategy, game_from_payoffs
 from epigame.optimality import (
     Notion,
     dominates,
@@ -44,11 +44,11 @@ def grid_has_supporting_belief(game, i, s_i, alternatives, opponents, denominato
     for mix in grid_mixtures(opponents):
         ok = True
         own = sum(
-            w * game.payoff(i, insert_own(t, i, s_i)) for t, w in mix.weights
+            w * game.payoff(i, t[:i] + (s_i,) + t[i:]) for t, w in mix.weights
         )
         for s in alternatives:
             other = sum(
-                w * game.payoff(i, insert_own(t, i, s)) for t, w in mix.weights
+                w * game.payoff(i, t[:i] + (s,) + t[i:]) for t, w in mix.weights
             )
             if own < other:
                 ok = False
