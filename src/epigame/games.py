@@ -6,6 +6,11 @@ derived from it. Payoffs, probabilities and expectations are
 player's payoffs as integers, scaled once per game (``scaled_payoffs``), so
 every comparison made anywhere in the engine is exact, and an opponent profile
 as its offset in the tables, which ``Game.opponent_offset`` alone decodes.
+
+The exact re-checks of a witness, ``expected_payoff`` and ``dominates``, read
+the unscaled tables through one reader that checks every input before it
+reads a payoff. This module imports no engine module but ``errors``, so the
+re-checks share no code with the programs and predicates they check.
 """
 
 from __future__ import annotations
@@ -391,6 +396,30 @@ class CorrelatedBelief:
         )
 
 
+def _payoffs_at(game: Game, i: int, strategies, profiles) -> list[list[Fraction]]:
+    """Player ``i``'s exact payoff from each of ``strategies`` (a label or a
+    :class:`MixedStrategy` of player ``i``) at each labelled opponent profile,
+    the one reader of the exact re-checks. Every input is checked before any
+    payoff is read: the player, each mixture's player and every own label
+    whatever its weight, then every profile, each decoded once by
+    :meth:`Game.opponent_offset`. A pure strategy's payoff is its table
+    entry, with no unit weight multiplied in: most re-checks are of those."""
+    table = game.payoff_tables[game.player(i)]
+    stride = game._strides[i]
+    bases = []
+    for s in strategies:
+        if not isinstance(s, MixedStrategy):
+            bases.append(game.strategy_index(i, s) * stride)
+        elif s.player == i:
+            bases.append([(game.strategy_index(i, label) * stride, w) for label, w in s.weights])
+        else:
+            raise ValidationError(
+                f"mixed strategy of player index {s.player!r} given for player index {i}")
+    offsets = [game.opponent_offset(i, t) for t in profiles]
+    return [[table[base + o] for o in offsets] if type(base) is int
+            else [sum(w * table[b + o] for b, w in base) for o in offsets] for base in bases]
+
+
 def expected_payoff(
     game: Game,
     i: int,
@@ -398,25 +427,22 @@ def expected_payoff(
     belief: CorrelatedBelief,
 ) -> Fraction:
     """Exact expected payoff of player ``i`` playing ``s_i`` under a belief
-    about the opponents.
+    about the opponents; every profile is checked, whatever its probability."""
+    (values,) = _payoffs_at(game, i, (s_i,), [t for t, _ in belief.weights])
+    return sum(p * v for (_, p), v in zip(belief.weights, values))
 
-    Own labels are validated first, then each opponent profile of positive
-    probability, by :meth:`Game.opponent_offset`; its offset reads one
-    payoff-table entry per own strategy."""
-    table = game.payoff_tables[game.player(i)]
-    stride = game._strides[i]
-    if isinstance(s_i, MixedStrategy):
-        own = [(game.strategy_index(i, label) * stride, w) for label, w in s_i.weights if w > 0]
-    else:
-        own = [(game.strategy_index(i, s_i) * stride, None)]
-    total = Fraction(0)
-    for joint, prob in belief.weights:
-        if prob:
-            offset = game.opponent_offset(i, joint)
-            for base, weight in own:
-                value = table[base + offset]
-                total += prob * (value if weight is None else weight * value)
-    return total
+
+def dominates(game: Game, i: int, mix: MixedStrategy, s_i: str, G_minus_i, mode: str) -> bool:
+    """Re-check a dominance witness under exact arithmetic: ``mix`` pays
+    player ``i`` at least as much as ``s_i`` at every opponent profile of
+    ``G_minus_i``, and more at every one (``strict``) or some (``weak``)."""
+    if mode not in ("strict", "weak"):
+        raise ValidationError(f"mode must be 'strict' or 'weak', got {mode!r}")
+    mixed, pure = _payoffs_at(game, i, (mix, s_i), G_minus_i)
+    gains = [v - p for v, p in zip(mixed, pure)]
+    if not gains or min(gains) < 0:
+        return False
+    return min(gains) > 0 if mode == "strict" else max(gains) > 0
 
 
 # ---------------------------------------------------------------------------

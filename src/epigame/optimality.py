@@ -14,7 +14,8 @@ Pearce's lemma (Pearce 1984): one memoised Bland matrix game
 witnesses and its column mixture is ``solve_br_lp``'s belief. ``mwd`` is
 decided by the memoised one-phase program of ``_weak_program``, and its
 witness is that program's optimal vertex where the optimum is unique; the
-two-phase ``solve`` runs only as the witness's fallback.
+two-phase ``solve`` runs only as the witness's fallback. ``dominates``, the
+exact re-check of a witness, lives in ``games`` and is imported here.
 
 Inside, ``G_i`` is the strategy mask ``alternatives`` and ``G_minus_i`` the
 mask ``opponents`` of flat opponent offsets (place in a payoff table, own
@@ -58,12 +59,12 @@ from .games import (
     CorrelatedBelief,
     Game,
     MixedStrategy,
+    dominates,
     per_game,
     set_bits,
 )
 from .simplex import Status, matrix_game_value, optimum_from_origin, solve
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -265,7 +266,6 @@ def _strict_game(game, i, s, support, opponents):
     return matrix_game_value(_edges(game, i, s, support, opponents), game.scaled_payoffs[i][0])
 
 
-@per_game
 def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict:
     """Both programs are posed on player ``i``'s scaled payoffs; the
     mixtures do not see the scale and the optimum is scaled back."""
@@ -326,13 +326,11 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     s, alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
     if not opponents:
         raise EmptyOpponentSet("best-response LP needs at least one opponent profile")
-    if not alternatives & ~(1 << s):
-        # no rival: every belief supports s
-        weights = (ONE,) + (ZERO,) * (opponents.bit_count() - 1)
-    else:
-        value, _, weights = _strict_game(game, i, s, alternatives, opponents)
-        if value > 0:
-            return BestResponseVerdict(False, None)
+    # an empty G_i is read as {s}: with no rival, the all-zero game's column
+    # mixture, a point belief on the first profile, supports s
+    value, _, weights = _strict_game(game, i, s, alternatives or 1 << s, opponents)
+    if value > 0:
+        return BestResponseVerdict(False, None)
     return BestResponseVerdict(True, _belief(game, i, opponents, weights))
 
 
@@ -390,29 +388,3 @@ def _weak_program(game, i, s, rivals, opponents):
     if result is None:
         raise InvariantViolated("weak-dominance decision unbounded; its weights sum to at most 1")
     return result
-
-
-# --- exact re-verification of a dominance witness -----------------------------
-
-def dominates(game: Game, i: int, mix: MixedStrategy, s_i: str, G_minus_i, mode: str) -> bool:
-    """Re-check a dominance witness under exact arithmetic: the mixture's
-    labels and ``s_i`` first, then each term at one payoff-table entry per
-    label, its opponent profile read by :meth:`Game.opponent_offset`."""
-    if mode not in ("strict", "weak"):
-        raise ValidationError(f"mode must be 'strict' or 'weak', got {mode!r}")
-    opponents = list(G_minus_i)
-    if not opponents:
-        return False
-    table = game.payoff_tables[game.player(i)]
-    stride = game._strides[i]
-    own = [(game.strategy_index(i, label) * stride, w) for label, w in mix.weights]
-    base = game.strategy_index(i, s_i) * stride
-    strict_seen = False
-    for t in opponents:
-        offset = game.opponent_offset(i, t)
-        value = sum(w * table[b + offset] for b, w in own)
-        p = table[base + offset]
-        if value < p or value == p and mode == "strict":
-            return False
-        strict_seen = strict_seen or value > p
-    return strict_seen

@@ -43,9 +43,10 @@ from .errors import (
     HypothesisNotMet,
     InvalidModel,
     NonMonotonicProfile,
+    PremiseViolated,
     ValidationError,
 )
-from .games import Game, JointStrategy, Restriction, expected_payoff, per_game, set_bits
+from .games import Game, JointStrategy, Restriction, dominates, expected_payoff, per_game, set_bits
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import (
     ENUMERATION_BUDGET,
@@ -58,7 +59,6 @@ from .optimality import (
     Notion,
     _holds_cached,
     _pearce_certificates,
-    dominates,
     holds,
     parse_notion,
 )
@@ -443,8 +443,9 @@ def pearce_suite(games: int, seed: int = 0) -> VerificationReport:
 
 def _inclusion_lemma_violation(game: Game, instance_seed: int) -> dict | None:
     """The inclusion lemma on one suite instance, for both operator pairs;
-    the payload of the first pair whose conclusion or sampled monotonicity
-    fails, else None."""
+    the payload of the first pair whose premise, conclusion or sampled
+    monotonicity fails, else None. A failed premise names itself and the
+    restriction that witnesses it."""
     pairs = (
         (Notion.BR_POINT, GLOBAL, Notion.SD, LOCAL),
         (Notion.MSD, GLOBAL, Notion.MSD, LOCAL),
@@ -452,18 +453,16 @@ def _inclusion_lemma_violation(game: Game, instance_seed: int) -> dict | None:
     for notion1, mode1, notion2, mode2 in pairs:
         op1 = operator(NotionProfile.uniform(notion1, game.n), game, mode1)
         op2 = operator(NotionProfile.uniform(notion2, game.n), game, mode2)
-        report = check_inclusion_lemma(
-            op1, op2, game, samples=40, seed=instance_seed, exhaustive_limit=1 << 6
-        )
+        payload = {"kind": "lem.inc", "game": game, "instance_seed": instance_seed,
+                   "op1": op1.name, "op2": op2.name}
+        try:
+            report = check_inclusion_lemma(
+                op1, op2, game, samples=40, seed=instance_seed, exhaustive_limit=1 << 6
+            )
+        except PremiseViolated as exc:
+            return {**payload, "premise": exc.premise, "restriction": exc.witness}
         if not (report.conclusion_holds and report.monotonicity.passed):
-            return {
-                "kind": "lem.inc",
-                "game": game,
-                "instance_seed": instance_seed,
-                "op1": op1.name,
-                "op2": op2.name,
-                "report": report,
-            }
+            return {**payload, "report": report}
     return None
 
 

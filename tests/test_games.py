@@ -284,6 +284,29 @@ def test_payoff_inputs_checked(tie_game):
         expected_payoff(tie_game, 0, "U", CorrelatedBelief(((("Z",), 1),)))
 
 
+_COORDINATION = game_from_payoffs([("a", "b")] * 2, [
+    {j: int(j[0] == j[1]) for j in itertools.product("ab", repeat=2)}] * 2)
+_POINT_A = CorrelatedBelief(((("a",), 1),))
+
+
+@pytest.mark.parametrize("check", [
+    # a profile of probability 0 is decoded too
+    lambda g: expected_payoff(g, 0, "a", CorrelatedBelief(((("a",), 1), (("Z",), 0)))),
+    # an own label of weight 0 is checked too
+    lambda g: expected_payoff(g, 0, MixedStrategy(0, (("a", 1), ("Z", 0))), _POINT_A),
+    # player 2's mixture is not read as player 1's
+    lambda g: expected_payoff(g, 0, MixedStrategy(1, (("b", 1),)), _POINT_A),
+    lambda g: dominates(g, 0, MixedStrategy(1, (("b", 1),)), "a", [("b",)], "strict"),
+    # profiles after one where the mixture loses are decoded too
+    lambda g: dominates(g, 0, MixedStrategy(0, (("b", 1),)), "a", [("a",), ("Z",)], "strict"),
+    # own labels are checked against an empty opponent set too
+    lambda g: dominates(g, 0, MixedStrategy(0, (("Z", 1),)), "a", [], "weak"),
+], ids=["zero-probability", "zero-weight", "ep-player", "dom-player", "after-a-loss", "no-profiles"])
+def test_re_checks_read_every_input_before_any_payoff(check):
+    with pytest.raises(ValidationError):
+        check(_COORDINATION)
+
+
 @pytest.mark.parametrize("i", [-1, -2, 2])
 def test_player_numbers_out_of_range_rejected(tie_game, i):
     # a negative number is not read as counted from the last player

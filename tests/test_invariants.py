@@ -1,5 +1,6 @@
 """Engine invariants must be raised errors: `python -O` strips `assert`.
-No functools cache may hold games past their use."""
+No functools cache may hold games past their use. The exact re-checks in
+`games` share no code with the programs and predicates they check."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,16 @@ def test_engine_has_no_functools_caches():
         and any(_is_functools_cache(d) for d in node.decorator_list)
     ]
     assert found == []
+
+
+def test_games_imports_no_engine_module_but_errors():
+    # expected_payoff and dominates re-check what the simplex and the
+    # predicate core found, so games must not lean on either
+    tree = ast.parse((Path(epigame.__file__).parent / "games.py").read_text(encoding="utf-8"))
+    engine = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("epigame")):
+            engine.append(node.module)
+        elif isinstance(node, ast.Import):
+            engine += [alias.name for alias in node.names if alias.name.startswith("epigame")]
+    assert engine == ["errors"]

@@ -447,6 +447,43 @@ def _inclusion_lemma_fails_at_instance_seed_6(monkeypatch):
     monkeypatch.setattr(verify, "check_inclusion_lemma", check)
 
 
+def _sd_image_drops_a_strategy(monkeypatch):
+    # U[sd]'s image loses player 1's first kept strategy, so a restriction
+    # where T[brp] keeps it breaks the pointwise-inclusion premise
+    import epigame.verify as verify
+
+    real = verify.operator
+
+    def operator(profile, game, mode):
+        made = real(profile, game, mode)
+        if made.name != "U[sd]":
+            return made
+
+        def apply(restriction):
+            masks = made.apply(restriction).masks
+            return Restriction(game, (masks[0] & (masks[0] - 1),) + masks[1:])
+
+        return dataclasses.replace(made, fn=apply)
+
+    monkeypatch.setattr(verify, "operator", operator)
+
+
+def test_a_failed_inclusion_premise_is_a_replayable_counterexample(monkeypatch, capsys):
+    from epigame.cli import main
+
+    _sd_image_drops_a_strategy(monkeypatch)
+    assert main(["verify", "lemma-inc", "--samples", "8"]) == 1
+    out = capsys.readouterr().out
+    assert "verdict: counterexample" in out
+    assert "counterexample premise: pointwise inclusion op1(G) <= op2(G)" in out
+    assert "counterexample restriction: restrict 1: " in out
+    report = lemma_inc_suite(8)
+    assert set(report.counterexample) == {
+        "kind", "game", "instance_seed", "op1", "op2", "premise", "restriction"}
+    assert (report.counterexample["op1"], report.counterexample["op2"]) == ("T[brp]", "U[sd]")
+    assert replay(report) is True
+
+
 def _thm1iii_fails_at_instance_seed_4(monkeypatch):
     import epigame.verify as verify
 
@@ -470,9 +507,10 @@ def _thm1iii_fails_at_instance_seed_4(monkeypatch):
         (_empty_limit_patch, lambda seed, n: cor_suite("cor2", n, seed=seed), 5),
         (_thm1iii_fails_at_instance_seed_4, lambda seed, n: thm1iii_suite(n, seed=seed), 3),
         (_inclusion_lemma_fails_at_instance_seed_6, lambda seed, n: lemma_inc_suite(n, seed=seed), 4),
+        (_sd_image_drops_a_strategy, lambda seed, n: lemma_inc_suite(n, seed=seed), 2),
         *_FORCED_FAILURES.values(),
     ],
-    ids=["thm1", "cor1", "cor2", "thm1iii", "lem.inc", *_FORCED_FAILURES],
+    ids=["thm1", "cor1", "cor2", "thm1iii", "lem.inc", "lem.inc-premise", *_FORCED_FAILURES],
 )
 def test_a_failing_suite_report_reruns_from_its_seed(monkeypatch, patch, run, seed):
     # a report is a value: the suite seed and the instance count it states
