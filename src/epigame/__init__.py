@@ -34,7 +34,6 @@ from .errors import (
     EngineError,
     HypothesisNotMet,
     InvalidModel,
-    IterationBudgetExceeded,
     NonContractingStep,
     NonMonotonicProfile,
     ParseError,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedNotion, ValidationError
+from .errors import ValidationError
 from .games import Game, Restriction, set_bits
 from .lattice import (
     EliminationRecord,
@@ -31,6 +31,7 @@ from .optimality import (
     _dominance_verdict,
     _holds_cached,
     _pure_dominator,
+    evaluated_notion,
     parse_notion,
 )
 
@@ -47,20 +48,15 @@ _MIXED_REASONS = {
 
 @dataclass(frozen=True)
 class NotionProfile:
-    """One optimality notion per player."""
+    """One optimality notion per player, each a :class:`Notion` or its name."""
 
     notions: tuple[Notion, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "notions",
-            tuple(parse_notion(n) if isinstance(n, str) else n for n in self.notions),
-        )
+        object.__setattr__(self, "notions", tuple(map(parse_notion, self.notions)))
 
     @classmethod
     def uniform(cls, notion: Notion | str, n: int) -> "NotionProfile":
-        notion = parse_notion(notion) if isinstance(notion, str) else notion
         return cls((notion,) * n)
 
     @classmethod
@@ -74,29 +70,20 @@ class NotionProfile:
             )
         return cls(tuple(parts))
 
-    def validate_for(self, game: Game) -> None:
+    def validate_for(self, game: Game) -> tuple[Notion, ...]:
+        """The notions a step evaluates on ``game``, each read by
+        ``optimality.evaluated_notion``, where the one ``bri`` rule lives."""
         if len(self.notions) != game.n:
             raise ValidationError(
                 f"profile has {len(self.notions)} notions for {game.n} players"
             )
-        if game.n != 2 and Notion.BR_INDEPENDENT in self.notions:
-            raise UnsupportedNotion(
-                "independent-belief best response requires exactly 2 players"
-            )
-
-    @property
-    def effective(self) -> tuple[Notion, ...]:
-        """The notions as the predicate core evaluates them: ``bri`` as
-        ``brc``, which it is on the 2-player games that admit it."""
-        return tuple(
-            Notion.BR_CORRELATED if n is Notion.BR_INDEPENDENT else n
-            for n in self.notions
-        )
+        return tuple(evaluated_notion(n, game.n) for n in self.notions)
 
     def non_monotonic(self) -> tuple[Notion, ...]:
         """The profile's notions outside the monotonic set, each once, in
-        profile order; ``bri`` counts as ``brc``."""
-        return tuple(dict.fromkeys(n for n in self.effective if n not in MONOTONIC_NOTIONS))
+        profile order; ``bri``, evaluated only as ``brc``, is not one."""
+        return tuple(dict.fromkeys(n for n in self.notions if n not in MONOTONIC_NOTIONS
+                                   and n is not Notion.BR_INDEPENDENT))
 
     def __str__(self) -> str:
         if len(set(self.notions)) == 1:
@@ -108,10 +95,9 @@ def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> R
     """Keep the strategies of ``g`` that satisfy their player's predicate
     against ``alternatives[i]`` (a strategy mask) and the opponent profiles
     of ``g``."""
-    profile.validate_for(game)
+    notions = profile.validate_for(game)
     if g.game is not game and g.game != game:
         raise ValidationError("the restriction is of another game")
-    notions = profile.effective
     current = g.masks
     masks = []
     for i in range(game.n):
@@ -148,6 +134,7 @@ def outcome(profile: NotionProfile, game: Game, mode: str) -> EliminationTrace:
     """Iterate the chosen operator from the full game and annotate every
     eliminated strategy with a machine-checkable reason."""
     op = operator(profile, game, mode)
+    notions = profile.validate_for(game)
     trace = iterate_to_outcome(op, game.full_restriction())
     records = []
     for stage_index in range(len(trace.stages) - 1):
@@ -158,7 +145,7 @@ def outcome(profile: NotionProfile, game: Game, mode: str) -> EliminationTrace:
             opponents = game.opponent_mask(i, before)
             for s in set_bits(before[i] & ~after[i]):
                 records.append(explain_elimination(
-                    profile.effective[i], game, stage_index, i, s, alternatives, opponents
+                    notions[i], game, stage_index, i, s, alternatives, opponents
                 ))
     return EliminationTrace(trace.operator, trace.stages, trace.stabilized_at, tuple(records))
 
@@ -175,7 +162,7 @@ def explain_elimination(
     """Build the elimination record (in labels) for a strategy that failed
     its predicate: a dominating (pure or mixed) strategy, or a certificate
     that no belief supports it. Takes the predicate core's inputs, with the
-    notion as :attr:`NotionProfile.effective` gives it."""
+    notion as :meth:`NotionProfile.validate_for` returns it."""
     labels = game.strategies[i]
     label = labels[s]
     if not opponents:

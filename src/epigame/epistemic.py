@@ -52,10 +52,10 @@ class StateSpace:
     def __post_init__(self):
         if not self.states:
             raise ValidationError("state space must be non-empty")
-        if len(set(self.states)) != len(self.states):
-            raise ValidationError("state labels must be distinct")
         for s in self.states:
             check_label(s, "state label", STATE_LABEL_RESERVED)
+        if len(set(self.states)) != len(self.states):
+            raise ValidationError("state labels must be distinct")
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -66,7 +66,7 @@ class StateSpace:
         for s in labels:
             try:
                 mask |= 1 << self.index[s]
-            except KeyError:
+            except (KeyError, TypeError):  # an unhashable label is unknown too
                 raise ValidationError(f"unknown state {s!r}") from None
         return mask
 
@@ -97,13 +97,18 @@ class PossibilityCorrespondence:
     def __post_init__(self):
         if len(self.targets) != len(self.space.states):
             raise ValidationError("correspondence must cover every state")
-        object.__setattr__(
-            self, "targets", tuple(frozenset(t) for t in self.targets)
-        )
+        targets = []
+        for t in self.targets:
+            try:
+                targets.append(frozenset(t))
+            except TypeError:  # an unhashable label, such as ['a'], is no state
+                raise ValidationError(f"correspondence targets unknown states in {t!r}") from None
+        object.__setattr__(self, "targets", tuple(targets))
         known = set(self.space.states)
         for t in dict.fromkeys(self.targets):  # each distinct set once, in order
             if not t <= known:
-                raise ValidationError(f"correspondence targets unknown states {sorted(t - known)}")
+                unknown = sorted(t - known, key=str)
+                raise ValidationError(f"correspondence targets unknown states {unknown}")
 
     @cached_property
     def masks(self) -> tuple[int, ...]:
@@ -170,8 +175,12 @@ class EpistemicModel:
             if len(labels) != len(self.space.states):
                 raise ValidationError(f"strategy map for player {i + 1} is not total")
         for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
-            if not index.keys() >= set(labels):
-                unknown = next(label for label in labels if label not in index)
+            try:
+                known = index.keys() >= set(labels)
+            except TypeError:  # an unhashable label is unknown too
+                known = False
+            if not known:
+                unknown = next(s for s in labels if not isinstance(s, str) or s not in index)
                 raise ValidationError(f"player {i + 1} has no strategy {unknown!r}")
         if self.correspondences is not None:
             if len(self.correspondences) != self.game.n:
@@ -296,9 +305,8 @@ def rat_event(model: EpistemicModel, profile: NotionProfile) -> int:
     strategy is checked only where some state with that set chooses it and
     every earlier player's choice is optimal."""
     model.require_valid()
-    profile.validate_for(model.game)
     game = model.game
-    notions = profile.effective
+    notions = profile.validate_for(game)
     result = model.space.full_mask
     for i, (c, choosers) in enumerate(zip(model.correspondences, model.choosers)):
         rational = 0

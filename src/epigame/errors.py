@@ -42,10 +42,6 @@ class NonContractingStep(EngineError):
         super().__init__(f"operator expanded the restriction at stage {stage}")
 
 
-class IterationBudgetExceeded(EngineError):
-    """Iteration ran past its stage budget without reaching a fixpoint."""
-
-
 class BudgetExceeded(EngineError):
     """Exhaustive enumeration would exceed the configured budget."""
 

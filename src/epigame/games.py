@@ -185,15 +185,18 @@ class Game:
         """The offset of player ``i``'s labelled opponent profile, validated:
         the one decoder of opponent profiles, :meth:`opponent_profile`'s inverse."""
         decoders = self._opponent_decoders[self.player(i)]
-        profile = tuple(profile)
+        try:
+            profile = tuple(profile)
+        except TypeError:
+            raise ValidationError(f"opponent profile {profile!r} is no label sequence") from None
         if len(profile) != len(decoders):
             raise ValidationError(f"opponent profile {profile} needs {self.n - 1} entries")
         offset = 0
         for (j, index, stride), label in zip(decoders, profile):
-            k = index.get(label)
-            if k is None:
-                raise ValidationError(f"player {j + 1} has no strategy {label!r}")
-            offset += k * stride
+            try:
+                offset += index[label] * stride
+            except (KeyError, TypeError):  # an unhashable label is unknown too
+                raise ValidationError(f"player {j + 1} has no strategy {label!r}") from None
         return offset
 
     @cached_property
@@ -206,14 +209,15 @@ class Game:
     def player(self, i: int) -> int:
         """``i`` if it numbers a player (0-based); a negative number is not
         read as counted from the last player."""
-        if not 0 <= i < len(self.strategies):
+        if not isinstance(i, int) or not 0 <= i < len(self.strategies):
             raise ValidationError(f"player index {i!r} is not in 0..{self.n - 1}")
         return i
 
     def strategy_index(self, i: int, label: str) -> int:
+        index = self._label_index[self.player(i)]
         try:
-            return self._label_index[self.player(i)][label]
-        except KeyError:
+            return index[label]
+        except (KeyError, TypeError):  # an unhashable label is unknown too
             raise ValidationError(f"player {i + 1} has no strategy {label!r}") from None
 
     def payoff(self, i: int, joint: JointStrategy) -> Fraction:
@@ -338,6 +342,31 @@ class Restriction:
         return f"Restriction({parts})"
 
 
+def _distribution(pairs, what: str, key_name: str, read_key) -> tuple:
+    """The one reader of weights: ``(read_key(key), exact weight)`` per pair of
+    a mixed strategy or a correlated belief, checked to list no key twice, to
+    have no negative weight and to sum to exactly 1. A key need only hash."""
+    try:
+        weights = tuple((read_key(key), _as_fraction(w)) for key, w in pairs)
+        keys = set(key for key, _ in weights)
+    except (TypeError, ValueError):  # not (key, weight) pairs, or an unhashable key
+        raise ValidationError(f"{what} needs ({key_name}, weight) pairs, keys hashable") from None
+    if len(keys) != len(weights):
+        raise ValidationError(f"{what} lists a {key_name} twice")
+    if any(w < 0 for _, w in weights):
+        raise ValidationError(f"{what} has a negative weight")
+    if sum(w for _, w in weights) != 1:
+        raise ValidationError(f"{what} weights must sum to exactly 1")
+    return weights
+
+
+def _profile_key(joint) -> JointStrategy:
+    """A belief's key, a tuple or list of labels, as a tuple; not a string's letters."""
+    if not isinstance(joint, (tuple, list)):
+        raise ValidationError(f"a belief's joint strategy is a tuple of labels, got {joint!r}")
+    return tuple(joint)
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """A probability distribution over one player's strategies.
@@ -349,18 +378,8 @@ class MixedStrategy:
     weights: tuple[tuple[str, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "weights",
-            tuple((label, _as_fraction(w)) for label, w in self.weights),
-        )
-        labels = [label for label, _ in self.weights]
-        if len(set(labels)) != len(labels):
-            raise ValidationError("mixed strategy lists a strategy twice")
-        if any(w < 0 for _, w in self.weights):
-            raise ValidationError("mixed strategy has a negative weight")
-        if sum(w for _, w in self.weights) != 1:
-            raise ValidationError("mixed strategy weights must sum to exactly 1")
+        object.__setattr__(self, "weights", _distribution(
+            self.weights, "mixed strategy", "strategy", lambda label: label))
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -377,18 +396,8 @@ class CorrelatedBelief:
     weights: tuple[tuple[JointStrategy, Fraction], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "weights",
-            tuple((tuple(j), _as_fraction(w)) for j, w in self.weights),
-        )
-        joints = [j for j, _ in self.weights]
-        if len(set(joints)) != len(joints):
-            raise ValidationError("correlated belief lists a joint strategy twice")
-        if any(w < 0 for _, w in self.weights):
-            raise ValidationError("correlated belief has a negative weight")
-        if sum(w for _, w in self.weights) != 1:
-            raise ValidationError("correlated belief weights must sum to exactly 1")
+        object.__setattr__(self, "weights", _distribution(
+            self.weights, "correlated belief", "joint strategy", _profile_key))
 
     def __str__(self) -> str:
         return " + ".join(

@@ -6,14 +6,14 @@ same configuration reproduces the same artifacts bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
 from .errors import BudgetExceeded, ValidationError
-from .games import Game, game_from_payoffs
+from .games import Game, _as_fraction
 
 _LETTERS = "abcdefghij"
 # The most joint profiles, and states, a configuration may ask for.
@@ -61,22 +61,18 @@ class GeneratorConfig:
                 f"each exceed the budget of {GENERATION_BUDGET} joint profiles")
         if self.states[1] > GENERATION_BUDGET:
             raise BudgetExceeded(f"{self.states[1]} states exceed the budget of {GENERATION_BUDGET}")
-        object.__setattr__(
-            self, "payoff_pool", tuple(Fraction(v) for v in self.payoff_pool)
-        )
+        object.__setattr__(self, "payoff_pool", tuple(map(_as_fraction, self.payoff_pool)))
 
 
 def generate_game(config: GeneratorConfig) -> Game:
+    """Draws the shape, then each player's payoff table entry by entry in
+    product order."""
     rng = random.Random(config.seed)
     n = rng.randint(*config.players)
     shape = [rng.randint(*config.strategies) for _ in range(n)]
-    strategies = [tuple(_LETTERS[:k]) for k in shape]
-    joints = list(itertools.product(*strategies))
-    payoffs = [
-        {joint: rng.choice(config.payoff_pool) for joint in joints}
-        for _ in range(n)
-    ]
-    return game_from_payoffs(strategies, payoffs)
+    pool = config.payoff_pool
+    tables = tuple(tuple(rng.choice(pool) for _ in range(prod(shape))) for _ in range(n))
+    return Game(tuple(tuple(_LETTERS[:k]) for k in shape), tables)
 
 
 def _random_partition(rng: random.Random, items: list[str]) -> list[list[str]]:

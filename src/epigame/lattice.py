@@ -9,11 +9,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .errors import (
-    IterationBudgetExceeded,
-    NonContractingStep,
-    PremiseViolated,
-)
+from .errors import InvariantViolated, NonContractingStep, PremiseViolated
 from .games import Game, Restriction, set_bits
 
 # the most candidates an exhaustive enumeration may visit
@@ -67,27 +63,18 @@ class EliminationTrace:
         return self.stages[-1]
 
 
-def default_budget(start: Restriction) -> int:
-    return 1 + sum(len(h) for h in start.game.strategies)
-
-
-def iterate_to_outcome(
-    op: RestrictionOperator,
-    start: Restriction,
-    budget: int | None = None,
-) -> EliminationTrace:
+def iterate_to_outcome(op: RestrictionOperator, start: Restriction) -> EliminationTrace:
     """Iterate a contracting operator from ``start`` until the stage repeats.
 
     Raises :class:`NonContractingStep` the moment a stage is not included in
-    its predecessor, and :class:`IterationBudgetExceeded` when the operator
-    fails to stabilize within the budget (impossible for genuinely
-    contracting operators on a finite game, so it signals a bug).
+    its predecessor. Each step before the fixpoint then drops a strategy, so
+    the fixpoint comes within ``1 + sum |S_i|`` applications; passing that
+    bound is :class:`InvariantViolated`.
     """
-    if budget is None:
-        budget = default_budget(start)
+    bound = 1 + sum(len(h) for h in start.game.strategies)
     stages = [start]
     current = start
-    for _ in range(budget):
+    for _ in range(bound):
         nxt = op.apply(current)
         if not nxt.is_subset_of(current):
             raise NonContractingStep(len(stages) - 1, current, nxt)
@@ -95,9 +82,7 @@ def iterate_to_outcome(
         if nxt == current:
             return EliminationTrace(op.name, tuple(stages), len(stages) - 2)
         current = nxt
-    raise IterationBudgetExceeded(
-        f"{op.name} did not stabilize within {budget} applications"
-    )
+    raise InvariantViolated(f"{op.name} did not stabilize in {bound} applications")
 
 
 def enumerate_restrictions(game: Game):

@@ -5,7 +5,9 @@ beliefs.
 The predicate ``holds(notion, game, i, s_i, G_i, G_minus_i)`` decides whether
 ``s_i`` is optimal among the alternatives ``G_i`` against the joint opponent
 strategies ``G_minus_i``. Mixed dominance and correlated best response reduce
-to exact rational linear programs.
+to exact rational linear programs. A notion, a :class:`Notion` or its name,
+is read by :func:`parse_notion` alone; :func:`evaluated_notion` holds the one
+``bri`` rule.
 
 A verdict reads only the sign of an exact optimum, and only an eliminated
 strategy's witness is printed. ``msd`` and ``brc`` are one predicate by
@@ -84,14 +86,27 @@ class Notion(enum.Enum):
 MONOTONIC_NOTIONS = (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED)
 
 
-def parse_notion(text: str) -> Notion:
+def parse_notion(value) -> Notion:
+    """The one reader of notions: a :class:`Notion` or its name."""
     try:
-        return Notion(text)
+        return Notion(value)
     except ValueError:
         raise ValidationError(
-            f"unknown notion {text!r}; expected one of "
+            f"unknown notion {value!r}; expected one of "
             + ", ".join(n.value for n in Notion)
         ) from None
+
+
+def evaluated_notion(value, n: int) -> Notion:
+    """The notion the predicate core evaluates for ``value`` on an
+    ``n``-player game: ``bri`` is evaluated as ``brc``, with which it
+    coincides on 2-player games, and is :class:`UnsupportedNotion` on any other."""
+    notion = parse_notion(value)
+    if notion is not Notion.BR_INDEPENDENT:
+        return notion
+    if n != 2:
+        raise UnsupportedNotion("independent-belief best response requires exactly 2 players")
+    return Notion.BR_CORRELATED
 
 
 @dataclass(frozen=True)
@@ -121,28 +136,21 @@ def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
 
     ``s_i`` must be a strategy of the game but need not belong to ``G_i``;
     the global elimination operator evaluates current strategies against the
-    player's initial strategy set. The labels are validated here; the
-    engine's own callers, whose inputs are canonical already, evaluate the
-    memoised core directly.
+    player's initial strategy set. The notion and the labels are validated
+    here; the engine's own callers, whose inputs are canonical already,
+    evaluate the memoised core directly.
     """
-    if isinstance(notion, str):
-        notion = parse_notion(notion)
+    notion = evaluated_notion(notion, game.n)
     s, alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
-    if notion is Notion.BR_INDEPENDENT:
-        if game.n != 2:
-            raise UnsupportedNotion(
-                "best response to independent beliefs is only decidable here "
-                "for 2-player games (where it coincides with correlated beliefs)"
-            )
-        notion = Notion.BR_CORRELATED
     return _holds_cached(game, notion, i, s, alternatives, opponents)
 
 
 @per_game
 def _holds_cached(game, notion, i, s, alternatives, opponents):
     """The predicate on indices into ``game.scaled_payoffs``: ``s`` is one
-    of player ``i``'s strategy indices, ``alternatives`` a strategy mask and
-    ``opponents`` a mask of flat opponent offsets. ``bri`` is read as ``brc``."""
+    of player ``i``'s strategy indices, ``alternatives`` a strategy mask,
+    ``opponents`` a mask of flat opponent offsets and ``notion`` as
+    :func:`evaluated_notion` returns it."""
     rivals = alternatives & ~(1 << s)
     if not opponents:
         if notion in (Notion.SD, Notion.MSD):

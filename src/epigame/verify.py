@@ -200,16 +200,18 @@ def thm2_hypothesis_clauses(
     must be outside the elimination outcome yet mutually optimal against its
     own components."""
     failures = []
+    notions = profile.validate_for(game)
     limit = elimination_limit(game, profile, GLOBAL)
     indices = [game.strategy_index(i, label) for i, label in zip(range(game.n), joint)]
     if all(mask >> k & 1 for mask, k in zip(limit.masks, indices)):
         failures.append(f"joint strategy {joint} survives the elimination")
-    for i in range(game.n):
-        opponents = [joint[:i] + joint[i + 1:]]
-        if not holds(profile.notions[i], game, i, joint[i], game.strategies[i], opponents):
+    for i, k in enumerate(indices):
+        opponents = joint[:i] + joint[i + 1:]
+        offset = game.opponent_offset(i, opponents)
+        if not _holds_cached(game, notions[i], i, k, game.full_masks[i], 1 << offset):
             failures.append(
                 f"player {i + 1} strategy {joint[i]} is not "
-                f"{profile.notions[i].value}-optimal against {opponents[0]}"
+                f"{profile.notions[i].value}-optimal against {opponents}"
             )
     return failures
 
@@ -331,7 +333,7 @@ def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> Verificat
     """Random (game, belief model, knowledge model) instances for one
     monotonic notion; checks the common-belief and the common-knowledge
     inclusion on every instance."""
-    profile_notion = notion if isinstance(notion, Notion) else parse_notion(notion)
+    profile_notion = parse_notion(notion)
 
     def check(instance_seed):
         game = generate_game(_suite_config(instance_seed, "belief"))

@@ -1,0 +1,186 @@
+"""One reader per input kind: notions, payoff values, labels and weights.
+
+Each malformed value below once passed silently or ended in a TypeError,
+AttributeError or bare ValueError; each must be a ValidationError now.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from epigame.elimination import GLOBAL, LOCAL, NotionProfile, outcome
+from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
+from epigame.errors import UnsupportedNotion, ValidationError
+from epigame.games import (
+    CorrelatedBelief,
+    MixedStrategy,
+    dominates,
+    expected_payoff,
+    game_from_payoffs,
+)
+from epigame.generators import GeneratorConfig, generate_game
+from epigame.optimality import Notion, holds, parse_notion
+from epigame.verify import _suite_config, thm1_suite, thm2_hypothesis_clauses
+
+AB_XY = game_from_payoffs([("a", "b"), ("x", "y")], [
+    {j: int(j == ("a", "x")) for j in itertools.product("ab", "xy")}] * 2)
+THREE = game_from_payoffs([("a", "b"), ("x", "y"), ("p", "q")], [
+    {j: 0 for j in itertools.product("ab", "xy", "pq")}] * 3)
+POINT_X = CorrelatedBelief(((("x",), 1),))
+BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
+
+
+@pytest.mark.parametrize("call", [
+    # the predicate core read an unknown value as msd/brc and returned True
+    lambda: holds(42, AB_XY, 0, "a", ("a", "b"), [("x",)]),
+    lambda: holds(None, AB_XY, 0, "a", ("a", "b"), [("x",)]),
+    # accepted, then eliminated as msd or died naming the operator
+    lambda: NotionProfile((42, "sd")),
+    lambda: outcome(NotionProfile((42, "sd")), AB_XY, LOCAL),
+    lambda: NotionProfile.uniform(42, 2),
+    # a float pool entry became a binary fraction, a text one a bare ValueError
+    lambda: GeneratorConfig(seed=0, payoff_pool=(0.1,)),
+    lambda: GeneratorConfig(seed=0, payoff_pool=("x",)),
+    # unhashable labels ended in TypeError
+    lambda: AB_XY.strategy_index(0, ["a"]),
+    lambda: AB_XY.opponent_offset(0, (["x"],)),
+    lambda: AB_XY.opponent_offset(0, 5),
+    lambda: AB_XY.payoff(0, ("a", ["x"])),
+    lambda: holds("sd", AB_XY, 0, "a", ("a", "b"), [(["x"],)]),
+    lambda: expected_payoff(AB_XY, 0, ["a"], POINT_X),
+    lambda: expected_payoff(AB_XY, 0, "a", CorrelatedBelief((((["x"],), 1),))),
+    lambda: dominates(AB_XY, 0, MixedStrategy(0, ((["a"], 1),)), "b", [("x",)], "strict"),
+    lambda: EpistemicModel(AB_XY, StateSpace(("w",)), ((["a"],), ("x",))),
+    lambda: StateSpace((["a"], "w")),
+    lambda: StateSpace(("w",)).mask_of([["w"]]),
+    lambda: PossibilityCorrespondence(StateSpace(("w",)), ([["w"]],)),
+    # unknown states of two types could not be sorted for the message
+    lambda: PossibilityCorrespondence(StateSpace(("w",)), ({1, "z"},)),
+    lambda: AB_XY.player("a"),
+    # a string key was read as its letters, an int key ended in TypeError
+    lambda: CorrelatedBelief((("Left", 1),)),
+    lambda: CorrelatedBelief(((5, 1),)),
+    lambda: MixedStrategy(0, (("a",),)),
+], ids=[
+    "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42",
+    "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
+    "payoff", "holds-label", "expected-payoff-own", "expected-payoff-profile",
+    "dominates-mixture", "model-map", "state-space", "mask-of", "correspondence",
+    "correspondence-mixed-types",
+    "player", "belief-string-key", "belief-int-key", "mixture-not-pairs",
+])
+def test_a_malformed_value_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_unknown_and_unhashable_labels_share_a_message():
+    for label in ("z", ["z"]):
+        with pytest.raises(ValidationError, match=r"player 1 has no strategy .*z"):
+            AB_XY.strategy_index(0, label)
+        with pytest.raises(ValidationError, match=r"player 2 has no strategy .*z"):
+            AB_XY.opponent_offset(0, (label,))
+        with pytest.raises(ValidationError, match=r"player 1 has no strategy .*z"):
+            EpistemicModel(AB_XY, StateSpace(("w",)), ((label,), ("x",)))
+        with pytest.raises(ValidationError, match=r"unknown state .*z"):
+            StateSpace(("w",)).mask_of([label])
+        with pytest.raises(ValidationError, match="correspondence targets unknown states"):
+            PossibilityCorrespondence(StateSpace(("w",)), ([label],))
+
+
+def test_weight_checks_keep_their_messages():
+    for make, what, key, other in (
+            (lambda w: MixedStrategy(0, w), "mixed strategy", "a", "b"),
+            (CorrelatedBelief, "correlated belief", ("x",), ("y",))):
+        with pytest.raises(ValidationError, match=f"{what} lists a .*twice"):
+            make(((key, 1), (key, 0)))
+        with pytest.raises(ValidationError, match=f"{what} has a negative weight"):
+            make(((key, -1), (other, 2)))
+        with pytest.raises(ValidationError, match=f"{what} weights must sum to exactly 1"):
+            make(((key, Fraction(1, 2)),))
+    # a mixture key need only hash; a belief key may be a list
+    assert MixedStrategy(0, ((("a", "b"), 1),)).weights == ((("a", "b"), 1),)
+    assert CorrelatedBelief(((["x"], "1/2"), (("y",), "1/2"))).weights[0] == (("x",), Fraction(1, 2))
+
+
+def test_the_payoff_pool_is_read_as_payoffs_are():
+    assert GeneratorConfig(seed=0, payoff_pool=(1, "1/2", Fraction(3))).payoff_pool == (
+        Fraction(1), Fraction(1, 2), Fraction(3))
+
+
+def test_bri_is_brc_on_two_players_and_unsupported_on_three():
+    profile = NotionProfile(("bri", Notion.SD))
+    assert profile.validate_for(AB_XY) == (Notion.BR_CORRELATED, Notion.SD)
+    with pytest.raises(UnsupportedNotion, match=BRI_MESSAGE):
+        holds("bri", THREE, 0, "a", ("a", "b"), [("x", "p")])
+    with pytest.raises(UnsupportedNotion, match=BRI_MESSAGE):
+        NotionProfile.uniform("bri", 3).validate_for(THREE)
+
+
+def test_every_notion_reads_as_itself_and_as_its_name():
+    for notion in Notion:
+        assert parse_notion(notion) is notion
+        assert parse_notion(notion.value) is notion
+
+
+NOT_A_NOTION = st.one_of(
+    st.none(), st.integers(), st.floats(), st.binary(), st.booleans(),
+    st.text().filter(lambda t: t not in {n.value for n in Notion}),
+    st.lists(st.sampled_from([n.value for n in Notion]), max_size=2),
+    st.tuples(st.sampled_from(list(Notion))),
+)
+
+
+@given(NOT_A_NOTION)
+def test_any_other_value_is_not_a_notion(value):
+    for call in (
+        lambda: parse_notion(value),
+        lambda: holds(value, AB_XY, 0, "a", ("a", "b"), [("x",)]),
+        lambda: NotionProfile((value, "sd")),
+        lambda: NotionProfile.uniform(value, 2),
+        lambda: thm1_suite(value, 1),
+    ):
+        with pytest.raises(ValidationError, match="unknown notion"):
+            call()
+
+
+def _game_from_draws(config):
+    """The generator's draws built through ``game_from_payoffs``: the shape,
+    then one pool draw per player and joint strategy in product order."""
+    rng = random.Random(config.seed)
+    n = rng.randint(*config.players)
+    strategies = [tuple("abcdefghij"[:rng.randint(*config.strategies)]) for _ in range(n)]
+    joints = list(itertools.product(*strategies))
+    return game_from_payoffs(strategies, [
+        {joint: rng.choice(config.payoff_pool) for joint in joints} for _ in range(n)])
+
+
+def test_generate_game_equals_a_build_of_its_draws():
+    # every generator configuration the suites use: (2, 3) or (2, 2) players,
+    # (2, 4) or (2, 3) strategies; the model class does not reach the game
+    for seed in range(300):
+        for players, strategies in itertools.product(((2, 3), (2, 2)), ((2, 4), (2, 3))):
+            config = _suite_config(seed, "belief", players, strategies)
+            assert generate_game(config) == _game_from_draws(config)
+
+
+def test_thm2_clauses_match_the_label_predicate():
+    for seed in range(40):
+        game = generate_game(_suite_config(seed, "belief", strategies=(2, 3)))
+        for notion in ("sd", "wd", "brp", "mwd"):
+            profile = NotionProfile.uniform(notion, game.n)
+            limit = outcome(profile, game, GLOBAL).outcome
+            for joint in game.joint_strategies:
+                expected = []
+                if all(s in c for s, c in zip(joint, limit.components)):
+                    expected.append(f"joint strategy {joint} survives the elimination")
+                for i in range(game.n):
+                    rest = joint[:i] + joint[i + 1:]
+                    if not holds(notion, game, i, joint[i], game.strategies[i], [rest]):
+                        expected.append(f"player {i + 1} strategy {joint[i]} is not "
+                                        f"{notion}-optimal against {rest}")
+                assert thm2_hypothesis_clauses(game, profile, joint) == expected

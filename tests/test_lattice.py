@@ -6,7 +6,6 @@ import pytest
 from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator
 from epigame.errors import (
     BudgetExceeded,
-    IterationBudgetExceeded,
     NonContractingStep,
     PremiseViolated,
 )
@@ -99,12 +98,6 @@ def test_non_contracting_step_detected(tie_game):
     start = Restriction.of(tie_game, (("U",), ("L",)))
     with pytest.raises(NonContractingStep):
         iterate_to_outcome(op, start)
-
-
-def test_iteration_budget(tie_game):
-    op = operator(NotionProfile.uniform("wd", 2), tie_game, LOCAL)
-    with pytest.raises(IterationBudgetExceeded):
-        iterate_to_outcome(op, tie_game.full_restriction(), budget=1)
 
 
 def test_bruteforce_matches_iteration_on_pd(prisoners_dilemma):
