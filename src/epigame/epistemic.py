@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .elimination import GLOBAL, NotionProfile, operator
 from .errors import (
@@ -38,6 +38,7 @@ from .games import (
     Game,
     JointStrategy,
     Restriction,
+    as_tuple,
     check_label,
     set_bits,
 )
@@ -50,6 +51,7 @@ class StateSpace:
     states: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "states", as_tuple(self.states))
         if not self.states:
             raise ValidationError("state space must be non-empty")
         for s in self.states:
@@ -160,7 +162,7 @@ class EpistemicModel:
     in the game's strategy set for player ``i``; a model over a restriction
     simply has smaller images. Inside, the choices are state masks:
     ``choosers[i][s]`` keeps the states at which player ``i`` chooses the
-    strategy with index ``s``.
+    strategy with index ``s``. Maps and correspondences are stored as tuples.
     """
 
     game: Game
@@ -169,12 +171,12 @@ class EpistemicModel:
     correspondences: tuple[PossibilityCorrespondence, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "strategy_maps", tuple(map(as_tuple, as_tuple(self.strategy_maps))))
         if len(self.strategy_maps) != self.game.n:
             raise ValidationError("one strategy map per player is required")
-        for i, labels in enumerate(self.strategy_maps):
+        for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
             if len(labels) != len(self.space.states):
                 raise ValidationError(f"strategy map for player {i + 1} is not total")
-        for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
             try:
                 known = index.keys() >= set(labels)
             except TypeError:  # an unhashable label is unknown too
@@ -183,6 +185,7 @@ class EpistemicModel:
                 unknown = next(s for s in labels if not isinstance(s, str) or s not in index)
                 raise ValidationError(f"player {i + 1} has no strategy {unknown!r}")
         if self.correspondences is not None:
+            object.__setattr__(self, "correspondences", as_tuple(self.correspondences))
             if len(self.correspondences) != self.game.n:
                 raise ValidationError("one correspondence per player is required")
             for c in self.correspondences:
@@ -209,12 +212,8 @@ class EpistemicModel:
             choosers.append(tuple(masks))
         return tuple(choosers)
 
-    def with_correspondences(
-        self, correspondences: Sequence[PossibilityCorrespondence]
-    ) -> "EpistemicModel":
-        return EpistemicModel(
-            self.game, self.space, self.strategy_maps, tuple(correspondences)
-        )
+    def with_correspondences(self, correspondences) -> "EpistemicModel":
+        return EpistemicModel(self.game, self.space, self.strategy_maps, correspondences)
 
     def require_valid(self) -> None:
         if self.model_class == "invalid":
@@ -425,7 +424,7 @@ def parse_model(source: str, game: Game) -> EpistemicModel:
                 if space is not None:
                     raise ParseError("duplicate states directive", number, 1)
                 try:
-                    space = StateSpace(tuple(rest.split()))
+                    space = StateSpace(rest.split())
                 except ValidationError as exc:
                     raise ParseError(str(exc), number, len("states: ") + 1) from None
                 index = space.index
@@ -469,7 +468,7 @@ def parse_model(source: str, game: Game) -> EpistemicModel:
                 raise ValidationError(f"missing {keyword} lines, e.g. player {i + 1} "
                                       f"state {space.states[row.index(None)]}")
     correspondences = tuple(PossibilityCorrespondence(space, tuple(row)) for row in slots["poss"])
-    return EpistemicModel(game, space, tuple(map(tuple, slots["map"])), correspondences)
+    return EpistemicModel(game, space, slots["map"], correspondences)
 
 
 def render_model(model: EpistemicModel) -> str:

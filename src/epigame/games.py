@@ -81,18 +81,33 @@ def _as_fraction(value) -> Fraction:
     raise ValidationError(f"payoffs must be rationals, got {type(value).__name__}")
 
 
+def as_tuple(values) -> tuple:
+    """``values``, any iterable but a string, as a tuple; a tuple is kept as
+    given, and a string is not read as its letters."""
+    if type(values) is tuple:
+        return values
+    if not isinstance(values, str):
+        try:
+            return tuple(values)
+        except TypeError:
+            pass
+    raise ValidationError(f"expected a collection, got {values!r}")
+
+
 @dataclass(frozen=True)
 class Game:
     """An n-player strategic game: ordered strategy labels plus total payoff tables.
 
     ``payoff_tables[i]`` is flat, indexed by the joint strategy in product
-    order (last player varies fastest).
+    order (last player varies fastest). Both are stored as tuples, and the
+    payoffs as Fractions; a table of Fractions only is kept as given.
     """
 
     strategies: tuple[tuple[str, ...], ...]
     payoff_tables: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "strategies", tuple(map(as_tuple, as_tuple(self.strategies))))
         if len(self.strategies) < 2:
             raise ValidationError("a game needs at least 2 players")
         for i, labels in enumerate(self.strategies):
@@ -103,15 +118,21 @@ class Game:
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"player {i + 1} has duplicate strategy labels")
         size = prod(len(labels) for labels in self.strategies)
-        if len(self.payoff_tables) != len(self.strategies):
+        tables = tuple(map(as_tuple, as_tuple(self.payoff_tables)))
+        if len(tables) != len(self.strategies):
             raise ValidationError("one payoff table per player is required")
-        for i, table in enumerate(self.payoff_tables):
+        exact = []
+        for i, table in enumerate(tables):
             if len(table) != size:
                 raise ValidationError(
-                    f"payoff table for player {i + 1} has {len(table)} entries, expected {size}"
-                )
-            if not all(isinstance(v, (int, Fraction)) for v in table):
-                raise ValidationError(f"player {i + 1} has a payoff that is not an int or Fraction")
+                    f"payoff table for player {i + 1} has {len(table)} entries, expected {size}")
+            if not all(type(v) is Fraction for v in table):  # else kept as given
+                if not all(isinstance(v, (int, Fraction)) for v in table):
+                    raise ValidationError(
+                        f"player {i + 1} has a payoff that is not an int or Fraction")
+                table = tuple(map(Fraction, table))
+            exact.append(table)
+        object.__setattr__(self, "payoff_tables", tuple(exact))
 
     @property
     def n(self) -> int:
@@ -185,10 +206,7 @@ class Game:
         """The offset of player ``i``'s labelled opponent profile, validated:
         the one decoder of opponent profiles, :meth:`opponent_profile`'s inverse."""
         decoders = self._opponent_decoders[self.player(i)]
-        try:
-            profile = tuple(profile)
-        except TypeError:
-            raise ValidationError(f"opponent profile {profile!r} is no label sequence") from None
+        profile = as_tuple(profile)
         if len(profile) != len(decoders):
             raise ValidationError(f"opponent profile {profile} needs {self.n - 1} entries")
         offset = 0
@@ -198,13 +216,6 @@ class Game:
             except (KeyError, TypeError):  # an unhashable label is unknown too
                 raise ValidationError(f"player {j + 1} has no strategy {label!r}") from None
         return offset
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.strategies, self.payoff_tables))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def player(self, i: int) -> int:
         """``i`` if it numbers a player (0-based); a negative number is not
@@ -257,10 +268,10 @@ def game_from_payoffs(
 ) -> Game:
     """Build a game from per-player ``{joint: payoff}`` maps; payoffs may be
     ints, strings or Fractions."""
-    strategy_sets = tuple(tuple(labels) for labels in strategies)
-    joints = tuple(itertools.product(*strategy_sets))
+    strategies = tuple(map(as_tuple, as_tuple(strategies)))
+    joints = tuple(itertools.product(*strategies))
     tables = []
-    for i in range(len(strategy_sets)):
+    for i in range(len(strategies)):
         entry = payoffs[i]
         missing = [j for j in joints if j not in entry]
         if missing:
@@ -268,7 +279,7 @@ def game_from_payoffs(
                 f"player {i + 1} is missing payoff entries, e.g. {missing[0]}"
             )
         tables.append(tuple(_as_fraction(entry[j]) for j in joints))
-    return Game(strategy_sets, tuple(tables))
+    return Game(strategies, tables)
 
 
 def set_bits(mask: int):
@@ -308,19 +319,10 @@ class Restriction:
             for i, component in enumerate(components)
         ))
 
-    def _paired_masks(self, other: "Restriction"):
+    def is_subset_of(self, other: "Restriction") -> bool:
         if self.game is not other.game and self.game != other.game:
             raise ValidationError("restrictions of different games are incomparable")
-        return zip(self.masks, other.masks)
-
-    def is_subset_of(self, other: "Restriction") -> bool:
-        return all(mine & ~theirs == 0 for mine, theirs in self._paired_masks(other))
-
-    def meet(self, other: "Restriction") -> "Restriction":
-        return Restriction(self.game, tuple(a & b for a, b in self._paired_masks(other)))
-
-    def join(self, other: "Restriction") -> "Restriction":
-        return Restriction(self.game, tuple(a | b for a, b in self._paired_masks(other)))
+        return all(mine & ~theirs == 0 for mine, theirs in zip(self.masks, other.masks))
 
     def has_empty_component(self) -> bool:
         return 0 in self.masks

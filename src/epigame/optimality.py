@@ -61,6 +61,7 @@ from .games import (
     CorrelatedBelief,
     Game,
     MixedStrategy,
+    as_tuple,
     dominates,
     per_game,
     set_bits,
@@ -126,6 +127,7 @@ def _canonical_inputs(game: Game, i: int, s_i: str, G_i, G_minus_i):
     """Validate ``s_i`` and every label; return the index of ``s_i``, the
     alternatives' strategy mask and the opponent profiles' offset mask."""
     s = game.strategy_index(i, s_i)
+    G_i, G_minus_i = as_tuple(G_i), as_tuple(G_minus_i)  # not a string's letters
     alternatives = sum(1 << k for k in {game.strategy_index(i, a) for a in G_i})
     opponents = sum(1 << o for o in {game.opponent_offset(i, joint) for joint in G_minus_i})
     return s, alternatives, opponents

@@ -17,13 +17,14 @@ from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSp
 from epigame.errors import UnsupportedNotion, ValidationError
 from epigame.games import (
     CorrelatedBelief,
+    Game,
     MixedStrategy,
     dominates,
     expected_payoff,
     game_from_payoffs,
 )
 from epigame.generators import GeneratorConfig, generate_game
-from epigame.optimality import Notion, holds, parse_notion
+from epigame.optimality import Notion, holds, parse_notion, solve_br_lp, solve_dominance_lp
 from epigame.verify import _suite_config, thm1_suite, thm2_hypothesis_clauses
 
 AB_XY = game_from_payoffs([("a", "b"), ("x", "y")], [
@@ -184,3 +185,48 @@ def test_thm2_clauses_match_the_label_predicate():
                         expected.append(f"player {i + 1} strategy {joint[i]} is not "
                                         f"{notion}-optimal against {rest}")
                 assert thm2_hypothesis_clauses(game, profile, joint) == expected
+
+
+@pytest.mark.parametrize("call", [
+    # each string was read as its letters: {a, b} and the profiles (x,), (y,)
+    lambda: holds("sd", AB_XY, 0, "a", "ab", "xy"),
+    lambda: holds("sd", AB_XY, 0, "a", ("a", "b"), "xy"),
+    lambda: holds("sd", THREE, 0, "a", ("a", "b"), ["xp"]),
+    lambda: solve_dominance_lp(AB_XY, 0, "a", "ab", "xy", "strict"),
+    lambda: solve_br_lp(AB_XY, 0, "a", "ab", "xy"),
+    lambda: holds("sd", AB_XY, 0, "a", 5, [("x",)]),
+    lambda: Game(("ab", ("x", "y")), ((1, 0, 0, 1),) * 2),
+    lambda: Game(None, ((1, 0, 0, 1),) * 2),
+    lambda: StateSpace("w"),
+], ids=["holds", "holds-profiles", "holds-profile", "dominance-lp", "br-lp", "holds-int",
+        "game-strategy-set", "game-strategies", "state-space"])
+def test_labels_come_in_a_collection_not_a_string(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_a_game_stores_tuples_and_fractions_whatever_it_is_given():
+    listed = Game([["a", "b"], ["x", "y"]], [[1, 0, 0, 0], [1, 0, 0, 0]])
+    built = Game((("a", "b"), ("x", "y")), ((1, 0, 0, 0),) * 2)
+    assert listed == built == AB_XY
+    assert hash(listed) == hash(built) == hash(AB_XY)
+    for game in (listed, built):
+        assert type(game.payoff(0, ("a", "x"))) is Fraction
+        assert all(type(v) is Fraction for table in game.payoff_tables for v in table)
+        assert type(game.strategies) is tuple and all(type(s) is tuple for s in game.strategies)
+    # a table of Fractions only is kept as given, not copied
+    assert AB_XY.payoff_tables[0] is Game(AB_XY.strategies, AB_XY.payoff_tables).payoff_tables[0]
+
+
+def test_state_spaces_and_models_store_tuples_whatever_they_are_given():
+    listed = StateSpace(["w1", "w2"])
+    built = StateSpace(("w1", "w2"))
+    assert listed == built and hash(listed) == hash(built) and type(listed.states) is tuple
+    correspondence = PossibilityCorrespondence(built, (frozenset(built.states),) * 2)
+    # a correspondence over an equal space built from a tuple was "over a
+    # different state space"
+    model = EpistemicModel(AB_XY, listed, (("a", "b"), ("x", "y")), (correspondence,) * 2)
+    listed_model = EpistemicModel(AB_XY, built, [["a", "b"], ["x", "y"]], [correspondence] * 2)
+    assert listed_model == model and hash(listed_model) == hash(model)
+    assert listed_model.strategy_maps == (("a", "b"), ("x", "y"))
+    assert type(listed_model.correspondences) is tuple

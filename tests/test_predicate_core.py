@@ -290,10 +290,10 @@ def _blands_weak_verdict(game, s, support, opponents):
     sum_a m_a u(a, t) - slack_t = u(s, t), maximising the total slack.
     Player 0's payoffs are integers."""
     k, m = len(support), len(opponents)
-    rows = [[_u(game, 0, a, t) for a in support] + [-(q == r) for q in range(m)]
+    rows = [[int(_u(game, 0, a, t)) for a in support] + [-(q == r) for q in range(m)]
             for r, t in enumerate(opponents)]
     rows.append([1] * k + [0] * m)
-    solution = solve(rows, [_u(game, 0, s, t) for t in opponents] + [1], [0] * k + [1] * m)
+    solution = solve(rows, [int(_u(game, 0, s, t)) for t in opponents] + [1], [0] * k + [1] * m)
     if solution.status is Status.INFEASIBLE:
         return DominanceVerdict(False, None, None)
     if solution.value > 0:
