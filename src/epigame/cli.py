@@ -303,9 +303,7 @@ def _cmd_verify(args) -> int:
     elif claim == "lemma-inc":
         report = verify_mod.lemma_inc_suite(samples, seed=seed)
     else:
-        report = verify_mod.monotonicity_suite(
-            small_samples=samples, large_samples=max(1, samples // 5), seed=seed
-        )
+        report = verify_mod.monotonicity_suite(samples, max(1, samples // 5), seed)
 
     print(render_report(report), end="")
     return 0 if report.holds else 1

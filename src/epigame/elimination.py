@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .games import Game, Restriction, set_bits
+from .games import Game, Restriction, as_tuple, set_bits
 from .lattice import (
     EliminationRecord,
     EliminationTrace,
@@ -53,7 +53,7 @@ class NotionProfile:
     notions: tuple[Notion, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "notions", tuple(map(parse_notion, self.notions)))
+        object.__setattr__(self, "notions", tuple(map(parse_notion, as_tuple(self.notions))))
 
     @classmethod
     def uniform(cls, notion: Notion | str, n: int) -> "NotionProfile":

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .elimination import GLOBAL, NotionProfile, operator
 from .errors import (
     EmptyStateSpace,
     InvalidModel,
@@ -38,11 +37,12 @@ from .games import (
     Game,
     JointStrategy,
     Restriction,
+    _parse_player_number,
+    _split_directive,
     as_tuple,
     check_label,
     set_bits,
 )
-from .lattice import EliminationTrace, iterate_to_outcome
 from .optimality import _holds_cached
 
 
@@ -189,6 +189,8 @@ class EpistemicModel:
             if len(self.correspondences) != self.game.n:
                 raise ValidationError("one correspondence per player is required")
             for c in self.correspondences:
+                if not isinstance(c, PossibilityCorrespondence):
+                    raise ValidationError(f"expected a PossibilityCorrespondence, got {c!r}")
                 if c.space != self.space:
                     raise ValidationError("correspondence is over a different state space")
 
@@ -296,9 +298,10 @@ def _strategy_masks(model: EpistemicModel, mask: int) -> tuple[int, ...]:
                  for choosers in model.choosers)
 
 
-def rat_event(model: EpistemicModel, profile: NotionProfile) -> int:
+def rat_event(model: EpistemicModel, profile) -> int:
     """States where every player's chosen strategy is optimal, per that
-    player's notion, in the restriction projected from their possibility set.
+    player's notion in the :class:`~epigame.elimination.NotionProfile`, in
+    the restriction projected from their possibility set.
 
     Player by player, each distinct possibility set is projected once, and a
     strategy is checked only where some state with that set chooses it and
@@ -367,18 +370,6 @@ def two_block_model(game: Game, restriction: Restriction) -> EpistemicModel:
     return model.with_correspondences([correspondence] * game.n)
 
 
-def iterated_elimination_model(
-    game: Game, profile: NotionProfile
-) -> tuple[EpistemicModel, EliminationTrace]:
-    """The knowledge model that makes the surviving joint strategies evident:
-    run the global elimination to its outcome and build the two-block model
-    around the survivors. The trace carries stages only; per-strategy
-    elimination reasons come from :func:`epigame.elimination.outcome`."""
-    op = operator(profile, game, GLOBAL)
-    trace = iterate_to_outcome(op, game.full_restriction())
-    return two_block_model(game, trace.outcome), trace
-
-
 def singleton_model(game: Game) -> EpistemicModel:
     """Standard model of the full game where each state is its own
     possibility set, making every event evident."""
@@ -402,8 +393,6 @@ def parse_model(source: str, game: Game) -> EpistemicModel:
     and the ``states:`` line are read in full. Another memo reads each
     distinct raw ``{...}`` text once, so states with one possibility set
     share one frozenset."""
-    from .games import _parse_player_number, _split_directive
-
     space: StateSpace | None = None
     index: dict[str, int] = {}  # state label -> position, once the states are read
     slots: dict[str, list[list]] = {}  # keyword -> per player, one slot per state

@@ -315,8 +315,8 @@ class Restriction:
     def of(cls, game: Game, components) -> "Restriction":
         """The restriction keeping the labelled strategies, given in any order."""
         return cls(game, tuple(
-            sum(1 << k for k in {game.strategy_index(i, s) for s in component})
-            for i, component in enumerate(components)
+            sum(1 << k for k in {game.strategy_index(i, s) for s in as_tuple(component)})
+            for i, component in enumerate(as_tuple(components))
         ))
 
     def is_subset_of(self, other: "Restriction") -> bool:

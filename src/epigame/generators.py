@@ -87,49 +87,30 @@ def _random_partition(rng: random.Random, items: list[str]) -> list[list[str]]:
     return blocks
 
 
-def _knowledge_correspondence(rng: random.Random, space: StateSpace) -> PossibilityCorrespondence:
-    blocks = _random_partition(rng, list(space.states))
-    of_state = {}
-    for block in blocks:
-        event = frozenset(block)
-        for s in block:
-            of_state[s] = event
-    return PossibilityCorrespondence(space, tuple(of_state[s] for s in space.states))
-
-
-def _belief_correspondence(rng: random.Random, space: StateSpace) -> PossibilityCorrespondence:
-    # Blocks partition a non-empty subset of the space; block members point
-    # to their own block, outsiders point to any block. That construction is
-    # exactly seriality plus coherence.
-    states = list(space.states)
-    inside = [s for s in states if rng.random() < 0.7]
-    if not inside:
-        inside = [rng.choice(states)]
-    blocks = _random_partition(rng, inside)
-    events = [frozenset(b) for b in blocks]
-    of_state = {}
-    for block, event in zip(blocks, events):
-        for s in block:
-            of_state[s] = event
-    for s in states:
-        if s not in of_state:
-            of_state[s] = rng.choice(events)
-    return PossibilityCorrespondence(space, tuple(of_state[s] for s in space.states))
+def _correspondence(rng: random.Random, space: StateSpace, inside: list[str]) -> PossibilityCorrespondence:
+    # Blocks partition ``inside``, a non-empty subset of the space; block
+    # members point to their own block, outsiders point to any block. That
+    # construction is exactly seriality plus coherence, and with every state
+    # inside it is a partition: knowledge-class.
+    blocks = [frozenset(block) for block in _random_partition(rng, inside)]
+    of_state = {s: block for block in blocks for s in block}
+    return PossibilityCorrespondence(space, tuple(
+        of_state[s] if s in of_state else rng.choice(blocks) for s in space.states))
 
 
 def generate_model(config: GeneratorConfig, game: Game) -> EpistemicModel:
     rng = random.Random(config.seed ^ 0x5EED)
     count = rng.randint(*config.states)
-    space = StateSpace(tuple(f"w{k}" for k in range(count)))
+    states = [f"w{k}" for k in range(count)]
+    space = StateSpace(tuple(states))
     maps = tuple(
         tuple(rng.choice(game.strategies[i]) for _ in range(count))
         for i in range(game.n)
     )
-    maker = (
-        _knowledge_correspondence
-        if config.target_class == "knowledge"
-        else _belief_correspondence
-    )
-    correspondences = tuple(maker(rng, space) for _ in range(game.n))
-    return EpistemicModel(game, space, maps, correspondences)
-
+    correspondences = []
+    for _ in range(game.n):
+        inside = states
+        if config.target_class == "belief":
+            inside = [s for s in states if rng.random() < 0.7] or [rng.choice(states)]
+        correspondences.append(_correspondence(rng, space, inside))
+    return EpistemicModel(game, space, maps, tuple(correspondences))

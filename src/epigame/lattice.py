@@ -14,6 +14,8 @@ from .games import Game, Restriction, set_bits
 
 # the most candidates an exhaustive enumeration may visit
 ENUMERATION_BUDGET = 1 << 20
+# the largest lattice whose every restriction the inclusion lemma checks
+EXHAUSTIVE_LIMIT = 1 << 6
 
 
 @dataclass(frozen=True)
@@ -158,17 +160,16 @@ def check_inclusion_lemma(
     game: Game,
     samples: int = 200,
     seed: int = 0,
-    exhaustive_limit: int = 1 << 10,
 ) -> InclusionLemmaReport:
-    """Verify the premises on sampled (or, on tiny lattices, all)
-    restrictions and compare the two outcomes.
+    """Verify the premises on sampled restrictions, or on all of a lattice of
+    at most :data:`EXHAUSTIVE_LIMIT`, and compare the two outcomes.
 
     Raises :class:`PremiseViolated` with the witnessing restriction when the
     pointwise inclusion or the contraction of ``op2`` fails; monotonicity of
     ``op1`` is sampled evidence and lands in the report.
     """
     rng = random.Random(seed)
-    if lattice_size(game) <= exhaustive_limit:
+    if lattice_size(game) <= EXHAUSTIVE_LIMIT:
         candidates = list(enumerate_restrictions(game))
     else:
         candidates = [game.full_restriction()] + [

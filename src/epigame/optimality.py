@@ -129,8 +129,12 @@ def _canonical_inputs(game: Game, i: int, s_i: str, G_i, G_minus_i):
     s = game.strategy_index(i, s_i)
     G_i, G_minus_i = as_tuple(G_i), as_tuple(G_minus_i)  # not a string's letters
     alternatives = sum(1 << k for k in {game.strategy_index(i, a) for a in G_i})
-    opponents = sum(1 << o for o in {game.opponent_offset(i, joint) for joint in G_minus_i})
-    return s, alternatives, opponents
+    return s, alternatives, _opponent_set_mask(game, i, G_minus_i)
+
+
+def _opponent_set_mask(game: Game, i: int, G_minus_i) -> int:
+    """The offset mask of a set of labelled opponent profiles, each validated."""
+    return sum(1 << o for o in {game.opponent_offset(i, joint) for joint in as_tuple(G_minus_i)})
 
 
 def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:

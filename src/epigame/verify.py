@@ -7,8 +7,14 @@ value: the same inputs give an equal report with the same rendering. The
 suites for theorem 1, the corollaries and the inclusion lemma share one
 instance loop, :func:`_suite`; the Pearce and monotonicity suites count
 restrictions or two phases under one random stream and keep their own.
-A failing suite report states the suite seed and the instances checked up
-to the failure, so the same suite call with those two re-runs it.
+Every claim reads the elimination outcome through the memoised
+:func:`elimination_limit`; thm1.iii builds its two-block model around it.
+Monotonicity has one violation test on indices, :func:`_violations`, which
+the exhaustive :func:`nonmonotonicity_witnesses`, the suite's sampled phase
+and :func:`replay` share. A failing suite report states the suite seed and
+the instances checked up to the failure, so the same suite call with those
+two re-runs it; a monotonicity failure in the larger phase re-runs with the
+same ``small_samples`` and the rest of the count as ``large_samples``.
 Counterexample payloads are replayable: :func:`replay` re-runs the failing
 instance and must reproduce the violation. A monotonicity witness is
 (player, strategy, smaller, larger), each opponent set a tuple of opponent
@@ -27,16 +33,17 @@ import math
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 from .elimination import GLOBAL, LOCAL, NotionProfile, operator, u_local
 from .epistemic import (
     EpistemicModel,
     common_box,
-    iterated_elimination_model,
     rat_event,
     restriction_of,
     singleton_model,
     state_label,
+    two_block_model,
 )
 from .errors import (
     BudgetExceeded,
@@ -58,8 +65,9 @@ from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
     _holds_cached,
+    _opponent_set_mask,
     _pearce_certificates,
-    holds,
+    evaluated_notion,
     parse_notion,
 )
 
@@ -179,15 +187,16 @@ def verify_thm1iii(
     """The two-block knowledge model built around the elimination outcome
     achieves the reverse inclusion: T-outcome <= G_(common-knowledge-of-RAT).
     Holds for every notion, monotonic or not."""
-    model, trace = iterated_elimination_model(game, profile)
+    limit = elimination_limit(game, profile, GLOBAL)
+    model = two_block_model(game, limit)
     _, recovered = _common_belief_play(model, profile)
-    violated = not trace.outcome.is_subset_of(recovered)
+    violated = not limit.is_subset_of(recovered)
     payload = {
         "kind": "thm1.iii",
         "game": game,
         "profile": profile,
         "model": model,
-        "limit": trace.outcome,
+        "limit": limit,
         "recovered": recovered,
     }
     return _report("thm1.iii", 1, violated, payload, seed)
@@ -458,9 +467,7 @@ def _inclusion_lemma_violation(game: Game, instance_seed: int) -> dict | None:
         payload = {"kind": "lem.inc", "game": game, "instance_seed": instance_seed,
                    "op1": op1.name, "op2": op2.name}
         try:
-            report = check_inclusion_lemma(
-                op1, op2, game, samples=40, seed=instance_seed, exhaustive_limit=1 << 6
-            )
+            report = check_inclusion_lemma(op1, op2, game, samples=40, seed=instance_seed)
         except PremiseViolated as exc:
             return {**payload, "premise": exc.premise, "restriction": exc.witness}
         if not (report.conclusion_holds and report.monotonicity.passed):
@@ -483,17 +490,25 @@ def lemma_inc_suite(games: int, seed: int = 0) -> VerificationReport:
 
 # --- predicate monotonicity -------------------------------------------------------
 
-def _monotonicity_witness(game: Game, i: int, label: str, small: int, big: int) -> tuple:
-    """The witness (player from 1, strategy, smaller, larger) for two
-    opponent offset masks, each opponent set a tuple of profiles in offset
-    order."""
-    return (i + 1, label, *(tuple(game.opponent_profile(i, o) for o in set_bits(mask))
-                            for mask in (small, big)))
+def _violations(game: Game, notion: Notion, i: int, strategies, pairs):
+    """The one monotonicity test: for each of player ``i``'s strategy
+    indices and each (smaller, larger) pair of opponent offset masks, in that
+    order, the witness (player from 1, strategy, smaller, larger) when the
+    predicate holds against the smaller set and fails against the larger.
+    Each opponent set in a witness is a tuple of profiles in offset order."""
+    alternatives = game.full_masks[i]
+    for k in strategies:
+        for small, big in pairs:
+            if (_holds_cached(game, notion, i, k, alternatives, small)
+                    and not _holds_cached(game, notion, i, k, alternatives, big)):
+                yield (i + 1, game.strategies[i][k],
+                       *(tuple(game.opponent_profile(i, o) for o in set_bits(mask))
+                         for mask in (small, big)))
 
 
-def _nonmonotonicity_witnesses(game: Game, notion: Notion):
-    """Monotonicity violations (player, strategy, smaller, larger) in the
-    order players, strategies, opponent-subset pairs. Raises
+def nonmonotonicity_witnesses(game: Game, notion: Notion):
+    """Monotonicity violations (player, strategy, smaller, larger), exhaustive
+    over players, strategies and opponent-subset pairs, in that order. Raises
     :class:`BudgetExceeded` before evaluating any predicate when some player
     has more opponent-subset pairs than the enumeration budget."""
     for i in range(game.n):
@@ -511,33 +526,16 @@ def _nonmonotonicity_witnesses(game: Game, notion: Notion):
             for size in range(len(offsets) + 1)
             for combo in itertools.combinations(offsets, size)
         ]
-        for k, s in enumerate(game.strategies[i]):
-            values = [_holds_cached(game, notion, i, k, game.full_masks[i], m) for m in subsets]
-            for small, small_value in zip(subsets, values):
-                if not small_value:
-                    continue
-                for big, big_value in zip(subsets, values):
-                    if small & ~big == 0 and small != big and not big_value:
-                        yield _monotonicity_witness(game, i, s, small, big)
+        pairs = [(small, big) for small in subsets for big in subsets
+                 if small & ~big == 0 and small != big]
+        yield from _violations(game, notion, i, range(len(game.strategies[i])), pairs)
 
 
-def check_predicate_monotonicity(game: Game, notion: Notion) -> tuple | None:
-    """Exhaustively test monotonicity of one notion on one game; returns the
-    first witness (player, strategy, smaller, larger) or None."""
-    return next(_nonmonotonicity_witnesses(game, notion), None)
-
-
-def find_predicate_nonmonotonicity(game: Game, notion: Notion) -> list[tuple]:
-    """All monotonicity violations of a notion on a game (exhaustive over
-    players, strategies and opponent-subset pairs)."""
-    return list(_nonmonotonicity_witnesses(game, notion))
-
-
-def _monotonicity_violation(game: Game) -> dict | None:
-    """Exhaustive monotonicity of the monotonic notions on one game; the
-    payload of the first witness, else None."""
+def _monotonicity_violation(game: Game, witnesses) -> dict | None:
+    """The payload of the first witness that ``witnesses(notion)`` yields
+    for a monotonic notion, else None."""
     for notion in MONOTONIC_NOTIONS:
-        witness = check_predicate_monotonicity(game, notion)
+        witness = next(witnesses(notion), None)
         if witness:
             return {"kind": "lem.mono", "game": game, "notion": notion, "witness": witness}
     return None
@@ -547,22 +545,19 @@ def verify_monotonicity(game: Game, seed: int | None = None) -> VerificationRepo
     """Monotonicity of the four monotonic notions on one game, exhaustive
     over opponent-set pairs. A holding report notes the game's count of
     weak-dominance non-monotonicity witnesses."""
-    payload = _monotonicity_violation(game)
+    payload = _monotonicity_violation(game, partial(nonmonotonicity_witnesses, game))
     if payload is not None:
         return _report("lem.mono", 1, True, payload, seed)
-    witnesses = find_predicate_nonmonotonicity(game, Notion.WD)
-    notes = (f"wd non-monotonicity witnesses on this game: {len(witnesses)}",)
+    count = sum(1 for _ in nonmonotonicity_witnesses(game, Notion.WD))
+    notes = (f"wd non-monotonicity witnesses on this game: {count}",)
     return _report("lem.mono", 1, False, None, seed, notes)
 
 
-def monotonicity_suite(
-    small_samples: int = 5000,
-    large_samples: int = 1000,
-    seed: int = 0,
-) -> VerificationReport:
+def monotonicity_suite(small_samples: int = 5000, large_samples: int = 1000,
+                       seed: int = 0) -> VerificationReport:
     """Monotonicity of the four monotonic notions: exhaustive opponent-set
     pairs on sampled 2x2 games with payoffs in {0,1,2}, then random larger
-    games with sampled subset pairs."""
+    games with sampled subset pairs, both phases from one random stream."""
     rng = random.Random(seed)
     checked = 0
     pool = (Fraction(0), Fraction(1), Fraction(2))
@@ -570,7 +565,7 @@ def monotonicity_suite(
     for _ in range(small_samples):
         game = Game((("a", "b"), ("x", "y")), (rng.choice(tables), rng.choice(tables)))
         checked += 1
-        payload = _monotonicity_violation(game)
+        payload = _monotonicity_violation(game, partial(nonmonotonicity_witnesses, game))
         if payload is not None:
             return _report("lem.mono", checked, True, payload, seed)
 
@@ -578,21 +573,17 @@ def monotonicity_suite(
         game = generate_game(_suite_config(seed + k, "belief", strategies=(2, 3)))
         checked += 1
         for i in range(game.n):
-            alternatives = game.full_masks[i]
             opponents = game.opponent_mask(i, game.full_masks)
             pairs = []
             for _ in range(4):
                 big = sum(1 << o for o in set_bits(opponents) if rng.random() < 0.7)
                 small = sum(1 << o for o in set_bits(big) if rng.random() < 0.6)
                 pairs.append((small, big))
-            for notion in MONOTONIC_NOTIONS:
-                for k, s in enumerate(game.strategies[i]):
-                    for small, big in pairs:
-                        if (_holds_cached(game, notion, i, k, alternatives, small)
-                                and not _holds_cached(game, notion, i, k, alternatives, big)):
-                            payload = {"kind": "lem.mono", "game": game, "notion": notion,
-                                       "witness": _monotonicity_witness(game, i, s, small, big)}
-                            return _report("lem.mono", checked, True, payload, seed)
+            strategies = range(len(game.strategies[i]))
+            payload = _monotonicity_violation(
+                game, lambda notion: _violations(game, notion, i, strategies, pairs))
+            if payload is not None:
+                return _report("lem.mono", checked, True, payload, seed)
     return _report("lem.mono", checked, False, None, seed)
 
 
@@ -620,12 +611,13 @@ def replay(report: VerificationReport) -> bool:
     if kind == "pearce":
         return _pearce_violation(payload["game"], payload["restriction"]) is not None
     if kind == "lem.mono":
-        game, notion = payload["game"], payload["notion"]
-        player, s, small, big = payload["witness"]
+        game = payload["game"]
+        player, label, smaller, larger = payload["witness"]
         i = player - 1
-        return holds(notion, game, i, s, game.strategies[i], small) and not holds(
-            notion, game, i, s, game.strategies[i], big
-        )
+        notion = evaluated_notion(payload["notion"], game.n)
+        s = game.strategy_index(i, label)
+        small, big = (_opponent_set_mask(game, i, profiles) for profiles in (smaller, larger))
+        return any(_violations(game, notion, i, (s,), ((small, big),)))
     if kind == "lem.inc":
         return _inclusion_lemma_violation(payload["game"], payload["instance_seed"]) is not None
     raise ValidationError(f"unknown payload kind {kind!r}")

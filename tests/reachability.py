@@ -41,6 +41,7 @@ DOCUMENTED = frozenset({
     "games.Restriction.of",
     "games.Restriction.__repr__",
     "optimality._canonical_inputs",  # the label reader of holds and the two LPs
+    "optimality._opponent_set_mask",  # its opponent-set reader, which replay shares
     "epistemic.box",
     "verify.replay",
     # reached only when the engine is at fault: an operator step that does

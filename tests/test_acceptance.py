@@ -8,15 +8,15 @@ import time
 import pytest
 
 from epigame.cli import main as cli_main
-from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator
+from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator, outcome
 from epigame.epistemic import (
     EpistemicModel,
     StateSpace,
     box_chain,
     common_box,
-    iterated_elimination_model,
     rat_event,
     restriction_of,
+    two_block_model,
 )
 from epigame.games import Restriction
 from epigame.generators import GeneratorConfig, generate_model
@@ -34,9 +34,9 @@ from epigame.optimality import (
     solve_dominance_lp,
 )
 from epigame.verify import (
-    find_predicate_nonmonotonicity,
     lemma_inc_suite,
     monotonicity_suite,
+    nonmonotonicity_witnesses,
     pearce_suite,
     replay,
     search_thm2,
@@ -121,7 +121,8 @@ def test_criterion_04_flat_game_boundaries(flat_game):
         assert limit.is_subset_of(full) and limit != full
         weak_limits[notion] = limit
 
-    model, trace = iterated_elimination_model(flat_game, brp)
+    trace = outcome(brp, flat_game, GLOBAL)
+    model = two_block_model(flat_game, trace.outcome)
     recovered = restriction_of(model, common_box(model, rat_event(model, brp)))
     assert recovered == trace.outcome == full
     for limit in weak_limits.values():
@@ -160,7 +161,7 @@ def test_criterion_08_monotonicity_suite(tie_game):
     assert report.holds, report.counterexample
     assert report.instances_checked == 6000
 
-    witnesses = find_predicate_nonmonotonicity(tie_game, Notion.WD)
+    witnesses = list(nonmonotonicity_witnesses(tie_game, Notion.WD))
     assert (1, "U", (("L",),), (("L",), ("R",))) in witnesses
     _announce(8, started, "monotonic notions verified on 6000 games; weak-dominance witness reproduced")
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epigame.elimination import NotionProfile
+from epigame.elimination import GLOBAL, NotionProfile, outcome
 from epigame.epistemic import (
     EpistemicModel,
     PossibilityCorrespondence,
@@ -13,7 +13,6 @@ from epigame.epistemic import (
     box,
     box_chain,
     common_box,
-    iterated_elimination_model,
     parse_model,
     rat_event,
     render_model,
@@ -303,7 +302,8 @@ def test_two_block_model_knowledge_class_even_when_degenerate(tie_game):
 
 
 def test_iterated_elimination_model_flat_game(flat_game):
-    model, trace = iterated_elimination_model(flat_game, NotionProfile.uniform("brp", 2))
+    trace = outcome(NotionProfile.uniform("brp", 2), flat_game, GLOBAL)
+    model = two_block_model(flat_game, trace.outcome)
     assert trace.outcome == flat_game.full_restriction()
     assert model.model_class == "knowledge"
     rat = rat_event(model, NotionProfile.uniform("brp", 2))
@@ -312,7 +312,8 @@ def test_iterated_elimination_model_flat_game(flat_game):
 
 
 def test_iterated_elimination_model_tie_game_strict(tie_game):
-    model, trace = iterated_elimination_model(tie_game, NotionProfile.uniform("sd", 2))
+    trace = outcome(NotionProfile.uniform("sd", 2), tie_game, GLOBAL)
+    model = two_block_model(tie_game, trace.outcome)
     assert trace.outcome == tie_game.full_restriction()
     evident = model.space.full_mask
     assert is_evident(model, evident)

@@ -19,6 +19,7 @@ from epigame.games import (
     CorrelatedBelief,
     Game,
     MixedStrategy,
+    Restriction,
     dominates,
     expected_payoff,
     game_from_payoffs,
@@ -43,6 +44,8 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     lambda: NotionProfile((42, "sd")),
     lambda: outcome(NotionProfile((42, "sd")), AB_XY, LOCAL),
     lambda: NotionProfile.uniform(42, 2),
+    # not iterable: a TypeError
+    lambda: NotionProfile(42),
     # a float pool entry became a binary fraction, a text one a bare ValueError
     lambda: GeneratorConfig(seed=0, payoff_pool=(0.1,)),
     lambda: GeneratorConfig(seed=0, payoff_pool=("x",)),
@@ -59,6 +62,8 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     lambda: StateSpace((["a"], "w")),
     lambda: StateSpace(("w",)).mask_of([["w"]]),
     lambda: PossibilityCorrespondence(StateSpace(("w",)), ([["w"]],)),
+    # a correspondence that is none: an AttributeError on its space
+    lambda: EpistemicModel(AB_XY, StateSpace(("w",)), (("a",), ("x",)), (5, 5)),
     # unknown states of two types could not be sorted for the message
     lambda: PossibilityCorrespondence(StateSpace(("w",)), ({1, "z"},)),
     lambda: AB_XY.player("a"),
@@ -67,10 +72,11 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     lambda: CorrelatedBelief(((5, 1),)),
     lambda: MixedStrategy(0, (("a",),)),
 ], ids=[
-    "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42",
+    "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42", "profile-int",
     "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
     "payoff", "holds-label", "expected-payoff-own", "expected-payoff-profile",
     "dominates-mixture", "model-map", "state-space", "mask-of", "correspondence",
+    "model-correspondence",
     "correspondence-mixed-types",
     "player", "belief-string-key", "belief-int-key", "mixture-not-pairs",
 ])
@@ -198,8 +204,12 @@ def test_thm2_clauses_match_the_label_predicate():
     lambda: Game(("ab", ("x", "y")), ((1, 0, 0, 1),) * 2),
     lambda: Game(None, ((1, 0, 0, 1),) * 2),
     lambda: StateSpace("w"),
+    # the components were read as letters, and an int ended in TypeError
+    lambda: Restriction.of(AB_XY, ("ab", "xy")),
+    lambda: Restriction.of(AB_XY, 5),
 ], ids=["holds", "holds-profiles", "holds-profile", "dominance-lp", "br-lp", "holds-int",
-        "game-strategy-set", "game-strategies", "state-space"])
+        "game-strategy-set", "game-strategies", "state-space", "restriction-components",
+        "restriction-int"])
 def test_labels_come_in_a_collection_not_a_string(call):
     with pytest.raises(ValidationError):
         call()

@@ -1,6 +1,7 @@
 """Engine invariants must be raised errors: `python -O` strips `assert`.
 No functools cache may hold games past their use. The exact re-checks in
-`games` share no code with the programs and predicates they check."""
+`games` share no code with the programs and predicates they check, the
+model layer runs no elimination, and every import is at a module's top."""
 
 import ast
 from pathlib import Path
@@ -41,14 +42,38 @@ def test_engine_has_no_functools_caches():
     assert found == []
 
 
-def test_games_imports_no_engine_module_but_errors():
-    # expected_payoff and dominates re-check what the simplex and the
-    # predicate core found, so games must not lean on either
-    tree = ast.parse((Path(epigame.__file__).parent / "games.py").read_text(encoding="utf-8"))
+def _engine_imports(name: str) -> list[str]:
+    """The engine modules that ``src/epigame/<name>.py`` imports."""
+    tree = ast.parse((Path(epigame.__file__).parent / f"{name}.py").read_text(encoding="utf-8"))
     engine = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("epigame")):
             engine.append(node.module)
         elif isinstance(node, ast.Import):
             engine += [alias.name for alias in node.names if alias.name.startswith("epigame")]
-    assert engine == ["errors"]
+    return engine
+
+
+def test_games_imports_no_engine_module_but_errors():
+    # expected_payoff and dominates re-check what the simplex and the
+    # predicate core found, so games must not lean on either
+    assert _engine_imports("games") == ["errors"]
+
+
+def test_the_model_layer_runs_no_elimination():
+    # thm1.iii builds its model around the memoised limit in verify; the
+    # model layer only reads the predicate core
+    assert not {"elimination", "lattice"} & set(_engine_imports("epistemic"))
+
+
+def test_engine_functions_import_nothing_in_their_bodies():
+    # every dependency is stated at the top of its module
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []

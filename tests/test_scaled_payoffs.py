@@ -54,7 +54,7 @@ def test_engine_reads_no_rational_payoffs(monkeypatch):
     from epigame.epistemic import rat_event
     from epigame.generators import GeneratorConfig, generate_model
     from epigame.verify import (
-        check_predicate_monotonicity,
+        nonmonotonicity_witnesses,
         search_thm2,
         verify_cor1,
         verify_cor2,
@@ -82,7 +82,7 @@ def test_engine_reads_no_rational_payoffs(monkeypatch):
         if notion not in ("wd", "mwd"):
             verify_thm1i(game, belief, profile)
             verify_thm1ii(game, knowledge, profile)
-            check_predicate_monotonicity(rational_game(5), profile.notions[0])
+            next(nonmonotonicity_witnesses(rational_game(5), profile.notions[0]), None)
     verify_cor1(game, belief)
     verify_cor2(game, knowledge)
 

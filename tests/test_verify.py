@@ -6,10 +6,10 @@ from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator, outcome
 from epigame.epistemic import (
     rat_event,
     common_box,
-    iterated_elimination_model,
     restriction_of,
     singleton_model,
     state_label,
+    two_block_model,
 )
 from epigame.errors import HypothesisNotMet, InvalidModel, NonMonotonicProfile, ValidationError
 from epigame.games import Restriction
@@ -19,10 +19,9 @@ from epigame.optimality import Notion
 from epigame.verify import (
     VerificationReport,
     cor_suite,
-    check_predicate_monotonicity,
-    find_predicate_nonmonotonicity,
     lemma_inc_suite,
     monotonicity_suite,
+    nonmonotonicity_witnesses,
     pearce_suite,
     replay,
     search_thm2,
@@ -120,7 +119,8 @@ def test_thm1ii_requires_knowledge_model(tie_game):
 
 def test_thm1ii_flat_game_equality(flat_game):
     profile = NotionProfile.uniform("brp", 2)
-    model, trace = iterated_elimination_model(flat_game, profile)
+    trace = outcome(profile, flat_game, GLOBAL)
+    model = two_block_model(flat_game, trace.outcome)
     report = verify_thm1ii(flat_game, model, profile)
     assert report.holds
     kstar = common_box(model, rat_event(model, profile))
@@ -193,13 +193,15 @@ def test_cor1_prisoners_dilemma_singleton_model(prisoners_dilemma):
 
 
 def test_cor1_flat_game_construction(flat_game):
-    model, _ = iterated_elimination_model(flat_game, NotionProfile.uniform("brp", 2))
+    model = two_block_model(
+        flat_game, outcome(NotionProfile.uniform("brp", 2), flat_game, GLOBAL).outcome)
     report = verify_cor1(flat_game, model)
     assert report.holds  # both sides are the full game
 
 
 def test_cor2_flat_game(flat_game):
-    model, _ = iterated_elimination_model(flat_game, NotionProfile.uniform("brp", 2))
+    model = two_block_model(
+        flat_game, outcome(NotionProfile.uniform("brp", 2), flat_game, GLOBAL).outcome)
     for belief_class in ("point", "independent", "correlated"):
         report = verify_cor2(flat_game, model, belief_class)
         assert report.holds
@@ -209,7 +211,8 @@ def test_cor2_weak_dominance_fails_in_flat_game(flat_game):
     # the corollary is specific to strict dominance: the common-knowledge
     # restriction is the full game, while local weak dominance eliminates D
     profile = NotionProfile.uniform("brp", 2)
-    model, trace = iterated_elimination_model(flat_game, profile)
+    trace = outcome(profile, flat_game, GLOBAL)
+    model = two_block_model(flat_game, trace.outcome)
     kstar = common_box(model, rat_event(model, profile))
     chosen = restriction_of(model, kstar)
     assert chosen == trace.outcome == flat_game.full_restriction()
@@ -359,7 +362,7 @@ def _brc_keeps_everything(monkeypatch):
 
 def _at_most_one_opponent(monkeypatch, spare_two_by_two=False):
     # every notion holds against at most one opponent profile and fails
-    # against more: not monotonic; the replay's holds() reads it too
+    # against more: not monotonic; the replay reads it too
     import epigame.optimality as optimality
     import epigame.verify as verify
 
@@ -527,7 +530,7 @@ def test_replay_reruns_the_inclusion_lemma():
     game = generate_game(GeneratorConfig(seed=4, players=(2, 3), strategies=(2, 3)))
     op1 = operator(NotionProfile.uniform("brp", game.n), game, GLOBAL)
     op2 = operator(NotionProfile.uniform("sd", game.n), game, LOCAL)
-    held = check_inclusion_lemma(op1, op2, game, samples=40, seed=4, exhaustive_limit=1 << 6)
+    held = check_inclusion_lemma(op1, op2, game, samples=40, seed=4)
     assert held.conclusion_holds and held.monotonicity.passed
     payload = {
         "kind": "lem.inc",
@@ -584,7 +587,7 @@ def test_engine_builds_no_restriction_from_labels(monkeypatch):
 
 
 def test_weak_dominance_finder_reproduces_tie_game_witness(tie_game):
-    witnesses = find_predicate_nonmonotonicity(tie_game, Notion.WD)
+    witnesses = list(nonmonotonicity_witnesses(tie_game, Notion.WD))
     assert (
         1,
         "U",
@@ -593,7 +596,23 @@ def test_weak_dominance_finder_reproduces_tie_game_witness(tie_game):
     ) in witnesses
     # and the monotonic notions admit no witness on this game
     for notion in (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATED):
-        assert check_predicate_monotonicity(tie_game, notion) is None
+        assert next(nonmonotonicity_witnesses(tie_game, notion), None) is None
+
+
+def test_a_real_wd_witness_replays_under_wd_and_not_under_sd(tie_game):
+    # no patch: replay re-runs the witness through the index test that found it
+    witness = next(nonmonotonicity_witnesses(tie_game, Notion.WD))
+
+    def report(notion, witness):
+        payload = {"kind": "lem.mono", "game": tie_game, "notion": notion, "witness": witness}
+        return VerificationReport("lem.mono", 1, "counterexample", payload, seed=0)
+
+    assert replay(report(Notion.WD, witness)) is True
+    assert replay(report(Notion.SD, witness)) is False
+    player, strategy, smaller, larger = witness
+    for forged in ((player, "Z", smaller, larger), (player, strategy, smaller, (("Z",),))):
+        with pytest.raises(ValidationError):
+            replay(report(Notion.WD, forged))
 
 
 _RENDER_WITNESSES = """\
@@ -601,10 +620,10 @@ import sys
 from epigame.cli import render_report
 from epigame.games import parse_game
 from epigame.optimality import Notion
-from epigame.verify import VerificationReport, find_predicate_nonmonotonicity
+from epigame.verify import VerificationReport, nonmonotonicity_witnesses
 
 game = parse_game(sys.stdin.read())
-for witness in find_predicate_nonmonotonicity(game, Notion.WD):
+for witness in nonmonotonicity_witnesses(game, Notion.WD):
     payload = {"kind": "lem.mono", "game": game, "notion": Notion.WD, "witness": witness}
     print(render_report(VerificationReport("lem.mono", 1, "counterexample", payload, seed=0)))
 """
