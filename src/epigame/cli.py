@@ -39,14 +39,14 @@ def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise EngineError(f"cannot read {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise EngineError(f"cannot write {path}: {exc}") from exc
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _load_game(path: str) -> Game:
@@ -196,7 +196,7 @@ def _cmd_epistemic(args) -> int:
         profile = NotionProfile.parse("sd" if args.profile is None else args.profile, game.n)
         event = rat_event(model, profile)
     elif args.event is None:
-        raise EngineError("commonbox needs an event argument (comma-separated states)")
+        raise ValidationError("commonbox needs an event argument (comma-separated states)")
     else:
         event = common_box(model, model.space.mask_of(s for s in args.event.split(",") if s))
     print(f"{args.action}: " + " ".join(model.space.states[k] for k in set_bits(event)))
@@ -257,7 +257,7 @@ def _cmd_verify(args) -> int:
             with_game = " with --game" if has_game else ""
             raise ValidationError(f"verify {claim}{with_game} takes no {option}")
     if has_model and not has_game:
-        raise EngineError("--model needs --game")
+        raise ValidationError("--model needs --game")
     samples = 300 if args.samples is None else args.samples
     belief_class = args.belief_class or "correlated"
 
@@ -265,7 +265,7 @@ def _cmd_verify(args) -> int:
         game = _load_game(args.game)
         model = parse_model(_read(args.model), game) if has_model else None
         if "--profile" in single and args.profile is None:
-            raise EngineError(f"verify {claim} needs --profile")
+            raise ValidationError(f"verify {claim} needs --profile")
         profile = None if args.profile is None else NotionProfile.parse(args.profile, game.n)
         if claim == "thm1i":
             report = verify_mod.verify_thm1i(game, model, profile, seed=seed)

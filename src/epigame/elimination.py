@@ -147,7 +147,7 @@ def outcome(profile: NotionProfile, game: Game, mode: str) -> EliminationTrace:
                 records.append(explain_elimination(
                     notions[i], game, stage_index, i, s, alternatives, opponents
                 ))
-    return EliminationTrace(trace.operator, trace.stages, trace.stabilized_at, tuple(records))
+    return EliminationTrace(trace.operator, trace.stages, tuple(records))
 
 
 def explain_elimination(

@@ -26,12 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import (
-    EmptyStateSpace,
-    InvalidModel,
-    ParseError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .games import (
     STATE_LABEL_RESERVED,
     Game,
@@ -219,7 +214,7 @@ class EpistemicModel:
 
     def require_valid(self) -> None:
         if self.model_class == "invalid":
-            raise InvalidModel(
+            raise ValidationError(
                 "operation needs a belief- or knowledge-class model; "
                 "validate the correspondences first"
             )
@@ -335,9 +330,7 @@ def standard_model(restriction: Restriction) -> EpistemicModel:
     """States are the joint strategies of the restriction; strategy maps are
     projections. Correspondences are attached separately."""
     if restriction.has_empty_component():
-        raise EmptyStateSpace(
-            "standard model needs every component non-empty"
-        )
+        raise ValidationError("standard model needs every component non-empty")
     joints = restriction.joint_strategies
     space = StateSpace(tuple(state_label(j) for j in joints))
     maps = tuple(

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the whole engine."""
+"""The engine's exceptions. Bad input is a ParseError or a ValidationError."""
 
 
 class EngineError(Exception):
@@ -17,19 +17,15 @@ class ParseError(EngineError):
 
 
 class ValidationError(EngineError):
-    """Structurally well-formed input that violates a semantic invariant."""
+    """Input that parses but violates a semantic invariant, a hypothesis or a budget."""
 
 
-class UnsupportedNotion(EngineError):
-    """Optimality notion not evaluable for this game (independent beliefs, n > 2)."""
+class HypothesisNotMet(ValidationError):
+    """A verification hypothesis failed; lists the failing clauses."""
 
-
-class EmptyOpponentSet(EngineError):
-    """LP operation called with no joint opponent strategies."""
-
-
-class EmptySupport(EngineError):
-    """Dominance LP called with an empty dominator support."""
+    def __init__(self, clauses: list[str]):
+        self.clauses = list(clauses)
+        super().__init__("; ".join(self.clauses))
 
 
 class NonContractingStep(EngineError):
@@ -42,10 +38,6 @@ class NonContractingStep(EngineError):
         super().__init__(f"operator expanded the restriction at stage {stage}")
 
 
-class BudgetExceeded(EngineError):
-    """Exhaustive enumeration would exceed the configured budget."""
-
-
 class PremiseViolated(EngineError):
     """A checked lemma premise failed; carries the witnessing restriction."""
 
@@ -53,26 +45,6 @@ class PremiseViolated(EngineError):
         self.premise = premise
         self.witness = witness
         super().__init__(f"premise violated: {premise}")
-
-
-class InvalidModel(EngineError):
-    """Epistemic operation on a model whose correspondences are not valid."""
-
-
-class EmptyStateSpace(EngineError):
-    """Standard model requested for a restriction with an empty component."""
-
-
-class HypothesisNotMet(EngineError):
-    """A verification hypothesis failed; lists the failing clauses."""
-
-    def __init__(self, clauses: list[str]):
-        self.clauses = list(clauses)
-        super().__init__("; ".join(self.clauses))
-
-
-class NonMonotonicProfile(EngineError):
-    """Profile contains a notion outside the monotonic set where one is required."""
 
 
 class InvariantViolated(EngineError):

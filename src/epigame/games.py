@@ -234,6 +234,7 @@ class Game:
     def payoff(self, i: int, joint: JointStrategy) -> Fraction:
         """Exact payoff of player ``i`` (0-based) at a joint strategy."""
         table = self.payoff_tables[self.player(i)]
+        joint = as_tuple(joint)
         if len(joint) != self.n:
             raise ValidationError(f"joint strategy {tuple(joint)} needs {self.n} entries")
         index = self.strategy_index

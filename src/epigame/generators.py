@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import prod
 
 from .epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
-from .errors import BudgetExceeded, ValidationError
+from .errors import ValidationError
 from .games import Game, _as_fraction
 
 _LETTERS = "abcdefghij"
@@ -56,11 +56,11 @@ class GeneratorConfig:
         # exponent can stop there and the power stays small
         players = min(self.players[1], GENERATION_BUDGET.bit_length())
         if max(self.strategies[1], 2) ** players > GENERATION_BUDGET:
-            raise BudgetExceeded(
+            raise ValidationError(
                 f"{self.players[1]} players with up to {self.strategies[1]} strategies "
                 f"each exceed the budget of {GENERATION_BUDGET} joint profiles")
         if self.states[1] > GENERATION_BUDGET:
-            raise BudgetExceeded(f"{self.states[1]} states exceed the budget of {GENERATION_BUDGET}")
+            raise ValidationError(f"{self.states[1]} states exceed the budget of {GENERATION_BUDGET}")
         object.__setattr__(self, "payoff_pool", tuple(map(_as_fraction, self.payoff_pool)))
 
 

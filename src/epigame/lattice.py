@@ -57,8 +57,11 @@ class EliminationTrace:
 
     operator: str
     stages: tuple[Restriction, ...]
-    stabilized_at: int
     records: tuple[EliminationRecord, ...] = field(default=())
+
+    @property
+    def stabilized_at(self) -> int:
+        return len(self.stages) - 2
 
     @property
     def outcome(self) -> Restriction:
@@ -82,7 +85,7 @@ def iterate_to_outcome(op: RestrictionOperator, start: Restriction) -> Eliminati
             raise NonContractingStep(len(stages) - 1, current, nxt)
         stages.append(nxt)
         if nxt == current:
-            return EliminationTrace(op.name, tuple(stages), len(stages) - 2)
+            return EliminationTrace(op.name, tuple(stages))
         current = nxt
     raise InvariantViolated(f"{op.name} did not stabilize in {bound} applications")
 

@@ -50,13 +50,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    EmptyOpponentSet,
-    EmptySupport,
-    InvariantViolated,
-    UnsupportedNotion,
-    ValidationError,
-)
+from .errors import InvariantViolated, ValidationError
 from .games import (
     CorrelatedBelief,
     Game,
@@ -101,12 +95,12 @@ def parse_notion(value) -> Notion:
 def evaluated_notion(value, n: int) -> Notion:
     """The notion the predicate core evaluates for ``value`` on an
     ``n``-player game: ``bri`` is evaluated as ``brc``, with which it
-    coincides on 2-player games, and is :class:`UnsupportedNotion` on any other."""
+    coincides on 2-player games, and is a :class:`ValidationError` on any other."""
     notion = parse_notion(value)
     if notion is not Notion.BR_INDEPENDENT:
         return notion
     if n != 2:
-        raise UnsupportedNotion("independent-belief best response requires exactly 2 players")
+        raise ValidationError("independent-belief best response requires exactly 2 players")
     return Notion.BR_CORRELATED
 
 
@@ -262,9 +256,9 @@ def solve_dominance_lp(
         raise ValidationError(f"mode must be 'strict' or 'weak', got {mode!r}")
     s, support, opponents = _canonical_inputs(game, i, s_i, support, G_minus_i)
     if not opponents:
-        raise EmptyOpponentSet("dominance LP needs at least one opponent profile")
+        raise ValidationError("dominance LP needs at least one opponent profile")
     if not support:
-        raise EmptySupport("dominance LP needs a non-empty support")
+        raise ValidationError("dominance LP needs a non-empty support")
     return _dominance_verdict(game, i, s, support, opponents, mode)
 
 
@@ -339,7 +333,7 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     """
     s, alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
     if not opponents:
-        raise EmptyOpponentSet("best-response LP needs at least one opponent profile")
+        raise ValidationError("best-response LP needs at least one opponent profile")
     # an empty G_i is read as {s}: with no rival, the all-zero game's column
     # mixture, a point belief on the first profile, supports s
     value, _, weights = _strict_game(game, i, s, alternatives or 1 << s, opponents)

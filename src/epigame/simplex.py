@@ -212,7 +212,7 @@ def matrix_game_value(
 ) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact value of the zero-sum game ``max_row min_col m^T A`` together
     with optimal mixtures for both players, given ``matrix = scale * A`` in
-    integers (``scale`` positive).
+    integers (``scale`` a positive int).
 
     Shifting the matrix positive, by ``scale - min``, makes the column
     player's scaled program start from an all-slack feasible basis, so this
@@ -227,6 +227,8 @@ def matrix_game_value(
     if ncols == 0 or any(len(row) != ncols for row in matrix):
         raise ValidationError("matrix game needs equal rows of at least one column")
     _require_integers(*matrix, what="matrix game entries")
+    if type(scale) is not int or scale < 1:
+        raise ValidationError(f"matrix game scale must be a positive int, got {scale!r}")
     shift = scale - min(min(row) for row in matrix)
 
     tableau = [[v + shift for v in row] for row in matrix]

@@ -45,14 +45,7 @@ from .epistemic import (
     state_label,
     two_block_model,
 )
-from .errors import (
-    BudgetExceeded,
-    HypothesisNotMet,
-    InvalidModel,
-    NonMonotonicProfile,
-    PremiseViolated,
-    ValidationError,
-)
+from .errors import HypothesisNotMet, PremiseViolated, ValidationError
 from .games import Game, JointStrategy, Restriction, dominates, expected_payoff, per_game, set_bits
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import (
@@ -122,9 +115,9 @@ def _require_model(game: Game, model: EpistemicModel, wanted: str) -> None:
         )
     if wanted == "belief":
         if model.model_class not in ("belief", "knowledge"):
-            raise InvalidModel("claim needs a belief-class model")
+            raise ValidationError("claim needs a belief-class model")
     elif model.model_class != wanted:
-        raise InvalidModel(f"claim needs a {wanted}-class model")
+        raise ValidationError(f"claim needs a {wanted}-class model")
 
 
 # --- single-instance checks ----------------------------------------------------
@@ -151,7 +144,7 @@ def _verify_thm1(claim, model_class, game, model, profile, seed):
     """Theorem 1 (i) or (ii): one check, on a belief- or a knowledge-class model."""
     bad = profile.non_monotonic()
     if bad:
-        raise NonMonotonicProfile(
+        raise ValidationError(
             "inclusion claim requires monotonic notions; "
             f"{', '.join(n.value for n in bad)} {'is' if len(bad) == 1 else 'are'} not "
             "(use the singleton-model counterexample check instead)"
@@ -509,12 +502,12 @@ def _violations(game: Game, notion: Notion, i: int, strategies, pairs):
 def nonmonotonicity_witnesses(game: Game, notion: Notion):
     """Monotonicity violations (player, strategy, smaller, larger), exhaustive
     over players, strategies and opponent-subset pairs, in that order. Raises
-    :class:`BudgetExceeded` before evaluating any predicate when some player
+    a :class:`ValidationError` before evaluating any predicate when some player
     has more opponent-subset pairs than the enumeration budget."""
     for i in range(game.n):
         profiles = math.prod(len(c) for j, c in enumerate(game.strategies) if j != i)
         if 4**profiles > ENUMERATION_BUDGET:
-            raise BudgetExceeded(
+            raise ValidationError(
                 f"player {i + 1} has {profiles} opponent profiles, so 4**{profiles} "
                 f"opponent-subset pairs; budget is {ENUMERATION_BUDGET}"
             )

@@ -73,6 +73,11 @@ poss 2: a -> {a b}
 poss 2: b -> {a b}
 """
 NOTIONS = ("sd", "wd", "msd", "mwd", "brp", "brc", "bri")
+# player 2 faces 11 profiles, so 4**11 opponent-subset pairs: past the
+# monotonicity check's enumeration budget
+WIDE_GAME = ("players: 2\nstrategies 1: " + " ".join(f"a{k}" for k in range(11))
+             + "\nstrategies 2: L R\n" + "".join(
+                 f"payoff {i}: a{k} {t} = 0\n" for k in range(11) for t in "LR" for i in (1, 2)))
 
 
 def _module_of(node):
@@ -174,8 +179,10 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     for path in (game, three, mixed):
         for notion in NOTIONS:
             for mode in ("local", "global"):
+                # bri is decidable on 2 players only
                 calls.append((["eliminate", "--game", path, "--notion", notion, "--mode", mode,
-                               "--trace", "--dump", dump], (0, 2)))
+                               "--trace", "--dump", dump],
+                              (2,) if path == three and notion == "bri" else (0,)))
         calls.append((["eliminate", "--game", path, "--notion", "sd"], (0,)))
     calls.append((["eliminate", "--game", game, "--notion", "sd,mwd", "--mode", "global"], (0,)))
     for model, model_game in ((knowledge, game), (belief, game), (invalid, mixed)):
@@ -183,11 +190,13 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
         states = next(line for line in text.splitlines() if line.startswith("states:"))
         states = ",".join(states.split()[1:])
         base = ["epistemic", "--game", model_game, "--model", model]
+        # an invalid model's events are undefined
+        codes = (2,) if model == invalid else (0,)
         calls.append((base + ["validate"], (0,)))
-        calls.append((base + ["commonbox", states], (0, 2)))
-        calls.append((base + ["commonbox", states.partition(",")[2]], (0, 2)))
+        calls.append((base + ["commonbox", states], codes))
+        calls.append((base + ["commonbox", states.partition(",")[2]], codes))
         for notion in NOTIONS:
-            calls.append((base + ["--profile", notion, "rat"], (0, 2)))
+            calls.append((base + ["--profile", notion, "rat"], codes))
     checks = {
         "thm1i": ["--model", belief, "--profile", "msd"],
         "thm1ii": ["--model", knowledge, "--profile", "sd"],
@@ -199,7 +208,8 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     }
     for claim, options in checks.items():
         calls.append((["verify", claim, "--game", game, *options], (0, 1)))
-    calls.append((["verify", "thm2", "--game", game, "--profile", "wd", "--joint", "a,a"], (0, 1, 2)))
+    # a,a does not meet thm2's hypothesis on this game
+    calls.append((["verify", "thm2", "--game", game, "--profile", "wd", "--joint", "a,a"], (2,)))
     for belief_class in ("point", "independent"):
         calls.append((["verify", "cor2", "--game", game, "--model", belief,
                        "--belief-class", belief_class], (0, 1)))
@@ -211,13 +221,23 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     # input errors
     bad = write("bad.game", "players: 2\nstrategies 1: U\n")
     unparsable = write("unparsable.game", "players: two\n")
+    wide = write("wide.game", WIDE_GAME)
     for argv in (["eliminate", "--game", bad, "--notion", "sd"],
                  ["eliminate", "--game", unparsable, "--notion", "sd"],
                  ["eliminate", "--game", str(directory / "missing.game"), "--notion", "sd"],
                  ["eliminate", "--game", game, "--notion", "xx"],
                  ["epistemic", "--game", game, "--model", knowledge, "commonbox", "zz"],
                  ["verify", "pearce", "--game", game],
-                 ["verify", "thm1i", "--samples", "0"]):
+                 ["verify", "thm1i", "--samples", "0"],
+                 # outside a hypothesis or a budget
+                 ["verify", "thm1i", "--game", game, "--model", belief, "--profile", "wd"],
+                 ["generate", "game", "--seed", "1", "--players", "2", "20",
+                  "--strategies", "2", "10"],
+                 ["verify", "monotonicity", "--game", wide],
+                 # a required option or argument missing
+                 ["verify", "thm1i", "--model", belief, "--samples", "2"],
+                 ["verify", "thm1iii", "--game", game],
+                 ["epistemic", "--game", game, "--model", knowledge, "commonbox"]):
         calls.append((argv, (2,)))
     return calls
 

@@ -27,7 +27,7 @@ definitions and sharing no helper with the code they check.
 import itertools
 
 from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
-from epigame.errors import BudgetExceeded, ParseError, ValidationError
+from epigame.errors import ParseError, ValidationError
 from epigame.games import CorrelatedBelief, Game, Restriction
 
 # restrictions the brute-force fixpoint may try
@@ -73,7 +73,7 @@ def largest_fixpoint_bruteforce(op, game: Game, budget: int = ENUMERATION_BUDGET
     monotonic operator this is its largest fixpoint."""
     sizes = [len(labels) for labels in game.strategies]
     if 1 << sum(sizes) > budget:
-        raise BudgetExceeded(f"lattice has {1 << sum(sizes)} restrictions, budget is {budget}")
+        raise ValidationError(f"lattice has {1 << sum(sizes)} restrictions, budget is {budget}")
     union = [0] * game.n
     for masks in itertools.product(*(range(1 << k) for k in sizes)):
         image = op.apply(Restriction(game, masks)).masks

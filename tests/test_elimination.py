@@ -13,7 +13,7 @@ from epigame.elimination import (
     t_global,
     u_local,
 )
-from epigame.errors import UnsupportedNotion, ValidationError
+from epigame.errors import ValidationError
 from epigame.games import MixedStrategy, Restriction, game_from_payoffs
 from epigame.lattice import enumerate_restrictions
 from epigame.optimality import Notion, dominates, holds
@@ -28,7 +28,7 @@ def test_profile_parsing(tie_game):
         NotionProfile.parse("sd,wd,sd", 2)
     with pytest.raises(ValidationError):
         NotionProfile.parse("nope", 2)
-    with pytest.raises(UnsupportedNotion):
+    with pytest.raises(ValidationError, match="best response requires exactly 2 players"):
         NotionProfile.uniform("bri", 3).validate_for(
             game_from_payoffs(
                 [("a",), ("x",), ("p", "q")],

@@ -23,7 +23,7 @@ from epigame.epistemic import (
     two_block_model,
     validation_report,
 )
-from epigame.errors import EmptyStateSpace, InvalidModel, ValidationError
+from epigame.errors import ValidationError
 from epigame.games import Restriction, game_from_payoffs
 
 from reference import (
@@ -70,11 +70,11 @@ def test_invalid_model_rejected_by_operations(tie_game):
     space = StateSpace(("a", "b"))
     incoherent = PossibilityCorrespondence(space, (frozenset({"a", "b"}), frozenset({"b"})))
     model = EpistemicModel(tie_game, space, (("U", "D"), ("L", "R")), (incoherent, incoherent))
-    with pytest.raises(InvalidModel):
+    with pytest.raises(ValidationError, match="operation needs a belief- or knowledge-class model"):
         box(model, 0b01)
-    with pytest.raises(InvalidModel):
+    with pytest.raises(ValidationError, match="operation needs a belief- or knowledge-class model"):
         common_box(model, 0b01)
-    with pytest.raises(InvalidModel):
+    with pytest.raises(ValidationError, match="operation needs a belief- or knowledge-class model"):
         rat_event(model, NotionProfile.uniform("sd", 2))
 
 
@@ -257,7 +257,7 @@ def test_standard_model_shapes(tie_game, flat_game):
     assert len(single.space.states) == 1
     flat = standard_model(flat_game.full_restriction())
     assert flat.strategy_maps[0][flat.space.index[state_label(("D", "R"))]] == "D"
-    with pytest.raises(EmptyStateSpace):
+    with pytest.raises(ValidationError, match="standard model needs every component non-empty"):
         standard_model(Restriction.of(tie_game, (("U",), ())))
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from epigame.elimination import GLOBAL, LOCAL, NotionProfile, outcome
 from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
-from epigame.errors import UnsupportedNotion, ValidationError
+from epigame.errors import ValidationError
 from epigame.games import (
     CorrelatedBelief,
     Game,
@@ -122,9 +122,9 @@ def test_the_payoff_pool_is_read_as_payoffs_are():
 def test_bri_is_brc_on_two_players_and_unsupported_on_three():
     profile = NotionProfile(("bri", Notion.SD))
     assert profile.validate_for(AB_XY) == (Notion.BR_CORRELATED, Notion.SD)
-    with pytest.raises(UnsupportedNotion, match=BRI_MESSAGE):
+    with pytest.raises(ValidationError, match=BRI_MESSAGE):
         holds("bri", THREE, 0, "a", ("a", "b"), [("x", "p")])
-    with pytest.raises(UnsupportedNotion, match=BRI_MESSAGE):
+    with pytest.raises(ValidationError, match=BRI_MESSAGE):
         NotionProfile.uniform("bri", 3).validate_for(THREE)
 
 
@@ -207,9 +207,12 @@ def test_thm2_clauses_match_the_label_predicate():
     # the components were read as letters, and an int ended in TypeError
     lambda: Restriction.of(AB_XY, ("ab", "xy")),
     lambda: Restriction.of(AB_XY, 5),
+    # the joint strategy "ax" was read as its letters, 5 ended in TypeError
+    lambda: Game((("a", "b"), ("x", "y")), ((1, 0, 0, 1),) * 2).payoff(0, "ax"),
+    lambda: Game((("a", "b"), ("x", "y")), ((1, 0, 0, 1),) * 2).payoff(0, 5),
 ], ids=["holds", "holds-profiles", "holds-profile", "dominance-lp", "br-lp", "holds-int",
         "game-strategy-set", "game-strategies", "state-space", "restriction-components",
-        "restriction-int"])
+        "restriction-int", "payoff-joint", "payoff-int"])
 def test_labels_come_in_a_collection_not_a_string(call):
     with pytest.raises(ValidationError):
         call()

@@ -1,7 +1,8 @@
 """Engine invariants must be raised errors: `python -O` strips `assert`.
 No functools cache may hold games past their use. The exact re-checks in
 `games` share no code with the programs and predicates they check, the
-model layer runs no elimination, and every import is at a module's top."""
+model layer runs no elimination, every import is at a module's top, and each
+raise names one of six error classes."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,26 @@ def test_engine_functions_import_nothing_in_their_bodies():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+# bad input is a ParseError or a ValidationError (HypothesisNotMet is one);
+# the rest carry a witness that a caller reads, or report an engine fault
+RAISED = {"ParseError", "ValidationError", "HypothesisNotMet", "PremiseViolated",
+          "NonContractingStep", "InvariantViolated"}
+
+
+def test_every_raise_names_an_input_witness_or_fault_class():
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) not in RAISED:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_errors_defines_only_the_raised_classes_and_their_base():
+    tree = ast.parse((Path(epigame.__file__).parent / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert defined == RAISED | {"EngineError"}

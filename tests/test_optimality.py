@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from epigame.errors import EmptyOpponentSet, EmptySupport, UnsupportedNotion, ValidationError
+from epigame.errors import ValidationError
 from epigame.games import CorrelatedBelief, MixedStrategy, game_from_payoffs
 from epigame.optimality import (
     Notion,
@@ -113,9 +113,9 @@ def test_self_support_never_dominates(tie_game, mix_game):
 
 
 def test_dominance_lp_error_cases(tie_game):
-    with pytest.raises(EmptyOpponentSet):
+    with pytest.raises(ValidationError, match="dominance LP needs at least one opponent profile"):
         solve_dominance_lp(tie_game, 0, "U", ("U", "D"), [], "strict")
-    with pytest.raises(EmptySupport):
+    with pytest.raises(ValidationError, match="dominance LP needs a non-empty support"):
         solve_dominance_lp(tie_game, 0, "U", (), [("L",)], "strict")
 
 
@@ -157,7 +157,7 @@ def test_br_lp_middle_has_no_support(mix_game):
     assert not grid_has_supporting_belief(
         mix_game, 0, "M", ("T", "B"), [("L",), ("R",)]
     )
-    with pytest.raises(EmptyOpponentSet):
+    with pytest.raises(ValidationError, match="best-response LP needs at least one opponent profile"):
         solve_br_lp(mix_game, 0, "M", ("T", "M", "B"), [])
 
 
@@ -177,7 +177,7 @@ def test_independent_belief_rejected_for_three_players():
             {j: 0 for j in itertools.product("ab", "xy", "pq")},
         ],
     )
-    with pytest.raises(UnsupportedNotion):
+    with pytest.raises(ValidationError, match="best response requires exactly 2 players"):
         holds(Notion.BR_INDEPENDENT, game, 0, "a", ("a", "b"), [("x", "p")])
 
 

@@ -167,6 +167,14 @@ def test_malformed_matrix_game_rejected(matrix):
         matrix_game_value(matrix)
 
 
+@pytest.mark.parametrize("scale", [0, -1, 2.0])
+def test_a_matrix_game_scale_must_be_a_positive_int(scale):
+    # 0 and -1 were an unbounded program, reported as an engine fault;
+    # a float ended in TypeError
+    with pytest.raises(ValidationError, match="matrix game scale must be a positive int"):
+        matrix_game_value([[1, 0], [0, 1]], scale)
+
+
 # --- randomized cross-check against the vertex oracle -----------------------
 
 def test_random_bounded_lps_match_vertex_enumeration():

@@ -11,7 +11,7 @@ from epigame.epistemic import (
     state_label,
     two_block_model,
 )
-from epigame.errors import HypothesisNotMet, InvalidModel, NonMonotonicProfile, ValidationError
+from epigame.errors import HypothesisNotMet, ValidationError
 from epigame.games import Restriction
 from epigame.generators import GeneratorConfig, generate_game, generate_model
 from epigame.lattice import check_inclusion_lemma
@@ -74,7 +74,7 @@ def test_thm1i_on_singleton_model_strict(tie_game):
 
 
 def test_thm1i_rejects_non_monotonic_profile(tie_game):
-    with pytest.raises(NonMonotonicProfile):
+    with pytest.raises(ValidationError, match="inclusion claim requires monotonic notions"):
         verify_thm1i(tie_game, singleton_model(tie_game), NotionProfile.uniform("wd", 2))
 
 
@@ -83,7 +83,7 @@ def test_thm1i_rejects_non_monotonic_profile(tie_game):
     [(("wd", "wd"), "wd is not"), (("mwd", "wd"), "mwd, wd are not"), (("bri", "wd"), "; wd is not")],
 )
 def test_non_monotonic_profile_names_each_notion_once(tie_game, notions, named):
-    with pytest.raises(NonMonotonicProfile) as info:
+    with pytest.raises(ValidationError, match="inclusion claim requires monotonic notions") as info:
         verify_thm1i(tie_game, singleton_model(tie_game), NotionProfile(notions))
     assert named in str(info.value)
     assert "bri" not in str(info.value)
@@ -113,7 +113,7 @@ def test_thm1ii_requires_knowledge_model(tie_game):
         GeneratorConfig(seed=11, states=(3, 5), target_class="belief"), tie_game
     )
     if belief_only.model_class == "belief":
-        with pytest.raises(InvalidModel):
+        with pytest.raises(ValidationError, match="claim needs a knowledge-class model"):
             verify_thm1ii(tie_game, belief_only, NotionProfile.uniform("sd", 2))
 
 
