@@ -124,9 +124,9 @@ def u_local(profile: NotionProfile, game: Game, g: Restriction) -> Restriction:
 def operator(profile: NotionProfile, game: Game, mode: str) -> RestrictionOperator:
     profile.validate_for(game)
     if mode == GLOBAL:
-        return RestrictionOperator(f"T[{profile}]", game, lambda g: t_global(profile, game, g))
+        return RestrictionOperator(f"T[{profile}]", lambda g: t_global(profile, game, g))
     if mode == LOCAL:
-        return RestrictionOperator(f"U[{profile}]", game, lambda g: u_local(profile, game, g))
+        return RestrictionOperator(f"U[{profile}]", lambda g: u_local(profile, game, g))
     raise ValidationError(f"mode must be {GLOBAL!r} or {LOCAL!r}, got {mode!r}")
 
 

@@ -151,7 +151,7 @@ class PossibilityCorrespondence:
 
 @dataclass(frozen=True)
 class EpistemicModel:
-    """States, strategy maps and (optionally attached) correspondences.
+    """States, strategy maps and one possibility correspondence per player.
 
     ``strategy_maps[i]`` is aligned with the state order and must take values
     in the game's strategy set for player ``i``; a model over a restriction
@@ -163,7 +163,7 @@ class EpistemicModel:
     game: Game
     space: StateSpace
     strategy_maps: tuple[tuple[str, ...], ...]
-    correspondences: tuple[PossibilityCorrespondence, ...] | None = None
+    correspondences: tuple[PossibilityCorrespondence, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "strategy_maps", tuple(map(as_tuple, as_tuple(self.strategy_maps))))
@@ -179,22 +179,19 @@ class EpistemicModel:
             if not known:
                 unknown = next(s for s in labels if not isinstance(s, str) or s not in index)
                 raise ValidationError(f"player {i + 1} has no strategy {unknown!r}")
-        if self.correspondences is not None:
-            object.__setattr__(self, "correspondences", as_tuple(self.correspondences))
-            if len(self.correspondences) != self.game.n:
-                raise ValidationError("one correspondence per player is required")
-            for c in self.correspondences:
-                if not isinstance(c, PossibilityCorrespondence):
-                    raise ValidationError(f"expected a PossibilityCorrespondence, got {c!r}")
-                if c.space != self.space:
-                    raise ValidationError("correspondence is over a different state space")
+        object.__setattr__(self, "correspondences", as_tuple(self.correspondences))
+        if len(self.correspondences) != self.game.n:
+            raise ValidationError("one correspondence per player is required")
+        for c in self.correspondences:
+            if not isinstance(c, PossibilityCorrespondence):
+                raise ValidationError(f"expected a PossibilityCorrespondence, got {c!r}")
+            if c.space != self.space:
+                raise ValidationError("correspondence is over a different state space")
 
     @cached_property
     def model_class(self) -> str:
         """The weakest :attr:`~PossibilityCorrespondence.kind` among the
-        correspondences; ``invalid`` when none are attached."""
-        if self.correspondences is None:
-            return "invalid"
+        correspondences."""
         return min((c.kind for c in self.correspondences),
                    key=("invalid", "belief", "knowledge").index)
 
@@ -208,9 +205,6 @@ class EpistemicModel:
                 masks[index[label]] |= 1 << k
             choosers.append(tuple(masks))
         return tuple(choosers)
-
-    def with_correspondences(self, correspondences) -> "EpistemicModel":
-        return EpistemicModel(self.game, self.space, self.strategy_maps, correspondences)
 
     def require_valid(self) -> None:
         if self.model_class == "invalid":
@@ -326,17 +320,12 @@ def state_label(joint: JointStrategy) -> str:
     return ".".join(joint)
 
 
-def standard_model(restriction: Restriction) -> EpistemicModel:
-    """States are the joint strategies of the restriction; strategy maps are
-    projections. Correspondences are attached separately."""
-    if restriction.has_empty_component():
-        raise ValidationError("standard model needs every component non-empty")
-    joints = restriction.joint_strategies
+def _standard_space(game: Game) -> tuple[StateSpace, tuple[tuple[str, ...], ...]]:
+    """The states and strategy maps of the full game's standard model: the
+    states are its joint strategies and the maps are projections."""
+    joints = game.full_restriction().joint_strategies
     space = StateSpace(tuple(state_label(j) for j in joints))
-    maps = tuple(
-        tuple(j[i] for j in joints) for i in range(restriction.game.n)
-    )
-    return EpistemicModel(restriction.game, space, maps)
+    return space, tuple(tuple(j[i] for j in joints) for i in range(game.n))
 
 
 def two_block_model(game: Game, restriction: Restriction) -> EpistemicModel:
@@ -348,28 +337,25 @@ def two_block_model(game: Game, restriction: Restriction) -> EpistemicModel:
     complement; the correspondence collapses to the constant full space when
     F is empty or everything. Always knowledge-class.
     """
-    model = standard_model(game.full_restriction())
-    space = model.space
+    space, maps = _standard_space(game)
     inside = frozenset(state_label(j) for j in restriction.joint_strategies)
     all_states = frozenset(space.states)
     complement = all_states - inside
     if not inside or not complement:
         targets = tuple(all_states for _ in space.states)
     else:
-        targets = tuple(
-            inside if s in inside else complement for s in space.states
-        )
+        targets = tuple(inside if s in inside else complement for s in space.states)
     correspondence = PossibilityCorrespondence(space, targets)
-    return model.with_correspondences([correspondence] * game.n)
+    return EpistemicModel(game, space, maps, (correspondence,) * game.n)
 
 
 def singleton_model(game: Game) -> EpistemicModel:
     """Standard model of the full game where each state is its own
     possibility set, making every event evident."""
-    model = standard_model(game.full_restriction())
-    targets = tuple(frozenset({s}) for s in model.space.states)
-    correspondence = PossibilityCorrespondence(model.space, targets)
-    return model.with_correspondences([correspondence] * game.n)
+    space, maps = _standard_space(game)
+    targets = tuple(frozenset({s}) for s in space.states)
+    correspondence = PossibilityCorrespondence(space, targets)
+    return EpistemicModel(game, space, maps, (correspondence,) * game.n)
 
 
 # --- text format --------------------------------------------------------------
@@ -458,12 +444,11 @@ def render_model(model: EpistemicModel) -> str:
     for i in range(model.game.n):
         for k, state in enumerate(model.space.states):
             lines.append(f"map {i + 1}: {state} -> {model.strategy_maps[i][k]}")
-    if model.correspondences is not None:
-        states = model.space.states
-        for i, c in enumerate(model.correspondences):
-            for state, mask in zip(states, c.masks):
-                inside = " ".join(states[k] for k in set_bits(mask))
-                lines.append(f"poss {i + 1}: {state} -> {{{inside}}}")
+    states = model.space.states
+    for i, c in enumerate(model.correspondences):
+        for state, mask in zip(states, c.masks):
+            inside = " ".join(states[k] for k in set_bits(mask))
+            lines.append(f"poss {i + 1}: {state} -> {{{inside}}}")
     return "\n".join(lines) + "\n"
 
 
@@ -471,15 +456,12 @@ def validation_report(model: EpistemicModel) -> str:
     """Which of properties (i)-(iii) each correspondence satisfies, plus the
     derived model class."""
     lines = []
-    if model.correspondences is None:
-        lines.append("correspondences: none attached")
-    else:
-        for i, c in enumerate(model.correspondences):
-            parts = [
-                f"serial={'yes' if c.serial else 'no'}",
-                f"coherent={'yes' if c.coherent else 'no'}",
-                f"reflexive={'yes' if c.reflexive else 'no'}",
-            ]
-            lines.append(f"correspondence {i + 1}: " + " ".join(parts) + f" class={c.kind}")
+    for i, c in enumerate(model.correspondences):
+        parts = [
+            f"serial={'yes' if c.serial else 'no'}",
+            f"coherent={'yes' if c.coherent else 'no'}",
+            f"reflexive={'yes' if c.reflexive else 'no'}",
+        ]
+        lines.append(f"correspondence {i + 1}: " + " ".join(parts) + f" class={c.kind}")
     lines.append(f"model class: {model.model_class}")
     return "\n".join(lines) + "\n"

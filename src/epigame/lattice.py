@@ -27,7 +27,6 @@ class RestrictionOperator:
     """
 
     name: str
-    game: Game
     fn: Callable[[Restriction], Restriction]
 
     def apply(self, restriction: Restriction) -> Restriction:

@@ -286,6 +286,13 @@ def verify_cor1(game: Game, model: EpistemicModel, seed: int | None = None) -> V
     return report
 
 
+BELIEF_CLASS_NOTIONS = {
+    "point": Notion.BR_POINT,
+    "independent": Notion.BR_INDEPENDENT,
+    "correlated": Notion.BR_CORRELATED,
+}
+
+
 def verify_cor2(
     game: Game,
     model: EpistemicModel,
@@ -295,11 +302,7 @@ def verify_cor2(
     """Best-response rationality (point, independent, or correlated beliefs)
     under true common belief confines play to the local mixed-strict-
     dominance outcome."""
-    notion = {
-        "point": Notion.BR_POINT,
-        "independent": Notion.BR_INDEPENDENT,
-        "correlated": Notion.BR_CORRELATED,
-    }.get(belief_class)
+    notion = BELIEF_CLASS_NOTIONS.get(belief_class)
     if notion is None:
         raise ValidationError(f"unknown belief class {belief_class!r}")
     profile = NotionProfile.uniform(notion, game.n)
@@ -309,10 +312,11 @@ def verify_cor2(
 
 # --- seeded random suites --------------------------------------------------------
 
-def _suite_config(seed: int, target_class: str, players=(2, 3), strategies=(2, 4), states=(2, 8)):
+def _suite_config(seed: int, target_class: str, notion=None, strategies=(2, 4), states=(2, 8)):
     return GeneratorConfig(
         seed=seed,
-        players=players,
+        # 2 or 3 players, but bri admits 2 only
+        players=(2, 2) if notion is Notion.BR_INDEPENDENT else (2, 3),
         strategies=strategies,
         states=states,
         target_class=target_class,
@@ -338,10 +342,11 @@ def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> Verificat
     profile_notion = parse_notion(notion)
 
     def check(instance_seed):
-        game = generate_game(_suite_config(instance_seed, "belief"))
+        config = _suite_config(instance_seed, "belief", profile_notion)
+        game = generate_game(config)
         profile = NotionProfile.uniform(profile_notion, game.n)
-        belief_model = generate_model(_suite_config(instance_seed, "belief"), game)
-        knowledge_model = generate_model(_suite_config(instance_seed, "knowledge"), game)
+        belief_model = generate_model(config, game)
+        knowledge_model = generate_model(replace(config, target_class="knowledge"), game)
         for verify_one, model in ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)):
             report = verify_one(game, model, profile)
             if not report.holds:
@@ -377,11 +382,11 @@ def cor_suite(
     independent beliefs runs on 2-player games, the only ones it admits."""
     if which not in ("cor1", "cor2"):
         raise ValidationError(f"unknown corollary {which!r}; expected cor1 or cor2")
-    players = (2, 2) if which == "cor2" and belief_class == "independent" else (2, 3)
+    notion = Notion.BR_POINT if which == "cor1" else BELIEF_CLASS_NOTIONS.get(belief_class)
 
     def check(instance_seed):
         target = "belief" if (instance_seed - seed) % 2 else "knowledge"
-        config = _suite_config(instance_seed, target, players, (2, 3), (2, 6))
+        config = _suite_config(instance_seed, target, notion, (2, 3), (2, 6))
         game = generate_game(config)
         model = generate_model(config, game)
         if which == "cor1":

@@ -217,6 +217,9 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
                   "monotonicity"):
         calls.append((["verify", claim, "--samples", "5", "--seed", "0"], (0, 1)))
     calls.append((["verify", "thm1i", "--samples", "3", "--profile", "brc"], (0, 1)))
+    # bri suites draw 2-player games, the only ones bri admits
+    for claim in ("thm1i", "thm1ii"):
+        calls.append((["verify", claim, "--samples", "3", "--profile", "bri"], (0, 1)))
     calls.append((["generate", "model", "--seed", "5", "--game", three, "--class", "belief"], (0,)))
     # input errors
     bad = write("bad.game", "players: 2\nstrategies 1: U\n")

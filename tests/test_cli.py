@@ -285,6 +285,14 @@ def test_verify_cor_suites(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("claim", ["thm1i", "thm1ii"])
+def test_verify_bri_suites_draw_two_player_games(capsys, claim):
+    # bri admits 2-player games only, so its suites draw no others
+    code, out, err = run(capsys, "verify", claim, "--profile", "bri", "--samples", "5")
+    assert (code, err) == (0, "")
+    assert "instances: 5\nverdict: holds-on-all\n" in out
+
+
 def test_generate_game_round_trip(capsys):
     code, out, _ = run(capsys, "generate", "game", "--seed", "9")
     assert code == 0

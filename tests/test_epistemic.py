@@ -18,7 +18,6 @@ from epigame.epistemic import (
     render_model,
     restriction_of,
     singleton_model,
-    standard_model,
     state_label,
     two_block_model,
     validation_report,
@@ -63,7 +62,6 @@ def test_classification_belief_knowledge_invalid(tie_game):
     assert EpistemicModel(tie_game, space, maps, (knowledge, knowledge)).model_class == "knowledge"
     assert EpistemicModel(tie_game, space, maps, (knowledge, belief)).model_class == "belief"
     assert EpistemicModel(tie_game, space, maps, (knowledge, incoherent)).model_class == "invalid"
-    assert EpistemicModel(tie_game, space, maps).model_class == "invalid"
 
 
 def test_invalid_model_rejected_by_operations(tie_game):
@@ -159,7 +157,7 @@ def test_class_checks_and_common_box_on_every_three_state_correspondence(tie_gam
         counts["belief"] += 1
         counts["knowledge"] += model.model_class == "knowledge"
         for other in (c, partition):
-            paired = model.with_correspondences((c, other))
+            paired = EpistemicModel(tie_game, space, maps, (c, other))
             assert paired.model_class == min(
                 label_class(targets), label_class(other.targets), key=order.index)
             for event in range(1 << 3):
@@ -218,7 +216,7 @@ def test_common_box_through_a_chain_of_box_steps(tie_game):
 
 
 def test_restriction_of_projections(tie_game):
-    model = standard_model(tie_game.full_restriction())
+    model = singleton_model(tie_game)
     assert restriction_of(model, model.space.full_mask) == tie_game.full_restriction()
     assert restriction_of(model, 0) == Restriction.of(tie_game, ((), ()))
     assert restriction_of(model, model.space.mask_of({state_label(("D", "R"))})) == Restriction.of(
@@ -227,7 +225,7 @@ def test_restriction_of_projections(tie_game):
 
 
 def test_restriction_of_rejects_unknown_states(tie_game):
-    model = standard_model(tie_game.full_restriction())
+    model = singleton_model(tie_game)
     with pytest.raises(ValidationError, match="unknown state 'nope'"):
         model.space.mask_of({"nope"})
     for event in (-1, 1 << 4, {"U.L"}):
@@ -237,28 +235,25 @@ def test_restriction_of_rejects_unknown_states(tie_game):
 
 def test_model_rejects_an_unknown_strategy_label(tie_game):
     space = StateSpace(("a", "b"))
-    assert EpistemicModel(tie_game, space, (("U", "D"), ("R", "L"))).choosers == (
+    cells = (PossibilityCorrespondence(space, (frozenset({"a"}), frozenset({"b"}))),) * 2
+    assert EpistemicModel(tie_game, space, (("U", "D"), ("R", "L")), cells).choosers == (
         (0b01, 0b10), (0b10, 0b01))
     for maps, message in (
         ((("U", "Q"), ("L", "R")), "player 1 has no strategy 'Q'"),
         ((("U", "D"), ("L", "U")), "player 2 has no strategy 'U'"),
     ):
         with pytest.raises(ValidationError) as err:
-            EpistemicModel(tie_game, space, maps)
+            EpistemicModel(tie_game, space, maps, cells)
         assert type(err.value) is ValidationError
         assert str(err.value) == message
 
 
 def test_standard_model_shapes(tie_game, flat_game):
-    model = standard_model(tie_game.full_restriction())
+    model = singleton_model(tie_game)
     assert len(model.space.states) == 4
     assert model.strategy_maps[0][model.space.index[state_label(("D", "R"))]] == "D"
-    single = standard_model(Restriction.of(tie_game, (("U",), ("L",))))
-    assert len(single.space.states) == 1
-    flat = standard_model(flat_game.full_restriction())
+    flat = singleton_model(flat_game)
     assert flat.strategy_maps[0][flat.space.index[state_label(("D", "R"))]] == "D"
-    with pytest.raises(ValidationError, match="standard model needs every component non-empty"):
-        standard_model(Restriction.of(tie_game, (("U",), ())))
 
 
 def test_rat_event_singleton_model_weak_dominance(tie_game):
@@ -299,6 +294,68 @@ def test_two_block_model_knowledge_class_even_when_degenerate(tie_game):
             for c in degenerate.correspondences
             for t in c.targets
         )
+
+
+# the standard model of the tie game: its states and strategy maps
+TIE_STANDARD_TEXT = """\
+states: U.L U.R D.L D.R
+map 1: U.L -> U
+map 1: U.R -> U
+map 1: D.L -> D
+map 1: D.R -> D
+map 2: U.L -> L
+map 2: U.R -> R
+map 2: D.L -> L
+map 2: D.R -> R
+"""
+TIE_KNOWLEDGE_REPORT = """\
+correspondence 1: serial=yes coherent=yes reflexive=yes class=knowledge
+correspondence 2: serial=yes coherent=yes reflexive=yes class=knowledge
+model class: knowledge
+"""
+TIE_SINGLETON_POSS = """\
+poss 1: U.L -> {U.L}
+poss 1: U.R -> {U.R}
+poss 1: D.L -> {D.L}
+poss 1: D.R -> {D.R}
+poss 2: U.L -> {U.L}
+poss 2: U.R -> {U.R}
+poss 2: D.L -> {D.L}
+poss 2: D.R -> {D.R}
+"""
+TIE_TWO_BLOCK_POSS = """\
+poss 1: U.L -> {U.L U.R D.L}
+poss 1: U.R -> {U.L U.R D.L}
+poss 1: D.L -> {U.L U.R D.L}
+poss 1: D.R -> {D.R}
+poss 2: U.L -> {U.L U.R D.L}
+poss 2: U.R -> {U.L U.R D.L}
+poss 2: D.L -> {U.L U.R D.L}
+poss 2: D.R -> {D.R}
+"""
+TIE_CONSTANT_POSS = """\
+poss 1: U.L -> {U.L U.R D.L D.R}
+poss 1: U.R -> {U.L U.R D.L D.R}
+poss 1: D.L -> {U.L U.R D.L D.R}
+poss 1: D.R -> {U.L U.R D.L D.R}
+poss 2: U.L -> {U.L U.R D.L D.R}
+poss 2: U.R -> {U.L U.R D.L D.R}
+poss 2: D.L -> {U.L U.R D.L D.R}
+poss 2: D.R -> {U.L U.R D.L D.R}
+"""
+
+
+@pytest.mark.parametrize("build, poss", [
+    (singleton_model, TIE_SINGLETON_POSS),
+    (lambda g: two_block_model(g, Restriction.of(g, (("D",), ("R",)))), TIE_TWO_BLOCK_POSS),
+    (lambda g: two_block_model(g, g.full_restriction()), TIE_CONSTANT_POSS),
+    (lambda g: two_block_model(g, Restriction.of(g, ((), ()))), TIE_CONSTANT_POSS),
+], ids=["singleton", "two-block", "two-block-full", "two-block-empty"])
+def test_constructed_models_render_as_pinned(tie_game, build, poss):
+    # counterexample payloads of thm1.iii and thm2 print these models
+    model = build(tie_game)
+    assert render_model(model) == TIE_STANDARD_TEXT + poss
+    assert validation_report(model) == TIE_KNOWLEDGE_REPORT
 
 
 def test_iterated_elimination_model_flat_game(flat_game):
@@ -438,7 +495,7 @@ def models_and_events(draw):
     event = draw(st.integers(min_value=0, max_value=model.space.full_mask))
     if draw(st.booleans()):
         correspondences = [draw(belief_correspondences(model.space)) for _ in range(game.n)]
-        model = model.with_correspondences(correspondences)
+        model = EpistemicModel(game, model.space, model.strategy_maps, correspondences)
         if draw(st.booleans()):
             # every state a belief reaches lies in a block, so CB(E) is the
             # whole space, states outside E included

@@ -33,6 +33,8 @@ AB_XY = game_from_payoffs([("a", "b"), ("x", "y")], [
 THREE = game_from_payoffs([("a", "b"), ("x", "y"), ("p", "q")], [
     {j: 0 for j in itertools.product("ab", "xy", "pq")}] * 3)
 POINT_X = CorrelatedBelief(((("x",), 1),))
+W = StateSpace(("w",))
+W_CELLS = (PossibilityCorrespondence(W, ({"w"},)),) * 2
 BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
 
 
@@ -58,7 +60,7 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     lambda: expected_payoff(AB_XY, 0, ["a"], POINT_X),
     lambda: expected_payoff(AB_XY, 0, "a", CorrelatedBelief((((["x"],), 1),))),
     lambda: dominates(AB_XY, 0, MixedStrategy(0, ((["a"], 1),)), "b", [("x",)], "strict"),
-    lambda: EpistemicModel(AB_XY, StateSpace(("w",)), ((["a"],), ("x",))),
+    lambda: EpistemicModel(AB_XY, W, ((["a"],), ("x",)), W_CELLS),
     lambda: StateSpace((["a"], "w")),
     lambda: StateSpace(("w",)).mask_of([["w"]]),
     lambda: PossibilityCorrespondence(StateSpace(("w",)), ([["w"]],)),
@@ -92,7 +94,7 @@ def test_unknown_and_unhashable_labels_share_a_message():
         with pytest.raises(ValidationError, match=r"player 2 has no strategy .*z"):
             AB_XY.opponent_offset(0, (label,))
         with pytest.raises(ValidationError, match=r"player 1 has no strategy .*z"):
-            EpistemicModel(AB_XY, StateSpace(("w",)), ((label,), ("x",)))
+            EpistemicModel(AB_XY, W, ((label,), ("x",)), W_CELLS)
         with pytest.raises(ValidationError, match=r"unknown state .*z"):
             StateSpace(("w",)).mask_of([label])
         with pytest.raises(ValidationError, match="correspondence targets unknown states"):
@@ -167,11 +169,13 @@ def _game_from_draws(config):
 
 
 def test_generate_game_equals_a_build_of_its_draws():
-    # every generator configuration the suites use: (2, 3) or (2, 2) players,
-    # (2, 4) or (2, 3) strategies; the model class does not reach the game
+    # every generator configuration the suites use: (2, 3) players, or (2, 2)
+    # for bri, and (2, 4) or (2, 3) strategies; the model class does not reach
+    # the game
     for seed in range(300):
-        for players, strategies in itertools.product(((2, 3), (2, 2)), ((2, 4), (2, 3))):
-            config = _suite_config(seed, "belief", players, strategies)
+        for notion, strategies in itertools.product((Notion.SD, Notion.BR_INDEPENDENT),
+                                                    ((2, 4), (2, 3))):
+            config = _suite_config(seed, "belief", notion, strategies)
             assert generate_game(config) == _game_from_draws(config)
 
 

@@ -20,12 +20,12 @@ from reference import largest_fixpoint_bruteforce
 
 
 def identity_operator(game):
-    return RestrictionOperator("identity", game, lambda g: g)
+    return RestrictionOperator("identity", lambda g: g)
 
 
 def constant_full_operator(game):
     full = game.full_restriction()
-    return RestrictionOperator("const-full", game, lambda g: full)
+    return RestrictionOperator("const-full", lambda g: full)
 
 
 def test_identity_trace(tie_game):
@@ -90,7 +90,7 @@ def test_non_contracting_step_detected(tie_game):
     def expanding(g):
         return full
 
-    op = RestrictionOperator("bad", tie_game, expanding)
+    op = RestrictionOperator("bad", expanding)
     start = Restriction.of(tie_game, (("U",), ("L",)))
     with pytest.raises(NonContractingStep):
         iterate_to_outcome(op, start)

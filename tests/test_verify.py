@@ -654,12 +654,12 @@ def test_monotonicity_witnesses_render_alike_in_every_process():
 
 def _all_point_to_dd(game):
     # belief-class, not knowledge-class: every state considers only D.D possible
-    from epigame.epistemic import PossibilityCorrespondence, standard_model
+    from epigame.epistemic import EpistemicModel, PossibilityCorrespondence
 
-    model = standard_model(game.full_restriction())
+    model = singleton_model(game)
     target = frozenset({state_label(("D", "D"))})
     corr = PossibilityCorrespondence(model.space, (target,) * len(model.space.states))
-    return model.with_correspondences([corr, corr])
+    return EpistemicModel(game, model.space, model.strategy_maps, (corr, corr))
 
 
 _THM1_KEYS = {"kind", "game", "model", "profile", "event", "chosen", "limit"}
