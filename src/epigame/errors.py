@@ -38,14 +38,5 @@ class NonContractingStep(EngineError):
         super().__init__(f"operator expanded the restriction at stage {stage}")
 
 
-class PremiseViolated(EngineError):
-    """A checked lemma premise failed; carries the witnessing restriction."""
-
-    def __init__(self, premise: str, witness):
-        self.premise = premise
-        self.witness = witness
-        super().__init__(f"premise violated: {premise}")
-
-
 class InvariantViolated(EngineError):
     """An internal invariant of the engine failed: a bug, not bad input."""

@@ -38,9 +38,9 @@ MAX_LITERAL_EXPONENT = 1000
 # poss lines, '#' starts a comment. State labels may contain '.'.
 STRATEGY_LABEL_RESERVED = re.compile(r"[\s.,{}=#]|->")
 STATE_LABEL_RESERVED = re.compile(r"[\s,{}=#]|->")
-# Entries one game's memo may hold before it starts over: an exhaustive
-# lattice enumeration visits up to 2^20 restrictions of one game, each with
-# new keys.
+# Entries one game's memo may hold before it starts over, so a caller who
+# enumerates a large lattice of one game, each restriction with new keys,
+# cannot grow it without bound.
 MEMO_BOUND = 1 << 18
 _MISSING = object()
 
@@ -92,6 +92,14 @@ def as_tuple(values) -> tuple:
         except TypeError:
             pass
     raise ValidationError(f"expected a collection, got {values!r}")
+
+
+def as_int(what: str, value, least: int | None = None) -> int:
+    """``value`` if an int (not a bool) of at least ``least``, else a ValidationError."""
+    if type(value) is not int or least is not None and value < least:
+        bound = "" if least is None else f" of at least {least}"
+        raise ValidationError(f"{what} must be an int{bound}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

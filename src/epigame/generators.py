@@ -13,7 +13,7 @@ from math import prod
 
 from .epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
 from .errors import ValidationError
-from .games import Game, _as_fraction
+from .games import Game, _as_fraction, as_int, as_tuple
 
 _LETTERS = "abcdefghij"
 # The most joint profiles, and states, a configuration may ask for.
@@ -34,21 +34,25 @@ class GeneratorConfig:
     target_class: str = "knowledge"
 
     def __post_init__(self):
-        for name, (low, high) in (
-            ("players", self.players),
-            ("strategies", self.strategies),
-            ("states", self.states),
-        ):
+        as_int("seed", self.seed)
+        for name in ("players", "strategies", "states"):
+            pair = as_tuple(getattr(self, name))
+            if len(pair) != 2 or not all(type(v) is int for v in pair):
+                raise ValidationError(f"{name} range must be a pair of ints, got {pair!r}")
+            low, high = pair
             if low > high or low < 1:
                 raise ValidationError(f"empty {name} range {low}..{high}")
+            object.__setattr__(self, name, pair)
         if self.strategies[1] > len(_LETTERS):
             raise ValidationError(
                 f"at most {len(_LETTERS)} strategies per player, got {self.strategies[1]}"
             )
         if self.players[0] < 2:
             raise ValidationError("games need at least 2 players")
-        if not self.payoff_pool:
+        pool = tuple(map(_as_fraction, as_tuple(self.payoff_pool)))
+        if not pool:
             raise ValidationError("payoff pool must be non-empty")
+        object.__setattr__(self, "payoff_pool", pool)
         if self.target_class not in ("belief", "knowledge"):
             raise ValidationError("target class must be 'belief' or 'knowledge'")
         # a one-strategy player still adds a table and a label to every payoff
@@ -61,7 +65,6 @@ class GeneratorConfig:
                 f"each exceed the budget of {GENERATION_BUDGET} joint profiles")
         if self.states[1] > GENERATION_BUDGET:
             raise ValidationError(f"{self.states[1]} states exceed the budget of {GENERATION_BUDGET}")
-        object.__setattr__(self, "payoff_pool", tuple(map(_as_fraction, self.payoff_pool)))
 
 
 def generate_game(config: GeneratorConfig) -> Game:

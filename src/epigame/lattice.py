@@ -1,6 +1,5 @@
-"""Operators on the complete lattice of restrictions: iteration to a
-fixpoint, monotonicity probing, and the inclusion lemma between a monotonic
-and a contracting operator."""
+"""Operators on the complete lattice of restrictions and their iteration to
+a fixpoint; the lattice's enumeration and its seeded sampling."""
 
 from __future__ import annotations
 
@@ -9,21 +8,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .errors import InvariantViolated, NonContractingStep, PremiseViolated
+from .errors import InvariantViolated, NonContractingStep
 from .games import Game, Restriction, set_bits
-
-# the most candidates an exhaustive enumeration may visit
-ENUMERATION_BUDGET = 1 << 20
-# the largest lattice whose every restriction the inclusion lemma checks
-EXHAUSTIVE_LIMIT = 1 << 6
 
 
 @dataclass(frozen=True)
 class RestrictionOperator:
     """A named map from restrictions to restrictions of one fixed game.
 
-    Contraction is checked on every iteration step; monotonicity is only
-    ever established by probing or exhaustion.
+    Contraction is checked on every iteration step; monotonicity is the
+    caller's to check.
     """
 
     name: str
@@ -110,95 +104,3 @@ def sample_restriction(rng: random.Random, game: Game, within: Restriction | Non
     return Restriction(game, tuple(
         sum(1 << k for k in set_bits(mask) if rng.random() < 0.5) for mask in pool
     ))
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    operator: str
-    passed: bool
-    samples_checked: int
-    counterexample: tuple[Restriction, Restriction] | None = None
-
-
-def probe_monotonicity(
-    op: RestrictionOperator,
-    game: Game,
-    samples: int,
-    seed: int,
-) -> MonotonicityReport:
-    """Sample pairs ``G <= G'`` and test ``op(G) <= op(G')``.
-
-    A pass is one-sided evidence only; a returned counterexample is a proof
-    of non-monotonicity.
-    """
-    rng = random.Random(seed)
-    for k in range(samples):
-        big = sample_restriction(rng, game)
-        small = sample_restriction(rng, game, within=big)
-        if not op.apply(small).is_subset_of(op.apply(big)):
-            return MonotonicityReport(op.name, False, k + 1, (small, big))
-    return MonotonicityReport(op.name, True, samples, None)
-
-
-@dataclass(frozen=True)
-class InclusionLemmaReport:
-    """Checked premises and the conclusion of the inclusion lemma: if
-    ``op1 <= op2`` pointwise, op1 is monotonic and op2 is contracting, then
-    the outcome of op1 is included in the outcome of op2."""
-
-    op1: str
-    op2: str
-    pointwise_checked: int
-    monotonicity: MonotonicityReport
-    contraction_checked: int
-    outcome1: Restriction
-    outcome2: Restriction
-    conclusion_holds: bool
-
-
-def check_inclusion_lemma(
-    op1: RestrictionOperator,
-    op2: RestrictionOperator,
-    game: Game,
-    samples: int = 200,
-    seed: int = 0,
-) -> InclusionLemmaReport:
-    """Verify the premises on sampled restrictions, or on all of a lattice of
-    at most :data:`EXHAUSTIVE_LIMIT`, and compare the two outcomes.
-
-    Raises :class:`PremiseViolated` with the witnessing restriction when the
-    pointwise inclusion or the contraction of ``op2`` fails; monotonicity of
-    ``op1`` is sampled evidence and lands in the report.
-    """
-    rng = random.Random(seed)
-    if lattice_size(game) <= EXHAUSTIVE_LIMIT:
-        candidates = list(enumerate_restrictions(game))
-    else:
-        candidates = [game.full_restriction()] + [
-            sample_restriction(rng, game) for _ in range(samples)
-        ]
-    for candidate in candidates:
-        image1 = op1.apply(candidate)
-        image2 = op2.apply(candidate)
-        if not image1.is_subset_of(image2):
-            raise PremiseViolated("pointwise inclusion op1(G) <= op2(G)", candidate)
-        if not image2.is_subset_of(candidate):
-            raise PremiseViolated("op2 contracting", candidate)
-
-    monotonicity = probe_monotonicity(op1, game, samples, seed)
-
-    trace1 = iterate_to_outcome(op1, game.full_restriction())
-    try:
-        trace2 = iterate_to_outcome(op2, game.full_restriction())
-    except NonContractingStep as exc:
-        raise PremiseViolated("op2 contracting", exc.before) from exc
-    return InclusionLemmaReport(
-        op1=op1.name,
-        op2=op2.name,
-        pointwise_checked=len(candidates),
-        monotonicity=monotonicity,
-        contraction_checked=len(candidates) + len(trace2.stages) - 1,
-        outcome1=trace1.outcome,
-        outcome2=trace2.outcome,
-        conclusion_holds=trace1.outcome.is_subset_of(trace2.outcome),
-    )

@@ -7,8 +7,10 @@ value: the same inputs give an equal report with the same rendering. The
 suites for theorem 1, the corollaries and the inclusion lemma share one
 instance loop, :func:`_suite`; the Pearce and monotonicity suites count
 restrictions or two phases under one random stream and keep their own.
-Every claim reads the elimination outcome through the memoised
-:func:`elimination_limit`; thm1.iii builds its two-block model around it.
+The inclusion lemma is one check on its two operator pairs,
+:func:`_inclusion_lemma_violation`. Every claim reads the elimination
+outcome through the memoised :func:`elimination_limit`; thm1.iii builds
+its two-block model around it.
 Monotonicity has one violation test on indices, :func:`_violations`, which
 the exhaustive :func:`nonmonotonicity_witnesses`, the suite's sampled phase
 and :func:`replay` share. A failing suite report states the suite seed and
@@ -45,15 +47,10 @@ from .epistemic import (
     state_label,
     two_block_model,
 )
-from .errors import HypothesisNotMet, PremiseViolated, ValidationError
-from .games import Game, JointStrategy, Restriction, dominates, expected_payoff, per_game, set_bits
+from .errors import HypothesisNotMet, NonContractingStep, ValidationError
+from .games import Game, JointStrategy, Restriction, as_int, dominates, expected_payoff, per_game, set_bits
 from .generators import GeneratorConfig, generate_game, generate_model
-from .lattice import (
-    ENUMERATION_BUDGET,
-    check_inclusion_lemma,
-    iterate_to_outcome,
-    sample_restriction,
-)
+from .lattice import enumerate_restrictions, iterate_to_outcome, lattice_size, sample_restriction
 from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
@@ -66,6 +63,8 @@ from .optimality import (
 
 HOLDS_ON_ALL = "holds-on-all"
 COUNTEREXAMPLE = "counterexample"
+# the most opponent-subset pairs the exhaustive monotonicity check may visit
+ENUMERATION_BUDGET = 1 << 20
 
 
 def elimination_limit(game: Game, profile: NotionProfile, mode: str) -> Restriction:
@@ -328,6 +327,8 @@ def _suite(claim, instances, seed, check, notes=()) -> VerificationReport:
     The first failing report is returned under the suite's claim and seed,
     counting the instances up to its own; if none fails, a holds-on-all
     report."""
+    as_int("instances", instances, 1)
+    as_int("seed", seed)
     for k in range(instances):
         report = check(seed + k)
         if not report.holds:
@@ -382,7 +383,9 @@ def cor_suite(
     independent beliefs runs on 2-player games, the only ones it admits."""
     if which not in ("cor1", "cor2"):
         raise ValidationError(f"unknown corollary {which!r}; expected cor1 or cor2")
-    notion = Notion.BR_POINT if which == "cor1" else BELIEF_CLASS_NOTIONS.get(belief_class)
+    if belief_class not in BELIEF_CLASS_NOTIONS:
+        raise ValidationError(f"unknown belief class {belief_class!r}")
+    notion = Notion.BR_POINT if which == "cor1" else BELIEF_CLASS_NOTIONS[belief_class]
 
     def check(instance_seed):
         target = "belief" if (instance_seed - seed) % 2 else "knowledge"
@@ -433,9 +436,9 @@ def pearce_suite(games: int, seed: int = 0) -> VerificationReport:
     """Pearce's lemma, certified per strategy (:func:`_pearce_violation`), on
     each game's full restriction and sampled restrictions with non-empty
     components."""
-    rng = random.Random(seed)
+    rng = random.Random(as_int("seed", seed))
     checked = 0
-    for k in range(games):
+    for k in range(as_int("games", games, 1)):
         game = generate_game(_suite_config(seed + k, "belief"))
         candidates = [game.full_restriction()]
         while len(candidates) < PEARCE_RESTRICTIONS:
@@ -450,26 +453,57 @@ def pearce_suite(games: int, seed: int = 0) -> VerificationReport:
     return _report("pearce", checked, False, None, seed)
 
 
+# the inclusion lemma's operator pairs (op1 monotonic, op2 contracting)
+LEMMA_PAIRS = (
+    (Notion.BR_POINT, GLOBAL, Notion.SD, LOCAL),
+    (Notion.MSD, GLOBAL, Notion.MSD, LOCAL),
+)
+# the largest lattice whose every restriction the lemma's premises are checked on
+EXHAUSTIVE_LIMIT = 1 << 6
+# sampled restrictions, and sampled pairs for op1's monotonicity, per pair
+LEMMA_SAMPLES = 40
+
+
 def _inclusion_lemma_violation(game: Game, instance_seed: int) -> dict | None:
-    """The inclusion lemma on one suite instance, for both operator pairs;
-    the payload of the first pair whose premise, conclusion or sampled
-    monotonicity fails, else None. A failed premise names itself and the
-    restriction that witnesses it."""
-    pairs = (
-        (Notion.BR_POINT, GLOBAL, Notion.SD, LOCAL),
-        (Notion.MSD, GLOBAL, Notion.MSD, LOCAL),
-    )
-    for notion1, mode1, notion2, mode2 in pairs:
+    """The inclusion lemma on one suite instance, for each operator pair: if
+    op1 <= op2 pointwise, op1 is monotonic and op2 contracting, op1's outcome
+    lies inside op2's. The premises are checked on every restriction of a
+    lattice of at most :data:`EXHAUSTIVE_LIMIT`, else on the full game and
+    samples, and op1's monotonicity on sampled pairs, all drawn from
+    ``Random(instance_seed)``. The payload of the first failure, else None: a
+    premise with its ``restriction`` (and ``larger``), or both outcomes."""
+    full = game.full_restriction()
+    for notion1, mode1, notion2, mode2 in LEMMA_PAIRS:
         op1 = operator(NotionProfile.uniform(notion1, game.n), game, mode1)
         op2 = operator(NotionProfile.uniform(notion2, game.n), game, mode2)
         payload = {"kind": "lem.inc", "game": game, "instance_seed": instance_seed,
                    "op1": op1.name, "op2": op2.name}
+        if lattice_size(game) <= EXHAUSTIVE_LIMIT:
+            candidates = enumerate_restrictions(game)
+        else:
+            rng = random.Random(instance_seed)
+            candidates = [full] + [sample_restriction(rng, game) for _ in range(LEMMA_SAMPLES)]
+        for candidate in candidates:
+            image1 = op1.apply(candidate)
+            image2 = op2.apply(candidate)
+            if not image1.is_subset_of(image2):
+                return {**payload, "premise": "pointwise inclusion op1(G) <= op2(G)",
+                        "restriction": candidate}
+            if not image2.is_subset_of(candidate):
+                return {**payload, "premise": "op2 contracting", "restriction": candidate}
+        rng = random.Random(instance_seed)
+        for _ in range(LEMMA_SAMPLES):
+            big = sample_restriction(rng, game)
+            small = sample_restriction(rng, game, within=big)
+            if not op1.apply(small).is_subset_of(op1.apply(big)):
+                return {**payload, "premise": "op1 monotonic", "restriction": small, "larger": big}
+        outcome1 = iterate_to_outcome(op1, full).outcome
         try:
-            report = check_inclusion_lemma(op1, op2, game, samples=40, seed=instance_seed)
-        except PremiseViolated as exc:
-            return {**payload, "premise": exc.premise, "restriction": exc.witness}
-        if not (report.conclusion_holds and report.monotonicity.passed):
-            return {**payload, "report": report}
+            outcome2 = iterate_to_outcome(op2, full).outcome
+        except NonContractingStep as exc:
+            return {**payload, "premise": "op2 contracting", "restriction": exc.before}
+        if not outcome1.is_subset_of(outcome2):
+            return {**payload, "outcome1": outcome1, "outcome2": outcome2}
     return None
 
 
@@ -556,7 +590,9 @@ def monotonicity_suite(small_samples: int = 5000, large_samples: int = 1000,
     """Monotonicity of the four monotonic notions: exhaustive opponent-set
     pairs on sampled 2x2 games with payoffs in {0,1,2}, then random larger
     games with sampled subset pairs, both phases from one random stream."""
-    rng = random.Random(seed)
+    if as_int("small_samples", small_samples, 0) + as_int("large_samples", large_samples, 0) < 1:
+        raise ValidationError("monotonicity_suite needs at least one game")
+    rng = random.Random(as_int("seed", seed))
     checked = 0
     pool = (Fraction(0), Fraction(1), Fraction(2))
     tables = list(itertools.product(pool, repeat=4))

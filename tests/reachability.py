@@ -45,10 +45,9 @@ DOCUMENTED = frozenset({
     "epistemic.box",
     "verify.replay",
     # reached only when the engine is at fault: an operator step that does
-    # not contract, a failed premise of the inclusion lemma, and the payloads
-    # of a monotonicity (its notion) or Pearce (its belief) counterexample
+    # not contract, and the payloads of a monotonicity (its notion) or
+    # Pearce (its belief) counterexample
     "errors.NonContractingStep.__init__",
-    "errors.PremiseViolated.__init__",
     "optimality.Notion.__str__",
     "games.CorrelatedBelief.__str__",
 })

@@ -9,6 +9,9 @@ definitions and sharing no helper with the code they check.
   ``P(w)``), found by trying every map from states to sets of states;
 * ``largest_fixpoint_bruteforce``: the union of all post-fixpoints of a
   restriction operator, found by trying every restriction;
+* ``monotonicity_counterexample``: a sampled probe of a restriction
+  operator's monotonicity, the first pair ``G <= G'`` it finds with
+  ``op(G)`` not inside ``op(G')``;
 * ``opponent_offsets``: the places in a payoff table of a player's opponent
   profiles, read as mixed-radix numbers over the strategy counts;
 * ``parse_restriction``: the reader of the ``restrict i: ...`` lines that
@@ -25,6 +28,7 @@ definitions and sharing no helper with the code they check.
 """
 
 import itertools
+import random
 
 from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
 from epigame.errors import ParseError, ValidationError
@@ -66,6 +70,27 @@ def enumerate_belief_correspondences(space: StateSpace):
         of = dict(zip(states, targets))
         if all(of[v] == of[w] for w in states for v in of[w]):
             yield PossibilityCorrespondence(space, targets)
+
+
+def monotonicity_counterexample(op, game: Game, samples: int, seed: int):
+    """The first of ``samples`` random pairs ``(G, G')``, ``G <= G'``, with
+    ``op(G)`` not inside ``op(G')``, else None. ``G'`` keeps each strategy,
+    and ``G`` each strategy of ``G'``, with probability 1/2, drawn from
+    ``Random(seed)`` in label order. None is evidence, not proof."""
+    rng = random.Random(seed)
+
+    def keep_half(masks):
+        return tuple(sum(1 << k for k in range(mask.bit_length())
+                         if mask >> k & 1 and rng.random() < 0.5) for mask in masks)
+
+    full = tuple((1 << len(labels)) - 1 for labels in game.strategies)
+    for _ in range(samples):
+        big = keep_half(full)
+        small = keep_half(big)
+        images = [op.apply(Restriction(game, masks)).masks for masks in (small, big)]
+        if any(mine & ~theirs for mine, theirs in zip(*images)):
+            return Restriction(game, small), Restriction(game, big)
+    return None
 
 
 def largest_fixpoint_bruteforce(op, game: Game, budget: int = ENUMERATION_BUDGET) -> Restriction:

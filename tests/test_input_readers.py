@@ -26,7 +26,16 @@ from epigame.games import (
 )
 from epigame.generators import GeneratorConfig, generate_game
 from epigame.optimality import Notion, holds, parse_notion, solve_br_lp, solve_dominance_lp
-from epigame.verify import _suite_config, thm1_suite, thm2_hypothesis_clauses
+from epigame.verify import (
+    _suite_config,
+    cor_suite,
+    lemma_inc_suite,
+    monotonicity_suite,
+    pearce_suite,
+    thm1_suite,
+    thm1iii_suite,
+    thm2_hypothesis_clauses,
+)
 
 AB_XY = game_from_payoffs([("a", "b"), ("x", "y")], [
     {j: int(j == ("a", "x")) for j in itertools.product("ab", "xy")}] * 2)
@@ -73,6 +82,30 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     lambda: CorrelatedBelief((("Left", 1),)),
     lambda: CorrelatedBelief(((5, 1),)),
     lambda: MixedStrategy(0, (("a",),)),
+    # a suite count that is not an int of at least 1 returned a 0-instance
+    # holds-on-all or a negative count, or ended in TypeError
+    lambda: thm1_suite("sd", 0),
+    lambda: pearce_suite(0),
+    lambda: lemma_inc_suite(0),
+    lambda: monotonicity_suite(0, 0),
+    lambda: monotonicity_suite(-1, 2),
+    lambda: monotonicity_suite(1.5, 1),
+    lambda: thm1iii_suite(-3),
+    lambda: thm1_suite("sd", 2.5),
+    lambda: pearce_suite("3"),
+    # a seed that is not an int ended in TypeError or ran
+    lambda: thm1_suite("sd", 1, seed="0"),
+    lambda: pearce_suite(1, seed=1.5),
+    lambda: monotonicity_suite(1, 0, seed="x"),
+    # cor1 ran without reading its unknown belief class
+    lambda: cor_suite("cor1", 1, belief_class="bogus"),
+    # a range entry that is not an int, a range that is not a pair, a pool
+    # that is not a collection and a seed that is not an int
+    lambda: GeneratorConfig(seed=0, players=(2, 3.5)),
+    lambda: GeneratorConfig(seed=0, strategies=(2, "3")),
+    lambda: GeneratorConfig(seed=0, players=(2,)),
+    lambda: GeneratorConfig(seed=0, payoff_pool=5),
+    lambda: GeneratorConfig(seed=[1]),
 ], ids=[
     "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42", "profile-int",
     "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
@@ -81,6 +114,12 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     "model-correspondence",
     "correspondence-mixed-types",
     "player", "belief-string-key", "belief-int-key", "mixture-not-pairs",
+    "thm1-suite-0", "pearce-suite-0", "lemma-inc-suite-0", "monotonicity-suite-0-0",
+    "monotonicity-suite-negative", "monotonicity-suite-float", "thm1iii-suite-negative",
+    "thm1-suite-float", "pearce-suite-text", "thm1-suite-text-seed", "pearce-suite-float-seed",
+    "monotonicity-suite-text-seed", "cor1-suite-belief-class",
+    "config-players-float", "config-strategies-text", "config-players-single",
+    "config-pool-int", "config-seed-list",
 ])
 def test_a_malformed_value_is_a_validation_error(call):
     with pytest.raises(ValidationError):

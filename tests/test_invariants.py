@@ -82,8 +82,8 @@ def test_engine_functions_import_nothing_in_their_bodies():
 
 # bad input is a ParseError or a ValidationError (HypothesisNotMet is one);
 # the rest carry a witness that a caller reads, or report an engine fault
-RAISED = {"ParseError", "ValidationError", "HypothesisNotMet", "PremiseViolated",
-          "NonContractingStep", "InvariantViolated"}
+RAISED = {"ParseError", "ValidationError", "HypothesisNotMet", "NonContractingStep",
+          "InvariantViolated"}
 
 
 def test_every_raise_names_an_input_witness_or_fault_class():

@@ -4,19 +4,18 @@ import random
 import pytest
 
 from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator
-from epigame.errors import NonContractingStep, PremiseViolated, ValidationError
+from epigame.errors import NonContractingStep, ValidationError
 from epigame.games import Restriction, game_from_payoffs
 from epigame.lattice import (
     RestrictionOperator,
-    check_inclusion_lemma,
     enumerate_restrictions,
     iterate_to_outcome,
     lattice_size,
-    probe_monotonicity,
     sample_restriction,
 )
+from epigame.verify import _inclusion_lemma_violation
 
-from reference import largest_fixpoint_bruteforce
+from reference import largest_fixpoint_bruteforce, monotonicity_counterexample
 
 
 def identity_operator(game):
@@ -123,54 +122,55 @@ def test_bruteforce_budget():
 
 def test_probe_finds_local_operator_non_monotonic(tie_game):
     op = operator(NotionProfile.uniform("sd", 2), tie_game, LOCAL)
-    report = probe_monotonicity(op, tie_game, samples=1000, seed=1)
-    assert not report.passed
-    small, big = report.counterexample
+    small, big = monotonicity_counterexample(op, tie_game, samples=1000, seed=1)
     assert small.is_subset_of(big)
     assert not op.apply(small).is_subset_of(op.apply(big))
 
 
 def test_probe_passes_global_strict_dominance(tie_game):
     op = operator(NotionProfile.uniform("sd", 2), tie_game, GLOBAL)
-    report = probe_monotonicity(op, tie_game, samples=1000, seed=1)
-    assert report.passed and report.samples_checked == 1000
+    assert monotonicity_counterexample(op, tie_game, samples=1000, seed=1) is None
 
 
 def test_probe_passes_constant_operator(tie_game):
-    report = probe_monotonicity(constant_full_operator(tie_game), tie_game, samples=200, seed=3)
-    assert report.passed
+    op = constant_full_operator(tie_game)
+    assert monotonicity_counterexample(op, tie_game, samples=200, seed=3) is None
+
+
+def _outcomes(game, pair):
+    return tuple(
+        iterate_to_outcome(operator(NotionProfile.uniform(notion, game.n), game, mode),
+                           game.full_restriction()).outcome
+        for notion, mode in pair)
 
 
 def test_inclusion_lemma_brp_into_usd(tie_game):
-    op1 = operator(NotionProfile.uniform("brp", 2), tie_game, GLOBAL)
-    op2 = operator(NotionProfile.uniform("sd", 2), tie_game, LOCAL)
-    report = check_inclusion_lemma(op1, op2, tie_game, samples=300, seed=0)
-    assert report.monotonicity.passed
-    assert report.conclusion_holds
-    assert report.outcome1.is_subset_of(report.outcome2)
-
-
-def test_inclusion_lemma_reflexive(prisoners_dilemma):
-    op = operator(NotionProfile.uniform("sd", 2), prisoners_dilemma, GLOBAL)
-    report = check_inclusion_lemma(op, op, prisoners_dilemma, samples=100, seed=0)
-    assert report.conclusion_holds
+    # the lattice has 16 restrictions: every premise is checked on each
+    assert _inclusion_lemma_violation(tie_game, 0) is None
+    outcome1, outcome2 = _outcomes(tie_game, (("brp", GLOBAL), ("sd", LOCAL)))
+    assert outcome1.is_subset_of(outcome2)
 
 
 def test_inclusion_lemma_msd_pair_on_pd(prisoners_dilemma):
-    op1 = operator(NotionProfile.uniform("msd", 2), prisoners_dilemma, GLOBAL)
-    op2 = operator(NotionProfile.uniform("msd", 2), prisoners_dilemma, LOCAL)
-    report = check_inclusion_lemma(op1, op2, prisoners_dilemma, samples=100, seed=0)
+    assert _inclusion_lemma_violation(prisoners_dilemma, 0) is None
     expected = Restriction.of(prisoners_dilemma, (("D",), ("D",)))
-    assert report.outcome1 == report.outcome2 == expected
-    assert report.conclusion_holds
+    assert _outcomes(prisoners_dilemma, (("msd", GLOBAL), ("msd", LOCAL))) == (expected, expected)
 
 
-def test_inclusion_lemma_premise_violation(prisoners_dilemma):
-    op1 = identity_operator(prisoners_dilemma)
-    op2 = operator(NotionProfile.uniform("sd", 2), prisoners_dilemma, GLOBAL)
-    with pytest.raises(PremiseViolated) as err:
-        check_inclusion_lemma(op1, op2, prisoners_dilemma, samples=50, seed=0)
-    assert "pointwise" in str(err.value)
+def test_inclusion_lemma_premise_violation(monkeypatch, prisoners_dilemma):
+    # with the identity in place of T[brp], op1 keeps C where U[sd] drops it
+    import epigame.verify as verify
+
+    real = verify.operator
+
+    def operator_with_identity(profile, game, mode):
+        made = real(profile, game, mode)
+        return identity_operator(game) if made.name == "T[brp]" else made
+
+    monkeypatch.setattr(verify, "operator", operator_with_identity)
+    payload = _inclusion_lemma_violation(prisoners_dilemma, 0)
+    assert payload["premise"] == "pointwise inclusion op1(G) <= op2(G)"
+    assert (payload["op1"], payload["op2"]) == ("identity", "U[sd]")
 
 
 def test_tarski_agreement_for_monotonic_operators(tie_game, flat_game, prisoners_dilemma, mix_game):
@@ -179,8 +179,8 @@ def test_tarski_agreement_for_monotonic_operators(tie_game, flat_game, prisoners
     for game in games:
         for notion in ("sd", "msd", "brp", "brc"):
             op = operator(NotionProfile.uniform(notion, game.n), game, GLOBAL)
-            report = probe_monotonicity(op, game, samples=300, seed=rng.randrange(10**6))
-            assert report.passed, (game, notion, report.counterexample)
+            witness = monotonicity_counterexample(op, game, samples=300, seed=rng.randrange(10**6))
+            assert witness is None, (game, notion, witness)
             outcome = iterate_to_outcome(op, game.full_restriction()).outcome
             assert largest_fixpoint_bruteforce(op, game) == outcome
             for candidate in enumerate_restrictions(game):

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from epigame.cli import render_report
 from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator, outcome
 from epigame.epistemic import (
     rat_event,
@@ -14,10 +15,10 @@ from epigame.epistemic import (
 from epigame.errors import HypothesisNotMet, ValidationError
 from epigame.games import Restriction
 from epigame.generators import GeneratorConfig, generate_game, generate_model
-from epigame.lattice import check_inclusion_lemma
 from epigame.optimality import Notion
 from epigame.verify import (
     VerificationReport,
+    _suite_config,
     cor_suite,
     lemma_inc_suite,
     monotonicity_suite,
@@ -328,21 +329,18 @@ def test_thm1iii_suite_reports_its_first_failure(monkeypatch):
 
 
 def test_lemma_inc_suite_reports_its_first_failure(monkeypatch):
-    import epigame.verify as verify
-
-    real = verify.check_inclusion_lemma
-
-    def fail_second_pair_of_third_instance(op1, op2, game, **kwargs):
-        report = real(op1, op2, game, **kwargs)
-        if kwargs["seed"] == 6 and op1.name.startswith("T[msd"):
-            return dataclasses.replace(report, conclusion_holds=False)
-        return report
-
-    monkeypatch.setattr(verify, "check_inclusion_lemma", fail_second_pair_of_third_instance)
+    _inclusion_lemma_fails_at_instance_seed_6(monkeypatch)
     report = lemma_inc_suite(5, seed=4)
     assert (report.claim, report.instances_checked, report.seed,
             report.counterexample["kind"], report.notes) == ("lem.inc", 3, 4, "lem.inc", ())
-    assert report.counterexample["op2"].startswith("U[msd")
+    payload = report.counterexample
+    assert set(payload) == {"kind", "game", "instance_seed", "op1", "op2", "outcome1", "outcome2"}
+    assert (payload["instance_seed"], payload["op2"]) == (6, "U[msd]")
+    assert not payload["outcome1"].is_subset_of(payload["outcome2"])
+    # both outcomes print in the restriction file format
+    lines = render_report(report).splitlines()
+    assert "counterexample outcome1: restrict 1: b c" in lines
+    assert "counterexample outcome2: restrict 2:" in lines
     assert replay(report) is True
 
 
@@ -437,17 +435,64 @@ def _empty_limit_patch(monkeypatch):
 
 
 def _inclusion_lemma_fails_at_instance_seed_6(monkeypatch):
+    # U[msd]'s outcome is empty on the lem.inc suite's game at instance seed
+    # 6, so the conclusion of the second pair fails there
     import epigame.verify as verify
 
-    real = verify.check_inclusion_lemma
+    real = verify.iterate_to_outcome
+    failing = generate_game(_suite_config(6, "belief", strategies=(2, 3)))
 
-    def check(op1, op2, game, **kwargs):
-        report = real(op1, op2, game, **kwargs)
-        if kwargs["seed"] == 6:
-            return dataclasses.replace(report, conclusion_holds=False)
-        return report
+    def iterate(op, start):
+        trace = real(op, start)
+        if op.name == "U[msd]" and start.game == failing:
+            empty = Restriction(failing, (0,) * failing.n)
+            return dataclasses.replace(trace, stages=trace.stages + (empty,))
+        return trace
 
-    monkeypatch.setattr(verify, "check_inclusion_lemma", check)
+    monkeypatch.setattr(verify, "iterate_to_outcome", iterate)
+
+
+def _brp_keeps_nothing_on_even_restrictions(monkeypatch):
+    # T[brp] keeps nothing on a restriction with an even number of
+    # strategies: still inside U[sd] pointwise, but not monotonic
+    import epigame.verify as verify
+
+    real = verify.operator
+
+    def operator(profile, game, mode):
+        made = real(profile, game, mode)
+        if made.name != "T[brp]":
+            return made
+
+        def apply(restriction):
+            if sum(bin(mask).count("1") for mask in restriction.masks) % 2:
+                return made.apply(restriction)
+            return Restriction(game, (0,) * game.n)
+
+        return dataclasses.replace(made, fn=apply)
+
+    monkeypatch.setattr(verify, "operator", operator)
+
+
+def _sd_expands_its_first_stage(monkeypatch):
+    # U[sd] maps its own first stage back to the full game: not contracting
+    import epigame.verify as verify
+
+    real = verify.operator
+
+    def operator(profile, game, mode):
+        made = real(profile, game, mode)
+        if made.name != "U[sd]":
+            return made
+        full = game.full_restriction()
+        first = made.apply(full)
+
+        def apply(restriction):
+            return full if restriction == first != full else made.apply(restriction)
+
+        return dataclasses.replace(made, fn=apply)
+
+    monkeypatch.setattr(verify, "operator", operator)
 
 
 def _sd_image_drops_a_strategy(monkeypatch):
@@ -511,9 +556,13 @@ def _thm1iii_fails_at_instance_seed_4(monkeypatch):
         (_thm1iii_fails_at_instance_seed_4, lambda seed, n: thm1iii_suite(n, seed=seed), 3),
         (_inclusion_lemma_fails_at_instance_seed_6, lambda seed, n: lemma_inc_suite(n, seed=seed), 4),
         (_sd_image_drops_a_strategy, lambda seed, n: lemma_inc_suite(n, seed=seed), 2),
+        (_brp_keeps_nothing_on_even_restrictions,
+         lambda seed, n: lemma_inc_suite(n, seed=seed), 2),
+        (_sd_expands_its_first_stage, lambda seed, n: lemma_inc_suite(n, seed=seed), 47),
         *_FORCED_FAILURES.values(),
     ],
-    ids=["thm1", "cor1", "cor2", "thm1iii", "lem.inc", "lem.inc-premise", *_FORCED_FAILURES],
+    ids=["thm1", "cor1", "cor2", "thm1iii", "lem.inc", "lem.inc-premise",
+         "lem.inc-monotonic", "lem.inc-contracting", *_FORCED_FAILURES],
 )
 def test_a_failing_suite_report_reruns_from_its_seed(monkeypatch, patch, run, seed):
     # a report is a value: the suite seed and the instance count it states
@@ -525,20 +574,41 @@ def test_a_failing_suite_report_reruns_from_its_seed(monkeypatch, patch, run, se
     assert run(report.seed, report.instances_checked) == report
 
 
+@pytest.mark.parametrize("patch, seed, premise, keys", [
+    # the pointwise premise is forced in the CLI test above
+    (_brp_keeps_nothing_on_even_restrictions, 2, "op1 monotonic", {"restriction", "larger"}),
+    # suite seed 47's first game has 256 restrictions, and none of the 41
+    # sampled is U[sd]'s first stage: the iteration finds the expansion
+    (_sd_expands_its_first_stage, 47, "op2 contracting", {"restriction"}),
+], ids=["monotonic", "contracting"])
+def test_each_inclusion_premise_fails_as_a_replayable_counterexample(
+    monkeypatch, patch, seed, premise, keys
+):
+    patch(monkeypatch)
+    report = lemma_inc_suite(8, seed=seed)
+    payload = report.counterexample
+    assert set(payload) == {"kind", "game", "instance_seed", "op1", "op2", "premise"} | keys
+    assert (payload["premise"], payload["op1"], payload["op2"]) == (premise, "T[brp]", "U[sd]")
+    if "larger" in payload:
+        assert payload["restriction"].is_subset_of(payload["larger"])
+    lines = render_report(report).splitlines()
+    assert f"counterexample premise: {premise}" in lines
+    assert any(line.startswith("counterexample restriction: restrict 1:") for line in lines)
+    assert replay(report) is True
+
+
 def test_replay_reruns_the_inclusion_lemma():
     # a forged lem.inc report on a game where the lemma holds does not replay
     game = generate_game(GeneratorConfig(seed=4, players=(2, 3), strategies=(2, 3)))
-    op1 = operator(NotionProfile.uniform("brp", game.n), game, GLOBAL)
-    op2 = operator(NotionProfile.uniform("sd", game.n), game, LOCAL)
-    held = check_inclusion_lemma(op1, op2, game, samples=40, seed=4)
-    assert held.conclusion_holds and held.monotonicity.passed
+    assert lemma_inc_suite(1, seed=4).holds
     payload = {
         "kind": "lem.inc",
         "game": game,
         "instance_seed": 4,
-        "op1": op1.name,
-        "op2": op2.name,
-        "report": dataclasses.replace(held, conclusion_holds=False),
+        "op1": "T[brp]",
+        "op2": "U[sd]",
+        "outcome1": game.full_restriction(),
+        "outcome2": Restriction(game, (0,) * game.n),
     }
     assert replay(VerificationReport("lem.inc", 1, "counterexample", payload, seed=4)) is False
 
