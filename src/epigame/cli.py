@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import verify as verify_mod
 from .elimination import GLOBAL, LOCAL, NotionProfile, outcome
@@ -31,7 +32,6 @@ from .games import (
 )
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import EliminationTrace
-from .optimality import MONOTONIC_NOTIONS, Notion, parse_notion
 from .verify import VerificationReport
 
 
@@ -47,10 +47,6 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _load_game(path: str) -> Game:
-    return parse_game(_read(path))
 
 
 def _render_witness(witness) -> str:
@@ -101,9 +97,7 @@ def render_report(report: VerificationReport) -> str:
         lines.append(f"note: {note}")
     payload = report.counterexample
     if payload:
-        for key in sorted(payload):
-            if key == "kind":
-                continue
+        for key in sorted(payload.keys() - {"kind"}):
             value = payload[key]
             render = _RENDERERS.get(type(value))
             if render is not None:
@@ -129,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     eliminate.add_argument("--mode", choices=[GLOBAL, LOCAL], default=LOCAL)
     eliminate.add_argument("--trace", action="store_true", help="print every stage")
     eliminate.add_argument("--dump", metavar="FILE", help="write the structured trace dump")
+    eliminate.set_defaults(run=_cmd_eliminate)
 
     epistemic = commands.add_parser("epistemic", help="evaluate events on a model")
     epistemic.add_argument("--game", required=True, metavar="FILE")
@@ -136,9 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     epistemic.add_argument("--profile", help="one notion or a comma list (rat; default sd)")
     epistemic.add_argument("action", choices=["rat", "commonbox", "validate"])
     epistemic.add_argument("event", nargs="?", help="comma-separated states (for commonbox)")
+    epistemic.set_defaults(run=_cmd_epistemic)
 
     verify = commands.add_parser("verify", help="check a claim or run its random suite")
-    verify.add_argument("claim", choices=list(READS))
+    verify.add_argument("claim", choices=list(verify_mod.CLAIMS))
     verify.add_argument("--game", metavar="FILE")
     verify.add_argument("--model", metavar="FILE")
     verify.add_argument("--profile", help="one notion or a comma list")
@@ -147,6 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cor2 (default correlated)")
     verify.add_argument("--samples", type=int, help="random suite size (default 300)")
     verify.add_argument("--seed", type=int, default=0)
+    verify.set_defaults(run=_cmd_verify)
 
     generate = commands.add_parser("generate", help="emit a random game or model")
     kind = generate.add_subparsers(dest="kind", required=True)
@@ -154,17 +151,19 @@ def build_parser() -> argparse.ArgumentParser:
     gen_game.add_argument("--seed", type=int, required=True)
     gen_game.add_argument("--players", type=int, nargs=2, default=(2, 2), metavar=("LO", "HI"))
     gen_game.add_argument("--strategies", type=int, nargs=2, default=(2, 3), metavar=("LO", "HI"))
+    gen_game.set_defaults(run=_cmd_generate_game)
     gen_model = kind.add_parser("model")
     gen_model.add_argument("--seed", type=int, required=True)
     gen_model.add_argument("--game", required=True, metavar="FILE")
     gen_model.add_argument("--states", type=int, nargs=2, default=(2, 6), metavar=("LO", "HI"))
     gen_model.add_argument("--class", dest="target_class",
                            choices=["belief", "knowledge"], default="knowledge")
+    gen_model.set_defaults(run=_cmd_generate_model)
     return parser
 
 
 def _cmd_eliminate(args) -> int:
-    game = _load_game(args.game)
+    game = parse_game(_read(args.game))
     profile = NotionProfile.parse(args.notion, game.n)
     trace = outcome(profile, game, args.mode)
     dump = render_trace(trace, args.mode, profile)
@@ -184,7 +183,7 @@ def _cmd_epistemic(args) -> int:
         raise ValidationError(f"epistemic {args.action} takes no --profile")
     if args.event is not None and args.action != "commonbox":
         raise ValidationError(f"epistemic {args.action} takes no event argument")
-    game = _load_game(args.game)
+    game = parse_game(_read(args.game))
     model = parse_model(_read(args.model), game)
     if args.action == "validate":
         print(validation_report(model), end="")
@@ -203,32 +202,9 @@ def _cmd_epistemic(args) -> int:
     return 0
 
 
-def _suite_notion(text: str) -> Notion:
-    parts = text.replace(",", " ").split()
-    if len(parts) != 1:
-        raise ValidationError(f"a random suite takes one notion, got {text!r}")
-    return parse_notion(parts[0])
-
-
-# per verify claim: the options its single-instance check reads given --game
-# (None: it only runs a suite), and those its suite reads (None: it needs
-# --game); a single check that reads --model needs it
-READS = {
-    "thm1i": (("--model", "--profile"), ("--profile", "--samples")),
-    "thm1ii": (("--model", "--profile"), ("--profile", "--samples")),
-    "thm1iii": (("--profile",), ("--samples",)),
-    "thm2": (("--profile", "--joint"), None),
-    "cor1": (("--model",), ("--samples",)),
-    "cor2": (("--model", "--belief-class"), ("--belief-class", "--samples")),
-    "pearce": (None, ("--samples",)),
-    "lemma-inc": (None, ("--samples",)),
-    "monotonicity": ((), ("--samples",)),
-}
-
-
 def _cmd_verify(args) -> int:
-    claim, seed = args.claim, args.seed
-    single, suite = READS[claim]
+    claim, record = args.claim, verify_mod.CLAIMS[args.claim]
+    single, suite = record.reads
     # an empty path is a file that cannot be read, not a missing option
     has_game, has_model = args.game is not None, args.model is not None
     reads = single if has_game else suite
@@ -247,83 +223,47 @@ def _cmd_verify(args) -> int:
         )
     if reads is None:
         raise ValidationError(f"verify {claim} needs --game")
-    for option, value in (
-        ("--profile", args.profile),
-        ("--joint", args.joint),
-        ("--belief-class", args.belief_class),
-        ("--samples", args.samples),
-    ):
-        if value is not None and option not in reads:
+    for option in ("--profile", "--joint", "--belief-class", "--samples"):
+        if getattr(args, option[2:].replace("-", "_")) is not None and option not in reads:
             with_game = " with --game" if has_game else ""
             raise ValidationError(f"verify {claim}{with_game} takes no {option}")
     if has_model and not has_game:
         raise ValidationError("--model needs --game")
-    samples = 300 if args.samples is None else args.samples
     belief_class = args.belief_class or "correlated"
 
-    if has_game:
-        game = _load_game(args.game)
-        model = parse_model(_read(args.model), game) if has_model else None
-        if "--profile" in single and args.profile is None:
-            raise ValidationError(f"verify {claim} needs --profile")
-        profile = None if args.profile is None else NotionProfile.parse(args.profile, game.n)
-        if claim == "thm1i":
-            report = verify_mod.verify_thm1i(game, model, profile, seed=seed)
-        elif claim == "thm1ii":
-            report = verify_mod.verify_thm1ii(game, model, profile, seed=seed)
-        elif claim == "thm1iii":
-            report = verify_mod.verify_thm1iii(game, profile, seed=seed)
-        elif claim == "thm2" and args.joint is not None:
-            joint = tuple(args.joint.split(","))
-            try:
-                report = verify_mod.verify_thm2(game, profile, joint, seed=seed)
-            except HypothesisNotMet as exc:
-                print(f"hypothesis not met: {exc}", file=sys.stderr)
-                return 2
-        elif claim == "thm2":
-            report = verify_mod.search_thm2(game, profile, seed=seed)
-        elif claim == "cor1":
-            report = verify_mod.verify_cor1(game, model, seed=seed)
-        elif claim == "cor2":
-            report = verify_mod.verify_cor2(game, model, belief_class, seed=seed)
+    try:
+        if has_game:
+            game = parse_game(_read(args.game))
+            model = parse_model(_read(args.model), game) if has_model else None
+            if "--profile" in single and args.profile is None:
+                raise ValidationError(f"verify {claim} needs --profile")
+            profile = None if args.profile is None else NotionProfile.parse(args.profile, game.n)
+            joint = None if args.joint is None else tuple(args.joint.split(","))
+            report = record.check(SimpleNamespace(
+                game=game, model=model, profile=profile, joint=joint,
+                belief_class=belief_class, seed=args.seed))
         else:
-            report = verify_mod.verify_monotonicity(game, seed=seed)
-    elif claim in ("thm1i", "thm1ii"):
-        notions = MONOTONIC_NOTIONS if args.profile is None else [_suite_notion(args.profile)]
-        for notion in notions:
-            report = verify_mod.thm1_suite(notion, samples, seed=seed)
-            if not report.holds:
-                break
-    elif claim == "thm1iii":
-        report = verify_mod.thm1iii_suite(samples, seed=seed)
-    elif claim in ("cor1", "cor2"):
-        report = verify_mod.cor_suite(claim, samples, seed=seed, belief_class=belief_class)
-    elif claim == "pearce":
-        report = verify_mod.pearce_suite(samples, seed=seed)
-    elif claim == "lemma-inc":
-        report = verify_mod.lemma_inc_suite(samples, seed=seed)
-    else:
-        report = verify_mod.monotonicity_suite(samples, max(1, samples // 5), seed)
-
+            samples = 300 if args.samples is None else args.samples
+            report = record.suite(SimpleNamespace(
+                samples=samples, seed=args.seed, profile=args.profile, belief_class=belief_class))
+    except HypothesisNotMet as exc:
+        print(f"hypothesis not met: {exc}", file=sys.stderr)
+        return 2
     print(render_report(report), end="")
     return 0 if report.holds else 1
 
 
-def _cmd_generate(args) -> int:
-    if args.kind == "game":
-        config = GeneratorConfig(
-            seed=args.seed,
-            players=tuple(args.players),
-            strategies=tuple(args.strategies),
-        )
-        print(render_game(generate_game(config)), end="")
-        return 0
-    game = _load_game(args.game)
+def _cmd_generate_game(args) -> int:
     config = GeneratorConfig(
-        seed=args.seed,
-        states=tuple(args.states),
-        target_class=args.target_class,
-    )
+        seed=args.seed, players=tuple(args.players), strategies=tuple(args.strategies))
+    print(render_game(generate_game(config)), end="")
+    return 0
+
+
+def _cmd_generate_model(args) -> int:
+    game = parse_game(_read(args.game))
+    config = GeneratorConfig(
+        seed=args.seed, states=tuple(args.states), target_class=args.target_class)
     print(render_model(generate_model(config, game)), end="")
     return 0
 
@@ -339,13 +279,7 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        if args.command == "eliminate":
-            return _cmd_eliminate(args)
-        if args.command == "epistemic":
-            return _cmd_epistemic(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_generate(args)
+        return args.run(args)
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

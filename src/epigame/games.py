@@ -74,7 +74,7 @@ def _rational_literal(text: str) -> Fraction:
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if type(value) is int:  # not a bool, as in as_int
         return Fraction(value)
     if isinstance(value, str):
         return _rational_literal(value)

@@ -24,8 +24,9 @@ profiles in offset order. A Pearce payload names the player, the strategy,
 and its ``msd`` mixture and ``brc`` belief. Both number players from 1, as
 traces do.
 
-Claim ids are the engine's stable names; the CLI drops the dot from "thm1.i"
-to "thm1.iii", and says lemma-inc for "lem.inc", monotonicity for "lem.mono".
+Each claim is one record of :data:`CLAIMS`, which carries both its names:
+the key is the CLI's (thm1i, lemma-inc, monotonicity), the ``kind`` the
+engine's stable id, which its payloads carry too (thm1.i, lem.inc, lem.mono).
 """
 
 from __future__ import annotations
@@ -33,9 +34,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .elimination import GLOBAL, LOCAL, NotionProfile, operator, u_local
 from .epistemic import (
@@ -95,12 +99,13 @@ class VerificationReport:
 
 
 def _report(claim, instances, violated, payload, seed, notes=()):
+    """Every report is made here, so here the seed a checker is given is read."""
     return VerificationReport(
         claim=claim,
         instances_checked=instances,
         verdict=COUNTEREXAMPLE if violated else HOLDS_ON_ALL,
         counterexample=payload if violated else None,
-        seed=seed,
+        seed=None if seed is None else as_int("seed", seed),
         notes=tuple(notes),
     )
 
@@ -253,7 +258,6 @@ def verify_thm2(
 def search_thm2(game: Game, profile: NotionProfile, seed: int | None = None) -> VerificationReport:
     """Scan all joint strategies for one meeting the counterexample
     hypothesis; verify the first hit."""
-    profile.validate_for(game)
     for tried, joint in enumerate(game.joint_strategies, 1):
         if not thm2_hypothesis_clauses(game, profile, joint):
             report = verify_thm2(game, profile, joint, seed=seed)
@@ -385,16 +389,17 @@ def cor_suite(
         raise ValidationError(f"unknown corollary {which!r}; expected cor1 or cor2")
     if belief_class not in BELIEF_CLASS_NOTIONS:
         raise ValidationError(f"unknown belief class {belief_class!r}")
-    notion = Notion.BR_POINT if which == "cor1" else BELIEF_CLASS_NOTIONS[belief_class]
+    claim = CLAIMS[which]
+    # a check that reads no belief class draws the games of point beliefs
+    notion = BELIEF_CLASS_NOTIONS[belief_class if "--belief-class" in claim.reads[0] else "point"]
 
     def check(instance_seed):
         target = "belief" if (instance_seed - seed) % 2 else "knowledge"
         config = _suite_config(instance_seed, target, notion, (2, 3), (2, 6))
         game = generate_game(config)
         model = generate_model(config, game)
-        if which == "cor1":
-            return verify_cor1(game, model)
-        return verify_cor2(game, model, belief_class)
+        return claim.check(SimpleNamespace(game=game, model=model, belief_class=belief_class,
+                                           seed=None))
 
     return _suite(which, instances, seed, check)
 
@@ -621,7 +626,82 @@ def monotonicity_suite(small_samples: int = 5000, large_samples: int = 1000,
     return _report("lem.mono", checked, False, None, seed)
 
 
-# --- replay -----------------------------------------------------------------------
+# --- the claim table --------------------------------------------------------------
+
+def _thm1_suites(inputs) -> VerificationReport:
+    """The thm1 suite for the one notion ``inputs.profile`` names, else for
+    each monotonic notion in turn, up to the first that fails."""
+    notions = MONOTONIC_NOTIONS
+    if inputs.profile is not None:
+        parts = inputs.profile.replace(",", " ").split()
+        if len(parts) != 1:
+            raise ValidationError(f"a random suite takes one notion, got {inputs.profile!r}")
+        notions = [parse_notion(parts[0])]
+    for notion in notions:
+        report = thm1_suite(notion, inputs.samples, seed=inputs.seed)
+        if not report.holds:
+            break
+    return report
+
+
+def _witness_reproduces(payload: dict) -> bool:
+    """A monotonicity payload's witness, re-run through :func:`_violations`."""
+    game, (player, label, smaller, larger) = payload["game"], payload["witness"]
+    i = player - 1
+    notion = evaluated_notion(payload["notion"], game.n)
+    s = game.strategy_index(i, label)
+    small, big = (_opponent_set_mask(game, i, profiles) for profiles in (smaller, larger))
+    return any(_violations(game, notion, i, (s,), ((small, big),)))
+
+
+class Claim(NamedTuple):
+    """One claim. ``kind`` is its engine id and its payloads' kind. ``reads``
+    pairs the options its check reads given --game (None: no check) with those
+    its suite reads (None: no suite); a check that reads --model needs it.
+    ``check`` reads a namespace of game, model, profile, joint, belief_class
+    and seed, ``suite`` one of samples, seed, profile (its text) and
+    belief_class. ``replay(payload)`` is True when the violation reproduces;
+    None re-runs ``check`` on the payload. They look the checkers and suites
+    up when called, so a wrapper put on one of those sees the call."""
+    kind: str
+    reads: tuple[tuple[str, ...] | None, tuple[str, ...] | None]
+    check: Callable[[SimpleNamespace], VerificationReport] | None
+    suite: Callable[[SimpleNamespace], VerificationReport] | None
+    replay: Callable[[dict], bool] | None = None
+
+
+CLAIMS = {
+    "thm1i": Claim("thm1.i", (("--model", "--profile"), ("--profile", "--samples")),
+                   lambda a: verify_thm1i(a.game, a.model, a.profile, seed=a.seed),
+                   _thm1_suites),
+    "thm1ii": Claim("thm1.ii", (("--model", "--profile"), ("--profile", "--samples")),
+                    lambda a: verify_thm1ii(a.game, a.model, a.profile, seed=a.seed),
+                    _thm1_suites),
+    "thm1iii": Claim("thm1.iii", (("--profile",), ("--samples",)),
+                     lambda a: verify_thm1iii(a.game, a.profile, seed=a.seed),
+                     lambda a: thm1iii_suite(a.samples, seed=a.seed)),
+    "thm2": Claim("thm2", (("--profile", "--joint"), None),
+                  lambda a: search_thm2(a.game, a.profile, seed=a.seed) if a.joint is None
+                  else verify_thm2(a.game, a.profile, a.joint, seed=a.seed), None),
+    "cor1": Claim("cor1", (("--model",), ("--samples",)),
+                  lambda a: verify_cor1(a.game, a.model, seed=a.seed),
+                  lambda a: cor_suite("cor1", a.samples, seed=a.seed)),
+    "cor2": Claim("cor2", (("--model", "--belief-class"), ("--belief-class", "--samples")),
+                  lambda a: verify_cor2(a.game, a.model, a.belief_class, seed=a.seed),
+                  lambda a: cor_suite("cor2", a.samples, a.seed, a.belief_class)),
+    "pearce": Claim("pearce", (None, ("--samples",)), None,
+                    lambda a: pearce_suite(a.samples, seed=a.seed),
+                    lambda p: _pearce_violation(p["game"], p["restriction"]) is not None),
+    "lemma-inc": Claim("lem.inc", (None, ("--samples",)), None,
+                       lambda a: lemma_inc_suite(a.samples, seed=a.seed),
+                       lambda p: _inclusion_lemma_violation(p["game"], p["instance_seed"])
+                       is not None),
+    "monotonicity": Claim("lem.mono", ((), ("--samples",)),
+                          lambda a: verify_monotonicity(a.game, seed=a.seed),
+                          lambda a: monotonicity_suite(a.samples, max(1, a.samples // 5), a.seed),
+                          _witness_reproduces),
+}
+
 
 def replay(report: VerificationReport) -> bool:
     """Re-run the single instance recorded in a counterexample payload;
@@ -629,29 +709,9 @@ def replay(report: VerificationReport) -> bool:
     payload = report.counterexample
     if payload is None:
         return False
-    kind = payload["kind"]
-    if kind == "thm1.i":
-        return not verify_thm1i(payload["game"], payload["model"], payload["profile"]).holds
-    if kind == "thm1.ii":
-        return not verify_thm1ii(payload["game"], payload["model"], payload["profile"]).holds
-    if kind == "thm1.iii":
-        return not verify_thm1iii(payload["game"], payload["profile"]).holds
-    if kind == "thm2":
-        return not verify_thm2(payload["game"], payload["profile"], payload["joint"]).holds
-    if kind == "cor1":
-        return not verify_cor1(payload["game"], payload["model"]).holds
-    if kind == "cor2":
-        return not verify_cor2(payload["game"], payload["model"], payload["belief_class"]).holds
-    if kind == "pearce":
-        return _pearce_violation(payload["game"], payload["restriction"]) is not None
-    if kind == "lem.mono":
-        game = payload["game"]
-        player, label, smaller, larger = payload["witness"]
-        i = player - 1
-        notion = evaluated_notion(payload["notion"], game.n)
-        s = game.strategy_index(i, label)
-        small, big = (_opponent_set_mask(game, i, profiles) for profiles in (smaller, larger))
-        return any(_violations(game, notion, i, (s,), ((small, big),)))
-    if kind == "lem.inc":
-        return _inclusion_lemma_violation(payload["game"], payload["instance_seed"]) is not None
-    raise ValidationError(f"unknown payload kind {kind!r}")
+    claim = next((c for c in CLAIMS.values() if c.kind == payload["kind"]), None)
+    if claim is None:
+        raise ValidationError(f"unknown payload kind {payload['kind']!r}")
+    if claim.replay is not None:
+        return claim.replay(payload)
+    return not claim.check(SimpleNamespace(seed=None, **payload)).holds

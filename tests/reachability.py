@@ -44,6 +44,7 @@ DOCUMENTED = frozenset({
     "optimality._opponent_set_mask",  # its opponent-set reader, which replay shares
     "epistemic.box",
     "verify.replay",
+    "verify._witness_reproduces",  # the monotonicity claim's replay
     # reached only when the engine is at fault: an operator step that does
     # not contract, and the payloads of a monotonicity (its notion) or
     # Pearce (its belief) counterexample

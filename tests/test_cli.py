@@ -4,8 +4,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from epigame.cli import READS, main
+from epigame.cli import main
 from epigame.games import parse_game
+from epigame.verify import CLAIMS
 
 from conftest import FLAT_GAME_TEXT, TIE_GAME_TEXT
 
@@ -414,7 +415,7 @@ def test_empty_file_option_is_an_input_error(capsys, tie_game_file, argv, messag
 
 
 @given(
-    claim=st.sampled_from(sorted(READS)),
+    claim=st.sampled_from(sorted(CLAIMS)),
     options=st.sets(st.sampled_from(
         ["--game", "--model", "--profile", "--joint", "--belief-class", "--samples"]
     )),
@@ -439,7 +440,7 @@ def test_verify_option_errors_follow_the_table(
     argv = ["verify", claim]
     for option in sorted(options):
         argv += [option, values[option]]
-    single, suite = READS[claim]
+    single, suite = CLAIMS[claim].reads
     reads = single if "--game" in options else suite
     forbidden = (
         reads is None

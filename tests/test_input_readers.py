@@ -106,6 +106,9 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     lambda: GeneratorConfig(seed=0, players=(2,)),
     lambda: GeneratorConfig(seed=0, payoff_pool=5),
     lambda: GeneratorConfig(seed=[1]),
+    # a bool payoff read as 1 or 0
+    lambda: GeneratorConfig(seed=0, payoff_pool=(True, False)),
+    lambda: game_from_payoffs([("a",), ("x",)], [{("a", "x"): True}, {("a", "x"): 0}]),
 ], ids=[
     "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42", "profile-int",
     "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
@@ -119,7 +122,7 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     "thm1-suite-float", "pearce-suite-text", "thm1-suite-text-seed", "pearce-suite-float-seed",
     "monotonicity-suite-text-seed", "cor1-suite-belief-class",
     "config-players-float", "config-strategies-text", "config-players-single",
-    "config-pool-int", "config-seed-list",
+    "config-pool-int", "config-seed-list", "pool-bool", "payoffs-bool",
 ])
 def test_a_malformed_value_is_a_validation_error(call):
     with pytest.raises(ValidationError):

@@ -17,6 +17,7 @@ from epigame.games import Restriction
 from epigame.generators import GeneratorConfig, generate_game, generate_model
 from epigame.optimality import Notion
 from epigame.verify import (
+    CLAIMS,
     VerificationReport,
     _suite_config,
     cor_suite,
@@ -597,20 +598,73 @@ def test_each_inclusion_premise_fails_as_a_replayable_counterexample(
     assert replay(report) is True
 
 
-def test_replay_reruns_the_inclusion_lemma():
-    # a forged lem.inc report on a game where the lemma holds does not replay
-    game = generate_game(GeneratorConfig(seed=4, players=(2, 3), strategies=(2, 3)))
-    assert lemma_inc_suite(1, seed=4).holds
-    payload = {
-        "kind": "lem.inc",
-        "game": game,
-        "instance_seed": 4,
-        "op1": "T[brp]",
-        "op2": "U[sd]",
-        "outcome1": game.full_restriction(),
-        "outcome2": Restriction(game, (0,) * game.n),
+def _forged_payloads(tie_game):
+    """Per claim, a payload that states a violation on an instance where the
+    claim holds; its other keys are what a real payload of the kind carries."""
+    sd = NotionProfile.uniform(Notion.SD, 2)
+    model = singleton_model(tie_game)
+    full, corner = tie_game.full_restriction(), Restriction(tie_game, (1, 1))
+    lemma_game = generate_game(GeneratorConfig(seed=4, players=(2, 3), strategies=(2, 3)))
+    return {
+        "thm1i": {"game": tie_game, "model": model, "profile": sd, "chosen": full, "limit": corner},
+        "thm1ii": {"game": tie_game, "model": model, "profile": sd, "chosen": full,
+                   "limit": corner},
+        "thm1iii": {"game": tie_game, "profile": sd, "model": two_block_model(tie_game, full),
+                    "limit": full, "recovered": corner},
+        # thm2's check builds a violation: on a joint strategy that meets its
+        # hypothesis it always reproduces, so the forged one misses it
+        "thm2": {"game": tie_game, "profile": NotionProfile.uniform(Notion.WD, 2),
+                 "joint": ("D", "R"), "model": model},
+        "cor1": {"game": tie_game, "model": model, "chosen": full, "limit": corner},
+        "cor2": {"game": tie_game, "model": model, "belief_class": "point", "chosen": full,
+                 "limit": corner},
+        "pearce": {"game": tie_game, "restriction": full, "player": 1, "strategy": "U",
+                   "msd": None, "brc": None},
+        "lemma-inc": {"game": lemma_game, "instance_seed": 4, "op1": "T[brp]", "op2": "U[sd]",
+                      "outcome1": lemma_game.full_restriction(),
+                      "outcome2": Restriction(lemma_game, (0,) * lemma_game.n)},
+        "monotonicity": {"game": tie_game, "notion": Notion.SD,
+                         "witness": next(nonmonotonicity_witnesses(tie_game, Notion.WD))},
     }
-    assert replay(VerificationReport("lem.inc", 1, "counterexample", payload, seed=4)) is False
+
+
+@pytest.mark.parametrize("name", sorted(CLAIMS))
+def test_replay_reruns_each_claim(tie_game, name):
+    # a forged report on an instance where the claim holds does not replay
+    forged = _forged_payloads(tie_game)
+    assert forged.keys() == CLAIMS.keys()
+    payload = {"kind": CLAIMS[name].kind, **forged[name]}
+    report = VerificationReport(CLAIMS[name].kind, 1, "counterexample", payload, seed=0)
+    if name == "thm2":
+        with pytest.raises(HypothesisNotMet):
+            replay(report)
+    else:
+        assert replay(report) is False
+
+
+def test_replay_rejects_a_kind_outside_the_table(tie_game):
+    payload = {"kind": "thm3", "game": tie_game}
+    with pytest.raises(ValidationError, match="unknown payload kind 'thm3'"):
+        replay(VerificationReport("thm3", 1, "counterexample", payload, seed=0))
+
+
+@pytest.mark.parametrize("seed", [[1], "x", True, 2.5], ids=["list", "text", "bool", "float"])
+@pytest.mark.parametrize("check", [
+    lambda g, seed: verify_thm1i(g, singleton_model(g), NotionProfile.uniform("sd", 2), seed),
+    lambda g, seed: verify_thm1ii(g, singleton_model(g), NotionProfile.uniform("sd", 2), seed),
+    lambda g, seed: verify_thm1iii(g, NotionProfile.uniform("sd", 2), seed),
+    lambda g, seed: verify_thm2(g, NotionProfile.uniform("wd", 2), ("U", "L"), seed),
+    lambda g, seed: search_thm2(g, NotionProfile.uniform("wd", 2), seed),
+    lambda g, seed: verify_cor1(g, singleton_model(g), seed),
+    lambda g, seed: verify_cor2(g, singleton_model(g), seed=seed),
+    lambda g, seed: verify_monotonicity(g, seed),
+], ids=["thm1i", "thm1ii", "thm1iii", "thm2", "search-thm2", "cor1", "cor2", "monotonicity"])
+def test_a_checker_rejects_a_seed_that_is_not_an_int(tie_game, check, seed):
+    # each checker echoed any seed into its report
+    with pytest.raises(ValidationError, match="seed must be an int"):
+        check(tie_game, seed)
+    assert check(tie_game, None).seed is None
+    assert check(tie_game, 7).seed == 7
 
 
 def test_cor1_suite_games_do_not_depend_on_the_belief_class(monkeypatch):
