@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--model", metavar="FILE")
     verify.add_argument("--profile", help="one notion or a comma list")
     verify.add_argument("--joint", help="comma-separated joint strategy (thm2)")
-    verify.add_argument("--belief-class", choices=["point", "independent", "correlated"],
+    verify.add_argument("--belief-class", choices=list(verify_mod.BELIEF_CLASS_NOTIONS),
                         help="cor2 (default correlated)")
     verify.add_argument("--samples", type=int, help="random suite size (default 300)")
     verify.add_argument("--seed", type=int, default=0)

@@ -76,7 +76,7 @@ class StateSpace:
 
     def require_event(self, event: int) -> None:
         """The entry check of every event function: an int mask of these states."""
-        if not isinstance(event, int) or not 0 <= event <= self.full_mask:
+        if type(event) is not int or not 0 <= event <= self.full_mask:  # not a bool
             raise ValidationError(f"an event is an int state mask in 0..2**{len(self.states)} - 1")
 
 

@@ -135,7 +135,7 @@ class Game:
                 raise ValidationError(
                     f"payoff table for player {i + 1} has {len(table)} entries, expected {size}")
             if not all(type(v) is Fraction for v in table):  # else kept as given
-                if not all(isinstance(v, (int, Fraction)) for v in table):
+                if not all(type(v) is int or isinstance(v, Fraction) for v in table):
                     raise ValidationError(
                         f"player {i + 1} has a payoff that is not an int or Fraction")
                 table = tuple(map(Fraction, table))
@@ -228,7 +228,7 @@ class Game:
     def player(self, i: int) -> int:
         """``i`` if it numbers a player (0-based); a negative number is not
         read as counted from the last player."""
-        if not isinstance(i, int) or not 0 <= i < len(self.strategies):
+        if type(i) is not int or not 0 <= i < len(self.strategies):  # not a bool
             raise ValidationError(f"player index {i!r} is not in 0..{self.n - 1}")
         return i
 

@@ -296,6 +296,13 @@ BELIEF_CLASS_NOTIONS = {
 }
 
 
+def _belief_class_notion(belief_class: str) -> Notion:
+    """The best-response notion of a belief class name."""
+    if not isinstance(belief_class, str) or belief_class not in BELIEF_CLASS_NOTIONS:
+        raise ValidationError(f"unknown belief class {belief_class!r}")
+    return BELIEF_CLASS_NOTIONS[belief_class]
+
+
 def verify_cor2(
     game: Game,
     model: EpistemicModel,
@@ -305,10 +312,7 @@ def verify_cor2(
     """Best-response rationality (point, independent, or correlated beliefs)
     under true common belief confines play to the local mixed-strict-
     dominance outcome."""
-    notion = BELIEF_CLASS_NOTIONS.get(belief_class)
-    if notion is None:
-        raise ValidationError(f"unknown belief class {belief_class!r}")
-    profile = NotionProfile.uniform(notion, game.n)
+    profile = NotionProfile.uniform(_belief_class_notion(belief_class), game.n)
     profile.validate_for(game)
     return _verify_cor("cor2", game, model, profile, Notion.MSD, seed, belief_class=belief_class)
 
@@ -387,11 +391,11 @@ def cor_suite(
     independent beliefs runs on 2-player games, the only ones it admits."""
     if which not in ("cor1", "cor2"):
         raise ValidationError(f"unknown corollary {which!r}; expected cor1 or cor2")
-    if belief_class not in BELIEF_CLASS_NOTIONS:
-        raise ValidationError(f"unknown belief class {belief_class!r}")
+    notion = _belief_class_notion(belief_class)
     claim = CLAIMS[which]
     # a check that reads no belief class draws the games of point beliefs
-    notion = BELIEF_CLASS_NOTIONS[belief_class if "--belief-class" in claim.reads[0] else "point"]
+    if "--belief-class" not in claim.reads[0]:
+        notion = Notion.BR_POINT
 
     def check(instance_seed):
         target = "belief" if (instance_seed - seed) % 2 else "knowledge"

@@ -1,9 +1,47 @@
-"""The output contract: every call of the corpus prints what contract.txt pins."""
+"""The output contract: every call of the corpus prints what contract.txt pins
+and exits as the corpus allows, in-process and as ``python -m epigame.cli``."""
+
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import epigame
+import epigame.cli
 
 import contract
 
 
 def test_every_call_prints_what_the_contract_pins():
     expected = contract.CONTRACT.read_text(encoding="utf-8").splitlines()
-    found = contract.changes(expected, contract.lines())
+    actual, found = contract.lines()
+    found += contract.changes(expected, actual)
     assert not found, "\n".join(found)
+
+
+def _in_process(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = epigame.cli.main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def test_the_entry_point_exits_as_main_returns(tmp_path):
+    # sys.exit(main()) under python -m: the process's exit code, stdout and
+    # stderr are main's, for a holding check, a counterexample and an input error
+    calls = [argv for argv, _ in contract.corpus(tmp_path, lambda argv: _in_process(argv)[:2])]
+    game = str(tmp_path / "seed9.game")
+    chosen = [["eliminate", "--game", game, "--notion", "sd"],
+              ["verify", "thm2", "--game", game, "--profile", "wd"],
+              ["eliminate", "--game", game, "--notion", "xx"]]
+    assert all(argv in calls for argv in chosen)
+    src = str(Path(epigame.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    for argv, code in zip(chosen, (0, 1, 2)):
+        done = subprocess.run([sys.executable, "-m", "epigame.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == _in_process(argv)
+        assert done.returncode == code

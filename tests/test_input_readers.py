@@ -13,7 +13,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from epigame.elimination import GLOBAL, LOCAL, NotionProfile, outcome
-from epigame.epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
+from epigame.epistemic import (
+    EpistemicModel,
+    PossibilityCorrespondence,
+    StateSpace,
+    box,
+    common_box,
+    restriction_of,
+)
 from epigame.errors import ValidationError
 from epigame.games import (
     CorrelatedBelief,
@@ -35,6 +42,7 @@ from epigame.verify import (
     thm1_suite,
     thm1iii_suite,
     thm2_hypothesis_clauses,
+    verify_cor2,
 )
 
 AB_XY = game_from_payoffs([("a", "b"), ("x", "y")], [
@@ -44,6 +52,7 @@ THREE = game_from_payoffs([("a", "b"), ("x", "y"), ("p", "q")], [
 POINT_X = CorrelatedBelief(((("x",), 1),))
 W = StateSpace(("w",))
 W_CELLS = (PossibilityCorrespondence(W, ({"w"},)),) * 2
+W_MODEL = EpistemicModel(AB_XY, W, (("a",), ("x",)), W_CELLS)
 BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
 
 
@@ -109,6 +118,15 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     # a bool payoff read as 1 or 0
     lambda: GeneratorConfig(seed=0, payoff_pool=(True, False)),
     lambda: game_from_payoffs([("a",), ("x",)], [{("a", "x"): True}, {("a", "x"): 0}]),
+    lambda: Game((("a", "b"), ("x", "y")), ((True, 0, 0, 1), (1, 0, 0, 1))),
+    # True read as player 2 and as the event mask 1
+    lambda: holds("sd", AB_XY, True, "x", ("x", "y"), [("a",)]),
+    lambda: box(W_MODEL, True),
+    lambda: common_box(W_MODEL, True),
+    lambda: restriction_of(W_MODEL, True),
+    # an unhashable belief class ended in TypeError
+    lambda: verify_cor2(AB_XY, W_MODEL, ["x"]),
+    lambda: cor_suite("cor2", 2, belief_class=["x"]),
 ], ids=[
     "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42", "profile-int",
     "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
@@ -122,7 +140,9 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     "thm1-suite-float", "pearce-suite-text", "thm1-suite-text-seed", "pearce-suite-float-seed",
     "monotonicity-suite-text-seed", "cor1-suite-belief-class",
     "config-players-float", "config-strategies-text", "config-players-single",
-    "config-pool-int", "config-seed-list", "pool-bool", "payoffs-bool",
+    "config-pool-int", "config-seed-list", "pool-bool", "payoffs-bool", "game-payoff-bool",
+    "player-bool", "event-bool", "common-box-event-bool", "restriction-event-bool",
+    "cor2-belief-class-list", "cor2-suite-belief-class-list",
 ])
 def test_a_malformed_value_is_a_validation_error(call):
     with pytest.raises(ValidationError):

@@ -1,17 +1,25 @@
 """The game and model file parsers: round trips, the exact error of every
 rejected input, and the bounds a bad input may not break."""
 
+import contextlib
+import io
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epigame.cli import main
+from epigame.elimination import GLOBAL, LOCAL
 from epigame.epistemic import parse_model, render_model
 from epigame.errors import ParseError, ValidationError
 from epigame.games import Game, parse_game, render_game
 from epigame.generators import GeneratorConfig, generate_model
+from epigame.optimality import Notion
+from epigame.verify import BELIEF_CLASS_NOTIONS, CLAIMS
 
 from conftest import TIE_GAME_TEXT
 
@@ -30,8 +38,8 @@ payoff_values = st.one_of(
 
 
 @st.composite
-def games(draw):
-    n = draw(st.integers(2, 3))
+def games(draw, players=(2, 3)):
+    n = draw(st.integers(*players))
     strategies = tuple(
         tuple(f"s{i}{k}" for k in range(draw(st.integers(1, 4)))) for i in range(n)
     )
@@ -412,36 +420,104 @@ def test_a_line_repeated_under_another_spacing_is_a_duplicate(game, data):
         assert str(err.value) == f"duplicate {keyword} for player {player} at {at}"
 
 
+@st.composite
+def mutated(draw, text):
+    """``text``'s lines after 1 to 3 mutations, each a dropped line, a
+    duplicated line put anywhere, or two tokens of a line swapped; and
+    whether a swap was made."""
+    lines = text.splitlines()
+    swapped = False
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(("drop", "duplicate", "swap")))
+        if kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[k])
+        else:
+            tokens = lines[k].split(" ")
+            a, b = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+            tokens[a], tokens[b] = tokens[b], tokens[a]
+            lines[k] = " ".join(tokens)
+            swapped = True
+        if not lines:
+            break
+    return lines, swapped
+
+
+def is_broken(lines, swapped, text):
+    """Whether a mutation without a swap changed the file's lines: a
+    duplicate and a drop can move a line, which both formats accept."""
+    return not swapped and sorted(lines) != sorted(text.splitlines())
+
+
 @settings(max_examples=60, deadline=None)
 @given(games(), st.data())
 def test_mutated_files_end_in_input_errors(game, data):
     # a dropped or duplicated line breaks a rendered file, unless a later drop
-    # or duplicate gives back its lines (a duplicate and a drop can move a
-    # line, which both formats accept); a token swap may leave it valid (two
+    # or duplicate gives back its lines; a token swap may leave it valid (two
     # equal tokens), but never raises another error
     model = drawn_model(data, game, states=6)
     for text, parse in ((render_game(game), parse_game),
                         (render_model(model), lambda source: parse_model(source, game))):
-        lines = text.splitlines()
-        swapped = False
-        for _ in range(data.draw(st.integers(1, 3))):
-            k = data.draw(st.integers(0, len(lines) - 1))
-            kind = data.draw(st.sampled_from(("drop", "duplicate", "swap")))
-            if kind == "drop":
-                del lines[k]
-            elif kind == "duplicate":
-                lines.insert(data.draw(st.integers(0, len(lines))), lines[k])
-            else:
-                tokens = lines[k].split(" ")
-                a, b = (data.draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
-                tokens[a], tokens[b] = tokens[b], tokens[a]
-                lines[k] = " ".join(tokens)
-                swapped = True
-            if not lines:
-                break
+        lines, swapped = data.draw(mutated(text))
         try:
             parse("\n".join(lines) + "\n")
         except (ParseError, ValidationError):
             continue
-        assert swapped or sorted(lines) == sorted(text.splitlines()), \
+        assert not is_broken(lines, swapped, text), \
             "a file with a line dropped or duplicated was accepted"
+
+
+def _cli_argv(data, game, model):
+    """A drawn ``eliminate``, ``epistemic`` or single-check ``verify`` call on
+    the files ``GAME`` and ``MODEL``; each ``verify`` option is one its claim
+    reads."""
+    notion = st.sampled_from([n.value for n in Notion] + ["sd,mwd"])
+    checks = [name for name, claim in CLAIMS.items() if claim.reads[0] is not None]
+    command = data.draw(st.sampled_from(["eliminate", "epistemic", *checks]))
+    if command == "eliminate":
+        return ["eliminate", "--game", "GAME", "--notion", data.draw(notion),
+                "--mode", data.draw(st.sampled_from((GLOBAL, LOCAL))),
+                *data.draw(st.sampled_from(((), ("--trace",))))]
+    if command == "epistemic":
+        action = data.draw(st.sampled_from(("validate", "rat", "commonbox")))
+        argv = ["epistemic", "--game", "GAME", "--model", "MODEL", action]
+        if action == "rat":
+            argv += ["--profile", data.draw(notion)]
+        elif action == "commonbox":
+            argv.append(",".join(data.draw(st.lists(st.sampled_from(model.space.states)))))
+        return argv
+    values = {"--model": st.just("MODEL"), "--profile": notion,
+              "--joint": st.sampled_from([",".join(j) for j in game.joint_strategies]),
+              "--belief-class": st.sampled_from(list(BELIEF_CLASS_NOTIONS))}
+    argv = ["verify", command, "--game", "GAME"]
+    for option in CLAIMS[command].reads[0]:
+        # --model and --profile are needed where they are read
+        if option in ("--model", "--profile") or data.draw(st.booleans()):
+            argv += [option, data.draw(values[option])]
+    return argv
+
+
+# 2-player games: on a 3-player game the monotonicity check may take a
+# second or more, within its enumeration budget
+@settings(max_examples=100, deadline=None)
+@given(games(players=(2, 2)), st.data())
+def test_mutated_files_through_main_end_in_an_exit_code(game, data):
+    # main returns 0, 1 or 2 and raises nothing on a mutated game or model
+    # file; a file with a line dropped or duplicated ends in 2
+    model = drawn_model(data, game, states=6)
+    argv = _cli_argv(data, game, model)
+    texts = {"GAME": render_game(game), "MODEL": render_model(model)}
+    name = data.draw(st.sampled_from([name for name in texts if name in argv]))
+    lines, swapped = data.draw(mutated(texts[name]))
+    broken = is_broken(lines, swapped, texts[name])
+    texts[name] = "\n".join(lines) + "\n"
+    with tempfile.TemporaryDirectory() as directory:
+        for key, text in texts.items():
+            (Path(directory) / key).write_text(text, encoding="utf-8")
+        argv = [str(Path(directory) / arg) if arg in texts else arg for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2) and (code == 2 or not broken), (argv, code)
