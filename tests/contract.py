@@ -60,6 +60,10 @@ poss 1: b -> {}
 poss 2: a -> {a b}
 poss 2: b -> {a b}
 """
+# a poss line that names an unknown state, and a map line that names an
+# unknown strategy: the model constructors reject each label
+UNKNOWN_STATE_MODEL = INVALID_MODEL.replace("poss 1: b -> {}", "poss 1: b -> {a z}")
+UNKNOWN_STRATEGY_MODEL = INVALID_MODEL.replace("map 1: b -> B", "map 1: b -> Z")
 NOTIONS = ("sd", "wd", "msd", "mwd", "brp", "brc", "bri")
 # player 2 faces 11 profiles, so 4**11 opponent-subset pairs: past the
 # monotonicity check's enumeration budget
@@ -139,6 +143,8 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     bad = write("bad.game", "players: 2\nstrategies 1: U\n")
     unparsable = write("unparsable.game", "players: two\n")
     wide = write("wide.game", WIDE_GAME)
+    unknown_state = write("unknown-state.model", UNKNOWN_STATE_MODEL)
+    unknown_strategy = write("unknown-strategy.model", UNKNOWN_STRATEGY_MODEL)
     for argv in (["eliminate", "--game", bad, "--notion", "sd"],
                  ["eliminate", "--game", unparsable, "--notion", "sd"],
                  ["eliminate", "--game", str(directory / "missing.game"), "--notion", "sd"],
@@ -154,7 +160,10 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
                  # a required option or argument missing
                  ["verify", "thm1i", "--model", belief, "--samples", "2"],
                  ["verify", "thm1iii", "--game", game],
-                 ["epistemic", "--game", game, "--model", knowledge, "commonbox"]):
+                 ["epistemic", "--game", game, "--model", knowledge, "commonbox"],
+                 # a model file naming an unknown state or strategy
+                 ["epistemic", "--game", mixed, "--model", unknown_state, "validate"],
+                 ["epistemic", "--game", mixed, "--model", unknown_strategy, "validate"]):
         calls.append((argv, (2,)))
     # every suite at 20 samples, and thm1i and cor2 on the knowledge model
     for claim in suites:
