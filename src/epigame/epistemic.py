@@ -14,15 +14,17 @@ correspondence (whose possibility sets partition the space).
 An event is an ``int`` state mask: bit ``k`` keeps ``space.states[k]``. Every
 event function takes and returns masks; :meth:`StateSpace.mask_of` and
 :meth:`StateSpace.event_of` convert from and to state labels at the I/O
-boundary. A model's strategy choices are state masks too
-(:attr:`EpistemicModel.choosers`), and :func:`box`, :func:`common_box`,
-:func:`rat_event` and the class checks read each distinct possibility set
-once, through :attr:`PossibilityCorrespondence.sources`.
+boundary. Each value turns its labels into masks in the pass that checks
+them: :attr:`StateSpace.index`, :attr:`PossibilityCorrespondence.masks` and
+:attr:`~PossibilityCorrespondence.sources`, and a model's strategy choices
+(:attr:`EpistemicModel.choosers`) are built with the value. :func:`box`,
+:func:`common_box`, :func:`rat_event` and the class checks read each distinct
+possibility set once, through ``sources``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable
 
@@ -44,6 +46,7 @@ from .optimality import _holds_cached
 @dataclass(frozen=True)
 class StateSpace:
     states: tuple[str, ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "states", as_tuple(self.states))
@@ -51,16 +54,14 @@ class StateSpace:
             raise ValidationError("state space must be non-empty")
         for s in self.states:
             check_label(s, "state label", STATE_LABEL_RESERVED)
-        if len(set(self.states)) != len(self.states):
+        index = {s: k for k, s in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise ValidationError("state labels must be distinct")
-
-    @cached_property
-    def index(self) -> dict[str, int]:
-        return {s: k for k, s in enumerate(self.states)}
+        object.__setattr__(self, "index", index)
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
-        for s in labels:
+        for s in as_tuple(labels):
             try:
                 mask |= 1 << self.index[s]
             except (KeyError, TypeError):  # an unhashable label is unknown too
@@ -84,48 +85,45 @@ class StateSpace:
 class PossibilityCorrespondence:
     """Total map from states to possibility sets, in state order.
 
-    :attr:`sources` groups the states by possibility set; :attr:`kind`,
-    :func:`box`, :func:`common_box` and :func:`rat_event` read each
-    distinct set once through it."""
+    ``masks[k]`` is state ``k``'s set as a state mask; :attr:`sources` maps
+    each distinct mask to the mask of the states that have it. Both are
+    built in the pass that checks the targets' labels."""
 
     space: StateSpace
     targets: tuple[frozenset[str], ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    sources: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.targets) != len(self.space.states):
+        targets = as_tuple(self.targets)
+        if len(targets) != len(self.space.states):
             raise ValidationError("correspondence must cover every state")
-        targets = []
-        for t in self.targets:
-            try:
-                targets.append(frozenset(t))
-            except TypeError:  # an unhashable label, such as ['a'], is no state
-                raise ValidationError(f"correspondence targets unknown states in {t!r}") from None
-        object.__setattr__(self, "targets", tuple(targets))
-        known = set(self.space.states)
-        for t in dict.fromkeys(self.targets):  # each distinct set once, in order
-            if not t <= known:
-                unknown = sorted(t - known, key=str)
-                raise ValidationError(f"correspondence targets unknown states {unknown}")
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        # __post_init__ checked every label, so each one is in the index
         index = self.space.index
-        mask_of = {}
-        for t in set(self.targets):
-            mask = 0
-            for s in t:
-                mask |= 1 << index[s]
-            mask_of[t] = mask
-        return tuple(map(mask_of.__getitem__, self.targets))
-
-    @cached_property
-    def sources(self) -> dict[int, int]:
-        """Each distinct possibility mask -> the mask of the states that have it."""
-        sources: dict[int, int] = {}
-        for k, m in enumerate(self.masks):
-            sources[m] = sources.get(m, 0) | 1 << k
-        return sources
+        read: dict[frozenset[str], list[int]] = {}  # each distinct set -> [mask, its states]
+        frozen, masks = [], []
+        for k, t in enumerate(targets):
+            if type(t) is not frozenset:
+                try:
+                    t = frozenset(as_tuple(t))
+                except TypeError:  # an unhashable label, such as ['a'], is no state
+                    raise ValidationError(f"correspondence targets unknown states in {t!r}") from None
+            entry = read.get(t)
+            if entry is None:
+                mask = 0
+                for s in t:
+                    try:
+                        mask |= 1 << index[s]
+                    except KeyError:
+                        unknown = sorted((u for u in t if u not in index), key=str)
+                        raise ValidationError(
+                            f"correspondence targets unknown states {unknown}") from None
+                entry = read[t] = [mask, 0]
+            entry[1] |= 1 << k
+            frozen.append(t)
+            masks.append(entry[0])
+        object.__setattr__(self, "targets", tuple(frozen))
+        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "sources", dict(read.values()))
 
     @cached_property
     def serial(self) -> bool:
@@ -155,30 +153,34 @@ class EpistemicModel:
 
     ``strategy_maps[i]`` is aligned with the state order and must take values
     in the game's strategy set for player ``i``; a model over a restriction
-    simply has smaller images. Inside, the choices are state masks:
-    ``choosers[i][s]`` keeps the states at which player ``i`` chooses the
-    strategy with index ``s``. Maps and correspondences are stored as tuples.
+    simply has smaller images. Inside, the choices are state masks, built
+    where the maps' labels are checked: ``choosers[i][s]`` keeps the states at
+    which player ``i`` chooses the strategy with index ``s``. Maps and
+    correspondences are stored as tuples.
     """
 
     game: Game
     space: StateSpace
     strategy_maps: tuple[tuple[str, ...], ...]
     correspondences: tuple[PossibilityCorrespondence, ...]
+    choosers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "strategy_maps", tuple(map(as_tuple, as_tuple(self.strategy_maps))))
         if len(self.strategy_maps) != self.game.n:
             raise ValidationError("one strategy map per player is required")
+        choosers = []
         for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
             if len(labels) != len(self.space.states):
                 raise ValidationError(f"strategy map for player {i + 1} is not total")
-            try:
-                known = index.keys() >= set(labels)
-            except TypeError:  # an unhashable label is unknown too
-                known = False
-            if not known:
-                unknown = next(s for s in labels if not isinstance(s, str) or s not in index)
-                raise ValidationError(f"player {i + 1} has no strategy {unknown!r}")
+            masks = [0] * len(index)
+            for k, label in enumerate(labels):
+                try:
+                    masks[index[label]] |= 1 << k
+                except (KeyError, TypeError):  # an unhashable label is unknown too
+                    raise ValidationError(f"player {i + 1} has no strategy {label!r}") from None
+            choosers.append(tuple(masks))
+        object.__setattr__(self, "choosers", tuple(choosers))
         object.__setattr__(self, "correspondences", as_tuple(self.correspondences))
         if len(self.correspondences) != self.game.n:
             raise ValidationError("one correspondence per player is required")
@@ -194,17 +196,6 @@ class EpistemicModel:
         correspondences."""
         return min((c.kind for c in self.correspondences),
                    key=("invalid", "belief", "knowledge").index)
-
-    @cached_property
-    def choosers(self) -> tuple[tuple[int, ...], ...]:
-        """Per player and strategy index, the mask of the states that choose it."""
-        choosers = []
-        for index, labels in zip(self.game._label_index, self.strategy_maps):
-            masks = [0] * len(index)
-            for k, label in enumerate(labels):
-                masks[index[label]] |= 1 << k
-            choosers.append(tuple(masks))
-        return tuple(choosers)
 
     def require_valid(self) -> None:
         if self.model_class == "invalid":
@@ -435,6 +426,7 @@ def parse_model(source: str, game: Game) -> EpistemicModel:
             if None in row:
                 raise ValidationError(f"missing {keyword} lines, e.g. player {i + 1} "
                                       f"state {space.states[row.index(None)]}")
+    del sets  # the raw texts are read: free them before the masks are built
     correspondences = tuple(PossibilityCorrespondence(space, tuple(row)) for row in slots["poss"])
     return EpistemicModel(game, space, slots["map"], correspondences)
 
@@ -446,9 +438,9 @@ def render_model(model: EpistemicModel) -> str:
             lines.append(f"map {i + 1}: {state} -> {model.strategy_maps[i][k]}")
     states = model.space.states
     for i, c in enumerate(model.correspondences):
+        inside = {m: " ".join(states[k] for k in set_bits(m)) for m in c.sources}  # each set once
         for state, mask in zip(states, c.masks):
-            inside = " ".join(states[k] for k in set_bits(mask))
-            lines.append(f"poss {i + 1}: {state} -> {{{inside}}}")
+            lines.append(f"poss {i + 1}: {state} -> {{{inside[mask]}}}")
     return "\n".join(lines) + "\n"
 
 

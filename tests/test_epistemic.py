@@ -521,6 +521,45 @@ def test_restriction_of_is_the_image_of_the_strategy_maps(params):
     assert restriction_of(model, event).components == image_of_states(model, states)
 
 
+@st.composite
+def generated_models(draw):
+    """A ``generate_model`` model of either class on a generated game."""
+    from epigame.generators import GeneratorConfig, generate_game, generate_model
+
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    game = generate_game(GeneratorConfig(seed=seed, players=(2, 3), strategies=(2, 3)))
+    target_class = draw(st.sampled_from(("belief", "knowledge")))
+    return generate_model(GeneratorConfig(seed=seed, states=(1, 8), target_class=target_class),
+                          game)
+
+
+@given(generated_models())
+@settings(max_examples=100, deadline=None)
+def test_masks_sources_and_choosers_match_the_labels(model):
+    parsed = parse_model(render_model(model), model.game)
+    assert parsed == model and hash(parsed) == hash(model)
+    for m in (model, parsed):
+        space = m.space
+        assert space.index == {s: k for k, s in enumerate(space.states)}
+        for c in m.correspondences:
+            assert c.masks == tuple(space.mask_of(t) for t in c.targets)
+            assert c.sources == {
+                mask: sum(1 << k for k, other in enumerate(c.masks) if other == mask)
+                for mask in c.masks}
+            # equal inputs of other types: a list of states, sets of labels
+            rebuilt = PossibilityCorrespondence(StateSpace(list(space.states)),
+                                                [set(t) for t in c.targets])
+            assert rebuilt == c and hash(rebuilt) == hash(c)
+            assert (rebuilt.masks, rebuilt.sources) == (c.masks, c.sources)
+        for strategies, labels, choosers in zip(m.game.strategies, m.strategy_maps, m.choosers):
+            assert choosers == tuple(sum(1 << k for k, label in enumerate(labels) if label == s)
+                                     for s in strategies)
+        rebuilt = EpistemicModel(m.game, StateSpace(space.states),
+                                 [list(labels) for labels in m.strategy_maps],
+                                 list(m.correspondences))
+        assert rebuilt == m and hash(rebuilt) == hash(m) and rebuilt.choosers == m.choosers
+
+
 def test_validation_report_flags_invalid(tie_game):
     space = StateSpace(("a", "b"))
     incoherent = PossibilityCorrespondence(space, (frozenset({"a", "b"}), frozenset({"b"})))

@@ -54,6 +54,14 @@ W = StateSpace(("w",))
 W_CELLS = (PossibilityCorrespondence(W, ({"w"},)),) * 2
 W_MODEL = EpistemicModel(AB_XY, W, (("a",), ("x",)), W_CELLS)
 BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
+AB = StateSpace(("a", "b"))
+# each string was read as its letters: the mask 3, the singleton
+# correspondence and the set {a, b}
+BARE_STRINGS = [
+    lambda: AB.mask_of("ab"),
+    lambda: PossibilityCorrespondence(AB, "ab"),
+    lambda: PossibilityCorrespondence(AB, ("ab", {"a"})),
+]
 
 
 @pytest.mark.parametrize("call", [
@@ -127,6 +135,7 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     # an unhashable belief class ended in TypeError
     lambda: verify_cor2(AB_XY, W_MODEL, ["x"]),
     lambda: cor_suite("cor2", 2, belief_class=["x"]),
+    *BARE_STRINGS,
 ], ids=[
     "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42", "profile-int",
     "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
@@ -142,7 +151,8 @@ BRI_MESSAGE = "independent-belief best response requires exactly 2 players"
     "config-players-float", "config-strategies-text", "config-players-single",
     "config-pool-int", "config-seed-list", "pool-bool", "payoffs-bool", "game-payoff-bool",
     "player-bool", "event-bool", "common-box-event-bool", "restriction-event-bool",
-    "cor2-belief-class-list", "cor2-suite-belief-class-list",
+    "cor2-belief-class-list", "cor2-suite-belief-class-list", "mask-of-string",
+    "correspondence-string", "correspondence-target-string",
 ])
 def test_a_malformed_value_is_a_validation_error(call):
     with pytest.raises(ValidationError):
@@ -161,6 +171,12 @@ def test_unknown_and_unhashable_labels_share_a_message():
             StateSpace(("w",)).mask_of([label])
         with pytest.raises(ValidationError, match="correspondence targets unknown states"):
             PossibilityCorrespondence(StateSpace(("w",)), ([label],))
+
+
+def test_a_bare_string_of_states_is_read_as_a_collection_is():
+    for call in BARE_STRINGS:
+        with pytest.raises(ValidationError, match="^expected a collection, got 'ab'$"):
+            call()
 
 
 def test_weight_checks_keep_their_messages():
