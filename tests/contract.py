@@ -64,6 +64,13 @@ poss 2: b -> {a b}
 # unknown strategy: the model constructors reject each label
 UNKNOWN_STATE_MODEL = INVALID_MODEL.replace("poss 1: b -> {}", "poss 1: b -> {a z}")
 UNKNOWN_STRATEGY_MODEL = INVALID_MODEL.replace("map 1: b -> B", "map 1: b -> Z")
+# player 1's payoffs against x, y and z; player 2's are all 0. Only a mixture
+# dominates s, and its strict game has several optimal mixtures, 1/4 a +
+# 1/2 b + 1/4 c among them: the trace prints Bland's, 1/2 b + 1/2 c
+DEGENERATE_ROWS = {"s": (0, 0, 0), "a": (-1, -1, 3), "b": (2, 1, -2), "c": (-1, 1, 3)}
+DEGENERATE_GAME = "players: 2\nstrategies 1: s a b c\nstrategies 2: x y z\n" + "".join(
+    f"payoff 1: {s} {t} = {v}\npayoff 2: {s} {t} = 0\n"
+    for s, row in DEGENERATE_ROWS.items() for t, v in zip("xyz", row))
 NOTIONS = ("sd", "wd", "msd", "mwd", "brp", "brc", "bri")
 # player 2 faces 11 profiles, so 4**11 opponent-subset pairs: past the
 # monotonicity check's enumeration budget
@@ -173,6 +180,8 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     calls.append((["verify", "thm1i", "--game", game, "--model", knowledge, "--profile", "sd"],
                   (0, 1)))
     calls.append((["verify", "cor2", "--game", game, "--model", knowledge], (0, 1)))
+    degenerate = write("degenerate.game", DEGENERATE_GAME)
+    calls.append((["eliminate", "--game", degenerate, "--notion", "msd", "--trace"], (0,)))
     return calls
 
 
