@@ -95,6 +95,8 @@ class PossibilityCorrespondence:
     sources: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.space, StateSpace):
+            raise ValidationError(f"expected a StateSpace, got {self.space!r}")
         targets = as_tuple(self.targets)
         if len(targets) != len(self.space.states):
             raise ValidationError("correspondence must cover every state")
@@ -166,6 +168,8 @@ class EpistemicModel:
     choosers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.space, StateSpace):
+            raise ValidationError(f"expected a StateSpace, got {self.space!r}")
         object.__setattr__(self, "strategy_maps", tuple(map(as_tuple, as_tuple(self.strategy_maps))))
         if len(self.strategy_maps) != self.game.n:
             raise ValidationError("one strategy map per player is required")

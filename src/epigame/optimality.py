@@ -11,9 +11,10 @@ is read by :func:`parse_notion` alone; :func:`evaluated_notion` holds the one
 
 A verdict reads only the sign of an exact optimum, and only an eliminated
 strategy's witness is printed. ``msd`` and ``brc`` are one predicate by
-Pearce's lemma (Pearce 1984): one memoised Bland matrix game
-(``_strict_game``) decides both, its row mixture is both elimination
-witnesses and its column mixture is ``solve_br_lp``'s belief. ``mwd`` is
+Pearce's lemma (Pearce 1984): one matrix game decides both (memoised in
+``_strict_decision``), its row mixture is both elimination witnesses and its
+column mixture is ``solve_br_lp``'s belief, each Bland's (``_strict_game``)
+where the decision cannot prove it unique. ``mwd`` is
 decided by the memoised one-phase program of ``_weak_program``, and its
 witness is that program's optimal vertex where the optimum is unique; the
 two-phase ``solve`` runs only as the witness's fallback. ``dominates``, the
@@ -184,7 +185,7 @@ def _holds_cached(game, notion, i, s, alternatives, opponents):
     # alternative
     if _unbeaten(game, i, s, alternatives, opponents):
         return True
-    return _strict_game(game, i, s, alternatives, opponents)[0] <= 0
+    return _strict_decision(game, i, s, alternatives, opponents)[0] <= 0
 
 
 def _at_most_one(mask: int) -> bool:
@@ -263,14 +264,23 @@ def solve_dominance_lp(
 
 
 @per_game
+def _strict_decision(game, i, s, support, opponents):
+    """``_strict_game``'s value, and its row mixture where that is provably
+    Bland's, else None, by ``matrix_game_value(..., decide=True)``."""
+    edges = _edges(game, i, s, support, opponents)
+    return matrix_game_value(edges, game.scaled_payoffs[i][0], decide=True)[:2]
+
+
+@per_game
 def _strict_game(game, i, s, support, opponents):
-    """The value, row mixture and column mixture of the matrix game of
+    """Bland's value, row mixture and column mixture of the matrix game of
     ``u(a, t) - u(s, t)`` over ``a`` in ``support`` and the opponent offsets
-    ``t``, both ascending. By Pearce's lemma this one program decides msd and
+    ``t``, both ascending. By Pearce's lemma this one game decides msd and
     brc: a value > 0 makes the row mixture a strictly dominating mixture,
     and a value <= 0 makes the column mixture a correlated belief under which
-    no alternative beats ``s``. Posed on player ``i``'s scaled payoffs; the
-    mixtures do not see the scale and the value divides it out."""
+    no alternative beats ``s``; it runs for a mixture ``_strict_decision``
+    does not give. Posed on player ``i``'s scaled payoffs; the mixtures do not
+    see the scale and the value divides it out."""
     return matrix_game_value(_edges(game, i, s, support, opponents), game.scaled_payoffs[i][0])
 
 
@@ -279,11 +289,12 @@ def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict
     mixtures do not see the scale and the optimum is scaled back."""
     labels = game.strategies[i]
     if mode == "strict":
-        optimum, weights, _ = _strict_game(game, i, s, support, opponents)
-        if optimum > 0:
-            witness = MixedStrategy(i, tuple(zip((labels[a] for a in set_bits(support)), weights)))
-            return DominanceVerdict(True, witness, optimum)
-        return DominanceVerdict(False, None, optimum)
+        optimum, weights = _strict_decision(game, i, s, support, opponents)
+        if optimum <= 0:
+            return DominanceVerdict(False, None, optimum)
+        weights = weights or _strict_game(game, i, s, support, opponents)[1]
+        witness = MixedStrategy(i, tuple(zip((labels[a] for a in set_bits(support)), weights)))
+        return DominanceVerdict(True, witness, optimum)
 
     scale = game.scaled_payoffs[i][0]
     if support >> s & 1:
@@ -336,9 +347,10 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
         raise ValidationError("best-response LP needs at least one opponent profile")
     # an empty G_i is read as {s}: with no rival, the all-zero game's column
     # mixture, a point belief on the first profile, supports s
-    value, _, weights = _strict_game(game, i, s, alternatives or 1 << s, opponents)
-    if value > 0:
+    alternatives = alternatives or 1 << s
+    if _strict_decision(game, i, s, alternatives, opponents)[0] > 0:
         return BestResponseVerdict(False, None)
+    weights = _strict_game(game, i, s, alternatives, opponents)[2]
     return BestResponseVerdict(True, _belief(game, i, opponents, weights))
 
 

@@ -1,17 +1,20 @@
 """Exact linear programming over the rationals.
 
-Primal simplex with exact verdicts (optimal / infeasible / unbounded), every
-program by Bland's rule: ``solve`` (two phases, equality rows over
-non-negative variables), ``matrix_game_value`` (the one strict game that
-decides and certifies both msd and brc) and ``optimum_from_origin`` (one
-phase from the origin, the mwd program of ``optimality._weak_program``).
+Primal simplex with exact verdicts (optimal / infeasible / unbounded):
+``solve`` (two phases, equality rows over non-negative variables),
+``matrix_game_value`` (the one strict game that decides and certifies both
+msd and brc) and ``optimum_from_origin`` (one phase from the origin, the mwd
+program of ``optimality._weak_program``), each by Bland's rule but msd and
+brc's decision, ``matrix_game_value(..., decide=True)``, which enters the
+largest reduced cost where that raises the objective: fewer pivots to the same
+value, and a row mixture only where it is unique, hence Bland's.
 ``optimum_from_origin`` returns its optimal vertex only where that vertex is
 the program's only optimal point, which every pivot rule reaches: the mwd
 witness is read there, and ``solve`` runs only as the fallback for a program
 with several optimal points or one posed without ``s`` among the
-alternatives. Bland's rule never revisits a basis, so a run that pivots more
-often than there are bases is a bug: it raises ``InvariantViolated`` instead
-of cycling. The single-phase programs start from the all-slack basis of
+alternatives. Neither rule revisits a basis, so a run that pivots more often
+than there are bases is a bug: it raises ``InvariantViolated`` instead of
+cycling. The single-phase programs start from the all-slack basis of
 ``rows . x <= rhs``, ``rhs >= 0``.
 
 The tableau is integer-preserving (Edmonds 1967; Bareiss 1968, the pivoting of
@@ -55,17 +58,24 @@ class LPSolution:
     assignment: tuple[Fraction, ...] | None
 
 
-def _primal(tableau, rhs, basis, cobasis, reduced, det):
-    """Run primal simplex steps by Bland's rule until optimal or unbounded;
-    returns the status and the final denominator. Bland's rule enters the
-    smallest variable (not the leftmost column) with a positive reduced
-    cost."""
+def _primal(tableau, rhs, basis, cobasis, reduced, det, largest=False):
+    """Run primal simplex steps until optimal or unbounded; returns the status
+    and the final denominator. Bland's rule enters the smallest variable (not
+    the leftmost column) with a positive reduced cost. With ``largest`` a step
+    enters the largest reduced cost, the leftmost column on a tie, unless its
+    ratio is zero, so that it would leave the objective unchanged: such a step
+    follows Bland's rule. A repeated basis needs a run of steps that leave the
+    objective unchanged, all Bland's, and Bland's rule never cycles."""
     for _ in range(comb(len(basis) + len(cobasis), len(basis)) + 1):
-        entering = min((c for c, v in enumerate(reduced) if v > 0),
-                       key=cobasis.__getitem__, default=-1)
-        if entering < 0:
-            return Status.OPTIMAL, det
-        leaving = _leaving(tableau, rhs, basis, entering)
+        best = max(reduced, default=0) if largest else 0
+        entering = reduced.index(best) if best > 0 else -1
+        leaving = _leaving(tableau, rhs, basis, entering) if entering >= 0 else -1
+        if entering < 0 or leaving >= 0 and rhs[leaving] == 0:
+            entering = min((c for c, v in enumerate(reduced) if v > 0),
+                           key=cobasis.__getitem__, default=-1)
+            if entering < 0:
+                return Status.OPTIMAL, det
+            leaving = _leaving(tableau, rhs, basis, entering)
         if leaving < 0:
             return Status.UNBOUNDED, det
         det = _pivot(tableau, rhs, basis, cobasis, reduced, leaving, entering, det)
@@ -140,17 +150,17 @@ def _require_program(rows, rhs, objective) -> None:
     _require_integers(*rows, rhs, objective, what="LP coefficients")
 
 
-def _from_origin(tableau, rhs, objective):
+def _from_origin(tableau, rhs, objective, largest=False):
     """One phase of ``max objective . x`` subject to ``tableau . x <= rhs``
     and ``x >= 0``, with ``rhs >= 0``, from the all-slack basis at the
-    origin (slack ``r`` is variable ``len(objective) + r``). Pivots
-    ``tableau`` and ``rhs`` in place; returns the status, the denominator,
-    the basis, the cobasis and the reduced costs."""
+    origin (slack ``r`` is variable ``len(objective) + r``), by ``_primal``'s
+    rule. Pivots ``tableau`` and ``rhs`` in place; returns the status, the
+    denominator, the basis, the cobasis and the reduced costs."""
     nvar = len(objective)
     basis = list(range(nvar, nvar + len(tableau)))
     cobasis = list(range(nvar))
     reduced = list(objective)
-    status, det = _primal(tableau, rhs, basis, cobasis, reduced, 1)
+    status, det = _primal(tableau, rhs, basis, cobasis, reduced, 1, largest)
     return status, det, basis, cobasis, reduced
 
 
@@ -208,8 +218,8 @@ def solve(rows, rhs, objective) -> LPSolution:
 
 
 def matrix_game_value(
-    matrix, scale: int = 1
-) -> tuple[Fraction, tuple[Fraction, ...], tuple[Fraction, ...]]:
+    matrix, scale: int = 1, *, decide: bool = False
+) -> tuple[Fraction, tuple[Fraction, ...] | None, tuple[Fraction, ...] | None]:
     """Exact value of the zero-sum game ``max_row min_col m^T A`` together
     with optimal mixtures for both players, given ``matrix = scale * A`` in
     integers (``scale`` a positive int).
@@ -221,6 +231,9 @@ def matrix_game_value(
     The shifted matrix is ``scale`` times ``A`` shifted by ``1 - min``: the
     pivots and mixtures do not see the scale, and the value divides it out.
     Bland's rule gives the mixtures that witnesses print.
+    ``decide`` pivots by ``_primal``'s ``largest`` rule and gives no column
+    mixture, nor a row mixture unless the value is > 0 and every basic variable
+    is positive: then the dual optimum is unique (Mangasarian 1979), so Bland's.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if matrix else 0
@@ -233,7 +246,7 @@ def matrix_game_value(
 
     tableau = [[v + shift for v in row] for row in matrix]
     rhs = [1] * nrows
-    status, det, basis, cobasis, reduced = _from_origin(tableau, rhs, [1] * ncols)
+    status, det, basis, cobasis, reduced = _from_origin(tableau, rhs, [1] * ncols, decide)
     if status is not Status.OPTIMAL:
         raise InvariantViolated("matrix game program unbounded on a positive matrix")
 
@@ -245,14 +258,16 @@ def matrix_game_value(
             scaled_columns[b] = rhs[r]
     if total <= 0:
         raise InvariantViolated("matrix game program ended with no positive column weight")
+    value = Fraction(det - shift * total, scale * total)
+    if decide and not (value > 0 and all(rhs)):
+        return value, None, None
     weights = [0] * nrows  # a basic slack's row has weight 0
     for c, j in enumerate(cobasis):
         if j >= ncols:
             weights[j - ncols] = -reduced[c]
     row_mixture = tuple(Fraction(w, total) for w in weights)
-    column_mixture = tuple(Fraction(v, total) for v in scaled_columns)
-    value = Fraction(det - shift * total, scale * total)
-    return value, row_mixture, column_mixture
+    columns = None if decide else tuple(Fraction(v, total) for v in scaled_columns)
+    return value, row_mixture, columns
 
 
 def optimum_from_origin(

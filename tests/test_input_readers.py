@@ -136,6 +136,10 @@ BARE_STRINGS = [
     lambda: verify_cor2(AB_XY, W_MODEL, ["x"]),
     lambda: cor_suite("cor2", 2, belief_class=["x"]),
     *BARE_STRINGS,
+    # a space that is none: an AttributeError on its states
+    lambda: PossibilityCorrespondence(5, ({"w"},)),
+    lambda: PossibilityCorrespondence(("w",), ({"w"},)),
+    lambda: EpistemicModel(AB_XY, 5, (("a",), ("x",)), W_CELLS),
 ], ids=[
     "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42", "profile-int",
     "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
@@ -153,6 +157,7 @@ BARE_STRINGS = [
     "player-bool", "event-bool", "common-box-event-bool", "restriction-event-bool",
     "cor2-belief-class-list", "cor2-suite-belief-class-list", "mask-of-string",
     "correspondence-string", "correspondence-target-string",
+    "correspondence-space-int", "correspondence-space-tuple", "model-space-int",
 ])
 def test_a_malformed_value_is_a_validation_error(call):
     with pytest.raises(ValidationError):

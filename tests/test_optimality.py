@@ -98,6 +98,22 @@ def test_mix_game_lp_witness(mix_game):
     assert grid_has_dominator(mix_game, 0, "M", ("T", "M", "B"), opponents, "strict")
 
 
+def test_a_witness_from_a_degenerate_decision_is_blands():
+    # player 1's payoffs against x, y and z: the largest-coefficient rule ends
+    # the strict game of s at a primal-degenerate basis with value 1/2 and the
+    # optimal mixture 1/4 a + 1/2 b + 1/4 c, not Bland's 1/2 b + 1/2 c
+    edges = {"s": (0, 0, 0), "a": (-1, -1, 3), "b": (2, 1, -2), "c": (-1, 1, 3)}
+    game = game_from_payoffs([tuple(edges), ("x", "y", "z")], [
+        {(a, t): row[k] for a, row in edges.items() for k, t in enumerate("xyz")},
+        {(a, t): 0 for a in edges for t in "xyz"}])
+    opponents = [("x",), ("y",), ("z",)]
+    assert not holds(Notion.MSD, game, 0, "s", tuple(edges), opponents)
+    verdict = solve_dominance_lp(game, 0, "s", tuple(edges), opponents, "strict")
+    assert verdict.optimum == F(1, 2)
+    assert verdict.witness.weights == (("s", 0), ("a", 0), ("b", F(1, 2)), ("c", F(1, 2)))
+    assert dominates(game, 0, verdict.witness, "s", opponents, "strict")
+
+
 def test_tie_game_strict_lp_negative(tie_game):
     verdict = solve_dominance_lp(tie_game, 0, "U", ("U", "D"), [("L",), ("R",)], "strict")
     assert not verdict.dominated

@@ -237,6 +237,8 @@ def test_random_lps_with_free_variables():
 def test_a_cycling_simplex_fails_instead_of_hanging(monkeypatch):
     # a pivot that changes nothing revisits its basis forever; the cap on
     # pivots per simplex run, the number of bases, turns that into an error
+    # under Bland's rule and under the largest-coefficient rule
     monkeypatch.setattr(simplex, "_pivot", lambda *args: args[-1])
-    with pytest.raises(InvariantViolated):
-        matrix_game_value([[1, 0], [0, 1]])
+    for decide in (False, True):
+        with pytest.raises(InvariantViolated):
+            matrix_game_value([[1, 0], [0, 1]], decide=decide)

@@ -147,6 +147,30 @@ def test_one_phase_game_value_matches_fraction_solver(matrix, multiple):
     assert optimum == 1 / (scale * reference.matrix_game_value(matrix)[0] + shift)
 
 
+@given(st.one_of(matrices(), degenerate_matrices()), st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=200, deadline=None)
+def test_the_decision_matches_the_fraction_solver(matrix, multiple):
+    # the largest-coefficient rule reaches Bland's value; a row mixture it
+    # returns is the only optimal one, so it is Bland's too
+    value, rows, columns = engine.matrix_game_value(*integer_matrix(matrix, multiple), decide=True)
+    want, want_rows, _ = reference.matrix_game_value(matrix)
+    assert value == want and columns is None
+    if rows is not None:
+        assert value > 0 and rows == want_rows
+
+
+def test_the_decision_keeps_no_row_mixture_of_a_degenerate_basis():
+    # the largest-coefficient rule ends at a basis with a basic variable at
+    # zero; its row mixture (1/4, 1/2, 1/4) is optimal, but not Bland's
+    matrix = [[-1, -1, 3], [2, 1, -2], [-1, 1, 3]]
+    value, rows, _ = engine.matrix_game_value(matrix)
+    assert (value, rows) == (F(1, 2), (0, F(1, 2), F(1, 2)))
+    assert engine.matrix_game_value(matrix, decide=True) == (value, None, None)
+    # a non-degenerate final basis keeps its row mixture
+    half = F(1, 2)
+    assert engine.matrix_game_value([[1, 0], [0, 1]], decide=True) == (half, (half, half), None)
+
+
 @st.composite
 def weak_programs(draw):
     """Payoffs of ``s`` and of one to four rivals at one to five opponent
@@ -202,6 +226,17 @@ def test_one_phase_program_stops_at_the_optimum_of_a_cycling_example():
     # x2 <= 1, each row and the objective scaled to integers; the optimum is 5/4
     rows = [[1, -32, -4, 36], [1, -24, -1, 6], [0, 0, 1, 0]]
     assert engine.optimum_from_origin(rows, [0, 0, 1], [3, -80, 2, -24])[0] == 5
+
+
+def test_the_largest_coefficient_rule_stops_at_the_optimum_of_a_cycling_example():
+    # Beale's example again, by the rule that cycles on it: a pivot of ratio
+    # zero follows Bland's rule, so the run stops at 5
+    rows = [[1, -32, -4, 36], [1, -24, -1, 6], [0, 0, 1, 0]]
+    rhs = [0, 0, 1]
+    objective = [3, -80, 2, -24]
+    status, det, basis, _, _ = engine._from_origin(rows, rhs, objective, largest=True)
+    assert status is Status.OPTIMAL
+    assert sum(objective[b] * rhs[r] for r, b in enumerate(basis) if b < 4) == 5 * det
 
 
 def test_one_phase_program_rejects_an_infeasible_origin():
