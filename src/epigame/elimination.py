@@ -27,7 +27,6 @@ from .lattice import (
 from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
-    _beats,
     _dominance_verdict,
     _holds_cached,
     _pure_dominator,
@@ -102,10 +101,13 @@ def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> R
     masks = []
     for i in range(game.n):
         opponents = game.opponent_mask(i, current)
-        masks.append(sum(
-            1 << s for s in set_bits(current[i])
-            if _holds_cached(game, notions[i], i, s, alternatives[i], opponents)
-        ))
+        kept, mask = current[i], 0
+        while kept:
+            low = kept & -kept
+            if _holds_cached(game, notions[i], i, low.bit_length() - 1, alternatives[i], opponents):
+                mask |= low
+            kept ^= low
+        masks.append(mask)
     return Restriction(game, tuple(masks))
 
 
@@ -176,7 +178,7 @@ def explain_elimination(
         return EliminationRecord(stage, i, label, f"{kind} dominated", labels[dominator])
     if notion is Notion.BR_POINT:
         # at each opponent profile, the first alternative that does better
-        beats_s = _beats(game, i, s)
+        beats_s = game.beats[i][s]
         better = tuple(
             (game.opponent_profile(i, o),
              next((labels[a] for a in set_bits(alternatives) if beats_s[a] >> o & 1), None))

@@ -168,6 +168,8 @@ class EpistemicModel:
     choosers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.game, Game):
+            raise ValidationError(f"expected a Game, got {self.game!r}")
         if not isinstance(self.space, StateSpace):
             raise ValidationError(f"expected a StateSpace, got {self.space!r}")
         object.__setattr__(self, "strategy_maps", tuple(map(as_tuple, as_tuple(self.strategy_maps))))

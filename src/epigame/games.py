@@ -16,6 +16,7 @@ re-checks share no code with the programs and predicates they check.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -142,7 +143,7 @@ class Game:
             exact.append(table)
         object.__setattr__(self, "payoff_tables", tuple(exact))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.strategies)
 
@@ -182,6 +183,20 @@ class Game:
             scaled.append((scale, tuple(v.numerator * (scale // v.denominator) for v in table)))
         return tuple(scaled)
 
+    @cached_property
+    def beats(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """``beats[i][s][a]``: the mask of the flat opponent offsets at which
+        strategy ``a`` pays player ``i`` more than strategy ``s`` does."""
+        table = []
+        for i in range(self.n):
+            offsets = list(set_bits(self.opponent_mask(i, self.full_masks)))
+            bits = [1 << o for o in offsets]
+            rows = [self.payoff_row(i, k, offsets) for k in range(len(self.strategies[i]))]
+            table.append(tuple(tuple(
+                sum(itertools.compress(bits, map(operator.gt, row_a, row_s))) for row_a in rows
+            ) for row_s in rows))
+        return tuple(table)
+
     def payoff_row(self, i: int, k: int, offsets) -> list[int]:
         """Player ``i``'s scaled payoffs from strategy index ``k`` against
         the opponent profiles at ``offsets``."""
@@ -195,8 +210,12 @@ class Game:
         mask = 1
         for j, (kept, stride) in enumerate(zip(strategy_masks, self._strides)):
             if j != i:
-                # the shifted copies are disjoint, so their sum is their union
-                mask = sum(mask << k * stride for k in set_bits(kept))
+                shifted = 0
+                while kept:
+                    low = kept & -kept
+                    shifted |= mask << (low.bit_length() - 1) * stride
+                    kept ^= low
+                mask = shifted
         return mask
 
     def opponent_profile(self, i: int, offset: int) -> JointStrategy:
@@ -314,6 +333,8 @@ class Restriction:
     masks: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.game, Game):
+            raise ValidationError(f"expected a Game, got {self.game!r}")
         if type(self.masks) is not tuple or len(self.masks) != self.game.n or not all(
             type(mask) is int and 0 <= mask <= full
             for mask, full in zip(self.masks, self.game.full_masks)

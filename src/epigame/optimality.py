@@ -25,14 +25,14 @@ mask ``opponents`` of flat opponent offsets (place in a payoff table, own
 index 0); the two masks are the memo keys. Offsets are listed, ascending in
 product order, only to set up a program and to label a witness.
 
-The pure tests are bitmask tests. ``_beats(game, i, s)`` holds, per strategy
+The pure tests are bitmask tests. ``game.beats[i][s]`` holds, per strategy
 ``a`` of player ``i``, the mask of the flat opponent offsets at which ``a``
-pays more than ``s``; it is built on first use and kept in the game's memo.
-Against the opponent mask ``O``, ``a`` strictly dominates ``s`` iff ``O``
-lies inside ``a``'s mask, and ``s`` is a point best response iff some bit of
-``O`` is in no alternative's mask. The ``sd``, ``wd`` and ``brp`` verdicts
-and the shortcuts in front of every program read these masks; payoff rows
-are read only to set the programs up.
+pays more than ``s``; the game builds the table for every player on first
+use and frees it with itself. Against the opponent mask ``O``, ``a``
+strictly dominates ``s`` iff ``O`` lies inside ``a``'s mask, and ``s`` is
+a point best response iff some bit of ``O`` is in no alternative's mask.
+The ``sd``, ``wd`` and ``brp`` verdicts and the shortcuts in front of every
+program read these masks; payoff rows are read only to set the programs up.
 
 Empty opponent sets never occur along eliminations that start from a full
 game, but the predicates are total. The convention follows the literal
@@ -75,6 +75,10 @@ class Notion(enum.Enum):
     BR_CORRELATED = "brc"
     BR_INDEPENDENT = "bri"
 
+    # by identity, in C: a notion is in every predicate memo key, and no
+    # set of notions is iterated for output
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -84,6 +88,8 @@ MONOTONIC_NOTIONS = (Notion.SD, Notion.MSD, Notion.BR_POINT, Notion.BR_CORRELATE
 
 def parse_notion(value) -> Notion:
     """The one reader of notions: a :class:`Notion` or its name."""
+    if isinstance(value, Notion):
+        return value
     try:
         return Notion(value)
     except ValueError:
@@ -194,46 +200,39 @@ def _at_most_one(mask: int) -> bool:
     return mask & (mask - 1) == 0
 
 
-@per_game
-def _beats(game, i, s):
-    """Per strategy ``a`` of player ``i``, the mask of the flat opponent
-    offsets at which ``a`` pays ``i`` more than ``s`` does."""
-    table = game.scaled_payoffs[i][1]
-    stride = game._strides[i]
-    offsets = list(set_bits(game.opponent_mask(i, game.full_masks)))
-    base = s * stride
-    return tuple(
-        sum(1 << o for o in offsets if table[a * stride + o] > table[base + o])
-        for a in range(len(game.strategies[i]))
-    )
-
-
 def _pure_dominator(game, i, s, alternatives, opponents, strict: bool):
     """The first alternative that dominates ``s`` over the (non-empty)
     opponent mask: better at every offset when ``strict``, otherwise at
     least as good at every one and better at some."""
-    beats_s = _beats(game, i, s)
-    for a in set_bits(alternatives):
+    beats = game.beats[i]
+    beats_s = beats[s]
+    while alternatives:
+        low = alternatives & -alternatives
+        a = low.bit_length() - 1
         if strict:
             if not opponents & ~beats_s[a]:
                 return a
-        elif opponents & beats_s[a] and not opponents & _beats(game, i, a)[s]:
+        elif opponents & beats_s[a] and not opponents & beats[a][s]:
             return a
+        alternatives ^= low
     return None
 
 
 def _unbeaten(game, i, s, alternatives, opponents):
     """The mask of the opponent offsets at which no alternative beats ``s``."""
-    beats_s = _beats(game, i, s)
-    for a in set_bits(alternatives):
-        opponents &= ~beats_s[a]
+    beats_s = game.beats[i][s]
+    while alternatives:
+        low = alternatives & -alternatives
+        opponents &= ~beats_s[low.bit_length() - 1]
+        alternatives ^= low
     return opponents
 
 
 def _point_strictly_best(game, i, s, alternatives, opponents):
     """Whether ``s`` beats every other alternative at some opponent offset."""
+    beats = game.beats[i]
     for a in set_bits(alternatives & ~(1 << s)):
-        opponents &= _beats(game, i, a)[s]
+        opponents &= beats[a][s]
     return opponents != 0
 
 

@@ -46,6 +46,9 @@ def test_commands_leave_no_cyclic_garbage(capsys, tie_game_file, singleton_model
         ["eliminate", "--game", tie_game_file, "--notion", "mwd", "--trace"],
         ["epistemic", "--game", tie_game_file, "--model", singleton_model_file,
          "--profile", "msd", "rat"],
+        ["epistemic", "--game", tie_game_file, "--model", singleton_model_file, "validate"],
+        ["epistemic", "--game", tie_game_file, "--model", singleton_model_file,
+         "commonbox", "U.L,D.R"],
         ["verify", "thm1i", "--samples", "3"],
     ]
     run(capsys, *commands[0])  # warm-up

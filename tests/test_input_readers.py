@@ -140,6 +140,10 @@ BARE_STRINGS = [
     lambda: PossibilityCorrespondence(5, ({"w"},)),
     lambda: PossibilityCorrespondence(("w",), ({"w"},)),
     lambda: EpistemicModel(AB_XY, 5, (("a",), ("x",)), W_CELLS),
+    # a game that is none: an AttributeError on its player count
+    lambda: EpistemicModel(5, W, (("a",), ("x",)), W_CELLS),
+    lambda: EpistemicModel(None, W, (("a",), ("x",)), W_CELLS),
+    lambda: Restriction(5, (1,)),
 ], ids=[
     "holds-42", "holds-None", "profile-42", "outcome-42", "uniform-42", "profile-int",
     "pool-float", "pool-text", "strategy-index", "opponent-offset", "opponent-offset-int",
@@ -158,6 +162,7 @@ BARE_STRINGS = [
     "cor2-belief-class-list", "cor2-suite-belief-class-list", "mask-of-string",
     "correspondence-string", "correspondence-target-string",
     "correspondence-space-int", "correspondence-space-tuple", "model-space-int",
+    "model-game-int", "model-game-none", "restriction-game-int",
 ])
 def test_a_malformed_value_is_a_validation_error(call):
     with pytest.raises(ValidationError):

@@ -221,6 +221,33 @@ def test_mask_predicates_match_their_definitions(case):
     )
 
 
+@st.composite
+def scaled_games(draw):
+    """A 2- or 3-player game of 1-4 strategies each whose players' payoffs
+    have denominators of their own, so each integer table has its own scale."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    strategies = tuple(tuple(f"s{k}" for k in range(size)) for size in shape)
+    joints = list(itertools.product(*strategies))
+    tables = []
+    for _ in shape:
+        denominator = draw(st.integers(1, 12))
+        numerators = st.integers(-2 * denominator, 2 * denominator)
+        tables.append(tuple(Fraction(draw(numerators), denominator) for _ in joints))
+    return Game(strategies, tuple(tables))
+
+
+@given(scaled_games())
+@settings(max_examples=200, deadline=None)
+def test_beats_table_matches_its_definition(game):
+    # bit o of beats[i][s][a] is set iff a pays i more than s at offset o
+    for i, labels in enumerate(game.strategies):
+        profiles = opponents_product(game.strategies, i)
+        for (s, s_label), (a, a_label) in itertools.product(enumerate(labels), repeat=2):
+            assert game.beats[i][s][a] == sum(
+                1 << game.opponent_offset(i, t) for t in profiles
+                if _u(game, i, a_label, t) > _u(game, i, s_label, t))
+
+
 # --- value-only decisions against the witness programs --------------------------
 
 @st.composite
