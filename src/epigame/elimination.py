@@ -28,7 +28,7 @@ from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
     _dominance_verdict,
-    _holds_cached,
+    _holds_core,
     _pure_dominator,
     evaluated_notion,
     parse_notion,
@@ -43,6 +43,15 @@ _MIXED_REASONS = {
     Notion.MWD: "weakly dominated by a mixed strategy",
     Notion.BR_CORRELATED: "no correlated belief supports it",
 }
+
+
+def profile_names(text: str) -> list[str]:
+    """The notion names of profile text, separated by commas or whitespace;
+    an empty comma entry, as in ``msd,`` or ``sd,,wd``, is a ValidationError."""
+    entries = text.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise ValidationError(f"profile {text!r} has an empty entry")
+    return " ".join(entries).split()
 
 
 @dataclass(frozen=True)
@@ -60,13 +69,11 @@ class NotionProfile:
 
     @classmethod
     def parse(cls, text: str, n: int) -> "NotionProfile":
-        parts = [p for p in text.replace(",", " ").split() if p]
+        parts = profile_names(text)
         if len(parts) == 1:
             return cls.uniform(parts[0], n)
         if len(parts) != n:
-            raise ValidationError(
-                f"profile needs 1 or {n} notions, got {len(parts)}"
-            )
+            raise ValidationError(f"profile needs 1 or {n} notions, got {len(parts)}")
         return cls(tuple(parts))
 
     def validate_for(self, game: Game) -> tuple[Notion, ...]:
@@ -104,7 +111,7 @@ def _step(profile: NotionProfile, game: Game, g: Restriction, alternatives) -> R
         kept, mask = current[i], 0
         while kept:
             low = kept & -kept
-            if _holds_cached(game, notions[i], i, low.bit_length() - 1, alternatives[i], opponents):
+            if _holds_core(game, notions[i], i, low.bit_length() - 1, alternatives[i], opponents):
                 mask |= low
             kept ^= low
         masks.append(mask)

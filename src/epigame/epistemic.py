@@ -40,7 +40,7 @@ from .games import (
     check_label,
     set_bits,
 )
-from .optimality import _holds_cached
+from .optimality import _holds_core
 
 
 @dataclass(frozen=True)
@@ -304,7 +304,7 @@ def rat_event(model: EpistemicModel, profile) -> int:
                 continue
             opponents = game.opponent_mask(i, _strategy_masks(model, m))
             for s, chosen in enumerate(choosers):
-                if chosen & pointing and _holds_cached(
+                if chosen & pointing and _holds_core(
                         game, notions[i], i, s, game.full_masks[i], opponents):
                     rational |= chosen & pointing
         result = rational
@@ -320,9 +320,8 @@ def state_label(joint: JointStrategy) -> str:
 def _standard_space(game: Game) -> tuple[StateSpace, tuple[tuple[str, ...], ...]]:
     """The states and strategy maps of the full game's standard model: the
     states are its joint strategies and the maps are projections."""
-    joints = game.full_restriction().joint_strategies
-    space = StateSpace(tuple(state_label(j) for j in joints))
-    return space, tuple(tuple(j[i] for j in joints) for i in range(game.n))
+    joints = game.joint_strategies
+    return StateSpace(tuple(map(state_label, joints))), tuple(zip(*joints))
 
 
 def two_block_model(game: Game, restriction: Restriction) -> EpistemicModel:

@@ -22,8 +22,10 @@ exact re-check of a witness, lives in ``games`` and is imported here.
 
 Inside, ``G_i`` is the strategy mask ``alternatives`` and ``G_minus_i`` the
 mask ``opponents`` of flat opponent offsets (place in a payoff table, own
-index 0); the two masks are the memo keys. Offsets are listed, ascending in
-product order, only to set up a program and to label a witness.
+index 0). The predicate is computed on every call; the two decisions it
+reads, ``_strict_decision`` and ``_weak_program``, are memoised, keyed on
+these masks. Offsets are listed, ascending in product order, only to set up
+a program and to label a witness.
 
 The pure tests are bitmask tests. ``game.beats[i][s]`` holds, per strategy
 ``a`` of player ``i``, the mask of the flat opponent offsets at which ``a``
@@ -74,10 +76,6 @@ class Notion(enum.Enum):
     BR_POINT = "brp"
     BR_CORRELATED = "brc"
     BR_INDEPENDENT = "bri"
-
-    # by identity, in C: a notion is in every predicate memo key, and no
-    # set of notions is iterated for output
-    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -145,15 +143,14 @@ def holds(notion, game: Game, i: int, s_i: str, G_i, G_minus_i) -> bool:
     the global elimination operator evaluates current strategies against the
     player's initial strategy set. The notion and the labels are validated
     here; the engine's own callers, whose inputs are canonical already,
-    evaluate the memoised core directly.
+    evaluate the core, ``_holds_core``, directly.
     """
     notion = evaluated_notion(notion, game.n)
     s, alternatives, opponents = _canonical_inputs(game, i, s_i, G_i, G_minus_i)
-    return _holds_cached(game, notion, i, s, alternatives, opponents)
+    return _holds_core(game, notion, i, s, alternatives, opponents)
 
 
-@per_game
-def _holds_cached(game, notion, i, s, alternatives, opponents):
+def _holds_core(game, notion, i, s, alternatives, opponents):
     """The predicate on indices into ``game.scaled_payoffs``: ``s`` is one
     of player ``i``'s strategy indices, ``alternatives`` a strategy mask,
     ``opponents`` a mask of flat opponent offsets and ``notion`` as
@@ -270,7 +267,6 @@ def _strict_decision(game, i, s, support, opponents):
     return matrix_game_value(edges, game.scaled_payoffs[i][0], decide=True)[:2]
 
 
-@per_game
 def _strict_game(game, i, s, support, opponents):
     """Bland's value, row mixture and column mixture of the matrix game of
     ``u(a, t) - u(s, t)`` over ``a`` in ``support`` and the opponent offsets

@@ -41,7 +41,7 @@ from functools import partial
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .elimination import GLOBAL, LOCAL, NotionProfile, operator, u_local
+from .elimination import GLOBAL, LOCAL, NotionProfile, operator, profile_names, u_local
 from .epistemic import (
     EpistemicModel,
     common_box,
@@ -58,7 +58,7 @@ from .lattice import enumerate_restrictions, iterate_to_outcome, lattice_size, s
 from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
-    _holds_cached,
+    _holds_core,
     _opponent_set_mask,
     _pearce_certificates,
     evaluated_notion,
@@ -214,7 +214,7 @@ def thm2_hypothesis_clauses(
     for i, k in enumerate(indices):
         opponents = joint[:i] + joint[i + 1:]
         offset = game.opponent_offset(i, opponents)
-        if not _holds_cached(game, notions[i], i, k, game.full_masks[i], 1 << offset):
+        if not _holds_core(game, notions[i], i, k, game.full_masks[i], 1 << offset):
             failures.append(
                 f"player {i + 1} strategy {joint[i]} is not "
                 f"{profile.notions[i].value}-optimal against {opponents}"
@@ -344,6 +344,14 @@ def _suite(claim, instances, seed, check, notes=()) -> VerificationReport:
     return _report(claim, instances, False, None, seed, notes)
 
 
+def _first_failure(reports) -> VerificationReport:
+    """The first failing report, else the last; none after a failure is made."""
+    for report in reports:
+        if not report.holds:
+            break
+    return report
+
+
 def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> VerificationReport:
     """Random (game, belief model, knowledge model) instances for one
     monotonic notion; checks the common-belief and the common-knowledge
@@ -356,11 +364,8 @@ def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> Verificat
         profile = NotionProfile.uniform(profile_notion, game.n)
         belief_model = generate_model(config, game)
         knowledge_model = generate_model(replace(config, target_class="knowledge"), game)
-        for verify_one, model in ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)):
-            report = verify_one(game, model, profile)
-            if not report.holds:
-                break
-        return report
+        return _first_failure(verify_one(game, model, profile) for verify_one, model in
+                              ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)))
 
     return _suite("thm1.i+ii", instances, seed, check, (f"notion {profile_notion.value}",))
 
@@ -371,12 +376,8 @@ def thm1iii_suite(instances: int, seed: int = 0) -> VerificationReport:
 
     def check(instance_seed):
         game = generate_game(_suite_config(instance_seed, "knowledge", strategies=(2, 3)))
-        for notion in (Notion.SD, Notion.WD, Notion.MSD, Notion.MWD, Notion.BR_POINT,
-                       Notion.BR_CORRELATED):
-            report = verify_thm1iii(game, NotionProfile.uniform(notion, game.n))
-            if not report.holds:
-                break
-        return report
+        return _first_failure(verify_thm1iii(game, NotionProfile.uniform(notion, game.n))
+                              for notion in Notion if notion is not Notion.BR_INDEPENDENT)
 
     return _suite("thm1.iii", instances, seed, check)
 
@@ -540,8 +541,8 @@ def _violations(game: Game, notion: Notion, i: int, strategies, pairs):
     alternatives = game.full_masks[i]
     for k in strategies:
         for small, big in pairs:
-            if (_holds_cached(game, notion, i, k, alternatives, small)
-                    and not _holds_cached(game, notion, i, k, alternatives, big)):
+            if (_holds_core(game, notion, i, k, alternatives, small)
+                    and not _holds_core(game, notion, i, k, alternatives, big)):
                 yield (i + 1, game.strategies[i][k],
                        *(tuple(game.opponent_profile(i, o) for o in set_bits(mask))
                          for mask in (small, big)))
@@ -637,15 +638,11 @@ def _thm1_suites(inputs) -> VerificationReport:
     each monotonic notion in turn, up to the first that fails."""
     notions = MONOTONIC_NOTIONS
     if inputs.profile is not None:
-        parts = inputs.profile.replace(",", " ").split()
-        if len(parts) != 1:
+        notions = profile_names(inputs.profile)  # thm1_suite reads each name
+        if len(notions) != 1:
             raise ValidationError(f"a random suite takes one notion, got {inputs.profile!r}")
-        notions = [parse_notion(parts[0])]
-    for notion in notions:
-        report = thm1_suite(notion, inputs.samples, seed=inputs.seed)
-        if not report.holds:
-            break
-    return report
+    return _first_failure(thm1_suite(notion, inputs.samples, seed=inputs.seed)
+                          for notion in notions)
 
 
 def _witness_reproduces(payload: dict) -> bool:

@@ -18,7 +18,8 @@ on it. A change that alters a line names each changed call and says why.
 
 The engine's parsers key memos on strings and read possibility sets as
 frozensets of labels, so a rendering that follows set order would print
-differently under another string hash seed. CI runs this check under
+differently under another string hash seed, and so would an order that
+follows the hash of a notion. ``test_contract.py`` runs this script under
 ``PYTHONHASHSEED`` 1 and 2; each run is compared with the pinned digests.
 
 Run from anywhere, standard library only:
@@ -182,6 +183,10 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     calls.append((["verify", "cor2", "--game", game, "--model", knowledge], (0, 1)))
     degenerate = write("degenerate.game", DEGENERATE_GAME)
     calls.append((["eliminate", "--game", degenerate, "--notion", "msd", "--trace"], (0,)))
+    # an empty entry in profile text
+    calls.append((["eliminate", "--game", game, "--notion", "msd,"], (2,)))
+    calls.append((["epistemic", "--game", game, "--model", belief, "rat", "--profile", ",brc"],
+                  (2,)))
     return calls
 
 

@@ -273,7 +273,7 @@ def test_verify_monotonicity_on_game_past_the_budget(capsys, tmp_path, monkeypat
     def never(*args):
         raise AssertionError("predicate evaluated past the budget")
 
-    monkeypatch.setattr(epigame.verify, "_holds_cached", never)
+    monkeypatch.setattr(epigame.verify, "_holds_core", never)
     path = tmp_path / "wide.game"
     path.write_text(_game_text(["U", "D"], [f"c{k}" for k in range(11)]))
     code, out, err = run(capsys, "verify", "monotonicity", "--game", str(path))
@@ -456,7 +456,7 @@ def test_verify_option_errors_follow_the_table(
     assert flagged == forbidden, (argv, err)
 
 
-@pytest.mark.parametrize("profile", ["sd,msd", "sd msd", "xx"])
+@pytest.mark.parametrize("profile", ["sd,msd", "sd msd", "xx", "msd,", ",brc", "sd,,wd"])
 def test_verify_suite_rejects_bad_profile(capsys, profile):
     code, out, err = run(capsys, "verify", "thm1i", "--profile", profile, "--samples", "2")
     assert code == 2

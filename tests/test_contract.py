@@ -1,5 +1,6 @@
 """The output contract: every call of the corpus prints what contract.txt pins
-and exits as the corpus allows, in-process and as ``python -m epigame.cli``."""
+and exits as the corpus allows, in-process, as ``python -m epigame.cli`` and
+under ``PYTHONHASHSEED`` 1 and 2."""
 
 import contextlib
 import io
@@ -7,6 +8,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import epigame
 import epigame.cli
@@ -19,6 +22,16 @@ def test_every_call_prints_what_the_contract_pins():
     actual, found = contract.lines()
     found += contract.changes(expected, actual)
     assert not found, "\n".join(found)
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_the_contract_holds_under_other_hash_seeds(seed):
+    # parsed labels and notions hash by their strings: an output order that
+    # followed a hash would change with the seed
+    env = {**os.environ, "PYTHONHASHSEED": seed}
+    done = subprocess.run([sys.executable, contract.__file__], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _in_process(argv):

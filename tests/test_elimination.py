@@ -24,8 +24,12 @@ from test_optimality import random_game
 def test_profile_parsing(tie_game):
     assert NotionProfile.parse("wd", 2) == NotionProfile.uniform("wd", 2)
     assert NotionProfile.parse("sd,wd", 2).notions == (Notion.SD, Notion.WD)
+    assert NotionProfile.parse("sd wd", 2) == NotionProfile.parse(" sd , wd ", 2)
     with pytest.raises(ValidationError):
         NotionProfile.parse("sd,wd,sd", 2)
+    for text in ("msd,", ",brc", "sd,,wd", "sd, ,wd"):
+        with pytest.raises(ValidationError, match="has an empty entry"):
+            NotionProfile.parse(text, 2)
     with pytest.raises(ValidationError):
         NotionProfile.parse("nope", 2)
     with pytest.raises(ValidationError, match="best response requires exactly 2 players"):

@@ -1,6 +1,7 @@
-"""The memoised predicate core behind the operators and RAT: results live in
-the game's own memo (bounded, freed with the game), and the core agrees with
-the validating label path, ``holds``."""
+"""The predicate core behind the operators and RAT: the exact decisions it
+reads and the elimination limits are memoised in the game's own memo
+(bounded, freed with the game), and the core agrees with the validating label
+path, ``holds``."""
 
 import gc
 import itertools
@@ -83,8 +84,11 @@ class _Watched(dict):
 def test_memo_stays_within_its_bound(monkeypatch):
     config = GeneratorConfig(seed=11, strategies=(4, 4))
     game = generate_game(config)
-    expected = outcome(NotionProfile.uniform("mwd", game.n), _fresh(game), LOCAL)
+    unbounded = _fresh(game)
+    expected = outcome(NotionProfile.uniform("mwd", game.n), unbounded, LOCAL)
     assert len(expected.records) > 3
+    # more entries than the bound set below, so the bounded run must clear
+    assert len(unbounded.memo) > 5
 
     monkeypatch.setattr(games, "MEMO_BOUND", 5)
     watched = _Watched()
@@ -93,6 +97,27 @@ def test_memo_stays_within_its_bound(monkeypatch):
     assert game.memo is watched
     assert 0 < watched.largest <= 5
     assert trace == expected
+
+
+def test_the_memo_holds_only_results_that_are_read_again():
+    # the predicate and Bland's strict game are computed on every call; the
+    # game memoises the exact decisions and the elimination limits alone.
+    # Player 1: C is strictly and D weakly dominated by 1/2 A + 1/2 B only
+    rows = {"A": (3, 0, 0), "B": (0, 3, 0), "C": (1, 1, -1), "D": (1, 1, 0)}
+    game = Game((tuple(rows), ("L", "M", "R")), (sum(rows.values(), ()), (0,) * 12))
+    model = generate_model(GeneratorConfig(seed=3, states=(4, 6), target_class="belief"), game)
+    for notion in NOTIONS:
+        profile = NotionProfile.uniform(notion, game.n)
+        for mode in (GLOBAL, LOCAL):
+            outcome(profile, game, mode)
+        rat_event(model, profile)
+        elimination_limit(game, profile, GLOBAL)
+    for s in "ABCD":
+        solve_br_lp(game, 0, s, tuple(rows), [("L",), ("M",), ("R",)])
+        solve_dominance_lp(game, 0, s, tuple(rows), [("L",), ("M",), ("R",)], "strict")
+    memoised = {fn.__name__ for fn, _ in game.memo}
+    assert memoised == {"_strict_decision", "_weak_program", "_limit_masks"}
+    assert "__hash__" not in vars(Notion)
 
 
 def test_operators_reject_a_restriction_of_another_game(tie_game, flat_game, prisoners_dilemma):

@@ -365,15 +365,15 @@ def _at_most_one_opponent(monkeypatch, spare_two_by_two=False):
     import epigame.optimality as optimality
     import epigame.verify as verify
 
-    real = optimality._holds_cached
+    real = optimality._holds_core
 
     def fake(game, notion, i, s, alternatives, opponents):
         if spare_two_by_two and game.strategies == (("a", "b"), ("x", "y")):
             return real(game, notion, i, s, alternatives, opponents)
         return opponents & (opponents - 1) == 0
 
-    monkeypatch.setattr(verify, "_holds_cached", fake)
-    monkeypatch.setattr(optimality, "_holds_cached", fake)
+    monkeypatch.setattr(verify, "_holds_core", fake)
+    monkeypatch.setattr(optimality, "_holds_core", fake)
 
 
 _FORCED_FAILURES = {
