@@ -38,7 +38,7 @@ from .verify import VerificationReport
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # the formats are UTF-8 text
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 
@@ -53,9 +53,7 @@ def _render_witness(witness) -> str:
     if witness is None:
         return "-"
     if isinstance(witness, tuple):
-        return ";".join(
-            f"({','.join(t)})->{reply}" for t, reply in witness
-        )
+        return ";".join(f"({','.join(t)})->{reply}" for t, reply in witness)
     return str(witness)
 
 

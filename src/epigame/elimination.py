@@ -14,10 +14,8 @@ Both eliminate all failing strategies of a stage simultaneously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
-from .games import Game, Restriction, as_tuple, set_bits
+from .games import Game, Restriction, Value, as_tuple, set_bits
 from .lattice import (
     EliminationRecord,
     EliminationTrace,
@@ -54,14 +52,13 @@ def profile_names(text: str) -> list[str]:
     return " ".join(entries).split()
 
 
-@dataclass(frozen=True)
-class NotionProfile:
+class NotionProfile(Value):
     """One optimality notion per player, each a :class:`Notion` or its name."""
 
-    notions: tuple[Notion, ...]
+    _fields = ("notions",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "notions", tuple(map(parse_notion, as_tuple(self.notions))))
+    def __init__(self, notions: tuple[Notion, ...]):
+        self._notions = tuple(map(parse_notion, as_tuple(notions)))
 
     @classmethod
     def uniform(cls, notion: Notion | str, n: int) -> "NotionProfile":
@@ -80,9 +77,7 @@ class NotionProfile:
         """The notions a step evaluates on ``game``, each read by
         ``optimality.evaluated_notion``, where the one ``bri`` rule lives."""
         if len(self.notions) != game.n:
-            raise ValidationError(
-                f"profile has {len(self.notions)} notions for {game.n} players"
-            )
+            raise ValidationError(f"profile has {len(self.notions)} notions for {game.n} players")
         return tuple(evaluated_notion(n, game.n) for n in self.notions)
 
     def non_monotonic(self) -> tuple[Notion, ...]:

@@ -24,9 +24,8 @@ possibility set once, through ``sources``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from .errors import ParseError, ValidationError
 from .games import (
@@ -34,6 +33,7 @@ from .games import (
     Game,
     JointStrategy,
     Restriction,
+    Value,
     _parse_player_number,
     _split_directive,
     as_tuple,
@@ -43,21 +43,20 @@ from .games import (
 from .optimality import _holds_core
 
 
-@dataclass(frozen=True)
-class StateSpace:
-    states: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
+class StateSpace(Value):
+    _fields = ("states",)
+    _derived = ("index",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", as_tuple(self.states))
-        if not self.states:
+    def __init__(self, states: tuple[str, ...]):
+        states = as_tuple(states)
+        if not states:
             raise ValidationError("state space must be non-empty")
-        for s in self.states:
+        for s in states:
             check_label(s, "state label", STATE_LABEL_RESERVED)
-        index = {s: k for k, s in enumerate(self.states)}
-        if len(index) != len(self.states):
+        index = {s: k for k, s in enumerate(states)}
+        if len(index) != len(states):
             raise ValidationError("state labels must be distinct")
-        object.__setattr__(self, "index", index)
+        self._states, self._index = states, index
 
     def mask_of(self, labels: Iterable[str]) -> int:
         mask = 0
@@ -81,26 +80,23 @@ class StateSpace:
             raise ValidationError(f"an event is an int state mask in 0..2**{len(self.states)} - 1")
 
 
-@dataclass(frozen=True)
-class PossibilityCorrespondence:
+class PossibilityCorrespondence(Value):
     """Total map from states to possibility sets, in state order.
 
     ``masks[k]`` is state ``k``'s set as a state mask; :attr:`sources` maps
     each distinct mask to the mask of the states that have it. Both are
     built in the pass that checks the targets' labels."""
 
-    space: StateSpace
-    targets: tuple[frozenset[str], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    sources: dict[int, int] = field(init=False, repr=False, compare=False)
+    _fields = ("space", "targets")
+    _derived = ("masks", "sources")
 
-    def __post_init__(self):
-        if not isinstance(self.space, StateSpace):
-            raise ValidationError(f"expected a StateSpace, got {self.space!r}")
-        targets = as_tuple(self.targets)
-        if len(targets) != len(self.space.states):
+    def __init__(self, space: StateSpace, targets: tuple[frozenset[str], ...]):
+        if not isinstance(space, StateSpace):
+            raise ValidationError(f"expected a StateSpace, got {space!r}")
+        targets = as_tuple(targets)
+        if len(targets) != len(space.states):
             raise ValidationError("correspondence must cover every state")
-        index = self.space.index
+        index = space.index
         read: dict[frozenset[str], list[int]] = {}  # each distinct set -> [mask, its states]
         frozen, masks = [], []
         for k, t in enumerate(targets):
@@ -123,9 +119,8 @@ class PossibilityCorrespondence:
             entry[1] |= 1 << k
             frozen.append(t)
             masks.append(entry[0])
-        object.__setattr__(self, "targets", tuple(frozen))
-        object.__setattr__(self, "masks", tuple(masks))
-        object.__setattr__(self, "sources", dict(read.values()))
+        self._space, self._targets = space, tuple(frozen)
+        self._masks, self._sources = tuple(masks), dict(read.values())
 
     @cached_property
     def serial(self) -> bool:
@@ -149,8 +144,7 @@ class PossibilityCorrespondence:
         return "knowledge" if self.reflexive else "belief"
 
 
-@dataclass(frozen=True)
-class EpistemicModel:
+class EpistemicModel(Value):
     """States, strategy maps and one possibility correspondence per player.
 
     ``strategy_maps[i]`` is aligned with the state order and must take values
@@ -161,23 +155,21 @@ class EpistemicModel:
     correspondences are stored as tuples.
     """
 
-    game: Game
-    space: StateSpace
-    strategy_maps: tuple[tuple[str, ...], ...]
-    correspondences: tuple[PossibilityCorrespondence, ...]
-    choosers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("game", "space", "strategy_maps", "correspondences")
+    _derived = ("choosers",)
 
-    def __post_init__(self):
-        if not isinstance(self.game, Game):
-            raise ValidationError(f"expected a Game, got {self.game!r}")
-        if not isinstance(self.space, StateSpace):
-            raise ValidationError(f"expected a StateSpace, got {self.space!r}")
-        object.__setattr__(self, "strategy_maps", tuple(map(as_tuple, as_tuple(self.strategy_maps))))
-        if len(self.strategy_maps) != self.game.n:
+    def __init__(self, game: Game, space: StateSpace, strategy_maps: tuple[tuple[str, ...], ...],
+                 correspondences: tuple[PossibilityCorrespondence, ...]):
+        if not isinstance(game, Game):
+            raise ValidationError(f"expected a Game, got {game!r}")
+        if not isinstance(space, StateSpace):
+            raise ValidationError(f"expected a StateSpace, got {space!r}")
+        strategy_maps = tuple(map(as_tuple, as_tuple(strategy_maps)))
+        if len(strategy_maps) != game.n:
             raise ValidationError("one strategy map per player is required")
         choosers = []
-        for i, (index, labels) in enumerate(zip(self.game._label_index, self.strategy_maps)):
-            if len(labels) != len(self.space.states):
+        for i, (index, labels) in enumerate(zip(game._label_index, strategy_maps)):
+            if len(labels) != len(space.states):
                 raise ValidationError(f"strategy map for player {i + 1} is not total")
             masks = [0] * len(index)
             for k, label in enumerate(labels):
@@ -186,15 +178,16 @@ class EpistemicModel:
                 except (KeyError, TypeError):  # an unhashable label is unknown too
                     raise ValidationError(f"player {i + 1} has no strategy {label!r}") from None
             choosers.append(tuple(masks))
-        object.__setattr__(self, "choosers", tuple(choosers))
-        object.__setattr__(self, "correspondences", as_tuple(self.correspondences))
-        if len(self.correspondences) != self.game.n:
+        correspondences = as_tuple(correspondences)
+        if len(correspondences) != game.n:
             raise ValidationError("one correspondence per player is required")
-        for c in self.correspondences:
+        for c in correspondences:
             if not isinstance(c, PossibilityCorrespondence):
                 raise ValidationError(f"expected a PossibilityCorrespondence, got {c!r}")
-            if c.space != self.space:
+            if c.space != space:
                 raise ValidationError("correspondence is over a different state space")
+        self._game, self._space, self._strategy_maps = game, space, strategy_maps
+        self._correspondences, self._choosers = correspondences, tuple(choosers)
 
     @cached_property
     def model_class(self) -> str:

@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, wraps
 from math import lcm, prod
-from typing import Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -103,8 +102,35 @@ def as_int(what: str, value, least: int | None = None) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class Game:
+class Value:
+    """The base of the engine's values. Each field named in ``_fields`` is
+    kept as ``_<name>`` and read through a read-only property, so Python
+    itself refuses to assign or delete it; the ``_derived`` fields are built
+    from the others and take no part in ``==``, ``hash`` or ``repr``. Values
+    of one class are equal when their fields are, and hash as the tuple of
+    their fields."""
+
+    _fields: tuple[str, ...] = ()
+    _derived: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        for name in cls._fields + cls._derived:
+            setattr(cls, name, property(operator.attrgetter("_" + name)))
+        read = operator.attrgetter(*("_" + name for name in cls._fields))
+        cls._key = property(read if len(cls._fields) > 1 else lambda self: (read(self),))
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Game(Value):
     """An n-player strategic game: ordered strategy labels plus total payoff tables.
 
     ``payoff_tables[i]`` is flat, indexed by the joint strategy in product
@@ -112,23 +138,23 @@ class Game:
     payoffs as Fractions; a table of Fractions only is kept as given.
     """
 
-    strategies: tuple[tuple[str, ...], ...]
-    payoff_tables: tuple[tuple[Fraction, ...], ...]
+    _fields = ("strategies", "payoff_tables")
 
-    def __post_init__(self):
-        object.__setattr__(self, "strategies", tuple(map(as_tuple, as_tuple(self.strategies))))
-        if len(self.strategies) < 2:
+    def __init__(self, strategies: tuple[tuple[str, ...], ...],
+                 payoff_tables: tuple[tuple[Fraction, ...], ...]):
+        strategies = tuple(map(as_tuple, as_tuple(strategies)))
+        if len(strategies) < 2:
             raise ValidationError("a game needs at least 2 players")
-        for i, labels in enumerate(self.strategies):
+        for i, labels in enumerate(strategies):
             if not labels:
                 raise ValidationError(f"player {i + 1} has an empty strategy set")
             for label in labels:
                 check_label(label, f"player {i + 1} strategy label")
             if len(set(labels)) != len(labels):
                 raise ValidationError(f"player {i + 1} has duplicate strategy labels")
-        size = prod(len(labels) for labels in self.strategies)
-        tables = tuple(map(as_tuple, as_tuple(self.payoff_tables)))
-        if len(tables) != len(self.strategies):
+        size = prod(len(labels) for labels in strategies)
+        tables = tuple(map(as_tuple, as_tuple(payoff_tables)))
+        if len(tables) != len(strategies):
             raise ValidationError("one payoff table per player is required")
         exact = []
         for i, table in enumerate(tables):
@@ -141,7 +167,7 @@ class Game:
                         f"player {i + 1} has a payoff that is not an int or Fraction")
                 table = tuple(map(Fraction, table))
             exact.append(table)
-        object.__setattr__(self, "payoff_tables", tuple(exact))
+        self._strategies, self._payoff_tables = strategies, tuple(exact)
 
     @cached_property
     def n(self) -> int:
@@ -303,9 +329,7 @@ def game_from_payoffs(
         entry = payoffs[i]
         missing = [j for j in joints if j not in entry]
         if missing:
-            raise ValidationError(
-                f"player {i + 1} is missing payoff entries, e.g. {missing[0]}"
-            )
+            raise ValidationError(f"player {i + 1} is missing payoff entries, e.g. {missing[0]}")
         tables.append(tuple(_as_fraction(entry[j]) for j in joints))
     return Game(strategies, tables)
 
@@ -319,8 +343,7 @@ def set_bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Restriction:
+class Restriction(Value):
     """Per-player subsets of a game's strategy sets, the lattice element.
 
     Bit ``k`` of ``masks[i]`` keeps player ``i``'s ``k``-th strategy, so the
@@ -329,17 +352,20 @@ class Restriction:
     :meth:`of` builds a restriction from labels.
     """
 
-    game: Game
-    masks: tuple[int, ...]
+    _fields = ("game", "masks")
+
+    def __init__(self, game: Game, masks: tuple[int, ...]):
+        self._game, self._masks = game, masks
+        self.__post_init__()  # looked up per call: a profiler counts restrictions here
 
     def __post_init__(self):
-        if not isinstance(self.game, Game):
-            raise ValidationError(f"expected a Game, got {self.game!r}")
-        if type(self.masks) is not tuple or len(self.masks) != self.game.n or not all(
+        if not isinstance(self._game, Game):
+            raise ValidationError(f"expected a Game, got {self._game!r}")
+        if type(self._masks) is not tuple or len(self._masks) != self._game.n or not all(
             type(mask) is int and 0 <= mask <= full
-            for mask, full in zip(self.masks, self.game.full_masks)
+            for mask, full in zip(self._masks, self._game.full_masks)
         ):
-            raise ValidationError(f"not one strategy mask per player: {self.masks!r}")
+            raise ValidationError(f"not one strategy mask per player: {self._masks!r}")
 
     @classmethod
     def of(cls, game: Game, components) -> "Restriction":
@@ -399,19 +425,17 @@ def _profile_key(joint) -> JointStrategy:
     return tuple(joint)
 
 
-@dataclass(frozen=True)
-class MixedStrategy:
+class MixedStrategy(Value):
     """A probability distribution over one player's strategies.
 
     Weights are kept for the whole stated support, zeros included.
     """
 
-    player: int
-    weights: tuple[tuple[str, Fraction], ...]
+    _fields = ("player", "weights")
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _distribution(
-            self.weights, "mixed strategy", "strategy", lambda label: label))
+    def __init__(self, player: int, weights: tuple[tuple[str, Fraction], ...]):
+        self._player = player
+        self._weights = _distribution(weights, "mixed strategy", "strategy", lambda label: label)
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -421,20 +445,16 @@ class MixedStrategy:
         return " + ".join(f"{w}*{label}" for label, w in self.weights if w > 0)
 
 
-@dataclass(frozen=True)
-class CorrelatedBelief:
+class CorrelatedBelief(Value):
     """A distribution over joint opponent strategies."""
 
-    weights: tuple[tuple[JointStrategy, Fraction], ...]
+    _fields = ("weights",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _distribution(
-            self.weights, "correlated belief", "joint strategy", _profile_key))
+    def __init__(self, weights: tuple[tuple[JointStrategy, Fraction], ...]):
+        self._weights = _distribution(weights, "correlated belief", "joint strategy", _profile_key)
 
     def __str__(self) -> str:
-        return " + ".join(
-            f"{w}*({','.join(j)})" for j, w in self.weights if w > 0
-        )
+        return " + ".join(f"{w}*({','.join(j)})" for j, w in self.weights if w > 0)
 
 
 def _payoffs_at(game: Game, i: int, strategies, profiles) -> list[list[Fraction]]:

@@ -7,13 +7,12 @@ same configuration reproduces the same artifacts bit for bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
 from .epistemic import EpistemicModel, PossibilityCorrespondence, StateSpace
 from .errors import ValidationError
-from .games import Game, _as_fraction, as_int, as_tuple
+from .games import Game, Value, _as_fraction, as_int, as_tuple
 
 _LETTERS = "abcdefghij"
 # The most joint profiles, and states, a configuration may ask for.
@@ -22,49 +21,46 @@ GENERATION_BUDGET = 1 << 14
 DEFAULT_PAYOFF_POOL = (Fraction(0), Fraction(1), Fraction(2))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Value):
     """Ranges for the random generators; every range is inclusive."""
 
-    seed: int
-    players: tuple[int, int] = (2, 2)
-    strategies: tuple[int, int] = (2, 3)
-    payoff_pool: tuple[Fraction, ...] = DEFAULT_PAYOFF_POOL
-    states: tuple[int, int] = (2, 6)
-    target_class: str = "knowledge"
+    _fields = ("seed", "players", "strategies", "payoff_pool", "states", "target_class")
 
-    def __post_init__(self):
-        as_int("seed", self.seed)
-        for name in ("players", "strategies", "states"):
-            pair = as_tuple(getattr(self, name))
+    def __init__(self, seed: int, players=(2, 2), strategies=(2, 3),
+                 payoff_pool=DEFAULT_PAYOFF_POOL, states=(2, 6), target_class="knowledge"):
+        as_int("seed", seed)
+        ranges = []
+        for name, pair in (("players", players), ("strategies", strategies), ("states", states)):
+            pair = as_tuple(pair)
             if len(pair) != 2 or not all(type(v) is int for v in pair):
                 raise ValidationError(f"{name} range must be a pair of ints, got {pair!r}")
             low, high = pair
             if low > high or low < 1:
                 raise ValidationError(f"empty {name} range {low}..{high}")
-            object.__setattr__(self, name, pair)
-        if self.strategies[1] > len(_LETTERS):
+            ranges.append(pair)
+        players, strategies, states = ranges
+        if strategies[1] > len(_LETTERS):
             raise ValidationError(
-                f"at most {len(_LETTERS)} strategies per player, got {self.strategies[1]}"
-            )
-        if self.players[0] < 2:
+                f"at most {len(_LETTERS)} strategies per player, got {strategies[1]}")
+        if players[0] < 2:
             raise ValidationError("games need at least 2 players")
-        pool = tuple(map(_as_fraction, as_tuple(self.payoff_pool)))
+        pool = tuple(map(_as_fraction, as_tuple(payoff_pool)))
         if not pool:
             raise ValidationError("payoff pool must be non-empty")
-        object.__setattr__(self, "payoff_pool", pool)
-        if self.target_class not in ("belief", "knowledge"):
+        if target_class not in ("belief", "knowledge"):
             raise ValidationError("target class must be 'belief' or 'knowledge'")
         # a one-strategy player still adds a table and a label to every payoff
         # line, so it counts as two; as 2**bit_length is past the budget, the
         # exponent can stop there and the power stays small
-        players = min(self.players[1], GENERATION_BUDGET.bit_length())
-        if max(self.strategies[1], 2) ** players > GENERATION_BUDGET:
+        exponent = min(players[1], GENERATION_BUDGET.bit_length())
+        if max(strategies[1], 2) ** exponent > GENERATION_BUDGET:
             raise ValidationError(
-                f"{self.players[1]} players with up to {self.strategies[1]} strategies "
+                f"{players[1]} players with up to {strategies[1]} strategies "
                 f"each exceed the budget of {GENERATION_BUDGET} joint profiles")
-        if self.states[1] > GENERATION_BUDGET:
-            raise ValidationError(f"{self.states[1]} states exceed the budget of {GENERATION_BUDGET}")
+        if states[1] > GENERATION_BUDGET:
+            raise ValidationError(f"{states[1]} states exceed the budget of {GENERATION_BUDGET}")
+        self._seed, self._players, self._strategies = seed, players, strategies
+        self._payoff_pool, self._states, self._target_class = pool, states, target_class
 
 
 def generate_game(config: GeneratorConfig) -> Game:

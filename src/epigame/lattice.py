@@ -5,42 +5,40 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from collections.abc import Callable
 
 from .errors import InvariantViolated, NonContractingStep
-from .games import Game, Restriction, set_bits
+from .games import Game, Restriction, Value, set_bits
 
 
-@dataclass(frozen=True)
-class RestrictionOperator:
+class RestrictionOperator(Value):
     """A named map from restrictions to restrictions of one fixed game.
 
     Contraction is checked on every iteration step; monotonicity is the
     caller's to check.
     """
 
-    name: str
-    fn: Callable[[Restriction], Restriction]
+    _fields = ("name", "fn")
+
+    def __init__(self, name: str, fn: Callable[[Restriction], Restriction]):
+        self._name, self._fn = name, fn
 
     def apply(self, restriction: Restriction) -> Restriction:
         return self.fn(restriction)
 
 
-@dataclass(frozen=True)
-class EliminationRecord:
+class EliminationRecord(Value):
     """One eliminated strategy: at stage ``stage`` player ``player`` lost
     ``strategy`` for ``reason`` (with a checkable witness when one exists)."""
 
-    stage: int
-    player: int
-    strategy: str
-    reason: str
-    witness: Any = None
+    _fields = ("stage", "player", "strategy", "reason", "witness")
+
+    def __init__(self, stage: int, player: int, strategy: str, reason: str, witness=None):
+        self._stage, self._player, self._strategy = stage, player, strategy
+        self._reason, self._witness = reason, witness
 
 
-@dataclass(frozen=True)
-class EliminationTrace:
+class EliminationTrace(Value):
     """The full stage sequence of an iteration, ending at the fixpoint.
 
     ``stages[stabilized_at] == stages[stabilized_at + 1]`` and the last
@@ -48,9 +46,11 @@ class EliminationTrace:
     reasons when the producing operator supplies them.
     """
 
-    operator: str
-    stages: tuple[Restriction, ...]
-    records: tuple[EliminationRecord, ...] = field(default=())
+    _fields = ("operator", "stages", "records")
+
+    def __init__(self, operator: str, stages: tuple[Restriction, ...],
+                 records: tuple[EliminationRecord, ...] = ()):
+        self._operator, self._stages, self._records = operator, stages, records
 
     @property
     def stabilized_at(self) -> int:

@@ -50,7 +50,6 @@ that is irreflexive even over an empty opponent set:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolated, ValidationError
@@ -58,6 +57,7 @@ from .games import (
     CorrelatedBelief,
     Game,
     MixedStrategy,
+    Value,
     as_tuple,
     dominates,
     per_game,
@@ -109,17 +109,18 @@ def evaluated_notion(value, n: int) -> Notion:
     return Notion.BR_CORRELATED
 
 
-@dataclass(frozen=True)
-class DominanceVerdict:
-    dominated: bool
-    witness: MixedStrategy | None
-    optimum: Fraction | None
+class DominanceVerdict(Value):
+    _fields = ("dominated", "witness", "optimum")
+
+    def __init__(self, dominated: bool, witness: MixedStrategy | None, optimum: Fraction | None):
+        self._dominated, self._witness, self._optimum = dominated, witness, optimum
 
 
-@dataclass(frozen=True)
-class BestResponseVerdict:
-    is_best_response: bool
-    witness: CorrelatedBelief | None
+class BestResponseVerdict(Value):
+    _fields = ("is_best_response", "witness")
+
+    def __init__(self, is_best_response: bool, witness: CorrelatedBelief | None):
+        self._is_best_response, self._witness = is_best_response, witness
 
 
 def _canonical_inputs(game: Game, i: int, s_i: str, G_i, G_minus_i):

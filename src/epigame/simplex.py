@@ -36,11 +36,11 @@ by column position, so the pivots are those of the full tableau.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import InvariantViolated, ValidationError
+from .games import Value
 
 ZERO = Fraction(0)
 
@@ -51,11 +51,12 @@ class Status(enum.Enum):
     UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class LPSolution:
-    status: Status
-    value: Fraction | None
-    assignment: tuple[Fraction, ...] | None
+class LPSolution(Value):
+    _fields = ("status", "value", "assignment")
+
+    def __init__(self, status: Status, value: Fraction | None,
+                 assignment: tuple[Fraction, ...] | None):
+        self._status, self._value, self._assignment = status, value, assignment
 
 
 def _primal(tableau, rhs, basis, cobasis, reduced, det, largest=False):

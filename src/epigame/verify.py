@@ -35,11 +35,9 @@ import itertools
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .elimination import GLOBAL, LOCAL, NotionProfile, operator, profile_names, u_local
 from .epistemic import (
@@ -52,7 +50,8 @@ from .epistemic import (
     two_block_model,
 )
 from .errors import HypothesisNotMet, NonContractingStep, ValidationError
-from .games import Game, JointStrategy, Restriction, as_int, dominates, expected_payoff, per_game, set_bits
+from .games import (Game, JointStrategy, Restriction, Value, as_int, dominates, expected_payoff,
+                    per_game, set_bits)
 from .generators import GeneratorConfig, generate_game, generate_model
 from .lattice import enumerate_restrictions, iterate_to_outcome, lattice_size, sample_restriction
 from .optimality import (
@@ -84,14 +83,13 @@ def _limit_masks(game: Game, profile: NotionProfile, mode: str):
     return iterate_to_outcome(op, game.full_restriction()).outcome.masks
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    claim: str
-    instances_checked: int
-    verdict: str
-    counterexample: dict | None = None
-    seed: int | None = None
-    notes: tuple[str, ...] = ()
+class VerificationReport(Value):
+    _fields = ("claim", "instances_checked", "verdict", "counterexample", "seed", "notes")
+
+    def __init__(self, claim: str, instances_checked: int, verdict: str,
+                 counterexample: dict | None = None, seed: int | None = None, notes=()):
+        self._claim, self._instances_checked, self._verdict = claim, instances_checked, verdict
+        self._counterexample, self._seed, self._notes = counterexample, seed, notes
 
     @property
     def holds(self) -> bool:
@@ -100,14 +98,9 @@ class VerificationReport:
 
 def _report(claim, instances, violated, payload, seed, notes=()):
     """Every report is made here, so here the seed a checker is given is read."""
-    return VerificationReport(
-        claim=claim,
-        instances_checked=instances,
-        verdict=COUNTEREXAMPLE if violated else HOLDS_ON_ALL,
-        counterexample=payload if violated else None,
-        seed=None if seed is None else as_int("seed", seed),
-        notes=tuple(notes),
-    )
+    seed = None if seed is None else as_int("seed", seed)
+    return VerificationReport(claim, instances, COUNTEREXAMPLE if violated else HOLDS_ON_ALL,
+                              payload if violated else None, seed, tuple(notes))
 
 
 def _require_model(game: Game, model: EpistemicModel, wanted: str) -> None:
@@ -261,9 +254,8 @@ def search_thm2(game: Game, profile: NotionProfile, seed: int | None = None) -> 
     for tried, joint in enumerate(game.joint_strategies, 1):
         if not thm2_hypothesis_clauses(game, profile, joint):
             report = verify_thm2(game, profile, joint, seed=seed)
-            return replace(
-                report, instances_checked=tried, notes=(f"hypothesis witness {joint}",)
-            )
+            return _report("thm2", tried, not report.holds, report.counterexample, seed,
+                           (f"hypothesis witness {joint}",))
     notes = ("no joint strategy meets the hypothesis",)
     return _report("thm2", len(game.joint_strategies), False, None, seed, notes)
 
@@ -285,7 +277,8 @@ def verify_cor1(game: Game, model: EpistemicModel, seed: int | None = None) -> V
         "cor1", game, model, profile, Notion.SD, seed, ("belief",), profile=profile
     )
     if model.model_class == "knowledge" and report.holds:
-        return replace(report, notes=report.notes + ("knowledge",))
+        notes = report.notes + ("knowledge",)
+        return _report("cor1", report.instances_checked, False, None, seed, notes)
     return report
 
 
@@ -340,7 +333,7 @@ def _suite(claim, instances, seed, check, notes=()) -> VerificationReport:
     for k in range(instances):
         report = check(seed + k)
         if not report.holds:
-            return replace(report, claim=claim, instances_checked=k + 1, seed=seed)
+            return _report(claim, k + 1, True, report.counterexample, seed, report.notes)
     return _report(claim, instances, False, None, seed, notes)
 
 
@@ -363,7 +356,8 @@ def thm1_suite(notion: Notion | str, instances: int, seed: int = 0) -> Verificat
         game = generate_game(config)
         profile = NotionProfile.uniform(profile_notion, game.n)
         belief_model = generate_model(config, game)
-        knowledge_model = generate_model(replace(config, target_class="knowledge"), game)
+        knowledge_model = generate_model(
+            _suite_config(instance_seed, "knowledge", profile_notion), game)
         return _first_failure(verify_one(game, model, profile) for verify_one, model in
                               ((verify_thm1i, belief_model), (verify_thm1ii, knowledge_model)))
 
@@ -655,7 +649,7 @@ def _witness_reproduces(payload: dict) -> bool:
     return any(_violations(game, notion, i, (s,), ((small, big),)))
 
 
-class Claim(NamedTuple):
+class Claim(Value):
     """One claim. ``kind`` is its engine id and its payloads' kind. ``reads``
     pairs the options its check reads given --game (None: no check) with those
     its suite reads (None: no suite); a check that reads --model needs it.
@@ -664,11 +658,11 @@ class Claim(NamedTuple):
     belief_class. ``replay(payload)`` is True when the violation reproduces;
     None re-runs ``check`` on the payload. They look the checkers and suites
     up when called, so a wrapper put on one of those sees the call."""
-    kind: str
-    reads: tuple[tuple[str, ...] | None, tuple[str, ...] | None]
-    check: Callable[[SimpleNamespace], VerificationReport] | None
-    suite: Callable[[SimpleNamespace], VerificationReport] | None
-    replay: Callable[[dict], bool] | None = None
+    _fields = ("kind", "reads", "check", "suite", "replay")
+
+    def __init__(self, kind: str, reads: tuple, check, suite, replay=None):
+        self._kind, self._reads = kind, reads
+        self._check, self._suite, self._replay = check, suite, replay
 
 
 CLAIMS = {

@@ -187,6 +187,10 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     calls.append((["eliminate", "--game", game, "--notion", "msd,"], (2,)))
     calls.append((["epistemic", "--game", game, "--model", belief, "rat", "--profile", ",brc"],
                   (2,)))
+    # a game file that is not UTF-8 text
+    latin1 = directory / "latin1.game"
+    latin1.write_bytes("players: 2\nstrategies 1: \xe9\n".encode("latin-1"))
+    calls.append((["eliminate", "--game", str(latin1), "--notion", "sd"], (2,)))
     return calls
 
 

@@ -35,6 +35,9 @@ DOCUMENTED = frozenset({
     "games.Game.payoff",
     "games.Restriction.of",
     "games.Restriction.__repr__",
+    # the values' repr for API callers: the CLI prints labels, never a repr
+    "games.Value.__repr__",
+    "optimality.BestResponseVerdict.__init__",  # the verdict of solve_br_lp
     "optimality._canonical_inputs",  # the label reader of holds and the two LPs
     "optimality._opponent_set_mask",  # its opponent-set reader, which replay shares
     "epistemic.box",

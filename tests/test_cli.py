@@ -148,6 +148,19 @@ def test_eliminate_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("which", ["game", "model"])
+def test_a_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, tie_game_file,
+                                                   singleton_model_file, which):
+    latin1 = tmp_path / f"latin1.{which}"
+    latin1.write_bytes("players: 2\nstrategies 1: \xe9 D\n".encode("latin-1"))
+    game, model = (latin1, singleton_model_file) if which == "game" else (tie_game_file, latin1)
+    code, out, err = run(capsys, "epistemic", "--game", str(game), "--model", str(model),
+                         "validate")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {latin1}: 'utf-8' codec can't decode byte 0xe9")
+
+
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_eliminate_dump_to_an_unwritable_path_is_an_input_error(capsys, tmp_path, tie_game_file,
                                                                  where):

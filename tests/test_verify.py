@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from epigame.cli import render_report
@@ -15,6 +13,7 @@ from epigame.epistemic import (
 from epigame.errors import HypothesisNotMet, ValidationError
 from epigame.games import Restriction
 from epigame.generators import GeneratorConfig, generate_game, generate_model
+from epigame.lattice import EliminationTrace, RestrictionOperator
 from epigame.optimality import Notion
 from epigame.verify import (
     CLAIMS,
@@ -447,7 +446,7 @@ def _inclusion_lemma_fails_at_instance_seed_6(monkeypatch):
         trace = real(op, start)
         if op.name == "U[msd]" and start.game == failing:
             empty = Restriction(failing, (0,) * failing.n)
-            return dataclasses.replace(trace, stages=trace.stages + (empty,))
+            return EliminationTrace(trace.operator, trace.stages + (empty,), trace.records)
         return trace
 
     monkeypatch.setattr(verify, "iterate_to_outcome", iterate)
@@ -470,7 +469,7 @@ def _brp_keeps_nothing_on_even_restrictions(monkeypatch):
                 return made.apply(restriction)
             return Restriction(game, (0,) * game.n)
 
-        return dataclasses.replace(made, fn=apply)
+        return RestrictionOperator(made.name, apply)
 
     monkeypatch.setattr(verify, "operator", operator)
 
@@ -491,7 +490,7 @@ def _sd_expands_its_first_stage(monkeypatch):
         def apply(restriction):
             return full if restriction == first != full else made.apply(restriction)
 
-        return dataclasses.replace(made, fn=apply)
+        return RestrictionOperator(made.name, apply)
 
     monkeypatch.setattr(verify, "operator", operator)
 
@@ -512,7 +511,7 @@ def _sd_image_drops_a_strategy(monkeypatch):
             masks = made.apply(restriction).masks
             return Restriction(game, (masks[0] & (masks[0] - 1),) + masks[1:])
 
-        return dataclasses.replace(made, fn=apply)
+        return RestrictionOperator(made.name, apply)
 
     monkeypatch.setattr(verify, "operator", operator)
 
