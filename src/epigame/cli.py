@@ -195,7 +195,10 @@ def _cmd_epistemic(args) -> int:
     elif args.event is None:
         raise ValidationError("commonbox needs an event argument (comma-separated states)")
     else:
-        event = common_box(model, model.space.mask_of(s for s in args.event.split(",") if s))
+        labels = args.event.split(",") if args.event else ()  # "" is the empty event
+        if "" in labels:
+            raise ValidationError(f"event {args.event!r} has an empty entry")
+        event = common_box(model, model.space.mask_of(labels))
     print(f"{args.action}: " + " ".join(model.space.states[k] for k in set_bits(event)))
     return 0
 

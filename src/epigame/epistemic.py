@@ -122,16 +122,16 @@ class PossibilityCorrespondence(Value):
         self._space, self._targets = space, tuple(frozen)
         self._masks, self._sources = tuple(masks), dict(read.values())
 
-    @cached_property
+    @property
     def serial(self) -> bool:
         return 0 not in self.sources
 
-    @cached_property
+    @property
     def coherent(self) -> bool:
         """Every set lies inside its own sources: each state it keeps has it."""
         return all(m & pointing == m for m, pointing in self.sources.items())
 
-    @cached_property
+    @property
     def reflexive(self) -> bool:
         """Every sources mask lies inside its set: each state having it is in it."""
         return all(m & pointing == pointing for m, pointing in self.sources.items())

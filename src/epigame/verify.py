@@ -8,9 +8,9 @@ suites for theorem 1, the corollaries and the inclusion lemma share one
 instance loop, :func:`_suite`; the Pearce and monotonicity suites count
 restrictions or two phases under one random stream and keep their own.
 The inclusion lemma is one check on its two operator pairs,
-:func:`_inclusion_lemma_violation`. Every claim reads the elimination
-outcome through the memoised :func:`elimination_limit`; thm1.iii builds
-its two-block model around it.
+:func:`_inclusion_lemma_violation`. A claim reads the elimination outcome
+through the memoised :func:`elimination_limit` (an inclusion check only for
+a non-empty play); thm1.iii builds its two-block model around it.
 Monotonicity has one violation test on indices, :func:`_violations`, which
 the exhaustive :func:`nonmonotonicity_witnesses`, the suite's sampled phase
 and :func:`replay` share. A failing suite report states the suite seed and
@@ -53,7 +53,8 @@ from .errors import HypothesisNotMet, NonContractingStep, ValidationError
 from .games import (Game, JointStrategy, Restriction, Value, as_int, dominates, expected_payoff,
                     per_game, set_bits)
 from .generators import GeneratorConfig, generate_game, generate_model
-from .lattice import enumerate_restrictions, iterate_to_outcome, lattice_size, sample_restriction
+from .lattice import (RestrictionOperator, enumerate_restrictions, iterate_to_outcome, lattice_size,
+                      sample_restriction)
 from .optimality import (
     MONOTONIC_NOTIONS,
     Notion,
@@ -125,7 +126,7 @@ def _common_belief_play(model: EpistemicModel, profile: NotionProfile):
     puts CB(RAT) inside RAT, so the event is CB(RAT), common knowledge of
     rationality: one event serves both."""
     rat = rat_event(model, profile)
-    event = rat & common_box(model, rat)
+    event = rat & common_box(model, rat) if rat else 0
     return event, restriction_of(model, event)
 
 
@@ -148,6 +149,8 @@ def _verify_thm1(claim, model_class, game, model, profile, seed):
         )
     _require_model(game, model, model_class)
     event, chosen = _common_belief_play(model, profile)
+    if not event:  # an empty play lies inside every limit
+        return _report(claim, 1, False, None, seed)
     limit = elimination_limit(game, profile, GLOBAL)
     return _check_inclusion(
         claim, chosen, limit, seed,
@@ -264,8 +267,10 @@ def _verify_cor(claim, game, model, rationality, dominance, seed, notes=(), **ex
     """The corollaries' one check: play under RAT and CB(RAT) for the
     ``rationality`` profile lies inside the local limit of ``dominance``."""
     _require_model(game, model, "belief")
+    event, chosen = _common_belief_play(model, rationality)
+    if not event:  # an empty play lies inside every limit
+        return _report(claim, 1, False, None, seed, notes)
     limit = elimination_limit(game, NotionProfile.uniform(dominance, game.n), LOCAL)
-    _, chosen = _common_belief_play(model, rationality)
     return _check_inclusion(claim, chosen, limit, seed, notes, game=game, model=model, **extras)
 
 
@@ -468,18 +473,33 @@ EXHAUSTIVE_LIMIT = 1 << 6
 LEMMA_SAMPLES = 40
 
 
+def _mapped_once(op: RestrictionOperator) -> RestrictionOperator:
+    """``op`` under its name, applied at most once per restriction: its
+    images are kept by masks in a dict of this wrapper's own."""
+    images = {}
+
+    def apply(restriction):
+        image = images.get(restriction.masks)
+        if image is None:
+            image = images[restriction.masks] = op.apply(restriction)
+        return image
+
+    return RestrictionOperator(op.name, apply)
+
+
 def _inclusion_lemma_violation(game: Game, instance_seed: int) -> dict | None:
     """The inclusion lemma on one suite instance, for each operator pair: if
     op1 <= op2 pointwise, op1 is monotonic and op2 contracting, op1's outcome
     lies inside op2's. The premises are checked on every restriction of a
     lattice of at most :data:`EXHAUSTIVE_LIMIT`, else on the full game and
     samples, and op1's monotonicity on sampled pairs, all drawn from
-    ``Random(instance_seed)``. The payload of the first failure, else None: a
-    premise with its ``restriction`` (and ``larger``), or both outcomes."""
+    ``Random(instance_seed)``. Each operator maps a restriction once in the
+    call (:func:`_mapped_once`). The payload of the first failure, else None:
+    a premise with its ``restriction`` (and ``larger``), or both outcomes."""
     full = game.full_restriction()
     for notion1, mode1, notion2, mode2 in LEMMA_PAIRS:
-        op1 = operator(NotionProfile.uniform(notion1, game.n), game, mode1)
-        op2 = operator(NotionProfile.uniform(notion2, game.n), game, mode2)
+        op1 = _mapped_once(operator(NotionProfile.uniform(notion1, game.n), game, mode1))
+        op2 = _mapped_once(operator(NotionProfile.uniform(notion2, game.n), game, mode2))
         payload = {"kind": "lem.inc", "game": game, "instance_seed": instance_seed,
                    "op1": op1.name, "op2": op2.name}
         if lattice_size(game) <= EXHAUSTIVE_LIMIT:

@@ -191,6 +191,10 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     latin1 = directory / "latin1.game"
     latin1.write_bytes("players: 2\nstrategies 1: \xe9\n".encode("latin-1"))
     calls.append((["eliminate", "--game", str(latin1), "--notion", "sd"], (2,)))
+    # an empty entry in a commonbox event
+    for event in ("w0,,w1", ","):
+        calls.append((["epistemic", "--game", game, "--model", knowledge, "commonbox", event],
+                      (2,)))
     return calls
 
 

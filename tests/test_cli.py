@@ -204,6 +204,22 @@ def test_epistemic_rat_and_commonbox(capsys, tie_game_file, singleton_model_file
     assert code == 2
 
 
+@pytest.mark.parametrize("event", ["U.L,,D.R", "U.L,", ",U.L", ","])
+def test_commonbox_rejects_an_empty_event_entry(capsys, tie_game_file, singleton_model_file,
+                                                event):
+    # an empty entry was dropped: each of these printed a common box, exit 0
+    code, out, err = run(capsys, "epistemic", "--game", tie_game_file, "--model",
+                         singleton_model_file, "commonbox", event)
+    assert (code, out) == (2, "")
+    assert err == f"error: event {event!r} has an empty entry\n"
+
+
+def test_commonbox_of_the_empty_event(capsys, tie_game_file, singleton_model_file):
+    code, out, _ = run(capsys, "epistemic", "--game", tie_game_file, "--model",
+                       singleton_model_file, "commonbox", "")
+    assert (code, out) == (0, "commonbox: \n")
+
+
 @pytest.mark.parametrize(
     "argv, ignored",
     [

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from epigame.cli import render_report
@@ -833,3 +835,126 @@ def test_replay_reports_false_without_counterexample(tie_game):
     report = verify_thm1iii(tie_game, NotionProfile.uniform("sd", 2))
     assert report.holds
     assert replay(report) is False
+
+
+# --- work that no verdict reads ---------------------------------------------------
+
+def _limit_memoised(game):
+    import epigame.verify as verify
+
+    return any(fn is verify._limit_masks.__wrapped__ for fn, _ in game.memo)
+
+
+# per inclusion check: the rationality notion, and the notion and mode of its limit
+_INCLUSION_CHECKS = {
+    "thm1i": (Notion.SD, Notion.SD, GLOBAL),
+    "thm1ii": (Notion.SD, Notion.SD, GLOBAL),
+    "cor1": (Notion.BR_POINT, Notion.SD, LOCAL),
+    "cor2": (Notion.BR_CORRELATED, Notion.MSD, LOCAL),
+}
+
+
+def _full_path_report(check, game, model, seed):
+    """The report of the path that computes the elimination limit and then
+    checks the inclusion, whatever the play."""
+    import epigame.verify as verify
+
+    notion, limit_notion, mode = _INCLUSION_CHECKS[check]
+    rationality = NotionProfile.uniform(notion, game.n)
+    event, chosen = verify._common_belief_play(model, rationality)
+    limit = verify.elimination_limit(game, NotionProfile.uniform(limit_notion, game.n), mode)
+    claim, notes = CLAIMS[check].kind, ("belief",) if check == "cor1" else ()
+    extras = ({"profile": rationality, "event": model.space.event_of(event)}
+              if check.startswith("thm1") else {"profile": rationality} if check == "cor1"
+              else {"belief_class": "correlated"})
+    report = verify._check_inclusion(claim, chosen, limit, seed, notes, game=game, model=model,
+                                     **extras)
+    if check == "cor1" and model.model_class == "knowledge" and report.holds:
+        return verify._report(claim, 1, False, None, seed, notes + ("knowledge",))
+    return report
+
+
+@pytest.mark.parametrize("check, model_class, instance_seed, played", [
+    # suite instances: thm1 draws its games as its suite does for sd, the
+    # corollaries as theirs do; seed 0's plays are all empty
+    ("thm1i", "belief", 0, False), ("thm1i", "belief", 3, True),
+    ("thm1ii", "knowledge", 0, False), ("thm1ii", "knowledge", 2, True),
+    ("cor1", "belief", 0, False), ("cor1", "belief", 6, True),
+    ("cor1", "knowledge", 0, False), ("cor1", "knowledge", 2, True),
+    ("cor2", "belief", 0, False), ("cor2", "belief", 6, True),
+    ("cor2", "knowledge", 0, False), ("cor2", "knowledge", 2, True),
+])
+def test_an_empty_play_holds_without_an_elimination_limit(check, model_class, instance_seed,
+                                                          played):
+    import epigame.verify as verify
+
+    config = (_suite_config(instance_seed, model_class, Notion.SD) if check.startswith("thm1")
+              else _suite_config(instance_seed, model_class, Notion.BR_POINT, (2, 3), (2, 6)))
+    game = generate_game(config)
+    model = generate_model(config, game)
+    assert model.model_class == model_class
+    rationality = NotionProfile.uniform(_INCLUSION_CHECKS[check][0], game.n)
+    assert bool(verify._common_belief_play(model, rationality)[0]) == played
+    report = CLAIMS[check].check(SimpleNamespace(
+        game=game, model=model, profile=rationality, belief_class="correlated", seed=5))
+    # an empty play lies inside every limit, so none is computed for it
+    assert _limit_memoised(game) == played
+    assert report == _full_path_report(check, game, model, 5)
+    assert report.holds
+
+
+@pytest.mark.parametrize("instance_seed", [6, 0], ids=["enumerated", "sampled"])
+def test_the_inclusion_lemma_maps_each_restriction_once_per_operator(monkeypatch, instance_seed):
+    import epigame.verify as verify
+
+    real = verify.operator
+    applied = []  # (operator, masks) per application of a made operator
+
+    def operator(profile, game, mode):
+        made = real(profile, game, mode)
+
+        def apply(restriction):
+            applied.append((made, restriction.masks))
+            return made.apply(restriction)
+
+        return RestrictionOperator(made.name, apply)
+
+    monkeypatch.setattr(verify, "operator", operator)
+    game = generate_game(_suite_config(instance_seed, "belief", strategies=(2, 3)))
+    # seed 6's lattice (64 restrictions) is enumerated in full, seed 0's (256) sampled
+    assert (verify.lattice_size(game) <= verify.EXHAUSTIVE_LIMIT) == (instance_seed == 6)
+    assert verify._inclusion_lemma_violation(game, instance_seed) is None
+    assert len({op for op, _ in applied}) == 4
+    assert len(applied) == len(set(applied)) > 4 * verify.LEMMA_SAMPLES
+
+
+@pytest.mark.parametrize("patch, seed, lines", [
+    (_sd_image_drops_a_strategy, 2, [
+        "counterexample instance_seed: 2", "counterexample op1: T[brp]",
+        "counterexample op2: U[sd]",
+        "counterexample premise: pointwise inclusion op1(G) <= op2(G)",
+        "counterexample restriction: restrict 1: b", "counterexample restriction: restrict 2: a"]),
+    (_brp_keeps_nothing_on_even_restrictions, 2, [
+        "counterexample instance_seed: 2", "counterexample larger: restrict 1: a b",
+        "counterexample larger: restrict 2: a b", "counterexample op1: T[brp]",
+        "counterexample op2: U[sd]", "counterexample premise: op1 monotonic",
+        "counterexample restriction: restrict 1: a b",
+        "counterexample restriction: restrict 2: a"]),
+    (_sd_expands_its_first_stage, 47, [
+        "counterexample instance_seed: 47", "counterexample op1: T[brp]",
+        "counterexample op2: U[sd]", "counterexample premise: op2 contracting",
+        "counterexample restriction: restrict 1: a b",
+        "counterexample restriction: restrict 2: a b c",
+        "counterexample restriction: restrict 3: a b"]),
+], ids=["pointwise", "monotonic", "contracting"])
+def test_a_failed_inclusion_premise_names_the_same_restrictions(monkeypatch, patch, seed, lines):
+    # the payloads as they were before each operator mapped a restriction
+    # once per instance
+    patch(monkeypatch)
+    report = lemma_inc_suite(8, seed=seed)
+    assert report.instances_checked == 1
+    assert report.counterexample["game"] == generate_game(
+        _suite_config(seed, "belief", strategies=(2, 3)))
+    assert [line for line in render_report(report).splitlines()
+            if line.startswith("counterexample ")
+            and not line.startswith("counterexample game:")] == lines
