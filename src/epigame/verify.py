@@ -3,10 +3,10 @@ rationality to iterated elimination.
 
 Each claim is one check, which its single-instance checker, its seeded
 random suite and :func:`replay` share. A :class:`VerificationReport` is a
-value: the same inputs give an equal report with the same rendering. The
-suites for theorem 1, the corollaries and the inclusion lemma share one
-instance loop, :func:`_suite`; the Pearce and monotonicity suites count
-restrictions or two phases under one random stream and keep their own.
+value: the same inputs give an equal report with the same rendering. Every
+suite runs on one instance loop, :func:`_suite`, and its instance k draws
+only from seed + k; a Pearce instance is one game and counts its
+restrictions.
 The inclusion lemma is one check on its two operator pairs,
 :func:`_inclusion_lemma_violation`. A claim reads the elimination outcome
 through the memoised :func:`elimination_limit` (an inclusion check only for
@@ -15,8 +15,8 @@ Monotonicity has one violation test on indices, :func:`_violations`, which
 the exhaustive :func:`nonmonotonicity_witnesses`, the suite's sampled phase
 and :func:`replay` share. A failing suite report states the suite seed and
 the instances checked up to the failure, so the same suite call with those
-two re-runs it; a monotonicity failure in the larger phase re-runs with the
-same ``small_samples`` and the rest of the count as ``large_samples``.
+two re-runs it, and the suite at seed + k with one instance re-runs instance
+k alone (a larger monotonicity game with ``small_samples=0``).
 Counterexample payloads are replayable: :func:`replay` re-runs the failing
 instance and must reproduce the violation. A monotonicity witness is
 (player, strategy, smaller, larger), each opponent set a tuple of opponent
@@ -330,16 +330,17 @@ def _suite_config(seed: int, target_class: str, notion=None, strategies=(2, 4), 
 
 def _suite(claim, instances, seed, check, notes=()) -> VerificationReport:
     """The suites' one instance loop: ``check(seed + k)`` for k = 0, 1, ...
-    The first failing report is returned under the suite's claim and seed,
-    counting the instances up to its own; if none fails, a holds-on-all
-    report."""
+    The first failing report is returned under the suite's claim and seed, else
+    a holds-on-all report; both add up the instances the checks reported."""
     as_int("instances", instances, 1)
     as_int("seed", seed)
+    checked = 0
     for k in range(instances):
         report = check(seed + k)
+        checked += report.instances_checked
         if not report.holds:
-            return _report(claim, k + 1, True, report.counterexample, seed, report.notes)
-    return _report(claim, instances, False, None, seed, notes)
+            return _report(claim, checked, True, report.counterexample, seed, report.notes)
+    return _report(claim, checked, False, None, seed, notes)
 
 
 def _first_failure(reports) -> VerificationReport:
@@ -387,23 +388,22 @@ def cor_suite(
     seed: int = 0,
     belief_class: str = "correlated",
 ) -> VerificationReport:
-    """Random-model suites for the two dominance corollaries. cor2 with
-    independent beliefs runs on 2-player games, the only ones it admits."""
+    """Random-model suites for the two dominance corollaries: a knowledge
+    model at an even instance seed, a belief model at an odd one. cor1 draws
+    the games of point beliefs; cor2 with independent beliefs, 2-player games."""
     if which not in ("cor1", "cor2"):
         raise ValidationError(f"unknown corollary {which!r}; expected cor1 or cor2")
-    notion = _belief_class_notion(belief_class)
-    claim = CLAIMS[which]
-    # a check that reads no belief class draws the games of point beliefs
-    if "--belief-class" not in claim.reads[0]:
+    notion = _belief_class_notion(belief_class)  # cor1 too rejects an unknown class
+    if which == "cor1":
         notion = Notion.BR_POINT
 
     def check(instance_seed):
-        target = "belief" if (instance_seed - seed) % 2 else "knowledge"
+        target = "belief" if instance_seed % 2 else "knowledge"
         config = _suite_config(instance_seed, target, notion, (2, 3), (2, 6))
         game = generate_game(config)
         model = generate_model(config, game)
-        return claim.check(SimpleNamespace(game=game, model=model, belief_class=belief_class,
-                                           seed=None))
+        return (verify_cor1(game, model) if which == "cor1"
+                else verify_cor2(game, model, belief_class))
 
     return _suite(which, instances, seed, check)
 
@@ -444,22 +444,23 @@ def _pearce_violation(game: Game, restriction: Restriction) -> dict | None:
 def pearce_suite(games: int, seed: int = 0) -> VerificationReport:
     """Pearce's lemma, certified per strategy (:func:`_pearce_violation`), on
     each game's full restriction and sampled restrictions with non-empty
-    components."""
-    rng = random.Random(as_int("seed", seed))
-    checked = 0
-    for k in range(as_int("games", games, 1)):
-        game = generate_game(_suite_config(seed + k, "belief"))
+    components; it counts :data:`PEARCE_RESTRICTIONS` restrictions per game."""
+
+    def check(instance_seed):
+        game = generate_game(_suite_config(instance_seed, "belief"))
+        rng = random.Random(instance_seed)
         candidates = [game.full_restriction()]
         while len(candidates) < PEARCE_RESTRICTIONS:
             candidate = sample_restriction(rng, game)
             if not candidate.has_empty_component():
                 candidates.append(candidate)
-        for restriction in candidates:
-            checked += 1
+        for checked, restriction in enumerate(candidates, 1):
             payload = _pearce_violation(game, restriction)
             if payload is not None:
-                return _report("pearce", checked, True, payload, seed)
-    return _report("pearce", checked, False, None, seed)
+                break
+        return _report("pearce", checked, payload is not None, payload, seed)
+
+    return _suite("pearce", games, seed, check)
 
 
 # the inclusion lemma's operator pairs (op1 monotonic, op2 contracting)
@@ -611,25 +612,22 @@ def verify_monotonicity(game: Game, seed: int | None = None) -> VerificationRepo
 
 def monotonicity_suite(small_samples: int = 5000, large_samples: int = 1000,
                        seed: int = 0) -> VerificationReport:
-    """Monotonicity of the four monotonic notions: exhaustive opponent-set
-    pairs on sampled 2x2 games with payoffs in {0,1,2}, then random larger
-    games with sampled subset pairs, both phases from one random stream."""
+    """Monotonicity of the four monotonic notions: the first ``small_samples``
+    instances are sampled 2x2 games with payoffs in {0,1,2}, on every
+    opponent-set pair; the rest are random larger games, on sampled subset
+    pairs per player. Each instance draws from ``Random(instance_seed)``."""
     if as_int("small_samples", small_samples, 0) + as_int("large_samples", large_samples, 0) < 1:
         raise ValidationError("monotonicity_suite needs at least one game")
-    rng = random.Random(as_int("seed", seed))
-    checked = 0
     pool = (Fraction(0), Fraction(1), Fraction(2))
     tables = list(itertools.product(pool, repeat=4))
-    for _ in range(small_samples):
-        game = Game((("a", "b"), ("x", "y")), (rng.choice(tables), rng.choice(tables)))
-        checked += 1
-        payload = _monotonicity_violation(game, partial(nonmonotonicity_witnesses, game))
-        if payload is not None:
-            return _report("lem.mono", checked, True, payload, seed)
 
-    for k in range(large_samples):
-        game = generate_game(_suite_config(seed + k, "belief", strategies=(2, 3)))
-        checked += 1
+    def check(instance_seed):
+        rng = random.Random(instance_seed)
+        if instance_seed - seed < small_samples:
+            game = Game((("a", "b"), ("x", "y")), (rng.choice(tables), rng.choice(tables)))
+            payload = _monotonicity_violation(game, partial(nonmonotonicity_witnesses, game))
+            return _report("lem.mono", 1, payload is not None, payload, seed)
+        game = generate_game(_suite_config(instance_seed, "belief", strategies=(2, 3)))
         for i in range(game.n):
             opponents = game.opponent_mask(i, game.full_masks)
             pairs = []
@@ -641,8 +639,10 @@ def monotonicity_suite(small_samples: int = 5000, large_samples: int = 1000,
             payload = _monotonicity_violation(
                 game, lambda notion: _violations(game, notion, i, strategies, pairs))
             if payload is not None:
-                return _report("lem.mono", checked, True, payload, seed)
-    return _report("lem.mono", checked, False, None, seed)
+                break
+        return _report("lem.mono", 1, payload is not None, payload, seed)
+
+    return _suite("lem.mono", small_samples + large_samples, seed, check)
 
 
 # --- the claim table --------------------------------------------------------------

@@ -253,7 +253,7 @@ def test_cor_suite_rejects_an_unknown_corollary():
 def test_pearce_suite_small_batch():
     report = pearce_suite(games=40, seed=8)
     assert report.holds
-    assert report.instances_checked >= 40
+    assert report.instances_checked == 40 * 6  # the full game and five sampled restrictions
 
 
 def test_pearce_certificate_needs_an_lp_belief():
@@ -295,8 +295,9 @@ def _empty_limit(game, profile, mode):
         # reports its instance count and the suite seed
         (lambda: thm1_suite("msd", 5, seed=0), ("thm1.i+ii", 3, 0, "thm1.ii", ())),
         (lambda: thm1_suite("msd", 5, seed=3), ("thm1.i+ii", 1, 3, "thm1.i", ())),
-        (lambda: cor_suite("cor1", 5, seed=3), ("cor1", 4, 3, "cor1", ("belief",))),
-        (lambda: cor_suite("cor2", 5, seed=5), ("cor2", 2, 5, "cor2", ())),
+        # an odd instance seed draws a belief model, an even one a knowledge model
+        (lambda: cor_suite("cor1", 8, seed=3), ("cor1", 7, 3, "cor1", ("belief",))),
+        (lambda: cor_suite("cor2", 5, seed=5), ("cor2", 5, 5, "cor2", ())),
     ],
 )
 def test_suites_report_their_first_failure(monkeypatch, run, expected):
@@ -346,30 +347,33 @@ def test_lemma_inc_suite_reports_its_first_failure(monkeypatch):
     assert replay(report) is True
 
 
-def _brc_keeps_everything(monkeypatch):
+def _brc_keeps_everything(monkeypatch, only=None):
     # local brc stops eliminating once the restriction is not the full game
+    # (of the game ``only``, when one is given)
     import epigame.verify as verify
 
     real = verify.u_local
 
     def u_local(profile, game, restriction):
-        if profile.notions[0] is Notion.BR_CORRELATED and restriction != game.full_restriction():
+        if (profile.notions[0] is Notion.BR_CORRELATED and restriction != game.full_restriction()
+                and only in (None, game)):
             return restriction
         return real(profile, game, restriction)
 
     monkeypatch.setattr(verify, "u_local", u_local)
 
 
-def _at_most_one_opponent(monkeypatch, spare_two_by_two=False):
+def _at_most_one_opponent(monkeypatch, spare=lambda game: False):
     # every notion holds against at most one opponent profile and fails
-    # against more: not monotonic; the replay reads it too
+    # against more, on each game not spared: not monotonic; the replay reads
+    # it too
     import epigame.optimality as optimality
     import epigame.verify as verify
 
     real = optimality._holds_core
 
     def fake(game, notion, i, s, alternatives, opponents):
-        if spare_two_by_two and game.strategies == (("a", "b"), ("x", "y")):
+        if spare(game):
             return real(game, notion, i, s, alternatives, opponents)
         return opponents & (opponents - 1) == 0
 
@@ -385,7 +389,8 @@ _FORCED_FAILURES = {
         lambda seed, n: monotonicity_suite(small_samples=n, large_samples=4, seed=seed), 2,
     ),
     "mono-sampled": (
-        lambda monkeypatch: _at_most_one_opponent(monkeypatch, spare_two_by_two=True),
+        lambda monkeypatch: _at_most_one_opponent(
+            monkeypatch, spare=lambda game: game.strategies == (("a", "b"), ("x", "y"))),
         lambda seed, n: monotonicity_suite(small_samples=3, large_samples=n - 3, seed=seed), 2,
     ),
 }
@@ -393,7 +398,7 @@ _FORCED_FAILURES = {
 
 @pytest.mark.parametrize(
     "name, claim, instances",
-    [("pearce", "pearce", 4), ("mono-exhaustive", "lem.mono", 1), ("mono-sampled", "lem.mono", 4)],
+    [("pearce", "pearce", 4), ("mono-exhaustive", "lem.mono", 1), ("mono-sampled", "lem.mono", 5)],
 )
 def test_pearce_and_monotonicity_suites_report_their_first_failure(
     monkeypatch, name, claim, instances
@@ -574,6 +579,60 @@ def test_a_failing_suite_report_reruns_from_its_seed(monkeypatch, patch, run, se
     assert report.verdict == "counterexample"
     assert report.seed == seed
     assert run(report.seed, report.instances_checked) == report
+
+
+_ALONE = {
+    # name: (patch, run(seed, instances), the suite run alone at one seed, suite seed)
+    "thm1": (_empty_limit_patch, lambda seed, n: thm1_suite("msd", n, seed=seed),
+             lambda seed: thm1_suite("msd", 1, seed=seed), 0),
+    "thm1iii": (_thm1iii_fails_at_instance_seed_4, lambda seed, n: thm1iii_suite(n, seed=seed),
+                lambda seed: thm1iii_suite(1, seed=seed), 3),
+    # both fail at instance seed 9, the fifth and second instance: an odd
+    # position, where a model class picked by position would differ
+    "cor1": (_empty_limit_patch, lambda seed, n: cor_suite("cor1", n, seed=seed),
+             lambda seed: cor_suite("cor1", 1, seed=seed), 4),
+    "cor2": (_empty_limit_patch, lambda seed, n: cor_suite("cor2", n, seed=seed),
+             lambda seed: cor_suite("cor2", 1, seed=seed), 8),
+    "lem.inc": (_inclusion_lemma_fails_at_instance_seed_6,
+                lambda seed, n: lemma_inc_suite(n, seed=seed),
+                lambda seed: lemma_inc_suite(1, seed=seed), 4),
+    # only the game of instance seed 11 breaks, at its third restriction
+    "pearce": (
+        lambda monkeypatch: _brc_keeps_everything(
+            monkeypatch, only=generate_game(_suite_config(11, "belief"))),
+        lambda seed, n: pearce_suite(n, seed=seed), lambda seed: pearce_suite(1, seed=seed), 8,
+    ),
+    # only the 2x2 games where player 1 is paid 2 at (a, x) break
+    "mono-exhaustive": (
+        lambda monkeypatch: _at_most_one_opponent(
+            monkeypatch, spare=lambda game: game.payoff_tables[0][0] != 2),
+        lambda seed, n: monotonicity_suite(small_samples=n, large_samples=0, seed=seed),
+        lambda seed: monotonicity_suite(1, 0, seed=seed), 2,
+    ),
+    "mono-sampled": (
+        _FORCED_FAILURES["mono-sampled"][0],
+        _FORCED_FAILURES["mono-sampled"][1],
+        lambda seed: monotonicity_suite(0, 1, seed=seed), 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("patch, run, alone, seed", _ALONE.values(), ids=list(_ALONE))
+def test_a_failing_instance_reruns_alone_from_its_instance_seed(monkeypatch, patch, run, alone,
+                                                                seed):
+    # instance k of a suite at seed S draws only from S + k, so the suite at
+    # S + k with one instance reports the same counterexample
+    patch(monkeypatch)
+    report = run(seed, 8)
+    assert report.verdict == "counterexample"
+    per_instance = 6 if report.claim == "pearce" else 1  # Pearce counts restrictions
+    k, position = divmod(report.instances_checked - 1, per_instance)
+    assert k >= 1  # the failure is not at the suite's own seed
+    single = alone(seed + k)
+    assert (single.verdict, single.instances_checked, single.seed) == (
+        "counterexample", position + 1, seed + k)
+    assert single.counterexample == report.counterexample
+    assert single.notes == report.notes
 
 
 @pytest.mark.parametrize("patch, seed, premise, keys", [
