@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import verify as verify_mod
@@ -37,16 +36,10 @@ from .verify import VerificationReport
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
     except (OSError, UnicodeDecodeError) as exc:  # the formats are UTF-8 text
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-
-
-def _write(path: str, text: str) -> None:
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _render_witness(witness) -> str:
@@ -166,7 +159,11 @@ def _cmd_eliminate(args) -> int:
     trace = outcome(profile, game, args.mode)
     dump = render_trace(trace, args.mode, profile)
     if args.dump:
-        _write(args.dump, dump)
+        try:
+            with open(args.dump, "w", encoding="utf-8") as handle:
+                handle.write(dump)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {args.dump}: {exc}") from exc
     if args.trace:
         print(dump, end="")
     else:

@@ -19,10 +19,12 @@ on it. A change that alters a line names each changed call and says why.
 The engine's parsers key memos on strings and read possibility sets as
 frozensets of labels, so a rendering that follows set order would print
 differently under another string hash seed, and so would an order that
-follows the hash of a notion. ``test_contract.py`` runs this script under
-``PYTHONHASHSEED`` 1 and 2; each run is compared with the pinned digests.
+follows the hash of a notion. ``test_contract.py`` runs ``main`` under
+``PYTHONHASHSEED`` 1 and 2, against the engine its session imports; each run
+is compared with the pinned digests.
 
-Run from anywhere, standard library only:
+``main`` checks the engine on ``sys.path``. Run as a script, from anywhere,
+standard library only, it checks the ``src/`` beside this directory:
 
     python tests/contract.py           # compare; lists each changed call, exit 1 on any
     python tests/contract.py --write   # rewrite contract.txt
@@ -195,6 +197,8 @@ def corpus(directory: Path, run) -> list[tuple[list[str], tuple[int, ...]]]:
     for event in ("w0,,w1", ","):
         calls.append((["epistemic", "--game", game, "--model", knowledge, "commonbox", event],
                       (2,)))
+    # an empty file path names no file
+    calls.append((["eliminate", "--game", "", "--notion", "sd"], (2,)))
     return calls
 
 
@@ -244,7 +248,6 @@ def changes(expected: list[str], actual: list[str]) -> list[str]:
 
 
 def main(argv) -> int:
-    sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
     actual, found = lines()
     if argv != ["--write"]:
         found += changes(CONTRACT.read_text(encoding="utf-8").splitlines(), actual)
@@ -259,4 +262,5 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(HERE.parent / "src"))
     sys.exit(main(sys.argv[1:]))

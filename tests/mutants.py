@@ -5,8 +5,8 @@ must occur once in the file, and the new text. It names the pytest node ids
 that the edit must make fail, every one of them. The runner first runs all
 the listed tests on an unmutated copy of ``src/`` and requires them to pass.
 Then, for each entry, it copies ``src/`` to a temporary directory, applies
-the edit there and runs the entry's tests against that copy. The tree under
-test is never edited.
+the edit there and runs the entry's tests, from this directory, against that
+copy. The tree under test is never edited.
 
 Run from anywhere, with pytest installed (standard library otherwise):
 
@@ -151,6 +151,62 @@ CATALOGUE = (
          "tests/test_elimination.py::test_global_strict_dominance_pd",
          "tests/test_elimination.py::test_outcome_tie_game_local_wd_with_reasons"],
     ),
+    Mutant(
+        "M3: sd decided by the weak test", "epigame/optimality.py",
+        "    if notion is Notion.SD:\n"
+        "        return _pure_dominator(game, i, s, alternatives, opponents, True) is None\n",
+        "    if notion is Notion.SD:\n"
+        "        return _pure_dominator(game, i, s, alternatives, opponents, False) is None\n",
+        ["tests/test_cli.py::test_verify_thm2_hypothesis_not_met"],
+    ),
+    Mutant(
+        "msd and brc decided by a negative value only", "epigame/optimality.py",
+        "    return _strict_decision(game, i, s, alternatives, opponents)[0] <= 0\n",
+        "    return _strict_decision(game, i, s, alternatives, opponents)[0] < 0\n",
+        ["tests/test_verify.py::test_pearce_certificate_needs_an_lp_belief",
+         "tests/test_predicate_core.py::test_decisions_agree_with_their_witness_programs"],
+    ),
+    Mutant(
+        "M-degenerate: the decision keeps a degenerate basis's row mixture",
+        "epigame/simplex.py",
+        "    if decide and not (value > 0 and all(rhs)):\n",
+        "    if decide and not value > 0:\n",
+        ["tests/test_simplex_oracle.py::"
+         "test_the_decision_keeps_no_row_mixture_of_a_degenerate_basis",
+         "tests/test_optimality.py::test_a_witness_from_a_degenerate_decision_is_blands"],
+    ),
+    Mutant(
+        "_pivot keeps a negative pivot", "epigame/simplex.py",
+        "    if pivot < 0:\n        tableau[:] = ",
+        "    if False:\n        tableau[:] = ",
+        ["tests/test_simplex_oracle.py::test_negative_phase_one_clean_up_pivot"],
+    ),
+    Mutant(
+        "Bland's tie-break flipped in _leaving", "epigame/simplex.py",
+        "basis[r] < basis[leaving]",
+        "basis[r] > basis[leaving]",
+        ["tests/test_simplex_oracle.py::test_redundant_equality_row_is_dropped",
+         "tests/test_simplex_oracle.py::test_matrix_game_value_matches_fraction_solver"],
+    ),
+    Mutant(
+        "optimum_from_origin returns a vertex that is not the only optimum", "epigame/simplex.py",
+        "    if not all(reduced):\n        return optimum, None\n",
+        "",
+        ["tests/test_simplex_oracle.py::"
+         "test_one_phase_program_returns_its_vertex_only_when_it_is_the_only_optimum"],
+    ),
+    Mutant(
+        "coherent tests the reflexive inclusion", "epigame/epistemic.py",
+        "m & pointing == m for",
+        "m & pointing == pointing for",
+        ["tests/test_epistemic.py::test_classification_belief_knowledge_invalid"],
+    ),
+    Mutant(
+        "common_box marks every state outside the event bad", "epigame/epistemic.py",
+        "    bad = 0\n    frontier = space.full_mask & ~event\n",
+        "    bad = space.full_mask & ~event\n    frontier = space.full_mask & ~event\n",
+        ["tests/test_epistemic.py::test_common_box_may_leave_the_event_on_belief_models"],
+    ),
 )
 
 
@@ -162,30 +218,23 @@ def pytest_runtest_logreport(report):
             handle.write(report.nodeid + "\n")
 
 
-def run_tests(tree: Path, tests, log: Path) -> tuple[int, set]:
-    """pytest's exit code on ``tests`` in the copy ``tree``, its ``src/`` first
-    on the path, and the node ids that failed."""
+def run_tests(src: Path, tests, log: Path) -> tuple[int, set]:
+    """pytest's exit code on ``tests`` with the engine copy ``src`` first on
+    the path, and the node ids that failed."""
     log.unlink(missing_ok=True)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(tree / "tests")]),
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(ROOT / "tests")]),
                **{FAILED_LOG: str(log)})
     command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-p", "mutants",
-               "--rootdir", str(tree), *tests]
-    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+               "--rootdir", str(ROOT), *tests]
+    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
     failed = set(log.read_text(encoding="utf-8").splitlines()) if log.exists() else set()
     if done.returncode not in (0, 1):
         sys.stdout.write(done.stdout[-2000:] + done.stderr[-2000:])
     return done.returncode, failed
 
 
-def copy_tree(source: Path, tree: Path) -> None:
-    """``src/`` and ``tests/`` (whose scripts find the engine beside them)."""
-    for name in ("src", "tests"):
-        shutil.copytree(source / name, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.copy(source / "pyproject.toml", tree)
-
-
-def apply(mutant: Mutant, tree: Path) -> None:
-    path = tree / "src" / mutant.file
+def apply(mutant: Mutant, src: Path) -> None:
+    path = src / mutant.file
     text = path.read_text(encoding="utf-8")
     if text.count(mutant.old) != 1:
         print(f"{mutant.name}: the old text occurs {text.count(mutant.old)} times "
@@ -200,19 +249,19 @@ def main() -> int:
         return 2
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         clean, log = Path(tmp) / "clean", Path(tmp) / "failed.txt"
-        copy_tree(ROOT, clean)
+        shutil.copytree(ROOT / "src", clean, ignore=shutil.ignore_patterns("__pycache__"))
         code, failed = run_tests(clean, sorted({test for m in CATALOGUE for test in m.tests}), log)
         if code != 0:
             print(f"the unmutated tree fails {sorted(failed)} (pytest exit {code})")
             return 2
         survived = 0
         for mutant in CATALOGUE:
-            tree = Path(tmp) / "mutant"
-            shutil.rmtree(tree, ignore_errors=True)
-            copy_tree(clean, tree)
-            apply(mutant, tree)
+            src = Path(tmp) / "mutant"
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(clean, src)
+            apply(mutant, src)
             started = time.perf_counter()
-            code, failed = run_tests(tree, mutant.tests, log)
+            code, failed = run_tests(src, mutant.tests, log)
             seconds = time.perf_counter() - started
             if code not in (0, 1):
                 print(f"{mutant.name}: pytest exit {code}")

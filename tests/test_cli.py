@@ -1,4 +1,5 @@
 import gc
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -170,6 +171,32 @@ def test_eliminate_dump_to_an_unwritable_path_is_an_input_error(capsys, tmp_path
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: cannot write {dump}: ") and err.count("\n") == 1
+
+
+def test_commands_on_files_intern_no_strings(capsys, monkeypatch, tmp_path, tie_game_file,
+                                             singleton_model_file):
+    # sys.intern grows the interpreter's interned-string table, which a
+    # command that reads or writes a file has no cause to do
+    dump = tmp_path / "trace.dump"
+    commands = [
+        ["eliminate", "--game", tie_game_file, "--notion", "mwd", "--trace", "--dump", str(dump)],
+        ["epistemic", "--game", tie_game_file, "--model", singleton_model_file, "rat"],
+        ["verify", "thm1i", "--game", tie_game_file, "--model", singleton_model_file,
+         "--profile", "sd"],
+    ]
+    run(capsys, *commands[0])  # warm-up
+    expected = [run(capsys, *argv) for argv in commands]
+    expected_dump = dump.read_text(encoding="utf-8")
+    dump.unlink()
+
+    def intern(string):
+        raise AssertionError(f"interned {string!r}")
+
+    with monkeypatch.context() as patch:  # pytest's own reporting interns
+        patch.setattr(sys, "intern", intern)
+        actual = [run(capsys, *argv) for argv in commands]
+    assert actual == expected
+    assert dump.read_text(encoding="utf-8") == expected_dump
 
 
 def test_epistemic_validate(capsys, tie_game_file, singleton_model_file):

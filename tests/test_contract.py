@@ -5,6 +5,7 @@ under ``PYTHONHASHSEED`` 1 and 2."""
 import contextlib
 import io
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ import epigame.cli
 
 import contract
 
+SRC = Path(epigame.__file__).resolve().parents[1]
+
 
 def test_every_call_prints_what_the_contract_pins():
     expected = contract.CONTRACT.read_text(encoding="utf-8").splitlines()
@@ -24,14 +27,35 @@ def test_every_call_prints_what_the_contract_pins():
     assert not found, "\n".join(found)
 
 
+def _contract_under_hash_seed(seed: str, src: Path) -> subprocess.CompletedProcess:
+    """``contract.main`` in a fresh interpreter, on the engine in ``src``."""
+    path = os.pathsep.join([str(src), str(Path(contract.__file__).parent)])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    script = "import sys, contract; sys.exit(contract.main([]))"
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+
+
 @pytest.mark.parametrize("seed", ["1", "2"])
 def test_the_contract_holds_under_other_hash_seeds(seed):
     # parsed labels and notions hash by their strings: an output order that
     # followed a hash would change with the seed
-    env = {**os.environ, "PYTHONHASHSEED": seed}
-    done = subprocess.run([sys.executable, contract.__file__], env=env,
-                          capture_output=True, text=True)
+    done = _contract_under_hash_seed(seed, SRC)
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_the_hash_seed_check_reads_the_engine_it_is_given(tmp_path):
+    # a copy of the engine that prints restrictions differently breaks the
+    # contract: the check must run that copy, not the src/ beside contract.py
+    shutil.copytree(SRC / "epigame", tmp_path / "epigame",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    games = tmp_path / "epigame" / "games.py"
+    text = games.read_text(encoding="utf-8")
+    assert text.count('f"restrict {i + 1}: "') == 1
+    games.write_text(text.replace('f"restrict {i + 1}: "', 'f"keep {i + 1}: "'),
+                     encoding="utf-8")
+    done = _contract_under_hash_seed("1", tmp_path)
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "changed: eliminate --game DIR/seed9.game --notion sd\n" in done.stdout
 
 
 def _in_process(argv):
@@ -50,9 +74,8 @@ def test_the_entry_point_exits_as_main_returns(tmp_path):
               ["verify", "thm2", "--game", game, "--profile", "wd"],
               ["eliminate", "--game", game, "--notion", "xx"]]
     assert all(argv in calls for argv in chosen)
-    src = str(Path(epigame.__file__).resolve().parents[1])
     env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
     for argv, code in zip(chosen, (0, 1, 2)):
         done = subprocess.run([sys.executable, "-m", "epigame.cli", *argv], env=env,
                               capture_output=True, text=True)

@@ -1,6 +1,6 @@
 """What importing the engine loads: the CLI's start-up is paid on every run,
-so no engine module imports `dataclasses` or `typing`, and neither they nor
-`inspect` are loaded on the engine's behalf."""
+so no engine module imports `dataclasses`, `typing`, `inspect` or `pathlib`,
+and none of them is loaded on the engine's behalf."""
 
 import ast
 import json
@@ -12,7 +12,7 @@ from pathlib import Path
 import epigame
 
 SOURCES = sorted(Path(epigame.__file__).parent.glob("*.py"))
-FORBIDDEN = {"dataclasses", "typing", "inspect"}
+FORBIDDEN = {"dataclasses", "typing", "inspect", "pathlib"}
 
 
 def _stdlib_imports() -> set[str]:
@@ -27,13 +27,12 @@ def _stdlib_imports() -> set[str]:
     return {name for name in names if name != "__future__" and not name.startswith("epigame")}
 
 
-def test_no_engine_module_imports_dataclasses_or_typing():
-    found = sorted(name for name in _stdlib_imports()
-                   if name.split(".")[0] in {"dataclasses", "typing"})
+def test_no_engine_module_imports_a_forbidden_module():
+    found = sorted(name for name in _stdlib_imports() if name.split(".")[0] in FORBIDDEN)
     assert found == []
 
 
-def test_importing_the_cli_loads_no_dataclasses_typing_or_inspect():
+def test_importing_the_cli_loads_no_forbidden_module():
     # a bare interpreter (-S: no site) first imports the other stdlib modules
     # the engine names, so what the engine import adds is the engine's own doing
     stdlib = sorted(name for name in _stdlib_imports() if name.split(".")[0] not in FORBIDDEN)
