@@ -58,18 +58,17 @@ def render_trace(trace: EliminationTrace, mode: str, profile: NotionProfile) -> 
         f"profile: {profile}",
         f"stabilized_at: {trace.stabilized_at}",
     ]
-    for k, stage in enumerate(trace.stages):
-        for i, component in enumerate(stage.components):
-            lines.append(f"stage {k} restrict {i + 1}: " + " ".join(component))
+    for k, stage in enumerate(trace.stages):  # the last stage is the outcome
+        restricts = render_restriction(stage).splitlines()
+        lines.extend(f"stage {k} {line}" for line in restricts)
     for record in trace.records:
         lines.append(
             f"eliminate stage={record.stage} player={record.player + 1} "
             f"strategy={record.strategy} reason={record.reason} "
             f"witness={_render_witness(record.witness)}"
         )
-    for i, component in enumerate(trace.outcome.components):
-        lines.append(f"outcome restrict {i + 1}: " + " ".join(component))
-    return "\n".join(line.rstrip() for line in lines) + "\n"
+    lines.extend(f"outcome {line}" for line in restricts)
+    return "\n".join(lines) + "\n"
 
 
 # the payload values printed in their file format, one line per file line

@@ -25,7 +25,6 @@ possibility set once, through ``sources``.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
 
 from .errors import ParseError, ValidationError
 from .games import (
@@ -85,10 +84,11 @@ class PossibilityCorrespondence(Value):
 
     ``masks[k]`` is state ``k``'s set as a state mask; :attr:`sources` maps
     each distinct mask to the mask of the states that have it. Both are
-    built in the pass that checks the targets' labels."""
+    built in the pass that checks the targets' labels; ``kind`` is then
+    ``belief`` for (i)+(ii), ``knowledge`` for (i)-(iii), else ``invalid``."""
 
     _fields = ("space", "targets")
-    _derived = ("masks", "sources")
+    _derived = ("masks", "sources", "kind")
 
     def __init__(self, space: StateSpace, targets: tuple[frozenset[str], ...]):
         if not isinstance(space, StateSpace):
@@ -121,6 +121,8 @@ class PossibilityCorrespondence(Value):
             masks.append(entry[0])
         self._space, self._targets = space, tuple(frozen)
         self._masks, self._sources = tuple(masks), dict(read.values())
+        self._kind = ("invalid" if not (self.serial and self.coherent)
+                      else "knowledge" if self.reflexive else "belief")
 
     @property
     def serial(self) -> bool:
@@ -136,13 +138,6 @@ class PossibilityCorrespondence(Value):
         """Every sources mask lies inside its set: each state having it is in it."""
         return all(m & pointing == pointing for m, pointing in self.sources.items())
 
-    @cached_property
-    def kind(self) -> str:
-        """``belief`` for (i)+(ii), ``knowledge`` for (i)-(iii), else ``invalid``."""
-        if not (self.serial and self.coherent):
-            return "invalid"
-        return "knowledge" if self.reflexive else "belief"
-
 
 class EpistemicModel(Value):
     """States, strategy maps and one possibility correspondence per player.
@@ -152,11 +147,11 @@ class EpistemicModel(Value):
     simply has smaller images. Inside, the choices are state masks, built
     where the maps' labels are checked: ``choosers[i][s]`` keeps the states at
     which player ``i`` chooses the strategy with index ``s``. Maps and
-    correspondences are stored as tuples.
+    correspondences are stored as tuples; ``model_class`` is their weakest ``kind``.
     """
 
     _fields = ("game", "space", "strategy_maps", "correspondences")
-    _derived = ("choosers",)
+    _derived = ("choosers", "model_class")
 
     def __init__(self, game: Game, space: StateSpace, strategy_maps: tuple[tuple[str, ...], ...],
                  correspondences: tuple[PossibilityCorrespondence, ...]):
@@ -188,13 +183,8 @@ class EpistemicModel(Value):
                 raise ValidationError("correspondence is over a different state space")
         self._game, self._space, self._strategy_maps = game, space, strategy_maps
         self._correspondences, self._choosers = correspondences, tuple(choosers)
-
-    @cached_property
-    def model_class(self) -> str:
-        """The weakest :attr:`~PossibilityCorrespondence.kind` among the
-        correspondences."""
-        return min((c.kind for c in self.correspondences),
-                   key=("invalid", "belief", "knowledge").index)
+        self._model_class = min((c.kind for c in correspondences),
+                                key=("invalid", "belief", "knowledge").index)
 
     def require_valid(self) -> None:
         if self.model_class == "invalid":

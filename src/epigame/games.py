@@ -56,9 +56,12 @@ def check_label(label, what: str, reserved=STRATEGY_LABEL_RESERVED) -> None:
 
 def _rational_literal(text: str) -> Fraction:
     """Exact value of an integer, ``p/q`` or decimal literal within the bounds
-    above; `ValidationError` otherwise."""
-    mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    above, ``_`` only between digits as Python 3.11 reads it; `ValidationError` otherwise."""
+    parts = text.split("_")  # dropped before Fraction reads them: Python 3.10's reads none
+    if not all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(parts, parts[1:])):
+        raise ValidationError(f"not an exact rational: {text!r}")
+    mantissa, _, exponent = "".join(parts).lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").lstrip("0")
     if sum(c.isdecimal() for c in mantissa) > MAX_LITERAL_DIGITS:
         raise ValidationError(f"literal has more than {MAX_LITERAL_DIGITS} digits")
     if exponent.isdecimal() and (
@@ -66,7 +69,7 @@ def _rational_literal(text: str) -> Fraction:
     ):
         raise ValidationError(f"literal has an exponent beyond {MAX_LITERAL_EXPONENT}")
     try:
-        return Fraction(text)
+        return Fraction("".join(parts))
     except (ValueError, ZeroDivisionError):
         raise ValidationError(f"not an exact rational: {text!r}") from None
 
@@ -135,7 +138,8 @@ class Game(Value):
 
     ``payoff_tables[i]`` is flat, indexed by the joint strategy in product
     order (last player varies fastest). Both are stored as tuples, and the
-    payoffs as Fractions; a table of Fractions only is kept as given.
+    payoffs as Fractions; a table of Fractions only is kept as given. A game
+    refuses any assignment, so no table it builds on first read is replaced.
     """
 
     _fields = ("strategies", "payoff_tables")
@@ -167,7 +171,14 @@ class Game(Value):
                         f"player {i + 1} has a payoff that is not an int or Fraction")
                 table = tuple(map(Fraction, table))
             exact.append(table)
-        self._strategies, self._payoff_tables = strategies, tuple(exact)
+        object.__setattr__(self, "_strategies", strategies)
+        object.__setattr__(self, "_payoff_tables", tuple(exact))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Game is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Game is read-only: cannot delete {name!r}")
 
     @cached_property
     def n(self) -> int:
@@ -383,7 +394,7 @@ class Restriction(Value):
     def has_empty_component(self) -> bool:
         return 0 in self.masks
 
-    @cached_property
+    @property
     def components(self) -> tuple[tuple[str, ...], ...]:
         """The components as labels, in the game's label order."""
         return tuple(
@@ -391,7 +402,7 @@ class Restriction(Value):
             for labels, mask in zip(self.game.strategies, self.masks)
         )
 
-    @cached_property
+    @property
     def joint_strategies(self) -> tuple[JointStrategy, ...]:
         return tuple(itertools.product(*self.components))
 

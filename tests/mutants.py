@@ -202,6 +202,20 @@ CATALOGUE = (
         ["tests/test_epistemic.py::test_classification_belief_knowledge_invalid"],
     ),
     Mutant(
+        "a correspondence classified without its coherence test", "epigame/epistemic.py",
+        "if not (self.serial and self.coherent)",
+        "if not self.serial",
+        ["tests/test_epistemic.py::test_classification_belief_knowledge_invalid",
+         "tests/test_epistemic.py::test_invalid_model_rejected_by_operations",
+         "tests/test_epistemic.py::test_validation_report_flags_invalid"],
+    ),
+    Mutant(
+        "Game stores what is assigned to it", "epigame/games.py",
+        '        raise AttributeError(f"a Game is read-only: cannot assign {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        ["tests/test_values.py::test_no_class_cache_or_table_can_be_assigned"],
+    ),
+    Mutant(
         "common_box marks every state outside the event bad", "epigame/epistemic.py",
         "    bad = 0\n    frontier = space.full_mask & ~event\n",
         "    bad = space.full_mask & ~event\n    frontier = space.full_mask & ~event\n",

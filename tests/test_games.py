@@ -116,10 +116,34 @@ def test_literals_at_the_bounds_accepted():
         ("-5e-1000", -5 / Fraction(10) ** 1000),
         ("9" * 1000, Fraction(10) ** 1000 - 1),
         ("1_000e0_07", Fraction(10) ** 10),
+        ("1/3_0", Fraction(1, 30)),
+        ("0.0_1e-0_2", Fraction(1, 10 ** 4)),
+        ("\u0661_\u0662", Fraction(12)),  # Arabic-Indic digits are decimal digits too
     ):
         game = parse_game(f"players: 2\nstrategies 1: a\nstrategies 2: x\n"
                           f"payoff 1: a x = {literal}\npayoff 2: a x = 0\n")
         assert game.payoff(0, ("a", "x")) == value
+
+
+@pytest.mark.parametrize("literal", ["1__0", "_1", "1_", "1_/3", "1._5", "1e_5"])
+def test_an_underscore_stands_only_between_two_digits(literal):
+    # as in Python 3.11's own Fraction, on every Python the engine supports
+    with pytest.raises(ParseError, match="not an exact rational"):
+        parse_game(f"players: 2\nstrategies 1: a\nstrategies 2: x\n"
+                   f"payoff 1: a x = {literal}\npayoff 2: a x = 0\n")
+
+
+def test_underscores_are_dropped_before_fraction_reads_a_literal(monkeypatch):
+    class NoUnderscores(Fraction):  # as Python 3.10's Fraction reads a string
+        def __new__(cls, numerator=0, denominator=None):
+            if isinstance(numerator, str) and "_" in numerator:
+                raise ValueError(f"Invalid literal for Fraction: {numerator!r}")
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(games, "Fraction", NoUnderscores)
+    for literal, value in (("1_000e0_07", 10 ** 10), ("1/3_0", Fraction(1, 30)),
+                           ("-0.0_1e-0_2", Fraction(-1, 10 ** 4))):
+        assert games._rational_literal(literal) == value
 
 
 def test_dotted_labels_cannot_collide_in_state_labels():

@@ -41,10 +41,10 @@ def _values():
         (belief, ("weights",), (),
          "CorrelatedBelief(weights=((('L',), Fraction(1, 2)), (('R',), Fraction(1, 2))))"),
         (space, ("states",), ("index",), "StateSpace(states=('a', 'b'))"),
-        (correspondence, ("space", "targets"), ("masks", "sources"),
+        (correspondence, ("space", "targets"), ("masks", "sources", "kind"),
          "PossibilityCorrespondence(space=StateSpace(states=('a', 'b')), "
          "targets=(frozenset({'a'}), frozenset({'b'})))"),
-        (model, ("game", "space", "strategy_maps", "correspondences"), ("choosers",),
+        (model, ("game", "space", "strategy_maps", "correspondences"), ("choosers", "model_class"),
          "EpistemicModel(game=Game(strategies=(('U', 'D'), ('L', 'R')), payoff_tables=("
          "(Fraction(1, 1), Fraction(0, 1), Fraction(1, 2), Fraction(1, 1)), (Fraction(1, 1), "
          "Fraction(1, 1), Fraction(0, 1), Fraction(1, 1)))), space=StateSpace(states=('a', "
@@ -139,6 +139,30 @@ def test_fields_are_read_only(value, fields, derived, text):
         with pytest.raises(AttributeError):
             delattr(value, name)
         assert getattr(value, name) is before
+
+
+def test_no_class_cache_or_table_can_be_assigned():
+    game = Game((("U", "D"), ("L", "R")), ((1, 0, 0, 1), (0, 1, 1, 0)))
+    space = StateSpace(("a", "b"))
+    empty = PossibilityCorrespondence(space, (frozenset(), frozenset({"a"})))  # not serial
+    model = EpistemicModel(game, space, (("U", "D"), ("L", "R")), (empty,) * 2)
+    assert model.model_class == empty.kind == "invalid"
+    restriction = game.full_restriction()
+    assert game.beats  # built on first read: a table already built is guarded too
+    for value, name in ((model, "model_class"), (empty, "kind"),
+                        (restriction, "components"), (restriction, "joint_strategies"),
+                        (game, "n"), (game, "memo"), (game, "beats"), (game, "_payoff_tables")):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, "knowledge")
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) == before
+    with pytest.raises(AttributeError):
+        game.unknown = 1
+    assert model.model_class == "invalid"
+    with pytest.raises(ValidationError, match="belief- or knowledge-class model"):
+        epistemic.rat_event(model, NotionProfile.uniform("sd", 2))
 
 
 @pytest.mark.parametrize("value, fields, derived, text", VALUES, ids=IDS)
