@@ -6,6 +6,8 @@ derived from it. Payoffs, probabilities and expectations are
 player's payoffs as integers, scaled once per game (``scaled_payoffs``), so
 every comparison made anywhere in the engine is exact, and an opponent profile
 as its offset in the tables, which ``Game.opponent_offset`` alone decodes.
+Weights are checked on integers too: a sign reads the numerator, and a sum
+adds the numerators over the running lcm of the denominators.
 
 The exact re-checks of a witness, ``expected_payoff`` and ``dominates``, read
 the unscaled tables through one reader that checks every input before it
@@ -56,13 +58,17 @@ def check_label(label, what: str, reserved=STRATEGY_LABEL_RESERVED) -> None:
 
 def _rational_literal(text: str) -> Fraction:
     """Exact value of an integer, ``p/q`` or decimal literal within the bounds
-    above, ``_`` only between digits as Python 3.11 reads it; `ValidationError` otherwise."""
+    above, as Python 3.11 reads it: ``_`` only between digits and whitespace only
+    around the literal; `ValidationError` otherwise."""
     parts = text.split("_")  # dropped before Fraction reads them: Python 3.10's reads none
-    if not all(a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(parts, parts[1:])):
+    # whitespace inside too: Python 3.12's Fraction reads "1 / 3" as 1/3
+    if len(text.split()) > 1 or not all(
+            a[-1:].isdecimal() and b[:1].isdecimal() for a, b in zip(parts, parts[1:])):
         raise ValidationError(f"not an exact rational: {text!r}")
     mantissa, _, exponent = "".join(parts).lower().partition("e")
     exponent = exponent.strip().lstrip("+-").lstrip("0")
-    if sum(c.isdecimal() for c in mantissa) > MAX_LITERAL_DIGITS:
+    if len(mantissa) > MAX_LITERAL_DIGITS and sum(
+            c.isdecimal() for c in mantissa) > MAX_LITERAL_DIGITS:
         raise ValidationError(f"literal has more than {MAX_LITERAL_DIGITS} digits")
     if exponent.isdecimal() and (
         len(exponent) > len(str(MAX_LITERAL_EXPONENT)) or int(exponent) > MAX_LITERAL_EXPONENT
@@ -422,9 +428,16 @@ def _distribution(pairs, what: str, key_name: str, read_key) -> tuple:
         raise ValidationError(f"{what} needs ({key_name}, weight) pairs, keys hashable") from None
     if len(keys) != len(weights):
         raise ValidationError(f"{what} lists a {key_name} twice")
-    if any(w < 0 for _, w in weights):
-        raise ValidationError(f"{what} has a negative weight")
-    if sum(w for _, w in weights) != 1:
+    total, common = 0, 1  # the sum so far is total / common
+    for _, w in weights:
+        numerator = w.numerator
+        if numerator < 0:
+            raise ValidationError(f"{what} has a negative weight")
+        if numerator:
+            merged = lcm(common, w.denominator)
+            total = total * (merged // common) + numerator * (merged // w.denominator)
+            common = merged
+    if total != common:
         raise ValidationError(f"{what} weights must sum to exactly 1")
     return weights
 
@@ -450,10 +463,10 @@ class MixedStrategy(Value):
 
     @property
     def support(self) -> tuple[str, ...]:
-        return tuple(label for label, w in self.weights if w > 0)
+        return tuple(label for label, w in self.weights if w.numerator > 0)
 
     def __str__(self) -> str:
-        return " + ".join(f"{w}*{label}" for label, w in self.weights if w > 0)
+        return " + ".join(f"{w}*{label}" for label, w in self.weights if w.numerator > 0)
 
 
 class CorrelatedBelief(Value):
@@ -465,7 +478,7 @@ class CorrelatedBelief(Value):
         self._weights = _distribution(weights, "correlated belief", "joint strategy", _profile_key)
 
     def __str__(self) -> str:
-        return " + ".join(f"{w}*({','.join(j)})" for j, w in self.weights if w > 0)
+        return " + ".join(f"{w}*({','.join(j)})" for j, w in self.weights if w.numerator > 0)
 
 
 def _payoffs_at(game: Game, i: int, strategies, profiles) -> list[list[Fraction]]:

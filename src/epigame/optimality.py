@@ -179,7 +179,7 @@ def _holds_core(game, notion, i, s, alternatives, opponents):
         # forces the degenerate mixture
         if _point_strictly_best(game, i, s, alternatives, opponents):
             return True
-        return _weak_program(game, i, s, rivals, opponents)[0] <= 0
+        return _weak_program(game, i, s, rivals, opponents)[0].numerator <= 0
 
     # msd and brc, one predicate by Pearce's lemma: no mixture dominates s
     # strictly iff some correlated belief supports it
@@ -189,7 +189,7 @@ def _holds_core(game, notion, i, s, alternatives, opponents):
     # alternative
     if _unbeaten(game, i, s, alternatives, opponents):
         return True
-    return _strict_decision(game, i, s, alternatives, opponents)[0] <= 0
+    return _strict_decision(game, i, s, alternatives, opponents)[0].numerator <= 0
 
 
 def _at_most_one(mask: int) -> bool:
@@ -286,7 +286,7 @@ def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict
     labels = game.strategies[i]
     if mode == "strict":
         optimum, weights = _strict_decision(game, i, s, support, opponents)
-        if optimum <= 0:
+        if optimum.numerator <= 0:
             return DominanceVerdict(False, None, optimum)
         weights = weights or _strict_game(game, i, s, support, opponents)[1]
         witness = MixedStrategy(i, tuple(zip((labels[a] for a in set_bits(support)), weights)))
@@ -297,7 +297,7 @@ def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict
         # the witness program below is _weak_program's under
         # m_s = 1 - sum_j m_j, its objective divided by the scale
         optimum, vertex = _weak_program(game, i, s, support & ~(1 << s), opponents)
-        if optimum <= 0:
+        if optimum.numerator <= 0:
             return DominanceVerdict(False, None, Fraction(optimum, scale))
         if vertex is not None:
             rivals = iter(vertex)
@@ -324,7 +324,7 @@ def _dominance_verdict(game, i, s, support, opponents, mode) -> DominanceVerdict
         return DominanceVerdict(False, None, None)
     if solution.status is not Status.OPTIMAL:
         raise InvariantViolated("weak-dominance program unbounded; its slacks are bounded")
-    if solution.value > 0:
+    if solution.value.numerator > 0:
         weights = tuple(zip((labels[a] for a in support), solution.assignment[:k]))
         return DominanceVerdict(True, MixedStrategy(i, weights), solution.value)
     return DominanceVerdict(False, None, solution.value)
@@ -344,7 +344,7 @@ def solve_br_lp(game: Game, i: int, s_i: str, G_i, G_minus_i) -> BestResponseVer
     # an empty G_i is read as {s}: with no rival, the all-zero game's column
     # mixture, a point belief on the first profile, supports s
     alternatives = alternatives or 1 << s
-    if _strict_decision(game, i, s, alternatives, opponents)[0] > 0:
+    if _strict_decision(game, i, s, alternatives, opponents)[0].numerator > 0:
         return BestResponseVerdict(False, None)
     weights = _strict_game(game, i, s, alternatives, opponents)[2]
     return BestResponseVerdict(True, _belief(game, i, opponents, weights))

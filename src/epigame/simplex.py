@@ -260,14 +260,14 @@ def matrix_game_value(
     if total <= 0:
         raise InvariantViolated("matrix game program ended with no positive column weight")
     value = Fraction(det - shift * total, scale * total)
-    if decide and not (value > 0 and all(rhs)):
+    if decide and not (det > shift * total and all(rhs)):
         return value, None, None
     weights = [0] * nrows  # a basic slack's row has weight 0
     for c, j in enumerate(cobasis):
         if j >= ncols:
             weights[j - ncols] = -reduced[c]
-    row_mixture = tuple(Fraction(w, total) for w in weights)
-    columns = None if decide else tuple(Fraction(v, total) for v in scaled_columns)
+    row_mixture = tuple(Fraction(w, total) if w else ZERO for w in weights)
+    columns = None if decide else tuple(Fraction(v, total) if v else ZERO for v in scaled_columns)
     return value, row_mixture, columns
 
 
@@ -301,4 +301,4 @@ def optimum_from_origin(
     optimum = Fraction(sum(c * v for c, v in zip(objective, scaled)), det)
     if not all(reduced):
         return optimum, None
-    return optimum, tuple(Fraction(v, det) for v in scaled)
+    return optimum, tuple(Fraction(v, det) if v else ZERO for v in scaled)

@@ -161,16 +161,16 @@ CATALOGUE = (
     ),
     Mutant(
         "msd and brc decided by a negative value only", "epigame/optimality.py",
-        "    return _strict_decision(game, i, s, alternatives, opponents)[0] <= 0\n",
-        "    return _strict_decision(game, i, s, alternatives, opponents)[0] < 0\n",
+        "    return _strict_decision(game, i, s, alternatives, opponents)[0].numerator <= 0\n",
+        "    return _strict_decision(game, i, s, alternatives, opponents)[0].numerator < 0\n",
         ["tests/test_verify.py::test_pearce_certificate_needs_an_lp_belief",
          "tests/test_predicate_core.py::test_decisions_agree_with_their_witness_programs"],
     ),
     Mutant(
         "M-degenerate: the decision keeps a degenerate basis's row mixture",
         "epigame/simplex.py",
-        "    if decide and not (value > 0 and all(rhs)):\n",
-        "    if decide and not value > 0:\n",
+        "    if decide and not (det > shift * total and all(rhs)):\n",
+        "    if decide and not det > shift * total:\n",
         ["tests/test_simplex_oracle.py::"
          "test_the_decision_keeps_no_row_mixture_of_a_degenerate_basis",
          "tests/test_optimality.py::test_a_witness_from_a_degenerate_decision_is_blands"],
@@ -214,6 +214,24 @@ CATALOGUE = (
         '        raise AttributeError(f"a Game is read-only: cannot assign {name!r}")\n',
         "        object.__setattr__(self, name, value)\n",
         ["tests/test_values.py::test_no_class_cache_or_table_can_be_assigned"],
+    ),
+    Mutant(
+        "the weight sum adds numerators over no common denominator", "epigame/games.py",
+        "            total = total * (merged // common) + numerator * (merged // w.denominator)\n",
+        "            total += numerator\n",
+        ["tests/test_input_readers.py::"
+         "test_the_integer_weight_checks_read_as_fraction_comparisons",
+         "tests/test_optimality.py::test_mix_game_lp_witness",
+         "tests/test_games.py::test_expected_payoff_independent_three_player"],
+    ),
+    Mutant(
+        "a zero weight read as negative", "epigame/games.py",
+        "        if numerator < 0:\n",
+        "        if numerator <= 0:\n",
+        ["tests/test_input_readers.py::"
+         "test_the_integer_weight_checks_read_as_fraction_comparisons",
+         "tests/test_optimality.py::test_mix_game_lp_witness",
+         "tests/test_optimality.py::test_a_witness_from_a_degenerate_decision_is_blands"],
     ),
     Mutant(
         "common_box marks every state outside the event bad", "epigame/epistemic.py",

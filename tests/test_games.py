@@ -146,6 +146,31 @@ def test_underscores_are_dropped_before_fraction_reads_a_literal(monkeypatch):
         assert games._rational_literal(literal) == value
 
 
+SPACED_SLASHES = ("1 / 3", "1/ 3", "1 /3", "1\t/3")
+
+
+@pytest.mark.parametrize("literal", SPACED_SLASHES)
+def test_whitespace_inside_a_literal_is_rejected(literal):
+    # as in Python 3.11's own Fraction, on every Python the engine supports
+    with pytest.raises(ParseError, match="not an exact rational"):
+        parse_game(f"players: 2\nstrategies 1: a\nstrategies 2: x\n"
+                   f"payoff 1: a x = {literal}\npayoff 2: a x = 0\n")
+
+
+def test_whitespace_inside_a_literal_is_rejected_before_fraction_reads_it(monkeypatch):
+    class SpacedSlash(Fraction):  # as Python 3.12's Fraction reads a string
+        def __new__(cls, numerator=0, denominator=None):
+            if isinstance(numerator, str):
+                numerator = "/".join(part.strip() for part in numerator.split("/"))
+            return super().__new__(cls, numerator, denominator)
+
+    monkeypatch.setattr(games, "Fraction", SpacedSlash)
+    assert games._rational_literal(" 1/3\t") == Fraction(1, 3)
+    for literal in SPACED_SLASHES:
+        with pytest.raises(ValidationError, match="not an exact rational"):
+            games._rational_literal(literal)
+
+
 def test_dotted_labels_cannot_collide_in_state_labels():
     payoffs = {joint: 0 for joint in (("a.b", "c"), ("a.b", "b.c"), ("a", "c"), ("a", "b.c"))}
     with pytest.raises(ValidationError, match="reserved '.'"):

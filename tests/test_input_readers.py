@@ -204,6 +204,54 @@ def test_weight_checks_keep_their_messages():
     assert CorrelatedBelief(((["x"], "1/2"), (("y",), "1/2"))).weights[0] == (("x",), Fraction(1, 2))
 
 
+# large coprime denominators, so the running lcm of a sum grows
+PRIMES = (3, 7, 2 ** 31 - 1, 10 ** 9 + 7, 998244353)
+weight_values = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-1, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12),
+    st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12), st.sampled_from(PRIMES)),
+)
+
+
+@st.composite
+def weight_lists(draw):
+    """Weights of zero, negative and large-denominator values; half the
+    lists have their last weight completed so that they sum to 1."""
+    weights = draw(st.lists(weight_values, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        weights[-1] = 1 - sum(weights[:-1], Fraction(0))
+    return weights
+
+
+@given(weight_lists())
+def test_the_integer_weight_checks_read_as_fraction_comparisons(weights):
+    # the Fraction forms, kept here as the reference for the integer checks
+    exact = [Fraction(w) for w in weights]
+    if any(w < 0 for w in exact):
+        error = "has a negative weight"
+    elif sum(exact) != 1:
+        error = "weights must sum to exactly 1"
+    else:
+        error = None
+    for make, what, keys in (
+            (lambda w: MixedStrategy(0, w), "mixed strategy", [f"s{k}" for k in range(8)]),
+            (CorrelatedBelief, "correlated belief", [(f"t{k}",) for k in range(8)])):
+        pairs = tuple(zip(keys, weights))
+        if error is not None:
+            with pytest.raises(ValidationError, match=f"^{what} {error}$"):
+                make(pairs)
+            continue
+        value = make(pairs)
+        assert value.weights == tuple(zip(keys, exact))
+        if what == "mixed strategy":
+            assert value.support == tuple(k for k, w in zip(keys, exact) if w > 0)
+            assert str(value) == " + ".join(f"{w}*{k}" for k, w in zip(keys, exact) if w > 0)
+        else:
+            assert str(value) == " + ".join(
+                f"{w}*({','.join(k)})" for k, w in zip(keys, exact) if w > 0)
+
+
 def test_the_payoff_pool_is_read_as_payoffs_are():
     assert GeneratorConfig(seed=0, payoff_pool=(1, "1/2", Fraction(3))).payoff_pool == (
         Fraction(1), Fraction(1, 2), Fraction(3))

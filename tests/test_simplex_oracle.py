@@ -159,6 +159,49 @@ def test_the_decision_matches_the_fraction_solver(matrix, multiple):
         assert value > 0 and rows == want_rows
 
 
+@contextmanager
+def final_bounds():
+    """Log the bounds column each ``_from_origin`` run ends with."""
+    log = []
+    original = engine._from_origin
+
+    def from_origin(tableau, rhs, *args):
+        result = original(tableau, rhs, *args)
+        log.append(list(rhs))
+        return result
+
+    engine._from_origin = from_origin
+    try:
+        yield log
+    finally:
+        engine._from_origin = original
+
+
+@given(st.one_of(matrices(), degenerate_matrices()), st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=200, deadline=None)
+def test_the_decision_keeps_rows_iff_the_value_is_positive_at_a_non_degenerate_basis(
+        matrix, multiple):
+    # the Fraction form of the integer test det > shift * total, kept as the reference
+    with final_bounds() as log:
+        value, rows, _ = engine.matrix_game_value(*integer_matrix(matrix, multiple), decide=True)
+    (rhs,) = log
+    assert (rows is not None) == (value > 0 and all(rhs))
+
+
+@given(st.one_of(matrices(), degenerate_matrices()), st.sampled_from([1, 2, 3, 7]))
+@settings(max_examples=150, deadline=None)
+def test_every_zero_weight_is_the_shared_fraction_zero(matrix, multiple):
+    integers, scale = integer_matrix(matrix, multiple)
+    _, rows, columns = engine.matrix_game_value(integers, scale)
+    _, decided, _ = engine.matrix_game_value(integers, scale, decide=True)
+    shift = scale - min(map(min, integers))
+    positive = [[v + shift for v in row] for row in integers]
+    _, vertex = engine.optimum_from_origin(positive, [1] * len(positive), [1] * len(matrix[0]))
+    for weights in (rows, columns, decided or (), vertex or ()):
+        assert all(type(w) is Fraction for w in weights)
+        assert all(w is engine.ZERO for w in weights if w == 0)
+
+
 def test_the_decision_keeps_no_row_mixture_of_a_degenerate_basis():
     # the largest-coefficient rule ends at a basis with a basic variable at
     # zero; its row mixture (1/4, 1/2, 1/4) is optimal, but not Bland's
