@@ -7,6 +7,8 @@ value: the same inputs give an equal report with the same rendering. Every
 suite runs on one instance loop, :func:`_suite`, and its instance k draws
 only from seed + k; a Pearce instance is one game and counts its
 restrictions.
+Theorem 1 (i) and (ii) and both corollaries are one inclusion check,
+:func:`_verify_inclusion`, whose counterexample names the played ``event``.
 The inclusion lemma is one check on its two operator pairs,
 :func:`_inclusion_lemma_violation`. A claim reads the elimination outcome
 through the memoised :func:`elimination_limit` (an inclusion check only for
@@ -104,20 +106,6 @@ def _report(claim, instances, violated, payload, seed, notes=()):
                               payload if violated else None, seed, tuple(notes))
 
 
-def _require_model(game: Game, model: EpistemicModel, wanted: str) -> None:
-    """The model must be over ``game`` and of the wanted class."""
-    if model.game != game:
-        shapes = ["x".join(str(len(labels)) for labels in g.strategies) for g in (model.game, game)]
-        raise ValidationError(
-            f"model is over a different game ({shapes[0]}) than the one checked ({shapes[1]})"
-        )
-    if wanted == "belief":
-        if model.model_class not in ("belief", "knowledge"):
-            raise ValidationError("claim needs a belief-class model")
-    elif model.model_class != wanted:
-        raise ValidationError(f"claim needs a {wanted}-class model")
-
-
 # --- single-instance checks ----------------------------------------------------
 
 def _common_belief_play(model: EpistemicModel, profile: NotionProfile):
@@ -130,12 +118,28 @@ def _common_belief_play(model: EpistemicModel, profile: NotionProfile):
     return event, restriction_of(model, event)
 
 
-def _check_inclusion(claim, chosen, limit, seed, notes=(), **extras):
-    """The inclusion claims' one check: the restriction played under
-    RAT and CB(RAT) lies inside the elimination limit."""
-    violated = not chosen.is_subset_of(limit)
-    payload = {"kind": claim, **extras, "chosen": chosen, "limit": limit}
-    return _report(claim, 1, violated, payload, seed, notes)
+def _verify_inclusion(claim, model_class, game, model, rationality, limit_profile, mode, seed,
+                      notes=(), **extras):
+    """The inclusion claims' one check: on a ``model_class`` model over
+    ``game``, the restriction played under RAT and CB(RAT) for the
+    ``rationality`` profile lies inside the ``mode`` limit of
+    ``limit_profile``. An empty play lies inside every limit, so none is
+    computed for it."""
+    if model.game != game:
+        shapes = ["x".join(str(len(labels)) for labels in g.strategies) for g in (model.game, game)]
+        raise ValidationError(
+            f"model is over a different game ({shapes[0]}) than the one checked ({shapes[1]})"
+        )
+    if model.model_class not in (("belief", "knowledge") if model_class == "belief"
+                                 else (model_class,)):
+        raise ValidationError(f"claim needs a {model_class}-class model")
+    event, chosen = _common_belief_play(model, rationality)
+    if not event:  # an empty play lies inside every limit
+        return _report(claim, 1, False, None, seed, notes)
+    limit = elimination_limit(game, limit_profile, mode)
+    payload = {"kind": claim, "game": game, "model": model, **extras,
+               "event": model.space.event_of(event), "chosen": chosen, "limit": limit}
+    return _report(claim, 1, not chosen.is_subset_of(limit), payload, seed, notes)
 
 
 def _verify_thm1(claim, model_class, game, model, profile, seed):
@@ -147,15 +151,8 @@ def _verify_thm1(claim, model_class, game, model, profile, seed):
             f"{', '.join(n.value for n in bad)} {'is' if len(bad) == 1 else 'are'} not "
             "(use the singleton-model counterexample check instead)"
         )
-    _require_model(game, model, model_class)
-    event, chosen = _common_belief_play(model, profile)
-    if not event:  # an empty play lies inside every limit
-        return _report(claim, 1, False, None, seed)
-    limit = elimination_limit(game, profile, GLOBAL)
-    return _check_inclusion(
-        claim, chosen, limit, seed,
-        game=game, model=model, profile=profile, event=model.space.event_of(event),
-    )
+    return _verify_inclusion(claim, model_class, game, model, profile, profile, GLOBAL, seed,
+                             profile=profile)
 
 
 def verify_thm1i(
@@ -201,6 +198,8 @@ def thm2_hypothesis_clauses(
     """Failing clauses of the counterexample hypothesis: the joint strategy
     must be outside the elimination outcome yet mutually optimal against its
     own components."""
+    if len(joint) != game.n:
+        raise ValidationError(f"joint strategy {tuple(joint)} needs {game.n} entries")
     failures = []
     notions = profile.validate_for(game)
     limit = elimination_limit(game, profile, GLOBAL)
@@ -228,8 +227,6 @@ def verify_thm2(
     qualify. A ``counterexample`` verdict is the expected, successful result.
     """
     profile.validate_for(game)
-    if len(joint) != game.n:
-        raise ValidationError(f"joint strategy {tuple(joint)} needs {game.n} entries")
     clauses = thm2_hypothesis_clauses(game, profile, joint)
     if clauses:
         raise HypothesisNotMet(clauses)
@@ -263,24 +260,13 @@ def search_thm2(game: Game, profile: NotionProfile, seed: int | None = None) -> 
     return _report("thm2", len(game.joint_strategies), False, None, seed, notes)
 
 
-def _verify_cor(claim, game, model, rationality, dominance, seed, notes=(), **extras):
-    """The corollaries' one check: play under RAT and CB(RAT) for the
-    ``rationality`` profile lies inside the local limit of ``dominance``."""
-    _require_model(game, model, "belief")
-    event, chosen = _common_belief_play(model, rationality)
-    if not event:  # an empty play lies inside every limit
-        return _report(claim, 1, False, None, seed, notes)
-    limit = elimination_limit(game, NotionProfile.uniform(dominance, game.n), LOCAL)
-    return _check_inclusion(claim, chosen, limit, seed, notes, game=game, model=model, **extras)
-
-
 def verify_cor1(game: Game, model: EpistemicModel, seed: int | None = None) -> VerificationReport:
     """Point-belief rationality under true common belief (or common
     knowledge) confines play to the local strict-dominance outcome."""
     profile = NotionProfile.uniform(Notion.BR_POINT, game.n)
-    report = _verify_cor(
-        "cor1", game, model, profile, Notion.SD, seed, ("belief",), profile=profile
-    )
+    report = _verify_inclusion("cor1", "belief", game, model, profile,
+                               NotionProfile.uniform(Notion.SD, game.n), LOCAL, seed,
+                               ("belief",), profile=profile)
     if model.model_class == "knowledge" and report.holds:
         notes = report.notes + ("knowledge",)
         return _report("cor1", report.instances_checked, False, None, seed, notes)
@@ -312,7 +298,9 @@ def verify_cor2(
     dominance outcome."""
     profile = NotionProfile.uniform(_belief_class_notion(belief_class), game.n)
     profile.validate_for(game)
-    return _verify_cor("cor2", game, model, profile, Notion.MSD, seed, belief_class=belief_class)
+    return _verify_inclusion("cor2", "belief", game, model, profile,
+                             NotionProfile.uniform(Notion.MSD, game.n), LOCAL, seed,
+                             belief_class=belief_class)
 
 
 # --- seeded random suites --------------------------------------------------------

@@ -35,11 +35,7 @@ FAILED_LOG = "MUTANTS_FAILED_LOG"
 
 Mutant = namedtuple("Mutant", "name file old new tests")
 
-THM1_EMPTY_PLAY = (
-    "    if not event:  # an empty play lies inside every limit\n"
-    "        return _report(claim, 1, False, None, seed)\n"
-)
-COR_EMPTY_PLAY = (
+EMPTY_PLAY = (
     "    if not event:  # an empty play lies inside every limit\n"
     "        return _report(claim, 1, False, None, seed, notes)\n"
 )
@@ -74,43 +70,40 @@ CATALOGUE = (
          "[pearce]"],
     ),
     Mutant(
-        "thm1 takes the empty-play short cut on every play", "epigame/verify.py",
-        THM1_EMPTY_PLAY, THM1_EMPTY_PLAY.replace("if not event:", "if True:"),
+        "the inclusion check takes the empty-play short cut on every play", "epigame/verify.py",
+        EMPTY_PLAY, EMPTY_PLAY.replace("if not event:", "if True:"),
         ["tests/test_verify.py::test_suites_report_their_first_failure[<lambda>-expected0]",
          "tests/test_verify.py::test_suites_report_their_first_failure[<lambda>-expected1]",
-         "tests/test_verify.py::test_a_failing_suite_report_reruns_from_its_seed[thm1]",
-         "tests/test_verify.py::test_inclusion_checks_report_counterexamples"
-         "[thm1i-belief-keys0-notes0]",
-         "tests/test_verify.py::test_inclusion_checks_report_counterexamples"
-         "[thm1ii-knowledge-keys1-notes1]",
-         "tests/test_verify.py::test_an_empty_play_holds_without_an_elimination_limit"
-         "[thm1i-belief-3-True]",
-         "tests/test_verify.py::test_an_empty_play_holds_without_an_elimination_limit"
-         "[thm1ii-knowledge-2-True]"],
-    ),
-    Mutant(
-        "cor takes the empty-play short cut on every play", "epigame/verify.py",
-        COR_EMPTY_PLAY, COR_EMPTY_PLAY.replace("if not event:", "if True:"),
-        ["tests/test_verify.py::test_suites_report_their_first_failure[<lambda>-expected2]",
+         "tests/test_verify.py::test_suites_report_their_first_failure[<lambda>-expected2]",
          "tests/test_verify.py::test_suites_report_their_first_failure[<lambda>-expected3]",
+         "tests/test_verify.py::test_a_failing_suite_report_reruns_from_its_seed[thm1]",
          "tests/test_verify.py::test_a_failing_suite_report_reruns_from_its_seed[cor1]",
          "tests/test_verify.py::test_a_failing_suite_report_reruns_from_its_seed[cor2]",
-         "tests/test_verify.py::test_inclusion_checks_report_counterexamples"
-         "[cor1-belief-keys2-notes2]",
-         "tests/test_verify.py::test_inclusion_checks_report_counterexamples"
-         "[cor1-knowledge-keys3-notes3]",
-         "tests/test_verify.py::test_inclusion_checks_report_counterexamples"
-         "[cor2-belief-keys4-notes4]",
-         "tests/test_verify.py::test_inclusion_checks_report_counterexamples"
-         "[cor2-knowledge-keys5-notes5]",
-         "tests/test_verify.py::test_an_empty_play_holds_without_an_elimination_limit"
-         "[cor1-belief-6-True]",
-         "tests/test_verify.py::test_an_empty_play_holds_without_an_elimination_limit"
-         "[cor1-knowledge-2-True]",
-         "tests/test_verify.py::test_an_empty_play_holds_without_an_elimination_limit"
-         "[cor2-belief-6-True]",
-         "tests/test_verify.py::test_an_empty_play_holds_without_an_elimination_limit"
-         "[cor2-knowledge-2-True]"],
+         *(f"tests/test_verify.py::test_inclusion_checks_report_counterexamples[{case}]"
+           for case in ("thm1i-belief-keys0-notes0", "thm1ii-knowledge-keys1-notes1",
+                        "cor1-belief-keys2-notes2", "cor1-knowledge-keys3-notes3",
+                        "cor2-belief-keys4-notes4", "cor2-knowledge-keys5-notes5")),
+         *(f"tests/test_verify.py::test_an_empty_play_holds_without_an_elimination_limit[{case}]"
+           for case in ("thm1i-belief-3-True", "thm1ii-knowledge-2-True",
+                        "cor1-belief-6-True", "cor1-knowledge-2-True",
+                        "cor2-belief-6-True", "cor2-knowledge-2-True"))],
+    ),
+    Mutant(
+        "M1: one level of belief in place of common belief", "epigame/verify.py",
+        "    common_box,\n",
+        "    box as common_box,\n",
+        [f"tests/test_cli.py::test_claims_need_common_belief_on_a_three_stage_game[{case}]"
+         for case in (*(f"thm1i-{notion}-belief" for notion in ("sd", "msd", "brp", "brc")),
+                      *(f"thm1ii-{notion}-knowledge" for notion in ("sd", "msd", "brp", "brc")),
+                      *(f"{claim}-None-{model}" for claim in ("cor1", "cor2")
+                        for model in ("belief", "knowledge")))],
+    ),
+    Mutant(
+        "M2: every player's rationality read by player 1's notion", "epigame/epistemic.py",
+        "game, notions[i], i, s, game.full_masks[i], opponents)",
+        "game, notions[0], i, s, game.full_masks[i], opponents)",
+        ["tests/test_cli.py::test_rat_reads_each_players_own_notion",
+         "tests/test_predicate_core.py::test_core_agrees_with_the_label_path"],
     ),
     Mutant(
         "the lemma's operator images keyed by player 1's mask", "epigame/verify.py",

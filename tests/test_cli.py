@@ -375,6 +375,20 @@ def test_generate_model_round_trip(capsys, tmp_path, tie_game_file):
     assert model.model_class in ("belief", "knowledge")
 
 
+def test_rat_reads_each_players_own_notion(capsys, tmp_path):
+    # at w0 player 2 plays a against {a, b}, where b weakly but not strictly
+    # dominates it: wd, player 2's own notion, rejects it and sd does not
+    game, model = tmp_path / "g.game", tmp_path / "m.model"
+    for path, argv in ((game, ["game", "--players", "2", "2", "--strategies", "2", "3"]),
+                       (model, ["model", "--game", str(game), "--states", "2", "4"])):
+        code, out, err = run(capsys, "generate", argv[0], "--seed", "5", *argv[1:])
+        assert (code, err) == (0, "")
+        path.write_text(out)
+    read = ["epistemic", "--game", str(game), "--model", str(model), "--profile"]
+    assert run(capsys, *read, "sd,wd", "rat") == (0, "rat: w1\n", "")
+    assert run(capsys, *read, "sd", "rat") == (0, "rat: w0 w1\n", "")
+
+
 def test_verify_single_instance_with_model(capsys, tie_game_file, singleton_model_file):
     code, out, _ = run(
         capsys,

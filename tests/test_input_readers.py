@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from epigame.elimination import GLOBAL, LOCAL, NotionProfile, outcome
+from epigame.elimination import GLOBAL, LOCAL, NotionProfile, operator, outcome
 from epigame.epistemic import (
     EpistemicModel,
     PossibilityCorrespondence,
@@ -42,6 +42,7 @@ from epigame.verify import (
     thm1_suite,
     thm1iii_suite,
     thm2_hypothesis_clauses,
+    verify_cor1,
     verify_cor2,
 )
 
@@ -167,6 +168,53 @@ BARE_STRINGS = [
 def test_a_malformed_value_is_a_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+V_CELL = PossibilityCorrespondence(StateSpace(("v",)), ({"v"},))
+EMPTY_CELL = PossibilityCorrespondence(W, (set(),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Game((("a", "b"),), ((0, 0),)), "a game needs at least 2 players"),
+    (lambda: Game((("a",), ("x",)), ((0,),)), "one payoff table per player is required"),
+    (lambda: Game((("a", "b"), ("x",)), ((0, 0), (0,))),
+     "payoff table for player 2 has 1 entries, expected 2"),
+    (lambda: game_from_payoffs([("a",), ("x", "y")], [{("a", "x"): 0, ("a", "y"): 0},
+                                                       {("a", "x"): 0}]),
+     "player 2 is missing payoff entries, e.g. ('a', 'y')"),
+    (lambda: PossibilityCorrespondence(AB, ({"a"},)), "correspondence must cover every state"),
+    (lambda: EpistemicModel(AB_XY, W, (("a",),), W_CELLS),
+     "one strategy map per player is required"),
+    (lambda: EpistemicModel(AB_XY, W, (("a", "b"), ("x",)), W_CELLS),
+     "strategy map for player 1 is not total"),
+    (lambda: EpistemicModel(AB_XY, W, (("a",), ("x",)), W_CELLS[:1]),
+     "one correspondence per player is required"),
+    (lambda: EpistemicModel(AB_XY, W, (("a",), ("x",)), (W_CELLS[0], V_CELL)),
+     "correspondence is over a different state space"),
+    (lambda: NotionProfile.uniform("sd", 3).validate_for(AB_XY),
+     "profile has 3 notions for 2 players"),
+    (lambda: operator(NotionProfile.uniform("sd", 2), AB_XY, "sideways"),
+     "mode must be 'global' or 'local', got 'sideways'"),
+    (lambda: solve_dominance_lp(AB_XY, 0, "a", "ab", "xy", "sideways"),
+     "mode must be 'strict' or 'weak', got 'sideways'"),
+    (lambda: GeneratorConfig(seed=0, strategies=(3, 2)), "empty strategies range 3..2"),
+    (lambda: GeneratorConfig(seed=0, players=(1, 2)), "games need at least 2 players"),
+    (lambda: GeneratorConfig(seed=0, payoff_pool=()), "payoff pool must be non-empty"),
+    (lambda: GeneratorConfig(seed=0, target_class="common"),
+     "target class must be 'belief' or 'knowledge'"),
+    (lambda: verify_cor1(AB_XY, EpistemicModel(AB_XY, W, (("a",), ("x",)), (EMPTY_CELL,) * 2)),
+     "claim needs a belief-class model"),
+], ids=[
+    "game-one-player", "game-missing-table", "game-table-length", "payoffs-missing-entry",
+    "correspondence-cover", "model-map-count", "model-map-total", "model-correspondence-count",
+    "model-correspondence-space", "profile-length", "operator-mode", "dominance-lp-mode",
+    "config-empty-range", "config-one-player", "config-empty-pool", "config-target-class",
+    "inclusion-invalid-model",
+])
+def test_a_malformed_structure_is_a_validation_error_with_its_message(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_unknown_and_unhashable_labels_share_a_message():

@@ -30,6 +30,7 @@ from epigame.verify import (
     search_thm2,
     thm1_suite,
     thm1iii_suite,
+    thm2_hypothesis_clauses,
     verify_cor1,
     verify_cor2,
     verify_monotonicity,
@@ -167,9 +168,18 @@ def test_thm2_hypothesis_rejected_for_strict_dominance(tie_game):
 
 
 def test_thm2_rejects_a_joint_strategy_of_the_wrong_arity(tie_game):
-    for joint in ((), ("U",), ("U", "L", "R")):
-        with pytest.raises(ValidationError, match=r"joint strategy .* needs 2 entries"):
-            verify_thm2(tie_game, NotionProfile.uniform("wd", 2), joint)
+    # the checker and the public hypothesis test give one message
+    for check in (verify_thm2, thm2_hypothesis_clauses):
+        for joint in ((), ("U",), ("U", "L", "R")):
+            with pytest.raises(ValidationError) as err:
+                check(tie_game, NotionProfile.uniform("wd", 2), joint)
+            assert str(err.value) == f"joint strategy {joint} needs 2 entries"
+    # the checker reads its profile first, the hypothesis test its joint strategy
+    for check, message in ((verify_thm2, "profile has 3 notions for 2 players"),
+                           (thm2_hypothesis_clauses, "joint strategy ('U',) needs 2 entries")):
+        with pytest.raises(ValidationError) as err:
+            check(tie_game, NotionProfile.uniform("wd", 3), ("U",))
+        assert str(err.value) == message
 
 
 def test_thm2_search_finds_tie_game_witness(tie_game):
@@ -846,18 +856,18 @@ def _all_point_to_dd(game):
     return EpistemicModel(game, model.space, model.strategy_maps, (corr, corr))
 
 
-_THM1_KEYS = {"kind", "game", "model", "profile", "event", "chosen", "limit"}
+_INCLUSION_KEYS = {"kind", "game", "model", "event", "chosen", "limit"}
 
 
 @pytest.mark.parametrize(
     "check, model_class, keys, notes",
     [
-        ("thm1i", "belief", _THM1_KEYS, ()),
-        ("thm1ii", "knowledge", _THM1_KEYS, ()),
-        ("cor1", "belief", {"kind", "game", "model", "profile", "chosen", "limit"}, ("belief",)),
-        ("cor1", "knowledge", {"kind", "game", "model", "profile", "chosen", "limit"}, ("belief",)),
-        ("cor2", "belief", {"kind", "game", "model", "belief_class", "chosen", "limit"}, ()),
-        ("cor2", "knowledge", {"kind", "game", "model", "belief_class", "chosen", "limit"}, ()),
+        ("thm1i", "belief", _INCLUSION_KEYS | {"profile"}, ()),
+        ("thm1ii", "knowledge", _INCLUSION_KEYS | {"profile"}, ()),
+        ("cor1", "belief", _INCLUSION_KEYS | {"profile"}, ("belief",)),
+        ("cor1", "knowledge", _INCLUSION_KEYS | {"profile"}, ("belief",)),
+        ("cor2", "belief", _INCLUSION_KEYS | {"belief_class"}, ()),
+        ("cor2", "knowledge", _INCLUSION_KEYS | {"belief_class"}, ()),
     ],
 )
 def test_inclusion_checks_report_counterexamples(
@@ -886,6 +896,9 @@ def test_inclusion_checks_report_counterexamples(
     assert set(report.counterexample) == keys
     assert report.counterexample["kind"] == report.claim
     assert report.counterexample["chosen"] == Restriction.of(game, (("D",), ("D",)))
+    rationality = NotionProfile.uniform(_INCLUSION_CHECKS[check][0], game.n)
+    assert report.counterexample["event"] == model.space.event_of(
+        verify._common_belief_play(model, rationality)[0])
     assert report.notes == notes
     assert replay(report) is True
 
@@ -923,14 +936,13 @@ def _full_path_report(check, game, model, seed):
     event, chosen = verify._common_belief_play(model, rationality)
     limit = verify.elimination_limit(game, NotionProfile.uniform(limit_notion, game.n), mode)
     claim, notes = CLAIMS[check].kind, ("belief",) if check == "cor1" else ()
-    extras = ({"profile": rationality, "event": model.space.event_of(event)}
-              if check.startswith("thm1") else {"profile": rationality} if check == "cor1"
-              else {"belief_class": "correlated"})
-    report = verify._check_inclusion(claim, chosen, limit, seed, notes, game=game, model=model,
-                                     **extras)
-    if check == "cor1" and model.model_class == "knowledge" and report.holds:
-        return verify._report(claim, 1, False, None, seed, notes + ("knowledge",))
-    return report
+    extras = {"belief_class": "correlated"} if check == "cor2" else {"profile": rationality}
+    payload = {"kind": claim, "game": game, "model": model, **extras,
+               "event": model.space.event_of(event), "chosen": chosen, "limit": limit}
+    if chosen.is_subset_of(limit):
+        notes += ("knowledge",) if check == "cor1" and model.model_class == "knowledge" else ()
+        return verify._report(claim, 1, False, None, seed, notes)
+    return verify._report(claim, 1, True, payload, seed, notes)
 
 
 @pytest.mark.parametrize("check, model_class, instance_seed, played", [
